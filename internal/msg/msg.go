@@ -1,6 +1,6 @@
 // Package msg implements IMPACC's communication engine (paper §3.7, §3.8):
-// the per-node message handler thread, the in-order lock-free MPSC command
-// queues between task threads and the handler, FIFO message matching, the
+// the per-node message handler thread, the in-order command queues between
+// task threads and the handler, FIFO message matching, the
 // message fusion technique (a matched intra-node send/recv pair becomes one
 // HtoH/HtoD/DtoH/DtoD copy), direct device-to-device copies over a shared
 // PCIe root complex, node heap aliasing for read-only producer-consumer
@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"impacc/internal/device"
-	"impacc/internal/mpsc"
 	"impacc/internal/sim"
 	"impacc/internal/telemetry"
 	"impacc/internal/topo"
@@ -271,8 +270,8 @@ type Hub struct {
 	reg    *telemetry.Registry
 	faults FaultModel
 
-	intraQ   *mpsc.Queue[*Cmd]    // intra-node message queue
-	pendingQ *mpsc.Queue[*netMsg] // pending internode message queue
+	intraQ   fifo[*Cmd]    // intra-node message queue
+	pendingQ fifo[*netMsg] // pending internode message queue
 	// handlerCPU serializes the single message handler thread's per-command
 	// processing time: commands from every task queue up on it in FIFO
 	// order, exactly like the paper's single consumer thread.
@@ -305,8 +304,6 @@ type matchKey struct {
 func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.HeapTable) *Hub {
 	h := &Hub{
 		Eng: eng, Fab: fab, Node: node, Cfg: cfg, Heap: heap,
-		intraQ:     mpsc.New[*Cmd](),
-		pendingQ:   mpsc.New[*netMsg](),
 		handlerCPU: eng.NewFIFOResource(fmt.Sprintf("%s/handler", fab.Sys.Nodes[node].Name)),
 		sendQ:      map[matchKey][]*Cmd{},
 		recvQ:      map[matchKey][]*Cmd{},
@@ -389,12 +386,12 @@ func (h *Hub) dispatch(net bool) {
 	_, end := h.handlerCPU.UseAsync(h.Cfg.HandlerOverhead)
 	h.Eng.At(end, func() {
 		if net {
-			if m, ok := h.pendingQ.Pop(); ok {
+			if m, ok := h.pendingQ.pop(); ok {
 				h.handleNet(m)
 			}
 			return
 		}
-		if cmd, ok := h.intraQ.Pop(); ok {
+		if cmd, ok := h.intraQ.pop(); ok {
 			h.handleCmd(cmd)
 		}
 	})
@@ -417,8 +414,8 @@ func (h *Hub) PostIntra(p *sim.Proc, cmd *Cmd) {
 		p.Sleep(over)
 	}
 	h.ctr.intraMsgs.Inc()
-	h.intraQ.Push(cmd)
-	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.Len()))
+	h.intraQ.push(cmd)
+	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.len()))
 	h.dispatch(false)
 }
 

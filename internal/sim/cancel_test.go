@@ -115,12 +115,17 @@ func TestCancelBeforeRun(t *testing.T) {
 	}
 }
 
+// soloGroup wraps e in the one-shard group that Engine.Run also builds, so a
+// test can set the group's limits before running it.
+func soloGroup(e *Engine) *ShardGroup { return NewShardGroup([]*Engine{e}, 0, 1) }
+
 func TestMaxEventsLimit(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := NewEngine()
-	e.MaxEvents = 100
+	g := soloGroup(e)
+	g.MaxEvents = 100
 	spinProcs(e, 2)
-	err := e.Run()
+	err := g.Run()
 	var le *LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("Run() = %v, want *LimitError", err)
@@ -128,17 +133,18 @@ func TestMaxEventsLimit(t *testing.T) {
 	if le.Resource != "events" || le.Limit != 100 {
 		t.Fatalf("LimitError = %+v, want events/100", le)
 	}
-	if e.Events() != 100 {
-		t.Fatalf("Events() = %d, want exactly the cap", e.Events())
+	if g.Events() != 100 {
+		t.Fatalf("Events() = %d, want exactly the cap", g.Events())
 	}
 	drainGoroutines(t, baseline)
 }
 
 func TestDeadlineLimit(t *testing.T) {
 	e := NewEngine()
-	e.Deadline = Time(10 * Microsecond)
+	g := soloGroup(e)
+	g.Deadline = Time(10 * Microsecond)
 	spinProcs(e, 1)
-	err := e.Run()
+	err := g.Run()
 	var le *LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("Run() = %v, want *LimitError", err)
@@ -146,8 +152,8 @@ func TestDeadlineLimit(t *testing.T) {
 	if le.Resource != "vtime" || le.Limit != int64(10*Microsecond) {
 		t.Fatalf("LimitError = %+v, want vtime/10000", le)
 	}
-	// Like MaxTime, an event exactly at the deadline still runs: only
-	// crossing it stops the clock.
+	// An event exactly at the deadline still runs: only crossing it stops
+	// the clock.
 	if e.Now() != Time(10*Microsecond) {
 		t.Fatalf("clock at %v, want exactly the deadline", Dur(e.Now()))
 	}
@@ -157,10 +163,11 @@ func TestDeadlineLimit(t *testing.T) {
 // dispatches; the error only fires for events strictly past it.
 func TestDeadlineExactEventRuns(t *testing.T) {
 	e := NewEngine()
-	e.Deadline = Time(Millisecond)
+	g := soloGroup(e)
+	g.Deadline = Time(Millisecond)
 	atDeadline := false
 	e.At(Time(Millisecond), func() { atDeadline = true })
-	if err := e.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		t.Fatalf("Run() = %v, want nil (queue drains at the deadline)", err)
 	}
 	if !atDeadline {
@@ -173,28 +180,18 @@ func TestDeadlineExactEventRuns(t *testing.T) {
 func TestLimitErrorDeterministic(t *testing.T) {
 	run := func() (Time, uint64) {
 		e := NewEngine()
-		e.MaxEvents = 500
+		g := soloGroup(e)
+		g.MaxEvents = 500
 		spinProcs(e, 3)
 		var le *LimitError
-		if err := e.Run(); !errors.As(err, &le) {
+		if err := g.Run(); !errors.As(err, &le) {
 			t.Fatalf("Run() = %v, want *LimitError", err)
 		}
-		return e.Now(), e.Events()
+		return e.Now(), g.Events()
 	}
 	at1, n1 := run()
 	at2, n2 := run()
 	if at1 != at2 || n1 != n2 {
 		t.Fatalf("limit halt not deterministic: (%v,%d) vs (%v,%d)", at1, n1, at2, n2)
-	}
-}
-
-// TestMaxTimeStillSilent: the legacy MaxTime truncation must keep returning
-// nil — tools depend on "simulate this long" not being an error.
-func TestMaxTimeStillSilent(t *testing.T) {
-	e := NewEngine()
-	e.MaxTime = Time(10 * Microsecond)
-	spinProcs(e, 1)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run() = %v, want nil under MaxTime", err)
 	}
 }

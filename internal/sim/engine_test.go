@@ -4,31 +4,6 @@ import (
 	"testing"
 )
 
-// TestMaxTimeExactEventRuns pins the MaxTime boundary: an event scheduled
-// exactly at MaxTime still runs; only events strictly past it halt the run.
-func TestMaxTimeExactEventRuns(t *testing.T) {
-	e := NewEngine()
-	e.MaxTime = 100
-	var ranAt, ranPast bool
-	e.At(100, func() { ranAt = true })
-	e.At(101, func() { ranPast = true })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ranAt {
-		t.Fatal("event exactly at MaxTime did not run")
-	}
-	if ranPast {
-		t.Fatal("event past MaxTime ran")
-	}
-	if !e.Halted() {
-		t.Fatal("engine not halted after crossing MaxTime")
-	}
-	if e.Now() != 100 {
-		t.Fatalf("clock = %v, want 100 (must not advance past MaxTime)", e.Now())
-	}
-}
-
 // TestPastEventClampsToNow schedules an event for a time the clock has
 // already passed: it must run at the current instant, after events already
 // queued there, and never move the clock backwards.

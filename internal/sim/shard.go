@@ -21,9 +21,10 @@ import (
 // whole window concurrently without observing each other; outboxes are
 // exchanged at the barrier and injected carrying the sender's (lp, seq)
 // stamp, which — together with the (at, depth, lp, seq) event order — makes
-// the merged schedule a pure function of the inputs. A group of one shard,
-// or a group with no positive lookahead, degenerates to a single serial
-// window and is exactly the classic engine loop.
+// the merged schedule a pure function of the inputs. A group of one shard
+// degenerates to one serial window, split only by beats and the event
+// budget; Engine.Run is exactly that group, so every run, standalone or
+// sharded, goes through this one driver and its one set of limits.
 //
 // Worker count changes only wall-clock behaviour, never a single simulated
 // byte: within a window each shard runs sequentially and shards share no
@@ -34,11 +35,15 @@ type ShardGroup struct {
 	lookahead Dur
 	workers   int
 
-	// Deadline, MaxTime, and MaxEvents mirror the Engine fields but act on
-	// the group's global virtual clock (the minimum next event time) and
-	// the shards' combined dispatch count.
-	Deadline  Time
-	MaxTime   Time
+	// Deadline, when non-zero, is a hard cap on the group's global virtual
+	// clock (the minimum next event time): an event exactly at Deadline
+	// still runs, and the first one past it makes Run return a *LimitError.
+	// Hosting tools (the bench harness, impacc-serve) use it to kill
+	// runaway jobs.
+	Deadline Time
+	// MaxEvents, when non-zero, bounds the shards' combined dispatch count:
+	// Run returns a *LimitError naming the MaxEvents-th event in canonical
+	// order (see armEventBudget).
 	MaxEvents uint64
 
 	// BeatEvery, when positive, divides virtual time into beat intervals
@@ -61,8 +66,7 @@ type ShardGroup struct {
 	// to flush safely (see core's streaming tracer).
 	OnWindow func(fence Time)
 
-	cancelled atomic.Bool
-	nextBeat  Time
+	nextBeat Time
 
 	// flightCap, when positive, arms a per-shard flight recorder of the
 	// most recent flightCap event stamps (see ArmFlight / Stall); stall
@@ -96,14 +100,20 @@ func NewShardGroup(engines []*Engine, lookahead Dur, workers int) *ShardGroup {
 // Cancel asks the group to stop. Safe from any goroutine: each shard's run
 // loop polls its own flag before every dispatch.
 func (g *ShardGroup) Cancel() {
-	g.cancelled.Store(true)
 	for _, e := range g.engines {
 		e.Cancel()
 	}
 }
 
-// Cancelled reports whether Cancel has been called.
-func (g *ShardGroup) Cancelled() bool { return g.cancelled.Load() }
+// Cancelled reports whether the group or any of its shards was cancelled.
+func (g *ShardGroup) Cancelled() bool {
+	for _, e := range g.engines {
+		if e.Cancelled() {
+			return true
+		}
+	}
+	return false
+}
 
 // Events reports the total number of events dispatched across all shards.
 func (g *ShardGroup) Events() uint64 {
@@ -133,13 +143,6 @@ func (g *ShardGroup) MaxNow() Time {
 // Deadline/MaxEvents cap, *CancelError, or *PanicError. However it ends,
 // every unfinished process on every shard is unwound before returning.
 func (g *ShardGroup) Run() error {
-	if g.MaxEvents != 0 && len(g.engines) == 1 && g.engines[0].MaxEvents == 0 {
-		// A single-shard group degenerates to the classic engine loop; the
-		// engine's own MaxEvents check reproduces serial semantics exactly.
-		// Multi-shard groups enforce the cap at window barriers instead
-		// (see armEventBudget / checkEventBudget).
-		g.engines[0].MaxEvents = g.MaxEvents
-	}
 	stopErr := g.windows()
 	var err error
 	if p := g.firstPanic(); p != nil {
@@ -174,7 +177,7 @@ func (g *ShardGroup) windows() error {
 		g.nextBeat = Time(g.BeatEvery)
 	}
 	for {
-		if g.cancelled.Load() {
+		if g.Cancelled() {
 			return &CancelError{At: g.MaxNow()}
 		}
 		T, ok := g.minNextAt()
@@ -189,9 +192,6 @@ func (g *ShardGroup) windows() error {
 			if g.Deadline != 0 && g.nextBeat > g.Deadline {
 				break
 			}
-			if g.MaxTime != 0 && g.nextBeat > g.MaxTime {
-				break
-			}
 			if g.OnBeat != nil {
 				g.OnBeat(g.nextBeat)
 			}
@@ -200,18 +200,12 @@ func (g *ShardGroup) windows() error {
 		if g.Deadline != 0 && T > g.Deadline {
 			return &LimitError{Resource: "vtime", Limit: int64(g.Deadline), At: g.MaxNow()}
 		}
-		if g.MaxTime != 0 && T > g.MaxTime {
-			return nil // silent truncation, like Engine.MaxTime
-		}
 		fence := timeInfinity
 		if n > 1 {
 			fence = T + Time(g.lookahead)
 		}
 		if g.Deadline != 0 && fence > g.Deadline+1 {
 			fence = g.Deadline + 1
-		}
-		if g.MaxTime != 0 && fence > g.MaxTime+1 {
-			fence = g.MaxTime + 1
 		}
 		// Clamp the window to the next beat boundary so no shard dispatches
 		// an event past a boundary before the boundary is observed. The
@@ -333,7 +327,7 @@ func (g *ShardGroup) exactThreshold() int64 {
 // whole trajectory — including the final window's bounded overshoot — is
 // identical at every worker count.
 func (g *ShardGroup) armEventBudget() {
-	if g.MaxEvents == 0 || len(g.engines) == 1 {
+	if g.MaxEvents == 0 {
 		return
 	}
 	remaining := int64(g.MaxEvents) - int64(g.Events())
@@ -361,7 +355,7 @@ func (g *ShardGroup) armEventBudget() {
 // event a serial engine over the merged schedule would have stopped at —
 // so the error bytes match at every worker count.
 func (g *ShardGroup) checkEventBudget() error {
-	if g.MaxEvents == 0 || len(g.engines) == 1 {
+	if g.MaxEvents == 0 {
 		return nil
 	}
 	total := g.Events()
@@ -404,7 +398,7 @@ func (g *ShardGroup) checkEventBudget() error {
 // itself; when an event-budget cap paused a shard mid-window, it is pulled
 // back to the earliest still-pending event.
 func (g *ShardGroup) windowFence(fence Time) Time {
-	if g.MaxEvents == 0 || len(g.engines) == 1 {
+	if g.MaxEvents == 0 {
 		return fence
 	}
 	for _, e := range g.engines {
@@ -454,7 +448,7 @@ func (g *ShardGroup) minNextAt() (Time, bool) {
 	return t, found
 }
 
-// halted reports whether any shard has halted (Halt, MaxTime, or a panic).
+// halted reports whether any shard has halted (Halt, a panic, or a cancel).
 func (g *ShardGroup) halted() bool {
 	for _, e := range g.engines {
 		if e.halted {

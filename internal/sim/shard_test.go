@@ -144,97 +144,78 @@ func TestShardGroupDeadlockUnion(t *testing.T) {
 	}
 }
 
-// TestShardGroupMaxEventsBudget: the group-wide event cap stops the run with
-// a LimitError attributed to the canonical (at, depth, lp, seq)-least event
-// that exhausted the budget, so the error — and the whole trajectory,
-// including the final window's bounded overshoot — is byte-identical at
-// every worker count. Four shards tick every 7ns, so the canonical 40th
-// dispatch is the 10th tick at t=70.
-func TestShardGroupMaxEventsBudget(t *testing.T) {
+// tickGroup builds a group of nShards engines, each running an unbounded
+// self-rearming clock that ticks every period, with the given event cap.
+func tickGroup(nShards, workers int, period Dur, maxEvents uint64) *ShardGroup {
+	engines := make([]*Engine, nShards)
+	for i := range engines {
+		engines[i] = NewLPEngine(i)
+	}
+	g := NewShardGroup(engines, 100, workers)
+	g.MaxEvents = maxEvents
+	for _, e := range engines {
+		e := e
+		var tick func()
+		tick = func() { e.After(period, tick) }
+		e.After(period, tick)
+	}
+	return g
+}
+
+// checkEventBudget runs the tick workload of nShards at each worker count:
+// every run must trip the cap at the canonical cap-th event at wantAt with
+// the same error text and dispatch count as the first, and a one-shard
+// group must stop on exactly the cap-th event, as a serial loop would.
+func checkEventBudget(t *testing.T, nShards int, period Dur, maxEvents uint64, wantAt Time, workers ...int) {
+	t.Helper()
 	var wantErr string
 	var wantEvents uint64
-	for _, workers := range []int{1, 4} {
-		engines := make([]*Engine, 4)
-		for i := range engines {
-			engines[i] = NewLPEngine(i)
-		}
-		g := NewShardGroup(engines, 100, workers)
-		g.MaxEvents = 40
-		for _, e := range engines {
-			e := e
-			var tick func()
-			tick = func() { e.After(Dur(7), tick) } // unbounded self-rearming clock
-			e.After(Dur(7), tick)
-		}
+	for i, w := range workers {
+		g := tickGroup(nShards, w, period, maxEvents)
 		err := g.Run()
 		le, ok := err.(*LimitError)
 		if !ok {
-			t.Fatalf("workers=%d: Run returned %v, want LimitError", workers, err)
+			t.Fatalf("workers=%d: Run returned %v, want LimitError", w, err)
 		}
-		if le.Resource != "events" || le.Limit != 40 {
-			t.Fatalf("workers=%d: limit error %+v, want events/40", workers, le)
+		if le.Resource != "events" || le.Limit != int64(maxEvents) {
+			t.Fatalf("workers=%d: limit error %+v, want events/%d", w, le, maxEvents)
 		}
-		if le.At != Time(70) {
-			t.Fatalf("workers=%d: limit error at t=%v, want the canonical 40th event at t=70ns", workers, Dur(le.At))
+		if le.At != wantAt {
+			t.Fatalf("workers=%d: limit error at t=%v, want the canonical %dth event at t=%v", w, Dur(le.At), maxEvents, Dur(wantAt))
 		}
-		if got := g.Events(); got < 40 {
-			t.Fatalf("workers=%d: dispatched only %d events before tripping the cap 40", workers, got)
+		if got := g.Events(); got < maxEvents || nShards == 1 && got != maxEvents {
+			t.Fatalf("workers=%d: dispatched %d events against the cap %d", w, got, maxEvents)
 		}
-		if workers == 1 {
+		if i == 0 {
 			wantErr, wantEvents = err.Error(), g.Events()
-			continue
-		}
-		if err.Error() != wantErr {
-			t.Fatalf("workers=%d: error %q differs from serial %q", workers, err, wantErr)
-		}
-		if g.Events() != wantEvents {
-			t.Fatalf("workers=%d: dispatched %d events, serial dispatched %d", workers, g.Events(), wantEvents)
+		} else if err.Error() != wantErr || g.Events() != wantEvents {
+			t.Fatalf("workers=%d: (%q, %d events) differs from workers=%d (%q, %d events)",
+				w, err, g.Events(), workers[0], wantErr, wantEvents)
 		}
 	}
 }
 
+// TestShardGroupMaxEventsBudget: the group-wide event cap stops the run with
+// a LimitError attributed to the canonical (at, depth, lp, seq)-least event
+// that exhausted the budget, so the error — and the whole trajectory,
+// including the final window's bounded overshoot — is byte-identical at
+// every worker count. Shards tick every 7ns: of four shards the canonical
+// 40th dispatch is the 10th tick at t=70; one shard's 100th tick (a cap
+// below exactThreshold, so stamped from the start) is at t=700.
+func TestShardGroupMaxEventsBudget(t *testing.T) {
+	checkEventBudget(t, 4, 7, 40, 70, 1, 4)
+	checkEventBudget(t, 1, 7, 100, 700, 1, 4)
+}
+
 // TestShardGroupMaxEventsFarFromCap: a budget far above the exact-attribution
-// threshold still stops the run deterministically — the coarse per-window
-// caps shrink the remainder until exact stamping engages, and the final
-// error matches across worker counts.
+// threshold (9000 > 4096) still stops the run deterministically — the coarse
+// per-window caps shrink the remainder until exact stamping engages, and the
+// final error matches across worker counts. Shards tick in lockstep every
+// 5ns: of three shards the canonical 9000th dispatch is the 3000th tick at
+// t=15000; one shard's 9000th tick is at t=45000.
 func TestShardGroupMaxEventsFarFromCap(t *testing.T) {
-	var wantErr string
-	var wantEvents uint64
-	for _, workers := range []int{1, 3} {
-		engines := make([]*Engine, 3)
-		for i := range engines {
-			engines[i] = NewLPEngine(i)
-		}
-		g := NewShardGroup(engines, 100, workers)
-		g.MaxEvents = 9000 // > exactThreshold (4096): exercises the coarse mode
-		for _, e := range engines {
-			e := e
-			var tick func()
-			tick = func() { e.After(Dur(5), tick) }
-			e.After(Dur(5), tick)
-		}
-		err := g.Run()
-		le, ok := err.(*LimitError)
-		if !ok {
-			t.Fatalf("workers=%d: Run returned %v, want LimitError", workers, err)
-		}
-		if le.Resource != "events" || le.Limit != 9000 {
-			t.Fatalf("workers=%d: limit error %+v, want events/9000", workers, le)
-		}
-		// 3 shards tick in lockstep: the canonical 9000th dispatch is the
-		// 3000th tick at t=15000.
-		if le.At != Time(15000) {
-			t.Fatalf("workers=%d: limit error at t=%v, want t=15000ns", workers, Dur(le.At))
-		}
-		if workers == 1 {
-			wantErr, wantEvents = err.Error(), g.Events()
-			continue
-		}
-		if err.Error() != wantErr || g.Events() != wantEvents {
-			t.Fatalf("workers=%d: (%q, %d events) differs from serial (%q, %d events)",
-				workers, err, g.Events(), wantErr, wantEvents)
-		}
-	}
+	checkEventBudget(t, 3, 5, 9000, 15000, 1, 3)
+	checkEventBudget(t, 1, 5, 9000, 45000, 1, 3)
 }
 
 // TestShardGroupCancel: a cancel raised mid-run (here from inside an event,

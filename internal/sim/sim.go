@@ -171,18 +171,6 @@ type Engine struct {
 	unwinding bool
 	panicked  *PanicError
 
-	// MaxTime, when non-zero, stops the run once the clock would pass it.
-	// An event scheduled exactly at MaxTime still runs. The truncation is
-	// silent: Run returns nil (tools use this for "simulate this long").
-	MaxTime Time
-
-	// Deadline, when non-zero, is a hard virtual-time cap: like MaxTime,
-	// but exceeding it is an error — Run returns a *LimitError. Hosting
-	// tools (the bench harness, impacc-serve) use it to kill runaway jobs.
-	Deadline Time
-	// MaxEvents, when non-zero, bounds the number of dispatched events;
-	// exceeding it makes Run return a *LimitError.
-	MaxEvents uint64
 	// dispatched counts events dispatched so far (see Events).
 	dispatched uint64
 	// flight, when non-nil, is the flight recorder's ring of recent event
@@ -191,7 +179,8 @@ type Engine struct {
 	flightHead int
 	// cancelled is set by Cancel — the only engine field touched from
 	// outside the simulation goroutine, hence atomic. The run loop polls
-	// it before every dispatch.
+	// it before every dispatch, and a ShardGroup reads it (through
+	// Cancelled) at every window barrier.
 	cancelled atomic.Bool
 
 	// Metrics is the engine's telemetry registry. Every FIFOResource
@@ -555,8 +544,8 @@ func (e *CancelError) Error() string {
 	return fmt.Sprintf("sim: run cancelled at t=%v", Dur(e.At))
 }
 
-// LimitError reports that a configured resource cap (Engine.Deadline or
-// Engine.MaxEvents) stopped the run. Unlike a cancel, hitting a limit is
+// LimitError reports that a configured resource cap (ShardGroup.Deadline or
+// ShardGroup.MaxEvents) stopped the run. Unlike a cancel, hitting a limit is
 // deterministic: the same run with the same caps always stops at the same
 // event.
 type LimitError struct {
@@ -593,23 +582,10 @@ const timeInfinity = Time(1<<63 - 1)
 // private sentinel that panics through its stack (running defers) and is
 // swallowed by the engine, so no goroutines leak and tools may run many
 // engines in one process.
-func (e *Engine) Run() error {
-	stopErr := e.runUntil(timeInfinity)
-	var err error
-	if e.panicked != nil {
-		err = e.panicked
-	} else if stopErr != nil {
-		err = stopErr
-	} else if e.live > 0 && !e.halted {
-		err = &DeadlockError{Time: e.now, Blocked: e.blockedProcs()}
-	}
-	e.unwindProcs()
-	if err == nil && e.panicked != nil {
-		// A defer panicked for real while unwinding; surface it.
-		err = e.panicked
-	}
-	return err
-}
+//
+// A standalone engine runs as the one shard of a degenerate ShardGroup, so
+// there is a single run loop; set limits on a group to cap a run.
+func (e *Engine) Run() error { return NewShardGroup([]*Engine{e}, 0, 1).Run() }
 
 // EachBlocked calls fn for every unfinished process and what it currently
 // waits on, in spawn order. Call only with the engine quiescent (between
@@ -639,19 +615,16 @@ func (e *Engine) blockedProcs() []string {
 
 // runUntil executes events strictly before fence and returns the stop
 // error, if any. It returns nil when the queue drains, when the next event
-// lies at or past the fence (the event stays queued; the engine is
-// resumable), or when the engine halts (by Halt, MaxTime, or a process
-// panic — check Halted / panicked). Shard coordinators call it repeatedly
-// with successive window fences; Run calls it once with an infinite fence.
+// lies at or past the fence or the window cap is spent (the event stays
+// queued; the engine is resumable), or when the engine halts (by Halt or a
+// process panic — check Halted / panicked). The ShardGroup coordinator
+// calls it once per window; every limit other than the window cap is
+// enforced at its barriers.
 func (e *Engine) runUntil(fence Time) error {
 	for !e.halted {
 		if e.cancelled.Load() {
 			e.halted = true
 			return &CancelError{At: e.now}
-		}
-		if e.MaxEvents != 0 && e.dispatched >= e.MaxEvents {
-			e.halted = true
-			return &LimitError{Resource: "events", Limit: int64(e.MaxEvents), At: e.now}
 		}
 		// An exhausted window cap pauses the shard without halting it — the
 		// next event stays queued and the group decides at the barrier
@@ -681,16 +654,6 @@ func (e *Engine) runUntil(fence Time) error {
 				return nil // window exhausted; event stays queued
 			}
 			ev = e.popHeap()
-			if e.Deadline != 0 && ev.at > e.Deadline {
-				e.free(ev)
-				e.halted = true
-				return &LimitError{Resource: "vtime", Limit: int64(e.Deadline), At: e.now}
-			}
-			if e.MaxTime != 0 && ev.at > e.MaxTime {
-				e.free(ev)
-				e.halted = true
-				return nil
-			}
 			e.now = ev.at
 		}
 		// Copy out and free before dispatch: the handler may schedule,
@@ -756,5 +719,6 @@ func (e *Engine) unwindProcs() {
 // long-lived tools alike.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether the engine stopped via Halt or MaxTime.
+// Halted reports whether the engine stopped early: via Halt, a process
+// panic, or a cancel observed between its dispatches.
 func (e *Engine) Halted() bool { return e.halted }

@@ -357,25 +357,6 @@ func TestQueueTryGet(t *testing.T) {
 	}
 }
 
-func TestMaxTimeHalts(t *testing.T) {
-	e := NewEngine()
-	e.MaxTime = Time(5 * Microsecond)
-	e.Spawn("long", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Halted() {
-		t.Fatal("engine did not report halted")
-	}
-	if e.Now() > Time(5*Microsecond) {
-		t.Fatalf("clock ran past MaxTime: %v", e.Now())
-	}
-}
-
 func TestYieldRunsQueuedEventsFirst(t *testing.T) {
 	e := NewEngine()
 	var order []string

@@ -63,6 +63,13 @@ func TestPresetGrammar(t *testing.T) {
 		{"gemini:16,8", "three parameters"},
 		{"gemini:0,2,2", "bad parameter"},
 		{"gemini:100,100,100", "max"},
+		// Sizes whose naive product overflows int and wraps back under the
+		// bound, and fixed-shape selectors past it.
+		{"fattree:4194304", "max"},
+		{"dragonfly:2147483648,2147483648,4", "max"},
+		{"gemini:4294967296,4294967296,1", "max"},
+		{"titan:65537", "max"},
+		{"beacon:9999999999", "max"},
 		{"nosuch", "unknown system"},
 		{"nosuch:4", "unknown system"},
 	}

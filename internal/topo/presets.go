@@ -10,7 +10,7 @@ import (
 // The grammar is name[:int[,int...]]:
 //
 //	psg, hetero          fixed-size presets; arguments are rejected
-//	beacon:N, titan:N    N nodes (default 2)
+//	beacon:N, titan:N    N nodes (default 2, at most MaxGeneratedNodes)
 //	fattree:k            generated k-ary fat tree, k³/4 nodes (k even)
 //	dragonfly:g,a,p      generated dragonfly, g*a*p nodes
 //	gemini:X,Y,Z         generated 3D torus of Titan nodes, X*Y*Z nodes
@@ -35,6 +35,9 @@ func Preset(sel string) (*System, error) {
 		case 0:
 			return def, nil
 		case 1:
+			if args[0] > MaxGeneratedNodes {
+				return 0, fmt.Errorf("topo: %s would have %d nodes (max %d)", sel, args[0], MaxGeneratedNodes)
+			}
 			return args[0], nil
 		}
 		return 0, fmt.Errorf("topo: system %q takes one node count, got %d parameters", name, len(args))
@@ -68,28 +71,43 @@ func Preset(sel string) (*System, error) {
 		if k%2 != 0 {
 			return nil, fmt.Errorf("topo: fattree parameter k must be even, got %d", k)
 		}
-		if n := k * k * k / 4; n > MaxGeneratedNodes {
-			return nil, fmt.Errorf("topo: fattree:%d would generate %d nodes (max %d)", k, n, MaxGeneratedNodes)
+		if !withinGenLimit(k/2, k, k/2) {
+			return nil, fmt.Errorf("topo: fattree:%d would generate too many nodes (max %d)", k, MaxGeneratedNodes)
 		}
 		return FatTree(k), nil
 	case "dragonfly":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("topo: system dragonfly takes exactly three parameters (dragonfly:g,a,p), got %q", sel)
 		}
-		if n := args[0] * args[1] * args[2]; n > MaxGeneratedNodes {
-			return nil, fmt.Errorf("topo: dragonfly:%d,%d,%d would generate %d nodes (max %d)", args[0], args[1], args[2], n, MaxGeneratedNodes)
+		if !withinGenLimit(args...) {
+			return nil, fmt.Errorf("topo: %s would generate too many nodes (max %d)", sel, MaxGeneratedNodes)
 		}
 		return Dragonfly(args[0], args[1], args[2]), nil
 	case "gemini":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("topo: system gemini takes exactly three parameters (gemini:X,Y,Z), got %q", sel)
 		}
-		if n := args[0] * args[1] * args[2]; n > MaxGeneratedNodes {
-			return nil, fmt.Errorf("topo: gemini:%d,%d,%d would generate %d nodes (max %d)", args[0], args[1], args[2], n, MaxGeneratedNodes)
+		if !withinGenLimit(args...) {
+			return nil, fmt.Errorf("topo: %s would generate too many nodes (max %d)", sel, MaxGeneratedNodes)
 		}
 		return Gemini(args[0], args[1], args[2]), nil
 	}
 	return nil, fmt.Errorf("topo: unknown system %q (psg, beacon:N, titan:N, hetero, fattree:k, dragonfly:g,a,p, gemini:X,Y,Z)", sel)
+}
+
+// withinGenLimit reports whether the product of positive generator
+// dimensions (the node count) is at most MaxGeneratedNodes. Each step is
+// checked before it multiplies, so huge selectors cannot overflow int and
+// wrap back under the bound.
+func withinGenLimit(dims ...int) bool {
+	n := 1
+	for _, d := range dims {
+		if d > MaxGeneratedNodes/n {
+			return false
+		}
+		n *= d
+	}
+	return true
 }
 
 // Presets for the three evaluation systems of Table 1 plus the
