@@ -164,7 +164,7 @@ func main() {
 			out = f
 		}
 		bw := bufio.NewWriter(out)
-		cfg.Progress = &core.Progress{Every: every, Emit: core.NewBufferedHeartbeatWriter(bw)}
+		cfg.Progress = &core.Progress{Every: every, Emit: core.NewHeartbeatWriter(bw)}
 		progressFlush = bw.Flush
 	} else if *progress != "" {
 		fatal(fmt.Errorf("-progress requires -progress-every"))

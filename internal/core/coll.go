@@ -449,6 +449,18 @@ func (t *Task) tempAlloc(n int64) xmem.Addr {
 	return a
 }
 
+// backedScratch is tempAlloc with storage attached whatever Config.Backed
+// says, returned alongside the address: for runtime control data that must
+// reach other tasks through simulated messages.
+func (t *Task) backedScratch(n int64) (xmem.Addr, []byte) {
+	a, err := t.space.AllocHost(n, true)
+	if err != nil {
+		t.fail(err)
+	}
+	b, _ := t.space.Bytes(a, n)
+	return a, b
+}
+
 func (t *Task) tempFree(a xmem.Addr) {
 	if err := t.space.Free(a); err != nil {
 		t.fail(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"sort"
 
@@ -64,29 +65,26 @@ func (c *Comm) Split(color, key int) *Comm {
 	t := c.t
 	c.splitSeq++
 	n := c.Size()
-	// Deposit this member's (color, key) with the runtime; the group
-	// metadata travels out of band (it is control information, not
-	// simulated application data, so it also works on unbacked runs).
-	t.rt.depositSplit(c.id, c.splitSeq, c.myRank, color, key)
-	// The (color, key) exchange still costs a real allgather on the wire.
-	mine := t.tempAlloc(16)
-	all := t.tempAlloc(int64(16 * n))
+	// Every member learns the group from an allgather of (color, key) as two
+	// int64. The group is control information the runtime itself needs, so
+	// both buffers carry storage even on unbacked runs; their addresses and
+	// sizes, and thus the exchange's pricing, do not depend on that.
+	mine, pair := t.backedScratch(16)
+	all, pairs := t.backedScratch(int64(16 * n))
 	defer t.tempFree(mine)
 	defer t.tempFree(all)
+	binary.LittleEndian.PutUint64(pair, uint64(color))
+	binary.LittleEndian.PutUint64(pair[8:], uint64(key))
 	c.Allgather(mine, 2, mpi.Int64, all)
-	pairs := t.rt.lookupSplit(c.id, c.splitSeq)
 	if color < 0 {
 		return nil
 	}
 	type member struct{ key, commRank int }
 	var members []member
 	for r := 0; r < n; r++ {
-		p, ok := pairs[r]
-		if !ok {
-			t.failf("comm %d split %d: member %d never called Split", c.id, c.splitSeq, r)
-		}
-		if p[0] == color {
-			members = append(members, member{p[1], r})
+		p := pairs[16*r:]
+		if int(binary.LittleEndian.Uint64(p)) == color {
+			members = append(members, member{int(binary.LittleEndian.Uint64(p[8:])), r})
 		}
 	}
 	sort.Slice(members, func(i, j int) bool {

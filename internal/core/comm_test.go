@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"impacc/internal/mpi"
@@ -419,5 +420,77 @@ func TestGathervBadCounts(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("short counts must fail at the root")
+	}
+}
+
+// TestCommSplitUnbackedParallel: Split reads its group from the bytes of the
+// allgather it prices, which the runtime backs even on unbacked runs. Groups
+// come out right across nodes in both modes, and every artifact of the run is
+// byte-identical across worker counts.
+func TestCommSplitUnbackedParallel(t *testing.T) {
+	systems := []struct {
+		name string
+		sys  func() *topo.System
+	}{
+		{"beacon2", func() *topo.System { return topo.Beacon(2) }},
+		{"titan4", func() *topo.System { return topo.Titan(4) }},
+	}
+	for _, s := range systems {
+		for _, mode := range []Mode{IMPACC, Legacy} {
+			t.Run(s.name+"/"+mode.String(), func(t *testing.T) {
+				cfg := Config{System: s.sys(), Mode: mode, Seed: 2016, JitterPct: 1}
+				base := artifacts(t, cfg, splitProgram(t))
+				for _, workers := range []int{2, 8} {
+					cfg.Parallel = workers
+					got := artifacts(t, cfg, splitProgram(t))
+					for art, want := range base {
+						if !bytes.Equal(got[art], want) {
+							t.Errorf("par-sim %d: %s differs from serial (%d vs %d bytes)",
+								workers, art, len(got[art]), len(want))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// splitProgram splits the world into evens and odds with reversed keys, the
+// last rank opting out (MPI_UNDEFINED), and checks each member's group size
+// and rank. It then splits the group again (a non-world parent) and runs a
+// barrier on the result.
+func splitProgram(t *testing.T) Program {
+	return func(tk *Task) {
+		n, me := tk.Size(), tk.Rank()
+		color := me % 2
+		if me == n-1 {
+			color = -1
+		}
+		g := tk.World().Split(color, -me)
+		if color < 0 {
+			if g != nil {
+				t.Errorf("rank %d: undefined color returned a communicator", me)
+			}
+			return
+		}
+		size, rank := 0, 0
+		for r := 0; r < n-1; r++ {
+			if r%2 == color {
+				size++
+				if r > me {
+					rank++
+				}
+			}
+		}
+		if g == nil || g.Size() != size || g.Rank() != rank || g.WorldRank(rank) != me {
+			t.Errorf("rank %d: got group %+v, want size %d rank %d", me, g, size, rank)
+			return
+		}
+		h := g.Split(0, g.Rank())
+		if h.Size() != size || h.Rank() != rank || h.ID() == g.ID() {
+			t.Errorf("rank %d: resplit size %d rank %d id %d, want size %d rank %d, id != %d",
+				me, h.Size(), h.Rank(), h.ID(), size, rank, g.ID())
+		}
+		h.Barrier()
 	}
 }

@@ -72,13 +72,12 @@ func DefaultFeatures(m Mode) Features {
 	return Features{}
 }
 
-// Overheads are the runtime's fixed software costs. Zero fields take the
-// listed defaults.
-type Overheads struct {
-	Cmd     sim.Dur // task-side message command creation (default 300ns)
-	Handler sim.Dur // handler per-command processing (default 400ns)
-	Alias   sim.Dur // applying node heap aliasing (default 1µs)
-}
+// The runtime's fixed software costs.
+const (
+	cmdOverhead     = 300 * sim.Nanosecond // task-side message command creation
+	handlerOverhead = 400 * sim.Nanosecond // handler per-command processing
+	aliasOverhead   = sim.Microsecond      // applying node heap aliasing
+)
 
 // Limits caps one run's resource consumption so a hosting tool (the bench
 // harness, impacc-serve) can bound runaway or abusive jobs. The zero value
@@ -105,8 +104,7 @@ type Config struct {
 	DeviceTypes topo.ClassMask
 	Pin         PinPolicy
 	// Features overrides DefaultFeatures(Mode) when non-nil.
-	Features  *Features
-	Overheads Overheads
+	Features *Features
 	// Backed attaches real storage to allocations so applications compute
 	// genuine results; disable for extreme-scale timing-only runs.
 	Backed bool
@@ -193,15 +191,6 @@ func (c *Config) validate() error {
 			c.Pin = PinNone
 		}
 	}
-	if c.Overheads.Cmd == 0 {
-		c.Overheads.Cmd = 300
-	}
-	if c.Overheads.Handler == 0 {
-		c.Overheads.Handler = 400
-	}
-	if c.Overheads.Alias == 0 {
-		c.Overheads.Alias = 1000
-	}
 	if c.Progress != nil {
 		if c.Progress.Every <= 0 {
 			return fmt.Errorf("core: Config.Progress.Every must be positive")
@@ -231,9 +220,9 @@ func (c *Config) msgConfig() msg.Config {
 		RDMA:            f.RDMA,
 		DirectP2P:       f.DirectP2P,
 		ThreadMultiple:  c.System.ThreadMultiple && !c.ForceSerialMPI,
-		CmdOverhead:     c.Overheads.Cmd,
-		HandlerOverhead: c.Overheads.Handler,
-		AliasOverhead:   c.Overheads.Alias,
+		CmdOverhead:     cmdOverhead,
+		HandlerOverhead: handlerOverhead,
+		AliasOverhead:   aliasOverhead,
 		MPIOverhead:     c.System.MPIOverhead,
 	}
 	if c.Chaos != nil {

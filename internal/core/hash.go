@@ -58,17 +58,7 @@ func (c *Config) CanonicalString() string {
 	f := c.features()
 	w("features", fmt.Sprintf("fusion=%t aliasing=%t directp2p=%t rdma=%t unifiedqueue=%t",
 		f.Fusion, f.Aliasing, f.DirectP2P, f.RDMA, f.UnifiedQueue))
-	ov := c.Overheads
-	if ov.Cmd == 0 {
-		ov.Cmd = 300
-	}
-	if ov.Handler == 0 {
-		ov.Handler = 400
-	}
-	if ov.Alias == 0 {
-		ov.Alias = 1000
-	}
-	w("overheads", fmt.Sprintf("cmd=%d handler=%d alias=%d", ov.Cmd, ov.Handler, ov.Alias))
+	w("overheads", fmt.Sprintf("cmd=%d handler=%d alias=%d", cmdOverhead, handlerOverhead, aliasOverhead))
 	w("backed", strconv.FormatBool(c.Backed))
 	w("seed", strconv.FormatUint(c.Seed, 10))
 	w("maxtasks", strconv.Itoa(c.MaxTasks))

@@ -94,7 +94,6 @@ func TestConfigHashSensitivity(t *testing.T) {
 		{"devicetypes", func(c *Config) { c.DeviceTypes = topo.MaskOf(topo.XeonPhi) }},
 		{"pin", func(c *Config) { c.Pin = PinFar }},
 		{"features", func(c *Config) { c.Features = &Features{Fusion: true} }},
-		{"overheads", func(c *Config) { c.Overheads.Cmd = 299 }},
 		{"backed", func(c *Config) { c.Backed = true }},
 		{"seed", func(c *Config) { c.Seed = 2017 }},
 		{"maxtasks", func(c *Config) { c.MaxTasks = 3 }},

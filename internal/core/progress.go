@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sort"
@@ -73,13 +72,6 @@ type Heartbeat struct {
 // progress feed; wrap w in a bufio.Writer to trade latency for throughput.
 func NewHeartbeatWriter(w io.Writer) func(Heartbeat) {
 	enc := json.NewEncoder(w)
-	return func(hb Heartbeat) { _ = enc.Encode(&hb) }
-}
-
-// NewBufferedHeartbeatWriter returns an Emit function writing JSONL through
-// bw; the caller flushes bw when the run ends.
-func NewBufferedHeartbeatWriter(bw *bufio.Writer) func(Heartbeat) {
-	enc := json.NewEncoder(bw)
 	return func(hb Heartbeat) { _ = enc.Encode(&hb) }
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"impacc/internal/device"
@@ -57,17 +56,8 @@ type Runtime struct {
 	// many runs may share one aggregate concurrently).
 	aggregate *telemetry.Registry
 	// metrics is the run's merged registry — shard registries merged in
-	// shard order plus the fault plan's buffered counters — built once by
-	// runMetrics after the group run finishes.
+	// shard order — built once by runMetrics after the group run finishes.
 	metrics *telemetry.Registry
-	// splits carries Comm.Split group metadata out of band: the color/key
-	// pairs are control information (the allgather still prices the wire
-	// exchange), keyed by (parent context id, split sequence). splitMu makes
-	// the map safe across shards; ordering needs no lock because a member
-	// only reads the map after the allgather, whose internode messages land
-	// at least one lookahead window after every deposit.
-	splitMu sync.Mutex
-	splits  map[[2]int]map[int][2]int
 	// allocBytes accumulates task host-heap allocations for the
 	// Limits.MaxAllocBytes cap, atomically since tasks allocate from
 	// concurrent shards.
@@ -93,27 +83,6 @@ const defaultStreamFlushBeat = sim.Dur(1_000_000)
 // abnormally with Config.FlightRing armed; nil after a clean run or when
 // disarmed. See sim.StallReport.
 func (rt *Runtime) Stall() *sim.StallReport { return rt.group.Stall() }
-
-// depositSplit records one member's (color, key) for a split instance.
-func (rt *Runtime) depositSplit(commID, seq, commRank, color, key int) {
-	rt.splitMu.Lock()
-	defer rt.splitMu.Unlock()
-	if rt.splits == nil {
-		rt.splits = map[[2]int]map[int][2]int{}
-	}
-	k := [2]int{commID, seq}
-	if rt.splits[k] == nil {
-		rt.splits[k] = map[int][2]int{}
-	}
-	rt.splits[k][commRank] = [2]int{color, key}
-}
-
-// lookupSplit returns all deposited pairs for a split instance.
-func (rt *Runtime) lookupSplit(commID, seq int) map[int][2]int {
-	rt.splitMu.Lock()
-	defer rt.splitMu.Unlock()
-	return rt.splits[[2]int{commID, seq}]
-}
 
 // RunError wraps a task failure.
 type RunError struct {
@@ -212,7 +181,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.Fab = topo.NewShardedFabric(perNode, cfg.System)
 	if cfg.Chaos != nil {
-		rt.faults = fault.NewPlan(cfg.Chaos, nNodes)
+		regs := make([]*telemetry.Registry, nNodes)
+		for i, e := range perNode {
+			regs[i] = e.Metrics
+		}
+		rt.faults = fault.NewPlan(cfg.Chaos, regs)
 		rt.Fab.Faults = rt.faults
 	}
 	if tr := cfg.Trace; tr != nil {
@@ -351,12 +324,12 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 }
 
 // runMetrics returns the run's merged telemetry registry, building it on
-// first use: shard registries merge in shard order (their series are
-// disjoint — every family carries node, rank, or resource labels — so the
-// merge reproduces exactly what a single shared registry would hold), then
-// the fault plan flushes its buffered injection counters with their
-// recorded virtual-time stamps. The registry's clock reads the group's
-// final virtual time, so report-time gauges carry end-of-run stamps.
+// first use: shard registries merge in shard order, which reproduces exactly
+// what a single shared registry would hold — almost every family carries a
+// node, rank, or resource label owned by one shard, and the one series two
+// shards can share (a fault counter for a remote node's RDMA path) merges
+// commutatively. The registry's clock reads the group's final virtual time,
+// so report-time gauges carry end-of-run stamps.
 func (rt *Runtime) runMetrics() *telemetry.Registry {
 	if rt.metrics == nil {
 		// Shard 0's registry is the merge target: its series are already
@@ -370,9 +343,6 @@ func (rt *Runtime) runMetrics() *telemetry.Registry {
 		reg.SetClock(func() int64 { return int64(rt.group.MaxNow()) })
 		for _, e := range rt.shards[1:] {
 			reg.Merge(e.Metrics)
-		}
-		if rt.faults != nil {
-			rt.faults.FlushInto(reg)
 		}
 		rt.metrics = reg
 	}

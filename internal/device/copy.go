@@ -133,7 +133,7 @@ func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.A
 		// Transient copy failures: each failed attempt still spent its
 		// fabric time, and the driver re-drives the transfer until it lands
 		// or the retry budget runs out.
-		for attempt := 1; ft.CopyFail(rt.NodeIdx, rt.Eng.Now()); attempt++ {
+		for attempt := 1; ft.CopyFail(rt.NodeIdx); attempt++ {
 			if attempt > ft.CopyRetries() {
 				copyErr = fmt.Errorf("device: Transfer %s: copy failed after %d attempts", dir, attempt)
 				break
@@ -156,39 +156,4 @@ func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.A
 		c.Sink.Span(id, lane, "copy", dir.String(), start, p.Now(), n)
 	}
 	return dir, copyErr
-}
-
-// TransferBetween copies across two address spaces on the same node (the
-// legacy-mode inter-process path). Timing is identical to Transfer on the
-// destination context; data moves between the two backings.
-func TransferBetween(p *sim.Proc, dst *Context, dstAddr xmem.Addr, src *Context, srcAddr xmem.Addr, n int64) (Direction, error) {
-	dloc, err := dst.Space.Lookup(dstAddr)
-	if err != nil {
-		return HtoH, fmt.Errorf("device: TransferBetween dst: %w", err)
-	}
-	sloc, err := src.Space.Lookup(srcAddr)
-	if err != nil {
-		return HtoH, fmt.Errorf("device: TransferBetween src: %w", err)
-	}
-	dir := Classify(dloc, sloc)
-	start := p.Now()
-	rt := dst.Dev.rt
-	switch dir {
-	case HtoH:
-		rt.Fab.HostCopy(p, rt.NodeIdx, n)
-	case HtoD:
-		rt.Fab.PCIeCopy(p, rt.NodeIdx, dloc.Device(), dst.effSocket(), n, dst.Pinned)
-	case DtoH:
-		rt.Fab.PCIeCopy(p, rt.NodeIdx, sloc.Device(), src.effSocket(), n, src.Pinned)
-	case DtoD:
-		// Legacy processes cannot see each other's device pointers: the
-		// path is always staged through both hosts.
-		rt.Fab.PCIeCopy(p, rt.NodeIdx, sloc.Device(), src.effSocket(), n, src.Pinned)
-		rt.Fab.PCIeCopy(p, rt.NodeIdx, dloc.Device(), dst.effSocket(), n, dst.Pinned)
-	}
-	// As in Transfer: the fabric time is spent regardless, so account the
-	// transfer before propagating any backing-copy error.
-	err = xmem.CopyBetween(dst.Space, dstAddr, src.Space, srcAddr, n)
-	dst.record(dir, n, sim.Dur(p.Now()-start))
-	return dir, err
 }

@@ -78,9 +78,8 @@ type Runtime struct {
 // CopyFaults is the slice of a chaos plan the device runtime consults.
 type CopyFaults interface {
 	// CopyFail reports whether the next copy attempt on node fails
-	// transiently (one deterministic draw per call); at is the virtual
-	// time of the attempt, recorded with the injection.
-	CopyFail(node int, at sim.Time) bool
+	// transiently (one deterministic draw per call).
+	CopyFail(node int) bool
 	// CopyRetries bounds re-attempts before a copy error surfaces.
 	CopyRetries() int
 }

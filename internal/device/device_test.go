@@ -375,40 +375,6 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-func TestTransferBetweenSpaces(t *testing.T) {
-	// Legacy mode: two private spaces; DtoD must stage through hosts.
-	eng := sim.NewEngine()
-	sys := topo.PSG()
-	fab := topo.NewFabric(eng, sys)
-	rt := NewRuntime(eng, fab, 0)
-	sp0 := xmem.NewSpace("p0", 8)
-	sp1 := xmem.NewSpace("p1", 8)
-	c0 := rt.NewContext(0, sp0, 0, true, true)
-	c1 := rt.NewContext(1, sp1, 0, true, true)
-	d0, _ := c0.MemAlloc(1 << 20)
-	d1, _ := c1.MemAlloc(1 << 20)
-	b0, _ := sp0.Bytes(d0, 1<<20)
-	b0[123] = 0x7f
-	var dir Direction
-	eng.Spawn("t", func(p *sim.Proc) {
-		var err error
-		dir, err = TransferBetween(p, c1, d1, c0, d0, 1<<20)
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if dir != DtoD {
-		t.Fatalf("dir = %v", dir)
-	}
-	b1, _ := sp1.Bytes(d1, 1<<20)
-	if b1[123] != 0x7f {
-		t.Fatal("cross-space transfer lost data")
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := Stats{HtoDCount: 1, HtoDBytes: 10, KernelCount: 2, KernelTime: 5}
 	b := Stats{HtoDCount: 2, DtoHCount: 3, HtoHTime: 7}
@@ -489,7 +455,7 @@ type flakyCopies struct {
 	retries int
 }
 
-func (f *flakyCopies) CopyFail(node int, at sim.Time) bool {
+func (f *flakyCopies) CopyFail(node int) bool {
 	if f.fails > 0 {
 		f.fails--
 		return true

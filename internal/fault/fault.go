@@ -14,10 +14,8 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"impacc/internal/sim"
 	"impacc/internal/telemetry"
@@ -406,38 +404,23 @@ type nodeState struct {
 // (NewRuntime does): plans carry mutable random-stream state and must never
 // be shared between concurrent runs.
 //
-// Injection counts are buffered inside the plan rather than written to a
-// registry live: queries arrive from every shard of a sharded run (RDMAUp
-// in particular is asked about the destination node by the sending shard),
-// so the recording must be commutative. A guarded map of (kind, node) →
-// (count, latest query time) is exactly that; FlushInto replays it into a
-// registry in sorted order with the buffered timestamps, producing the same
-// series a serial run records live.
+// Injections are counted live in the telemetry registry of the node that
+// asked, so each shard writes only its own registry. RDMAUp is asked about
+// a remote node by the sending shard; that count lands in the sender's
+// registry, and the commutative registry merge (counts add, the stamp keeps
+// the latest) yields the same series a single shared registry would hold.
 type Plan struct {
 	spec  *Spec
 	nodes []nodeState
-
-	mu     sync.Mutex
-	counts map[countKey]countVal
+	regs  []*telemetry.Registry // per node: the registry its engine records into
 }
 
-// countKey identifies one injected-fault counter series.
-type countKey struct {
-	kind string
-	node int
-}
-
-// countVal accumulates a series: total injections and the virtual time of
-// the latest one (the stamp a live counter would carry).
-type countVal struct {
-	n     int64
-	maxAt sim.Time
-}
-
-// NewPlan instantiates spec for a system of nnodes nodes, drawing per-node
-// streams and flap phases from a master generator seeded with spec.Seed.
-func NewPlan(spec *Spec, nnodes int) *Plan {
-	p := &Plan{spec: spec, nodes: make([]nodeState, nnodes), counts: make(map[countKey]countVal)}
+// NewPlan instantiates spec for a system with one node per registry, drawing
+// per-node streams and flap phases from a master generator seeded with
+// spec.Seed. regs[i] is node i's engine registry (nodes sharing an engine
+// share it).
+func NewPlan(spec *Spec, regs []*telemetry.Registry) *Plan {
+	p := &Plan{spec: spec, nodes: make([]nodeState, len(regs)), regs: regs}
 	master := sim.NewRNG(spec.Seed)
 	for i := range p.nodes {
 		ns := &p.nodes[i]
@@ -453,44 +436,11 @@ func NewPlan(spec *Spec, nnodes int) *Plan {
 // Spec returns the immutable spec the plan was built from.
 func (p *Plan) Spec() *Spec { return p.spec }
 
-// count records one injected fault for (kind, node) at virtual time at.
-// Safe from any shard: addition commutes and the stamp keeps the maximum.
-func (p *Plan) count(kind string, node int, at sim.Time) {
-	p.mu.Lock()
-	k := countKey{kind, node}
-	c := p.counts[k]
-	c.n++
-	if at > c.maxAt {
-		c.maxAt = at
-	}
-	p.counts[k] = c
-	p.mu.Unlock()
-}
-
-// FlushInto replays the buffered injection counts into reg in sorted
-// (kind, node) order, stamping each series with its latest injection time.
-// Call it once, after the simulation has finished.
-func (p *Plan) FlushInto(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	p.mu.Lock()
-	keys := make([]countKey, 0, len(p.counts))
-	for k := range p.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
-		}
-		return keys[i].node < keys[j].node
-	})
-	for _, k := range keys {
-		v := p.counts[k]
-		reg.Counter(InjectedTotal, "injected fault events by kind and node",
-			"kind", k.kind, "node", strconv.Itoa(k.node)).AddAt(v.n, int64(v.maxAt))
-	}
-	p.mu.Unlock()
+// count records one injected fault of kind on node, asked by node from, in
+// from's registry (stamped by that registry's clock: the asking engine's).
+func (p *Plan) count(kind string, from, node int) {
+	p.regs[from].Counter(InjectedTotal, "injected fault events by kind and node",
+		"kind", kind, "node", strconv.Itoa(node)).Inc()
 }
 
 // applies reports whether a rule's node selector covers node.
@@ -517,7 +467,7 @@ func (p *Plan) LinkFactor(node int, at sim.Time) float64 {
 		}
 	}
 	if factor > 1 {
-		p.count("degrade", node, at)
+		p.count("degrade", node, node)
 	}
 	return factor
 }
@@ -525,7 +475,7 @@ func (p *Plan) LinkFactor(node int, at sim.Time) float64 {
 // SendStall draws whether one send from node stalls at the NIC, returning
 // the extra injection delay (0 = no stall). One draw per configured stall
 // rule per send, in deterministic event order.
-func (p *Plan) SendStall(node int, at sim.Time) sim.Dur {
+func (p *Plan) SendStall(node int) sim.Dur {
 	var total sim.Dur
 	for _, s := range p.spec.stalls {
 		if !applies(s.node, node) {
@@ -536,7 +486,7 @@ func (p *Plan) SendStall(node int, at sim.Time) sim.Dur {
 		}
 	}
 	if total > 0 {
-		p.count("stall", node, at)
+		p.count("stall", node, node)
 	}
 	return total
 }
@@ -546,20 +496,20 @@ func (p *Plan) SendStall(node int, at sim.Time) sim.Dur {
 func (p *Plan) LinkUp(node int, at sim.Time) bool {
 	for j, f := range p.spec.flaps {
 		if !f.rdmaOnly && p.flapDown(j, node, at) {
-			p.count("linkdown", node, at)
+			p.count("linkdown", node, node)
 			return false
 		}
 	}
 	return true
 }
 
-// RDMAUp reports whether node's GPUDirect RDMA capability is up at time at.
-// Both full-link and RDMA-only flaps take it down; the message layer
-// reroutes staged copies while it is down.
-func (p *Plan) RDMAUp(node int, at sim.Time) bool {
+// RDMAUp reports, to node from, whether node's GPUDirect RDMA capability is
+// up at time at. Both full-link and RDMA-only flaps take it down; the message
+// layer reroutes staged copies while it is down.
+func (p *Plan) RDMAUp(from, node int, at sim.Time) bool {
 	for j := range p.spec.flaps {
 		if p.flapDown(j, node, at) {
-			p.count("rdmadown", node, at)
+			p.count("rdmadown", from, node)
 			return false
 		}
 	}
@@ -576,14 +526,13 @@ func (p *Plan) StraggleFactor(node int, at sim.Time) float64 {
 		}
 	}
 	if factor > 1 {
-		p.count("straggle", node, at)
+		p.count("straggle", node, node)
 	}
 	return factor
 }
 
-// CopyFail draws whether one device copy attempt on node transiently fails
-// at time at (the stamp recorded for the injection counter).
-func (p *Plan) CopyFail(node int, at sim.Time) bool {
+// CopyFail draws whether one device copy attempt on node transiently fails.
+func (p *Plan) CopyFail(node int) bool {
 	failed := false
 	for _, c := range p.spec.copyFails {
 		if applies(c.node, node) && p.nodes[node].rng.Float64() < c.prob {
@@ -591,7 +540,7 @@ func (p *Plan) CopyFail(node int, at sim.Time) bool {
 		}
 	}
 	if failed {
-		p.count("copyfail", node, at)
+		p.count("copyfail", node, node)
 	}
 	return failed
 }

@@ -125,13 +125,13 @@ func TestParseSpecErrors(t *testing.T) {
 func TestPlanDeterminism(t *testing.T) {
 	sp := mustParse(t, "99:flap=*:2ms:300us,stall=*:0.5:10us,copyfail=*:0.3,degrade=1:2")
 	draw := func() []any {
-		p := NewPlan(sp, 4)
+		p := planOver(sp, 4)
 		var out []any
 		for i := 0; i < 64; i++ {
 			node := i % 4
 			at := sim.Time(i) * 100_000
-			out = append(out, p.LinkUp(node, at), p.RDMAUp(node, at),
-				p.SendStall(node, at), p.CopyFail(node, at), p.LinkFactor(node, at))
+			out = append(out, p.LinkUp(node, at), p.RDMAUp(node, node, at),
+				p.SendStall(node), p.CopyFail(node), p.LinkFactor(node, at))
 		}
 		return out
 	}
@@ -147,7 +147,7 @@ func TestFlapPeriodicity(t *testing.T) {
 	// A 1ms period with 250us down must be down for exactly 1/4 of a long
 	// sampling window, at every node, regardless of phase.
 	sp := mustParse(t, "5:flap=*:1ms:250us")
-	p := NewPlan(sp, 2)
+	p := planOver(sp, 2)
 	const samples = 4000
 	down := 0
 	for i := 0; i < samples; i++ {
@@ -161,7 +161,7 @@ func TestFlapPeriodicity(t *testing.T) {
 	// Full-link flap also takes RDMA down at the same instants.
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * sim.Time(sim.Microsecond)
-		if p.LinkUp(0, at) != p.RDMAUp(0, at) {
+		if p.LinkUp(0, at) != p.RDMAUp(0, 0, at) {
 			t.Fatalf("full-link flap must imply RDMA down at %v", at)
 		}
 	}
@@ -169,17 +169,17 @@ func TestFlapPeriodicity(t *testing.T) {
 
 func TestRDMAFlapLeavesLinkUp(t *testing.T) {
 	sp := mustParse(t, "5:rdmaflap=0:1ms:400us")
-	p := NewPlan(sp, 2)
+	p := planOver(sp, 2)
 	sawDown := false
 	for i := 0; i < 2000; i++ {
 		at := sim.Time(i) * sim.Time(sim.Microsecond)
 		if !p.LinkUp(0, at) {
 			t.Fatalf("rdmaflap must not take the full link down (t=%v)", at)
 		}
-		if !p.RDMAUp(0, at) {
+		if !p.RDMAUp(0, 0, at) {
 			sawDown = true
 		}
-		if !p.RDMAUp(1, at) {
+		if !p.RDMAUp(1, 1, at) {
 			t.Fatalf("rule scoped to node 0 hit node 1 (t=%v)", at)
 		}
 	}
@@ -190,7 +190,7 @@ func TestRDMAFlapLeavesLinkUp(t *testing.T) {
 
 func TestDegradeWindow(t *testing.T) {
 	sp := mustParse(t, "5:degrade=1:4:1ms:2ms")
-	p := NewPlan(sp, 2)
+	p := planOver(sp, 2)
 	ms := sim.Time(sim.Millisecond)
 	if f := p.LinkFactor(1, ms/2); f != 1 {
 		t.Fatalf("before window: factor %v", f)
@@ -208,7 +208,7 @@ func TestDegradeWindow(t *testing.T) {
 
 func TestStraggleFactorCompounds(t *testing.T) {
 	sp := mustParse(t, "5:straggle=*:1.5,straggle=0:2")
-	p := NewPlan(sp, 2)
+	p := planOver(sp, 2)
 	if f := p.StraggleFactor(0, 0); f != 3 {
 		t.Fatalf("node 0 factor %v, want 1.5*2", f)
 	}
@@ -219,14 +219,14 @@ func TestStraggleFactorCompounds(t *testing.T) {
 
 func TestStallAndCopyFailRates(t *testing.T) {
 	sp := mustParse(t, "11:stall=0:0.5:10us,copyfail=0:0.25")
-	p := NewPlan(sp, 1)
+	p := planOver(sp, 1)
 	stalls, fails := 0, 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		if p.SendStall(0, 0) > 0 {
+		if p.SendStall(0) > 0 {
 			stalls++
 		}
-		if p.CopyFail(0, 0) {
+		if p.CopyFail(0) {
 			fails++
 		}
 	}
@@ -238,18 +238,67 @@ func TestStallAndCopyFailRates(t *testing.T) {
 	}
 }
 
-func TestTelemetryCounters(t *testing.T) {
-	sp := mustParse(t, "5:degrade=0:2,copyfail=0:1")
-	reg := telemetry.NewRegistry()
-	p := NewPlan(sp, 1)
-	p.LinkFactor(0, 100)
-	p.CopyFail(0, 200)
-	p.CopyFail(0, 300)
-	p.FlushInto(reg)
-	if v := reg.Counter(InjectedTotal, "", "kind", "degrade", "node", "0").Value(); v != 1 {
-		t.Fatalf("degrade counter = %d", v)
+// planOver builds a plan for n nodes, each recording into a fresh registry.
+func planOver(sp *Spec, n int) *Plan {
+	regs := make([]*telemetry.Registry, n)
+	for i := range regs {
+		regs[i] = telemetry.NewRegistry()
 	}
-	if v := reg.Counter(InjectedTotal, "", "kind", "copyfail", "node", "0").Value(); v != 2 {
-		t.Fatalf("copyfail counter = %d", v)
+	return NewPlan(sp, regs)
+}
+
+// TestTelemetryCounters: injections are counted live in the registry of the
+// node that asked, stamped by that registry's clock. An RDMA-path query about
+// a remote node lands in the asker's registry under the remote node's label.
+func TestTelemetryCounters(t *testing.T) {
+	sp := mustParse(t, "5:degrade=0:2,copyfail=0:1,rdmaflap=1:1ms:400us")
+	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+	var now int64
+	for _, r := range regs {
+		r.SetClock(func() int64 { return now })
+	}
+	p := NewPlan(sp, regs)
+	now = 100
+	p.LinkFactor(0, 100)
+	now = 200
+	p.CopyFail(0)
+	now = 300
+	p.CopyFail(0)
+	downs := 0
+	var lastDown int64
+	for i := 0; i < 2000; i++ {
+		at := sim.Time(i) * sim.Time(sim.Microsecond)
+		now = int64(at)
+		if !p.RDMAUp(0, 1, at) {
+			downs++
+			lastDown = now
+		}
+	}
+	if downs == 0 {
+		t.Fatal("rdmaflap on node 1 never took its RDMA path down")
+	}
+	series := func(reg *telemetry.Registry, kind, node string) *telemetry.SeriesSnap {
+		f := reg.Snapshot(0).Family(InjectedTotal)
+		if f == nil {
+			return nil
+		}
+		for i, s := range f.Series {
+			if s.Labels[0].Value == kind && s.Labels[1].Value == node {
+				return &f.Series[i]
+			}
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		kind, node    string
+		value, lastNs int64
+	}{{"degrade", "0", 1, 100}, {"copyfail", "0", 2, 300}, {"rdmadown", "1", int64(downs), lastDown}} {
+		s := series(regs[0], c.kind, c.node)
+		if s == nil || s.Value != c.value || s.LastNs != c.lastNs {
+			t.Fatalf("%s{node=%s} in node 0's registry = %+v, want value %d at %d", c.kind, c.node, s, c.value, c.lastNs)
+		}
+	}
+	if f := regs[1].Snapshot(0).Family(InjectedTotal); f != nil {
+		t.Fatalf("node 1's registry recorded injections it never asked about: %+v", f.Series)
 	}
 }

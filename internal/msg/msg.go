@@ -139,11 +139,12 @@ func (r *Cmd) accepts(comm, dst, src, tag int) bool {
 }
 
 // FaultModel is the slice of a chaos plan the hub consults: whole-link and
-// RDMA-path availability per node over virtual time. The internal/fault
+// RDMA-path availability per node over virtual time. RDMAUp also names the
+// asking node, whose shard records the injection. The internal/fault
 // package's Plan satisfies it; the hub depends only on this interface.
 type FaultModel interface {
 	LinkUp(node int, at sim.Time) bool
-	RDMAUp(node int, at sim.Time) bool
+	RDMAUp(from, node int, at sim.Time) bool
 }
 
 // NetError is the failure report surfaced on Cmd.Err when the resilience

@@ -79,7 +79,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	direct := onDevice && h.Cfg.RDMA && h.Fab.RDMACapable(h.Node, dst.Node)
 	if direct && h.faults != nil {
 		now := h.Eng.Now()
-		if !h.faults.RDMAUp(h.Node, now) || !h.faults.RDMAUp(dst.Node, now) {
+		if !h.faults.RDMAUp(h.Node, h.Node, now) || !h.faults.RDMAUp(h.Node, dst.Node, now) {
 			// Graceful degradation: while the RDMA path flaps, fall back
 			// to the pinned-buffer staging path instead of failing.
 			direct = false

@@ -15,8 +15,8 @@ type stubFaults struct {
 	rdmaDown bool
 }
 
-func (f *stubFaults) LinkUp(node int, at sim.Time) bool { return at >= f.linkUpAt }
-func (f *stubFaults) RDMAUp(node int, at sim.Time) bool { return !f.rdmaDown }
+func (f *stubFaults) LinkUp(node int, at sim.Time) bool       { return at >= f.linkUpAt }
+func (f *stubFaults) RDMAUp(from, node int, at sim.Time) bool { return !f.rdmaDown }
 
 // counterVal reads a hub counter registered on the shared engine registry.
 func counterVal(eng *sim.Engine, h *Hub, family string) int64 {

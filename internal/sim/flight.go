@@ -7,7 +7,7 @@ import (
 
 // The flight recorder answers "what was this run doing just before it
 // died?" for runs that end abnormally — cancelled, capped by a
-// deadline/event budget, deadlocked, or killed by the IMPACC_SIM_CHECK
+// deadline/event budget, deadlocked, or killed by the cross-shard
 // causality panic. Each armed engine keeps a fixed-size ring of the most
 // recent dispatched event stamps; dumping the group yields those rings
 // plus the parked-process table per shard. Recording only ever touches

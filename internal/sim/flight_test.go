@@ -239,15 +239,10 @@ func TestStallReportJSON(t *testing.T) {
 	}
 }
 
-// TestCausalityPanicCaptured: with IMPACC_SIM_CHECK on, a lookahead bound
-// violation at exchange time surfaces as a *PanicError from the exchange —
+// TestCausalityPanicCaptured: a lookahead bound violation at exchange time surfaces as a *PanicError from the exchange —
 // not a process panic escaping Run — and the armed flight recorder labels
 // the stall "causality".
 func TestCausalityPanicCaptured(t *testing.T) {
-	old := simCheck
-	simCheck = true
-	defer func() { simCheck = old }()
-
 	engines := []*Engine{NewLPEngine(0), NewLPEngine(1)}
 	g := NewShardGroup(engines, 50, 1)
 	g.ArmFlight(8)

@@ -245,7 +245,7 @@ func (g *ShardGroup) windows() error {
 
 // exchange moves cross-shard events from outboxes into their destination
 // heaps in shard order; the (lp, seq) stamps injected here fix the merge
-// order independent of flush order. An IMPACC_SIM_CHECK causality panic
+// order independent of flush order. A causality panic from inject
 // (an event landing in a destination shard's past — a lookahead bound
 // violation) is captured as a *PanicError so the run ends like any other
 // failed run: processes unwound, flight recorder dumpable, no panic

@@ -297,14 +297,10 @@ func TestNewShardGroupValidation(t *testing.T) {
 	NewShardGroup([]*Engine{NewEngine()}, 0, 1)
 }
 
-// TestInjectCausalityCheck: with the IMPACC_SIM_CHECK invariant enabled, an
-// event injected at or before a shard's local clock — a lookahead bound
-// violation — panics instead of silently corrupting the merge order.
+// TestInjectCausalityCheck: an event injected at or before a shard's local
+// clock — a lookahead bound violation — panics instead of silently
+// corrupting the merge order.
 func TestInjectCausalityCheck(t *testing.T) {
-	old := simCheck
-	simCheck = true
-	defer func() { simCheck = old }()
-
 	e := NewLPEngine(0)
 	e.At(Time(100), func() {})
 	if err := e.Run(); err != nil {
@@ -312,7 +308,7 @@ func TestInjectCausalityCheck(t *testing.T) {
 	}
 	defer func() {
 		if r := recover(); r == nil {
-			t.Fatal("past-time inject did not panic under IMPACC_SIM_CHECK")
+			t.Fatal("past-time inject did not panic")
 		}
 	}()
 	e.inject(Time(50), func() {}, 1, 1) // t=50 < now=100: causality violation
@@ -321,10 +317,6 @@ func TestInjectCausalityCheck(t *testing.T) {
 // TestInjectCausalityCheckAllowsFuture: the invariant accepts strictly
 // future injections (the only kind conservative lookahead produces).
 func TestInjectCausalityCheckAllowsFuture(t *testing.T) {
-	old := simCheck
-	simCheck = true
-	defer func() { simCheck = old }()
-
 	logs, err := shardWorkload(3, 4, 100, 2)
 	if err != nil {
 		t.Fatal(err)

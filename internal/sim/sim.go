@@ -17,7 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -349,8 +348,7 @@ type remoteEvent struct {
 // schedule, not by delivery order — and buffered until the coordinator
 // exchanges outboxes at a synchronization barrier. Cross-shard posts must
 // target a strictly future instant on the receiving shard; conservative
-// lookahead guarantees that, and the IMPACC_SIM_CHECK invariant check turns
-// violations into panics.
+// lookahead guarantees that, and inject turns violations into panics.
 func (e *Engine) Post(dst *Engine, at Time, fn func()) {
 	if dst == e {
 		e.schedule(at, nil, fn)
@@ -360,14 +358,13 @@ func (e *Engine) Post(dst *Engine, at Time, fn func()) {
 	e.outbox = append(e.outbox, remoteEvent{dst: dst, at: at, fn: fn, lp: e.lp, seq: e.seq})
 }
 
-// simCheck gates the cross-shard causality assertion: set IMPACC_SIM_CHECK
-// to any non-empty value to panic on an event injected into a shard's past.
-var simCheck = os.Getenv("IMPACC_SIM_CHECK") != ""
-
 // inject lands a cross-shard event in this engine's heap, carrying the
 // sender's stamp. Called only between windows, with the engine quiescent.
+// An event landing at or before the shard's clock breaks the lookahead
+// bound and would corrupt the merge order, so it panics (one compare per
+// cross-shard event).
 func (e *Engine) inject(at Time, fn func(), lp int32, seq uint64) {
-	if simCheck && at <= e.now && e.dispatched > 0 {
+	if at <= e.now && e.dispatched > 0 {
 		panic(fmt.Sprintf("sim: causality violation: event from lp %d injected at t=%d into shard %d already at t=%d",
 			lp, int64(at), e.lp, int64(e.now)))
 	}

@@ -176,22 +176,6 @@ func (c *Counter) Add(d int64) {
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// AddAt increases the counter by d, stamping the series with the supplied
-// virtual time instead of the registry clock. It exists for recorders that
-// buffer increments (the fault plan counts injections under a lock while
-// shards run concurrently) and flush them later: the stamp carries the
-// virtual time of the last buffered increment, so the snapshot matches one
-// recorded live.
-func (c *Counter) AddAt(d, ns int64) {
-	if d <= 0 {
-		return
-	}
-	c.s.ival += d
-	if ns > c.s.lastNs {
-		c.s.lastNs = ns
-	}
-}
-
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.s.ival }
 

@@ -39,8 +39,8 @@ type NetFaults interface {
 	// applied to node's NIC at virtual time at.
 	LinkFactor(node int, at sim.Time) float64
 	// SendStall returns an injection delay charged before node's NIC
-	// accepts a transfer at virtual time at (zero when no stall fires).
-	SendStall(node int, at sim.Time) sim.Dur
+	// accepts a transfer (zero when no stall fires).
+	SendStall(node int) sim.Dur
 }
 
 // NodeRes holds the materialized shared resources of one node.
@@ -270,17 +270,6 @@ func (f *Fabric) CanP2P(node, a, b int) bool {
 	return spec.Devices[a].P2PGBs > 0 && spec.Devices[b].P2PGBs > 0
 }
 
-// NetSendAsync prices an internode transfer of n bytes from srcNode to
-// dstNode, occupying the source NIC's injection side and the destination
-// NIC's ejection side for the same interval, plus wire latency. Both
-// endpoints must live in the same engine (unsharded fabrics only); the
-// sharded message path uses NetInjectAsync + NetAcceptAsync instead.
-func (f *Fabric) NetSendAsync(srcNode, dstNode int, n int64) sim.Time {
-	occupy, tail := f.netPrice(srcNode, dstNode, n)
-	_, end := sim.CoUseAsync(occupy, f.nodes[srcNode].NICOut, f.nodes[dstNode].NICIn)
-	return end + sim.Time(tail)
-}
-
 // netPrice computes the (possibly fault-degraded) NIC occupancy and fixed
 // tail of an n-byte transfer injected by srcNode now toward dstNode. Under
 // a generated topology (System.Topo) the tail additionally pays the route's
@@ -295,7 +284,7 @@ func (f *Fabric) netPrice(srcNode, dstNode int, n int64) (occupy sim.Dur, tail s
 		if factor := f.Faults.LinkFactor(srcNode, now); factor > 1 {
 			occupy = sim.Dur(float64(occupy) * factor)
 		}
-		tail += f.Faults.SendStall(srcNode, now)
+		tail += f.Faults.SendStall(srcNode)
 	}
 	return occupy, tail
 }
@@ -325,11 +314,6 @@ func (f *Fabric) NetAcceptAsync(dstNode int, occupy sim.Dur) (deliver sim.Time) 
 	arrive := f.engines[dstNode].Now()
 	_, deliver = f.nodes[dstNode].NICIn.UseAsyncFrom(arrive-sim.Time(occupy), occupy)
 	return deliver
-}
-
-// NetSend is the blocking variant of NetSendAsync.
-func (f *Fabric) NetSend(p *sim.Proc, srcNode, dstNode int, n int64) {
-	p.SleepUntil(f.NetSendAsync(srcNode, dstNode, n))
 }
 
 // RDMACapable reports whether both endpoints support direct accelerator

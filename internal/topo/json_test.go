@@ -104,7 +104,7 @@ func TestLoadedSystemRuns(t *testing.T) {
 	}
 	eng := newTestEngine()
 	f := NewFabric(eng, sys)
-	if end := f.NetSendAsync(0, 1, 1<<20); end <= 0 {
+	if arrive, _ := f.NetInjectAsync(0, 1, 1<<20); arrive <= 0 {
 		t.Fatal("fabric over loaded system inert")
 	}
 	if f.CanP2P(0, 0, 1) {

@@ -248,7 +248,9 @@ func TestFabricNetSend(t *testing.T) {
 	f := NewFabric(eng, sys)
 	var end sim.Time
 	eng.Spawn("s", func(p *sim.Proc) {
-		f.NetSend(p, 0, 1, 1<<30)
+		arrive, occupy := f.NetInjectAsync(0, 1, 1<<30)
+		p.SleepUntil(arrive)
+		p.SleepUntil(f.NetAcceptAsync(1, occupy))
 		end = p.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -267,8 +269,8 @@ func TestFabricNICSerializes(t *testing.T) {
 	sys := Titan(3)
 	eng := sim.NewEngine()
 	f := NewFabric(eng, sys)
-	e1 := f.NetSendAsync(0, 1, 1<<28)
-	e2 := f.NetSendAsync(0, 2, 1<<28) // same source NIC
+	e1, _ := f.NetInjectAsync(0, 1, 1<<28)
+	e2, _ := f.NetInjectAsync(0, 2, 1<<28) // same source NIC
 	if e2 <= e1 {
 		t.Fatal("sends sharing a NIC must serialize")
 	}
