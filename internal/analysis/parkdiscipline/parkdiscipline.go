@@ -13,8 +13,7 @@
 //
 // A function is considered process context when it takes a *sim.Proc
 // parameter or is a function literal passed to Engine.Spawn/SpawnAt.
-// Package internal/sim itself is exempt — it implements the discipline and
-// necessarily touches raw channels.
+// Package internal/sim itself is exempt — it implements the discipline.
 package parkdiscipline
 
 import (
@@ -42,7 +41,7 @@ var syncBlockers = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg != nil && strings.HasSuffix(pass.Pkg.Path(), "internal/sim") {
-		return nil // the engine implements parking; raw channels are its job
+		return nil // the engine implements parking
 	}
 	checked := map[*ast.BlockStmt]bool{}
 	check := func(body *ast.BlockStmt) {

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"impacc/internal/sim"
+	"impacc/internal/telemetry"
 )
 
 // MPILatencyNs is the histogram family of per-task MPI operation
@@ -12,25 +13,36 @@ import (
 // scatterv, probe). Buckets are powers of two in virtual nanoseconds.
 const MPILatencyNs = "core_mpi_latency_ns"
 
+// mpiOpStats is a task's cached latency histogram and phase string
+// ("mpi:<op>") for one MPI op.
+type mpiOpStats struct {
+	h     *telemetry.Histogram
+	phase string
+}
+
 // mpiObserve records one completed MPI operation's latency for the task.
-// Histograms are created lazily per (rank, op) so only ops a task actually
-// issues allocate series. Lean mode collapses the rank label to "all":
-// tasks sharing a node then share one series per op (safe — a shard runs
-// one process at a time), and the cross-shard merge adds the per-node
+// Histograms and phase strings are created lazily per (rank, op) so only
+// ops a task actually issues allocate series, and an op allocates nothing
+// after its first call. Lean mode collapses the rank label to "all": tasks
+// sharing a node then share one series per op (safe — a shard runs one
+// process at a time), and the cross-shard merge adds the per-node
 // aggregates commutatively, so per-rank telemetry stays O(ops) instead of
 // O(ranks * ops) on generated large-scale systems.
 func (t *Task) mpiObserve(op string, start sim.Time) {
-	t.phase = "mpi:" + op
-	h := t.mpiLat[op]
-	if h == nil {
+	s, ok := t.mpiLat[op]
+	if !ok {
 		rank := "all"
 		if !t.rt.lean {
 			rank = strconv.Itoa(t.rank)
 		}
-		h = t.eng().Metrics.Histogram(MPILatencyNs,
-			"per-task MPI operation latency by op",
-			"rank", rank, "op", op)
-		t.mpiLat[op] = h
+		s = mpiOpStats{
+			h: t.eng().Metrics.Histogram(MPILatencyNs,
+				"per-task MPI operation latency by op",
+				"rank", rank, "op", op),
+			phase: "mpi:" + op,
+		}
+		t.mpiLat[op] = s
 	}
-	h.Observe(int64(t.proc.Now() - start))
+	t.phase = s.phase
+	s.h.Observe(int64(t.proc.Now() - start))
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/sim"
@@ -59,6 +56,19 @@ type Request struct {
 // Done reports whether the operation has completed (MPI_Test).
 func (r *Request) Done() bool { return r.done.Fired() }
 
+// uqName holds the fixed labels of one MPI operation placed on a unified
+// activity queue: the stream operation's name, its completion event's label
+// and its latency op. They are spelled out so enqueueing builds no string,
+// and passed by pointer so the queued closures capture one word.
+type uqName struct{ name, done, op string }
+
+var (
+	uqSend  = uqName{"mpi_send", "mpi_send-done", "send"}
+	uqRecv  = uqName{"mpi_recv", "mpi_recv-done", "recv"}
+	uqIsend = uqName{"mpi_isend", "mpi_isend-done", "isend"}
+	uqIrecv = uqName{"mpi_irecv", "mpi_irecv-done", "irecv"}
+)
+
 // uqOp tracks one MPI operation placed on a unified activity queue: the
 // command materializes when the queue reaches the operation; proxy fires at
 // transfer completion.
@@ -88,7 +98,7 @@ func (t *Task) newCmd(isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int
 	return &msg.Cmd{
 		IsSend: isSend, Src: src, Dst: dst, Tag: tag, Comm: o.comm,
 		Addr: buf, Bytes: bytes, Ep: t.ep, ReadOnly: o.readonly,
-		Done: t.eng().NewEvent(fmt.Sprintf("mpi-%d", t.rank)),
+		Done: t.eng().NewEvent(t.cmdWhy),
 	}
 }
 
@@ -171,7 +181,7 @@ func (t *Task) sendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst, 
 	wdst := c.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI("mpi_send", o.async, func(p *sim.Proc) *msg.Cmd {
+		t.enqueueUnifiedMPI(&uqSend, o.async, func(p *sim.Proc) *msg.Cmd {
 			return t.postSend(p, buf, bytes, wdst, tag, o)
 		})
 		return
@@ -196,7 +206,7 @@ func (t *Task) recvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src, 
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI("mpi_recv", o.async, func(p *sim.Proc) *msg.Cmd {
+		t.enqueueUnifiedMPI(&uqRecv, o.async, func(p *sim.Proc) *msg.Cmd {
 			return t.postRecv(p, buf, bytes, wsrc, tag, o)
 		})
 		return
@@ -218,7 +228,7 @@ func (t *Task) isendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst,
 	wdst := c.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI("mpi_isend", o.async, func(p *sim.Proc) *msg.Cmd {
+		return t.enqueueUnifiedMPI(&uqIsend, o.async, func(p *sim.Proc) *msg.Cmd {
 			return t.postSend(p, buf, bytes, wdst, tag, o)
 		})
 	}
@@ -240,7 +250,7 @@ func (t *Task) irecvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src,
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI("mpi_irecv", o.async, func(p *sim.Proc) *msg.Cmd {
+		return t.enqueueUnifiedMPI(&uqIrecv, o.async, func(p *sim.Proc) *msg.Cmd {
 			return t.postRecv(p, buf, bytes, wsrc, tag, o)
 		})
 	}
@@ -297,14 +307,13 @@ func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst
 // as in Figure 4 (c)); its completion is tracked, and any later kernel,
 // data operation, or wait on the same queue first drains outstanding MPI
 // completions — the queue's in-order completion guarantee.
-func (t *Task) enqueueUnifiedMPI(name string, q int, init func(p *sim.Proc) *msg.Cmd) *Request {
+func (t *Task) enqueueUnifiedMPI(n *uqName, q int, init func(p *sim.Proc) *msg.Cmd) *Request {
 	if t.rt.Cfg.Mode == Legacy || !t.rt.feats.UnifiedQueue {
-		t.failf("async MPI (%s) requires the IMPACC unified activity queue", name)
+		t.failf("async MPI (%s) requires the IMPACC unified activity queue", n.name)
 	}
-	op := &uqOp{proxy: t.eng().NewEvent(name + "-done")}
-	hop := strings.TrimPrefix(name, "mpi_")
+	op := &uqOp{proxy: t.eng().NewEvent(n.done)}
 	tr := t.rt.Cfg.Trace
-	t.env.Stream(q).EnqueueFunc(name, func(p *sim.Proc) {
+	t.env.Stream(q).EnqueueFunc(n.name, func(p *sim.Proc) {
 		start := p.Now()
 		cmd := init(p)
 		op.cmd = cmd
@@ -317,14 +326,14 @@ func (t *Task) enqueueUnifiedMPI(name string, q int, init func(p *sim.Proc) *msg
 		cmd.Done.OnFire(func() {
 			// Latency of the queued op itself: from when the queue
 			// reached it to command completion.
-			t.mpiObserve(hop, start)
+			t.mpiObserve(n.op, start)
 			if tr != nil && cmd.TraceID != 0 {
 				peer, bytes := cmd.Dst, cmd.Bytes
 				if !cmd.IsSend {
 					peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
 				}
 				tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
-					Stream: q, Kind: "mpi", Name: hop, Start: start,
+					Stream: q, Kind: "mpi", Name: n.op, Start: start,
 					End: t.eng().Now(), Bytes: bytes, Peer: peer})
 			}
 			op.proxy.Fire()

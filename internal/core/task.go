@@ -3,13 +3,13 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"impacc/internal/acc"
 	"impacc/internal/device"
 	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/sim"
-	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 	"impacc/internal/xmem"
 )
@@ -37,8 +37,12 @@ type Task struct {
 	// "mpi:<op>"), written only by the task's own process and read by the
 	// progress observer at beat barriers (which order the accesses).
 	phase string
-	// mpiLat caches the task's per-op MPI latency histograms.
-	mpiLat  map[string]*telemetry.Histogram
+	// mpiLat caches the task's per-op MPI latency histograms and phase
+	// strings.
+	mpiLat map[string]mpiOpStats
+	// cmdWhy labels the completion event of every message command the task
+	// posts ("mpi-<rank>"), built once so posting one builds no string.
+	cmdWhy  string
 	endAt   sim.Time
 	err     error
 	collSeq int
@@ -105,7 +109,8 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	t.rng = sim.NewRNG(rt.Cfg.Seed ^ (uint64(rank)*0x9E3779B97F4A7C15 + 0x1234567))
 	t.scratch, _ = t.space.AllocHost(64, false)
 	t.uqPending = map[int][]*uqOp{}
-	t.mpiLat = map[string]*telemetry.Histogram{}
+	t.mpiLat = map[string]mpiOpStats{}
+	t.cmdWhy = "mpi-" + strconv.Itoa(rank)
 	t.world = rt.newWorld(t)
 	return t
 }

@@ -107,8 +107,8 @@ func BenchmarkShardGroup4Shards1Worker(b *testing.B) { benchShardGroup(b, 4, 1) 
 func BenchmarkShardGroup4Shards4Workers(b *testing.B) { benchShardGroup(b, 4, 4) }
 
 // BenchmarkProcSleepWake measures the process context-switch path: one
-// running process sleeping b.N times (one event + two channel handoffs per
-// iteration).
+// running process sleeping b.N times (one event + two coroutine switches
+// per iteration: next into the process, yield back to the engine).
 func BenchmarkProcSleepWake(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync/atomic"
 
@@ -160,7 +161,6 @@ type Engine struct {
 	// reuses them, so steady-state scheduling does not allocate.
 	pool []*event
 
-	parked chan struct{}
 	// procs holds every spawned process, kept only for deadlock
 	// diagnostics and post-halt unwinding; finished entries are skipped
 	// (and compacted opportunistically). live counts unfinished ones.
@@ -192,10 +192,7 @@ type Engine struct {
 
 // NewEngine returns an engine with an empty event queue at time zero.
 func NewEngine() *Engine {
-	e := &Engine{
-		parked:        make(chan struct{}),
-		dispatchDepth: -1,
-	}
+	e := &Engine{dispatchDepth: -1}
 	e.AdoptMetrics(telemetry.NewRegistry())
 	return e
 }
@@ -379,15 +376,20 @@ func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
 // After schedules fn to run in engine context after duration d.
 func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
 
-// Proc is a simulation process: a goroutine that runs cooperatively under
-// the engine. At any instant at most one Proc executes.
+// Proc is a simulation process: an iter.Pull coroutine that runs
+// cooperatively under the engine. Resuming it (next) and parking it (yield)
+// switch goroutines directly, without the Go scheduler, and at any instant
+// at most one Proc executes.
 type Proc struct {
-	Name   string
-	eng    *Engine
-	resume chan struct{}
-	done   bool
+	Name string
+	eng  *Engine
+	// next resumes the coroutine until it parks or finishes; yield, saved
+	// by the coroutine body, hands control back to the engine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// unwind, when set, makes the next resume panic the haltUnwind
-	// sentinel so the goroutine's defers run and it exits.
+	// sentinel so the coroutine's defers run and it exits.
 	unwind bool
 	// blockedOn describes what the process is waiting for, for deadlock
 	// diagnostics.
@@ -412,12 +414,16 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is Spawn with an explicit start time.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{Name: name, eng: e, resume: make(chan struct{})}
+	p := &Proc{Name: name, eng: e}
 	e.procs = append(e.procs, p)
 	e.live++
 	e.maybeCompactProcs()
-	go func() {
-		<-p.resume
+	// The deferred recover swallows every panic, so next never re-panics
+	// into the engine loop; only a runtime.Goexit propagates (DESIGN.md §7).
+	// next is never stopped: unwindProcs runs each unfinished coroutine to
+	// completion instead.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !IsHaltUnwind(r) {
 				if e.panicked == nil {
@@ -427,12 +433,11 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 			}
 			p.done = true
 			e.live--
-			e.parked <- struct{}{}
 		}()
 		if !p.unwind {
 			fn(p)
 		}
-	}()
+	})
 	e.schedule(t, p, nil)
 	return p
 }
@@ -490,8 +495,7 @@ func IsHaltUnwind(v interface{}) bool {
 // Something must later wake the process via engine.wake.
 func (p *Proc) park(why string) {
 	p.blockedOn = why
-	p.eng.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.unwind {
 		panic(haltUnwind{})
 	}
@@ -500,12 +504,6 @@ func (p *Proc) park(why string) {
 
 // wake schedules process p to resume at time t.
 func (e *Engine) wake(p *Proc, t Time) { e.schedule(t, p, nil) }
-
-// runProc hands control to p until it parks or finishes.
-func (e *Engine) runProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.parked
-}
 
 // Sleep suspends the process for duration d of virtual time.
 func (p *Proc) Sleep(d Dur) {
@@ -668,7 +666,7 @@ func (e *Engine) runUntil(fence Time) error {
 		e.winCount++
 		if p != nil {
 			if !p.done { // lazy cancellation: skip dead processes
-				e.runProc(p)
+				p.next()
 			}
 		} else if fn != nil {
 			fn()
@@ -700,7 +698,7 @@ func (e *Engine) unwindProcs() {
 		p := e.procs[i]
 		for !p.done {
 			p.unwind = true
-			e.runProc(p)
+			p.next()
 		}
 	}
 	e.unwinding = false
