@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/xmem"
@@ -96,24 +98,16 @@ func (c *Comm) Barrier() {
 
 // leaders returns the node-leader communicator rank for every participating
 // node in first-seen order, with root promoted to leader of its own node,
-// plus this task's leader.
+// plus this task's leader. The list is the layout's own unless root must be
+// promoted; callers only read it.
 func (c *Comm) leaders(root int) (list []int, myLeader int) {
-	t := c.t
-	rootNode := t.rt.placements[c.ranks[root]].Node
-	seen := map[int]int{}
-	var order []int
-	for crank, wrank := range c.ranks {
-		node := t.rt.placements[wrank].Node
-		if _, ok := seen[node]; !ok {
-			seen[node] = crank
-			order = append(order, node)
-		}
+	l := c.layout
+	list = l.first
+	if s := l.slot[root]; list[s] != root {
+		list = slices.Clone(list)
+		list[s] = root
 	}
-	seen[rootNode] = root
-	for _, node := range order {
-		list = append(list, seen[node])
-	}
-	return list, seen[t.pl.Node]
+	return list, list[l.slot[c.myRank]]
 }
 
 // bcastSegBytes is the pipelining segment size for large internode
@@ -151,15 +145,7 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	// allgather for large ones, where the root injects the payload once
 	// instead of log(P) times.
 	if c.myRank == myLeader {
-		idx, rootIdx := -1, -1
-		for i, l := range leaders {
-			if l == c.myRank {
-				idx = i
-			}
-			if l == root {
-				rootIdx = i
-			}
-		}
+		idx, rootIdx := c.layout.slot[c.myRank], c.layout.slot[root]
 		var pend []*msg.Cmd
 		if len(leaders) >= 4 && bytes >= int64(len(leaders))*bcastSegBytes {
 			c.bcastScatterAllgather(buf, bytes, leaders, idx, rootIdx, base, o)
@@ -169,9 +155,9 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 		// Phase 2: forward whole buffers to the other member tasks on
 		// this node (whole-message so the §3.8 aliasing requirements can
 		// hold).
-		for crank, wrank := range c.ranks {
-			if crank != c.myRank && t.sameNode(wrank) {
-				pend = append(pend, t.postSend(t.proc, buf, bytes, wrank, base-2, o))
+		for _, crank := range c.layout.group[idx] {
+			if crank != c.myRank {
+				pend = append(pend, t.postSend(t.proc, buf, bytes, c.ranks[crank], base-2, o))
 			}
 		}
 		for _, s := range pend {

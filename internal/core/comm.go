@@ -23,6 +23,10 @@ type Comm struct {
 	ranks []int
 	// myRank is this task's rank within the communicator.
 	myRank int
+	// layout groups the members by node for the two-level collectives.
+	// Built once per group and never written afterwards, so Dup and every
+	// task's world view share one.
+	layout *nodeLayout
 
 	collSeq  int
 	splitSeq int
@@ -49,13 +53,42 @@ func (c *Comm) checkRank(r int) {
 	}
 }
 
-// newWorld builds the world communicator for a task.
-func (rt *Runtime) newWorld(t *Task) *Comm {
-	ranks := make([]int, len(rt.placements))
-	for i := range ranks {
-		ranks[i] = i
+// nodeLayout groups a communicator's members by node. Node slots are
+// numbered in first-seen order over the member list, which need not be node
+// index order (a Split with shuffled keys reorders them).
+type nodeLayout struct {
+	// first[s] is the lowest communicator rank on slot s: its default
+	// node leader.
+	first []int
+	// slot[crank] is the node slot of communicator rank crank.
+	slot []int
+	// group[s] lists the communicator ranks on slot s in ascending order.
+	group [][]int
+}
+
+// newNodeLayout builds the layout of the group whose world ranks are ranks.
+func newNodeLayout(ranks []int, placements []Placement) *nodeLayout {
+	l := &nodeLayout{slot: make([]int, len(ranks))}
+	slotOf := map[int]int{}
+	for crank, wrank := range ranks {
+		node := placements[wrank].Node
+		s, ok := slotOf[node]
+		if !ok {
+			s = len(l.first)
+			slotOf[node] = s
+			l.first = append(l.first, crank)
+			l.group = append(l.group, nil)
+		}
+		l.slot[crank] = s
+		l.group[s] = append(l.group[s], crank)
 	}
-	return &Comm{t: t, id: 0, ranks: ranks, myRank: t.rank}
+	return l
+}
+
+// newWorld builds the world communicator for a task over the runtime's
+// shared world ranks and layout.
+func (rt *Runtime) newWorld(t *Task) *Comm {
+	return &Comm{t: t, id: 0, ranks: rt.worldRanks, layout: rt.worldLayout, myRank: t.rank}
 }
 
 // Split is MPI_Comm_split: tasks supplying the same color form a new
@@ -100,15 +133,15 @@ func (c *Comm) Split(color, key int) *Comm {
 			nc.myRank = i
 		}
 	}
+	nc.layout = newNodeLayout(nc.ranks, t.rt.placements)
 	return nc
 }
 
 // Dup is MPI_Comm_dup: same group, fresh matching context.
 func (c *Comm) Dup() *Comm {
 	c.splitSeq++
-	nc := &Comm{t: c.t, id: commID(c.id, c.splitSeq, -1), myRank: c.myRank}
-	nc.ranks = append(nc.ranks, c.ranks...)
-	return nc
+	return &Comm{t: c.t, id: commID(c.id, c.splitSeq, -1), ranks: c.ranks,
+		myRank: c.myRank, layout: c.layout}
 }
 
 // commID derives a deterministic context id shared by all members that

@@ -13,30 +13,40 @@ import (
 
 // TestCrossModeEquivalence is the whole-stack property test: a randomly
 // generated communication program (point-to-point pairs, broadcasts,
-// reductions, gathers, all-to-alls, barriers over random buffers) must
-// produce bit-identical task data under the IMPACC runtime and the legacy
-// MPI+OpenACC baseline. Fusion, aliasing, unified address spaces, and the
-// staged transports may change *timing*, never *data*.
+// reductions, gathers, allgathers, all-to-alls, barriers over random
+// buffers) must produce bit-identical task data under the IMPACC runtime
+// and the legacy MPI+OpenACC baseline. Fusion, aliasing, unified address
+// spaces, and the staged transports may change *timing*, never *data*.
+// Beacon:2 (two nodes of four devices) makes the collectives cross nodes,
+// with random roots that are often not the lowest rank on their node.
 func TestCrossModeEquivalence(t *testing.T) {
+	systems := []struct {
+		name     string
+		sys      *topo.System
+		maxTasks int
+	}{
+		{"psg", topo.PSG(), 4},
+		{"beacon:2", topo.Beacon(2), 0},
+	}
 	for seed := uint64(1); seed <= 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			a := runRandomProgram(t, core(IMPACC), seed)
-			b := runRandomProgram(t, core(Legacy), seed)
-			if len(a) != len(b) {
-				t.Fatalf("digest counts differ: %d vs %d", len(a), len(b))
-			}
-			for rank := range a {
-				if a[rank] != b[rank] {
-					t.Errorf("rank %d digests differ: IMPACC %x, legacy %x", rank, a[rank], b[rank])
+			for _, s := range systems {
+				cfg := func(m Mode) Config {
+					return Config{System: s.sys, Mode: m, Backed: true, MaxTasks: s.maxTasks}
+				}
+				a := runRandomProgram(t, cfg(IMPACC), seed)
+				b := runRandomProgram(t, cfg(Legacy), seed)
+				if len(a) != len(b) {
+					t.Fatalf("%s: digest counts differ: %d vs %d", s.name, len(a), len(b))
+				}
+				for rank := range a {
+					if a[rank] != b[rank] {
+						t.Errorf("%s rank %d digests differ: IMPACC %x, legacy %x", s.name, rank, a[rank], b[rank])
+					}
 				}
 			}
 		})
 	}
-}
-
-func core(m Mode) Config {
-	return Config{System: topo.PSG(), Mode: m, Backed: true, MaxTasks: 4}
 }
 
 // runRandomProgram executes a seed-determined op sequence and returns one
@@ -46,8 +56,12 @@ func runRandomProgram(t *testing.T, cfg Config, seed uint64) []uint64 {
 	cfg.Seed = 12345 // runtime seed fixed; program shape driven by `seed`
 	const elems = 64
 	const nbuf = 4
-	digests := make([]uint64, 4)
-	_, err := Run(cfg, func(tk *Task) {
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := make([]uint64, len(rt.Tasks()))
+	_, err = rt.Execute(func(tk *Task) {
 		prog := sim.NewRNG(seed) // same stream on every task and mode
 		n := tk.Size()
 		bufs := make([]xmem.Addr, nbuf)
@@ -58,10 +72,14 @@ func runRandomProgram(t *testing.T, cfg Config, seed uint64) []uint64 {
 				v[j] = float64(tk.Rank()*1000 + i*100 + j)
 			}
 		}
+		// Alltoall exchanges scratch into xchg and then swaps the two:
+		// MPI forbids aliased send and receive buffers, and an in-place
+		// exchange would make the data depend on message timing.
 		scratch := tk.Malloc(elems * 8 * int64(n))
+		xchg := tk.Malloc(elems * 8 * int64(n))
 		ops := 10 + prog.Intn(10)
 		for op := 0; op < ops; op++ {
-			kind := prog.Intn(6)
+			kind := prog.Intn(7)
 			b := bufs[prog.Intn(nbuf)]
 			count := 1 + prog.Intn(elems)
 			tag := prog.Intn(50)
@@ -95,9 +113,12 @@ func runRandomProgram(t *testing.T, cfg Config, seed uint64) []uint64 {
 				}
 			case 4: // alltoall over per-rank blocks
 				blk := 1 + prog.Intn(elems/n)
-				tk.Alltoall(scratch, blk, mpi.Float64, scratch)
+				tk.Alltoall(scratch, blk, mpi.Float64, xchg)
+				scratch, xchg = xchg, scratch
 			case 5:
 				tk.Barrier()
+			case 6: // allgather
+				tk.Allgather(b, count, mpi.Float64, scratch)
 			}
 		}
 		// Digest every buffer's final bytes.
@@ -106,6 +127,7 @@ func runRandomProgram(t *testing.T, cfg Config, seed uint64) []uint64 {
 			h.Write(tk.Bytes(b, elems*8))
 		}
 		h.Write(tk.Bytes(scratch, elems*8*int64(n)))
+		h.Write(tk.Bytes(xchg, elems*8*int64(n)))
 		digests[tk.Rank()] = h.Sum64()
 	})
 	if err != nil {

@@ -47,6 +47,11 @@ type Runtime struct {
 	nodes      map[int]*nodeState
 	tasks      []*Task
 	placements []Placement
+	// worldRanks (the identity 0..P-1) and worldLayout back every task's
+	// MPI_COMM_WORLD view. Built before any shard runs and only read
+	// afterwards, they are shared across shards like placements.
+	worldRanks  []int
+	worldLayout *nodeLayout
 	// faults is the run's fault-injection plan (nil on healthy runs). It is
 	// instantiated fresh per run from Cfg.Chaos so concurrent runs of the
 	// same spec draw identical per-node streams (serial vs -j N parity).
@@ -195,6 +200,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if len(rt.placements) == 0 {
 		return nil, fmt.Errorf("core: no accelerators match device types %v", cfg.DeviceTypes)
 	}
+	rt.worldRanks = make([]int, len(rt.placements))
+	for i := range rt.worldRanks {
+		rt.worldRanks[i] = i
+	}
+	rt.worldLayout = newNodeLayout(rt.worldRanks, rt.placements)
 	rt.lean = cfg.Lean && len(rt.placements) > leanRankThreshold
 	if rt.lean && cfg.Trace != nil && !cfg.Trace.Streaming() {
 		return nil, fmt.Errorf("core: lean mode above %d ranks requires a streaming tracer (span sink): a buffered trace would hold the whole causal graph in RAM", leanRankThreshold)

@@ -91,11 +91,10 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	} else {
 		t.space = xmem.NewSpace(fmt.Sprintf("proc%d", rank), len(sys.Nodes[pl.Node].Devices))
 	}
-	for _, other := range rt.placements[:rank] {
-		if other.Node == pl.Node {
-			t.local++
-		}
-	}
+	// The mapping is node-major, so each node's world ranks are contiguous
+	// and the task's index among them is its offset from the lowest.
+	wl := rt.worldLayout
+	t.local = rank - wl.group[wl.slot[rank]][0]
 	// Application host arrays are pageable under both runtimes; only the
 	// message hub's internal staging buffers are pre-pinned (paper §3.7).
 	// IMPACC's data-transfer edge comes from NUMA pinning, not from
