@@ -146,9 +146,8 @@ func (e *Env) resolve(host xmem.Addr, n int64) (xmem.Addr, error) {
 	if !ok {
 		return xmem.Nil, fmt.Errorf("acc: %#x not present on device", uint64(host))
 	}
-	if off+n > ent.Size {
-		return xmem.Nil, fmt.Errorf("acc: range %#x+%d escapes present mapping (size %d)",
-			uint64(host), n, ent.Size)
+	if n < 0 || n > ent.Size-off {
+		return xmem.Nil, &xmem.RangeError{Op: "acc: update", Addr: host, N: n, Off: off, Size: ent.Size}
 	}
 	return ent.Dev + xmem.Addr(off), nil
 }

@@ -1,6 +1,8 @@
 package acc
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"impacc/internal/device"
@@ -160,6 +162,12 @@ func TestUpdateDirectives(t *testing.T) {
 		// Out-of-range update must fail.
 		if err := r.env.UpdateDevice(p, host, 256, -1); err == nil {
 			t.Fatal("oversized update must fail")
+		}
+		for _, n := range []int64{-8, math.MaxInt64} {
+			var re *xmem.RangeError
+			if err := r.env.UpdateHost(p, host+8, n, -1); !errors.As(err, &re) {
+				t.Fatalf("UpdateHost(n=%d) = %v, want *xmem.RangeError", n, err)
+			}
 		}
 		if err := r.env.UpdateDevice(p, 0xdead, 8, -1); err == nil {
 			t.Fatal("non-present update must fail")

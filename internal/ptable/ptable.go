@@ -1,14 +1,14 @@
 // Package ptable implements the OpenACC present table (paper §3.4,
 // Figure 3): the per-task map from host address ranges to device address
-// ranges. Following the paper, it keeps two balanced binary trees — one
-// indexed by host address, one by device address — so both acc_deviceptr()
-// (host→device) and acc_hostptr() (device→host) run in logarithmic time.
+// ranges. Like the paper's two balanced binary trees, it keeps two sorted
+// indexes — one by host address, one by device address — so both
+// acc_deviceptr() (host→device) and acc_hostptr() (device→host) search in
+// logarithmic time.
 package ptable
 
 import (
 	"fmt"
 
-	"impacc/internal/avl"
 	"impacc/internal/xmem"
 )
 
@@ -30,8 +30,8 @@ type Entry struct {
 
 // Table is one task's present table.
 type Table struct {
-	byHost avl.Tree[xmem.Addr, *Entry]
-	byDev  avl.Tree[xmem.Addr, *Entry]
+	byHost xmem.Index[*Entry]
+	byDev  xmem.Index[*Entry]
 }
 
 // New returns an empty present table.
@@ -49,13 +49,13 @@ func (t *Table) Insert(host, dev xmem.Addr, size int64, device int, handle uint6
 	if e, _, ok := t.lookupHost(host); ok {
 		return nil, fmt.Errorf("ptable: host range %#x overlaps entry at %#x", uint64(host), uint64(e.Host))
 	}
-	if _, he, ok := t.byHost.Ceil(host); ok && he.Host < host+xmem.Addr(size) {
+	if he, ok := t.byHost.Ceil(host); ok && he.Host < host+xmem.Addr(size) {
 		return nil, fmt.Errorf("ptable: host range %#x+%d overlaps entry at %#x", uint64(host), size, uint64(he.Host))
 	}
 	if e, _, ok := t.lookupDev(dev); ok {
 		return nil, fmt.Errorf("ptable: device range %#x overlaps entry at %#x", uint64(dev), uint64(e.Dev))
 	}
-	if _, de, ok := t.byDev.Ceil(dev); ok && de.Dev < dev+xmem.Addr(size) {
+	if de, ok := t.byDev.Ceil(dev); ok && de.Dev < dev+xmem.Addr(size) {
 		return nil, fmt.Errorf("ptable: device range %#x+%d overlaps entry at %#x", uint64(dev), size, uint64(de.Dev))
 	}
 	e := &Entry{Host: host, Dev: dev, Size: size, Device: device, Handle: handle, Refs: 1}
@@ -65,7 +65,7 @@ func (t *Table) Insert(host, dev xmem.Addr, size int64, device int, handle uint6
 }
 
 func (t *Table) lookupHost(addr xmem.Addr) (*Entry, int64, bool) {
-	_, e, ok := t.byHost.Floor(addr)
+	e, ok := t.byHost.Floor(addr)
 	if !ok || addr >= e.Host+xmem.Addr(e.Size) {
 		return nil, 0, false
 	}
@@ -73,7 +73,7 @@ func (t *Table) lookupHost(addr xmem.Addr) (*Entry, int64, bool) {
 }
 
 func (t *Table) lookupDev(addr xmem.Addr) (*Entry, int64, bool) {
-	_, e, ok := t.byDev.Floor(addr)
+	e, ok := t.byDev.Floor(addr)
 	if !ok || addr >= e.Dev+xmem.Addr(e.Size) {
 		return nil, 0, false
 	}
@@ -83,10 +83,6 @@ func (t *Table) lookupDev(addr xmem.Addr) (*Entry, int64, bool) {
 // FindHost returns the entry containing host address addr and the offset
 // within it. This is the acc_deviceptr() direction.
 func (t *Table) FindHost(addr xmem.Addr) (*Entry, int64, bool) { return t.lookupHost(addr) }
-
-// FindDev returns the entry containing device address addr and the offset
-// within it. This is the acc_hostptr() direction.
-func (t *Table) FindDev(addr xmem.Addr) (*Entry, int64, bool) { return t.lookupDev(addr) }
 
 // DevicePtr translates a host address to the corresponding device address
 // (acc_deviceptr).
@@ -120,7 +116,7 @@ func (t *Table) Retain(host xmem.Addr) (*Entry, bool) {
 }
 
 // Release decrements the refcount of the entry containing host. When it
-// reaches zero the mapping is removed from both trees and returned with
+// reaches zero the mapping is removed from both indexes and returned with
 // last=true so the caller can free device memory.
 func (t *Table) Release(host xmem.Addr) (e *Entry, last bool, err error) {
 	e, _, ok := t.lookupHost(host)
@@ -134,26 +130,4 @@ func (t *Table) Release(host xmem.Addr) (e *Entry, last bool, err error) {
 	t.byHost.Delete(e.Host)
 	t.byDev.Delete(e.Dev)
 	return e, true, nil
-}
-
-// Remove deletes the entry containing host regardless of refcount,
-// returning it. Used by exit-data finalize and task teardown.
-func (t *Table) Remove(host xmem.Addr) (*Entry, bool) {
-	e, _, ok := t.lookupHost(host)
-	if !ok {
-		return nil, false
-	}
-	t.byHost.Delete(e.Host)
-	t.byDev.Delete(e.Dev)
-	return e, true
-}
-
-// Entries returns all live entries in host-address order.
-func (t *Table) Entries() []*Entry {
-	out := make([]*Entry, 0, t.byHost.Len())
-	t.byHost.Ascend(func(_ xmem.Addr, e *Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
 }

@@ -77,9 +77,9 @@ func TestOpenCLHandleField(t *testing.T) {
 	if e.Handle != 0xC1C1 {
 		t.Fatal("handle lost")
 	}
-	got, off, ok := pt.FindDev(0xB000 + 64)
+	got, off, ok := pt.FindHost(0x4000 + 64)
 	if !ok || got.Handle != 0xC1C1 || off != 64 {
-		t.Fatalf("FindDev = %+v, %d, %v", got, off, ok)
+		t.Fatalf("FindHost = %+v, %d, %v", got, off, ok)
 	}
 }
 
@@ -101,42 +101,14 @@ func TestRetainRelease(t *testing.T) {
 	if pt.Len() != 0 {
 		t.Fatal("entry not removed")
 	}
+	if _, err := pt.HostPtr(0x9000); err == nil {
+		t.Fatal("device index not cleaned")
+	}
 	if _, _, err := pt.Release(0x1000); err == nil {
 		t.Fatal("release of absent entry must fail")
 	}
 	if _, ok := pt.Retain(0x1000); ok {
 		t.Fatal("retain of absent entry must succeed=false")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	pt := New()
-	pt.Insert(0x1000, 0x9000, 64, 0, 0)
-	pt.Retain(0x1000)
-	e, ok := pt.Remove(0x1000 + 5)
-	if !ok || e.Host != 0x1000 {
-		t.Fatal("remove failed")
-	}
-	if pt.Len() != 0 {
-		t.Fatal("remove left entry")
-	}
-	if _, ok := pt.Remove(0x1000); ok {
-		t.Fatal("double remove succeeded")
-	}
-	// Device index must be gone too.
-	if _, err := pt.HostPtr(0x9000); err == nil {
-		t.Fatal("device index not cleaned")
-	}
-}
-
-func TestEntriesOrdered(t *testing.T) {
-	pt := New()
-	pt.Insert(0x3000, 0x9000, 16, 0, 0)
-	pt.Insert(0x1000, 0xA000, 16, 0, 0)
-	pt.Insert(0x2000, 0xB000, 16, 0, 0)
-	es := pt.Entries()
-	if len(es) != 3 || es[0].Host != 0x1000 || es[2].Host != 0x3000 {
-		t.Fatalf("entries = %+v", es)
 	}
 }
 

@@ -122,6 +122,24 @@ func BenchmarkProcSleepWake(b *testing.B) {
 	}
 }
 
+// BenchmarkEventWait measures one Event round trip: a process waits on a
+// fresh event that a scheduled callback fires. allocs/op counts the event,
+// its waiter list, the callback and whatever the wait itself allocates.
+func BenchmarkEventWait(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	e.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ev := e.NewEvent("bench")
+			e.After(Microsecond, ev.Fire)
+			ev.Wait(p)
+		}
+	})
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSameTimestampBurst schedules bursts of events at an identical
 // timestamp — the pattern produced by a node's message handler completing
 // many commands at one virtual instant.

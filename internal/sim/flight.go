@@ -116,7 +116,7 @@ func (e *Engine) FlightShard() ShardFlight {
 	}
 	for _, p := range e.procs {
 		if p != nil && !p.done {
-			sf.Parked = append(sf.Parked, ParkedProc{Name: p.Name, BlockedOn: p.blockedOn})
+			sf.Parked = append(sf.Parked, ParkedProc{Name: p.Name, BlockedOn: p.blockedOn()})
 		}
 	}
 	return sf

@@ -58,7 +58,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.park("event:" + ev.why)
+	p.park("event:", ev.why)
 }
 
 // Cond is a reusable wait list: Wait blocks until a later WakeOne/WakeAll.
@@ -76,7 +76,7 @@ func (e *Engine) NewCond(why string) *Cond { return &Cond{eng: e, why: why} }
 // Wait blocks p until woken.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park("cond:" + c.why)
+	p.park("cond:", c.why)
 }
 
 // WakeOne wakes the longest-waiting process, if any, and reports whether one
@@ -123,7 +123,7 @@ func (s *Semaphore) Acquire(p *Proc) {
 		return
 	}
 	s.waiters = append(s.waiters, p)
-	p.park("sem:" + s.why)
+	p.park("sem:", s.why)
 	// The releaser transferred a permit directly to us.
 }
 

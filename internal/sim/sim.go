@@ -391,10 +391,14 @@ type Proc struct {
 	// unwind, when set, makes the next resume panic the haltUnwind
 	// sentinel so the coroutine's defers run and it exits.
 	unwind bool
-	// blockedOn describes what the process is waiting for, for deadlock
-	// diagnostics.
-	blockedOn string
+	// parkKind and parkWhy describe what the process is waiting for, for
+	// deadlock diagnostics; blockedOn joins them only when read, so a wait
+	// on a primitive builds no string.
+	parkKind, parkWhy string
 }
+
+// blockedOn describes what the process is waiting for, e.g. "event:done".
+func (p *Proc) blockedOn() string { return p.parkKind + p.parkWhy }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -492,14 +496,15 @@ func IsHaltUnwind(v interface{}) bool {
 }
 
 // park blocks the calling process and returns control to the engine loop.
-// Something must later wake the process via engine.wake.
-func (p *Proc) park(why string) {
-	p.blockedOn = why
+// Something must later wake the process via engine.wake. kind+why is what
+// the process waits on.
+func (p *Proc) park(kind, why string) {
+	p.parkKind, p.parkWhy = kind, why
 	p.yield(struct{}{})
 	if p.unwind {
 		panic(haltUnwind{})
 	}
-	p.blockedOn = ""
+	p.parkKind, p.parkWhy = "", ""
 }
 
 // wake schedules process p to resume at time t.
@@ -511,20 +516,20 @@ func (p *Proc) Sleep(d Dur) {
 		d = 0
 	}
 	p.eng.wake(p, p.eng.now+Time(d))
-	p.park("sleep")
+	p.park("sleep", "")
 }
 
 // SleepUntil suspends the process until absolute time t (no-op if t <= now).
 func (p *Proc) SleepUntil(t Time) {
 	p.eng.wake(p, t)
-	p.park("sleepUntil")
+	p.park("sleepUntil", "")
 }
 
 // Yield reschedules the process at the current time, letting other
 // already-queued events at this instant run first.
 func (p *Proc) Yield() {
 	p.eng.wake(p, p.eng.now)
-	p.park("yield")
+	p.park("yield", "")
 }
 
 // CancelError reports that the run was stopped by Engine.Cancel before its
@@ -589,7 +594,7 @@ func (e *Engine) Run() error { return NewShardGroup([]*Engine{e}, 0, 1).Run() }
 func (e *Engine) EachBlocked(fn func(name, blockedOn string)) {
 	for _, p := range e.procs {
 		if p != nil && !p.done {
-			fn(p.Name, p.blockedOn)
+			fn(p.Name, p.blockedOn())
 		}
 	}
 }
@@ -602,7 +607,7 @@ func (e *Engine) blockedProcs() []string {
 		if p.done {
 			continue
 		}
-		blocked = append(blocked, fmt.Sprintf("%s (on %s)", p.Name, p.blockedOn))
+		blocked = append(blocked, fmt.Sprintf("%s (on %s)", p.Name, p.blockedOn()))
 	}
 	sort.Strings(blocked)
 	return blocked

@@ -1,10 +1,6 @@
 package xmem
 
-import (
-	"fmt"
-
-	"impacc/internal/avl"
-)
+import "fmt"
 
 // HeapEntry records one hooked heap allocation (paper §3.8, Figure 7: "the
 // IMPACC runtime hooks the heap-related routines, such as malloc(),
@@ -27,7 +23,7 @@ type HeapEntry struct {
 // address with range lookup, plus the reference counting that node heap
 // aliasing relies on.
 type HeapTable struct {
-	entries avl.Tree[Addr, *HeapEntry]
+	entries Index[*HeapEntry]
 }
 
 // NewHeapTable returns an empty table.
@@ -42,7 +38,7 @@ func (h *HeapTable) Register(base Addr, size int64, rank int) *HeapEntry {
 
 // Containing returns the entry whose range contains addr.
 func (h *HeapTable) Containing(addr Addr) (*HeapEntry, bool) {
-	_, e, ok := h.entries.Floor(addr)
+	e, ok := h.entries.Floor(addr)
 	if !ok || addr >= e.Base+Addr(e.Size) {
 		return nil, false
 	}
@@ -100,9 +96,8 @@ func (h *HeapTable) Len() int { return h.entries.Len() }
 // TotalRefs sums reference counts, for invariant tests.
 func (h *HeapTable) TotalRefs() int {
 	total := 0
-	h.entries.Ascend(func(_ Addr, e *HeapEntry) bool {
+	for _, e := range h.entries.vals {
 		total += e.Refs
-		return true
-	})
+	}
 	return total
 }

@@ -10,11 +10,7 @@
 // is identical).
 package xmem
 
-import (
-	"fmt"
-
-	"impacc/internal/avl"
-)
+import "fmt"
 
 // Addr is a virtual address in a node's unified address space.
 type Addr uint64
@@ -84,7 +80,7 @@ func (l Loc) Device() int { return l.Seg.Device }
 // address space.
 type Space struct {
 	name string
-	segs avl.Tree[Addr, *Segment]
+	segs Index[*Segment]
 
 	nextHost Addr
 	nextDev  []Addr
@@ -177,7 +173,7 @@ func (s *Space) lookup(addr Addr, depth int) (Loc, error) {
 	if depth > 8 {
 		return Loc{}, fmt.Errorf("xmem: alias chain too deep at %#x", uint64(addr))
 	}
-	_, seg, ok := s.segs.Floor(addr)
+	seg, ok := s.segs.Floor(addr)
 	if !ok || addr >= seg.Base+Addr(seg.Size) {
 		return Loc{}, fmt.Errorf("xmem: Lookup(%#x): unmapped address in %s", uint64(addr), s.name)
 	}
@@ -188,33 +184,48 @@ func (s *Space) lookup(addr Addr, depth int) (Loc, error) {
 	return Loc{Seg: seg, Off: off}, nil
 }
 
-// Contains reports whether addr is mapped.
-func (s *Space) Contains(addr Addr) bool {
-	_, err := s.Lookup(addr)
-	return err == nil
-}
-
 // SegmentAt returns the raw segment based exactly at addr (not following
 // aliases). Used by the aliasing machinery and tests.
 func (s *Space) SegmentAt(addr Addr) (*Segment, bool) {
 	return s.segs.Get(addr)
 }
 
+// RangeError reports an access of N units at Addr that does not fit in
+// the mapping Addr lies in: Size bytes, with Addr at offset Off. N is out
+// of range when negative, too.
+type RangeError struct {
+	Op        string
+	Addr      Addr
+	N         int64
+	Off, Size int64
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("%s(%#x, %d): range escapes its mapping (size %d, off %d)",
+		e.Op, uint64(e.Addr), e.N, e.Size, e.Off)
+}
+
 // Bytes returns the n bytes of real storage at addr, following aliases.
 // It returns nil storage (no error) for unbacked segments.
 func (s *Space) Bytes(addr Addr, n int64) ([]byte, error) {
+	return s.span("xmem: Bytes", addr, n, 0)
+}
+
+// span returns the storage of n elements of 1<<shift bytes each at addr.
+// The range check shifts the room left down rather than n up, so no n can
+// overflow it.
+func (s *Space) span(op string, addr Addr, n int64, shift uint) ([]byte, error) {
 	loc, err := s.Lookup(addr)
 	if err != nil {
 		return nil, err
 	}
-	if loc.Off+n > loc.Seg.Size {
-		return nil, fmt.Errorf("xmem: Bytes(%#x, %d): range escapes segment (size %d, off %d)",
-			uint64(addr), n, loc.Seg.Size, loc.Off)
+	if n < 0 || n > (loc.Seg.Size-loc.Off)>>shift {
+		return nil, &RangeError{Op: op, Addr: addr, N: n, Off: loc.Off, Size: loc.Seg.Size}
 	}
 	if loc.Seg.Backing == nil {
 		return nil, nil
 	}
-	return loc.Seg.Backing[loc.Off : loc.Off+n], nil
+	return loc.Seg.Backing[loc.Off : loc.Off+n<<shift], nil
 }
 
 // Copy moves n bytes from src to dst within the space, when both are
@@ -285,6 +296,3 @@ func (s *Space) HostUsed() int64 { return s.hostUsed }
 
 // DeviceUsed reports live bytes on device dev.
 func (s *Space) DeviceUsed(dev int) int64 { return s.devUsed[dev] }
-
-// Segments reports the number of mapped segments.
-func (s *Space) Segments() int { return s.segs.Len() }

@@ -1,9 +1,7 @@
 package xmem
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -13,54 +11,13 @@ import (
 // Float64s returns a []float64 view of n elements at addr. It returns nil
 // for unbacked segments.
 func (s *Space) Float64s(addr Addr, n int) ([]float64, error) {
-	b, err := s.Bytes(addr, int64(n)*8)
-	if err != nil {
+	b, err := s.span("xmem: Float64s", addr, int64(n), 3)
+	if err != nil || b == nil {
 		return nil, err
 	}
-	if b == nil {
-		return nil, nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
+	p := unsafe.SliceData(b)
+	if uintptr(unsafe.Pointer(p))%8 != 0 {
 		return nil, fmt.Errorf("xmem: Float64s(%#x): misaligned view", uint64(addr))
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n), nil
-}
-
-// Int64s returns a []int64 view of n elements at addr.
-func (s *Space) Int64s(addr Addr, n int) ([]int64, error) {
-	b, err := s.Bytes(addr, int64(n)*8)
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		return nil, nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		return nil, fmt.Errorf("xmem: Int64s(%#x): misaligned view", uint64(addr))
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n), nil
-}
-
-// PutFloat64 stores v at addr+8*i without materializing a view.
-func (s *Space) PutFloat64(addr Addr, i int, v float64) error {
-	b, err := s.Bytes(addr+Addr(i*8), 8)
-	if err != nil {
-		return err
-	}
-	if b != nil {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-	}
-	return nil
-}
-
-// GetFloat64 loads the float64 at addr+8*i; unbacked segments read as zero.
-func (s *Space) GetFloat64(addr Addr, i int) (float64, error) {
-	b, err := s.Bytes(addr+Addr(i*8), 8)
-	if err != nil {
-		return 0, err
-	}
-	if b == nil {
-		return 0, nil
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+	return unsafe.Slice((*float64)(unsafe.Pointer(p)), n), nil
 }

@@ -1,6 +1,8 @@
 package xmem
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -87,8 +89,8 @@ func TestLookupUnmapped(t *testing.T) {
 	if _, err := s.Lookup(a + 64); err == nil {
 		t.Fatal("one-past-end lookup must fail")
 	}
-	if s.Contains(a+63) != true || s.Contains(a+64) != false {
-		t.Fatal("Contains boundary wrong")
+	if _, err := s.Lookup(a + 63); err != nil {
+		t.Fatal("last byte must resolve")
 	}
 }
 
@@ -101,7 +103,7 @@ func TestFree(t *testing.T) {
 	if s.HostUsed() != 0 {
 		t.Fatalf("host used after free = %d", s.HostUsed())
 	}
-	if s.Contains(a) {
+	if _, err := s.Lookup(a); err == nil {
 		t.Fatal("freed address still mapped")
 	}
 	if err := s.Free(a); err == nil {
@@ -255,37 +257,26 @@ func TestFloat64Views(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i) * 1.5
 	}
-	got, err := s.GetFloat64(a, 4)
+	// A view at an interior address shares the storage.
+	w, err := s.Float64s(a+3*8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 6.0 {
-		t.Fatalf("GetFloat64 = %v, want 6.0", got)
+	if w[1] != 6.0 {
+		t.Fatalf("interior view[1] = %v, want 6.0", w[1])
 	}
-	if err := s.PutFloat64(a, 3, 2.25); err != nil {
-		t.Fatal(err)
-	}
+	w[0] = 2.25
 	if v[3] != 2.25 {
-		t.Fatal("PutFloat64 not visible in view")
+		t.Fatal("store through interior view not visible")
 	}
-	iv, err := s.Int64s(a, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iv) != 16 {
-		t.Fatal("Int64s length wrong")
+	if z, err := s.Float64s(a+16*8-8, 0); err != nil || len(z) != 0 {
+		t.Fatalf("empty view = %v, %v", z, err)
 	}
 	// Unbacked views are nil, not errors.
 	u, _ := s.AllocHost(128, false)
 	nv, err := s.Float64s(u, 16)
 	if err != nil || nv != nil {
 		t.Fatalf("unbacked view = %v, %v", nv, err)
-	}
-	if x, err := s.GetFloat64(u, 0); err != nil || x != 0 {
-		t.Fatalf("unbacked GetFloat64 = %v, %v", x, err)
-	}
-	if err := s.PutFloat64(u, 0, 1); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -431,8 +422,8 @@ func TestKindStringsAndAccessors(t *testing.T) {
 	}
 	s.AllocHost(64, true)
 	s.AllocDevice(0, 64, true)
-	if s.Segments() != 2 {
-		t.Fatalf("segments = %d", s.Segments())
+	if s.segs.Len() != 2 {
+		t.Fatalf("segments = %d", s.segs.Len())
 	}
 }
 
@@ -453,6 +444,17 @@ func TestCopyErrorsOnBadRanges(t *testing.T) {
 	if err := CopyBetween(s2, 0xdead, s, a, 8); err == nil {
 		t.Fatal("cross-space copy to unmapped dst must fail")
 	}
+	// Negative and overflowing lengths are range errors on backed and
+	// unbacked segments alike.
+	u, _ := s.AllocHost(64, false)
+	for _, n := range []int64{-8, math.MaxInt64} {
+		for _, at := range []Addr{a + 8, u + 8} {
+			var re *RangeError
+			if err := s.Copy(at, at, n); !errors.As(err, &re) {
+				t.Fatalf("Copy(%#x, %d) = %v, want *RangeError", uint64(at), n, err)
+			}
+		}
+	}
 }
 
 func TestViewRangeErrors(t *testing.T) {
@@ -461,15 +463,19 @@ func TestViewRangeErrors(t *testing.T) {
 	if _, err := s.Float64s(a, 9); err == nil {
 		t.Fatal("oversized float view must fail")
 	}
-	if _, err := s.Int64s(a, 9); err == nil {
-		t.Fatal("oversized int view must fail")
+	if _, err := s.Float64s(0xdead, 1); err == nil {
+		t.Fatal("unmapped float view must fail")
 	}
-	if _, err := s.Int64s(0xdead, 1); err == nil {
-		t.Fatal("unmapped int view must fail")
+	// n*8 would wrap for the largest n; both it and -1 are range errors.
+	for _, n := range []int{-1, math.MaxInt} {
+		var re *RangeError
+		if _, err := s.Float64s(a, n); !errors.As(err, &re) {
+			t.Fatalf("Float64s(%d) = %v, want *RangeError", n, err)
+		}
 	}
 	u, _ := s.AllocHost(64, false)
-	iv, err := s.Int64s(u, 8)
-	if err != nil || iv != nil {
-		t.Fatal("unbacked int view should be nil, no error")
+	fv, err := s.Float64s(u, 8)
+	if err != nil || fv != nil {
+		t.Fatal("unbacked float view should be nil, no error")
 	}
 }
