@@ -126,13 +126,13 @@ func (rt *Runtime) buildReport() *Report {
 			Node:        n,
 			Stats:       ns.hub.Stats(),
 			HandlerBusy: ns.hub.HandlerBusy(),
-			NICOutBusy:  nr.NICOut.BusyTime,
-			NICInBusy:   nr.NICIn.BusyTime,
-			MemBusBusy:  nr.MemBus.BusyTime,
+			NICOutBusy:  nr.NICOut.BusyTime(),
+			NICInBusy:   nr.NICIn.BusyTime(),
+			MemBusBusy:  nr.MemBus.BusyTime(),
 		}
 		for _, p := range nr.PCIe {
 			if p != nil {
-				hr.PCIeBusy = append(hr.PCIeBusy, p.BusyTime)
+				hr.PCIeBusy = append(hr.PCIeBusy, p.BusyTime())
 			} else {
 				hr.PCIeBusy = append(hr.PCIeBusy, 0)
 			}

@@ -120,7 +120,7 @@ func (d *Device) NewHandle() uint64 {
 }
 
 // ComputeBusy reports accumulated kernel-busy time on the device.
-func (d *Device) ComputeBusy() sim.Dur { return d.compute.BusyTime }
+func (d *Device) ComputeBusy() sim.Dur { return d.compute.BusyTime() }
 
 // KernelKind selects which hardware bound prices a kernel.
 type KernelKind int

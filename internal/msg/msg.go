@@ -399,7 +399,7 @@ func (h *Hub) dispatch(net bool) {
 }
 
 // HandlerBusy reports the handler thread's accumulated processing time.
-func (h *Hub) HandlerBusy() sim.Dur { return h.handlerCPU.BusyTime }
+func (h *Hub) HandlerBusy() sim.Dur { return h.handlerCPU.BusyTime() }
 
 // PostIntra submits an intra-node command from the calling task (or stream)
 // process. The task pays the command-creation overhead; the handler does

@@ -149,38 +149,35 @@ func (s *Semaphore) Available() int { return s.avail }
 type FIFOResource struct {
 	eng    *Engine
 	freeAt Time
-	// BusyTime accumulates total occupied time, for utilization reports.
-	BusyTime Dur
-	// Uses counts completed occupations.
-	Uses uint64
-	name string
-	mon  *telemetry.ResourceMonitor
+	// use holds the occupancy totals (busy, wait, uses, peak backlog) and
+	// the virtual time each last changed, as plain fields the engine's
+	// registry reads only when snapshotted or merged.
+	use telemetry.Resource
 }
 
-// NewFIFOResource returns an idle resource. The resource reports every
-// occupation (queue-wait and busy time) to the engine's metrics registry
-// under its name.
+// NewFIFOResource returns an idle resource. Its occupancy (queue-wait and
+// busy time) reports into the engine's metrics registry under its name.
 func (e *Engine) NewFIFOResource(name string) *FIFOResource {
-	r := &FIFOResource{eng: e, name: name}
+	r := &FIFOResource{eng: e, use: telemetry.Resource{Name: name}}
 	if e.Metrics != nil {
-		r.mon = e.Metrics.Resource(name)
+		e.Metrics.AddResource(&r.use)
 	}
 	return r
 }
 
-// Monitor exposes the resource's telemetry monitor (nil when the engine
-// carries no registry).
-func (r *FIFOResource) Monitor() *telemetry.ResourceMonitor { return r.mon }
-
-// observe reports one occupation that waited from arrival to start.
+// observe records one occupation that waited from arrival to start.
 func (r *FIFOResource) observe(arrival, start Time, occupy Dur) {
-	if r.mon != nil {
-		r.mon.Observe(int64(start-arrival), int64(occupy))
-	}
+	r.use.Observe(int64(r.eng.now), int64(start-arrival), int64(occupy))
 }
 
 // Name returns the resource's label.
-func (r *FIFOResource) Name() string { return r.name }
+func (r *FIFOResource) Name() string { return r.use.Name }
+
+// BusyTime reports the total occupied time, for utilization reports.
+func (r *FIFOResource) BusyTime() Dur { return Dur(r.use.BusyNs) }
+
+// Uses reports the number of completed occupations.
+func (r *FIFOResource) Uses() uint64 { return uint64(r.use.Uses) }
 
 // Use occupies the resource for occupy time starting when it becomes free,
 // then keeps the caller blocked for a further tail (latency that does not
@@ -198,8 +195,6 @@ func (r *FIFOResource) Use(p *Proc, occupy, tail Dur) Time {
 		start = r.freeAt
 	}
 	r.freeAt = start + Time(occupy)
-	r.BusyTime += occupy
-	r.Uses++
 	r.observe(r.eng.now, start, occupy)
 	p.SleepUntil(r.freeAt + Time(tail))
 	return start
@@ -217,8 +212,6 @@ func (r *FIFOResource) UseAsync(occupy Dur) (start, end Time) {
 		start = r.freeAt
 	}
 	r.freeAt = start + Time(occupy)
-	r.BusyTime += occupy
-	r.Uses++
 	r.observe(r.eng.now, start, occupy)
 	return start, r.freeAt
 }
@@ -237,8 +230,6 @@ func (r *FIFOResource) UseAsyncFrom(earliest Time, occupy Dur) (start, end Time)
 		start = r.freeAt
 	}
 	r.freeAt = start + Time(occupy)
-	r.BusyTime += occupy
-	r.Uses++
 	r.observe(earliest, start, occupy)
 	return start, r.freeAt
 }
@@ -263,8 +254,6 @@ func CoUseAsync(occupy Dur, rs ...*FIFOResource) (start, end Time) {
 	end = start + Time(occupy)
 	for _, r := range rs {
 		r.freeAt = end
-		r.BusyTime += occupy
-		r.Uses++
 		r.observe(r.eng.now, start, occupy)
 	}
 	return start, end

@@ -274,11 +274,11 @@ func TestFIFOResourceSerializes(t *testing.T) {
 			t.Fatalf("ends = %v, want %v", ends, want)
 		}
 	}
-	if r.BusyTime != 30*Microsecond {
-		t.Fatalf("busy = %v, want 30us", r.BusyTime)
+	if r.BusyTime() != 30*Microsecond {
+		t.Fatalf("busy = %v, want 30us", r.BusyTime())
 	}
-	if r.Uses != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses)
+	if r.Uses() != 3 {
+		t.Fatalf("uses = %d, want 3", r.Uses())
 	}
 }
 

@@ -65,3 +65,18 @@ func TestPrometheusLabelEscapingEndToEnd(t *testing.T) {
 		t.Fatalf("exposition missing %q:\n%s", want, b.String())
 	}
 }
+
+// A # HELP docstring gets the text format's two escapes — backslash and
+// newline — and nothing else (quotes stay as they are).
+func TestPrometheusHelpEscaping(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("demo_total", "a \\ path\nand a \"quote\"").Inc()
+	var b strings.Builder
+	if err := reg.Snapshot(0).WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP demo_total a \\ path\nand a "quote"` + "\n"
+	if !strings.HasPrefix(b.String(), want) {
+		t.Fatalf("exposition starts %q, want %q", b.String(), want)
+	}
+}

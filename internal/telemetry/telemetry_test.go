@@ -82,29 +82,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestResourceMonitor(t *testing.T) {
-	r := NewRegistry()
-	m := r.Resource("n0/pcie0")
-	m.Observe(0, 100)
-	m.Observe(40, 100)
-	m.Observe(10, 50)
-	if m.Busy.Value() != 250 || m.Wait.Value() != 50 || m.Uses.Value() != 3 {
-		t.Fatalf("busy/wait/uses = %d/%d/%d", m.Busy.Value(), m.Wait.Value(), m.Uses.Value())
-	}
-	if m.PeakBacklog.Value() != 40 {
-		t.Fatalf("peak backlog = %v, want 40", m.PeakBacklog.Value())
-	}
-	if u := m.Utilization(1000); u != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", u)
-	}
-	if u := m.Utilization(100); u != 1 {
-		t.Fatalf("utilization must clamp to 1, got %v", u)
-	}
-	if u := m.Utilization(0); u != 0 {
-		t.Fatalf("utilization at zero elapsed = %v", u)
-	}
-}
-
 // promLine matches one Prometheus text-format sample line.
 var promLine = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? [0-9eE.+-]+$`)

@@ -150,7 +150,7 @@ func (f *Fabric) RecordUtilization(reg *telemetry.Registry, elapsed sim.Dur) {
 			if r == nil {
 				return
 			}
-			u := float64(r.BusyTime) / float64(elapsed)
+			u := float64(r.BusyTime()) / float64(elapsed)
 			if u > 1 {
 				u = 1
 			}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"impacc/internal/sim"
+	"impacc/internal/telemetry"
 )
 
 func TestTable1Presets(t *testing.T) {
@@ -150,6 +151,34 @@ func TestFabricHostCopy(t *testing.T) {
 	want := 1 << 30 / 11.0 // ns per byte * bytes = ns
 	if got := float64(end); got < want*0.99 || got > want*1.05 {
 		t.Fatalf("1GiB host copy = %v, want ~97.6ms", sim.Dur(end))
+	}
+}
+
+// TestRecordUtilization: each link's gauge is its busy time over the
+// elapsed time, clamped to 1, and a run with no elapsed time records none.
+func TestRecordUtilization(t *testing.T) {
+	f := NewFabric(sim.NewEngine(), PSG())
+	f.Node(0).MemBus.UseAsync(250)
+	for _, c := range []struct {
+		elapsed sim.Dur
+		want    float64
+	}{{1000, 0.25}, {100, 1}} {
+		reg := telemetry.NewRegistry()
+		f.RecordUtilization(reg, c.elapsed)
+		var got float64 = -1
+		for _, ss := range reg.Snapshot(0).Family(LinkUtilization).Series {
+			if ss.Label("link") == "membus" {
+				got = ss.GaugeValue
+			}
+		}
+		if got != c.want {
+			t.Errorf("membus utilization over %v = %v, want %v", c.elapsed, got, c.want)
+		}
+	}
+	reg := telemetry.NewRegistry()
+	f.RecordUtilization(reg, 0)
+	if fam := reg.Snapshot(0).Family(LinkUtilization); fam != nil {
+		t.Fatalf("zero elapsed recorded %d gauges", len(fam.Series))
 	}
 }
 
