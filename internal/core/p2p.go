@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/sim"
@@ -16,7 +18,12 @@ const (
 // Opt modifies an MPI call, mirroring the IMPACC directive clauses of §3.5:
 //
 //	#pragma acc mpi sendbuf(device, readonly) async(1)
-type Opt func(*callOpts)
+//
+// An Opt is a small value, so passing options allocates nothing.
+type Opt struct {
+	device, readonly, async bool
+	q                       int
+}
 
 type callOpts struct {
 	device   bool
@@ -28,54 +35,69 @@ type callOpts struct {
 // OnDevice marks the buffer argument as host data whose *device copy*
 // participates in the transfer (the sendbuf(device)/recvbuf(device)
 // clause): the runtime translates the address through the present table.
-func OnDevice() Opt { return func(o *callOpts) { o.device = true } }
+func OnDevice() Opt { return Opt{device: true} }
 
 // ReadOnly asserts the buffer is read-only around the call (the readonly
 // attribute), enabling node heap aliasing (§3.8).
-func ReadOnly() Opt { return func(o *callOpts) { o.readonly = true } }
+func ReadOnly() Opt { return Opt{readonly: true} }
 
 // Async enqueues the MPI call on OpenACC activity queue q — the unified
 // activity queue of §3.6. Requires IMPACC mode.
-func Async(q int) Opt { return func(o *callOpts) { o.async = q } }
+func Async(q int) Opt { return Opt{async: true, q: q} }
 
 func parseOpts(opts []Opt) callOpts {
 	o := callOpts{async: -1}
 	for _, f := range opts {
-		f(&o)
+		o.device = o.device || f.device
+		o.readonly = o.readonly || f.readonly
+		if f.async {
+			o.async = f.q
+		}
 	}
 	return o
 }
 
-// Request is a non-blocking communication handle (MPI_Request).
+// Request is a non-blocking communication handle (MPI_Request). It owns its
+// message command, whose Done event is the request's completion, so Wait
+// and Status read the matched envelope from the request itself.
 type Request struct {
-	done *sim.Event
-	cmd  *msg.Cmd
-	uq   *uqOp
+	cmd msg.Cmd
+	// queued marks an operation placed on a unified activity queue: its
+	// command is posted when the queue reaches it.
+	queued bool
 }
 
 // Done reports whether the operation has completed (MPI_Test).
-func (r *Request) Done() bool { return r.done.Fired() }
+func (r *Request) Done() bool { return r.cmd.Done.Fired() }
 
 // uqName holds the fixed labels of one MPI operation placed on a unified
-// activity queue: the stream operation's name, its completion event's label
-// and its latency op. They are spelled out so enqueueing builds no string,
-// and passed by pointer so the queued closures capture one word.
-type uqName struct{ name, done, op string }
+// activity queue: the stream operation's label, its command's completion
+// label and its latency op. They are spelled out so enqueueing builds no
+// string.
+type uqName struct{ why, done, op string }
 
 var (
-	uqSend  = uqName{"mpi_send", "mpi_send-done", "send"}
-	uqRecv  = uqName{"mpi_recv", "mpi_recv-done", "recv"}
-	uqIsend = uqName{"mpi_isend", "mpi_isend-done", "isend"}
-	uqIrecv = uqName{"mpi_irecv", "mpi_irecv-done", "irecv"}
+	uqSend  = uqName{"op:mpi_send", "mpi_send-done", "send"}
+	uqRecv  = uqName{"op:mpi_recv", "mpi_recv-done", "recv"}
+	uqIsend = uqName{"op:mpi_isend", "mpi_isend-done", "isend"}
+	uqIrecv = uqName{"op:mpi_irecv", "mpi_irecv-done", "irecv"}
 )
 
-// uqOp tracks one MPI operation placed on a unified activity queue: the
-// command materializes when the queue reaches the operation; proxy fires at
-// transfer completion.
+// uqOp is one MPI operation placed on a unified activity queue. Its
+// command is filled in at enqueue time and posted when the queue reaches
+// the operation (Run); the command's Done fires at transfer completion.
 type uqOp struct {
-	proxy *sim.Event
-	cmd   *msg.Cmd
+	Request
+	t     *Task
+	n     *uqName
+	q     int
+	start sim.Time // when the queue reached the operation
+	next  *uqOp    // the next operation in flight on the same queue
 }
+
+// uqChain is the MPI operations in flight on one unified activity queue,
+// linked through uqOp.next in enqueue order.
+type uqChain struct{ head, tail *uqOp }
 
 // resolveBuf applies the device clause and computes the byte count.
 func (t *Task) resolveBuf(addr xmem.Addr, count int, dt mpi.Datatype, o callOpts) (xmem.Addr, int64) {
@@ -92,39 +114,47 @@ func (t *Task) resolveBuf(addr xmem.Addr, count int, dt mpi.Datatype, o callOpts
 	return buf, int64(count) * dt.Size()
 }
 
-// newCmd assembles a message command. Ranks are world ranks; o.comm scopes
-// the matching context.
-func (t *Task) newCmd(isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *msg.Cmd {
-	return &msg.Cmd{
+// initCmd fills in a message command whose Done is labelled why. Ranks
+// are world ranks; o.comm scopes the matching context.
+func (t *Task) initCmd(cmd *msg.Cmd, why string, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) {
+	*cmd = msg.Cmd{
 		IsSend: isSend, Src: src, Dst: dst, Tag: tag, Comm: o.comm,
 		Addr: buf, Bytes: bytes, Ep: t.ep, ReadOnly: o.readonly,
-		Done: t.eng().NewEvent(t.cmdWhy),
+	}
+	t.eng().InitEvent(&cmd.Done, why)
+}
+
+// post hands a filled-in command to the node's hub on process p.
+func (t *Task) post(p *sim.Proc, cmd *msg.Cmd) {
+	t.traceCmd(p, cmd)
+	hub := t.node.hub
+	switch {
+	case cmd.IsSend && t.sameNode(cmd.Dst):
+		hub.PostIntra(p, cmd)
+	case cmd.IsSend:
+		hub.PostNetSend(p, cmd, t.rt.nodes[t.rt.placements[cmd.Dst].Node].hub)
+	case cmd.Src != AnySource && t.sameNode(cmd.Src):
+		hub.PostIntra(p, cmd)
+	default:
+		// Remote or wildcard source: the hub's unified matcher covers
+		// both arrived internode messages and local sends.
+		hub.PostNetRecv(p, cmd)
 	}
 }
 
 // postSend initiates the send on process p and returns its command.
 func (t *Task) postSend(p *sim.Proc, buf xmem.Addr, bytes int64, dst, tag int, o callOpts) *msg.Cmd {
-	cmd := t.newCmd(true, buf, bytes, t.rank, dst, tag, o)
-	t.traceCmd(p, cmd)
-	if t.sameNode(dst) {
-		t.node.hub.PostIntra(p, cmd)
-	} else {
-		t.node.hub.PostNetSend(p, cmd, t.rt.nodes[t.rt.placements[dst].Node].hub)
-	}
+	cmd := new(msg.Cmd)
+	t.initCmd(cmd, t.cmdWhy, true, buf, bytes, t.rank, dst, tag, o)
+	t.post(p, cmd)
 	return cmd
 }
 
 // postRecv posts the receive on process p.
 func (t *Task) postRecv(p *sim.Proc, buf xmem.Addr, bytes int64, src, tag int, o callOpts) *msg.Cmd {
-	cmd := t.newCmd(false, buf, bytes, src, t.rank, tag, o)
-	t.traceCmd(p, cmd)
-	if src != AnySource && t.sameNode(src) {
-		t.node.hub.PostIntra(p, cmd)
-	} else {
-		// Remote or wildcard source: the hub's unified matcher covers
-		// both arrived internode messages and local sends.
-		t.node.hub.PostNetRecv(p, cmd)
-	}
+	cmd := new(msg.Cmd)
+	t.initCmd(cmd, t.cmdWhy, false, buf, bytes, src, t.rank, tag, o)
+	t.post(p, cmd)
 	return cmd
 }
 
@@ -181,9 +211,7 @@ func (t *Task) sendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst, 
 	wdst := c.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI(&uqSend, o.async, func(p *sim.Proc) *msg.Cmd {
-			return t.postSend(p, buf, bytes, wdst, tag, o)
-		})
+		t.enqueueUnifiedMPI(&uqSend, true, buf, bytes, t.rank, wdst, tag, o)
 		return
 	}
 	start := t.proc.Now()
@@ -206,9 +234,7 @@ func (t *Task) recvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src, 
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI(&uqRecv, o.async, func(p *sim.Proc) *msg.Cmd {
-			return t.postRecv(p, buf, bytes, wsrc, tag, o)
-		})
+		t.enqueueUnifiedMPI(&uqRecv, false, buf, bytes, wsrc, t.rank, tag, o)
 		return
 	}
 	start := t.proc.Now()
@@ -228,15 +254,15 @@ func (t *Task) isendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst,
 	wdst := c.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(&uqIsend, o.async, func(p *sim.Proc) *msg.Cmd {
-			return t.postSend(p, buf, bytes, wdst, tag, o)
-		})
+		return t.enqueueUnifiedMPI(&uqIsend, true, buf, bytes, t.rank, wdst, tag, o)
 	}
+	r := &Request{}
+	t.initCmd(&r.cmd, t.cmdWhy, true, buf, bytes, t.rank, wdst, tag, o)
 	start := t.proc.Now()
-	cmd := t.postSend(t.proc, buf, bytes, wdst, tag, o)
+	t.post(t.proc, &r.cmd)
 	t.commTime += sim.Dur(t.proc.Now() - start)
 	t.mpiObserve("isend", start)
-	return &Request{done: cmd.Done, cmd: cmd}
+	return r
 }
 
 // irecvOn implements non-blocking receive over communicator c.
@@ -250,15 +276,15 @@ func (t *Task) irecvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src,
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(&uqIrecv, o.async, func(p *sim.Proc) *msg.Cmd {
-			return t.postRecv(p, buf, bytes, wsrc, tag, o)
-		})
+		return t.enqueueUnifiedMPI(&uqIrecv, false, buf, bytes, wsrc, t.rank, tag, o)
 	}
+	r := &Request{}
+	t.initCmd(&r.cmd, t.cmdWhy, false, buf, bytes, wsrc, t.rank, tag, o)
 	start := t.proc.Now()
-	cmd := t.postRecv(t.proc, buf, bytes, wsrc, tag, o)
+	t.post(t.proc, &r.cmd)
 	t.commTime += sim.Dur(t.proc.Now() - start)
 	t.mpiObserve("irecv", start)
-	return &Request{done: cmd.Done, cmd: cmd}
+	return r
 }
 
 // Wait is MPI_Wait/MPI_Waitall over the given requests.
@@ -267,29 +293,17 @@ func (t *Task) Wait(reqs ...*Request) {
 		if r == nil {
 			continue
 		}
+		cmd := &r.cmd
 		start := t.proc.Now()
-		r.done.Wait(t.proc)
+		cmd.Done.Wait(t.proc)
 		t.commTime += sim.Dur(t.proc.Now() - start)
 		t.mpiObserve("wait", start)
-		cmd := r.cmd
-		if cmd == nil && r.uq != nil {
-			cmd = r.uq.cmd
-		}
-		peer, bytes := -1, int64(0)
-		if cmd != nil {
-			if cmd.IsSend {
-				peer, bytes = cmd.Dst, cmd.Bytes
-			} else {
-				peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
-			}
+		peer, bytes := cmd.Dst, cmd.Bytes
+		if !cmd.IsSend {
+			peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
 		}
 		t.mpiSpan("wait", start, -1, peer, bytes, cmd)
-		if r.cmd != nil {
-			t.checkCmd(r.cmd)
-		}
-		if r.uq != nil && r.uq.cmd != nil {
-			t.checkCmd(r.uq.cmd)
-		}
+		t.checkCmd(cmd)
 	}
 }
 
@@ -301,62 +315,76 @@ func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst
 	t.Wait(sr, rr)
 }
 
-// enqueueUnifiedMPI places an MPI operation on activity queue q: the
+// enqueueUnifiedMPI places an MPI operation on activity queue o.async: the
 // unified activity queue of §3.6. The operation *initiates* when the queue
 // reaches it (so two adjacent non-blocking calls can be in flight together,
 // as in Figure 4 (c)); its completion is tracked, and any later kernel,
 // data operation, or wait on the same queue first drains outstanding MPI
 // completions — the queue's in-order completion guarantee.
-func (t *Task) enqueueUnifiedMPI(n *uqName, q int, init func(p *sim.Proc) *msg.Cmd) *Request {
+func (t *Task) enqueueUnifiedMPI(n *uqName, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *Request {
 	if t.rt.Cfg.Mode == Legacy || !t.rt.feats.UnifiedQueue {
-		t.failf("async MPI (%s) requires the IMPACC unified activity queue", n.name)
+		t.failf("async MPI (%s) requires the IMPACC unified activity queue", strings.TrimPrefix(n.why, "op:"))
 	}
-	op := &uqOp{proxy: t.eng().NewEvent(n.done)}
-	tr := t.rt.Cfg.Trace
-	t.env.Stream(q).EnqueueFunc(n.name, func(p *sim.Proc) {
-		start := p.Now()
-		cmd := init(p)
-		op.cmd = cmd
-		if tr != nil && cmd.TraceID != 0 {
-			// The queued operation observes its own command: its span is
-			// recorded on the stream lane under the command's trace ID, so
-			// message edges point at the stream activity, not the host.
-			tr.claim(t.pl.Node, cmd.TraceID, cmd.TraceID, p.Now())
+	q := o.async
+	op := &uqOp{t: t, n: n, q: q}
+	op.queued = true
+	t.initCmd(&op.cmd, n.done, isSend, buf, bytes, src, dst, tag, o)
+	t.env.Stream(q).EnqueueRunner(n.why, op)
+	c := t.uqPending[q]
+	if c.head == nil {
+		c.head = op
+	} else {
+		c.tail.next = op
+	}
+	c.tail = op
+	t.uqPending[q] = c
+	return &op.Request
+}
+
+// Run runs when the queue reaches the operation: it posts the command and
+// arms the completion callback.
+func (op *uqOp) Run(p *sim.Proc) {
+	t, cmd := op.t, &op.cmd
+	op.start = p.Now()
+	t.post(p, cmd)
+	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
+		// The queued operation observes its own command: its span is
+		// recorded on the stream lane under the command's trace ID, so
+		// message edges point at the stream activity, not the host.
+		tr.claim(t.pl.Node, cmd.TraceID, cmd.TraceID, p.Now())
+	}
+	cmd.Done.OnFire(op.complete)
+}
+
+// complete runs when the command finishes: the latency of the queued op
+// itself, from when the queue reached it, and its stream-lane span.
+func (op *uqOp) complete() {
+	t, cmd := op.t, &op.cmd
+	t.mpiObserve(op.n.op, op.start)
+	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
+		peer, bytes := cmd.Dst, cmd.Bytes
+		if !cmd.IsSend {
+			peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
 		}
-		cmd.Done.OnFire(func() {
-			// Latency of the queued op itself: from when the queue
-			// reached it to command completion.
-			t.mpiObserve(n.op, start)
-			if tr != nil && cmd.TraceID != 0 {
-				peer, bytes := cmd.Dst, cmd.Bytes
-				if !cmd.IsSend {
-					peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
-				}
-				tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
-					Stream: q, Kind: "mpi", Name: n.op, Start: start,
-					End: t.eng().Now(), Bytes: bytes, Peer: peer})
-			}
-			op.proxy.Fire()
-		})
-		//impacc:allow-spanbalance span is recorded asynchronously by the Done.OnFire completion callback above; a command that never completes deadlocks and aborts the run
-	})
-	t.uqPending[q] = append(t.uqPending[q], op)
-	return &Request{done: op.proxy, uq: op}
+		tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
+			Stream: op.q, Kind: "mpi", Name: op.n.op, Start: op.start,
+			End: t.eng().Now(), Bytes: bytes, Peer: peer})
+	}
 }
 
 // uqBarrier enqueues a completion barrier for all MPI operations placed on
 // queue q so far: the next queued operation starts only after they finish.
 func (t *Task) uqBarrier(q int) {
-	pend := t.uqPending[q]
-	if len(pend) == 0 {
+	head := t.uqPending[q].head
+	if head == nil {
 		return
 	}
-	t.uqPending[q] = nil
+	t.uqPending[q] = uqChain{}
 	rank := t.rank
-	t.env.Stream(q).EnqueueFunc("uq-barrier", func(p *sim.Proc) {
-		for _, op := range pend {
-			op.proxy.Wait(p)
-			if op.cmd != nil && op.cmd.Err != nil {
+	t.env.Stream(q).EnqueueFunc("op:uq-barrier", func(p *sim.Proc) {
+		for op := head; op != nil; op = op.next {
+			op.cmd.Done.Wait(p)
+			if op.cmd.Err != nil {
 				panic(&RunError{Rank: rank, Err: op.cmd.Err})
 			}
 		}
@@ -374,11 +402,8 @@ type Status struct {
 // Status returns the matched-message information of a completed receive
 // request; Count is in dt units. Meaningful after Wait/Done.
 func (r *Request) Status(dt mpi.Datatype) Status {
-	cmd := r.cmd
-	if cmd == nil && r.uq != nil {
-		cmd = r.uq.cmd
-	}
-	if cmd == nil || !r.done.Fired() {
+	cmd := &r.cmd
+	if !cmd.Done.Fired() {
 		return Status{Source: AnySource, Tag: AnyTag}
 	}
 	return Status{
@@ -408,12 +433,12 @@ func (t *Task) Waitany(reqs ...*Request) int {
 			if r == nil {
 				continue
 			}
-			if r.done.Fired() {
-				if r.cmd != nil {
+			if r.cmd.Done.Fired() {
+				if !r.queued {
 					if tr := t.rt.Cfg.Trace; tr != nil && lastWait != 0 && r.cmd.TraceID != 0 {
 						tr.claim(t.pl.Node, r.cmd.TraceID, lastWait, t.proc.Now())
 					}
-					t.checkCmd(r.cmd)
+					t.checkCmd(&r.cmd)
 				}
 				return i
 			}
@@ -422,7 +447,7 @@ func (t *Task) Waitany(reqs ...*Request) int {
 		any := t.eng().NewEvent("waitany")
 		for _, r := range reqs {
 			if r != nil {
-				r.done.OnFire(any.Fire)
+				r.cmd.Done.OnFire(any.Fire)
 			}
 		}
 		start := t.proc.Now()

@@ -51,7 +51,7 @@ type Task struct {
 	scratch xmem.Addr
 	// uqPending tracks MPI operations in flight on each unified activity
 	// queue (§3.6); later queue operations drain them first.
-	uqPending map[int][]*uqOp
+	uqPending map[int]uqChain
 	// world is the MPI_COMM_WORLD view of this task.
 	world *Comm
 }
@@ -107,7 +107,7 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	t.env = acc.NewEnv(ctx)
 	t.rng = sim.NewRNG(rt.Cfg.Seed ^ (uint64(rank)*0x9E3779B97F4A7C15 + 0x1234567))
 	t.scratch, _ = t.space.AllocHost(64, false)
-	t.uqPending = map[int][]*uqOp{}
+	t.uqPending = map[int]uqChain{}
 	t.mpiLat = map[string]mpiOpStats{}
 	t.cmdWhy = "mpi-" + strconv.Itoa(rank)
 	t.world = rt.newWorld(t)
@@ -367,8 +367,8 @@ func (t *Task) ACCWait(q int) {
 // ACCWaitAll is "#pragma acc wait" over every queue.
 func (t *Task) ACCWaitAll() {
 	var qs []int
-	for q, pend := range t.uqPending {
-		if len(pend) > 0 {
+	for q, c := range t.uqPending {
+		if c.head != nil {
 			qs = append(qs, q)
 		}
 	}

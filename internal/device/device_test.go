@@ -1,6 +1,7 @@
 package device
 
 import (
+	"strings"
 	"testing"
 
 	"impacc/internal/sim"
@@ -234,10 +235,10 @@ func TestStreamInOrderExecution(t *testing.T) {
 	st := ctx.NewStream(1)
 	var order []string
 	st.EnqueueCopy(dev, host, 1<<20)
-	st.EnqueueFunc("mark1", func(p *sim.Proc) { order = append(order, "a") })
+	st.EnqueueFunc("op:mark1", func(p *sim.Proc) { order = append(order, "a") })
 	st.EnqueueKernel(KernelSpec{Name: "k", FLOPs: 1e9, Kind: KindCompute,
 		Body: func() { order = append(order, "kernel") }})
-	st.EnqueueFunc("mark2", func(p *sim.Proc) { order = append(order, "b") })
+	st.EnqueueFunc("op:mark2", func(p *sim.Proc) { order = append(order, "b") })
 	eng.Spawn("waiter", func(p *sim.Proc) {
 		st.Sync(p)
 		order = append(order, "synced")
@@ -334,7 +335,7 @@ func TestAddCallbackAfterQueuedWork(t *testing.T) {
 	eng, rt, ctx := psgRig(0)
 	st := ctx.NewStream(1)
 	var order []string
-	st.EnqueueFunc("w", func(p *sim.Proc) {
+	st.EnqueueFunc("op:w", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
 		order = append(order, "work")
 	})
@@ -361,8 +362,8 @@ func TestStreamCloseIdempotent(t *testing.T) {
 func TestPendingCount(t *testing.T) {
 	eng, rt, ctx := psgRig(0)
 	st := ctx.NewStream(1)
-	st.EnqueueFunc("a", func(p *sim.Proc) { p.Sleep(sim.Millisecond) })
-	st.EnqueueFunc("b", func(p *sim.Proc) {})
+	st.EnqueueFunc("op:a", func(p *sim.Proc) { p.Sleep(sim.Millisecond) })
+	st.EnqueueFunc("op:b", func(p *sim.Proc) {})
 	if st.Pending() != 2 {
 		t.Fatalf("pending = %d", st.Pending())
 	}
@@ -517,5 +518,31 @@ func TestTransferRetriesTransientCopyFault(t *testing.T) {
 	}
 	if err2 == nil {
 		t.Fatal("transfer succeeded with a permanently failing copy engine")
+	}
+}
+
+// TestStreamOpDeadlockLabel pins the deadlock diagnostics of a stream op:
+// a process syncing on a stuck kernel is blocked on "event:op:kernel:<name>".
+func TestStreamOpDeadlockLabel(t *testing.T) {
+	eng, _, ctx := psgRig(0)
+	st := ctx.NewStream(1)
+	never := eng.NewEvent("never")
+	st.EnqueueWaitEvent(never)
+	st.EnqueueKernel(KernelSpec{Name: "stencil", FLOPs: 1e6, Kind: KindCompute})
+	eng.Spawn("host", func(p *sim.Proc) { st.Sync(p) })
+	err := eng.Run()
+	de, ok := err.(*sim.DeadlockError)
+	if !ok {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	want := []string{"host (on event:op:kernel:stencil)", "psg/dev0/q1 (on event:never)"}
+	for _, w := range want {
+		found := false
+		for _, b := range de.Blocked {
+			found = found || strings.HasSuffix(b, w)
+		}
+		if !found {
+			t.Errorf("blocked = %v, want an entry ending %q", de.Blocked, w)
+		}
 	}
 }

@@ -93,8 +93,9 @@ type Cmd struct {
 	// ReadOnly carries the IMPACC directive's readonly attribute
 	// (#pragma acc mpi sendbuf(readonly) / recvbuf(readonly)).
 	ReadOnly bool
-	// Done fires when the operation completes (buffer reusable).
-	Done *sim.Event
+	// Done fires when the operation completes (buffer reusable). The
+	// command owns it: initialize it with Engine.InitEvent before posting.
+	Done sim.Event
 	// Aliased reports (after completion) that node heap aliasing served
 	// this pair with zero copies.
 	Aliased bool
@@ -294,6 +295,10 @@ type Hub struct {
 	wildRecvs []*Cmd
 
 	serial *sim.Semaphore // internode serialization without THREAD_MULTIPLE
+
+	// handleNext / handleNextNet are the handler thread's two dispatch
+	// steps, bound once so dispatching a command allocates nothing.
+	handleNext, handleNextNet func()
 }
 
 // matchKey is a fully-concrete message envelope: the unit of FIFO matching.
@@ -330,6 +335,16 @@ func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.
 	h.reg = reg
 	if !cfg.ThreadMultiple {
 		h.serial = eng.NewSemaphore(1, fmt.Sprintf("hub%d-serial", node))
+	}
+	h.handleNext = func() {
+		if cmd, ok := h.intraQ.pop(); ok {
+			h.handleCmd(cmd)
+		}
+	}
+	h.handleNextNet = func() {
+		if m, ok := h.pendingQ.pop(); ok {
+			h.handleNet(m)
+		}
 	}
 	return h
 }
@@ -385,17 +400,11 @@ func (h *Hub) Stats() Stats {
 // after its per-command processing time.
 func (h *Hub) dispatch(net bool) {
 	_, end := h.handlerCPU.UseAsync(h.Cfg.HandlerOverhead)
-	h.Eng.At(end, func() {
-		if net {
-			if m, ok := h.pendingQ.pop(); ok {
-				h.handleNet(m)
-			}
-			return
-		}
-		if cmd, ok := h.intraQ.pop(); ok {
-			h.handleCmd(cmd)
-		}
-	})
+	if net {
+		h.Eng.At(end, h.handleNextNet)
+	} else {
+		h.Eng.At(end, h.handleNext)
+	}
 }
 
 // HandlerBusy reports the handler thread's accumulated processing time.
@@ -577,20 +586,57 @@ func (h *Hub) popArrivedQ(k matchKey) {
 	}
 }
 
-// runChain executes cost stages back to back: each stage is invoked at the
-// completion time of the previous one and returns its own completion time.
-// done runs after the final stage.
-func (h *Hub) runChain(stages []func() sim.Time, done func()) {
-	var step func(i int)
-	step = func(i int) {
-		if i == len(stages) {
-			done()
-			return
-		}
-		end := stages[i]()
-		h.Eng.At(end, func() { step(i + 1) })
+// stageKind names how one leg of an intra-node transfer is priced.
+type stageKind uint8
+
+const (
+	hostCopy   stageKind = iota // host memory to host memory
+	pcieCopy                    // between host and device dev
+	p2pCopy                     // directly from device dev to device dev2
+	deviceCopy                  // within device dev's memory
+	shmCopy                     // through the legacy shared-memory segment
+)
+
+// stage is one priced leg of a transfer.
+type stage struct {
+	kind      stageKind
+	dev, dev2 int
+}
+
+// chain is the legs of one transfer, run back to back: one for a fused
+// copy, two for the legacy transport or a DtoD copy staged through host
+// memory. It is a value, so pricing a transfer allocates nothing.
+type chain struct {
+	legs [2]stage
+	n    int
+}
+
+// runLeg prices leg s for n bytes from now and returns its completion time.
+func (h *Hub) runLeg(s stage, n int64) sim.Time {
+	switch s.kind {
+	case hostCopy:
+		return h.Fab.HostCopyAsync(h.Node, n)
+	case pcieCopy:
+		return h.Fab.PCIeCopyAsync(h.Node, s.dev, -1, n, true)
+	case p2pCopy:
+		return h.Fab.P2PCopyAsync(h.Node, s.dev, s.dev2, n)
+	case deviceCopy:
+		bw := h.Fab.Sys.Nodes[h.Node].Devices[s.dev].MemBWGBs
+		return h.Eng.Now() + sim.Time(sim.DurFromSeconds(2*float64(n)/(bw*1e9)))
+	default:
+		return h.Fab.ShmCopyAsync(h.Node, n)
 	}
-	step(0)
+}
+
+// runChain runs c's legs for n bytes back to back: each leg starts at the
+// previous one's completion, and done runs at the last one's.
+func (h *Hub) runChain(c chain, n int64, done func()) {
+	end := h.runLeg(c.legs[0], n)
+	if c.n == 1 {
+		h.Eng.At(end, done)
+		return
+	}
+	h.Eng.At(end, func() { h.Eng.At(h.runLeg(c.legs[1], n), done) })
 }
 
 func (h *Hub) fail(send, recv *Cmd, err error) {
@@ -656,59 +702,54 @@ func (h *Hub) completePair(send, recv *Cmd) {
 	dir := device.Classify(dloc, sloc)
 	start := h.Eng.Now()
 
-	var stages []func() sim.Time
+	var c chain
 	if h.Cfg.Legacy {
 		// Figure 6 (a): inter-process transport with a redundant
 		// host-to-host copy — send buffer -> shm segment -> recv buffer.
-		stages = append(stages,
-			func() sim.Time { return h.Fab.ShmCopyAsync(h.Node, n) },
-			func() sim.Time { return h.Fab.ShmCopyAsync(h.Node, n) },
-		)
+		c = chain{legs: [2]stage{{kind: shmCopy}, {kind: shmCopy}}, n: 2}
 		h.ctr.legacyCopies.Add(2)
 	} else {
-		stages = h.fusedStages(dir, dloc, sloc, n)
+		c = h.fusedChain(dir, dloc, sloc)
 		h.ctr.fusedCopies.Inc()
 	}
-	h.runChain(stages, func() {
-		if err := xmem.CopyBetween(recv.Ep.Space, recv.Addr, send.Ep.Space, send.Addr, n); err != nil {
-			h.fail(send, recv, err)
-			return
-		}
-		elapsed := sim.Dur(h.Eng.Now() - start)
-		recv.Ep.Ctx.Record(dir, n, elapsed)
-		send.Done.Fire()
-		recv.Done.Fire()
-	})
+	h.runChain(c, n, func() { h.finishPair(send, recv, dir, start) })
 }
 
-// fusedStages builds the cost chain for an IMPACC fused copy (Figure 6 b/c).
-func (h *Hub) fusedStages(dir device.Direction, dloc, sloc xmem.Loc, n int64) []func() sim.Time {
+// finishPair lands a matched intra-node pair once its copy chain is done:
+// the payload moves, the copy is recorded from start, and both commands
+// complete.
+func (h *Hub) finishPair(send, recv *Cmd, dir device.Direction, start sim.Time) {
+	n := send.Bytes
+	if err := xmem.CopyBetween(recv.Ep.Space, recv.Addr, send.Ep.Space, send.Addr, n); err != nil {
+		h.fail(send, recv, err)
+		return
+	}
+	recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
+	send.Done.Fire()
+	recv.Done.Fire()
+}
+
+// fusedChain builds the cost chain for an IMPACC fused copy (Figure 6 b/c).
+func (h *Hub) fusedChain(dir device.Direction, dloc, sloc xmem.Loc) chain {
+	one := func(s stage) chain { return chain{legs: [2]stage{s}, n: 1} }
 	switch dir {
 	case device.HtoH:
-		return []func() sim.Time{func() sim.Time { return h.Fab.HostCopyAsync(h.Node, n) }}
+		return one(stage{kind: hostCopy})
 	case device.HtoD:
-		d := dloc.Device()
-		return []func() sim.Time{func() sim.Time { return h.Fab.PCIeCopyAsync(h.Node, d, -1, n, true) }}
+		return one(stage{kind: pcieCopy, dev: dloc.Device()})
 	case device.DtoH:
-		d := sloc.Device()
-		return []func() sim.Time{func() sim.Time { return h.Fab.PCIeCopyAsync(h.Node, d, -1, n, true) }}
+		return one(stage{kind: pcieCopy, dev: sloc.Device()})
 	default: // DtoD
 		sd, dd := sloc.Device(), dloc.Device()
 		if sd == dd {
-			bw := h.Fab.Sys.Nodes[h.Node].Devices[sd].MemBWGBs
-			return []func() sim.Time{func() sim.Time {
-				return h.Eng.Now() + sim.Time(sim.DurFromSeconds(2*float64(n)/(bw*1e9)))
-			}}
+			return one(stage{kind: deviceCopy, dev: sd})
 		}
 		if h.Cfg.DirectP2P && h.Fab.CanP2P(h.Node, sd, dd) {
 			// Direct transfer between devices over PCIe without CPU or
 			// system memory involvement (GPUDirect / DirectGMA).
-			return []func() sim.Time{func() sim.Time { return h.Fab.P2PCopyAsync(h.Node, sd, dd, n) }}
+			return one(stage{kind: p2pCopy, dev: sd, dev2: dd})
 		}
-		return []func() sim.Time{
-			func() sim.Time { return h.Fab.PCIeCopyAsync(h.Node, sd, -1, n, true) },
-			func() sim.Time { return h.Fab.PCIeCopyAsync(h.Node, dd, -1, n, true) },
-		}
+		return chain{legs: [2]stage{{kind: pcieCopy, dev: sd}, {kind: pcieCopy, dev: dd}}, n: 2}
 	}
 }
 

@@ -59,15 +59,21 @@ func (r *nodeRig) run(t *testing.T) {
 	}
 }
 
+// newCmd returns a copy of cmd whose Done is an unfired event on eng,
+// labelled why.
+func newCmd(eng *sim.Engine, why string, cmd Cmd) *Cmd {
+	c := &cmd
+	eng.InitEvent(&c.Done, why)
+	return c
+}
+
 // sendRecv posts a blocking pair between two endpoints and returns the
 // commands after the run.
 func cmdPair(eng *sim.Engine, sep, rep *Endpoint, saddr, raddr xmem.Addr, n int64, sro, rro bool) (*Cmd, *Cmd) {
-	s := &Cmd{IsSend: true, Src: sep.Rank, Dst: rep.Rank, Tag: 7,
-		Addr: saddr, Bytes: n, Ep: sep, ReadOnly: sro,
-		Done: eng.NewEvent("send")}
-	r := &Cmd{Src: sep.Rank, Dst: rep.Rank, Tag: 7,
-		Addr: raddr, Bytes: n, Ep: rep, ReadOnly: rro,
-		Done: eng.NewEvent("recv")}
+	s := newCmd(eng, "send", Cmd{IsSend: true, Src: sep.Rank, Dst: rep.Rank, Tag: 7,
+		Addr: saddr, Bytes: n, Ep: sep, ReadOnly: sro})
+	r := newCmd(eng, "recv", Cmd{Src: sep.Rank, Dst: rep.Rank, Tag: 7,
+		Addr: raddr, Bytes: n, Ep: rep, ReadOnly: rro})
 	return s, r
 }
 
@@ -148,8 +154,8 @@ func TestFIFOMatchingPerPair(t *testing.T) {
 		if !isSend {
 			ep = e1
 		}
-		return &Cmd{IsSend: isSend, Src: 0, Dst: 1, Tag: 0, Addr: addr,
-			Bytes: 8, Ep: ep, Done: r.eng.NewEvent("c")}
+		return newCmd(r.eng, "c", Cmd{IsSend: isSend, Src: 0, Dst: 1, Tag: 0, Addr: addr,
+			Bytes: 8, Ep: ep})
 	}
 	s1, s2 := mk(true, a1), mk(true, a2)
 	r1, r2 := mk(false, d1), mk(false, d2)
@@ -182,11 +188,11 @@ func TestTagAndWildcardMatching(t *testing.T) {
 	dT9, _ := r.sp.AllocHost(8, true)
 	dAny, _ := r.sp.AllocHost(8, true)
 
-	s5 := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 5, Addr: aT5, Bytes: 8, Ep: e0, Done: r.eng.NewEvent("s5")}
-	s9 := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 9, Addr: aT9, Bytes: 8, Ep: e0, Done: r.eng.NewEvent("s9")}
+	s5 := newCmd(r.eng, "s5", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 5, Addr: aT5, Bytes: 8, Ep: e0})
+	s9 := newCmd(r.eng, "s9", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 9, Addr: aT9, Bytes: 8, Ep: e0})
 	// Recv tagged 9 must skip the tag-5 send; any/any recv takes tag 5.
-	r9 := &Cmd{Src: 0, Dst: 1, Tag: 9, Addr: dT9, Bytes: 8, Ep: e1, Done: r.eng.NewEvent("r9")}
-	rAny := &Cmd{Src: AnySource, Dst: 1, Tag: AnyTag, Addr: dAny, Bytes: 8, Ep: e1, Done: r.eng.NewEvent("rA")}
+	r9 := newCmd(r.eng, "r9", Cmd{Src: 0, Dst: 1, Tag: 9, Addr: dT9, Bytes: 8, Ep: e1})
+	rAny := newCmd(r.eng, "rA", Cmd{Src: AnySource, Dst: 1, Tag: AnyTag, Addr: dAny, Bytes: 8, Ep: e1})
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s5)
 		r.hub.PostIntra(p, s9)
@@ -214,8 +220,8 @@ func TestTruncationError(t *testing.T) {
 	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
 	src, _ := r.sp.AllocHost(128, true)
 	dst, _ := r.sp.AllocHost(64, true)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 128, Ep: e0, Done: r.eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 64, Ep: e1, Done: r.eng.NewEvent("r")}
+	s := newCmd(r.eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 128, Ep: e0})
+	rc := newCmd(r.eng, "r", Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 64, Ep: e1})
 	r.eng.Spawn("x", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s)
 		r.hub.PostIntra(p, rc)
@@ -311,10 +317,10 @@ func TestAliasingRequirements(t *testing.T) {
 			r := newNodeRig(t, topo.PSG(), impaccCfg())
 			e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
 			sro, rro, saddr, raddr, sn, rn := v.setup(r)
-			s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: saddr,
-				Bytes: sn, Ep: e0, ReadOnly: sro, Done: r.eng.NewEvent("s")}
-			rc := &Cmd{Src: 0, Dst: 1, Tag: 0, Addr: raddr, Bytes: rn,
-				Ep: e1, ReadOnly: rro, Done: r.eng.NewEvent("r")}
+			s := newCmd(r.eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: saddr,
+				Bytes: sn, Ep: e0, ReadOnly: sro})
+			rc := newCmd(r.eng, "r", Cmd{Src: 0, Dst: 1, Tag: 0, Addr: raddr, Bytes: rn,
+				Ep: e1, ReadOnly: rro})
 			r.eng.Spawn("x", func(p *sim.Proc) {
 				r.hub.PostIntra(p, s)
 				r.hub.PostIntra(p, rc)
@@ -422,7 +428,7 @@ func TestDtoDP2PVsDisabled(t *testing.T) {
 }
 
 // twoNodeRig wires two Titan nodes with one endpoint each.
-func twoNodeRig(t *testing.T, sys *topo.System, cfg Config) (*sim.Engine, *Hub, *Hub, *Endpoint, *Endpoint) {
+func twoNodeRig(t testing.TB, sys *topo.System, cfg Config) (*sim.Engine, *Hub, *Hub, *Endpoint, *Endpoint) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := topo.NewFabric(eng, sys)
@@ -445,8 +451,8 @@ func TestInternodeHostToHost(t *testing.T) {
 	for i := range sb {
 		sb[i] = byte(i * 3)
 	}
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 2, Addr: src, Bytes: 4096, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 2, Addr: dst, Bytes: 4096, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 2, Addr: src, Bytes: 4096, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 2, Addr: dst, Bytes: 4096, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -481,8 +487,8 @@ func TestInternodeDeviceRDMAvsStaged(t *testing.T) {
 		eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), cfg)
 		src, _ := e0.Ctx.MemAlloc(16 << 20)
 		dst, _ := e1.Ctx.MemAlloc(16 << 20)
-		s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 16 << 20, Ep: e0, Done: eng.NewEvent("s")}
-		rc := &Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 16 << 20, Ep: e1, Done: eng.NewEvent("r")}
+		s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 16 << 20, Ep: e0})
+		rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 16 << 20, Ep: e1})
 		var elapsed sim.Dur
 		eng.Spawn("sender", func(p *sim.Proc) { h0.PostNetSend(p, s, h1) })
 		eng.Spawn("recver", func(p *sim.Proc) {
@@ -513,8 +519,8 @@ func TestLegacyRejectsDeviceBuffers(t *testing.T) {
 	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), legacyCfg())
 	src, _ := e0.Ctx.MemAlloc(1024)
 	dst, _ := e1.Space.AllocHost(1024, true)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 1024, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 1024, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 1024, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 1024, Ep: e1})
 	eng.Spawn("x", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -551,8 +557,8 @@ func TestSerializedInternodeWithoutThreadMultiple(t *testing.T) {
 			er := &Endpoint{Rank: 10 + i, Node: 1, Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
 			src, _ := sp0.AllocHost(64, true)
 			dst, _ := sp1.AllocHost(64, true)
-			s := &Cmd{IsSend: true, Src: i, Dst: 10 + i, Tag: 0, Addr: src, Bytes: 64, Ep: e, Done: eng.NewEvent("s")}
-			rc := &Cmd{Src: i, Dst: 10 + i, Tag: 0, Addr: dst, Bytes: 64, Ep: er, Done: eng.NewEvent("r")}
+			s := newCmd(eng, "s", Cmd{IsSend: true, Src: i, Dst: 10 + i, Tag: 0, Addr: src, Bytes: 64, Ep: e})
+			rc := newCmd(eng, "r", Cmd{Src: i, Dst: 10 + i, Tag: 0, Addr: dst, Bytes: 64, Ep: er})
 			eng.Spawn("s", func(p *sim.Proc) {
 				h0.PostNetSend(p, s, h1)
 				s.Done.Wait(p)
@@ -669,8 +675,8 @@ func TestNetArrivalBeforeWildcardRecv(t *testing.T) {
 	dst, _ := e1.Space.AllocHost(256, true)
 	sb, _ := e0.Space.Bytes(src, 256)
 	sb[9] = 0x42
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 3, Addr: src, Bytes: 256, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: AnySource, Dst: 1, Tag: AnyTag, Addr: dst, Bytes: 256, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 3, Addr: src, Bytes: 256, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: AnySource, Dst: 1, Tag: AnyTag, Addr: dst, Bytes: 256, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 	})
@@ -718,8 +724,8 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 			eng.Spawn("s", func(p *sim.Proc) {
 				for round := 0; round < rounds; round++ {
 					p.SleepUntil(sim.Time(round) * sim.Time(period))
-					s := &Cmd{IsSend: true, Src: i, Dst: 10 + i, Tag: round, Addr: src,
-						Bytes: 4096, Ep: es, Done: eng.NewEvent("s")}
+					s := newCmd(eng, "s", Cmd{IsSend: true, Src: i, Dst: 10 + i, Tag: round, Addr: src,
+						Bytes: 4096, Ep: es})
 					h0.PostNetSend(p, s, h1)
 					s.Done.Wait(p)
 					if p.Now() > last {
@@ -729,8 +735,8 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 			})
 			eng.Spawn("r", func(p *sim.Proc) {
 				for round := 0; round < rounds; round++ {
-					rc := &Cmd{Src: i, Dst: 10 + i, Tag: round, Addr: dst,
-						Bytes: 4096, Ep: er, Done: eng.NewEvent("r")}
+					rc := newCmd(eng, "r", Cmd{Src: i, Dst: 10 + i, Tag: round, Addr: dst,
+						Bytes: 4096, Ep: er})
 					h1.PostNetRecv(p, rc)
 					rc.Done.Wait(p)
 				}
@@ -754,7 +760,7 @@ func TestHubProbe(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
 	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
 	src, _ := r.sp.AllocHost(256, true)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 256, Ep: e0, Done: r.eng.NewEvent("s")}
+	s := newCmd(r.eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 256, Ep: e0})
 	r.eng.Spawn("x", func(p *sim.Proc) {
 		if ok, _ := r.hub.Probe(1, 0, 4, 0); ok {
 			t.Error("probe matched before post")
@@ -780,7 +786,7 @@ func TestHubProbe(t *testing.T) {
 			t.Error("wildcard probe missed")
 		}
 		// Consume it.
-		rc := &Cmd{Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 256, Ep: e1, Done: r.eng.NewEvent("r")}
+		rc := newCmd(r.eng, "r", Cmd{Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 256, Ep: e1})
 		r.hub.PostIntra(p, rc)
 		rc.Done.Wait(p)
 		if ok, _ := r.hub.Probe(1, 0, 4, 0); ok {
@@ -802,10 +808,10 @@ func TestCommScopedMatchingAtHubLevel(t *testing.T) {
 	b1, _ := r.sp.Bytes(a1, 8)
 	b2, _ := r.sp.Bytes(a2, 8)
 	b1[0], b2[0] = 10, 20
-	s1 := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Comm: 7, Addr: a1, Bytes: 8, Ep: e0, Done: r.eng.NewEvent("s1")}
-	s2 := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Comm: 8, Addr: a2, Bytes: 8, Ep: e0, Done: r.eng.NewEvent("s2")}
-	r1 := &Cmd{Src: 0, Dst: 1, Tag: 0, Comm: 8, Addr: d1, Bytes: 8, Ep: e1, Done: r.eng.NewEvent("r1")}
-	r2 := &Cmd{Src: 0, Dst: 1, Tag: 0, Comm: 7, Addr: d2, Bytes: 8, Ep: e1, Done: r.eng.NewEvent("r2")}
+	s1 := newCmd(r.eng, "s1", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Comm: 7, Addr: a1, Bytes: 8, Ep: e0})
+	s2 := newCmd(r.eng, "s2", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Comm: 8, Addr: a2, Bytes: 8, Ep: e0})
+	r1 := newCmd(r.eng, "r1", Cmd{Src: 0, Dst: 1, Tag: 0, Comm: 8, Addr: d1, Bytes: 8, Ep: e1})
+	r2 := newCmd(r.eng, "r2", Cmd{Src: 0, Dst: 1, Tag: 0, Comm: 7, Addr: d2, Bytes: 8, Ep: e1})
 	r.eng.Spawn("x", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s1)
 		r.hub.PostIntra(p, s2)

@@ -22,10 +22,9 @@ import (
 // cuStreamAddCallback pattern of §3.7. When a fault model reports the RDMA
 // path down, direct transfers degrade to the staging path instead.
 func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
-	locked := false
-	if h.serial != nil {
+	locked := h.serial != nil
+	if locked {
 		h.serial.Acquire(p)
-		locked = true
 	}
 	unlock := func() {
 		if locked {
@@ -87,22 +86,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 		}
 	}
 	staged := onDevice && !direct
-	var stages []func() sim.Time
 	if staged {
-		// Without MPI_THREAD_MULTIPLE the library's internal staging copy
-		// is part of the serialized call (paper §3.7): hold the lock
-		// until the device-to-host stage completes.
-		dev := sloc.Device()
-		stage := func() sim.Time {
-			end := h.Fab.PCIeCopyAsync(h.Node, dev, -1, n, true)
-			if locked {
-				held := h.serial
-				locked = false
-				h.Eng.At(end, held.Release)
-			}
-			return end
-		}
-		stages = append(stages, stage)
 		h.ctr.staged.Inc()
 	}
 	if direct {
@@ -118,9 +102,18 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 		direct: direct,
 		SendID: cmd.TraceID, SendPost: cmd.PostedAt,
 	}
-	h.runChain(stages, func() {
+	if !staged {
 		h.netInject(cmd, m, dst, n, 0)
-	})
+		return
+	}
+	// Without MPI_THREAD_MULTIPLE the library's internal staging copy is
+	// part of the serialized call (paper §3.7): hold the lock until the
+	// device-to-host stage completes.
+	end := h.Fab.PCIeCopyAsync(h.Node, sloc.Device(), -1, n, true)
+	if locked {
+		h.Eng.At(end, h.serial.Release)
+	}
+	h.Eng.At(end, func() { h.netInject(cmd, m, dst, n, 0) })
 }
 
 // netInject pushes a message onto the wire, deferring with deterministic
@@ -158,7 +151,7 @@ func (h *Hub) netInject(cmd *Cmd, m *netMsg, dst *Hub, n int64, attempt int) {
 	// arrival time regardless of ejection-side contention — a contended
 	// destination NIC delays only delivery, never the sender.
 	arrive, occupy := h.Fab.NetInjectAsync(h.Node, dst.Node, n)
-	h.Eng.At(arrive, func() { cmd.Done.Fire() })
+	h.Eng.FireAt(arrive, &cmd.Done)
 	dstEng := h.Fab.Engine(dst.Node)
 	h.Eng.Post(dstEng, arrive, func() {
 		deliver := h.Fab.NetAcceptAsync(dst.Node, occupy)
@@ -246,29 +239,32 @@ func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 		h.fail(nil, recv, fmt.Errorf("msg: legacy MPI cannot receive into device memory"))
 		return
 	}
-	n := m.Bytes
 	start := h.Eng.Now()
-	var stages []func() sim.Time
-	if onDevice && !m.direct {
-		dev := dloc.Device()
-		stages = append(stages, func() sim.Time {
-			return h.Fab.PCIeCopyAsync(h.Node, dev, -1, n, true)
-		})
-		h.ctr.staged.Inc()
+	if !onDevice || m.direct {
+		h.ctr.netIn.Inc()
+		h.landNet(m, recv, onDevice, start)
+		return
 	}
+	h.ctr.staged.Inc()
 	h.ctr.netIn.Inc()
-	h.runChain(stages, func() {
-		if err := h.landPayload(m, recv, n); err != nil {
-			h.fail(nil, recv, err)
-			return
-		}
-		dir := device.HtoH
-		if onDevice {
-			dir = device.HtoD
-		}
-		recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
-		recv.Done.Fire()
-	})
+	end := h.Fab.PCIeCopyAsync(h.Node, dloc.Device(), -1, m.Bytes, true)
+	h.Eng.At(end, func() { h.landNet(m, recv, onDevice, start) })
+}
+
+// landNet finishes an internode receive once any staging copy is done: the
+// payload lands, the copy is recorded from start, and Done fires.
+func (h *Hub) landNet(m *netMsg, recv *Cmd, onDevice bool, start sim.Time) {
+	n := m.Bytes
+	if err := h.landPayload(m, recv, n); err != nil {
+		h.fail(nil, recv, err)
+		return
+	}
+	dir := device.HtoH
+	if onDevice {
+		dir = device.HtoD
+	}
+	recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
+	recv.Done.Fire()
 }
 
 // landPayload writes the eager snapshot into the receive buffer. The live

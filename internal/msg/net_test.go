@@ -36,8 +36,8 @@ func TestSendBufferReuseAfterDone(t *testing.T) {
 	for i := range sb {
 		sb[i] = byte(i * 7)
 	}
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 3, Addr: src, Bytes: n, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 3, Addr: dst, Bytes: n, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 3, Addr: src, Bytes: n, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 3, Addr: dst, Bytes: n, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -71,7 +71,7 @@ func TestSendBufferReuseAfterDone(t *testing.T) {
 func TestOversizedSendFailsEagerly(t *testing.T) {
 	eng, h0, h1, e0, _ := twoNodeRig(t, topo.Titan(2), impaccCfg())
 	src, _ := e0.Space.AllocHost(1024, true)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 1, Addr: src, Bytes: 2048, Ep: e0, Done: eng.NewEvent("s")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 1, Addr: src, Bytes: 2048, Ep: e0})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -90,8 +90,8 @@ func TestInternodeTruncation(t *testing.T) {
 	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), impaccCfg())
 	src, _ := e0.Space.AllocHost(1024, true)
 	dst, _ := e1.Space.AllocHost(512, true)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 1024, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 4, Addr: dst, Bytes: 512, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 1024, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 4, Addr: dst, Bytes: 512, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -125,8 +125,8 @@ func TestInternodeZeroByteParity(t *testing.T) {
 			t.Errorf("OnMatch ids = (%d, %d), want (11, 22)", sendID, recvID)
 		}
 	}
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 9, Bytes: 0, Ep: e0, Done: eng.NewEvent("s"), TraceID: 11}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 9, Bytes: 0, Ep: e1, Done: eng.NewEvent("r"), TraceID: 22}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 9, Bytes: 0, Ep: e0, TraceID: 11})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 9, Bytes: 0, Ep: e1, TraceID: 22})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -159,8 +159,8 @@ func TestLegacyRejectsDeviceRecv(t *testing.T) {
 	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), legacyCfg())
 	src, _ := e0.Space.AllocHost(4096, true)
 	dst, _ := e1.Ctx.MemAlloc(4096)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 5, Addr: src, Bytes: 4096, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 5, Addr: dst, Bytes: 4096, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 5, Addr: src, Bytes: 4096, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 5, Addr: dst, Bytes: 4096, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -189,8 +189,8 @@ func TestNetSendRetriesThroughOutage(t *testing.T) {
 	for i := range sb {
 		sb[i] = byte(i)
 	}
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 6, Addr: src, Bytes: 1024, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 6, Addr: dst, Bytes: 1024, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 6, Addr: src, Bytes: 1024, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 6, Addr: dst, Bytes: 1024, Ep: e1})
 	faultSpans := 0
 	h0.OnFault = func(kind string, rank int, start, end sim.Time) {
 		if kind == "retry" {
@@ -238,8 +238,8 @@ func TestNetSendExhaustsRetries(t *testing.T) {
 	h1.SetFaults(down)
 	src, _ := e0.Space.AllocHost(256, true)
 	dst, _ := e1.Space.AllocHost(256, true)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 8, Addr: src, Bytes: 256, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 8, Addr: dst, Bytes: 256, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 8, Addr: src, Bytes: 256, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 8, Addr: dst, Bytes: 256, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
@@ -280,9 +280,9 @@ func TestTimedOutRecvDoesNotStealLateMessage(t *testing.T) {
 	for i := range sb {
 		sb[i] = byte(i ^ 0x5A)
 	}
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 2, Addr: src, Bytes: 512, Ep: e0, Done: eng.NewEvent("s")}
-	r1 := &Cmd{Src: 0, Dst: 1, Tag: 2, Addr: dst1, Bytes: 512, Ep: e1, Done: eng.NewEvent("r1")}
-	r2 := &Cmd{Src: 0, Dst: 1, Tag: 2, Addr: dst2, Bytes: 512, Ep: e1, Done: eng.NewEvent("r2")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 2, Addr: src, Bytes: 512, Ep: e0})
+	r1 := newCmd(eng, "r1", Cmd{Src: 0, Dst: 1, Tag: 2, Addr: dst1, Bytes: 512, Ep: e1})
+	r2 := newCmd(eng, "r2", Cmd{Src: 0, Dst: 1, Tag: 2, Addr: dst2, Bytes: 512, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		// Past r1's 1ms deadline, but inside r2's window (r2 is posted at
 		// ~1ms, so its own deadline lands near 2ms).
@@ -324,8 +324,8 @@ func TestRDMARerouteToStaging(t *testing.T) {
 	h1.SetFaults(flap)
 	src, _ := e0.Ctx.MemAlloc(1 << 20)
 	dst, _ := e1.Ctx.MemAlloc(1 << 20)
-	s := &Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 7, Addr: src, Bytes: 1 << 20, Ep: e0, Done: eng.NewEvent("s")}
-	rc := &Cmd{Src: 0, Dst: 1, Tag: 7, Addr: dst, Bytes: 1 << 20, Ep: e1, Done: eng.NewEvent("r")}
+	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 7, Addr: src, Bytes: 1 << 20, Ep: e0})
+	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 7, Addr: dst, Bytes: 1 << 20, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)

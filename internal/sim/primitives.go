@@ -8,48 +8,93 @@ import "impacc/internal/telemetry"
 
 // Event is a one-shot broadcast: processes block in Wait until Fire, after
 // which Wait returns immediately forever.
+//
+// The first waiter and the first OnFire callback live inline; only a second
+// of either allocates the overflow record, so an event embedded in the
+// object that owns it (a message command, a stream operation) costs that
+// owner no extra allocation. Keep the struct within 64 bytes: owners embed
+// it by the hundred thousand.
 type Event struct {
-	eng     *Engine
-	fired   bool
+	eng   *Engine
+	why   string
+	first *Proc  // first waiter
+	fn    func() // first OnFire callback
+	more  *eventMore
+	fired bool
+}
+
+// eventMore holds an event's second and later waiters and callbacks, in
+// arrival order after the inline ones.
+type eventMore struct {
 	waiters []*Proc
-	onFire  []func()
-	why     string
+	fns     []func()
 }
 
 // NewEvent returns an unfired event. why labels deadlock diagnostics.
 func (e *Engine) NewEvent(why string) *Event {
-	return &Event{eng: e, why: why}
+	ev := &Event{}
+	e.InitEvent(ev, why)
+	return ev
+}
+
+// InitEvent resets ev, typically a field of a larger struct, to an unfired
+// event on e labelled why — NewEvent for an event its owner embeds.
+func (e *Engine) InitEvent(ev *Event, why string) {
+	*ev = Event{eng: e, why: why}
 }
 
 // Fired reports whether Fire has been called.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// Fire marks the event and wakes all waiters in arrival order. Firing twice
-// is a no-op.
+// Fire marks the event and wakes all waiters in arrival order, then runs the
+// OnFire callbacks in registration order. Firing twice is a no-op.
 func (ev *Event) Fire() {
 	if ev.fired {
 		return
 	}
 	ev.fired = true
-	for _, p := range ev.waiters {
+	more := ev.more
+	ev.more = nil
+	if p := ev.first; p != nil {
+		ev.first = nil
 		ev.eng.wake(p, ev.eng.now)
 	}
-	ev.waiters = nil
-	cbs := ev.onFire
-	ev.onFire = nil
-	for _, fn := range cbs {
+	if more != nil {
+		for _, p := range more.waiters {
+			ev.eng.wake(p, ev.eng.now)
+		}
+	}
+	if fn := ev.fn; fn != nil {
+		ev.fn = nil
 		fn()
 	}
+	if more != nil {
+		for _, fn := range more.fns {
+			fn()
+		}
+	}
+}
+
+// overflow returns the event's overflow record, allocating it on first use.
+func (ev *Event) overflow() *eventMore {
+	if ev.more == nil {
+		ev.more = &eventMore{}
+	}
+	return ev.more
 }
 
 // OnFire registers fn to run when the event fires (immediately if it
 // already has). Callbacks run in engine context before waiters resume.
 func (ev *Event) OnFire(fn func()) {
-	if ev.fired {
+	switch {
+	case ev.fired:
 		fn()
-		return
+	case ev.fn == nil:
+		ev.fn = fn
+	default:
+		m := ev.overflow()
+		m.fns = append(m.fns, fn)
 	}
-	ev.onFire = append(ev.onFire, fn)
 }
 
 // Wait blocks p until the event fires.
@@ -57,16 +102,57 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	if ev.first == nil {
+		ev.first = p
+	} else {
+		m := ev.overflow()
+		m.waiters = append(m.waiters, p)
+	}
 	p.park("event:", ev.why)
 }
+
+// fifo is a slice queue with a head index, so popping the oldest element
+// costs O(1) instead of copying the backlog down.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+// push appends v. When the backing array is full and at least half of it is
+// already consumed, the live tail slides to the front first, so a queue that
+// never fully drains still runs in bounded memory.
+func (q *fifo[T]) push(v T) {
+	if len(q.items) == cap(q.items) && q.head > 0 && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+// pop removes and returns the oldest element; ok is false when empty.
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head == len(q.items) {
+		return v, false
+	}
+	var zero T
+	v, q.items[q.head] = q.items[q.head], zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v, true
+}
+
+// len reports the number of queued elements.
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
 // Cond is a reusable wait list: Wait blocks until a later WakeOne/WakeAll.
 // Unlike sync.Cond there is no lock: the engine's single-runner rule makes
 // check-then-wait atomic.
 type Cond struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters fifo[*Proc]
 	why     string
 }
 
@@ -75,39 +161,35 @@ func (e *Engine) NewCond(why string) *Cond { return &Cond{eng: e, why: why} }
 
 // Wait blocks p until woken.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.park("cond:", c.why)
 }
 
 // WakeOne wakes the longest-waiting process, if any, and reports whether one
 // was woken.
 func (c *Cond) WakeOne() bool {
-	if len(c.waiters) == 0 {
-		return false
+	p, ok := c.waiters.pop()
+	if ok {
+		c.eng.wake(p, c.eng.now)
 	}
-	p := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:len(c.waiters)-1]
-	c.eng.wake(p, c.eng.now)
-	return true
+	return ok
 }
 
 // WakeAll wakes every waiting process in arrival order.
 func (c *Cond) WakeAll() {
-	for _, p := range c.waiters {
+	for p, ok := c.waiters.pop(); ok; p, ok = c.waiters.pop() {
 		c.eng.wake(p, c.eng.now)
 	}
-	c.waiters = c.waiters[:0]
 }
 
 // Waiting reports the number of blocked processes.
-func (c *Cond) Waiting() int { return len(c.waiters) }
+func (c *Cond) Waiting() int { return c.waiters.len() }
 
 // Semaphore is a counting semaphore with FIFO acquisition order.
 type Semaphore struct {
 	eng     *Engine
 	avail   int
-	waiters []*Proc
+	waiters fifo[*Proc]
 	why     string
 }
 
@@ -118,21 +200,18 @@ func (e *Engine) NewSemaphore(n int, why string) *Semaphore {
 
 // Acquire takes one permit, blocking p until one is available.
 func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 && len(s.waiters) == 0 {
+	if s.avail > 0 && s.waiters.len() == 0 {
 		s.avail--
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters.push(p)
 	p.park("sem:", s.why)
 	// The releaser transferred a permit directly to us.
 }
 
 // Release returns one permit, waking the longest waiter if any.
 func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		p := s.waiters[0]
-		copy(s.waiters, s.waiters[1:])
-		s.waiters = s.waiters[:len(s.waiters)-1]
+	if p, ok := s.waiters.pop(); ok {
 		s.eng.wake(p, s.eng.now)
 		return
 	}
@@ -263,7 +342,7 @@ func CoUseAsync(occupy Dur, rs ...*FIFOResource) (start, end Time) {
 // Multiple consumers are served in FIFO order.
 type Queue struct {
 	eng   *Engine
-	items []interface{}
+	items fifo[interface{}]
 	cond  *Cond
 }
 
@@ -274,33 +353,23 @@ func (e *Engine) NewQueue(why string) *Queue {
 
 // Put appends an item and wakes one waiting consumer. Put never blocks.
 func (q *Queue) Put(item interface{}) {
-	q.items = append(q.items, item)
+	q.items.push(item)
 	q.cond.WakeOne()
 }
 
 // Get removes and returns the oldest item, blocking p until one exists.
 func (q *Queue) Get(p *Proc) interface{} {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		q.cond.Wait(p)
 	}
-	item := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
+	item, _ := q.items.pop()
 	return item
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue) TryGet() (interface{}, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	item := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
-	return item, true
+	return q.items.pop()
 }
 
 // Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }

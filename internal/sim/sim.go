@@ -68,7 +68,8 @@ func DurFromSeconds(s float64) Dur {
 }
 
 // event is a scheduled occurrence. If proc is non-nil the event resumes that
-// process; otherwise fn runs inline in the engine loop. Events are pooled on
+// process; otherwise fn runs inline in the engine loop, or, with fn nil too,
+// fire is fired (FireAt). Events are pooled on
 // a per-engine freelist; no pointer to one may outlive its dispatch.
 type event struct {
 	at Time
@@ -93,6 +94,7 @@ type event struct {
 
 	proc *Proc
 	fn   func()
+	fire *Event
 }
 
 // dlKey packs a (depth, lp) pair into an event's dl word.
@@ -252,6 +254,7 @@ func (e *Engine) alloc() *event {
 func (e *Engine) free(ev *event) {
 	ev.proc = nil
 	ev.fn = nil
+	ev.fire = nil
 	e.pool = append(e.pool, ev)
 }
 
@@ -309,9 +312,10 @@ func (e *Engine) popHeap() *event {
 	return min
 }
 
-// schedule inserts an event at absolute time t (clamped to now). Events for
-// the current instant go to the FIFO nowQ; future events go to the heap.
-func (e *Engine) schedule(t Time, p *Proc, fn func()) {
+// schedule inserts an event at absolute time t (clamped to now) and returns
+// it. Events for the current instant go to the FIFO nowQ; future events go
+// to the heap.
+func (e *Engine) schedule(t Time, p *Proc, fn func()) *event {
 	if t < e.now {
 		t = e.now
 	}
@@ -327,6 +331,7 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	} else {
 		e.pushHeap(ev)
 	}
+	return ev
 }
 
 // remoteEvent is an event bound for another shard's timeline, buffered in
@@ -372,6 +377,10 @@ func (e *Engine) inject(at Time, fn func(), lp int32, seq uint64) {
 
 // At schedules fn to run in engine context at absolute virtual time t.
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
+
+// FireAt fires ev at absolute virtual time t: At(t, ev.Fire) without the
+// closure, for completions whose time is known when they are scheduled.
+func (e *Engine) FireAt(t Time, ev *Event) { e.schedule(t, nil, nil).fire = ev }
 
 // After schedules fn to run in engine context after duration d.
 func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
@@ -658,7 +667,7 @@ func (e *Engine) runUntil(fence Time) error {
 		}
 		// Copy out and free before dispatch: the handler may schedule,
 		// which reuses pooled events.
-		p, fn := ev.proc, ev.fn
+		p, fn, fire := ev.proc, ev.fn, ev.fire
 		e.dispatchDepth = int32(ev.dl >> 32)
 		if e.flight != nil {
 			e.recordFlight(ev.at, ev.dl, ev.seq, p)
@@ -675,6 +684,8 @@ func (e *Engine) runUntil(fence Time) error {
 			}
 		} else if fn != nil {
 			fn()
+		} else if fire != nil {
+			fire.Fire()
 		}
 		e.dispatchDepth = -1
 	}
