@@ -212,6 +212,10 @@ func allreduceBytesPerRankCall(t *testing.T, nodes, k int) float64 {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
+	// The first run also pays one-time costs (fresh goroutines for the
+	// processes, first-use runtime tables) that later runs reuse, so it
+	// is discarded rather than taken as the base.
+	run(k)
 	base := run(k)
 	return float64(run(2*k)-base) / float64(k*nodes)
 }
