@@ -83,7 +83,7 @@ func main() {
 
 		progressEvery  = flag.String("progress-every", "", "emit a progress heartbeat every this much virtual time (e.g. 1ms); content is deterministic for any -par-sim value")
 		progress       = flag.String("progress", "", "write heartbeats as JSON lines to this file (default stderr)")
-		traceStream    = flag.String("trace-stream", "", "stream trace records to this file as JSON lines while the run executes (bounded memory; convert or analyze later with impacc-prof); mutually exclusive with -trace/-prof")
+		traceStream    = flag.String("trace-stream", "", "stream trace records to this file as JSON lines while the run executes (bounded memory; read it back for analysis with prof.ReadStream); mutually exclusive with -trace/-prof")
 		streamBuffered = flag.Bool("trace-stream-buffered", false, "with -trace-stream: buffer records in memory and write the stream at run end; the bytes must match the streamed path exactly (equivalence checks, CI)")
 		flightRec      = flag.String("flight-recorder", "", "arm the stall flight recorder and write its dump (recent events per shard + parked processes) to this file if the run ends abnormally")
 		flightRing     = flag.Int("flight-ring", 64, "per-shard depth of the flight recorder's recent-event ring")

@@ -62,12 +62,6 @@ type Options struct {
 
 	// gate, when non-nil, bounds concurrent simulations (see WithJobs).
 	gate chan struct{}
-	// regPool recycles per-shard telemetry registries across leaf runs
-	// (core.Config.MetricsPool): a sweep's thousands of runs then reuse
-	// warmed registries instead of allocating fresh ones. Shared by every
-	// run launched from this options value; purely an allocation strategy,
-	// never a simulated byte.
-	regPool *telemetry.Pool
 }
 
 // Experiment is one reproducible table or figure.

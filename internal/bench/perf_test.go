@@ -140,12 +140,10 @@ func TestChaosParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRegistryPoolDeterminism is the registry-reuse guarantee: recycling
-// per-node registries across RunMany leaves (instead of allocating fresh
-// ones per run) is a pure allocation strategy, so a serial sweep, a -j 8
-// pooled sweep, and a -par-sim 8 sharded sweep all produce byte-identical
-// output and byte-identical aggregate metrics.
-func TestRegistryPoolDeterminism(t *testing.T) {
+// TestSweepDeterminism: how RunMany schedules a sweep never changes a
+// byte, so a serial sweep, a -j 8 sweep and a -par-sim 8 sharded sweep all
+// produce byte-identical output and byte-identical aggregate metrics.
+func TestSweepDeterminism(t *testing.T) {
 	fig13, ok := ByID("fig13")
 	if !ok {
 		t.Fatal("fig13 not registered")

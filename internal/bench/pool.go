@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"impacc/internal/core"
-	"impacc/internal/telemetry"
 )
 
 // WithJobs returns a copy of the options that runs up to n simulations
@@ -21,9 +20,6 @@ func (o Options) WithJobs(n int) Options {
 	o.gate = nil
 	if n > 1 {
 		o.gate = make(chan struct{}, n)
-	}
-	if o.regPool == nil {
-		o.regPool = &telemetry.Pool{}
 	}
 	return o
 }
@@ -48,9 +44,6 @@ func runGated(opt Options, cfg core.Config, prog core.Program) (*core.Report, er
 	}
 	if !cfg.Lean {
 		cfg.Lean = opt.Lean
-	}
-	if cfg.MetricsPool == nil {
-		cfg.MetricsPool = opt.regPool
 	}
 	if opt.Prof != nil && cfg.Trace == nil {
 		cfg.Trace = core.NewTracer()
@@ -128,32 +121,14 @@ type RunResult struct {
 // given (canonical) order, so a parallel run prints byte-identically to a
 // serial one.
 func RunMany(exps []Experiment, opt Options) []RunResult {
-	if opt.regPool == nil {
-		opt.regPool = &telemetry.Pool{}
-	}
-	out := make([]RunResult, len(exps))
-	run := func(i int) {
+	// f never fails: each experiment's error stays in its own result.
+	out, _ := parMap(opt, exps, func(_ int, e Experiment) (RunResult, error) {
 		var buf bytes.Buffer
 		//impacc:allow-walltime operator-facing progress timing (RunResult.Wall); never enters simulation state or output bytes
 		start := time.Now()
-		err := exps[i].Run(&buf, opt)
+		err := e.Run(&buf, opt)
 		//impacc:allow-walltime operator-facing progress timing; the Wall field is excluded from canonical output
-		out[i] = RunResult{Exp: exps[i], Output: buf.Bytes(), Wall: time.Since(start), Err: err}
-	}
-	if opt.gate == nil || len(exps) < 2 {
-		for i := range exps {
-			run(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for i := range exps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run(i)
-		}(i)
-	}
-	wg.Wait()
+		return RunResult{Exp: e, Output: buf.Bytes(), Wall: time.Since(start), Err: err}, nil
+	})
 	return out
 }

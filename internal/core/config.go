@@ -138,13 +138,6 @@ type Config struct {
 	// registry. Nil keeps the engine's own fresh registry.
 	//impacc:hash-exclude pure observer: registry choice never changes simulated bytes
 	Metrics *telemetry.Registry
-	// MetricsPool, when non-nil, supplies the run's per-shard registries
-	// and receives them back when Execute finishes; a sweep harness sets it
-	// to recycle registries across thousands of leaf runs instead of
-	// allocating fresh ones each time. Like Metrics it only changes where
-	// telemetry is stored, never a simulated byte.
-	//impacc:hash-exclude pure observer: registry reuse never changes simulated bytes
-	MetricsPool *telemetry.Pool
 	// Chaos, when non-nil, instantiates a deterministic fault-injection
 	// plan for the run (see internal/fault): link degradation and flaps,
 	// NIC send stalls, compute stragglers, transient device-copy failures,

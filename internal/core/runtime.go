@@ -145,14 +145,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		lookahead = 0
 	}
 	rt.Eng = perNode[0]
-	if cfg.MetricsPool != nil {
-		// Pooled registries replace the engines' fresh ones; Execute hands
-		// them back once the report is snapshotted and the aggregate merged.
-		for _, e := range rt.shards {
-			//impacc:allow-sharddiscipline setup-time registry adoption before group.Run: every engine is quiescent, no shard owns anything yet
-			e.AdoptMetrics(cfg.MetricsPool.Get())
-		}
-	}
 	rt.group = sim.NewShardGroup(rt.shards, lookahead, cfg.Parallel)
 	if cfg.Limits.MaxVirtualTime > 0 {
 		rt.group.Deadline = sim.Time(cfg.Limits.MaxVirtualTime)
@@ -291,9 +283,6 @@ func (rt *Runtime) Cancel() { rt.group.Cancel() }
 
 // Execute runs prog across all tasks to completion.
 func (rt *Runtime) Execute(prog Program) (*Report, error) {
-	// Registered before mergeMetrics so LIFO ordering releases the shard
-	// registries only after the aggregate merge has read them.
-	defer rt.releaseMetrics()
 	defer rt.mergeMetrics()
 	for _, t := range rt.tasks {
 		t := t
@@ -353,20 +342,6 @@ func (rt *Runtime) runMetrics() *telemetry.Registry {
 		rt.metrics = reg
 	}
 	return rt.metrics
-}
-
-// releaseMetrics hands the run's shard registries back to the configured
-// pool. It runs after mergeMetrics and after the report snapshot (both
-// deep-copy what they need), so nothing reads the registries afterwards;
-// the Runtime must not be reused once Execute returns.
-func (rt *Runtime) releaseMetrics() {
-	if rt.Cfg.MetricsPool == nil {
-		return
-	}
-	for _, e := range rt.shards {
-		rt.Cfg.MetricsPool.Put(e.Metrics)
-	}
-	rt.metrics = nil
 }
 
 // mergeMetrics folds the run's merged registry into the shared aggregate

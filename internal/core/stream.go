@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"impacc/internal/prof"
@@ -14,7 +16,9 @@ import (
 // SpanSink receives the trace stream of a run incrementally. Emit is called
 // with batches already in canonical stream order — consecutive calls carry
 // non-overlapping, increasing stamp ranges, so a sink may simply concatenate
-// them. Close finalizes the stream with the run's makespan. Both are called
+// them. The records point into the tracer's memory and are valid only during
+// the call; a sink that keeps one must copy it. Close finalizes the stream
+// with the run's makespan. Both are called
 // from the coordinating goroutine only (between simulation windows and after
 // the run), never concurrently.
 type SpanSink interface {
@@ -70,25 +74,37 @@ func (sw *streamWriter) Close(makespan sim.Time) error {
 	return sw.err
 }
 
-// wireRec converts one lane record to its wire form.
+// wireRec gives one lane record its wire form, which points into r.
 func wireRec(node int, r *streamRec) prof.StreamRec {
 	w := prof.StreamRec{Node: node, Seq: r.seq, At: int64(r.at)}
 	switch r.kind {
 	case recSpan:
 		w.T = "span"
-		s := r.span
-		w.Span = &s
+		w.Span = &r.span
 	case recEdge:
 		w.T = "edge"
-		e := prof.Edge{Kind: r.edge.kind, From: r.edge.from, To: r.edge.to,
-			At: r.edge.at, Post: r.edge.post, Bytes: r.edge.bytes}
-		w.Edge = &e
+		w.Edge = &r.edge
 	case recClaim:
 		w.T = "claim"
 		w.Cmd = r.cmd
 		w.Sid = r.claimed
 	}
 	return w
+}
+
+// records yields every retained record in wire form, lane-major: each
+// lane's records in sequence, lanes in node order. The wire records point
+// into the lanes, so they stay valid only until the lanes next change.
+func (tr *Tracer) records() iter.Seq[prof.StreamRec] {
+	return func(yield func(prof.StreamRec) bool) {
+		for _, l := range tr.lanes {
+			for i := range l.recs {
+				if !yield(wireRec(l.node, &l.recs[i])) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // sortStream orders wire records by the canonical stream order
@@ -117,19 +133,9 @@ func (tr *Tracer) FlushWindow(fence sim.Time) {
 	}
 	tr.batch = tr.batch[:0]
 	for _, l := range tr.lanes {
-		n := 0
-		for n < len(l.recs) && l.recs[n].at < fence {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < len(l.recs) && l.recs[i].at < fence; i++ {
 			tr.batch = append(tr.batch, wireRec(l.node, &l.recs[i]))
 		}
-		rest := copy(l.recs, l.recs[n:])
-		clear(l.recs[rest:]) // release span/edge strings held by the flushed prefix
-		l.recs = l.recs[:rest]
 	}
 	if len(tr.batch) == 0 {
 		return
@@ -139,11 +145,25 @@ func (tr *Tracer) FlushWindow(fence sim.Time) {
 		tr.maxFlushed = last
 	}
 	tr.sinkErr = tr.sink.Emit(tr.batch)
+	// The batch points into the lanes, so they are compacted only now.
+	clear(tr.batch)
+	for _, l := range tr.lanes {
+		n := 0
+		for n < len(l.recs) && l.recs[n].at < fence {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		rest := copy(l.recs, l.recs[n:])
+		clear(l.recs[rest:]) // release span/edge strings held by the flushed prefix
+		l.recs = l.recs[:rest]
+	}
 }
 
 // CloseStream flushes everything still retained and finalizes the sink with
-// the run's makespan (clamped up to the latest flushed stamp, mirroring the
-// buffered exporters' maxEnd clamp). Returns the first sink error, if any.
+// the run's makespan (clamped up to the latest flushed stamp, as WriteStream
+// clamps it). Returns the first sink error, if any.
 // No-op on buffered tracers.
 func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	if tr.sink == nil {
@@ -169,12 +189,7 @@ func (tr *Tracer) StreamErr() error { return tr.sinkErr }
 // identical to a streamed run of the same job.
 func (tr *Tracer) WriteStream(w io.Writer, makespan sim.Time) error {
 	sink := NewStreamWriter(w)
-	var recs []prof.StreamRec
-	for _, l := range tr.lanes {
-		for i := range l.recs {
-			recs = append(recs, wireRec(l.node, &l.recs[i]))
-		}
-	}
+	recs := slices.Collect(tr.records())
 	sortStream(recs)
 	if err := sink.Emit(recs); err != nil {
 		return err

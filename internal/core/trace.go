@@ -18,16 +18,6 @@ import (
 // without importing the runtime.
 type Span = prof.Span
 
-// rawEdge is a dependency recorded during the run. Message edges carry
-// command trace IDs (resolved to the claiming spans at export time); stream
-// and event edges carry span IDs directly.
-type rawEdge struct {
-	kind     string // msg | stream | event
-	from, to uint64
-	post, at sim.Time
-	bytes    int64
-}
-
 // Record kinds of streamRec.
 const (
 	recSpan = uint8(iota)
@@ -36,7 +26,9 @@ const (
 )
 
 // streamRec is one entry of a lane's unified record log: a closed span, a
-// causal edge, or a command claim. Every record carries its stamp — the
+// causal edge, or a command claim. Message edges carry command trace IDs,
+// which prof.Assemble resolves to the claiming spans; stream and event
+// edges carry span IDs directly. Every record carries its stamp — the
 // virtual instant it was appended (a span's end, an edge's match time, a
 // claim's claim time) — plus a lane-local sequence number. Records are only
 // ever appended at the owning engine's current time and the clock never
@@ -50,8 +42,8 @@ type streamRec struct {
 	at   sim.Time
 	seq  uint64
 	kind uint8
-	span Span    // recSpan
-	edge rawEdge // recEdge
+	span Span      // recSpan
+	edge prof.Edge // recEdge
 	// recClaim: command trace ID and the span that claimed it.
 	cmd, claimed uint64
 }
@@ -68,8 +60,7 @@ type traceLane struct {
 	recs    []streamRec
 	recSeq  uint64
 	nextID  uint64
-	claims  map[uint64]uint64 // command trace ID -> claiming span ID (buffered mode only)
-	pending map[int][]uint64  // rank -> posted, not-yet-claimed command IDs
+	pending map[int][]uint64 // rank -> posted, not-yet-claimed command IDs
 }
 
 // push appends one record, stamping it with the lane-local sequence.
@@ -126,11 +117,7 @@ func (tr *Tracer) Streaming() bool { return tr.sink != nil }
 // grow, so all growth happens here.
 func (tr *Tracer) Reserve(nodes int) {
 	for len(tr.lanes) < nodes {
-		l := &traceLane{node: len(tr.lanes), pending: map[int][]uint64{}}
-		if tr.sink == nil {
-			l.claims = map[uint64]uint64{}
-		}
-		tr.lanes = append(tr.lanes, l)
+		tr.lanes = append(tr.lanes, &traceLane{node: len(tr.lanes), pending: map[int][]uint64{}})
 	}
 }
 
@@ -189,7 +176,7 @@ func (tr *Tracer) record(s Span) uint64 {
 func (tr *Tracer) msgEdge(node int, from, to uint64, post, at sim.Time, bytes int64) {
 	l := tr.lane(node)
 	l.push(streamRec{at: at, kind: recEdge,
-		edge: rawEdge{kind: "msg", from: from, to: to, post: post, at: at, bytes: bytes}})
+		edge: prof.Edge{Kind: "msg", From: from, To: to, At: at, Post: post, Bytes: bytes}})
 }
 
 // depEdge records a stream or event ordering edge between span IDs on the
@@ -198,7 +185,7 @@ func (tr *Tracer) msgEdge(node int, from, to uint64, post, at sim.Time, bytes in
 func (tr *Tracer) depEdge(node int, kind string, from, to uint64, at sim.Time) {
 	l := tr.lane(node)
 	l.push(streamRec{at: at, kind: recEdge,
-		edge: rawEdge{kind: kind, from: from, to: to, at: at}})
+		edge: prof.Edge{Kind: kind, From: from, To: to, At: at}})
 }
 
 // registerPending notes a command posted by rank (hosted on node) whose
@@ -215,18 +202,12 @@ func (tr *Tracer) pendingMark(node, rank int) int { return len(tr.lane(node).pen
 // inner blocking call keeps its precise span even when an enclosing
 // collective sweeps the region afterwards. Commands are only ever claimed
 // by the rank that posted them, so the claim lands on that rank's lane.
-// Every claim call is logged (stamped with at, the claiming instant); the
-// first-wins rule is applied by the claims map in buffered mode and by the
-// stream reader in claim order, which agree because a command's claims all
-// land on one lane, where record order is claim order.
+// Every claim call is logged (stamped with at, the claiming instant) and
+// prof.Assemble applies the first-wins rule in record order, which is claim
+// order in both the lane-major and the stamp-major walk because a
+// command's claims all land on one lane.
 func (tr *Tracer) claim(node int, cmdID, spanID uint64, at sim.Time) {
-	l := tr.lane(node)
-	l.push(streamRec{at: at, kind: recClaim, cmd: cmdID, claimed: spanID})
-	if l.claims != nil {
-		if _, ok := l.claims[cmdID]; !ok {
-			l.claims[cmdID] = spanID
-		}
-	}
+	tr.lane(node).push(streamRec{at: at, kind: recClaim, cmd: cmdID, claimed: spanID})
 }
 
 // claimSince claims every command rank posted after mark for spanID — the
@@ -285,61 +266,12 @@ func (tr *Tracer) Len() int {
 	return n
 }
 
-// maxEnd is the latest span end — the makespan fallback when the tracer is
-// exported without a run report.
-func (tr *Tracer) maxEnd() sim.Time {
-	var m sim.Time
-	for _, l := range tr.lanes {
-		for i := range l.recs {
-			if l.recs[i].kind == recSpan && l.recs[i].span.End > m {
-				m = l.recs[i].span.End
-			}
-		}
-	}
-	return m
-}
-
-// Data assembles the causal trace: spans sorted by ID and edges (lanes
-// merged in node order) with message endpoints resolved from command IDs to
-// their claiming spans. Edges whose endpoints have no recorded span are
-// dropped.
+// Data assembles the causal trace from every lane's records (see
+// prof.Assemble): spans sorted by ID, edges in lane-major order with
+// message endpoints resolved to their claiming spans, and makespan clamped
+// up to the latest span end.
 func (tr *Tracer) Data(makespan sim.Time) prof.Trace {
-	spans := tr.allSpans()
-	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
-	ids := make(map[uint64]bool, len(spans))
-	for i := range spans {
-		ids[spans[i].ID] = true
-	}
-	resolve := func(id uint64) uint64 {
-		for _, l := range tr.lanes {
-			if sp, ok := l.claims[id]; ok && ids[sp] {
-				return sp
-			}
-		}
-		return id
-	}
-	edges := make([]prof.Edge, 0)
-	for _, l := range tr.lanes {
-		for i := range l.recs {
-			if l.recs[i].kind != recEdge {
-				continue
-			}
-			e := l.recs[i].edge
-			pe := prof.Edge{Kind: e.kind, From: e.from, To: e.to, At: e.at, Post: e.post, Bytes: e.bytes}
-			if e.kind == "msg" {
-				pe.From = resolve(e.from)
-				pe.To = resolve(e.to)
-			}
-			if !ids[pe.From] || !ids[pe.To] {
-				continue
-			}
-			edges = append(edges, pe)
-		}
-	}
-	if makespan < tr.maxEnd() {
-		makespan = tr.maxEnd()
-	}
-	return prof.Trace{Makespan: makespan, Spans: spans, Edges: edges}
+	return prof.Assemble(tr.records(), makespan)
 }
 
 // WriteJSON emits the spans as a JSON array.

@@ -203,14 +203,3 @@ func ReduceChildren(rank, root, size int) []int {
 func ReduceParent(rank, root, size int) int {
 	return BcastParent(rank, root, size)
 }
-
-// HypercubePartner returns rank's partner in round r of a recursive-
-// doubling exchange (allreduce/barrier on power-of-two sizes), or -1 if the
-// rank idles that round.
-func HypercubePartner(rank, round, size int) int {
-	partner := rank ^ (1 << round)
-	if partner >= size {
-		return -1
-	}
-	return partner
-}

@@ -159,22 +159,6 @@ func TestBcastTreeNonZeroRootAndOddSize(t *testing.T) {
 	}
 }
 
-func TestHypercubePartner(t *testing.T) {
-	if HypercubePartner(0, 0, 8) != 1 || HypercubePartner(1, 0, 8) != 0 {
-		t.Fatal("round 0 pairing wrong")
-	}
-	if HypercubePartner(2, 1, 8) != 0 {
-		t.Fatal("round 1 pairing wrong")
-	}
-	if HypercubePartner(3, 2, 6) != 7-0 && HypercubePartner(5, 1, 6) != -1 {
-		// partner 7 out of range for size 6
-		t.Fatal("out-of-range partner must be -1")
-	}
-	if HypercubePartner(1, 2, 6) != 5 {
-		t.Fatal("partner(1, round 2) wrong")
-	}
-}
-
 // Property: the binomial tree is acyclic and parent depth strictly
 // decreases toward the root.
 func TestTreeDepthProperty(t *testing.T) {

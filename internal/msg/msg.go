@@ -272,8 +272,11 @@ type Hub struct {
 	reg    *telemetry.Registry
 	faults FaultModel
 
-	intraQ   fifo[*Cmd]    // intra-node message queue
-	pendingQ fifo[*netMsg] // pending internode message queue
+	// The paper's queues (§3.7) are lock-free multi-producer single-consumer;
+	// here that property is a cost (CmdOverhead, handlerCPU), not host
+	// concurrency, since only the hub's own shard goroutine touches them.
+	intraQ   sim.FIFO[*Cmd]    // intra-node message queue
+	pendingQ sim.FIFO[*netMsg] // pending internode message queue
 	// handlerCPU serializes the single message handler thread's per-command
 	// processing time: commands from every task queue up on it in FIFO
 	// order, exactly like the paper's single consumer thread.
@@ -337,12 +340,12 @@ func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.
 		h.serial = eng.NewSemaphore(1, fmt.Sprintf("hub%d-serial", node))
 	}
 	h.handleNext = func() {
-		if cmd, ok := h.intraQ.pop(); ok {
+		if cmd, ok := h.intraQ.Pop(); ok {
 			h.handleCmd(cmd)
 		}
 	}
 	h.handleNextNet = func() {
-		if m, ok := h.pendingQ.pop(); ok {
+		if m, ok := h.pendingQ.Pop(); ok {
 			h.handleNet(m)
 		}
 	}
@@ -424,8 +427,8 @@ func (h *Hub) PostIntra(p *sim.Proc, cmd *Cmd) {
 		p.Sleep(over)
 	}
 	h.ctr.intraMsgs.Inc()
-	h.intraQ.push(cmd)
-	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.len()))
+	h.intraQ.Push(cmd)
+	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.Len()))
 	h.dispatch(false)
 }
 

@@ -170,8 +170,8 @@ func (h *Hub) netInject(cmd *Cmd, m *netMsg, dst *Hub, n int64, attempt int) {
 // deliver places an arrived internode message on the pending internode
 // message queue and wakes the handler.
 func (h *Hub) deliver(m *netMsg) {
-	h.pendingQ.push(m)
-	h.ctr.pendingNetPeak.SetMax(float64(h.pendingQ.len()))
+	h.pendingQ.Push(m)
+	h.ctr.pendingNetPeak.SetMax(float64(h.pendingQ.Len()))
 	h.dispatch(true)
 }
 
@@ -192,8 +192,8 @@ func (h *Hub) PostNetRecv(p *sim.Proc, cmd *Cmd) {
 	if h.Cfg.NetTimeout > 0 {
 		h.Eng.After(h.Cfg.NetTimeout, func() { h.timeoutRecv(cmd) })
 	}
-	h.intraQ.push(cmd)
-	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.len()))
+	h.intraQ.Push(cmd)
+	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.Len()))
 	h.dispatch(false)
 }
 

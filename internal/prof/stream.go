@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
+	"slices"
 	"sort"
 
 	"impacc/internal/sim"
@@ -26,10 +28,10 @@ import (
 //	{"t":"claim","node":N,"seq":S,"at":T,"cmd":C,"sid":I}
 //	{"t":"end","makespan_ns":M}                   trailer, last line
 //
-// Claims bind a posted command's trace ID to the span that observed it; the
-// reader applies them first-wins in stream order, which matches the
-// producer's first-claim-wins rule because all claims of one command land on
-// one node lane, where stream order is claim order.
+// Claims bind a posted command's trace ID to the span that observed it;
+// Assemble applies them first-wins in record order, which is claim order
+// whether the records arrive stamp-major (this stream) or lane-major (a
+// buffered tracer), because all claims of one command land on one node lane.
 
 // StreamVersion tags the stream header; readers reject other versions.
 const StreamVersion = "impacc-trace-stream-v1"
@@ -53,11 +55,8 @@ type streamLine struct {
 	Makespan int64  `json:"makespan_ns,omitempty"` // t == "end"
 }
 
-// ReadStream parses a trace stream and reassembles the same Trace the
-// producing tracer would have returned from its buffered Data view: spans
-// sorted by ID, edges in lane-major record order with message endpoints
-// resolved through first-wins claims, unresolvable edges dropped, and the
-// makespan clamped up to the latest record stamp.
+// ReadStream parses a trace stream and reassembles, through Assemble, the
+// same Trace the producing tracer's buffered Data view returns.
 func ReadStream(r io.Reader) (Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
@@ -105,23 +104,29 @@ func ReadStream(r io.Reader) (Trace, error) {
 	if !sawEnd {
 		return Trace{}, fmt.Errorf("prof: trace stream: truncated (no end record)")
 	}
-	return assembleStream(recs, sim.Time(makespan)), nil
+	return Assemble(slices.Values(recs), sim.Time(makespan)), nil
 }
 
-// assembleStream mirrors the buffered tracer's Data: same span order, same
-// edge order, same claim resolution.
-func assembleStream(recs []StreamRec, makespan sim.Time) Trace {
+// Assemble builds the causal trace from a run's records: spans sorted by
+// ID, edges in lane-major record order with message endpoints resolved from
+// command IDs to their claiming spans (first claim wins), edges whose
+// endpoints have no recorded span dropped, and the makespan clamped up to
+// the latest span end. recs may arrive in any order that keeps each lane's
+// records in sequence — the buffered tracer yields them lane-major, the
+// stream stamp-major — and is ranged over twice: once for spans and claims,
+// once for edges.
+func Assemble(recs iter.Seq[StreamRec], makespan sim.Time) Trace {
 	var spans []Span
 	claims := map[uint64]uint64{}
-	for i := range recs {
-		switch recs[i].T {
+	for r := range recs {
+		switch r.T {
 		case "span":
-			if recs[i].Span != nil {
-				spans = append(spans, *recs[i].Span)
+			if r.Span != nil {
+				spans = append(spans, *r.Span)
 			}
 		case "claim":
-			if _, ok := claims[recs[i].Cmd]; !ok {
-				claims[recs[i].Cmd] = recs[i].Sid
+			if _, ok := claims[r.Cmd]; !ok {
+				claims[r.Cmd] = r.Sid
 			}
 		}
 	}
@@ -129,6 +134,9 @@ func assembleStream(recs []StreamRec, makespan sim.Time) Trace {
 	ids := make(map[uint64]bool, len(spans))
 	for i := range spans {
 		ids[spans[i].ID] = true
+		if spans[i].End > makespan {
+			makespan = spans[i].End
+		}
 	}
 	resolve := func(id uint64) uint64 {
 		if sp, ok := claims[id]; ok && ids[sp] {
@@ -136,36 +144,34 @@ func assembleStream(recs []StreamRec, makespan sim.Time) Trace {
 		}
 		return id
 	}
-	// Edges come back in lane-major record order — the buffered Data order —
-	// by sorting on (node, seq); the stream itself is stamp-major.
-	var raw []StreamRec
-	for i := range recs {
-		if recs[i].T == "edge" && recs[i].Edge != nil {
-			raw = append(raw, recs[i])
-		}
+	type laneEdge struct {
+		node int
+		seq  uint64
+		e    Edge
 	}
-	sort.Slice(raw, func(i, j int) bool {
-		if raw[i].Node != raw[j].Node {
-			return raw[i].Node < raw[j].Node
+	var raw []laneEdge
+	for r := range recs {
+		if r.T != "edge" || r.Edge == nil {
+			continue
 		}
-		return raw[i].Seq < raw[j].Seq
-	})
-	edges := make([]Edge, 0)
-	for i := range raw {
-		e := *raw[i].Edge
+		e := *r.Edge
 		if e.Kind == "msg" {
 			e.From = resolve(e.From)
 			e.To = resolve(e.To)
 		}
-		if !ids[e.From] || !ids[e.To] {
-			continue
+		if ids[e.From] && ids[e.To] {
+			raw = append(raw, laneEdge{r.Node, r.Seq, e})
 		}
-		edges = append(edges, e)
 	}
-	for i := range spans {
-		if spans[i].End > makespan {
-			makespan = spans[i].End
+	sort.Slice(raw, func(i, j int) bool {
+		if raw[i].node != raw[j].node {
+			return raw[i].node < raw[j].node
 		}
+		return raw[i].seq < raw[j].seq
+	})
+	edges := make([]Edge, len(raw))
+	for i := range raw {
+		edges[i] = raw[i].e
 	}
 	return Trace{Makespan: makespan, Spans: spans, Edges: edges}
 }

@@ -121,68 +121,3 @@ func TestEventSize(t *testing.T) {
 		t.Fatalf("sizeof(Event) = %d bytes, want <= 64", got)
 	}
 }
-
-// TestFIFOLongBacklog drains a 10k-item backlog through Queue, Cond and
-// Semaphore, checking that every pop keeps arrival order.
-func TestFIFOLongBacklog(t *testing.T) {
-	const n = 10000
-	e := NewEngine()
-	q := e.NewQueue("backlog")
-	for i := 0; i < n; i++ {
-		q.Put(i)
-	}
-	for i := 0; i < n; i++ {
-		if v, ok := q.TryGet(); !ok || v.(int) != i {
-			t.Fatalf("TryGet #%d = %v, %v", i, v, ok)
-		}
-	}
-
-	c := e.NewCond("c")
-	s := e.NewSemaphore(0, "s")
-	var condOrder, semOrder []int
-	for i := 0; i < n; i++ {
-		e.Spawn("c", func(p *Proc) {
-			c.Wait(p)
-			condOrder = append(condOrder, i)
-		})
-		e.Spawn("s", func(p *Proc) {
-			s.Acquire(p)
-			semOrder = append(semOrder, i)
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(Microsecond)
-		for c.WakeOne() {
-		}
-		for i := 0; i < n; i++ {
-			s.Release()
-		}
-		// Refill a half-drained queue so push slides the live tail.
-		for i := 0; i < n; i++ {
-			q.Put(i)
-		}
-		for i := 0; i < n/2; i++ {
-			q.Get(p)
-		}
-		for i := n; i < n+n/2; i++ {
-			q.Put(i)
-		}
-		for i := n / 2; i < n+n/2; i++ {
-			if v := q.Get(p).(int); v != i {
-				t.Errorf("Get = %d, want %d", v, i)
-				return
-			}
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if condOrder[i] != i || semOrder[i] != i {
-			t.Fatalf("wake #%d: cond %d, semaphore %d", i, condOrder[i], semOrder[i])
-		}
-	}
-	if c.Waiting() != 0 || s.Available() != 0 || q.Len() != 0 {
-		t.Fatalf("left over: %d waiting, %d permits, %d items", c.Waiting(), s.Available(), q.Len())
-	}
-}

@@ -111,17 +111,19 @@ func (ev *Event) Wait(p *Proc) {
 	p.park("event:", ev.why)
 }
 
-// fifo is a slice queue with a head index, so popping the oldest element
-// costs O(1) instead of copying the backlog down.
-type fifo[T any] struct {
+// FIFO is a slice queue with a head index, so popping the oldest element
+// costs O(1) instead of copying the backlog down. It has no locks: like
+// everything on an engine, it is touched by one goroutine at a time. The
+// zero value is an empty queue.
+type FIFO[T any] struct {
 	items []T
 	head  int
 }
 
-// push appends v. When the backing array is full and at least half of it is
+// Push appends v. When the backing array is full and at least half of it is
 // already consumed, the live tail slides to the front first, so a queue that
 // never fully drains still runs in bounded memory.
-func (q *fifo[T]) push(v T) {
+func (q *FIFO[T]) Push(v T) {
 	if len(q.items) == cap(q.items) && q.head > 0 && 2*q.head >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])
 		clear(q.items[n:])
@@ -130,8 +132,8 @@ func (q *fifo[T]) push(v T) {
 	q.items = append(q.items, v)
 }
 
-// pop removes and returns the oldest element; ok is false when empty.
-func (q *fifo[T]) pop() (v T, ok bool) {
+// Pop removes and returns the oldest element; ok is false when empty.
+func (q *FIFO[T]) Pop() (v T, ok bool) {
 	if q.head == len(q.items) {
 		return v, false
 	}
@@ -144,15 +146,15 @@ func (q *fifo[T]) pop() (v T, ok bool) {
 	return v, true
 }
 
-// len reports the number of queued elements.
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
+// Len reports the number of queued elements.
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
 // Cond is a reusable wait list: Wait blocks until a later WakeOne/WakeAll.
 // Unlike sync.Cond there is no lock: the engine's single-runner rule makes
 // check-then-wait atomic.
 type Cond struct {
 	eng     *Engine
-	waiters fifo[*Proc]
+	waiters FIFO[*Proc]
 	why     string
 }
 
@@ -161,14 +163,14 @@ func (e *Engine) NewCond(why string) *Cond { return &Cond{eng: e, why: why} }
 
 // Wait blocks p until woken.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.push(p)
+	c.waiters.Push(p)
 	p.park("cond:", c.why)
 }
 
 // WakeOne wakes the longest-waiting process, if any, and reports whether one
 // was woken.
 func (c *Cond) WakeOne() bool {
-	p, ok := c.waiters.pop()
+	p, ok := c.waiters.Pop()
 	if ok {
 		c.eng.wake(p, c.eng.now)
 	}
@@ -177,19 +179,19 @@ func (c *Cond) WakeOne() bool {
 
 // WakeAll wakes every waiting process in arrival order.
 func (c *Cond) WakeAll() {
-	for p, ok := c.waiters.pop(); ok; p, ok = c.waiters.pop() {
+	for p, ok := c.waiters.Pop(); ok; p, ok = c.waiters.Pop() {
 		c.eng.wake(p, c.eng.now)
 	}
 }
 
 // Waiting reports the number of blocked processes.
-func (c *Cond) Waiting() int { return c.waiters.len() }
+func (c *Cond) Waiting() int { return c.waiters.Len() }
 
 // Semaphore is a counting semaphore with FIFO acquisition order.
 type Semaphore struct {
 	eng     *Engine
 	avail   int
-	waiters fifo[*Proc]
+	waiters FIFO[*Proc]
 	why     string
 }
 
@@ -200,18 +202,18 @@ func (e *Engine) NewSemaphore(n int, why string) *Semaphore {
 
 // Acquire takes one permit, blocking p until one is available.
 func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 && s.waiters.len() == 0 {
+	if s.avail > 0 && s.waiters.Len() == 0 {
 		s.avail--
 		return
 	}
-	s.waiters.push(p)
+	s.waiters.Push(p)
 	p.park("sem:", s.why)
 	// The releaser transferred a permit directly to us.
 }
 
 // Release returns one permit, waking the longest waiter if any.
 func (s *Semaphore) Release() {
-	if p, ok := s.waiters.pop(); ok {
+	if p, ok := s.waiters.Pop(); ok {
 		s.eng.wake(p, s.eng.now)
 		return
 	}
@@ -342,7 +344,7 @@ func CoUseAsync(occupy Dur, rs ...*FIFOResource) (start, end Time) {
 // Multiple consumers are served in FIFO order.
 type Queue struct {
 	eng   *Engine
-	items fifo[interface{}]
+	items FIFO[interface{}]
 	cond  *Cond
 }
 
@@ -353,23 +355,23 @@ func (e *Engine) NewQueue(why string) *Queue {
 
 // Put appends an item and wakes one waiting consumer. Put never blocks.
 func (q *Queue) Put(item interface{}) {
-	q.items.push(item)
+	q.items.Push(item)
 	q.cond.WakeOne()
 }
 
 // Get removes and returns the oldest item, blocking p until one exists.
 func (q *Queue) Get(p *Proc) interface{} {
-	for q.items.len() == 0 {
+	for q.items.Len() == 0 {
 		q.cond.Wait(p)
 	}
-	item, _ := q.items.pop()
+	item, _ := q.items.Pop()
 	return item
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue) TryGet() (interface{}, bool) {
-	return q.items.pop()
+	return q.items.Pop()
 }
 
 // Len reports the number of queued items.
-func (q *Queue) Len() int { return q.items.len() }
+func (q *Queue) Len() int { return q.items.Len() }

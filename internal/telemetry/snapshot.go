@@ -15,9 +15,8 @@ import (
 // sorted, so marshaling a snapshot is deterministic.
 type Snapshot struct {
 	// AtNs is the virtual time the snapshot was taken, in nanoseconds.
-	AtNs     int64          `json:"at_ns"`
-	Families []FamilySnap   `json:"families"`
-	index    map[string]int // family name -> Families position
+	AtNs     int64        `json:"at_ns"`
+	Families []FamilySnap `json:"families"`
 }
 
 // FamilySnap is one metric family in a snapshot.
@@ -58,10 +57,9 @@ func (r *Registry) Snapshot(atNs int64) *Snapshot {
 	defer r.mu.Unlock()
 	fams := r.allFamilies()
 	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
-	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, len(fams)), index: make(map[string]int, len(fams))}
+	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, len(fams))}
 	for i, f := range fams {
 		snap.Families[i] = f.snapshot()
-		snap.index[f.name] = i
 	}
 	return snap
 }
@@ -107,12 +105,6 @@ func (f *family) snapshot() FamilySnap {
 
 // Family returns the named family of the snapshot, or nil.
 func (s *Snapshot) Family(name string) *FamilySnap {
-	if s.index != nil {
-		if i, ok := s.index[name]; ok {
-			return &s.Families[i]
-		}
-		return nil
-	}
 	for i := range s.Families {
 		if s.Families[i].Name == name {
 			return &s.Families[i]

@@ -389,56 +389,3 @@ func mergeSeries(dst, src *series, kind Kind) {
 		dst.lastNs = src.lastNs
 	}
 }
-
-// Reset empties the registry in place for reuse: every family and resource
-// record is dropped but the top-level map buckets and the names and
-// resources slices keep their storage, so a pooled registry re-fills
-// without re-growing. The clock is cleared too — a reset registry is
-// observably identical to a fresh NewRegistry().
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = nil
-	for _, name := range r.names {
-		delete(r.families, name)
-	}
-	r.names = r.names[:0]
-	clear(r.resources)
-	r.resources = r.resources[:0]
-}
-
-// Pool recycles registries across runs. A benchmark sweep allocates one
-// registry per shard engine per run; at thousands of leaf runs the
-// allocation and map-growth cost shows up in profiles, so the harness hands
-// each finished run's registries back and the next run starts from warmed
-// maps. Get and Put are safe from concurrent sweep workers. The zero value
-// is ready to use.
-type Pool struct {
-	mu   sync.Mutex
-	free []*Registry
-}
-
-// Get returns an empty registry, reusing a pooled one when available.
-func (p *Pool) Get() *Registry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		r := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return r
-	}
-	return NewRegistry()
-}
-
-// Put resets r and shelves it for the next Get. Callers must not retain
-// references to r or its metrics after Put.
-func (p *Pool) Put(r *Registry) {
-	if r == nil {
-		return
-	}
-	r.Reset()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = append(p.free, r)
-}

@@ -185,23 +185,3 @@ func TestSchemaMismatchPanics(t *testing.T) {
 		}()
 	}
 }
-
-// TestPoolRecycles: a released registry comes back empty and is handed out
-// again instead of a fresh allocation.
-func TestPoolRecycles(t *testing.T) {
-	var p Pool
-	r := p.Get()
-	r.Counter("x_total", "help").Add(3)
-	p.Put(r)
-	r2 := p.Get()
-	if r2 != r {
-		t.Fatal("pool allocated a fresh registry instead of recycling")
-	}
-	if snap := r2.Snapshot(0); len(snap.Families) != 0 {
-		t.Fatalf("recycled registry still holds %d families", len(snap.Families))
-	}
-	p.Put(nil) // nil-safe
-	if got := p.Get(); got == nil {
-		t.Fatal("Get returned nil")
-	}
-}
