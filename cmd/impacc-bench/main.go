@@ -21,9 +21,9 @@ import (
 	"time"
 
 	"impacc/internal/bench"
+	"impacc/internal/core"
 	"impacc/internal/fault"
 	"impacc/internal/prof"
-	"impacc/internal/sim"
 	"impacc/internal/telemetry"
 )
 
@@ -111,17 +111,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	opt := bench.Options{Quick: *quick, ParSim: *parSim, FlightRing: *flight, Lean: *lean}.WithJobs(*jobs)
-	if *maxVTime != "" {
-		d, err := sim.ParseDur(*maxVTime)
-		if err != nil {
-			fmt.Fprintf(stderr, "impacc-bench: max-vtime: %v\n", err)
-			return 2
-		}
-		opt.Limits.MaxVirtualTime = d
+	limits, err := core.ParseLimits(*maxVTime, *maxEvents, *maxAlloc)
+	if err != nil {
+		fmt.Fprintf(stderr, "impacc-bench: max-vtime: %v\n", err)
+		return 2
 	}
-	opt.Limits.MaxEvents = *maxEvents
-	opt.Limits.MaxAllocBytes = *maxAlloc
+	opt := bench.Options{Quick: *quick, ParSim: *parSim, FlightRing: *flight, Lean: *lean, Limits: limits}.WithJobs(*jobs)
 	if *chaos != "" {
 		spec, err := fault.ParseSpec(*chaos)
 		if err != nil {
@@ -161,7 +156,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *metrics != "" {
-		if err := writeMetrics(*metrics, opt.Metrics.Snapshot(0)); err != nil {
+		if err := opt.Metrics.Snapshot(0).WriteFile(*metrics); err != nil {
 			fmt.Fprintf(stderr, "impacc-bench: metrics: %v\n", err)
 			return 1
 		}
@@ -188,24 +183,6 @@ func writeProfile(path string, ap *prof.AggProfile) error {
 		err = ap.WriteJSON(f)
 	} else {
 		err = ap.WriteText(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeMetrics stores a telemetry snapshot at path: Prometheus text
-// exposition when the path ends in .prom, indented JSON otherwise.
-func writeMetrics(path string, snap *telemetry.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".prom") {
-		err = snap.WritePrometheus(f)
-	} else {
-		err = snap.WriteJSON(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

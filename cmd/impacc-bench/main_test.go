@@ -29,6 +29,15 @@ func TestSmokeFig6(t *testing.T) {
 	}
 }
 
+// TestMaxVTimeZeroUnlimited: "-max-vtime 0" means unlimited, as the help
+// text says, not a duration missing its unit.
+func TestMaxVTimeZeroUnlimited(t *testing.T) {
+	var out, errb bytes.Buffer
+	if rc := realMain([]string{"-exp", "fig6", "-quick", "-max-vtime", "0"}, &out, &errb); rc != 0 {
+		t.Fatalf("realMain = %d, stderr:\n%s", rc, errb.String())
+	}
+}
+
 // TestSmokeList covers the -list path.
 func TestSmokeList(t *testing.T) {
 	var out, errb bytes.Buffer

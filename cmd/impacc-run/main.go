@@ -21,9 +21,7 @@ import (
 
 	"impacc/internal/apps"
 	"impacc/internal/core"
-	"impacc/internal/fault"
 	"impacc/internal/sim"
-	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
 
@@ -39,40 +37,22 @@ func parseSystem(s string) (*topo.System, error) {
 	return topo.Preset(s)
 }
 
-func parseStyle(s string) (apps.Style, error) {
-	switch s {
-	case "sync":
-		return apps.StyleSync, nil
-	case "async":
-		return apps.StyleAsync, nil
-	case "unified":
-		return apps.StyleUnified, nil
-	}
-	return 0, fmt.Errorf("unknown style %q (sync, async, unified)", s)
-}
-
-var epClasses = map[string]apps.EPClass{
-	"S": apps.EPClassS, "W": apps.EPClassW, "A": apps.EPClassA,
-	"B": apps.EPClassB, "C": apps.EPClassC, "D": apps.EPClassD,
-	"E": apps.EPClassE, "64xE": apps.EPClassT,
-}
-
 func main() {
 	var (
 		app     = flag.String("app", "jacobi", "application: dgemm, ep, jacobi, lulesh")
 		system  = flag.String("system", "psg", "system: psg, beacon:N, titan:N, hetero, fattree:k, dragonfly:g,a,p, gemini:X,Y,Z, or a .json file")
-		mode    = flag.String("mode", "impacc", "runtime: impacc or legacy")
+		mode    = flag.String("mode", apps.Defaults.Mode, "runtime: impacc or legacy")
 		style   = flag.String("style", "", "programming style: sync, async, unified (default: unified for impacc, async for legacy)")
 		tasks   = flag.Int("tasks", 0, "cap the task count (0 = one per accelerator)")
 		device  = flag.String("devices", "", "IMPACC_ACC_DEVICE_TYPE selection, e.g. nvidia|xeonphi")
-		n       = flag.Int("n", 1024, "problem size (matrix/mesh edge)")
-		iters   = flag.Int("iters", 10, "jacobi iterations")
-		class   = flag.String("class", "A", "EP class: S W A B C D E 64xE")
-		edge    = flag.Int("edge", 16, "lulesh per-task mesh edge")
-		steps   = flag.Int("steps", 5, "lulesh steps")
+		n       = flag.Int("n", apps.Defaults.N, "problem size (matrix/mesh edge)")
+		iters   = flag.Int("iters", apps.Defaults.Iters, "jacobi iterations")
+		class   = flag.String("class", apps.Defaults.Class, "EP class: S W A B C D E 64xE")
+		edge    = flag.Int("edge", apps.Defaults.Edge, "lulesh per-task mesh edge")
+		steps   = flag.Int("steps", apps.Defaults.Steps, "lulesh steps")
 		verify  = flag.Bool("verify", false, "verify results against serial references (forces -backed)")
 		backed  = flag.Bool("backed", false, "attach real storage (compute genuine data)")
-		seed    = flag.Uint64("seed", 2016, "random seed")
+		seed    = flag.Uint64("seed", apps.Defaults.Seed, "random seed")
 		trace   = flag.String("trace", "", "write a Chrome-trace timeline (view in Perfetto) to this file")
 		profile = flag.String("prof", "", "write an mpiP-style profile (critical path, imbalance, top sites) to this file (JSON if it ends in .json, text otherwise)")
 		report  = flag.String("report", "", "write the full run report as JSON to this file")
@@ -97,44 +77,16 @@ func main() {
 	sys, err := parseSystem(*system)
 	fatal(err)
 
-	m := core.IMPACC
-	switch *mode {
-	case "impacc":
-	case "legacy":
-		m = core.Legacy
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
-	st := apps.StyleUnified
-	if m == core.Legacy {
-		st = apps.StyleAsync
-	}
-	if *style != "" {
-		st, err = parseStyle(*style)
-		fatal(err)
-	}
-	if *verify {
-		*backed = true
-	}
-
-	mask, err := topo.ParseClassMask(*device)
+	run, err := apps.Compile(apps.Spec{
+		App: *app, Mode: *mode, Style: *style, Tasks: *tasks, Devices: *device,
+		N: *n, Iters: *iters, Class: *class, Edge: *edge, Steps: *steps,
+		Backed: *backed, Verify: *verify, Seed: *seed, Chaos: *chaos,
+		ParSim: *parSim, Lean: *lean,
+	}, sys)
 	fatal(err)
-	cfg := core.Config{
-		System: sys, Mode: m, MaxTasks: *tasks, DeviceTypes: mask,
-		Backed: *backed, Seed: *seed, JitterPct: 1, Parallel: *parSim,
-		Lean: *lean,
-	}
-	if *chaos != "" {
-		cfg.Chaos, err = fault.ParseSpec(*chaos)
-		fatal(err)
-	}
-	if *maxVTime != "" {
-		d, err := sim.ParseDur(*maxVTime)
-		fatal(err)
-		cfg.Limits.MaxVirtualTime = d
-	}
-	cfg.Limits.MaxEvents = *maxEvents
-	cfg.Limits.MaxAllocBytes = *maxAlloc
+	cfg := run.Config
+	cfg.Limits, err = core.ParseLimits(*maxVTime, *maxEvents, *maxAlloc)
+	fatal(err)
 	var streamFile *os.File
 	if *traceStream != "" {
 		if *trace != "" || *profile != "" {
@@ -173,31 +125,9 @@ func main() {
 		cfg.FlightRing = *flightRing
 	}
 
-	var prog core.Program
-	switch *app {
-	case "dgemm":
-		prog = apps.DGEMM(apps.DGEMMConfig{N: *n, Style: st, Verify: *verify})
-	case "ep":
-		c, ok := epClasses[*class]
-		if !ok {
-			fatal(fmt.Errorf("unknown EP class %q", *class))
-		}
-		shift := 0
-		if *backed {
-			shift = 12 // execute a sample of the pairs, price the full class
-		}
-		prog = apps.EP(apps.EPConfig{Class: c, Style: st, SampleShift: shift, Verify: *verify})
-	case "jacobi":
-		prog = apps.Jacobi(apps.JacobiConfig{N: *n, Iters: *iters, Style: st, Verify: *verify})
-	case "lulesh":
-		prog = apps.LULESH(apps.LULESHConfig{Edge: *edge, Steps: *steps, Verify: *verify})
-	default:
-		fatal(fmt.Errorf("unknown app %q", *app))
-	}
-
 	rt, err := core.NewRuntime(cfg)
 	fatal(err)
-	rep, runErr := rt.Execute(prog)
+	rep, runErr := rt.Execute(run.Program)
 	// Observers finish regardless of how the run ended: heartbeats flush,
 	// and a streamed trace gets its end record (the stream stays a valid,
 	// analyzable artifact even for a failed run).
@@ -262,27 +192,9 @@ func main() {
 		fmt.Printf("  report -> %s\n", *report)
 	}
 	if *metrics != "" {
-		fatal(writeMetrics(*metrics, rep.Metrics))
+		fatal(rep.Metrics.WriteFile(*metrics))
 		fmt.Printf("  metrics: %d families -> %s\n", len(rep.Metrics.Families), *metrics)
 	}
-}
-
-// writeMetrics stores a telemetry snapshot at path: Prometheus text
-// exposition when the path ends in .prom, indented JSON otherwise.
-func writeMetrics(path string, snap *telemetry.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".prom") {
-		err = snap.WritePrometheus(f)
-	} else {
-		err = snap.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func fatal(err error) {

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"impacc/internal/apps"
 )
 
 func TestParseSystemPresets(t *testing.T) {
@@ -48,27 +46,5 @@ func TestParseSystemJSONFile(t *testing.T) {
 	}
 	if _, err := parseSystem("missing.json"); err == nil {
 		t.Fatal("missing config file must fail")
-	}
-}
-
-func TestParseStyle(t *testing.T) {
-	for in, want := range map[string]apps.Style{
-		"sync": apps.StyleSync, "async": apps.StyleAsync, "unified": apps.StyleUnified,
-	} {
-		got, err := parseStyle(in)
-		if err != nil || got != want {
-			t.Errorf("parseStyle(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseStyle("turbo"); err == nil {
-		t.Fatal("unknown style must fail")
-	}
-}
-
-func TestEPClassTable(t *testing.T) {
-	for _, name := range []string{"S", "W", "A", "B", "C", "D", "E", "64xE"} {
-		if _, ok := epClasses[name]; !ok {
-			t.Errorf("EP class %q missing", name)
-		}
 	}
 }

@@ -51,17 +51,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var limits core.Limits
-	if *maxVTime != "" && *maxVTime != "0" {
-		d, err := sim.ParseDur(*maxVTime)
-		if err != nil {
-			fmt.Fprintf(stderr, "impacc-serve: max-vtime: %v\n", err)
-			return 2
-		}
-		limits.MaxVirtualTime = d
+	limits, err := core.ParseLimits(*maxVTime, *maxEvents, *maxAlloc)
+	if err != nil {
+		fmt.Fprintf(stderr, "impacc-serve: max-vtime: %v\n", err)
+		return 2
 	}
-	limits.MaxEvents = *maxEvents
-	limits.MaxAllocBytes = *maxAlloc
 
 	var every sim.Dur
 	if *progEvery != "" {

@@ -39,6 +39,19 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestMaxVTimeZeroUnlimited: "-max-vtime 0" parses as unlimited. The
+// listen address is invalid, so realMain returns 1 from net.Listen once
+// every flag has been accepted (a rejected flag exits 2).
+func TestMaxVTimeZeroUnlimited(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := realMain([]string{"-max-vtime", "0", "-addr", "127.0.0.1:-1"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit = %d, want 1 (listen failure); stderr: %s", code, errOut.String())
+	}
+	if strings.Contains(errOut.String(), "max-vtime") {
+		t.Fatalf("-max-vtime 0 rejected: %s", errOut.String())
+	}
+}
+
 // TestServeSmoke boots the real command on an ephemeral port, runs one job
 // twice, and asserts the second submission is a cache hit with identical
 // bytes — the same flow the CI serve-smoke job drives with curl.

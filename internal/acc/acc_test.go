@@ -287,7 +287,7 @@ func TestWaitAllDrainsEveryQueue(t *testing.T) {
 		r.env.Kernels(p, spec, 3)
 		r.env.WaitAll(p)
 		for q := 1; q <= 3; q++ {
-			if r.env.Stream(q).Pending() != 0 {
+			if !r.env.Stream(q).Done().Fired() {
 				t.Fatalf("queue %d still pending after WaitAll", q)
 			}
 		}

@@ -38,9 +38,8 @@ type Options struct {
 	// fresh plan, so serial and parallel sweeps stay byte-identical).
 	Chaos *fault.Spec
 	// Limits caps every leaf run's resources (virtual time, events, task
-	// heap). A run whose config sets its own Limits keeps them; otherwise
-	// these apply. Hitting a cap is deterministic and fails the experiment
-	// with a *sim.LimitError or *core.RunError.
+	// heap). Hitting a cap is deterministic and fails the experiment with a
+	// *sim.LimitError or *core.RunError.
 	Limits core.Limits
 	// ParSim sets every leaf run's intra-run simulation worker count
 	// (core.Config.Parallel). Orthogonal to Jobs: Jobs runs whole sweep
@@ -100,18 +99,22 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// baseCfg builds a run configuration.
+// baseCfg builds a run configuration: the one place where Options become
+// a core.Config. Only the per-run tracer is left to runGated.
 func baseCfg(opt Options, sys *topo.System, mode core.Mode, maxTasks int, backed bool) core.Config {
 	return core.Config{
-		System:    sys,
-		Mode:      mode,
-		MaxTasks:  maxTasks,
-		Backed:    backed,
-		Seed:      2016, // HPDC'16
-		JitterPct: 1.0,
-		Metrics:   opt.Metrics,
-		Chaos:     opt.Chaos,
-		Parallel:  opt.ParSim,
+		System:     sys,
+		Mode:       mode,
+		MaxTasks:   maxTasks,
+		Backed:     backed,
+		Seed:       2016, // HPDC'16
+		JitterPct:  1.0,
+		Metrics:    opt.Metrics,
+		Chaos:      opt.Chaos,
+		Limits:     opt.Limits,
+		Parallel:   opt.ParSim,
+		FlightRing: opt.FlightRing,
+		Lean:       opt.Lean,
 	}
 }
 

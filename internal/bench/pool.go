@@ -33,18 +33,6 @@ func runGated(opt Options, cfg core.Config, prog core.Program) (*core.Report, er
 		opt.gate <- struct{}{}
 		defer func() { <-opt.gate }()
 	}
-	if cfg.Limits == (core.Limits{}) {
-		cfg.Limits = opt.Limits
-	}
-	if cfg.Parallel == 0 {
-		cfg.Parallel = opt.ParSim
-	}
-	if cfg.FlightRing == 0 {
-		cfg.FlightRing = opt.FlightRing
-	}
-	if !cfg.Lean {
-		cfg.Lean = opt.Lean
-	}
 	if opt.Prof != nil && cfg.Trace == nil {
 		cfg.Trace = core.NewTracer()
 	}

@@ -229,23 +229,29 @@ func TestKernelDuration(t *testing.T) {
 }
 
 func TestStreamInOrderExecution(t *testing.T) {
-	eng, rt, ctx := psgRig(0)
+	eng, _, ctx := psgRig(0)
 	host, _ := ctx.Space.AllocHost(1<<20, true)
 	dev, _ := ctx.MemAlloc(1 << 20)
 	st := ctx.NewStream(1)
 	var order []string
-	st.EnqueueCopy(dev, host, 1<<20)
+	first := st.EnqueueCopy(dev, host, 1<<20)
 	st.EnqueueFunc("op:mark1", func(p *sim.Proc) { order = append(order, "a") })
 	st.EnqueueKernel(KernelSpec{Name: "k", FLOPs: 1e9, Kind: KindCompute,
 		Body: func() { order = append(order, "kernel") }})
-	st.EnqueueFunc("op:mark2", func(p *sim.Proc) { order = append(order, "b") })
+	last := st.EnqueueFunc("op:mark2", func(p *sim.Proc) { order = append(order, "b") })
+	if st.Done() != last || first.Fired() || last.Fired() {
+		t.Fatal("queued work completed before the engine ran")
+	}
 	eng.Spawn("waiter", func(p *sim.Proc) {
 		st.Sync(p)
 		order = append(order, "synced")
 	})
-	rt.CloseAll()
+	st.Close()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !first.Fired() || !last.Fired() {
+		t.Fatal("a stream op never completed")
 	}
 	want := []string{"a", "kernel", "b", "synced"}
 	for i := range want {
@@ -261,7 +267,7 @@ func TestStreamInOrderExecution(t *testing.T) {
 func TestStreamsRunIndependently(t *testing.T) {
 	// Two streams with one kernel each: kernels serialize on the device
 	// compute resource, but copies on stream 2 overlap kernel on stream 1.
-	eng, rt, ctx := psgRig(0)
+	eng, _, ctx := psgRig(0)
 	host, _ := ctx.Space.AllocHost(1<<26, true)
 	dev, _ := ctx.MemAlloc(1 << 26)
 	s1 := ctx.NewStream(1)
@@ -275,7 +281,8 @@ func TestStreamsRunIndependently(t *testing.T) {
 		k.Wait(p)
 		kEnd = p.Now()
 	})
-	rt.CloseAll()
+	s1.Close()
+	s2.Close()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +294,7 @@ func TestStreamsRunIndependently(t *testing.T) {
 }
 
 func TestKernelsSerializeOnDevice(t *testing.T) {
-	eng, rt, ctx := psgRig(0)
+	eng, _, ctx := psgRig(0)
 	s1 := ctx.NewStream(1)
 	s2 := ctx.NewStream(2)
 	e1 := s1.EnqueueKernel(KernelSpec{FLOPs: 1e11, Kind: KindCompute})
@@ -299,53 +306,14 @@ func TestKernelsSerializeOnDevice(t *testing.T) {
 		e2.Wait(p)
 		t2 = p.Now()
 	})
-	rt.CloseAll()
+	s1.Close()
+	s2.Close()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	one := Duration(ctx.Dev.Spec, KernelSpec{FLOPs: 1e11, Kind: KindCompute})
 	if t2-t1 < sim.Time(one)*9/10 {
 		t.Fatalf("kernels overlapped on one device: %v then %v (kernel=%v)", t1, t2, one)
-	}
-}
-
-func TestStreamCallback(t *testing.T) {
-	eng, rt, ctx := psgRig(0)
-	host, _ := ctx.Space.AllocHost(1<<20, true)
-	dev, _ := ctx.MemAlloc(1 << 20)
-	st := ctx.NewStream(1)
-	var cbAt sim.Time = -1
-	st.EnqueueCopyWithCallback(dev, host, 1<<20, func(at sim.Time) { cbAt = at })
-	var after sim.Time
-	done := st.lastDone
-	eng.Spawn("obs", func(p *sim.Proc) {
-		done.Wait(p)
-		after = p.Now()
-	})
-	rt.CloseAll()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if cbAt < 0 || cbAt != after {
-		t.Fatalf("callback at %v, op done at %v", cbAt, after)
-	}
-}
-
-func TestAddCallbackAfterQueuedWork(t *testing.T) {
-	eng, rt, ctx := psgRig(0)
-	st := ctx.NewStream(1)
-	var order []string
-	st.EnqueueFunc("op:w", func(p *sim.Proc) {
-		p.Sleep(sim.Millisecond)
-		order = append(order, "work")
-	})
-	st.AddCallback(func(at sim.Time) { order = append(order, "cb") })
-	rt.CloseAll()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "work" || order[1] != "cb" {
-		t.Fatalf("order = %v", order)
 	}
 }
 
@@ -356,23 +324,6 @@ func TestStreamCloseIdempotent(t *testing.T) {
 	st.Close()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	eng, rt, ctx := psgRig(0)
-	st := ctx.NewStream(1)
-	st.EnqueueFunc("op:a", func(p *sim.Proc) { p.Sleep(sim.Millisecond) })
-	st.EnqueueFunc("op:b", func(p *sim.Proc) {})
-	if st.Pending() != 2 {
-		t.Fatalf("pending = %d", st.Pending())
-	}
-	rt.CloseAll()
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Pending() != 0 {
-		t.Fatalf("pending after run = %d", st.Pending())
 	}
 }
 
@@ -525,9 +476,11 @@ func TestTransferRetriesTransientCopyFault(t *testing.T) {
 // a process syncing on a stuck kernel is blocked on "event:op:kernel:<name>".
 func TestStreamOpDeadlockLabel(t *testing.T) {
 	eng, _, ctx := psgRig(0)
-	st := ctx.NewStream(1)
+	stuck := ctx.NewStream(0)
 	never := eng.NewEvent("never")
-	st.EnqueueWaitEvent(never)
+	stuck.EnqueueFunc("op:stuck", func(p *sim.Proc) { never.Wait(p) })
+	st := ctx.NewStream(1)
+	st.EnqueueWaitStream(stuck)
 	st.EnqueueKernel(KernelSpec{Name: "stencil", FLOPs: 1e6, Kind: KindCompute})
 	eng.Spawn("host", func(p *sim.Proc) { st.Sync(p) })
 	err := eng.Run()
@@ -535,7 +488,7 @@ func TestStreamOpDeadlockLabel(t *testing.T) {
 	if !ok {
 		t.Fatalf("Run = %v, want a deadlock", err)
 	}
-	want := []string{"host (on event:op:kernel:stencil)", "psg/dev0/q1 (on event:never)"}
+	want := []string{"host (on event:op:kernel:stencil)", "psg/dev0/q1 (on event:op:stuck)", "psg/dev0/q0 (on event:never)"}
 	for _, w := range want {
 		found := false
 		for _, b := range de.Blocked {

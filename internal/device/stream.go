@@ -26,7 +26,6 @@ type Stream struct {
 	// operations yet.
 	lastDone   *sim.Event
 	idle       sim.Event
-	pending    int
 	kernelHist *telemetry.Histogram
 	// tail is the trace ID of the last traced operation enqueued, the
 	// source of the next in-order "stream" edge (0 = none yet).
@@ -47,9 +46,8 @@ func (f runFunc) Run(p *sim.Proc) { f(p) }
 // streamOp is one queue entry. It owns its completion event, so enqueueing
 // allocates the entry and nothing else.
 type streamOp struct {
-	run      Runner // nil for poison (close)
-	done     sim.Event
-	callback func(at sim.Time)
+	run  Runner // nil for poison (close)
+	done sim.Event
 }
 
 // NewStream creates an activity queue on the context's device and starts
@@ -66,7 +64,6 @@ func (c *Context) NewStream(id int) *Stream {
 	s.idle.Fire()
 	s.lastDone = &s.idle
 	s.proc = eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
-	c.Dev.streams = append(c.Dev.streams, s)
 	return s
 }
 
@@ -81,26 +78,20 @@ func (s *Stream) loop(p *sim.Proc) {
 		// The finished op may live on as the stream's lastDone; drop its
 		// closures so they do not keep what they captured alive too.
 		op.run = nil
-		s.pending--
 		op.done.Fire()
-		if cb := op.callback; cb != nil {
-			op.callback = nil
-			cb(p.Now())
-		}
 	}
 }
 
 // enqueue adds an operation and returns its completion event, labelled why
 // ("op:<name>") in deadlock diagnostics.
-func (s *Stream) enqueue(why string, run Runner, cb func(at sim.Time)) *sim.Event {
+func (s *Stream) enqueue(why string, run Runner) *sim.Event {
 	if s.closed {
 		panic("device: enqueue on closed stream")
 	}
-	op := &streamOp{run: run, callback: cb}
+	op := &streamOp{run: run}
 	s.Ctx.Dev.rt.Eng.InitEvent(&op.done, why)
 	s.q.Put(op)
 	s.lastDone = &op.done
-	s.pending++
 	return &op.done
 }
 
@@ -129,19 +120,7 @@ func (s *Stream) EnqueueCopy(dst, src xmem.Addr, n int64) *sim.Event {
 		if _, err := s.Ctx.transferLane(p, s.ID, id, dst, src, n); err != nil {
 			panic(fmt.Sprintf("stream copy: %v", err))
 		}
-	}), nil)
-}
-
-// EnqueueCopyWithCallback is EnqueueCopy plus a completion callback, the
-// cuStreamAddCallback pattern the runtime uses for fully asynchronous
-// internode sends (paper §3.7).
-func (s *Stream) EnqueueCopyWithCallback(dst, src xmem.Addr, n int64, cb func(at sim.Time)) *sim.Event {
-	id := s.chainID()
-	return s.enqueue("op:copy+cb", runFunc(func(p *sim.Proc) {
-		if _, err := s.Ctx.transferLane(p, s.ID, id, dst, src, n); err != nil {
-			panic(fmt.Sprintf("stream copy: %v", err))
-		}
-	}), cb)
+	}))
 }
 
 // EnqueueKernel schedules a kernel launch. The device compute resource
@@ -163,14 +142,14 @@ func (s *Stream) EnqueueKernel(k KernelSpec) *sim.Event {
 		if sink := s.Ctx.Sink; sink != nil && id != 0 {
 			sink.Span(id, s.ID, "kernel", k.Name, start, start+sim.Time(dur), 0)
 		}
-	}), nil)
+	}))
 }
 
 // EnqueueFunc schedules an arbitrary operation on the stream. why labels
 // its completion event in deadlock diagnostics; by convention it is
 // "op:<name>", spelled out by the caller so enqueueing builds no string.
 func (s *Stream) EnqueueFunc(why string, fn func(p *sim.Proc)) *sim.Event {
-	return s.enqueue(why, runFunc(fn), nil)
+	return s.enqueue(why, runFunc(fn))
 }
 
 // EnqueueRunner is EnqueueFunc for an owner that implements Runner itself.
@@ -178,13 +157,7 @@ func (s *Stream) EnqueueFunc(why string, fn func(p *sim.Proc)) *sim.Event {
 // non-blocking communication calls in the same in-order queue as kernels
 // and copies.
 func (s *Stream) EnqueueRunner(why string, r Runner) *sim.Event {
-	return s.enqueue(why, r, nil)
-}
-
-// AddCallback schedules fn to run after all currently enqueued work
-// (cuStreamAddCallback semantics).
-func (s *Stream) AddCallback(fn func(at sim.Time)) {
-	s.enqueue("op:callback", runFunc(func(p *sim.Proc) {}), fn)
+	return s.enqueue(why, r)
 }
 
 // Sync blocks p until every operation enqueued so far has completed
@@ -192,9 +165,6 @@ func (s *Stream) AddCallback(fn func(at sim.Time)) {
 func (s *Stream) Sync(p *sim.Proc) {
 	s.lastDone.Wait(p)
 }
-
-// Pending reports the number of queued-but-unfinished operations.
-func (s *Stream) Pending() int { return s.pending }
 
 // Close shuts the stream process down after draining queued work. Safe to
 // call twice.
@@ -208,27 +178,11 @@ func (s *Stream) Close() {
 	s.q.Put(op)
 }
 
-// CloseAll closes every stream created on the runtime's devices.
-func (rt *Runtime) CloseAll() {
-	for _, d := range rt.Devices {
-		for _, s := range d.streams {
-			s.Close()
-		}
-	}
-}
-
-// EnqueueWaitEvent makes this stream wait for ev before running later
-// operations (cuStreamWaitEvent / clEnqueueBarrierWithWaitList): the
-// cross-stream dependency primitive behind "#pragma acc wait(q) async(r)".
-func (s *Stream) EnqueueWaitEvent(ev *sim.Event) *sim.Event {
-	return s.enqueue("op:wait-event", runFunc(func(p *sim.Proc) {
-		ev.Wait(p)
-	}), nil)
-}
-
-// EnqueueWaitStream is EnqueueWaitEvent on src's current tail (cuEventRecord
-// on src, cuStreamWaitEvent here), recording the cross-stream "event" edge
-// and an accwait span over the actual wait interval for the causal trace.
+// EnqueueWaitStream makes this stream wait for src's current tail before
+// running later operations (cuEventRecord on src, cuStreamWaitEvent here):
+// the cross-stream dependency behind "#pragma acc wait(q) async(r)". It
+// records the cross-stream "event" edge and an accwait span over the actual
+// wait interval for the causal trace.
 func (s *Stream) EnqueueWaitStream(src *Stream) *sim.Event {
 	ev := src.Done()
 	sink := s.Ctx.Sink
@@ -243,7 +197,7 @@ func (s *Stream) EnqueueWaitStream(src *Stream) *sim.Event {
 			sink.Span(id, s.ID, "accwait", "qwait", start, p.Now(), 0)
 		}
 		//impacc:allow-spanbalance no span exists to balance when tracing is off (sink == nil / id == 0); with tracing on, the record above is unconditional
-	}), nil)
+	}))
 }
 
 // Done returns the completion event of the last operation enqueued so far

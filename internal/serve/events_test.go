@@ -301,8 +301,8 @@ func TestRunInfoSurvivesCacheRoundTrip(t *testing.T) {
 	if rep.Run.Scheme != core.ConfigHashScheme {
 		t.Fatalf("Run.Scheme = %q, want %q", rep.Run.Scheme, core.ConfigHashScheme)
 	}
-	if rep.Run.Hash != comp.cfg.Hash() {
-		t.Fatalf("Run.Hash = %q, want the job's own config hash %q", rep.Run.Hash, comp.cfg.Hash())
+	if rep.Run.Hash != comp.Config.Hash() {
+		t.Fatalf("Run.Hash = %q, want the job's own config hash %q", rep.Run.Hash, comp.Config.Hash())
 	}
 	if rep.Run.System != "Beacon" || rep.Run.Shards != 2 {
 		t.Fatalf("Run = %+v, want System Beacon with 2 shards", rep.Run)

@@ -394,12 +394,10 @@ func (s *Server) runJob(key string) {
 	j.startedAt = nowNanos()
 	s.hQueue.Observe(j.startedAt - j.enqueuedAt)
 	s.appendEventLocked(j, "state", s.statusLocked(key))
-	cfg := j.comp.cfg
-	if cfg.Limits == (core.Limits{}) {
-		cfg.Limits = s.cfg.Limits
-	}
+	cfg := j.comp.Config
+	cfg.Limits = s.cfg.Limits
 	cfg.Trace = core.NewTracer() // fresh observer per run; never shared
-	every := j.comp.progressEvery
+	every := j.comp.ProgressEvery
 	if every <= 0 {
 		every = s.cfg.ProgressEvery
 	}
@@ -411,7 +409,7 @@ func (s *Server) runJob(key string) {
 		s.mu.Unlock()
 	}}
 	cfg.FlightRing = s.cfg.FlightRing
-	prog := j.comp.prog
+	prog := j.comp.Program
 	s.mu.Unlock()
 
 	rt, err := core.NewRuntime(cfg)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -121,6 +122,24 @@ func (ss *SeriesSnap) Label(key string) string {
 		}
 	}
 	return ""
+}
+
+// WriteFile stores the snapshot at path: Prometheus text exposition when
+// the path ends in .prom, indented JSON otherwise.
+func (s *Snapshot) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".prom") {
+		err = s.WritePrometheus(f)
+	} else {
+		err = s.WriteJSON(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WriteJSON emits the snapshot as indented JSON: exactly the bytes of a
