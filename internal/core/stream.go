@@ -180,9 +180,6 @@ func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	return tr.sinkErr
 }
 
-// StreamErr reports the first sink failure of a streaming tracer.
-func (tr *Tracer) StreamErr() error { return tr.sinkErr }
-
 // WriteStream exports a buffered tracer as the trace stream: every record
 // of every lane merged into canonical stream order and written through the
 // same sink implementation the streaming path uses, so the bytes are

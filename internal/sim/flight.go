@@ -130,9 +130,6 @@ func (g *ShardGroup) ArmFlight(n int) {
 	}
 }
 
-// FlightArmed reports whether ArmFlight armed the group.
-func (g *ShardGroup) FlightArmed() bool { return g.flightCap > 0 }
-
 // Stall returns the flight dump captured when an armed group's Run ended
 // abnormally (nil after a clean run, or when disarmed). Run snapshots it
 // before unwinding, so the parked table reflects the stop instant rather
