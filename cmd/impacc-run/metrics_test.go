@@ -9,8 +9,19 @@ import (
 	"impacc/internal/core"
 	"impacc/internal/device"
 	"impacc/internal/msg"
+	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
+
+// family returns the named family of snap, or nil.
+func family(snap *telemetry.Snapshot, name string) *telemetry.FamilySnap {
+	for i := range snap.Families {
+		if snap.Families[i].Name == name {
+			return &snap.Families[i]
+		}
+	}
+	return nil
+}
 
 // jacobiReport executes one seeded jacobi run and returns its report.
 func jacobiReport(t *testing.T) *core.Report {
@@ -64,7 +75,7 @@ func TestMetricsContents(t *testing.T) {
 	rep := jacobiReport(t)
 	snap := rep.Metrics
 
-	util := snap.Family(topo.LinkUtilization)
+	util := family(snap, topo.LinkUtilization)
 	if util == nil || len(util.Series) == 0 {
 		t.Fatal("no link utilization gauges")
 	}
@@ -75,7 +86,7 @@ func TestMetricsContents(t *testing.T) {
 	}
 
 	dev := rep.TotalDev()
-	kh := snap.Family(device.KernelDurationNs)
+	kh := family(snap, device.KernelDurationNs)
 	if kh == nil {
 		t.Fatal("no kernel duration histograms")
 	}
@@ -87,7 +98,7 @@ func TestMetricsContents(t *testing.T) {
 		t.Errorf("kernel histogram count = %d, report says %d", kernels, dev.KernelCount)
 	}
 
-	ch := snap.Family(device.CopyBytes)
+	ch := family(snap, device.CopyBytes)
 	if ch == nil {
 		t.Fatal("no copy size histograms")
 	}
@@ -106,7 +117,7 @@ func TestMetricsContents(t *testing.T) {
 		msg.FusedCopiesTotal: hub.FusedCopies,
 		msg.NetOutTotal:      hub.NetOut,
 	} {
-		f := snap.Family(fam)
+		f := family(snap, fam)
 		if f == nil {
 			t.Errorf("missing hub counter family %q", fam)
 			continue
@@ -120,13 +131,17 @@ func TestMetricsContents(t *testing.T) {
 		}
 	}
 
-	mpiF := snap.Family(core.MPILatencyNs)
+	mpiF := family(snap, core.MPILatencyNs)
 	if mpiF == nil || len(mpiF.Series) == 0 {
 		t.Fatal("no MPI latency histograms")
 	}
 	ranks := map[string]bool{}
 	for _, s := range mpiF.Series {
-		ranks[s.Label("rank")] = true
+		for _, l := range s.Labels {
+			if l.Key == "rank" {
+				ranks[l.Value] = true
+			}
+		}
 	}
 	if len(ranks) != rep.NTasks {
 		t.Errorf("MPI histograms cover %d ranks, want %d", len(ranks), rep.NTasks)

@@ -32,6 +32,7 @@ import (
 	"impacc/internal/analysis/parkdiscipline"
 	"impacc/internal/analysis/sharddiscipline"
 	"impacc/internal/analysis/spanbalance"
+	"impacc/internal/analysis/unused"
 	"impacc/internal/analysis/walltime"
 )
 
@@ -46,6 +47,7 @@ var suite = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	observerpure.Analyzer,
 	hashcoverage.Analyzer,
+	unused.Analyzer,
 }
 
 func main() {
@@ -83,18 +85,22 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "impacc-vet: %v\n", err)
 		return 2
 	}
-	diags, err := analysis.Run(suite, pkgs)
+	diags, err := analysis.Run(suite, append(pkgs, loader.Users()...))
 	if err != nil {
 		fmt.Fprintf(stderr, "impacc-vet: %v\n", err)
 		return 2
 	}
 
 	cwd, _ := os.Getwd()
-	for _, d := range diags {
-		fmt.Fprintf(stdout, "%s: %s: %s\n", relPos(cwd, d.Pos), d.Analyzer, d.Message)
+	for i, d := range diags {
+		// Paths relative to cwd keep the output stable across checkouts.
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			diags[i].Pos.Filename = rel
+		}
+		fmt.Fprintf(stdout, "%s: %s: %s\n", diags[i].Pos, d.Analyzer, d.Message)
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, stdout, cwd, pkgs, diags); err != nil {
+		if err := writeJSON(*jsonOut, stdout, pkgs, diags); err != nil {
 			fmt.Fprintf(stderr, "impacc-vet: %v\n", err)
 			return 2
 		}
@@ -104,22 +110,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// relPos renders a position with the file path relative to cwd when
-// possible, keeping output stable across checkouts.
-func relPos(cwd string, pos interface{ String() string }) string {
-	s := pos.String()
-	if cwd == "" {
-		return s
-	}
-	if rel, err := filepath.Rel(cwd, strings.SplitN(s, ":", 2)[0]); err == nil && !strings.HasPrefix(rel, "..") {
-		if i := strings.Index(s, ":"); i >= 0 {
-			return rel + s[i:]
-		}
-		return rel
-	}
-	return s
 }
 
 // jsonFinding is the machine-readable artifact format uploaded by CI on
@@ -132,7 +122,7 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-func writeJSON(path string, stdout io.Writer, cwd string, pkgs []*analysis.Package, diags []analysis.Diagnostic) error {
+func writeJSON(path string, stdout io.Writer, pkgs []*analysis.Package, diags []analysis.Diagnostic) error {
 	// The analyzed-package list makes coverage auditable: the tree gate
 	// asserts new packages appear here, so nothing ships outside the vet
 	// net by accident.
@@ -146,13 +136,9 @@ func writeJSON(path string, stdout io.Writer, cwd string, pkgs []*analysis.Packa
 	sort.Strings(packages)
 	findings := make([]jsonFinding, 0, len(diags))
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = rel
-		}
 		findings = append(findings, jsonFinding{
 			Analyzer: d.Analyzer,
-			File:     file,
+			File:     d.Pos.Filename,
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Message:  d.Message,

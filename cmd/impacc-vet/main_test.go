@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"impacc/internal/analysis"
+	"impacc/internal/analysis/unused"
 )
 
 func TestListAnalyzers(t *testing.T) {
@@ -16,7 +20,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"walltime", "globalrand", "maporder", "parkdiscipline", "spanbalance",
-		"sharddiscipline", "atomicmix", "observerpure", "hashcoverage",
+		"sharddiscipline", "atomicmix", "observerpure", "hashcoverage", "unused",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
@@ -68,8 +72,8 @@ func TestTreeClean(t *testing.T) {
 }
 
 // TestBadFixtureFails proves the gate actually bites: the fixture under
-// testdata/bad violates walltime, globalrand, and maporder, and the run
-// must exit non-zero with one finding per violation.
+// testdata/bad violates walltime, globalrand, maporder, atomicmix and
+// unused, and the run must exit non-zero with one finding per violation.
 func TestBadFixtureFails(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := realMain([]string{"-json", "-", "./testdata/bad"}, &out, &errb)
@@ -78,9 +82,11 @@ func TestBadFixtureFails(t *testing.T) {
 			code, out.String(), errb.String())
 	}
 	for _, want := range []string{
-		"walltime", "globalrand", "maporder", "atomicmix", "allowstale",
+		"walltime", "globalrand", "maporder", "atomicmix", "allowstale", "unused",
 		"time.Now", "rand.Intn", "append inside map iteration",
 		"call to Clock transitively", "mixed access tears", "suppresses nothing",
+		"func Orphan is never used", "method (*Knob).Get is never used",
+		"field Knob.Level is never written", "impacc:allow-unused annotation suppresses nothing",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("findings missing %q:\n%s", want, out.String())
@@ -142,6 +148,35 @@ func TestBadFixtureExactSet(t *testing.T) {
 		case *g != *w:
 			t.Errorf("finding #%d mismatch:\n  got  %+v\n  want %+v", i, *g, *w)
 		}
+	}
+}
+
+// TestUnusedCountsEveryUser pins where unused looks for references.
+// core.(*Runtime).Events has its only caller in the nested cmd/impacc-perf
+// module, which `go list ./...` never reaches: a full run must not flag it,
+// and without the users Load adds it would. A partial run must flag nothing
+// the full run does not, so vetting sim alone still sees core's calls.
+func TestUnusedCountsEveryUser(t *testing.T) {
+	loader := analysis.NewLoader()
+	pkgs, err := loader.Load("impacc/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := []*analysis.Analyzer{unused.Analyzer}
+	flagsEvents := func(diags []analysis.Diagnostic) bool {
+		return slices.ContainsFunc(diags, func(d analysis.Diagnostic) bool {
+			return strings.Contains(d.Message, "method (*Runtime).Events ")
+		})
+	}
+	if diags, err := analysis.Run(check, append(pkgs, loader.Users()...)); err != nil || flagsEvents(diags) {
+		t.Fatalf("full run flags (*Runtime).Events (err %v): %v", err, diags)
+	}
+	if diags, err := analysis.Run(check, pkgs); err != nil || !flagsEvents(diags) {
+		t.Fatalf("run without the nested module's users does not flag (*Runtime).Events (err %v)", err)
+	}
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"impacc/internal/sim"}, &out, &errb); code != 0 {
+		t.Fatalf("impacc-vet impacc/internal/sim exit %d:\n%s%s", code, out.String(), errb.String())
 	}
 }
 

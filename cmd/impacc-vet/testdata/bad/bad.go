@@ -49,3 +49,26 @@ func Stale() int {
 	//impacc:allow-walltime stale: nothing here reads the clock anymore
 	return 42
 }
+
+// Orphan is exported, and nothing calls it: unused flags it.
+func Orphan() int { return 1 }
+
+// Knob has a field that is read but never written: unused flags Level.
+type Knob struct {
+	Level int
+}
+
+// Get reads Level, but nothing calls Get: unused flags the method.
+func (k *Knob) Get() int { return k.Level }
+
+// Error makes Knob an error. Nothing calls it either, but a method that
+// satisfies an interface is never flagged.
+func (k Knob) Error() string { return "knob" }
+
+// Used has a caller below, so its annotation suppresses nothing.
+//
+//impacc:allow-unused stale: Used has a caller now
+func Used() int { return 2 }
+
+// The violations above are used, so only the unused cases report.
+var _ = []any{Clock, Stamp, Pick, Keys, Stale, (*counter).Add, (*counter).Read, Used}

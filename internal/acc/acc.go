@@ -198,7 +198,7 @@ func (e *Env) DevicePtr(host xmem.Addr) (xmem.Addr, error) {
 }
 
 // HostPtr is acc_hostptr: device→host translation.
-func (e *Env) HostPtr(dev xmem.Addr) (xmem.Addr, error) {
+func (e *Env) HostPtr(dev xmem.Addr) (xmem.Addr, error) { //impacc:allow-unused OpenACC acc_hostptr (§3)
 	if e.Integrated() {
 		return dev, nil
 	}
@@ -206,7 +206,7 @@ func (e *Env) HostPtr(dev xmem.Addr) (xmem.Addr, error) {
 }
 
 // IsPresent reports whether the host address is mapped on the device.
-func (e *Env) IsPresent(host xmem.Addr) bool {
+func (e *Env) IsPresent(host xmem.Addr) bool { //impacc:allow-unused OpenACC acc_is_present (§3)
 	if e.Integrated() {
 		return true
 	}

@@ -3,6 +3,7 @@ package acc
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"impacc/internal/device"
@@ -21,7 +22,7 @@ type rig struct {
 func newRig(t *testing.T, sys *topo.System, node, dev int) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := device.NewRuntime(eng, fab, node)
 	sp := xmem.NewSpace("n", len(sys.Nodes[node].Devices))
 	ctx := rt.NewContext(dev, sp, sys.Nodes[node].Devices[dev].Socket, true, true)
@@ -34,7 +35,7 @@ func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
 		fn(p)
 		r.env.Close()
 	})
-	if err := r.eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{r.eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +88,7 @@ func TestDataCreateDoesNotCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if r.env.Ctx.Stats.CopyCount() != 0 {
+	if (r.env.Ctx.Stats.HtoDCount + r.env.Ctx.Stats.DtoHCount + r.env.Ctx.Stats.DtoDCount + r.env.Ctx.Stats.HtoHCount) != 0 {
 		t.Fatal("create/delete must not copy")
 	}
 }
@@ -214,7 +215,7 @@ func TestIntegratedDeviceElidesMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if r.env.Ctx.Stats.CopyCount() != 0 {
+	if (r.env.Ctx.Stats.HtoDCount + r.env.Ctx.Stats.DtoHCount + r.env.Ctx.Stats.DtoDCount + r.env.Ctx.Stats.HtoHCount) != 0 {
 		t.Fatal("integrated device must not copy")
 	}
 }
@@ -334,7 +335,7 @@ func TestDataEnterDeviceOOM(t *testing.T) {
 	// Exhausting the 12 GB GK210 via enter data must surface as an error.
 	eng := sim.NewEngine()
 	sys := topo.PSG()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := device.NewRuntime(eng, fab, 0)
 	sp := xmem.NewSpace("n", 8)
 	env := NewEnv(rt.NewContext(0, sp, 0, false, true))
@@ -345,7 +346,7 @@ func TestDataEnterDeviceOOM(t *testing.T) {
 		}
 		env.Close()
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -39,7 +39,7 @@ type expectation struct {
 
 // Run loads dir as one package, applies the analyzer, and reports any
 // mismatch between produced diagnostics and // want expectations.
-func Run(t *testing.T, a *analysis.Analyzer, dir string) {
+func Run(t *testing.T, a *analysis.Analyzer, dir string) { //impacc:allow-unused test-support package: every analyzer test drives its fixture through it
 	t.Helper()
 	pkg, err := sharedLoader.LoadDir(dir)
 	if err != nil {

@@ -82,7 +82,7 @@ func run(pass *analysis.Pass) error {
 			if pass.Facts.Allowed("globalrand", pos) {
 				continue
 			}
-			return analysis.Origin{Func: s.Func, Pos: pos,
+			return analysis.Origin{Pos: pos,
 				What: fn.Pkg().Path() + "." + fn.Name()}, true
 		}
 		for _, vu := range s.VarUses {
@@ -96,7 +96,7 @@ func run(pass *analysis.Pass) error {
 			if pass.Facts.Allowed("globalrand", pos) {
 				continue
 			}
-			return analysis.Origin{Func: s.Func, Pos: pos,
+			return analysis.Origin{Pos: pos,
 				What: vu.Var.Pkg().Path() + "." + vu.Var.Name()}, true
 		}
 		return analysis.Origin{}, false

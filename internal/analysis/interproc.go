@@ -31,11 +31,10 @@ func ShortPos(pos token.Position) string {
 	return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 }
 
-// Origin names the concrete site that makes a transitive fact true: the
-// function that contains it, its resolved position, and a human-readable
-// description ("time.Now", "write to sim.Engine.Metrics").
+// Origin names the concrete site that makes a transitive fact true: its
+// resolved position and a human-readable description ("time.Now", "write
+// to sim.Engine.Metrics").
 type Origin struct {
-	Func *types.Func
 	Pos  token.Position
 	What string
 }
@@ -64,7 +63,6 @@ type FieldWrite struct {
 // FieldUse is any selector expression resolving to a struct field.
 type FieldUse struct {
 	Field *types.Var
-	Pos   token.Pos
 }
 
 // VarUse is a use of a package-level variable (any package, including
@@ -94,7 +92,6 @@ type FuncBind struct {
 	Fn    *types.Func
 	Lit   *ast.FuncLit
 	Pkg   *Package
-	Pos   token.Pos
 }
 
 // FuncSummary is the per-function fact record.
@@ -120,11 +117,13 @@ type Facts struct {
 	// Binds lists every function value bound to a struct field (callback
 	// wiring sites such as OnBeat/OnWindow/Emit assignments).
 	Binds []FuncBind
+	// Program lists every package with full type information: the targets
+	// and their users (see Loader.Users).
+	Program []*Package
 
 	allows *allowIndex
+	memo   map[string]any
 	sorted []*FuncSummary
-	reach  map[string]map[*types.Func]Origin
-	impls  map[string]map[*types.Func]token.Position
 }
 
 // Allowed reports whether an //impacc:allow-<name> annotation (with a
@@ -136,6 +135,17 @@ func (f *Facts) Allowed(name string, pos token.Position) bool {
 		return false
 	}
 	return f.allows.covers(name, pos)
+}
+
+// Memo returns build's result for key, building it once per Run so the
+// passes of every package share one program-wide result.
+func (f *Facts) Memo(key string, build func() any) any {
+	v, ok := f.memo[key]
+	if !ok {
+		v = build()
+		f.memo[key] = v
+	}
+	return v
 }
 
 // Summary returns fn's summary, or nil for functions without analyzed
@@ -155,9 +165,10 @@ func (f *Facts) Sorted() []*FuncSummary {
 // under key (one closure per analyzer), so N packages' passes share one
 // fixed point.
 func (f *Facts) Reach(key string, source func(*FuncSummary) (Origin, bool)) map[*types.Func]Origin {
-	if r, ok := f.reach[key]; ok {
-		return r
-	}
+	return f.Memo("reach:"+key, func() any { return f.reach(source) }).(map[*types.Func]Origin)
+}
+
+func (f *Facts) reach(source func(*FuncSummary) (Origin, bool)) map[*types.Func]Origin {
 	r := map[*types.Func]Origin{}
 	for _, s := range f.sorted {
 		if o, ok := source(s); ok {
@@ -179,7 +190,6 @@ func (f *Facts) Reach(key string, source func(*FuncSummary) (Origin, bool)) map[
 			}
 		}
 	}
-	f.reach[key] = r
 	return r
 }
 
@@ -188,9 +198,10 @@ func (f *Facts) Reach(key string, source func(*FuncSummary) (Origin, bool)) map[
 // analyzed packages), keyed by method with the implementing type's position
 // as value. Used to find e.g. every SpanSink implementation in the program.
 func (f *Facts) Implementations(ifaceName string) map[*types.Func]token.Position {
-	if m, ok := f.impls[ifaceName]; ok {
-		return m
-	}
+	return f.Memo("impls:"+ifaceName, func() any { return f.implementations(ifaceName) }).(map[*types.Func]token.Position)
+}
+
+func (f *Facts) implementations(ifaceName string) map[*types.Func]token.Position {
 	out := map[*types.Func]token.Position{}
 	var ifaces []*types.Interface
 	var pkgs []*Package
@@ -242,7 +253,6 @@ func (f *Facts) Implementations(ifaceName string) map[*types.Func]token.Position
 			}
 		}
 	}
-	f.impls[ifaceName] = out
 	return out
 }
 
@@ -252,8 +262,7 @@ func buildFacts(pkgs []*Package, allows *allowIndex) *Facts {
 		Funcs:   map[*types.Func]*FuncSummary{},
 		Atomics: map[*types.Var][]AtomicUse{},
 		allows:  allows,
-		reach:   map[string]map[*types.Func]Origin{},
-		impls:   map[string]map[*types.Func]token.Position{},
+		memo:    map[string]any{},
 	}
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
@@ -324,7 +333,7 @@ func (f *Facts) walkBody(pkg *Package, s *FuncSummary, body ast.Node) {
 			if obj, ok := pkg.Info.Uses[n.Sel].(*types.Var); ok {
 				switch {
 				case obj.IsField():
-					s.FieldUses = append(s.FieldUses, FieldUse{Field: obj, Pos: n.Sel.Pos()})
+					s.FieldUses = append(s.FieldUses, FieldUse{Field: obj})
 				case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
 					s.VarUses = append(s.VarUses, VarUse{Var: obj, Pos: n.Sel.Pos()})
 				}
@@ -423,14 +432,14 @@ func (f *Facts) collectBinds(pkg *Package, file *ast.File) {
 func (f *Facts) bind(pkg *Package, owner, field string, rhs ast.Expr) {
 	switch rhs := ast.Unparen(rhs).(type) {
 	case *ast.FuncLit:
-		f.Binds = append(f.Binds, FuncBind{Owner: owner, Field: field, Lit: rhs, Pkg: pkg, Pos: rhs.Pos()})
+		f.Binds = append(f.Binds, FuncBind{Owner: owner, Field: field, Lit: rhs, Pkg: pkg})
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[rhs].(*types.Func); ok {
-			f.Binds = append(f.Binds, FuncBind{Owner: owner, Field: field, Fn: fn, Pkg: pkg, Pos: rhs.Pos()})
+			f.Binds = append(f.Binds, FuncBind{Owner: owner, Field: field, Fn: fn, Pkg: pkg})
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pkg.Info.Uses[rhs.Sel].(*types.Func); ok {
-			f.Binds = append(f.Binds, FuncBind{Owner: owner, Field: field, Fn: fn, Pkg: pkg, Pos: rhs.Pos()})
+			f.Binds = append(f.Binds, FuncBind{Owner: owner, Field: field, Fn: fn, Pkg: pkg})
 		}
 	}
 }

@@ -97,7 +97,7 @@ func TestReachPropagation(t *testing.T) {
 	emit := summaryNamed(t, facts, "Emit").Func
 	taint := facts.Reach("test", func(s *FuncSummary) (Origin, bool) {
 		if s.Func == emit {
-			return Origin{Func: s.Func, What: "seed"}, true
+			return Origin{What: "seed"}, true
 		}
 		return Origin{}, false
 	})

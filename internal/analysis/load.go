@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,13 +21,14 @@ import (
 // Package is one loaded, parsed, and type-checked package.
 type Package struct {
 	ImportPath string
-	Dir        string
-	GoFiles    []string
 	Standard   bool
 	// DepOnly marks packages pulled in only as dependencies of the
 	// requested patterns; analyzers do not run on them and their function
 	// bodies are not type-checked.
 	DepOnly bool
+	// User marks a package type-checked only for its references (see
+	// Loader.Load); analyzers do not run on it.
+	User bool
 
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -45,8 +47,9 @@ type Package struct {
 // here — syntax plus full type information for target packages — is all the
 // analyzers need.
 type Loader struct {
-	Fset *token.FileSet
-	pkgs map[string]*Package
+	Fset  *token.FileSet
+	pkgs  map[string]*Package
+	users []*Package
 }
 
 // NewLoader returns an empty loader with a fresh FileSet.
@@ -56,50 +59,114 @@ func NewLoader() *Loader {
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Imports    []string
-	Standard   bool
-	DepOnly    bool
+	ImportPath string   `json:"ImportPath"`
+	Dir        string   `json:"Dir"`
+	GoFiles    []string `json:"GoFiles"`
+	Standard   bool     `json:"Standard"`
+	DepOnly    bool     `json:"DepOnly"`
+	Module     *struct {
+		Path, Dir string
+		Main      bool
+	} `json:"Module"`
 }
 
 // Load resolves the patterns (e.g. "./...", "impacc/internal/sim") and
 // returns the matched target packages, fully type-checked with Info maps.
-// Dependencies are loaded transitively with function bodies skipped.
+// Dependencies are loaded transitively with function bodies skipped. Every
+// other package of the targets' main module, and of the modules nested in
+// it (which `go list ./...` never reaches), is type-checked as a user, so
+// program-wide checks see the same references on every run (see Users).
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		return nil, nil
 	}
-	args := append([]string{"list", "-e", "-json", "-deps", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	l.users = nil
+	matched, err := goList("", append([]string{"-json=ImportPath,Module", "--"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	var targets []*Package
-	for {
-		var lp listPkg
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %v", err)
+	isTarget := map[string]bool{}
+	lists := [][]string{append([]string{""}, patterns...)} // dir, then patterns
+	for _, lp := range matched {
+		isTarget[lp.ImportPath] = true
+		if lp.Module != nil && lp.Module.Main && len(lists) == 1 {
+			lists[0] = append(lists[0], lp.Module.Path+"/...")
+			nested, err := nestedModules(lp.Module.Dir)
+			if err != nil {
+				return nil, err
+			}
+			for _, dir := range nested {
+				lists = append(lists, []string{dir, "./..."})
+			}
 		}
-		pkg, err := l.ensure(&lp)
+	}
+	var targets []*Package
+	for _, list := range lists {
+		lps, err := goList(list[0], append([]string{"-json", "-deps", "--"}, list[1:]...)...)
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil && !lp.DepOnly {
+		for i := range lps {
+			pkg, err := l.ensure(&lps[i])
+			if err != nil {
+				return nil, err
+			}
+			if pkg == nil || lps[i].DepOnly {
+				continue
+			}
 			pkg.DepOnly = false
-			targets = append(targets, pkg)
+			if isTarget[pkg.ImportPath] {
+				targets = append(targets, pkg)
+			} else {
+				pkg.User = true
+				l.users = append(l.users, pkg)
+			}
 		}
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 	return targets, nil
+}
+
+// Users returns the packages the last Load type-checked as users. Pass them
+// to Run beside the targets.
+func (l *Loader) Users() []*Package { return l.users }
+
+// nestedModules lists the directories of the modules nested in root.
+func nestedModules(root string) (dirs []string, err error) {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if err == nil && d.Name() == "go.mod" && path != filepath.Join(root, "go.mod") {
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return err
+	})
+	return dirs, err
+}
+
+// goList runs `go list -e` with args in dir ("" for the working directory)
+// and decodes the packages it prints.
+func goList(dir string, args ...string) ([]listPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	var lps []listPkg
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var lp listPkg
+		if err := dec.Decode(&lp); err == io.EOF {
+			return lps, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list output: %v", err)
+		}
+		lps = append(lps, lp)
+	}
 }
 
 // ensure parses and type-checks lp once, in dependency order (`go list
@@ -116,8 +183,6 @@ func (l *Loader) ensure(lp *listPkg) (*Package, error) {
 	}
 	p := &Package{
 		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		GoFiles:    lp.GoFiles,
 		Standard:   lp.Standard,
 		DepOnly:    lp.DepOnly,
 		Fset:       l.Fset,
@@ -188,7 +253,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -199,7 +263,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			return nil, err
 		}
 		files = append(files, f)
-		names = append(names, e.Name())
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
@@ -218,32 +281,19 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	}
 	if len(imports) > 0 {
 		// Load as dependencies only: bodies skipped, results cached.
-		args := append([]string{"list", "-e", "-json", "-deps", "--"}, imports...)
-		cmd := exec.Command("go", args...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
+		lps, err := goList("", append([]string{"-json", "-deps", "--"}, imports...)...)
 		if err != nil {
-			return nil, fmt.Errorf("go list imports of %s: %v\n%s", dir, err, stderr.String())
+			return nil, fmt.Errorf("imports of %s: %v", dir, err)
 		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var lp listPkg
-			if err := dec.Decode(&lp); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			lp.DepOnly = true
-			if _, err := l.ensure(&lp); err != nil {
+		for i := range lps {
+			lps[i].DepOnly = true
+			if _, err := l.ensure(&lps[i]); err != nil {
 				return nil, err
 			}
 		}
 	}
 	p := &Package{
 		ImportPath: "testdata/" + filepath.Base(dir),
-		Dir:        dir,
-		GoFiles:    names,
 		Fset:       l.Fset,
 		Files:      files,
 	}

@@ -52,7 +52,7 @@ var stateTypes = map[string]map[string]bool{
 // process control, registry adoption). Reads (Now, Events, Stats, ...) are
 // what observers are for and stay legal.
 var mutMethods = map[string]bool{
-	"Cancel": true, "Halt": true, "At": true, "After": true, "Post": true,
+	"Cancel": true, "At": true, "After": true, "Post": true,
 	"Spawn": true, "SpawnAt": true, "Run": true, "Execute": true,
 	"ArmFlight": true, "AdoptMetrics": true, "Fire": true, "SetFaults": true,
 }
@@ -99,7 +99,7 @@ func run(pass *analysis.Pass) error {
 			if facts.Allowed("observerpure", pos) {
 				continue
 			}
-			return analysis.Origin{Func: s.Func, Pos: pos,
+			return analysis.Origin{Pos: pos,
 				What: fmt.Sprintf("write to %s.%s", fw.Owner.Obj().Name(), fw.Field.Name())}, true
 		}
 		for _, c := range s.Calls {
@@ -118,7 +118,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			recv := analysis.NamedOf(sig.Recv().Type())
-			return analysis.Origin{Func: s.Func, Pos: pos,
+			return analysis.Origin{Pos: pos,
 				What: recv.Obj().Name() + "." + c.Callee.Name() + " call"}, true
 		}
 		return analysis.Origin{}, false

@@ -29,7 +29,7 @@ func goodBeat(at sim.Time) {
 
 // annotatedBeat deliberately perturbs, with the escape hatch on the site.
 func annotatedBeat(at sim.Time) {
-	eng.Halt() //impacc:allow-observerpure fixture: deliberate perturbation under test
+	eng.Spawn("x", nil) //impacc:allow-observerpure fixture: deliberate perturbation under test
 }
 
 // Progress mirrors core's observer hook shape: a func-valued Emit field on
@@ -39,8 +39,8 @@ type Progress struct {
 	Emit  func(at sim.Time)
 }
 
-func badEmit(at sim.Time) { // want `badEmit is wired as a Progress\.Emit observer but mutates simulation state \(Engine\.Halt call`
-	eng.Halt()
+func badEmit(at sim.Time) { // want `badEmit is wired as a Progress\.Emit observer but mutates simulation state \(Engine\.Spawn call`
+	eng.Spawn("x", nil)
 }
 
 func goodEmit(at sim.Time) { counts.beats++ }
@@ -72,8 +72,8 @@ type SpanSink interface {
 
 type badSink struct{ e *sim.Engine }
 
-func (b *badSink) Emit(recs []int) error { // want `Emit is wired as a SpanSink observer but mutates simulation state \(Engine\.Halt call`
-	b.e.Halt()
+func (b *badSink) Emit(recs []int) error { // want `Emit is wired as a SpanSink observer but mutates simulation state \(Engine\.Spawn call`
+	b.e.Spawn("x", nil)
 	return nil
 }
 

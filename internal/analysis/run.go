@@ -2,7 +2,8 @@ package analysis
 
 import "sort"
 
-// Run applies every analyzer to every package and returns the combined
+// Run applies every analyzer to every target package (users, see
+// Loader.Users, only feed Facts.Program) and returns the combined
 // diagnostics in (file, line, column, analyzer) order. Before the analyzers
 // run, one program-wide interprocedural fact store is built over all target
 // packages (see interproc.go) and shared through Pass.Facts.
@@ -14,18 +15,22 @@ import "sort"
 // any diagnostic of an analyzer in the running suite are reported under
 // "allowstale" so stale escape hatches cannot rot in the tree.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	var targets []*Package
+	var targets, program []*Package
 	for _, pkg := range pkgs {
 		if pkg.DepOnly || len(pkg.Files) == 0 {
 			continue
 		}
-		targets = append(targets, pkg)
+		program = append(program, pkg)
+		if !pkg.User {
+			targets = append(targets, pkg)
+		}
 	}
 	allows := newAllowIndex()
 	for _, pkg := range targets {
 		allows.add(pkg.Fset, pkg.Files)
 	}
 	facts := buildFacts(targets, allows)
+	facts.Program = program
 
 	var diags []Diagnostic
 	for _, site := range allows.bad {

@@ -43,11 +43,10 @@ var Analyzer = &analysis.Analyzer{
 
 // schedMethods are the Engine methods that mutate engine state and may only
 // run on the owning shard. Now/LP/StallReport and friends are reads and
-// stay legal; Cancel is excluded because it only flips an atomic flag and is
-// documented as callable from any goroutine.
+// stay legal.
 var schedMethods = map[string]bool{
 	"At": true, "After": true, "Spawn": true, "SpawnAt": true,
-	"Halt": true, "Post": true, "ArmFlight": true, "AdoptMetrics": true,
+	"Post": true, "ArmFlight": true, "AdoptMetrics": true,
 }
 
 // exempt returns whether a package implements the engine/exchange machinery

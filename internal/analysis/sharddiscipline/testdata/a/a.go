@@ -25,7 +25,7 @@ func viaIndex(shards []*sim.Engine) {
 // goroutine does not own.
 func viaRange(shards []*sim.Engine) {
 	for _, e := range shards {
-		e.Halt() // want `Halt on another shard's engine`
+		e.SpawnAt(0, "x", func(p *sim.Proc) {}) // want `SpawnAt on another shard's engine`
 	}
 }
 

@@ -99,7 +99,7 @@ func run(pass *analysis.Pass) error {
 			if pass.Facts.Allowed("walltime", pos) {
 				continue
 			}
-			return analysis.Origin{Func: s.Func, Pos: pos,
+			return analysis.Origin{Pos: pos,
 				What: fn.Pkg().Path() + "." + fn.Name()}, true
 		}
 		return analysis.Origin{}, false

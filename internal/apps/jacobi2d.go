@@ -19,7 +19,7 @@ type Jacobi2DConfig struct {
 	N      int
 	Iters  int
 	Style  Style // StyleSync stages through host; StyleUnified is device-direct
-	Verify bool
+	Verify bool  //impacc:allow-unused only tests set it; it checks the numerics against a host reference
 }
 
 const (

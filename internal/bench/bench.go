@@ -31,8 +31,6 @@ type Options struct {
 	// into the aggregate (Add is commutative, so parallel sweeps snapshot
 	// byte-identically to serial ones).
 	Prof *prof.Aggregate
-	// Jobs is the worker-pool width set via WithJobs; <= 1 means serial.
-	Jobs int
 	// Chaos, when non-nil, applies the same deterministic fault-injection
 	// spec to every run an experiment performs (each run instantiates a
 	// fresh plan, so serial and parallel sweeps stay byte-identical).
@@ -42,9 +40,9 @@ type Options struct {
 	// *sim.LimitError or *core.RunError.
 	Limits core.Limits
 	// ParSim sets every leaf run's intra-run simulation worker count
-	// (core.Config.Parallel). Orthogonal to Jobs: Jobs runs whole sweep
+	// (core.Config.Parallel). Orthogonal to WithJobs, which runs whole sweep
 	// points concurrently, ParSim parallelizes inside one simulation. Like
-	// Jobs it never changes a simulated byte.
+	// WithJobs it never changes a simulated byte.
 	ParSim int
 	// FlightRing, when positive, arms the per-shard stall flight recorder
 	// (core.Config.FlightRing) on every leaf run; a run that ends

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -374,5 +377,28 @@ func TestWriteCSVAllTabular(t *testing.T) {
 	}
 	if ok, _ := WriteCSV("bogus", io.Discard, quick); ok {
 		t.Fatal("unknown id must report non-tabular")
+	}
+}
+
+// TestQuickGoldens pins every experiment's -quick output to the bytes in
+// testdata/quick/<id>.txt: impacc-bench's stdout without its real-time
+// "(… wall)" line. After a deliberate model change, regenerate them from the
+// repository root with
+//
+//	for id in $(go run ./cmd/impacc-bench -list | cut -d' ' -f1); do
+//		go run ./cmd/impacc-bench -exp $id -quick | grep -v 'wall)$' >internal/bench/testdata/quick/$id.txt
+//	done
+func TestQuickGoldens(t *testing.T) {
+	for _, r := range RunMany(All, quick.WithJobs(2)) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Exp.ID, r.Err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "quick", r.Exp.ID+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("==== %s: %s ====\n%s\n", r.Exp.ID, r.Exp.Title, r.Output); got != string(want) {
+			t.Errorf("%s -quick output drifted from its golden:\n%s\nwant:\n%s", r.Exp.ID, got, want)
+		}
 	}
 }

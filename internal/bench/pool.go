@@ -16,7 +16,6 @@ import (
 // point and emitted in canonical order, and telemetry merges are
 // commutative. n <= 1 (and the zero Options value) stay strictly serial.
 func (o Options) WithJobs(n int) Options {
-	o.Jobs = n
 	o.gate = nil
 	if n > 1 {
 		o.gate = make(chan struct{}, n)

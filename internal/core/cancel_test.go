@@ -57,7 +57,7 @@ func TestRuntimeCancelMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deterministic cancel instant: half a millisecond of virtual time in.
-	rt.Eng.At(sim.Time(500*sim.Microsecond), rt.Cancel)
+	rt.Fab.Engine(0).At(sim.Time(500*sim.Microsecond), rt.Cancel)
 	_, err = rt.Execute(longProg(1000))
 	var ce *sim.CancelError
 	if !errors.As(err, &ce) {
@@ -87,7 +87,7 @@ func TestCancelledRunResubmitsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Eng.At(sim.Time(100*sim.Microsecond), rt.Cancel)
+	rt.Fab.Engine(0).At(sim.Time(100*sim.Microsecond), rt.Cancel)
 	if _, err := rt.Execute(longProg(20)); err == nil {
 		t.Fatal("expected cancel error")
 	}
@@ -221,7 +221,7 @@ func TestHeapErrorOutranksGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Eng.At(sim.Time(500*sim.Microsecond), rt.Cancel)
+	rt.Fab.Engine(0).At(sim.Time(500*sim.Microsecond), rt.Cancel)
 	_, err = rt.Execute(func(tk *Task) {
 		if tk.Rank() == 0 {
 			tk.Malloc(2 << 10)

@@ -30,7 +30,7 @@ func (t *Task) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 }
 
 // Reduce is MPI_Reduce over MPI_COMM_WORLD.
-func (t *Task) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, root int, opts ...Opt) {
+func (t *Task) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, root int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Reduce(sendAddr, recvAddr, count, dt, op, root, opts...)
 }
 
@@ -40,22 +40,22 @@ func (t *Task) Allreduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatyp
 }
 
 // Gather is MPI_Gather over MPI_COMM_WORLD.
-func (t *Task) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) {
+func (t *Task) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Gather(sendAddr, count, dt, recvAddr, root, opts...)
 }
 
 // Scatter is MPI_Scatter over MPI_COMM_WORLD.
-func (t *Task) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) {
+func (t *Task) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Scatter(sendAddr, count, dt, recvAddr, root, opts...)
 }
 
 // Allgather is MPI_Allgather over MPI_COMM_WORLD.
-func (t *Task) Allgather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) {
+func (t *Task) Allgather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Allgather(sendAddr, count, dt, recvAddr, opts...)
 }
 
 // Alltoall is MPI_Alltoall over MPI_COMM_WORLD.
-func (t *Task) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) {
+func (t *Task) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Alltoall(sendAddr, count, dt, recvAddr, opts...)
 }
 
@@ -538,12 +538,12 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 }
 
 // ReduceScatter is MPI_Reduce_scatter_block over MPI_COMM_WORLD.
-func (t *Task) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
+func (t *Task) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.ReduceScatter(sendAddr, recvAddr, count, dt, op, opts...)
 }
 
 // Scan is MPI_Scan over MPI_COMM_WORLD.
-func (t *Task) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
+func (t *Task) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Scan(sendAddr, recvAddr, count, dt, op, opts...)
 }
 
@@ -655,13 +655,13 @@ func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatyp
 }
 
 // Gatherv is MPI_Gatherv over MPI_COMM_WORLD.
-func (t *Task) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype,
+func (t *Task) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype, //impacc:allow-unused reproduces the paper's MPI API (§3)
 	recvAddr xmem.Addr, counts, displs []int, root int, opts ...Opt) {
 	t.world.Gatherv(sendAddr, sendCount, dt, recvAddr, counts, displs, root, opts...)
 }
 
 // Scatterv is MPI_Scatterv over MPI_COMM_WORLD.
-func (t *Task) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype,
+func (t *Task) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype, //impacc:allow-unused reproduces the paper's MPI API (§3)
 	recvAddr xmem.Addr, recvCount int, root int, opts ...Opt) {
 	t.world.Scatterv(sendAddr, counts, displs, dt, recvAddr, recvCount, root, opts...)
 }

@@ -36,16 +36,16 @@ type Comm struct {
 func (t *Task) World() *Comm { return t.world }
 
 // Rank returns the calling task's rank within the communicator.
-func (c *Comm) Rank() int { return c.myRank }
+func (c *Comm) Rank() int { return c.myRank } //impacc:allow-unused reproduces the paper's MPI API (§3)
 
 // Size returns the number of tasks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
 
 // WorldRank translates a communicator rank to the world rank.
-func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
+func (c *Comm) WorldRank(r int) int { return c.ranks[r] } //impacc:allow-unused reproduces the paper's MPI API (§3)
 
 // ID returns the communicator's context id.
-func (c *Comm) ID() int { return c.id }
+func (c *Comm) ID() int { return c.id } //impacc:allow-unused reproduces the paper's MPI API (§3)
 
 func (c *Comm) checkRank(r int) {
 	if r < 0 || r >= len(c.ranks) {
@@ -138,7 +138,7 @@ func (c *Comm) Split(color, key int) *Comm {
 }
 
 // Dup is MPI_Comm_dup: same group, fresh matching context.
-func (c *Comm) Dup() *Comm {
+func (c *Comm) Dup() *Comm { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	c.splitSeq++
 	return &Comm{t: c.t, id: commID(c.id, c.splitSeq, -1), ranks: c.ranks,
 		myRank: c.myRank, layout: c.layout}
@@ -169,13 +169,13 @@ func commID(parent, seq, color int) int {
 // ---- Communicator-scoped point-to-point ---------------------------------
 
 // Send is MPI_Send on this communicator (dst is a communicator rank).
-func (c *Comm) Send(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) {
+func (c *Comm) Send(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	c.checkRank(dst)
 	c.t.sendOn(c, addr, count, dt, dst, tag, opts)
 }
 
 // Recv is MPI_Recv on this communicator.
-func (c *Comm) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) {
+func (c *Comm) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	if src != AnySource {
 		c.checkRank(src)
 	}
@@ -197,7 +197,7 @@ func (c *Comm) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, o
 }
 
 // Sendrecv is MPI_Sendrecv on this communicator.
-func (c *Comm) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst, sendTag int,
+func (c *Comm) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst, sendTag int, //impacc:allow-unused reproduces the paper's MPI API (§3)
 	recvAddr xmem.Addr, recvCount int, rdt mpi.Datatype, src, recvTag int, opts ...Opt) {
 	sr := c.Isend(sendAddr, sendCount, sdt, dst, sendTag, opts...)
 	rr := c.Irecv(recvAddr, recvCount, rdt, src, recvTag, opts...)

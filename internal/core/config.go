@@ -223,7 +223,6 @@ func (c *Config) msgConfig() msg.Config {
 	f := c.features()
 	mc := msg.Config{
 		Legacy:          c.Mode == Legacy,
-		Fusion:          f.Fusion,
 		Aliasing:        f.Aliasing,
 		RDMA:            f.RDMA,
 		DirectP2P:       f.DirectP2P,

@@ -709,7 +709,7 @@ func TestRequestDoneAndWaitNil(t *testing.T) {
 		if tk.Rank() == 0 {
 			r := tk.Isend(buf, 1, mpi.Float64, 1, 0)
 			tk.Wait(nil, r) // nil requests are skipped
-			if !r.Done() {
+			if !r.cmd.Done.Fired() {
 				t.Error("request not done after Wait")
 			}
 		} else {
@@ -808,8 +808,8 @@ func TestRuntimeTasksAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rt.Tasks()) != 3 {
-		t.Fatalf("tasks = %d", len(rt.Tasks()))
+	if len(rt.tasks) != 3 {
+		t.Fatalf("tasks = %d", len(rt.tasks))
 	}
 	if _, err := rt.Execute(func(tk *Task) {}); err != nil {
 		t.Fatal(err)
@@ -850,16 +850,16 @@ func TestLeakDetection(t *testing.T) {
 		buf := tk.Malloc(256)
 		tk.DataEnter(buf, 256, acc.Copyin) // never exited
 	})
-	if rep.Leaks() != 1 || rep.Tasks[0].LeakedMappings != 1 {
-		t.Fatalf("leaks = %d, want 1", rep.Leaks())
+	if rep.Tasks[0].LeakedMappings != 1 {
+		t.Fatalf("leaks = %d, want 1", rep.Tasks[0].LeakedMappings)
 	}
 	clean := mustRun(t, psgCfg(IMPACC, 1), func(tk *Task) {
 		buf := tk.Malloc(256)
 		tk.DataEnter(buf, 256, acc.Copyin)
 		tk.DataExit(buf, acc.Delete)
 	})
-	if clean.Leaks() != 0 {
-		t.Fatalf("clean run leaks = %d", clean.Leaks())
+	if clean.Tasks[0].LeakedMappings != 0 {
+		t.Fatalf("clean run leaks = %d", clean.Tasks[0].LeakedMappings)
 	}
 }
 

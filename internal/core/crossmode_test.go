@@ -60,7 +60,7 @@ func runRandomProgram(t *testing.T, cfg Config, seed uint64) []uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digests := make([]uint64, len(rt.Tasks()))
+	digests := make([]uint64, len(rt.tasks))
 	_, err = rt.Execute(func(tk *Task) {
 		prog := sim.NewRNG(seed) // same stream on every task and mode
 		n := tk.Size()

@@ -180,7 +180,7 @@ func TestLocalIndexMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tk := range rt.Tasks() {
+		for _, tk := range rt.tasks {
 			want := 0
 			for _, other := range rt.placements[:tk.rank] {
 				if other.Node == tk.pl.Node {

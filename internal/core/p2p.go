@@ -67,9 +67,6 @@ type Request struct {
 	queued bool
 }
 
-// Done reports whether the operation has completed (MPI_Test).
-func (r *Request) Done() bool { return r.cmd.Done.Fired() }
-
 // uqName holds the fixed labels of one MPI operation placed on a unified
 // activity queue: the stream operation's label, its command's completion
 // label and its latency op. They are spelled out so enqueueing builds no
@@ -308,7 +305,7 @@ func (t *Task) Wait(reqs ...*Request) {
 }
 
 // Sendrecv is MPI_Sendrecv: concurrent blocking send and receive.
-func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst, sendTag int,
+func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst, sendTag int, //impacc:allow-unused reproduces the paper's MPI API (§3)
 	recvAddr xmem.Addr, recvCount int, rdt mpi.Datatype, src, recvTag int, opts ...Opt) {
 	sr := t.Isend(sendAddr, sendCount, sdt, dst, sendTag, opts...)
 	rr := t.Irecv(recvAddr, recvCount, rdt, src, recvTag, opts...)
@@ -415,7 +412,7 @@ func (r *Request) Status(dt mpi.Datatype) Status {
 
 // RecvStatus is MPI_Recv returning the matched status — the companion of
 // wildcard receives.
-func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Status {
+func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Status { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	r := t.Irecv(addr, count, dt, src, tag, opts...)
 	t.Wait(r)
 	return r.Status(dt)
@@ -423,7 +420,7 @@ func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag i
 
 // Waitany is MPI_Waitany: block until one of the requests completes and
 // return its index. Completed or nil entries are reported immediately.
-func (t *Task) Waitany(reqs ...*Request) int {
+func (t *Task) Waitany(reqs ...*Request) int { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	if len(reqs) == 0 {
 		return -1
 	}

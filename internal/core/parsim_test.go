@@ -134,7 +134,7 @@ func TestParallelCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Eng.At(sim.Time(500*sim.Microsecond), rt.Cancel)
+	rt.Fab.Engine(0).At(sim.Time(500*sim.Microsecond), rt.Cancel)
 	_, err = rt.Execute(longProg(1000))
 	var ce *sim.CancelError
 	if !errors.As(err, &ce) {

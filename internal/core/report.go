@@ -177,16 +177,6 @@ func (r *Report) TotalHub() msg.Stats {
 	return s
 }
 
-// Leaks sums unreleased device mappings across tasks (enter-data without
-// exit-data); well-formed OpenACC programs end with zero.
-func (r *Report) Leaks() int {
-	total := 0
-	for i := range r.Tasks {
-		total += r.Tasks[i].LeakedMappings
-	}
-	return total
-}
-
 // MaxComm returns the largest per-task communication time.
 func (r *Report) MaxComm() sim.Dur {
 	var m sim.Dur

@@ -29,10 +29,7 @@ type nodeState struct {
 
 // Runtime executes one configured run.
 type Runtime struct {
-	Cfg Config
-	// Eng is node 0's engine — the only engine when the run is unsharded
-	// (single node, or no usable lookahead).
-	Eng   *sim.Engine
+	Cfg   Config
 	Fab   *topo.Fabric
 	feats Features
 
@@ -94,7 +91,8 @@ type RunError struct {
 }
 
 func (e *RunError) Error() string { return fmt.Sprintf("task %d: %v", e.Rank, e.Err) }
-func (e *RunError) Unwrap() error { return e.Err }
+
+func (e *RunError) Unwrap() error { return e.Err } //impacc:allow-unused errors.Is and errors.As call it through an anonymous interface
 
 // Run builds the runtime for cfg, executes prog on every task, and returns
 // the report.
@@ -142,7 +140,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		lookahead = 0
 	}
-	rt.Eng = perNode[0]
 	rt.group = sim.NewShardGroup(rt.shards, lookahead, cfg.Parallel)
 	if cfg.Limits.MaxVirtualTime > 0 {
 		rt.group.Deadline = sim.Time(cfg.Limits.MaxVirtualTime)
@@ -266,9 +263,6 @@ func (rt *Runtime) pinSocket(pl Placement) int {
 		return -1
 	}
 }
-
-// Tasks exposes the task list (for test instrumentation).
-func (rt *Runtime) Tasks() []*Task { return rt.tasks }
 
 // Events is the total dispatched event count across all shards — the
 // denominator a harness divides wall time by for events/sec (BENCH_topo).

@@ -152,9 +152,6 @@ func (tr *Tracer) laneID(node int) uint64 {
 	return uint64(node)<<40 | l.nextID
 }
 
-// NewID allocates a fresh trace ID on lane 0 (single-node callers).
-func (tr *Tracer) NewID() uint64 { return tr.laneID(0) }
-
 // record appends a span to its node's lane, allocating its ID when unset,
 // and returns the ID. The record is stamped with the span's end — the
 // instant the recording engine closed it.
@@ -272,13 +269,6 @@ func (tr *Tracer) Len() int {
 // up to the latest span end.
 func (tr *Tracer) Data(makespan sim.Time) prof.Trace {
 	return prof.Assemble(tr.records(), makespan)
-}
-
-// WriteJSON emits the spans as a JSON array.
-func (tr *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(tr.Spans())
 }
 
 // chromeEvent is one entry of the Chrome trace event format, loadable in

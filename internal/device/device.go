@@ -195,11 +195,6 @@ func (s *Stats) Add(o *Stats) {
 	s.KernelTime += o.KernelTime
 }
 
-// CopyCount is the total number of copy operations.
-func (s *Stats) CopyCount() int64 {
-	return s.HtoDCount + s.DtoHCount + s.DtoDCount + s.HtoHCount
-}
-
 // TraceSink receives the context's execution trace: spans for every kernel
 // and copy (stream operations carry the activity-queue lane, synchronous
 // transfers the host lane) and the ordering edges between stream

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 func psgRig(dev int) (*sim.Engine, *Runtime, *Context) {
 	eng := sim.NewEngine()
 	sys := topo.PSG()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := NewRuntime(eng, fab, 0)
 	space := xmem.NewSpace("node0", len(sys.Nodes[0].Devices))
 	ctx := rt.NewContext(dev, space, sys.Nodes[0].Devices[dev].Socket, true, true)
@@ -39,7 +40,7 @@ func TestMemAllocEnforcesDeviceCapacity(t *testing.T) {
 	// Unbacked context: capacity accounting without touching real RAM.
 	eng := sim.NewEngine()
 	sys := topo.PSG()
-	rt := NewRuntime(eng, topo.NewFabric(eng, sys), 0)
+	rt := NewRuntime(eng, topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys), 0)
 	ctx := rt.NewContext(0, xmem.NewSpace("n", 8), 0, false, true)
 	a, err := ctx.MemAlloc(8 << 30)
 	if err != nil {
@@ -63,7 +64,7 @@ func TestMemAllocEnforcesDeviceCapacity(t *testing.T) {
 func TestIntegratedDeviceAllocatesHost(t *testing.T) {
 	eng := sim.NewEngine()
 	sys := topo.HeteroDemo()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := NewRuntime(eng, fab, 2) // CPU-only node
 	space := xmem.NewSpace("n2", 2)
 	ctx := rt.NewContext(0, space, 0, true, true)
@@ -99,7 +100,7 @@ func TestTransferDirectionsAndData(t *testing.T) {
 		d3, _ := ctx.Transfer(p, host2, host, 1024) // HtoH
 		dirs = []Direction{d1, d2, d3}
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []Direction{HtoD, DtoH, HtoH}
@@ -117,7 +118,7 @@ func TestTransferDirectionsAndData(t *testing.T) {
 	if ctx.Stats.HtoDCount != 1 || ctx.Stats.DtoHCount != 1 || ctx.Stats.HtoHCount != 1 {
 		t.Fatalf("stats = %+v", ctx.Stats)
 	}
-	if ctx.Stats.CopyCount() != 3 {
+	if (ctx.Stats.HtoDCount + ctx.Stats.DtoHCount + ctx.Stats.DtoDCount + ctx.Stats.HtoHCount) != 3 {
 		t.Fatal("copy count wrong")
 	}
 }
@@ -136,7 +137,7 @@ func TestTransferErrors(t *testing.T) {
 			t.Error("negative size must fail")
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,7 +146,7 @@ func TestDtoDPeerVsStaged(t *testing.T) {
 	// Devices 0,1 share a root complex (P2P); devices 0,4 do not (staged).
 	eng := sim.NewEngine()
 	sys := topo.PSG()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := NewRuntime(eng, fab, 0)
 	space := xmem.NewSpace("n", 8)
 	ctx0 := rt.NewContext(0, space, 0, true, true)
@@ -163,11 +164,11 @@ func TestDtoDPeerVsStaged(t *testing.T) {
 		}
 		peerTime = sim.Dur(p.Now() - start)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	eng2 := sim.NewEngine()
-	fab2 := topo.NewFabric(eng2, sys)
+	fab2 := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng2}, len(sys.Nodes)), sys)
 	rt2 := NewRuntime(eng2, fab2, 0)
 	space2 := xmem.NewSpace("n2", 8)
 	ctxA := rt2.NewContext(0, space2, 0, true, true)
@@ -181,7 +182,7 @@ func TestDtoDPeerVsStaged(t *testing.T) {
 		}
 		stagedTime = sim.Dur(p.Now() - start)
 	})
-	if err := eng2.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng2}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if peerTime >= stagedTime {
@@ -198,7 +199,7 @@ func TestSameDeviceDtoD(t *testing.T) {
 	eng.Spawn("t", func(p *sim.Proc) {
 		dir, _ = ctx.Transfer(p, b, a, 1<<20)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if dir != DtoD {
@@ -247,7 +248,7 @@ func TestStreamInOrderExecution(t *testing.T) {
 		order = append(order, "synced")
 	})
 	st.Close()
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !first.Fired() || !last.Fired() {
@@ -283,7 +284,7 @@ func TestStreamsRunIndependently(t *testing.T) {
 	})
 	s1.Close()
 	s2.Close()
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Kernel ~107ms; copy ~5.7ms. The copy must finish long before the
@@ -308,7 +309,7 @@ func TestKernelsSerializeOnDevice(t *testing.T) {
 	})
 	s1.Close()
 	s2.Close()
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	one := Duration(ctx.Dev.Spec, KernelSpec{FLOPs: 1e11, Kind: KindCompute})
@@ -322,7 +323,7 @@ func TestStreamCloseIdempotent(t *testing.T) {
 	st := ctx.NewStream(1)
 	st.Close()
 	st.Close()
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -358,7 +359,7 @@ func TestUnpinnedContextAlternatesSockets(t *testing.T) {
 	// penalty rather than always hitting one extreme.
 	eng := sim.NewEngine()
 	sys := topo.PSG()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := NewRuntime(eng, fab, 0)
 	ctx := rt.NewContext(0, xmem.NewSpace("n", 8), -1, false, false)
 	dev, _ := ctx.MemAlloc(64 << 20)
@@ -371,7 +372,7 @@ func TestUnpinnedContextAlternatesSockets(t *testing.T) {
 			durs = append(durs, sim.Dur(p.Now()-t0))
 		}
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Alternating: two distinct values, interleaved.
@@ -386,7 +387,7 @@ func TestUnpinnedContextAlternatesSockets(t *testing.T) {
 func TestSingleSocketUnpinnedIsNear(t *testing.T) {
 	eng := sim.NewEngine()
 	sys := topo.Titan(1)
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	rt := NewRuntime(eng, fab, 0)
 	ctx := rt.NewContext(0, xmem.NewSpace("n", 1), -1, false, true)
 	if got := ctx.effSocket(); got != 0 {
@@ -441,7 +442,7 @@ func TestTransferRetriesTransientCopyFault(t *testing.T) {
 		}
 		healthy = sim.Dur(p.Now() - start)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if faulty <= healthy {
@@ -464,7 +465,7 @@ func TestTransferRetriesTransientCopyFault(t *testing.T) {
 	eng2.Spawn("t", func(p *sim.Proc) {
 		_, err2 = ctx2.Transfer(p, d2, h2, 64)
 	})
-	if err := eng2.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng2}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err2 == nil {
@@ -483,7 +484,7 @@ func TestStreamOpDeadlockLabel(t *testing.T) {
 	st.EnqueueWaitStream(stuck)
 	st.EnqueueKernel(KernelSpec{Name: "stencil", FLOPs: 1e6, Kind: KindCompute})
 	eng.Spawn("host", func(p *sim.Proc) { st.Sync(p) })
-	err := eng.Run()
+	err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run()
 	de, ok := err.(*sim.DeadlockError)
 	if !ok {
 		t.Fatalf("Run = %v, want a deadlock", err)

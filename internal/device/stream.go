@@ -18,7 +18,6 @@ type Stream struct {
 	Ctx *Context
 
 	q      *sim.Queue
-	proc   *sim.Proc
 	closed bool
 	// lastDone is the completion event of the newest operation. It points
 	// into that operation's streamOp, which it keeps alive until the next
@@ -63,7 +62,7 @@ func (c *Context) NewStream(id int) *Stream {
 	eng.InitEvent(&s.idle, "stream-init")
 	s.idle.Fire()
 	s.lastDone = &s.idle
-	s.proc = eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
+	eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
 	return s
 }
 

@@ -102,10 +102,9 @@ type Spec struct {
 	straggles []straggleRule
 	copyFails []copyFailRule
 
-	timeout     sim.Dur
-	retries     int
-	backoff     sim.Dur
-	copyRetries int
+	timeout sim.Dur
+	retries int
+	backoff sim.Dur
 }
 
 // String renders the spec in a canonical parseable form: rules grouped in a
@@ -433,9 +432,6 @@ func NewPlan(spec *Spec, regs []*telemetry.Registry) *Plan {
 	return p
 }
 
-// Spec returns the immutable spec the plan was built from.
-func (p *Plan) Spec() *Spec { return p.spec }
-
 // count records one injected fault of kind on node, asked by node from, in
 // from's registry (stamped by that registry's clock: the asking engine's).
 func (p *Plan) count(kind string, from, node int) {
@@ -547,12 +543,3 @@ func (p *Plan) CopyFail(node int) bool {
 
 // CopyRetries caps re-attempts of a transiently failing device copy.
 func (p *Plan) CopyRetries() int { return DefaultCopyRetries }
-
-// Timeout is the per-command internode receive timeout.
-func (p *Plan) Timeout() sim.Dur { return p.spec.Timeout() }
-
-// Retries is the send retry budget across a down link.
-func (p *Plan) Retries() int { return p.spec.Retries() }
-
-// Backoff is the first retry delay (doubling per attempt).
-func (p *Plan) Backoff() sim.Dur { return p.spec.Backoff() }

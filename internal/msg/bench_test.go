@@ -32,7 +32,7 @@ func BenchmarkNetSendRecv(b *testing.B) {
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		b.Fatal(err)
 	}
 }

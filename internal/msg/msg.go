@@ -44,8 +44,6 @@ type Endpoint struct {
 type Config struct {
 	// Legacy switches the hub to the MPI+OpenACC baseline transport.
 	Legacy bool
-	// Fusion enables the message fusion technique (IMPACC).
-	Fusion bool
 	// Aliasing enables node heap aliasing (IMPACC).
 	Aliasing bool
 	// RDMA enables GPUDirect-RDMA internode transfers from/to device
@@ -180,8 +178,6 @@ type netMsg struct {
 	Src, Dst, Tag int
 	Comm          int
 	Bytes         int64
-	SrcEp         *Endpoint
-	SrcAddr       xmem.Addr
 	snapshot      []byte
 	// direct marks a GPUDirect RDMA transfer that has already landed in
 	// device memory (no receive-side staging copy).

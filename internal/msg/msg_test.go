@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"slices"
 	"testing"
 
 	"impacc/internal/device"
@@ -12,7 +13,7 @@ import (
 // impaccCfg are production IMPACC hub settings used across tests.
 func impaccCfg() Config {
 	return Config{
-		Fusion: true, Aliasing: true, RDMA: true, DirectP2P: true,
+		Aliasing: true, RDMA: true, DirectP2P: true,
 		ThreadMultiple: true,
 		CmdOverhead:    300, HandlerOverhead: 400, AliasOverhead: 1000,
 		MPIOverhead: 400,
@@ -36,7 +37,7 @@ type nodeRig struct {
 func newNodeRig(t *testing.T, sys *topo.System, cfg Config) *nodeRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	heap := xmem.NewHeapTable()
 	hub := NewHub(eng, fab, 0, cfg, heap)
 	sp := xmem.NewSpace("node0", len(sys.Nodes[0].Devices))
@@ -54,7 +55,7 @@ func (r *nodeRig) endpoint(rank, dev int, space *xmem.Space) *Endpoint {
 
 func (r *nodeRig) run(t *testing.T) {
 	t.Helper()
-	if err := r.eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{r.eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -431,7 +432,7 @@ func TestDtoDP2PVsDisabled(t *testing.T) {
 func twoNodeRig(t testing.TB, sys *topo.System, cfg Config) (*sim.Engine, *Hub, *Hub, *Endpoint, *Endpoint) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fab := topo.NewFabric(eng, sys)
+	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	h0 := NewHub(eng, fab, 0, cfg, xmem.NewHeapTable())
 	h1 := NewHub(eng, fab, 1, cfg, xmem.NewHeapTable())
 	rt0 := device.NewRuntime(eng, fab, 0)
@@ -461,7 +462,7 @@ func TestInternodeHostToHost(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	db, _ := e1.Space.Bytes(dst, 4096)
@@ -497,7 +498,7 @@ func TestInternodeDeviceRDMAvsStaged(t *testing.T) {
 			rc.Done.Wait(p)
 			elapsed = sim.Dur(p.Now() - start)
 		})
-		if err := eng.Run(); err != nil {
+		if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return elapsed, h0, h1
@@ -526,7 +527,7 @@ func TestLegacyRejectsDeviceBuffers(t *testing.T) {
 		s.Done.Wait(p)
 	})
 	_ = rc
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err == nil {
@@ -543,7 +544,7 @@ func TestSerializedInternodeWithoutThreadMultiple(t *testing.T) {
 		cfg.MPIOverhead = 100 * sim.Microsecond // exaggerate to observe
 		sys := topo.Beacon(2)
 		eng := sim.NewEngine()
-		fab := topo.NewFabric(eng, sys)
+		fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 		h0 := NewHub(eng, fab, 0, cfg, xmem.NewHeapTable())
 		h1 := NewHub(eng, fab, 1, cfg, xmem.NewHeapTable())
 		rt0 := device.NewRuntime(eng, fab, 0)
@@ -574,7 +575,7 @@ func TestSerializedInternodeWithoutThreadMultiple(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return last
@@ -685,7 +686,7 @@ func TestNetArrivalBeforeWildcardRecv(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	db, _ := e1.Space.Bytes(dst, 256)
@@ -702,7 +703,7 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 		cfg.ThreadMultiple = tm
 		sys := topo.Beacon(2)
 		eng := sim.NewEngine()
-		fab := topo.NewFabric(eng, sys)
+		fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 		h0 := NewHub(eng, fab, 0, cfg, xmem.NewHeapTable())
 		h1 := NewHub(eng, fab, 1, cfg, xmem.NewHeapTable())
 		rt0 := device.NewRuntime(eng, fab, 0)
@@ -742,7 +743,7 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return last

@@ -39,7 +39,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 		// Zero-byte message: a bare network round of latency only.
 		unlock()
 		h.ctr.netOut.Inc()
-		m := &netMsg{Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm, SrcEp: cmd.Ep,
+		m := &netMsg{Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm,
 			SendID: cmd.TraceID, SendPost: cmd.PostedAt}
 		h.netInject(cmd, m, dst, 0, 0)
 		return
@@ -98,9 +98,9 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	h.ctr.netOut.Inc()
 	m := &netMsg{
 		Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm, Bytes: n,
-		SrcEp: cmd.Ep, SrcAddr: cmd.Addr, snapshot: cmd.snapshot,
-		direct: direct,
-		SendID: cmd.TraceID, SendPost: cmd.PostedAt,
+		snapshot: cmd.snapshot,
+		direct:   direct,
+		SendID:   cmd.TraceID, SendPost: cmd.PostedAt,
 	}
 	if !staged {
 		h.netInject(cmd, m, dst, n, 0)

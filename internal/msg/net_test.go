@@ -51,7 +51,7 @@ func TestSendBufferReuseAfterDone(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err != nil || rc.Err != nil {
@@ -76,7 +76,7 @@ func TestOversizedSendFailsEagerly(t *testing.T) {
 		h0.PostNetSend(p, s, h1)
 		s.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err == nil {
@@ -100,7 +100,7 @@ func TestInternodeTruncation(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err != nil {
@@ -135,7 +135,7 @@ func TestInternodeZeroByteParity(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Err != nil || s.Err != nil {
@@ -169,7 +169,7 @@ func TestLegacyRejectsDeviceRecv(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Err == nil {
@@ -205,7 +205,7 @@ func TestNetSendRetriesThroughOutage(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err != nil || rc.Err != nil {
@@ -248,7 +248,7 @@ func TestNetSendExhaustsRetries(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	var ne *NetError
@@ -296,7 +296,7 @@ func TestTimedOutRecvDoesNotStealLateMessage(t *testing.T) {
 		h1.PostNetRecv(p, r2)
 		r2.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	var ne *NetError
@@ -334,7 +334,7 @@ func TestRDMARerouteToStaging(t *testing.T) {
 		h1.PostNetRecv(p, rc)
 		rc.Done.Wait(p)
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Err != nil || rc.Err != nil {

@@ -57,7 +57,7 @@ type streamLine struct {
 
 // ReadStream parses a trace stream and reassembles, through Assemble, the
 // same Trace the producing tracer's buffered Data view returns.
-func ReadStream(r io.Reader) (Trace, error) {
+func ReadStream(r io.Reader) (Trace, error) { //impacc:allow-unused the reader that impacc-run -trace-stream points users to
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
 	var (

@@ -214,9 +214,6 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Metrics exposes the server's telemetry registry (for tests).
-func (s *Server) Metrics() *telemetry.Registry { return s.reg }
-
 // Submit admits spec: a cache hit returns immediately (Status.State done,
 // Cached true), an identical in-flight job is coalesced, otherwise the job
 // is queued. The int is the suggested HTTP status: 200 hit, 202 admitted or

@@ -26,7 +26,7 @@ func BenchmarkEngineFnEvents(b *testing.B) {
 		}
 	}
 	e.After(Microsecond, step)
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		b.Fatal(err)
 	}
 	if n != b.N {
@@ -53,7 +53,7 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	for i := 0; i < depth && i < b.N; i++ {
 		e.After(Dur(1+i), step)
 	}
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -117,7 +117,7 @@ func BenchmarkProcSleepWake(b *testing.B) {
 			p.Sleep(Microsecond)
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -135,7 +135,7 @@ func BenchmarkEventWait(b *testing.B) {
 			ev.Wait(p)
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -159,7 +159,7 @@ func BenchmarkSameTimestampBurst(b *testing.B) {
 		}
 	}
 	arm()
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -48,9 +48,10 @@ func parkedCoroutines() int {
 func TestCancelMidRun(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e := NewEngine()
+	g := soloGroup(e)
 	spinProcs(e, 4)
-	e.At(Time(50*Microsecond), e.Cancel)
-	err := e.Run()
+	e.At(Time(50*Microsecond), g.Cancel)
+	err := g.Run()
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want *CancelError", err)
@@ -61,7 +62,7 @@ func TestCancelMidRun(t *testing.T) {
 	if e.Live() != 0 {
 		t.Fatalf("%d processes still live after cancel", e.Live())
 	}
-	if !e.Cancelled() {
+	if !g.Cancelled() {
 		t.Fatal("Cancelled() false after Cancel")
 	}
 	checkGoroutines(t, baseline)
@@ -79,8 +80,9 @@ func TestCancelRunsDefers(t *testing.T) {
 			p.Sleep(Microsecond)
 		}
 	})
-	e.At(Time(10*Microsecond), e.Cancel)
-	if err := e.Run(); err == nil {
+	g := soloGroup(e)
+	e.At(Time(10*Microsecond), g.Cancel)
+	if err := g.Run(); err == nil {
 		t.Fatal("expected CancelError")
 	}
 	if !deferRan {
@@ -88,10 +90,11 @@ func TestCancelRunsDefers(t *testing.T) {
 	}
 }
 
-// TestCancelFromOtherGoroutine: Cancel is documented as the one engine entry
+// TestCancelFromOtherGoroutine: Cancel is documented as the one group entry
 // point safe from any goroutine. Exercised under -race in CI.
 func TestCancelFromOtherGoroutine(t *testing.T) {
 	e := NewEngine()
+	g := soloGroup(e)
 	// The canceller outlives the goroutine check, so it is part of the
 	// baseline instead of racing it. The baseline is taken before the
 	// processes spawn: each spawn starts its coroutine's goroutine, and
@@ -100,12 +103,12 @@ func TestCancelFromOtherGoroutine(t *testing.T) {
 	defer close(release)
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		e.Cancel()
+		g.Cancel()
 		<-release
 	}()
 	baseline := runtime.NumGoroutine()
 	spinProcs(e, 8)
-	err := e.Run()
+	err := g.Run()
 	var ce *CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want *CancelError", err)
@@ -119,21 +122,22 @@ func TestCancelBeforeRun(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	e.Spawn("never", func(p *Proc) { ran = true })
-	e.Cancel()
+	g := soloGroup(e)
+	g.Cancel()
 	var ce *CancelError
-	if err := e.Run(); !errors.As(err, &ce) {
+	if err := g.Run(); !errors.As(err, &ce) {
 		t.Fatalf("Run() = %v, want *CancelError", err)
 	}
 	if ran {
 		t.Fatal("event dispatched despite pre-run cancel")
 	}
-	if e.Events() != 0 {
-		t.Fatalf("Events() = %d, want 0", e.Events())
+	if g.Events() != 0 {
+		t.Fatalf("Events() = %d, want 0", g.Events())
 	}
 }
 
-// soloGroup wraps e in the one-shard group that Engine.Run also builds, so a
-// test can set the group's limits before running it.
+// soloGroup wraps e in a one-shard group, which runs it alone; a test can
+// set the group's limits, or cancel it, before running it.
 func soloGroup(e *Engine) *ShardGroup { return NewShardGroup([]*Engine{e}, 0, 1) }
 
 func TestMaxEventsLimit(t *testing.T) {
@@ -223,9 +227,14 @@ func TestRunEndsLeaveNoGoroutines(t *testing.T) {
 	}{
 		{"halt", false, func() error {
 			e := NewEngine()
+			g := soloGroup(e)
 			spinProcs(e, 4)
-			e.At(Time(20*Microsecond), e.Halt)
-			return e.Run()
+			e.At(Time(20*Microsecond), g.Cancel)
+			var ce *CancelError
+			if err := g.Run(); !errors.As(err, &ce) {
+				return fmt.Errorf("Run() = %v, want *CancelError", err)
+			}
+			return nil
 		}},
 		{"deadlock", false, func() error {
 			e := NewEngine()
@@ -234,7 +243,7 @@ func TestRunEndsLeaveNoGoroutines(t *testing.T) {
 				e.Spawn("stuck", func(p *Proc) { ev.Wait(p) })
 			}
 			var de *DeadlockError
-			if err := e.Run(); !errors.As(err, &de) {
+			if err := soloGroup(e).Run(); !errors.As(err, &de) {
 				return fmt.Errorf("Run() = %v, want *DeadlockError", err)
 			}
 			return nil
@@ -247,7 +256,7 @@ func TestRunEndsLeaveNoGoroutines(t *testing.T) {
 				panic("boom")
 			})
 			var pe *PanicError
-			if err := e.Run(); !errors.As(err, &pe) {
+			if err := soloGroup(e).Run(); !errors.As(err, &pe) {
 				return fmt.Errorf("Run() = %v, want *PanicError", err)
 			}
 			return nil
@@ -303,7 +312,7 @@ func TestProcGoexitEndsRunner(t *testing.T) {
 			p.Sleep(Microsecond)
 			runtime.Goexit()
 		})
-		_ = e.Run()
+		_ = soloGroup(e).Run()
 		returned = true
 	}()
 	<-exited

@@ -20,7 +20,7 @@ func TestPastEventClampsToNow(t *testing.T) {
 		e.At(50, func() { order = append(order, "now") })
 		order = append(order, "outer")
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// FIFO within the instant: the clamped event was scheduled first.
@@ -32,18 +32,19 @@ func TestPastEventClampsToNow(t *testing.T) {
 	}
 }
 
-// TestSpawnAfterHaltUnwinds spawns a process from the event that halts the
-// engine: its body must never run, but its goroutine must still be unwound
-// so Run leaks nothing.
+// TestSpawnAfterHaltUnwinds spawns a process from the process whose panic
+// halts the engine: its body must never run, but its goroutine must still
+// be unwound so Run leaks nothing.
 func TestSpawnAfterHaltUnwinds(t *testing.T) {
 	e := NewEngine()
 	var bodyRan bool
-	e.At(10, func() {
-		e.Halt()
+	e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(10)
 		e.Spawn("late", func(p *Proc) { bodyRan = true })
+		panic("halt")
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if _, ok := soloGroup(e).Run().(*PanicError); !ok {
+		t.Fatal("want PanicError")
 	}
 	if bodyRan {
 		t.Fatal("process spawned after Halt ran its body")
@@ -53,9 +54,9 @@ func TestSpawnAfterHaltUnwinds(t *testing.T) {
 	}
 }
 
-// TestHaltRunsDefersOfParkedProcs halts mid-run with processes parked at
-// various depths; every defer must run (unwinding, not abandonment) and
-// Live must reach zero.
+// TestHaltRunsDefersOfParkedProcs halts mid-run (a process panics) with
+// processes parked at various depths; every defer must run (unwinding, not
+// abandonment) and Live must reach zero.
 func TestHaltRunsDefersOfParkedProcs(t *testing.T) {
 	e := NewEngine()
 	var unwound int
@@ -65,9 +66,12 @@ func TestHaltRunsDefersOfParkedProcs(t *testing.T) {
 			p.Sleep(1000) // far past the halt
 		})
 	}
-	e.At(10, func() { e.Halt() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(10)
+		panic("halt")
+	})
+	if _, ok := soloGroup(e).Run().(*PanicError); !ok {
+		t.Fatal("want PanicError")
 	}
 	if unwound != 5 {
 		t.Fatalf("unwound %d processes, want 5", unwound)
@@ -103,7 +107,7 @@ func TestEventPoolReuse(t *testing.T) {
 		}
 	}
 	e.At(1, step)
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired != rounds {
@@ -122,7 +126,7 @@ func TestLazyCancellationSkipsDeadProc(t *testing.T) {
 	e.Spawn("short", func(pp *Proc) { p = pp })
 	// Queue a spurious wake for after the process has finished.
 	e.At(5, func() { e.wake(p, 10) })
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Live() != 0 {
@@ -160,7 +164,7 @@ func TestProcsCompaction(t *testing.T) {
 		e.After(1, spawn)
 	}
 	e.At(0, spawn)
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Only a couple of processes are live at any instant, so compaction

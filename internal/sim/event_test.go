@@ -32,7 +32,7 @@ func TestEventOrderAcrossInlineBoundary(t *testing.T) {
 				p.Sleep(Microsecond)
 				ev.Fire()
 			})
-			if err := e.Run(); err != nil {
+			if err := soloGroup(e).Run(); err != nil {
 				t.Fatal(err)
 			}
 			var want []string
@@ -95,7 +95,7 @@ func TestInitEventEmbedded(t *testing.T) {
 		})
 	}
 	e.FireAt(Time(5*Microsecond), &o.done)
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(woke) != 2 || woke[0] != Time(5*Microsecond) || woke[1] != woke[0] {
@@ -107,7 +107,7 @@ func TestInitEventEmbedded(t *testing.T) {
 		t.Fatal("InitEvent did not rearm a fired event")
 	}
 	e.Spawn("stuck", func(p *Proc) { o.done.Wait(p) })
-	err := e.Run()
+	err := soloGroup(e).Run()
 	de, ok := err.(*DeadlockError)
 	if !ok || len(de.Blocked) != 1 || !strings.HasSuffix(de.Blocked[0], "(on event:rearmed)") {
 		t.Fatalf("Run = %v, want one process blocked on event:rearmed", err)

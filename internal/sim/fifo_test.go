@@ -99,8 +99,8 @@ func TestFIFOLongBacklog(t *testing.T) {
 		q.Put(i)
 	}
 	for i := 0; i < n; i++ {
-		if v, ok := q.TryGet(); !ok || v.(int) != i {
-			t.Fatalf("TryGet #%d = %v, %v", i, v, ok)
+		if v, ok := q.items.Pop(); !ok || v.(int) != i {
+			t.Fatalf("pop #%d = %v, %v", i, v, ok)
 		}
 	}
 
@@ -141,7 +141,7 @@ func TestFIFOLongBacklog(t *testing.T) {
 			}
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -149,7 +149,7 @@ func TestFIFOLongBacklog(t *testing.T) {
 			t.Fatalf("wake #%d: cond %d, semaphore %d", i, condOrder[i], semOrder[i])
 		}
 	}
-	if c.Waiting() != 0 || s.Available() != 0 || q.Len() != 0 {
-		t.Fatalf("left over: %d waiting, %d permits, %d items", c.Waiting(), s.Available(), q.Len())
+	if c.waiters.Len() != 0 || s.avail != 0 || q.items.Len() != 0 {
+		t.Fatalf("left over: %d waiting, %d permits, %d items", c.waiters.Len(), s.avail, q.items.Len())
 	}
 }

@@ -120,7 +120,7 @@ func TestFlightRingWraps(t *testing.T) {
 		i := i
 		e.At(Time(10*(i+1)), func() { _ = i })
 	}
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	sf := e.FlightShard()

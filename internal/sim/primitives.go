@@ -149,7 +149,7 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 // Len reports the number of queued elements.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
-// Cond is a reusable wait list: Wait blocks until a later WakeOne/WakeAll.
+// Cond is a reusable wait list: Wait blocks until a later WakeOne.
 // Unlike sync.Cond there is no lock: the engine's single-runner rule makes
 // check-then-wait atomic.
 type Cond struct {
@@ -176,16 +176,6 @@ func (c *Cond) WakeOne() bool {
 	}
 	return ok
 }
-
-// WakeAll wakes every waiting process in arrival order.
-func (c *Cond) WakeAll() {
-	for p, ok := c.waiters.Pop(); ok; p, ok = c.waiters.Pop() {
-		c.eng.wake(p, c.eng.now)
-	}
-}
-
-// Waiting reports the number of blocked processes.
-func (c *Cond) Waiting() int { return c.waiters.Len() }
 
 // Semaphore is a counting semaphore with FIFO acquisition order.
 type Semaphore struct {
@@ -220,9 +210,6 @@ func (s *Semaphore) Release() {
 	s.avail++
 }
 
-// Available reports the current number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
 // FIFOResource models a serialized service center such as a PCIe link, a
 // QPI hop, a NIC, or a memory channel: requests occupy it back to back in
 // arrival order. It tracks the time the resource becomes free rather than
@@ -251,14 +238,8 @@ func (r *FIFOResource) observe(arrival, start Time, occupy Dur) {
 	r.use.Observe(int64(r.eng.now), int64(start-arrival), int64(occupy))
 }
 
-// Name returns the resource's label.
-func (r *FIFOResource) Name() string { return r.use.Name }
-
 // BusyTime reports the total occupied time, for utilization reports.
 func (r *FIFOResource) BusyTime() Dur { return Dur(r.use.BusyNs) }
-
-// Uses reports the number of completed occupations.
-func (r *FIFOResource) Uses() uint64 { return uint64(r.use.Uses) }
 
 // Use occupies the resource for occupy time starting when it becomes free,
 // then keeps the caller blocked for a further tail (latency that does not
@@ -315,9 +296,6 @@ func (r *FIFOResource) UseAsyncFrom(earliest Time, occupy Dur) (start, end Time)
 	return start, r.freeAt
 }
 
-// FreeAt reports when the resource next becomes idle.
-func (r *FIFOResource) FreeAt() Time { return r.freeAt }
-
 // CoUseAsync occupies all given resources for the same interval, starting
 // when every one of them is free. It models transfers that hold several
 // links at once (e.g. a peer-to-peer PCIe copy holding both device links).
@@ -343,14 +321,13 @@ func CoUseAsync(occupy Dur, rs ...*FIFOResource) (start, end Time) {
 // Queue is an unbounded FIFO of arbitrary items with blocking receive.
 // Multiple consumers are served in FIFO order.
 type Queue struct {
-	eng   *Engine
 	items FIFO[interface{}]
 	cond  *Cond
 }
 
 // NewQueue returns an empty queue.
 func (e *Engine) NewQueue(why string) *Queue {
-	return &Queue{eng: e, cond: e.NewCond("queue:" + why)}
+	return &Queue{cond: e.NewCond("queue:" + why)}
 }
 
 // Put appends an item and wakes one waiting consumer. Put never blocks.
@@ -367,11 +344,3 @@ func (q *Queue) Get(p *Proc) interface{} {
 	item, _ := q.items.Pop()
 	return item
 }
-
-// TryGet removes and returns the oldest item without blocking.
-func (q *Queue) TryGet() (interface{}, bool) {
-	return q.items.Pop()
-}
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int { return q.items.Len() }

@@ -116,7 +116,7 @@ func TestEngineSeededEventOrder(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := soloGroup(eng).Run(); err != nil {
 			t.Fatalf("engine run (seed %d): %v", seed, err)
 		}
 		return log

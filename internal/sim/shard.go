@@ -23,8 +23,8 @@ import (
 // stamp, which — together with the (at, depth, lp, seq) event order — makes
 // the merged schedule a pure function of the inputs. A group of one shard
 // degenerates to one serial window, split only by beats and the event
-// budget; Engine.Run is exactly that group, so every run, standalone or
-// sharded, goes through this one driver and its one set of limits.
+// budget, so every run, one engine or sharded, goes through this one driver
+// and its one set of limits.
 //
 // Worker count changes only wall-clock behaviour, never a single simulated
 // byte: within a window each shard runs sequentially and shards share no
@@ -79,6 +79,10 @@ type ShardGroup struct {
 	// holds the dump captured by Run on an abnormal end.
 	flightCap int
 	stall     *StallReport
+
+	// cancelled is the run's one cancel flag; every shard's run loop polls
+	// it through Engine.cancel.
+	cancelled atomic.Bool
 }
 
 // NewShardGroup builds a group over engines created with NewLPEngine (lp =
@@ -92,34 +96,27 @@ func NewShardGroup(engines []*Engine, lookahead Dur, workers int) *ShardGroup {
 	if len(engines) > 1 && lookahead <= 0 {
 		panic("sim: multi-shard group requires positive lookahead")
 	}
+	if workers < 1 {
+		workers = 1
+	}
+	g := &ShardGroup{engines: engines, lookahead: lookahead, workers: workers}
 	for i, e := range engines {
 		if e.lp != int32(i) {
 			panic("sim: shard engines must be created with NewLPEngine(index)")
 		}
+		e.cancel = &g.cancelled
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &ShardGroup{engines: engines, lookahead: lookahead, workers: workers}
+	return g
 }
 
-// Cancel asks the group to stop. Safe from any goroutine: each shard's run
-// loop polls its own flag before every dispatch.
-func (g *ShardGroup) Cancel() {
-	for _, e := range g.engines {
-		e.Cancel()
-	}
-}
+// Cancel asks the group to stop. It is the one entry point safe from any
+// goroutine at any time: it sets the group's flag, which every shard's run
+// loop polls before each dispatch. Run then unwinds every unfinished
+// process (defers run, no goroutines leak) and returns a *CancelError.
+func (g *ShardGroup) Cancel() { g.cancelled.Store(true) }
 
-// Cancelled reports whether the group or any of its shards was cancelled.
-func (g *ShardGroup) Cancelled() bool {
-	for _, e := range g.engines {
-		if e.Cancelled() {
-			return true
-		}
-	}
-	return false
-}
+// Cancelled reports whether Cancel has been called.
+func (g *ShardGroup) Cancelled() bool { return g.cancelled.Load() }
 
 // Events reports the total number of events dispatched across all shards.
 func (g *ShardGroup) Events() uint64 {
@@ -155,10 +152,8 @@ func (g *ShardGroup) Run() error {
 		err = p
 	} else if stopErr != nil {
 		err = stopErr
-	} else if !g.halted() {
-		if blocked := g.blockedUnion(); len(blocked) > 0 {
-			err = &DeadlockError{Time: g.MaxNow(), Blocked: blocked}
-		}
+	} else if blocked := g.blockedUnion(); len(blocked) > 0 {
+		err = &DeadlockError{Time: g.MaxNow(), Blocked: blocked}
 	}
 	g.captureStall(err)
 	for _, e := range g.engines {
@@ -236,9 +231,6 @@ func (g *ShardGroup) windows() error {
 		}
 		if err := g.checkEventBudget(); err != nil {
 			return err
-		}
-		if g.halted() {
-			return nil // a shard halted (panic or Halt); stop the run
 		}
 		if g.OnWindow != nil {
 			g.OnWindow(g.windowFence(fence))
@@ -459,16 +451,6 @@ func (g *ShardGroup) minNextAt() (Time, bool) {
 		}
 	}
 	return t, found
-}
-
-// halted reports whether any shard has halted (Halt, a panic, or a cancel).
-func (g *ShardGroup) halted() bool {
-	for _, e := range g.engines {
-		if e.halted {
-			return true
-		}
-	}
-	return false
 }
 
 // firstPanic returns the recorded panic of the lowest shard index, if any.

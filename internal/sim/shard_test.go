@@ -108,7 +108,7 @@ func TestShardGroupMatchesSerialEngine(t *testing.T) {
 			}
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range logs {
@@ -303,7 +303,7 @@ func TestNewShardGroupValidation(t *testing.T) {
 func TestInjectCausalityCheck(t *testing.T) {
 	e := NewLPEngine(0)
 	e.At(Time(100), func() {})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

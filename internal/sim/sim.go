@@ -41,9 +41,6 @@ const (
 // Seconds reports the duration in floating-point seconds.
 func (d Dur) Seconds() float64 { return float64(d) / 1e9 }
 
-// Seconds reports the time in floating-point seconds since the run started.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
 func (d Dur) String() string {
 	switch {
 	case d < Microsecond:
@@ -178,11 +175,10 @@ type Engine struct {
 	// stamps (see flight.go); flightHead is the next slot to overwrite.
 	flight     []EventStamp
 	flightHead int
-	// cancelled is set by Cancel — the only engine field touched from
-	// outside the simulation goroutine, hence atomic. The run loop polls
-	// it before every dispatch, and a ShardGroup reads it (through
-	// Cancelled) at every window barrier.
-	cancelled atomic.Bool
+	// cancel points at the cancel flag of the group that runs the engine
+	// (see ShardGroup.Cancel), the only state set from outside the
+	// simulation goroutine. The run loop polls it before every dispatch.
+	cancel *atomic.Bool
 
 	// Metrics is the engine's telemetry registry. Every FIFOResource
 	// reports occupancy into it, and higher layers (fabric, devices,
@@ -224,20 +220,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Live reports how many spawned processes have not yet finished.
 func (e *Engine) Live() int { return e.live }
-
-// Events reports how many events the engine has dispatched so far.
-func (e *Engine) Events() uint64 { return e.dispatched }
-
-// Cancel asks a running engine to stop. It is the one engine entry point
-// that is safe to call from any goroutine at any time: it only sets an
-// atomic flag, which the run loop polls before each dispatch. Run then
-// unwinds every unfinished process (defers run, no goroutines leak) and
-// returns a *CancelError. Cancelling an engine that never runs again is a
-// no-op beyond marking it cancelled.
-func (e *Engine) Cancel() { e.cancelled.Store(true) }
-
-// Cancelled reports whether Cancel has been called.
-func (e *Engine) Cancelled() bool { return e.cancelled.Load() }
 
 // alloc takes an event struct off the freelist, or makes one.
 func (e *Engine) alloc() *event {
@@ -409,9 +391,6 @@ type Proc struct {
 // blockedOn describes what the process is waiting for, e.g. "event:done".
 func (p *Proc) blockedOn() string { return p.parkKind + p.parkWhy }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
@@ -484,7 +463,7 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes a panicked error value for errors.As chains.
-func (e *PanicError) Unwrap() error {
+func (e *PanicError) Unwrap() error { //impacc:allow-unused errors.Is and errors.As call it through an anonymous interface
 	if err, ok := e.Value.(error); ok {
 		return err
 	}
@@ -534,14 +513,7 @@ func (p *Proc) SleepUntil(t Time) {
 	p.park("sleepUntil", "")
 }
 
-// Yield reschedules the process at the current time, letting other
-// already-queued events at this instant run first.
-func (p *Proc) Yield() {
-	p.eng.wake(p, p.eng.now)
-	p.park("yield", "")
-}
-
-// CancelError reports that the run was stopped by Engine.Cancel before its
+// CancelError reports that the run was stopped by ShardGroup.Cancel before its
 // event queue drained. The engine still unwound every process, so the halt
 // is clean — but nothing about the truncated run (telemetry, reports) is
 // deterministic, because the cancel instant came from outside virtual time.
@@ -582,20 +554,6 @@ func (e *DeadlockError) Error() string {
 // timeInfinity is a fence beyond any schedulable instant.
 const timeInfinity = Time(1<<63 - 1)
 
-// Run executes events until the queue drains. It returns a *DeadlockError if
-// processes remain blocked when no events are left, or nil on clean
-// completion (all spawned processes finished).
-//
-// However the run ends — clean, halted, deadlocked, or panicked — Run
-// unwinds every unfinished process before returning: each is resumed with a
-// private sentinel that panics through its stack (running defers) and is
-// swallowed by the engine, so no goroutines leak and tools may run many
-// engines in one process.
-//
-// A standalone engine runs as the one shard of a degenerate ShardGroup, so
-// there is a single run loop; set limits on a group to cap a run.
-func (e *Engine) Run() error { return NewShardGroup([]*Engine{e}, 0, 1).Run() }
-
 // EachBlocked calls fn for every unfinished process and what it currently
 // waits on, in spawn order. Call only with the engine quiescent (between
 // windows, or after Run) — observers like the progress heartbeat use it at
@@ -625,13 +583,13 @@ func (e *Engine) blockedProcs() []string {
 // runUntil executes events strictly before fence and returns the stop
 // error, if any. It returns nil when the queue drains, when the next event
 // lies at or past the fence or the window cap is spent (the event stays
-// queued; the engine is resumable), or when the engine halts (by Halt or a
-// process panic — check Halted / panicked). The ShardGroup coordinator
+// queued; the engine is resumable). When a process panic halts the engine
+// it returns the *PanicError. The ShardGroup coordinator
 // calls it once per window; every limit other than the window cap is
 // enforced at its barriers.
 func (e *Engine) runUntil(fence Time) error {
 	for !e.halted {
-		if e.cancelled.Load() {
+		if e.cancel.Load() {
 			e.halted = true
 			return &CancelError{At: e.now}
 		}
@@ -689,7 +647,7 @@ func (e *Engine) runUntil(fence Time) error {
 		}
 		e.dispatchDepth = -1
 	}
-	return nil
+	return e.panicked
 }
 
 // nextAt reports the time of the engine's earliest pending event, or false
@@ -723,13 +681,3 @@ func (e *Engine) unwindProcs() {
 	}
 	e.procs = e.procs[:0]
 }
-
-// Halt stops the run after the current event completes. Run then unwinds
-// any remaining processes (their defers run; their bodies do not continue)
-// before returning, so halting leaks nothing and is safe in tests and
-// long-lived tools alike.
-func (e *Engine) Halt() { e.halted = true }
-
-// Halted reports whether the engine stopped early: via Halt, a process
-// panic, or a cancel observed between its dispatches.
-func (e *Engine) Halted() bool { return e.halted }

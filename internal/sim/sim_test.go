@@ -20,7 +20,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 		p.Sleep(10 * Microsecond)
 		woke = p.Now()
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if woke != Time(10*Microsecond) {
@@ -37,7 +37,7 @@ func TestSleepZeroAndNegative(t *testing.T) {
 			t.Errorf("zero/negative sleeps moved clock to %v", p.Now())
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,7 +54,7 @@ func TestEventOrderingDeterministic(t *testing.T) {
 				order = append(order, p.Name)
 			})
 		}
-		if err := e.Run(); err != nil {
+		if err := soloGroup(e).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return order
@@ -80,7 +80,7 @@ func TestAfterCallbackRuns(t *testing.T) {
 	e := NewEngine()
 	var at Time = -1
 	e.After(3*Millisecond, func() { at = e.Now() })
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if at != Time(3*Millisecond) {
@@ -96,7 +96,7 @@ func TestAtClampsToNow(t *testing.T) {
 		// Schedule in the past: must run at now, not never.
 		e.At(0, func() { ran = true })
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
@@ -108,7 +108,7 @@ func TestSpawnAt(t *testing.T) {
 	e := NewEngine()
 	var start Time
 	e.SpawnAt(Time(7*Microsecond), "late", func(p *Proc) { start = p.Now() })
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if start != Time(7*Microsecond) {
@@ -120,7 +120,7 @@ func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	ev := e.NewEvent("never")
 	e.Spawn("stuck", func(p *Proc) { ev.Wait(p) })
-	err := e.Run()
+	err := soloGroup(e).Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("Run returned %v, want DeadlockError", err)
@@ -145,7 +145,7 @@ func TestEventBroadcast(t *testing.T) {
 		ev.Fire()
 		ev.Fire() // double fire is a no-op
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(woke) != 3 || woke[0] != "w0" || woke[2] != "w2" {
@@ -165,7 +165,7 @@ func TestEventWaitAfterFire(t *testing.T) {
 		ev.Wait(p) // must not block
 		t0 = p.Now()
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if t0 != 0 {
@@ -189,12 +189,13 @@ func TestCondWakeOneFIFO(t *testing.T) {
 			t.Error("WakeOne found no waiter")
 		}
 		p.Sleep(Microsecond)
-		c.WakeAll()
+		for c.WakeOne() {
+		}
 		if c.WakeOne() {
-			t.Error("WakeOne woke someone after WakeAll drained the list")
+			t.Error("WakeOne woke someone after the list drained")
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"w0", "w1", "w2"}
@@ -221,14 +222,14 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 			s.Release()
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if peak != 2 {
 		t.Fatalf("peak concurrency = %d, want 2", peak)
 	}
-	if s.Available() != 2 {
-		t.Fatalf("final permits = %d, want 2", s.Available())
+	if s.avail != 2 {
+		t.Fatalf("final permits = %d, want 2", s.avail)
 	}
 }
 
@@ -244,7 +245,7 @@ func TestSemaphoreFIFOHandoff(t *testing.T) {
 			s.Release()
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"u0", "u1", "u2", "u3"}
@@ -265,7 +266,7 @@ func TestFIFOResourceSerializes(t *testing.T) {
 			ends = append(ends, p.Now())
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{Time(10 * Microsecond), Time(20 * Microsecond), Time(30 * Microsecond)}
@@ -277,8 +278,8 @@ func TestFIFOResourceSerializes(t *testing.T) {
 	if r.BusyTime() != 30*Microsecond {
 		t.Fatalf("busy = %v, want 30us", r.BusyTime())
 	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses())
+	if r.use.Uses != 3 {
+		t.Fatalf("uses = %d, want 3", r.use.Uses)
 	}
 }
 
@@ -294,7 +295,7 @@ func TestFIFOResourceTailDoesNotOccupy(t *testing.T) {
 		r.Use(p, 10*Microsecond, 5*Microsecond)
 		end1 = p.Now()
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// a: occupies 0-10, done at 15. b: occupies 10-20 (tail overlaps), done 25.
@@ -331,7 +332,7 @@ func TestQueueFIFO(t *testing.T) {
 			q.Put(i)
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
@@ -341,34 +342,18 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueTryGet(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue("t")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put("x")
-	v, ok := q.TryGet()
-	if !ok || v.(string) != "x" {
-		t.Fatalf("TryGet = %v, %v", v, ok)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("len = %d, want 0", q.Len())
-	}
-}
-
 func TestYieldRunsQueuedEventsFirst(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0) // yields behind the events already queued at now
 		order = append(order, "a2")
 	})
 	e.Spawn("b", func(p *Proc) {
 		order = append(order, "b")
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a1", "b", "a2"}
@@ -473,7 +458,7 @@ func TestFIFOResourceScheduleProperty(t *testing.T) {
 				ends[i] = p.Now()
 			})
 		}
-		if err := e.Run(); err != nil {
+		if err := soloGroup(e).Run(); err != nil {
 			return false
 		}
 		var cum Time
@@ -503,7 +488,7 @@ func TestOnFireCallbacks(t *testing.T) {
 		p.Sleep(Microsecond)
 		ev.Fire()
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Callbacks run before waiters resume.
@@ -528,11 +513,8 @@ func TestCoUseAsync(t *testing.T) {
 	if start != Time(10*Microsecond) || end != Time(15*Microsecond) {
 		t.Fatalf("co-use = [%v, %v]", start, end)
 	}
-	if a.FreeAt() != end || b.FreeAt() != end {
+	if a.freeAt != end || b.freeAt != end {
 		t.Fatal("both resources must be held to the same end")
-	}
-	if a.Name() != "a" {
-		t.Fatal("resource name lost")
 	}
 	if _, e2 := CoUseAsync(-1, b); e2 != end {
 		t.Fatal("negative occupy must clamp to zero")
@@ -548,7 +530,7 @@ func TestProcPanicSurfacesAsError(t *testing.T) {
 	e.Spawn("bystander", func(p *Proc) {
 		p.Sleep(time10ms())
 	})
-	err := e.Run()
+	err := soloGroup(e).Run()
 	pe, ok := err.(*PanicError)
 	if !ok {
 		t.Fatalf("err = %v (%T), want PanicError", err, err)
@@ -567,30 +549,33 @@ func TestProcPanicWithErrorUnwraps(t *testing.T) {
 	e := NewEngine()
 	sentinel := &DeadlockError{}
 	e.Spawn("b", func(p *Proc) { panic(sentinel) })
-	err := e.Run()
+	err := soloGroup(e).Run()
 	pe, ok := err.(*PanicError)
 	if !ok || pe.Unwrap() != error(sentinel) {
 		t.Fatalf("unwrap = %v", err)
 	}
 }
 
+// TestHaltStopsRun: a cancel raised by the running event halts the engine
+// once that event completes.
 func TestHaltStopsRun(t *testing.T) {
 	e := NewEngine()
+	g := soloGroup(e)
 	var count int
 	e.Spawn("ticker", func(p *Proc) {
 		for {
 			p.Sleep(Microsecond)
 			count++
 			if count == 5 {
-				e.Halt()
+				g.Cancel()
 			}
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if _, ok := g.Run().(*CancelError); !ok {
+		t.Fatal("want CancelError")
 	}
-	if !e.Halted() || count != 5 {
-		t.Fatalf("halted=%v count=%d", e.Halted(), count)
+	if !e.halted || count != 5 {
+		t.Fatalf("halted=%v count=%d", e.halted, count)
 	}
 }
 
@@ -600,30 +585,18 @@ func TestCondWaiting(t *testing.T) {
 	e.Spawn("w", func(p *Proc) { c.Wait(p) })
 	e.Spawn("obs", func(p *Proc) {
 		p.Sleep(Microsecond)
-		if c.Waiting() != 1 {
-			t.Errorf("waiting = %d", c.Waiting())
+		if c.waiters.Len() != 1 {
+			t.Errorf("waiting = %d", c.waiters.Len())
 		}
-		c.WakeAll()
+		c.WakeOne()
 	})
-	if err := e.Run(); err != nil {
+	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTimeAndDurSeconds(t *testing.T) {
-	if Second.Seconds() != 1.0 || Time(Millisecond).Seconds() != 0.001 {
+	if Second.Seconds() != 1.0 || Dur(Time(Millisecond)).Seconds() != 0.001 {
 		t.Fatal("Seconds conversions wrong")
-	}
-}
-
-func TestProcEngineAccessor(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("p", func(p *Proc) {
-		if p.Engine() != e {
-			t.Error("Engine() accessor wrong")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

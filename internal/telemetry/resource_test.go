@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"slices"
 	"testing"
 
 	"impacc/internal/sim"
@@ -22,7 +23,7 @@ func TestResourceMonitor(t *testing.T) {
 			r.Use(p, u.occupy, 0)
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{e}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Metrics.Snapshot(int64(e.Now()))
@@ -39,14 +40,14 @@ func TestResourceMonitor(t *testing.T) {
 		{telemetry.ResourceBusyNs, "n0/idle", 0, 0},
 		{telemetry.ResourcePeakBacklogNs, "n0/idle", 0, 0},
 	} {
-		f := snap.Family(c.family)
-		if f == nil || len(f.Series) != 2 {
-			t.Fatalf("%s: family %+v, want two series", c.family, f)
+		i := slices.IndexFunc(snap.Families, func(f telemetry.FamilySnap) bool { return f.Name == c.family })
+		if i < 0 || len(snap.Families[i].Series) != 2 {
+			t.Fatalf("%s: no family with two series in %+v", c.family, snap.Families)
 		}
 		var ss *telemetry.SeriesSnap
-		for i := range f.Series {
-			if f.Series[i].Label("resource") == c.resource {
-				ss = &f.Series[i]
+		for j, s := range snap.Families[i].Series {
+			if s.Labels[0] == (telemetry.Label{Key: "resource", Value: c.resource}) {
+				ss = &snap.Families[i].Series[j]
 			}
 		}
 		got := float64(ss.Value) + ss.GaugeValue

@@ -104,26 +104,6 @@ func (f *family) snapshot() FamilySnap {
 	return fs
 }
 
-// Family returns the named family of the snapshot, or nil.
-func (s *Snapshot) Family(name string) *FamilySnap {
-	for i := range s.Families {
-		if s.Families[i].Name == name {
-			return &s.Families[i]
-		}
-	}
-	return nil
-}
-
-// Label returns the value of the named label, or "".
-func (ss *SeriesSnap) Label(key string) string {
-	for _, l := range ss.Labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // WriteFile stores the snapshot at path: Prometheus text exposition when
 // the path ends in .prom, indented JSON otherwise.
 func (s *Snapshot) WriteFile(path string) error {

@@ -220,9 +220,6 @@ func (g *Gauge) SetMax(v float64) {
 	}
 }
 
-// Value reports the current gauge value.
-func (g *Gauge) Value() float64 { return g.s.fval }
-
 // Histogram is a log2-bucketed distribution of non-negative int64 samples
 // (durations in nanoseconds, sizes in bytes). Bucket i counts samples in
 // [2^(i-1), 2^i - 1]; bucket 0 counts zeros.
@@ -257,12 +254,6 @@ func (h *Histogram) Observe(v int64) {
 	s.sum += v
 	h.s.lastNs = h.r.now()
 }
-
-// Count reports the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.s.hist().count }
-
-// Sum reports the total of observed samples.
-func (h *Histogram) Sum() int64 { return h.s.hist().sum }
 
 // emptyHist is the state of a histogram series with no samples.
 var emptyHist hist

@@ -32,24 +32,24 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("util", "utilization")
 	g.Set(0.5)
 	g.SetMax(0.25)
-	if g.Value() != 0.5 {
-		t.Fatalf("SetMax lowered gauge to %v", g.Value())
+	if g.s.fval != 0.5 {
+		t.Fatalf("SetMax lowered gauge to %v", g.s.fval)
 	}
 	g.SetMax(0.75)
-	if g.Value() != 0.75 {
-		t.Fatalf("gauge = %v, want 0.75", g.Value())
+	if g.s.fval != 0.75 {
+		t.Fatalf("gauge = %v, want 0.75", g.s.fval)
 	}
 
 	snap := r.Snapshot(now)
 	if snap.AtNs != 50 {
 		t.Fatalf("snapshot at %d, want 50", snap.AtNs)
 	}
-	f := snap.Family("msgs_total")
-	if f == nil || f.Series[0].Value != 3 || f.Series[0].LastNs != 50 {
+	f := snap.Families[0]
+	if f.Name != "msgs_total" || f.Series[0].Value != 3 || f.Series[0].LastNs != 50 {
 		t.Fatalf("counter family snapshot = %+v", f)
 	}
-	if f.Series[0].Label("node") != "n0" {
-		t.Fatalf("label lookup = %q", f.Series[0].Label("node"))
+	if l := f.Series[0].Labels; len(l) != 1 || l[0] != (Label{"node", "n0"}) {
+		t.Fatalf("labels = %+v", l)
 	}
 }
 
@@ -59,13 +59,13 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 3, 4, 1000, -7} {
 		h.Observe(v)
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
+	ss := r.Snapshot(0).Families[0].Series[0]
+	if ss.Count != 7 {
+		t.Fatalf("count = %d, want 7", ss.Count)
 	}
-	if h.Sum() != 1010 {
-		t.Fatalf("sum = %d, want 1010", h.Sum())
+	if ss.Sum != 1010 {
+		t.Fatalf("sum = %d, want 1010", ss.Sum)
 	}
-	ss := r.Snapshot(0).Family("lat_ns").Series[0]
 	if ss.Min != 0 || ss.Max != 1000 {
 		t.Fatalf("min/max = %d/%d", ss.Min, ss.Max)
 	}

@@ -17,8 +17,6 @@ import (
 // (device streams, message handlers) sleep until completion or attach
 // callbacks. Blocking variants park the calling process.
 type Fabric struct {
-	// Eng is node 0's engine — the only engine of an unsharded fabric.
-	Eng *sim.Engine
 	Sys *System
 
 	// Faults, when set, perturbs internode transfer pricing: link
@@ -56,15 +54,6 @@ type NodeRes struct {
 	NICOut, NICIn *sim.FIFOResource
 }
 
-// NewFabric builds the per-node resources for sys inside one engine.
-func NewFabric(eng *sim.Engine, sys *System) *Fabric {
-	engines := make([]*sim.Engine, len(sys.Nodes))
-	for i := range engines {
-		engines[i] = eng
-	}
-	return NewShardedFabric(engines, sys)
-}
-
 // NewShardedFabric builds the fabric with node i's resources living in
 // engines[i] — the shard layout of parallel simulation. Every resource is
 // only ever touched from its own engine's events; the internode path
@@ -74,7 +63,7 @@ func NewShardedFabric(engines []*sim.Engine, sys *System) *Fabric {
 	if len(engines) != len(sys.Nodes) {
 		panic("topo: NewShardedFabric needs one engine per node")
 	}
-	f := &Fabric{Eng: engines[0], Sys: sys, engines: engines}
+	f := &Fabric{Sys: sys, engines: engines}
 	f.nodes = make([]*NodeRes, len(sys.Nodes))
 	for i := range sys.Nodes {
 		node := &sys.Nodes[i]
@@ -110,12 +99,8 @@ func (f *Fabric) Engine(i int) *sim.Engine { return f.engines[i] }
 // in the sender's future. Fault plans can only lengthen a transfer (stalls
 // add delay, degradation stretches occupancy), never shorten it, so the
 // bound holds under chaos without clamping. Returns 0 (no usable lookahead)
-// if any node's NIC carries no fixed latency.
-func (f *Fabric) MinNetLatency() sim.Dur { return f.Sys.MinNetLatency() }
-
-// MinNetLatency is the System-level computation behind
-// Fabric.MinNetLatency, usable before any engine exists (the runtime
-// decides its shard layout from it).
+// if any node's NIC carries no fixed latency. The runtime decides its shard
+// layout from it before any engine exists.
 func (s *System) MinNetLatency() sim.Dur {
 	min := sim.Dur(-1)
 	for i := range s.Nodes {

@@ -114,6 +114,9 @@ func LoadSystem(r io.Reader) (*System, error) {
 	if len(js.Nodes) == 0 {
 		return nil, fmt.Errorf("topo: system %q has no nodes", js.Name)
 	}
+	if js.MPIOverhead < 0 {
+		return nil, fmt.Errorf("topo: system %q: mpiOverhead must be >= 0", js.Name)
+	}
 	sys := &System{
 		Name:           js.Name,
 		MPIOverhead:    dur(js.MPIOverhead),
@@ -124,9 +127,9 @@ func LoadSystem(r io.Reader) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		count := jn.Count
-		if count <= 0 {
-			count = 1
+		count := max(jn.Count, 1)
+		if count > MaxGeneratedNodes-len(sys.Nodes) {
+			return nil, fmt.Errorf("topo: node %q: count %d takes the system past %d nodes", jn.Name, count, MaxGeneratedNodes)
 		}
 		for c := 0; c < count; c++ {
 			n := node
@@ -188,6 +191,12 @@ func (jn jsonNode) spec(idx int) (NodeSpec, error) {
 	if jn.NIC.Link.GBs <= 0 {
 		return NodeSpec{}, fmt.Errorf("topo: node %q: nic.link.gbs must be positive", jn.Name)
 	}
+	if jn.NIC.Socket < 0 || jn.NIC.Socket >= len(jn.Sockets) {
+		return NodeSpec{}, fmt.Errorf("topo: node %q: nic socket %d out of range", jn.Name, jn.NIC.Socket)
+	}
+	if min(jn.HostCopySW, jn.IPCOverhead, jn.Inter.Latency, jn.Inter.SWOverhead, jn.NIC.Link.Latency, jn.NIC.Link.SWOverhead) < 0 {
+		return NodeSpec{}, fmt.Errorf("topo: node %q: hostCopySW, ipcOverhead and link latencies and swOverheads must be >= 0", jn.Name)
+	}
 	node := NodeSpec{
 		Name:           jn.Name,
 		MemoryBytes:    int64(jn.MemoryGB * (1 << 30)),
@@ -229,6 +238,10 @@ func (jn jsonNode) spec(idx int) (NodeSpec, error) {
 		if d.Socket < 0 || d.Socket >= len(jn.Sockets) {
 			return NodeSpec{}, fmt.Errorf("topo: node %q device %d: socket %d out of range",
 				jn.Name, di, d.Socket)
+		}
+		if min(d.KernelLaunch, d.PCIe.Latency, d.PCIe.SWOverhead) < 0 {
+			return NodeSpec{}, fmt.Errorf("topo: node %q device %d: kernelLaunch and pcie latency and swOverhead must be >= 0",
+				jn.Name, di)
 		}
 		if !class.Integrated() && (d.GFlopsDP <= 0 || d.PCIe.GBs <= 0) {
 			return NodeSpec{}, fmt.Errorf("topo: node %q device %d: gflopsDP and pcie.gbs must be positive",

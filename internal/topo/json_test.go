@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"impacc/internal/sim"
 )
 
 const miniConfig = `{
@@ -54,7 +57,7 @@ func TestLoadSystem(t *testing.T) {
 	if n.Devices[0].PCIe.GBs != 12 || n.Devices[0].MemoryBytes != 8<<30 {
 		t.Fatalf("gpu spec: %+v", n.Devices[0])
 	}
-	if sys.TotalDevices(MaskOf(NVIDIAGPU)) != 3 {
+	if countDevices(sys, MaskOf(NVIDIAGPU)) != 3 {
 		t.Fatal("device counting over loaded system wrong")
 	}
 }
@@ -68,13 +71,25 @@ func TestLoadSystemErrors(t *testing.T) {
 		{"bad socket", `"name": "cpuacc"`, "out of range"},
 		{"no nic bw", `"gbs": 1.25`, "must be positive"},
 		{"unknown field", `"mpiOverhead": 400`, "unknown field"},
+		{"too many nodes", `"count": 3`, "takes the system past 65536 nodes"},
+		{"negative mpi", `"mpiOverhead": 400`, "mpiOverhead must be >= 0"},
+		{"negative nic", `"latency": 2000`, "must be >= 0"},
+		{"negative copy", `"hostCopySW": 1200`, "must be >= 0"},
+		{"negative launch", `"kernelLaunch": 8000`, "kernelLaunch and pcie latency"},
+		{"nic socket", `"rdma": false`, "nic socket 1 out of range"},
 	}
 	muts := map[string]string{
-		"no name":       `"name": ""`,
-		"bad class":     `"class": "nvidia|cpu", "name": "gpu0"`,
-		"bad socket":    `"name": "cpuacc", "socket": 7`,
-		"no nic bw":     `"gbs": 0`,
-		"unknown field": `"mpiOverhead": 400, "bogus": 1`,
+		"no name":         `"name": ""`,
+		"bad class":       `"class": "nvidia|cpu", "name": "gpu0"`,
+		"bad socket":      `"name": "cpuacc", "socket": 7`,
+		"no nic bw":       `"gbs": 0`,
+		"unknown field":   `"mpiOverhead": 400, "bogus": 1`,
+		"too many nodes":  `"count": 200000`,
+		"negative mpi":    `"mpiOverhead": -1`,
+		"negative nic":    `"latency": -100000`,
+		"negative copy":   `"hostCopySW": -1`,
+		"negative launch": `"kernelLaunch": -8000`,
+		"nic socket":      `"rdma": false, "socket": 1`,
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -103,7 +118,7 @@ func TestLoadedSystemRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := newTestEngine()
-	f := NewFabric(eng, sys)
+	f := NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	if arrive, _ := f.NetInjectAsync(0, 1, 1<<20); arrive <= 0 {
 		t.Fatal("fabric over loaded system inert")
 	}

@@ -59,14 +59,6 @@ type LinkSpec struct {
 	SWOverhead sim.Dur // driver/runtime software overhead per operation
 }
 
-// Time returns the end-to-end duration of moving n bytes over the link.
-func (l LinkSpec) Time(n int64) sim.Dur {
-	if n < 0 {
-		n = 0
-	}
-	return l.Latency + l.SWOverhead + sim.DurFromSeconds(float64(n)/(l.GBs*1e9))
-}
-
 // Occupy returns only the bandwidth (occupancy) portion of a transfer.
 func (l LinkSpec) Occupy(n int64) sim.Dur {
 	if n < 0 {
@@ -148,29 +140,6 @@ type NodeSpec struct {
 	NIC NICSpec
 }
 
-// CPUCores returns the total core count of the node.
-func (n *NodeSpec) CPUCores() int {
-	total := 0
-	for _, s := range n.Sockets {
-		total += s.Cores
-	}
-	return total
-}
-
-// DeviceAffinity returns the near-socket index of device d, the information
-// the real runtime reads from /sys/class/pci_bus (paper §3.3).
-func (n *NodeSpec) DeviceAffinity(d int) int {
-	return n.Devices[d].Socket
-}
-
-// SysfsPath returns a sysfs-shaped affinity path for device d, matching the
-// mechanism the paper's runtime uses to identify CPU affinities.
-func (n *NodeSpec) SysfsPath(d int) string {
-	dev := n.Devices[d]
-	return fmt.Sprintf("/sys/class/pci_bus/0000:%02x/device/numa_node:%d",
-		0x10*(dev.Socket+1)+d, dev.Socket)
-}
-
 // SameRootComplex reports whether devices a and b hang off the same PCIe
 // root complex, the condition for direct DtoD copies (paper §3.7).
 func (n *NodeSpec) SameRootComplex(a, b int) bool {
@@ -196,20 +165,6 @@ type System struct {
 	// generate.go): internode transfers then pay an extra per-hop latency
 	// via HopExtra. Nil means a flat network (all hand-written presets).
 	Topo *TopoSpec `json:",omitempty"`
-}
-
-// TotalDevices counts accelerators of the given classes across the system;
-// a zero mask counts all devices.
-func (s *System) TotalDevices(mask ClassMask) int {
-	total := 0
-	for i := range s.Nodes {
-		for _, d := range s.Nodes[i].Devices {
-			if mask.Has(d.Class) {
-				total++
-			}
-		}
-	}
-	return total
 }
 
 // ClassMask is a bit field of DeviceClass values, mirroring the

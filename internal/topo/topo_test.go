@@ -1,7 +1,7 @@
 package topo
 
 import (
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,8 +20,8 @@ func TestTable1Presets(t *testing.T) {
 	if psg.Nodes[0].Devices[0].Class != NVIDIAGPU {
 		t.Fatal("PSG device class must be NVIDIA GPU")
 	}
-	if psg.Nodes[0].CPUCores() != 32 {
-		t.Fatalf("PSG cores = %d, want 32", psg.Nodes[0].CPUCores())
+	if cores := psg.Nodes[0].Sockets[0].Cores + psg.Nodes[0].Sockets[1].Cores; cores != 32 {
+		t.Fatalf("PSG cores = %d, want 32", cores)
 	}
 
 	bea := Beacon(32)
@@ -33,9 +33,6 @@ func TestTable1Presets(t *testing.T) {
 	}
 	if bea.Nodes[0].Devices[0].Class != XeonPhi {
 		t.Fatal("Beacon device class must be Xeon Phi")
-	}
-	if bea.TotalDevices(0) != 128 {
-		t.Fatalf("Beacon total devices = %d, want 128", bea.TotalDevices(0))
 	}
 
 	ti := Titan(8192)
@@ -90,21 +87,34 @@ func TestTotalDevicesWithMask(t *testing.T) {
 		{MaskOf(NVIDIAGPU, XeonPhi), 5}, // nvidia|xeonphi
 	}
 	for _, c := range cases {
-		if got := sys.TotalDevices(c.mask); got != c.want {
-			t.Errorf("TotalDevices(%v) = %d, want %d", c.mask, got, c.want)
+		if got := countDevices(sys, c.mask); got != c.want {
+			t.Errorf("devices selected by %v = %d, want %d", c.mask, got, c.want)
 		}
 	}
 }
 
+// countDevices counts sys's devices that mask selects.
+func countDevices(sys *System, mask ClassMask) int {
+	n := 0
+	for i := range sys.Nodes {
+		for _, d := range sys.Nodes[i].Devices {
+			if mask.Has(d.Class) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestDeviceAffinityAndSysfs: PSG's devices 0-3 sit near socket 0 and 4-7
+// near socket 1, the affinity the real runtime reads from sysfs and the
+// simulated one from DeviceSpec.Socket (paper §3.3).
 func TestDeviceAffinityAndSysfs(t *testing.T) {
 	node := &PSG().Nodes[0]
-	if node.DeviceAffinity(0) != 0 || node.DeviceAffinity(7) != 1 {
-		t.Fatalf("PSG affinity: dev0=%d dev7=%d, want 0 and 1",
-			node.DeviceAffinity(0), node.DeviceAffinity(7))
-	}
-	p := node.SysfsPath(5)
-	if !strings.HasPrefix(p, "/sys/class/pci_bus/") || !strings.HasSuffix(p, "numa_node:1") {
-		t.Fatalf("sysfs path = %q", p)
+	for d, dev := range node.Devices {
+		if want := d / 4; dev.Socket != want {
+			t.Fatalf("PSG dev%d socket = %d, want %d", d, dev.Socket, want)
+		}
 	}
 }
 
@@ -124,27 +134,27 @@ func TestSameRootComplex(t *testing.T) {
 
 func TestLinkSpecTime(t *testing.T) {
 	l := LinkSpec{Latency: 1000, GBs: 10, SWOverhead: 500}
-	if got := l.Time(0); got != 1500 {
-		t.Fatalf("zero-byte time = %v, want 1.5us", got)
+	if got := l.Occupy(0); got != 0 {
+		t.Fatalf("zero-byte occupancy = %v, want 0", got)
 	}
-	// 10 GB at 10 GB/s = 1s, plus fixed costs.
-	if got := l.Time(10 << 30); got < sim.Second || got > sim.Second+sim.Second/10 {
-		t.Fatalf("10GiB time = %v, want ~1.07s", got)
+	// 10 GiB at 10 GB/s is about 1.07 s; the fixed costs do not occupy.
+	if got := l.Occupy(10 << 30); got < sim.Second || got > sim.Second+sim.Second/10 {
+		t.Fatalf("10GiB occupancy = %v, want ~1.07s", got)
 	}
-	if l.Time(-5) != l.Time(0) {
+	if l.Occupy(-5) != l.Occupy(0) {
 		t.Fatal("negative sizes must clamp to zero")
 	}
 }
 
 func TestFabricHostCopy(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, PSG())
+	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	var end sim.Time
 	eng.Spawn("t", func(p *sim.Proc) {
 		f.HostCopy(p, 0, 1<<30)
 		end = p.Now()
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// 1 GiB at 11 GB/s ~ 97.6ms.
@@ -157,7 +167,7 @@ func TestFabricHostCopy(t *testing.T) {
 // TestRecordUtilization: each link's gauge is its busy time over the
 // elapsed time, clamped to 1, and a run with no elapsed time records none.
 func TestRecordUtilization(t *testing.T) {
-	f := NewFabric(sim.NewEngine(), PSG())
+	f := NewShardedFabric([]*sim.Engine{sim.NewEngine()}, PSG())
 	f.Node(0).MemBus.UseAsync(250)
 	for _, c := range []struct {
 		elapsed sim.Dur
@@ -166,9 +176,11 @@ func TestRecordUtilization(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		f.RecordUtilization(reg, c.elapsed)
 		var got float64 = -1
-		for _, ss := range reg.Snapshot(0).Family(LinkUtilization).Series {
-			if ss.Label("link") == "membus" {
-				got = ss.GaugeValue
+		for _, fam := range reg.Snapshot(0).Families {
+			for _, ss := range fam.Series {
+				if fam.Name == LinkUtilization && slices.Contains(ss.Labels, telemetry.Label{Key: "link", Value: "membus"}) {
+					got = ss.GaugeValue
+				}
 			}
 		}
 		if got != c.want {
@@ -177,18 +189,18 @@ func TestRecordUtilization(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	f.RecordUtilization(reg, 0)
-	if fam := reg.Snapshot(0).Family(LinkUtilization); fam != nil {
-		t.Fatalf("zero elapsed recorded %d gauges", len(fam.Series))
+	if fams := reg.Snapshot(0).Families; len(fams) != 0 {
+		t.Fatalf("zero elapsed recorded %d gauge families", len(fams))
 	}
 }
 
 func TestFabricNUMAPenalty(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, PSG())
+	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	n := int64(256 << 20)
 	nearEnd := f.PCIeCopyAsync(0, 0, 0, n, true) // socket 0 -> device 0 (near)
 	eng2 := sim.NewEngine()
-	f2 := NewFabric(eng2, PSG())
+	f2 := NewShardedFabric([]*sim.Engine{eng2}, PSG())
 	farEnd := f2.PCIeCopyAsync(0, 0, 1, n, true) // socket 1 -> device 0 (far)
 	ratio := float64(farEnd) / float64(nearEnd)
 	if ratio < 3.0 || ratio > 3.6 {
@@ -200,10 +212,10 @@ func TestFabricNUMAPenaltySmallMessageDamped(t *testing.T) {
 	// For tiny transfers, latency dominates and the penalty ratio shrinks —
 	// the same shape as the left side of Figure 8.
 	eng := sim.NewEngine()
-	f := NewFabric(eng, PSG())
+	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	near := f.PCIeCopyAsync(0, 0, 0, 64, true)
 	eng2 := sim.NewEngine()
-	f2 := NewFabric(eng2, PSG())
+	f2 := NewShardedFabric([]*sim.Engine{eng2}, PSG())
 	far := f2.PCIeCopyAsync(0, 0, 1, 64, true)
 	ratio := float64(far) / float64(near)
 	if ratio > 1.5 {
@@ -213,10 +225,10 @@ func TestFabricNUMAPenaltySmallMessageDamped(t *testing.T) {
 
 func TestFabricNegativeSocketMeansNear(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, PSG())
+	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	a := f.PCIeCopyAsync(0, 0, -1, 1<<20, true)
 	eng2 := sim.NewEngine()
-	f2 := NewFabric(eng2, PSG())
+	f2 := NewShardedFabric([]*sim.Engine{eng2}, PSG())
 	b := f2.PCIeCopyAsync(0, 0, 0, 1<<20, true)
 	if a != b {
 		t.Fatalf("socket -1 (%v) should equal near socket (%v)", a, b)
@@ -226,11 +238,11 @@ func TestFabricNegativeSocketMeansNear(t *testing.T) {
 func TestFabricIntegratedDeviceUsesHostCopy(t *testing.T) {
 	sys := HeteroDemo()
 	eng := sim.NewEngine()
-	f := NewFabric(eng, sys)
+	f := NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	// Node 2 devices are CPUAccel; a "PCIe" copy must cost a host copy.
 	got := f.PCIeCopyAsync(2, 0, 1, 1<<20, true)
 	eng2 := sim.NewEngine()
-	f2 := NewFabric(eng2, sys)
+	f2 := NewShardedFabric(slices.Repeat([]*sim.Engine{eng2}, len(sys.Nodes)), sys)
 	want := f2.HostCopyAsync(2, 1<<20)
 	if got != want {
 		t.Fatalf("integrated copy = %v, want host copy %v", got, want)
@@ -239,7 +251,7 @@ func TestFabricIntegratedDeviceUsesHostCopy(t *testing.T) {
 
 func TestFabricP2P(t *testing.T) {
 	eng := sim.NewEngine()
-	f := NewFabric(eng, PSG())
+	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	if !f.CanP2P(0, 0, 1) {
 		t.Fatal("PSG devices 0,1 must be P2P-capable")
 	}
@@ -260,7 +272,7 @@ func TestFabricP2P(t *testing.T) {
 func TestFabricP2PContention(t *testing.T) {
 	// Two P2P copies sharing a link must serialize.
 	eng := sim.NewEngine()
-	f := NewFabric(eng, PSG())
+	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	e1 := f.P2PCopyAsync(0, 0, 1, 1<<30)
 	e2 := f.P2PCopyAsync(0, 1, 2, 1<<30) // shares device 1's link
 	if e2 < e1 {
@@ -274,7 +286,7 @@ func TestFabricP2PContention(t *testing.T) {
 func TestFabricNetSend(t *testing.T) {
 	sys := Titan(2)
 	eng := sim.NewEngine()
-	f := NewFabric(eng, sys)
+	f := NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	var end sim.Time
 	eng.Spawn("s", func(p *sim.Proc) {
 		arrive, occupy := f.NetInjectAsync(0, 1, 1<<30)
@@ -282,7 +294,7 @@ func TestFabricNetSend(t *testing.T) {
 		p.SleepUntil(f.NetAcceptAsync(1, occupy))
 		end = p.Now()
 	})
-	if err := eng.Run(); err != nil {
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// 1 GiB at 4.5 GB/s ~ 239ms.
@@ -297,7 +309,7 @@ func TestFabricNetSend(t *testing.T) {
 func TestFabricNICSerializes(t *testing.T) {
 	sys := Titan(3)
 	eng := sim.NewEngine()
-	f := NewFabric(eng, sys)
+	f := NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
 	e1, _ := f.NetInjectAsync(0, 1, 1<<28)
 	e2, _ := f.NetInjectAsync(0, 2, 1<<28) // same source NIC
 	if e2 <= e1 {
@@ -319,8 +331,7 @@ func TestDeviceClassString(t *testing.T) {
 	}
 }
 
-// Property: link time is monotone in message size and always at least the
-// fixed costs.
+// Property: link occupancy is monotone in message size and never negative.
 func TestLinkTimeMonotoneProperty(t *testing.T) {
 	l := LinkSpec{Latency: 1000, GBs: 5, SWOverhead: 300}
 	f := func(a, b uint32) bool {
@@ -328,8 +339,8 @@ func TestLinkTimeMonotoneProperty(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		tx, ty := l.Time(x), l.Time(y)
-		return tx <= ty && tx >= l.Latency+l.SWOverhead
+		tx, ty := l.Occupy(x), l.Occupy(y)
+		return tx <= ty && tx >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -342,9 +353,9 @@ func TestNUMAPenaltyProperty(t *testing.T) {
 	f := func(sz uint32) bool {
 		n := int64(sz)
 		e1 := sim.NewEngine()
-		near := NewFabric(e1, PSG()).PCIeCopyAsync(0, 0, 0, n, true)
+		near := NewShardedFabric([]*sim.Engine{e1}, PSG()).PCIeCopyAsync(0, 0, 0, n, true)
 		e2 := sim.NewEngine()
-		far := NewFabric(e2, PSG()).PCIeCopyAsync(0, 0, 1, n, true)
+		far := NewShardedFabric([]*sim.Engine{e2}, PSG()).PCIeCopyAsync(0, 0, 1, n, true)
 		return far >= near
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -89,15 +89,3 @@ func (h *HeapTable) Release(addr Addr) (entry *HeapEntry, lastRef bool, err erro
 func (h *HeapTable) Drop(addr Addr) bool {
 	return h.entries.Delete(addr)
 }
-
-// Len reports the number of live entries.
-func (h *HeapTable) Len() int { return h.entries.Len() }
-
-// TotalRefs sums reference counts, for invariant tests.
-func (h *HeapTable) TotalRefs() int {
-	total := 0
-	for _, e := range h.entries.vals {
-		total += e.Refs
-	}
-	return total
-}

@@ -85,7 +85,6 @@ type Space struct {
 	nextHost Addr
 	nextDev  []Addr
 	devUsed  []int64
-	hostUsed int64
 }
 
 // NewSpace returns an empty space able to map numDevices device memories.
@@ -101,9 +100,6 @@ func NewSpace(name string, numDevices int) *Space {
 	}
 	return s
 }
-
-// Name returns the space's label.
-func (s *Space) Name() string { return s.name }
 
 func align(n int64) int64 {
 	return (n + Alignment - 1) &^ (Alignment - 1)
@@ -122,7 +118,6 @@ func (s *Space) AllocHost(size int64, backed bool) (Addr, error) {
 		seg.Backing = make([]byte, size)
 	}
 	s.segs.Put(base, seg)
-	s.hostUsed += size
 	return base, nil
 }
 
@@ -153,12 +148,8 @@ func (s *Space) Free(addr Addr) error {
 		return fmt.Errorf("xmem: Free(%#x): not an allocation base in %s", uint64(addr), s.name)
 	}
 	s.segs.Delete(addr)
-	if seg.AliasTo == Nil {
-		if seg.Kind == HostMem {
-			s.hostUsed -= seg.Size
-		} else {
-			s.devUsed[seg.Device] -= seg.Size
-		}
+	if seg.AliasTo == Nil && seg.Kind == DeviceMem {
+		s.devUsed[seg.Device] -= seg.Size
 	}
 	return nil
 }
@@ -283,16 +274,11 @@ func (s *Space) Alias(dst, target Addr) error {
 	// Resolve to the final target so chains stay depth-1.
 	seg.AliasTo = tloc.Seg.Base + Addr(tloc.Off)
 	seg.Backing = nil
-	if seg.Kind == HostMem {
-		s.hostUsed -= seg.Size
-	} else {
+	if seg.Kind == DeviceMem {
 		s.devUsed[seg.Device] -= seg.Size
 	}
 	return nil
 }
-
-// HostUsed reports live (non-alias) host bytes.
-func (s *Space) HostUsed() int64 { return s.hostUsed }
 
 // DeviceUsed reports live bytes on device dev.
 func (s *Space) DeviceUsed(dev int) int64 { return s.devUsed[dev] }
