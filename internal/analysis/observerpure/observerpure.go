@@ -52,7 +52,8 @@ var stateTypes = map[string]map[string]bool{
 // process control, registry adoption). Reads (Now, Events, Stats, ...) are
 // what observers are for and stay legal.
 var mutMethods = map[string]bool{
-	"Cancel": true, "At": true, "After": true, "Post": true,
+	"Cancel": true, "At": true, "After": true, "CallAt": true, "FireAt": true,
+	"Post": true, "OnFire": true,
 	"Spawn": true, "SpawnAt": true, "Run": true, "Execute": true,
 	"ArmFlight": true, "AdoptMetrics": true, "Fire": true, "SetFaults": true,
 }

@@ -6,15 +6,14 @@
 // wrong goroutine races with that shard's worker and, worse, silently breaks
 // the (at, depth, lp, seq) stamp discipline that makes parallel runs
 // byte-identical to serial ones. The one sanctioned channel is
-// Engine.Post(dst, at, fn) on the *local* engine: the event rides the outbox
+// Engine.Post(dst, at, cb) on the *local* engine: the event rides the outbox
 // and is injected at a window barrier, with the sender's stamp.
 //
 // Two refinements keep the pass precise:
 //
-//   - Inside the callback literal passed to Post, the destination engine IS
-//     the local engine (the literal executes on it), so dstEng.At(...) within
-//     the posted closure is legal — exactly the shape of msg's internode
-//     delivery path.
+//   - Inside the callback literal passed to Post (as sim.Func(func() {...})),
+//     the destination engine IS the local engine (the literal executes on
+//     it), so dstEng.At(...) within the posted closure is legal.
 //   - Passing a looked-up engine to a helper is flagged when the helper (or
 //     anything it forwards the parameter to) schedules onto that parameter —
 //     an interprocedural fact computed from the shared call-graph summaries.
@@ -45,7 +44,8 @@ var Analyzer = &analysis.Analyzer{
 // run on the owning shard. Now/LP/StallReport and friends are reads and
 // stay legal.
 var schedMethods = map[string]bool{
-	"At": true, "After": true, "Spawn": true, "SpawnAt": true,
+	"At": true, "After": true, "CallAt": true, "FireAt": true,
+	"Spawn": true, "SpawnAt": true,
 	"Post": true, "ArmFlight": true, "AdoptMetrics": true,
 }
 
@@ -179,8 +179,8 @@ func (v *visitor) call(call *ast.CallExpr) bool {
 	// Inside the callback posted to dst, dst is the executing (local)
 	// engine: walk the literal with the destination relocalized.
 	if sel.Sel.Name == "Post" && len(call.Args) == 3 {
-		lit, ok := ast.Unparen(call.Args[2]).(*ast.FuncLit)
-		if !ok {
+		lit := v.funcLit(call.Args[2])
+		if lit == nil {
 			return false
 		}
 		var dst types.Object
@@ -200,6 +200,19 @@ func (v *visitor) call(call *ast.CallExpr) bool {
 		return true
 	}
 	return false
+}
+
+// funcLit returns the function literal a callback argument wraps: the
+// literal itself, or the operand of a conversion such as sim.Func(lit).
+func (v *visitor) funcLit(arg ast.Expr) *ast.FuncLit {
+	arg = ast.Unparen(arg)
+	if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+		if tv, ok := v.pass.Info.Types[conv.Fun]; ok && tv.IsType() {
+			arg = ast.Unparen(conv.Args[0])
+		}
+	}
+	lit, _ := arg.(*ast.FuncLit)
+	return lit
 }
 
 // checkArgs flags passing a cross-shard engine to a helper that schedules

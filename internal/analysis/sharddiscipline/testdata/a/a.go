@@ -32,7 +32,7 @@ func viaRange(shards []*sim.Engine) {
 // foreignPost: posting on a foreign engine's behalf is wrong as well — the
 // outbox being appended to belongs to the shard that runs the code.
 func foreignPost(f *topo.Fabric, local *sim.Engine, dst int) {
-	f.Engine(dst).Post(local, 10, func() {}) // want `Post on another shard's engine`
+	f.Engine(dst).Post(local, 10, sim.Func(func() {})) // want `Post on another shard's engine`
 }
 
 // postOK is the sanctioned cross-shard channel: Post on the local engine,
@@ -41,9 +41,14 @@ func foreignPost(f *topo.Fabric, local *sim.Engine, dst int) {
 // internode delivery path.
 func postOK(local *sim.Engine, f *topo.Fabric, dst int) {
 	dstEng := f.Engine(dst)
-	local.Post(dstEng, 20, func() {
+	local.Post(dstEng, 20, sim.Func(func() {
 		dstEng.At(25, func() {})
-	})
+	}))
+}
+
+// callAtRemote: scheduling an owner-as-callback is scheduling too.
+func callAtRemote(f *topo.Fabric, dst int, cb sim.Callback) {
+	f.Engine(dst).CallAt(10, cb) // want `CallAt on another shard's engine`
 }
 
 // reassigned: overwriting the variable with a local engine clears the mark.

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"impacc/internal/acc"
 	"impacc/internal/mpi"
@@ -27,17 +28,19 @@ type allocPath struct {
 }
 
 var allocPaths = []allocPath{
-	// 4 requests (each owning its command), 2 fused-copy completions, 2
-	// parked sends.
-	{name: "intra-node", cfg: psgCfg(IMPACC, 2), budget: 9},
-	// 4 requests, 2 payload snapshots, 2 wire messages, 2 cross-shard
-	// deliveries, 2 parked receives.
-	{name: "internode-host", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true}, budget: 13},
-	// Per queued op: the op (request and command included), its
-	// completion callback and its stream entry; per ACCWait: the barrier
-	// closure and its stream entry; plus the wire as on internode-host.
+	// 4 requests, each owning its command. The fused copies run from the
+	// hub's recycled pair records and the parked sends sit in their match
+	// queue's map slot.
+	{name: "intra-node", cfg: psgCfg(IMPACC, 2), budget: 5},
+	// 4 requests, 2 payload snapshots and 2 wire messages, each its own
+	// cross-shard delivery. The parked receives sit in their map slot.
+	{name: "internode-host", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true}, budget: 9},
+	// Per queued op: the op (request, command and completion callback in
+	// one) and its stream entry; per ACCWait: the barrier closure and its
+	// stream entry; plus the snapshots and wire messages of
+	// internode-host.
 	{name: "unified-queue-device", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
-		device: true, budget: 25},
+		device: true, budget: 17},
 }
 
 // program runs rounds exchanges on the path.
@@ -122,5 +125,17 @@ func TestUnifiedOpDeadlockLabel(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("blocked = %v, want a task blocked on event:mpi_isend-done", de.Blocked)
+	}
+}
+
+// TestRequestSize keeps a request and a unified-queue op in the Go size
+// classes their allocation budgets assume: every non-blocking call
+// allocates one of them.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 192 {
+		t.Errorf("sizeof(Request) = %d bytes, want <= 192", got)
+	}
+	if got := unsafe.Sizeof(uqOp{}); got > 240 {
+		t.Errorf("sizeof(uqOp) = %d bytes, want <= 240", got)
 	}
 }

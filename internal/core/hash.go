@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"strconv"
 	"strings"
 
@@ -87,16 +88,35 @@ func (c *Config) Hash() string {
 // systemDigest content-addresses the topology through its JSON encoding.
 // topo.System is plain nested structs (no maps, no pointers), so
 // encoding/json emits fields in declaration order and the bytes are
-// deterministic.
+// deterministic. The encoding streams into the hash; the digest is that of
+// json.Marshal's bytes, without the newline the encoder appends.
 func systemDigest(sys *topo.System) string {
 	if sys == nil {
 		return "nil"
 	}
-	data, err := json.Marshal(sys)
-	if err != nil {
+	h := &withoutLast{h: sha256.New()}
+	if err := json.NewEncoder(h).Encode(sys); err != nil {
 		// A value type of plain structs and slices cannot fail to marshal.
 		panic(fmt.Sprintf("core: topology marshal: %v", err))
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(h.h.Sum(nil))
+}
+
+// withoutLast writes to h everything written to it but the last byte.
+type withoutLast struct {
+	h    hash.Hash
+	last [1]byte
+	held bool
+}
+
+func (w *withoutLast) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if w.held {
+		w.h.Write(w.last[:])
+	}
+	w.h.Write(p[:len(p)-1])
+	w.last[0], w.held = p[len(p)-1], true
+	return len(p), nil
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -132,6 +135,26 @@ func TestConfigCanonicalStringShape(t *testing.T) {
 	for i, k := range order {
 		if !strings.HasPrefix(lines[i], k+"=") {
 			t.Errorf("line %d = %q, want key %q", i, lines[i], k)
+		}
+	}
+}
+
+// TestSystemDigestMatchesMarshal pins the streamed topology digest to the
+// SHA-256 of json.Marshal's bytes, the encoding it replaced, on presets
+// from one node to a generated 1024-node torus.
+func TestSystemDigestMatchesMarshal(t *testing.T) {
+	for _, spec := range []string{"psg", "titan:512", "gemini:16,8,8", "beacon:3"} {
+		sys, err := topo.Preset(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got, want := systemDigest(sys), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: systemDigest = %s, want %s", spec, got, want)
 		}
 	}
 }

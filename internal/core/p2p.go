@@ -82,7 +82,8 @@ var (
 
 // uqOp is one MPI operation placed on a unified activity queue. Its
 // command is filled in at enqueue time and posted when the queue reaches
-// the operation (Run); the command's Done fires at transfer completion.
+// the operation (Run); the command's Done fires at transfer completion and
+// calls the op itself (Call).
 type uqOp struct {
 	Request
 	t     *Task
@@ -339,7 +340,7 @@ func (t *Task) enqueueUnifiedMPI(n *uqName, isSend bool, buf xmem.Addr, bytes in
 }
 
 // Run runs when the queue reaches the operation: it posts the command and
-// arms the completion callback.
+// arms the op as the command's completion callback.
 func (op *uqOp) Run(p *sim.Proc) {
 	t, cmd := op.t, &op.cmd
 	op.start = p.Now()
@@ -350,12 +351,13 @@ func (op *uqOp) Run(p *sim.Proc) {
 		// message edges point at the stream activity, not the host.
 		tr.claim(t.pl.Node, cmd.TraceID, cmd.TraceID, p.Now())
 	}
-	cmd.Done.OnFire(op.complete)
+	cmd.Done.OnFire(op)
 }
 
-// complete runs when the command finishes: the latency of the queued op
-// itself, from when the queue reached it, and its stream-lane span.
-func (op *uqOp) complete() {
+// Call runs when the command finishes: it records the latency of the
+// queued op itself, from when the queue reached it, and its stream-lane
+// span.
+func (op *uqOp) Call() {
 	t, cmd := op.t, &op.cmd
 	t.mpiObserve(op.n.op, op.start)
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
@@ -444,7 +446,7 @@ func (t *Task) Waitany(reqs ...*Request) int { //impacc:allow-unused reproduces 
 		any := t.eng().NewEvent("waitany")
 		for _, r := range reqs {
 			if r != nil {
-				r.cmd.Done.OnFire(any.Fire)
+				r.cmd.Done.OnFire(sim.Func(any.Fire))
 			}
 		}
 		start := t.proc.Now()

@@ -79,24 +79,21 @@ type Config struct {
 
 // Cmd is one send or receive command. Task threads create commands and
 // enqueue them; the handler matches pairs and completes them.
+//
+// The bools sit together at the end, so the struct carries no padding:
+// core.Request embeds a Cmd and must stay within the 192-byte size class
+// (TestRequestSize).
 type Cmd struct {
-	IsSend bool
-	Src    int // sender rank (AnySource allowed on receives)
-	Dst    int // receiver rank
-	Tag    int // message tag (AnyTag allowed on receives)
-	Comm   int // communicator context id (0 = MPI_COMM_WORLD)
-	Addr   xmem.Addr
-	Bytes  int64
-	Ep     *Endpoint
-	// ReadOnly carries the IMPACC directive's readonly attribute
-	// (#pragma acc mpi sendbuf(readonly) / recvbuf(readonly)).
-	ReadOnly bool
+	Src   int // sender rank (AnySource allowed on receives)
+	Dst   int // receiver rank
+	Tag   int // message tag (AnyTag allowed on receives)
+	Comm  int // communicator context id (0 = MPI_COMM_WORLD)
+	Addr  xmem.Addr
+	Bytes int64
+	Ep    *Endpoint
 	// Done fires when the operation completes (buffer reusable). The
 	// command owns it: initialize it with Engine.InitEvent before posting.
 	Done sim.Event
-	// Aliased reports (after completion) that node heap aliasing served
-	// this pair with zero copies.
-	Aliased bool
 	// Err records a completion error; inspect after Done fires.
 	Err error
 	// MatchedSrc/MatchedTag/MatchedBytes record, on a completed receive,
@@ -109,16 +106,22 @@ type Cmd struct {
 	// core runtime when a tracer is attached and surface in Hub.OnMatch.
 	TraceID  uint64
 	PostedAt sim.Time
-
-	snapshot []byte // eager-buffered data for internode sends
-	// matched marks a receive the handler has paired with a message; a
-	// NetTimeout deadline firing after this point is a no-op even though
-	// Done waits on the transfer stages.
-	matched bool
 	// seq is the hub-local posting order stamp, assigned when the command
 	// parks in a pending structure; "earliest posted" comparisons across
 	// the keyed queues and the wildcard list reduce to min-seq.
 	seq uint64
+
+	IsSend bool
+	// ReadOnly carries the IMPACC directive's readonly attribute
+	// (#pragma acc mpi sendbuf(readonly) / recvbuf(readonly)).
+	ReadOnly bool
+	// Aliased reports (after completion) that node heap aliasing served
+	// this pair with zero copies.
+	Aliased bool
+	// matched marks a receive the handler has paired with a message; a
+	// NetTimeout deadline firing after this point is a no-op even though
+	// Done waits on the transfer stages.
+	matched bool
 }
 
 // accepts reports whether receive r takes a message with the given concrete
@@ -173,20 +176,29 @@ const (
 )
 
 // netMsg is an internode message arriving at the destination node: the
-// entry unit of the pending internode message queue.
+// entry unit of the pending internode message queue. It is its own
+// cross-shard delivery (Call), so sending one allocates nothing beyond the
+// message and its eager snapshot.
 type netMsg struct {
 	Src, Dst, Tag int
 	Comm          int
 	Bytes         int64
-	snapshot      []byte
-	// direct marks a GPUDirect RDMA transfer that has already landed in
-	// device memory (no receive-side staging copy).
-	direct bool
-	seq    uint64 // hub-local arrival order stamp (see Cmd.seq)
+	snapshot      []byte // eager-buffered payload; nil for unbacked sends
+	seq           uint64 // hub-local arrival order stamp (see Cmd.seq)
 	// SendID/SendPost carry the sending command's trace identity across the
 	// network so the destination hub can report the match (see Hub.OnMatch).
 	SendID   uint64
 	SendPost sim.Time
+	// to is the destination hub and occupy the ejection occupancy that
+	// netInject priced.
+	to     *Hub
+	occupy sim.Dur
+	// direct marks a GPUDirect RDMA transfer that has already landed in
+	// device memory (no receive-side staging copy).
+	direct bool
+	// accepted marks a message whose ejection side is priced: its next
+	// Call delivers it.
+	accepted bool
 }
 
 // Stats is a snapshot of the hub's counters, used by the Figure 6/7
@@ -288,16 +300,18 @@ type Hub struct {
 	// matchSeq stamps every parked entry so cross-structure "earliest
 	// posted" ties resolve exactly as the historical linear scans did.
 	matchSeq  uint64
-	sendQ     map[matchKey][]*Cmd
-	recvQ     map[matchKey][]*Cmd
-	arrivedQ  map[matchKey][]*netMsg
+	sendQ     keyedFIFO[*Cmd]
+	recvQ     keyedFIFO[*Cmd]
+	arrivedQ  keyedFIFO[*netMsg]
 	wildRecvs []*Cmd
 
 	serial *sim.Semaphore // internode serialization without THREAD_MULTIPLE
 
 	// handleNext / handleNextNet are the handler thread's two dispatch
 	// steps, bound once so dispatching a command allocates nothing.
-	handleNext, handleNextNet func()
+	handleNext, handleNextNet sim.Callback
+	// freePairs recycles the records of intra-node pairs in flight.
+	freePairs *pairOp
 }
 
 // matchKey is a fully-concrete message envelope: the unit of FIFO matching.
@@ -305,14 +319,55 @@ type matchKey struct {
 	comm, dst, src, tag int
 }
 
+// keyedFIFO holds pending entries FIFO per concrete envelope. A key's first
+// entry lives in its map slot, so parking one entry per key, the common
+// case, allocates no slice.
+type keyedFIFO[T any] map[matchKey]parked[T]
+
+// parked is one key's pending entries: head, then rest in arrival order.
+type parked[T any] struct {
+	head T
+	rest []T
+}
+
+// push appends v to k's queue.
+func (m keyedFIFO[T]) push(k matchKey, v T) {
+	q, ok := m[k]
+	if !ok {
+		m[k] = parked[T]{head: v}
+		return
+	}
+	q.rest = append(q.rest, v)
+	m[k] = q
+}
+
+// first returns the head of k's queue; ok is false when it is empty.
+func (m keyedFIFO[T]) first(k matchKey) (v T, ok bool) {
+	q, ok := m[k]
+	return q.head, ok
+}
+
+// pop drops the head of k's queue, deleting the key when it empties.
+func (m keyedFIFO[T]) pop(k matchKey) {
+	q := m[k]
+	if len(q.rest) == 0 {
+		delete(m, k)
+		return
+	}
+	var zero T
+	head := q.rest[0]
+	q.rest[0] = zero
+	m[k] = parked[T]{head: head, rest: q.rest[1:]}
+}
+
 // NewHub creates the node's message engine.
 func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.HeapTable) *Hub {
 	h := &Hub{
 		Eng: eng, Fab: fab, Node: node, Cfg: cfg, Heap: heap,
 		handlerCPU: eng.NewFIFOResource(fmt.Sprintf("%s/handler", fab.Sys.Nodes[node].Name)),
-		sendQ:      map[matchKey][]*Cmd{},
-		recvQ:      map[matchKey][]*Cmd{},
-		arrivedQ:   map[matchKey][]*netMsg{},
+		sendQ:      keyedFIFO[*Cmd]{},
+		recvQ:      keyedFIFO[*Cmd]{},
+		arrivedQ:   keyedFIFO[*netMsg]{},
 	}
 	reg := eng.Metrics
 	if reg == nil {
@@ -335,16 +390,16 @@ func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.
 	if !cfg.ThreadMultiple {
 		h.serial = eng.NewSemaphore(1, fmt.Sprintf("hub%d-serial", node))
 	}
-	h.handleNext = func() {
+	h.handleNext = sim.Func(func() {
 		if cmd, ok := h.intraQ.Pop(); ok {
 			h.handleCmd(cmd)
 		}
-	}
-	h.handleNextNet = func() {
+	})
+	h.handleNextNet = sim.Func(func() {
 		if m, ok := h.pendingQ.Pop(); ok {
 			h.handleNet(m)
 		}
-	}
+	})
 	return h
 }
 
@@ -400,9 +455,9 @@ func (h *Hub) Stats() Stats {
 func (h *Hub) dispatch(net bool) {
 	_, end := h.handlerCPU.UseAsync(h.Cfg.HandlerOverhead)
 	if net {
-		h.Eng.At(end, h.handleNextNet)
+		h.Eng.CallAt(end, h.handleNextNet)
 	} else {
-		h.Eng.At(end, h.handleNext)
+		h.Eng.CallAt(end, h.handleNext)
 	}
 }
 
@@ -435,8 +490,7 @@ func (h *Hub) handleCmd(cmd *Cmd) {
 			return
 		}
 		h.stamp(&cmd.seq)
-		k := matchKey{cmd.Comm, cmd.Dst, cmd.Src, cmd.Tag}
-		h.sendQ[k] = append(h.sendQ[k], cmd)
+		h.sendQ.push(matchKey{cmd.Comm, cmd.Dst, cmd.Src, cmd.Tag}, cmd)
 		return
 	}
 	// Receive: first try pending intra sends, then arrived internode
@@ -445,12 +499,12 @@ func (h *Hub) handleCmd(cmd *Cmd) {
 		return // timed out before the handler dequeued it
 	}
 	if s, k := h.peekSendFor(cmd); s != nil {
-		h.popSendQ(k)
+		h.sendQ.pop(k)
 		h.completePair(s, cmd)
 		return
 	}
 	if m, k := h.peekArrivedFor(cmd); m != nil {
-		h.popArrivedQ(k)
+		h.arrivedQ.pop(k)
 		h.completeNet(m, cmd)
 		return
 	}
@@ -458,8 +512,7 @@ func (h *Hub) handleCmd(cmd *Cmd) {
 	if cmd.Src == AnySource || cmd.Tag == AnyTag {
 		h.wildRecvs = append(h.wildRecvs, cmd)
 	} else {
-		k := matchKey{cmd.Comm, cmd.Dst, cmd.Src, cmd.Tag}
-		h.recvQ[k] = append(h.recvQ[k], cmd)
+		h.recvQ.push(matchKey{cmd.Comm, cmd.Dst, cmd.Src, cmd.Tag}, cmd)
 	}
 }
 
@@ -477,14 +530,12 @@ func (h *Hub) takeRecvFor(comm, dst, src, tag int) *Cmd {
 	k := matchKey{comm, dst, src, tag}
 	// Receives abandoned by a NetTimeout stay parked until matching next
 	// touches their queue; purge them here.
-	for len(h.recvQ[k]) > 0 && h.recvQ[k][0].Done.Fired() {
-		h.popRecvQ(k)
+	best, ok := h.recvQ.first(k)
+	for ok && best.Done.Fired() {
+		h.recvQ.pop(k)
+		best, ok = h.recvQ.first(k)
 	}
-	var best *Cmd
 	wildIdx := -1
-	if q := h.recvQ[k]; len(q) > 0 {
-		best = q[0]
-	}
 	// wildRecvs is in posting order, so the first live acceptor is the
 	// earliest wildcard candidate.
 	for i := 0; i < len(h.wildRecvs); {
@@ -507,7 +558,7 @@ func (h *Hub) takeRecvFor(comm, dst, src, tag int) *Cmd {
 	case wildIdx >= 0:
 		h.wildRecvs = append(h.wildRecvs[:wildIdx], h.wildRecvs[wildIdx+1:]...)
 	default:
-		h.popRecvQ(k)
+		h.recvQ.pop(k)
 	}
 	return best
 }
@@ -519,16 +570,14 @@ func (h *Hub) takeRecvFor(comm, dst, src, tag int) *Cmd {
 func (h *Hub) peekSendFor(r *Cmd) (*Cmd, matchKey) {
 	if r.Src != AnySource && r.Tag != AnyTag {
 		k := matchKey{r.Comm, r.Dst, r.Src, r.Tag}
-		if q := h.sendQ[k]; len(q) > 0 {
-			return q[0], k
-		}
-		return nil, matchKey{}
+		s, _ := h.sendQ.first(k)
+		return s, k
 	}
 	var best *Cmd
 	var bestK matchKey
 	for k, q := range h.sendQ {
-		if r.accepts(k.comm, k.dst, k.src, k.tag) && (best == nil || q[0].seq < best.seq) {
-			best, bestK = q[0], k
+		if r.accepts(k.comm, k.dst, k.src, k.tag) && (best == nil || q.head.seq < best.seq) {
+			best, bestK = q.head, k
 		}
 	}
 	return best, bestK
@@ -538,51 +587,17 @@ func (h *Hub) peekSendFor(r *Cmd) (*Cmd, matchKey) {
 func (h *Hub) peekArrivedFor(r *Cmd) (*netMsg, matchKey) {
 	if r.Src != AnySource && r.Tag != AnyTag {
 		k := matchKey{r.Comm, r.Dst, r.Src, r.Tag}
-		if q := h.arrivedQ[k]; len(q) > 0 {
-			return q[0], k
-		}
-		return nil, matchKey{}
+		m, _ := h.arrivedQ.first(k)
+		return m, k
 	}
 	var best *netMsg
 	var bestK matchKey
 	for k, q := range h.arrivedQ {
-		if r.accepts(k.comm, k.dst, k.src, k.tag) && (best == nil || q[0].seq < best.seq) {
-			best, bestK = q[0], k
+		if r.accepts(k.comm, k.dst, k.src, k.tag) && (best == nil || q.head.seq < best.seq) {
+			best, bestK = q.head, k
 		}
 	}
 	return best, bestK
-}
-
-// popSendQ / popRecvQ / popArrivedQ drop the head of a keyed FIFO, deleting
-// the key when it empties (constant-time, no mid-slice splicing).
-func (h *Hub) popSendQ(k matchKey) {
-	q := h.sendQ[k]
-	q[0] = nil
-	if len(q) == 1 {
-		delete(h.sendQ, k)
-	} else {
-		h.sendQ[k] = q[1:]
-	}
-}
-
-func (h *Hub) popRecvQ(k matchKey) {
-	q := h.recvQ[k]
-	q[0] = nil
-	if len(q) == 1 {
-		delete(h.recvQ, k)
-	} else {
-		h.recvQ[k] = q[1:]
-	}
-}
-
-func (h *Hub) popArrivedQ(k matchKey) {
-	q := h.arrivedQ[k]
-	q[0] = nil
-	if len(q) == 1 {
-		delete(h.arrivedQ, k)
-	} else {
-		h.arrivedQ[k] = q[1:]
-	}
 }
 
 // stageKind names how one leg of an intra-node transfer is priced.
@@ -627,15 +642,57 @@ func (h *Hub) runLeg(s stage, n int64) sim.Time {
 	}
 }
 
-// runChain runs c's legs for n bytes back to back: each leg starts at the
-// previous one's completion, and done runs at the last one's.
-func (h *Hub) runChain(c chain, n int64, done func()) {
-	end := h.runLeg(c.legs[0], n)
-	if c.n == 1 {
-		h.Eng.At(end, done)
+// pairOp is a matched intra-node pair in flight. Its copy legs run back to
+// back from the record itself, scheduled as a sim.Callback: each leg starts
+// at the previous one's completion, and the pair lands at the last one's.
+// A pair with no legs (zero bytes, or served by aliasing) only completes.
+// The record returns to the hub's free list as the pair lands.
+type pairOp struct {
+	h          *Hub
+	send, recv *Cmd
+	c          chain
+	leg        int // index of the next leg to price
+	dir        device.Direction
+	start      sim.Time
+	next       *pairOp // free-list link
+}
+
+// newPair takes a pair record off the free list, or makes one.
+func (h *Hub) newPair(send, recv *Cmd) *pairOp {
+	pr := h.freePairs
+	if pr == nil {
+		pr = new(pairOp)
+	} else {
+		h.freePairs = pr.next
+	}
+	*pr = pairOp{h: h, send: send, recv: recv}
+	return pr
+}
+
+// nextLeg prices the pair's next leg from now and schedules the record at
+// its completion.
+func (pr *pairOp) nextLeg() {
+	s := pr.c.legs[pr.leg]
+	pr.leg++
+	pr.h.Eng.CallAt(pr.h.runLeg(s, pr.send.Bytes), pr)
+}
+
+// Call runs at the end of the pair's current leg: it starts the next leg,
+// or recycles the record and completes the pair.
+func (pr *pairOp) Call() {
+	if pr.leg < pr.c.n {
+		pr.nextLeg()
 		return
 	}
-	h.Eng.At(end, func() { h.Eng.At(h.runLeg(c.legs[1], n), done) })
+	h, send, recv, copied, dir, start := pr.h, pr.send, pr.recv, pr.c.n > 0, pr.dir, pr.start
+	*pr = pairOp{next: h.freePairs}
+	h.freePairs = pr
+	if copied {
+		h.finishPair(send, recv, dir, start)
+		return
+	}
+	send.Done.Fire()
+	recv.Done.Fire()
 }
 
 func (h *Hub) fail(send, recv *Cmd, err error) {
@@ -677,17 +734,12 @@ func (h *Hub) completePair(send, recv *Cmd) {
 	recv.MatchedSrc, recv.MatchedTag, recv.MatchedBytes = send.Src, send.Tag, send.Bytes
 	if send.Bytes == 0 {
 		// Zero-byte message: synchronization only, nothing to move.
-		at := h.Eng.Now() + sim.Time(h.Cfg.AliasOverhead)
-		h.Eng.At(at, func() {
-			send.Done.Fire()
-			recv.Done.Fire()
-		})
+		h.Eng.CallAt(h.Eng.Now()+sim.Time(h.Cfg.AliasOverhead), h.newPair(send, recv))
 		return
 	}
 	if h.tryAlias(send, recv) {
 		return
 	}
-	n := send.Bytes
 	dloc, err := recv.Ep.Space.Lookup(recv.Addr)
 	if err != nil {
 		h.fail(send, recv, err)
@@ -698,20 +750,18 @@ func (h *Hub) completePair(send, recv *Cmd) {
 		h.fail(send, recv, err)
 		return
 	}
-	dir := device.Classify(dloc, sloc)
-	start := h.Eng.Now()
-
-	var c chain
+	pr := h.newPair(send, recv)
+	pr.dir, pr.start = device.Classify(dloc, sloc), h.Eng.Now()
 	if h.Cfg.Legacy {
 		// Figure 6 (a): inter-process transport with a redundant
 		// host-to-host copy — send buffer -> shm segment -> recv buffer.
-		c = chain{legs: [2]stage{{kind: shmCopy}, {kind: shmCopy}}, n: 2}
+		pr.c = chain{legs: [2]stage{{kind: shmCopy}, {kind: shmCopy}}, n: 2}
 		h.ctr.legacyCopies.Add(2)
 	} else {
-		c = h.fusedChain(dir, dloc, sloc)
+		pr.c = h.fusedChain(pr.dir, dloc, sloc)
 		h.ctr.fusedCopies.Inc()
 	}
-	h.runChain(c, n, func() { h.finishPair(send, recv, dir, start) })
+	pr.nextLeg()
 }
 
 // finishPair lands a matched intra-node pair once its copy chain is done:
@@ -794,11 +844,7 @@ func (h *Hub) tryAlias(send, recv *Cmd) bool {
 	h.Heap.Drop(recv.Addr)
 	h.ctr.aliases.Inc()
 	send.Aliased, recv.Aliased = true, true
-	at := h.Eng.Now() + sim.Time(h.Cfg.AliasOverhead)
-	h.Eng.At(at, func() {
-		send.Done.Fire()
-		recv.Done.Fire()
-	})
+	h.Eng.CallAt(h.Eng.Now()+sim.Time(h.Cfg.AliasOverhead), h.newPair(send, recv))
 	return true
 }
 

@@ -71,8 +71,9 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 		cmd.Done.Fire()
 		return
 	}
+	var snapshot []byte
 	if b != nil {
-		cmd.snapshot = append([]byte(nil), b...)
+		snapshot = append([]byte(nil), b...)
 	}
 
 	direct := onDevice && h.Cfg.RDMA && h.Fab.RDMACapable(h.Node, dst.Node)
@@ -98,7 +99,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	h.ctr.netOut.Inc()
 	m := &netMsg{
 		Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm, Bytes: n,
-		snapshot: cmd.snapshot,
+		snapshot: snapshot,
 		direct:   direct,
 		SendID:   cmd.TraceID, SendPost: cmd.PostedAt,
 	}
@@ -152,19 +153,27 @@ func (h *Hub) netInject(cmd *Cmd, m *netMsg, dst *Hub, n int64, attempt int) {
 	// destination NIC delays only delivery, never the sender.
 	arrive, occupy := h.Fab.NetInjectAsync(h.Node, dst.Node, n)
 	h.Eng.FireAt(arrive, &cmd.Done)
-	dstEng := h.Fab.Engine(dst.Node)
-	h.Eng.Post(dstEng, arrive, func() {
-		deliver := h.Fab.NetAcceptAsync(dst.Node, occupy)
-		if deliver == arrive {
-			// Uncontended ejection NIC: the message is deliverable the
-			// instant it arrives, so skip the extra deferral event. Whether
-			// the NIC is busy is simulation state, so the branch is as
-			// deterministic as the schedule itself.
-			dst.deliver(m)
+	m.to, m.occupy = dst, occupy
+	h.Eng.Post(h.Fab.Engine(dst.Node), arrive, m)
+}
+
+// Call runs on the destination's shard: first when the trailing byte
+// arrives, to price the ejection side, and again, when that NIC is busy, at
+// the instant the message becomes deliverable.
+func (m *netMsg) Call() {
+	dst := m.to
+	if !m.accepted {
+		m.accepted = true
+		if deliver := dst.Fab.NetAcceptAsync(dst.Node, m.occupy); deliver != dst.Eng.Now() {
+			dst.Eng.CallAt(deliver, m)
 			return
 		}
-		dstEng.At(deliver, func() { dst.deliver(m) })
-	})
+		// Uncontended ejection NIC: the message is deliverable the instant
+		// it arrives, so skip the extra deferral event. Whether the NIC is
+		// busy is simulation state, so the branch is as deterministic as
+		// the schedule itself.
+	}
+	dst.deliver(m)
 }
 
 // deliver places an arrived internode message on the pending internode
@@ -205,8 +214,7 @@ func (h *Hub) handleNet(m *netMsg) {
 		return
 	}
 	h.stamp(&m.seq)
-	k := matchKey{m.Comm, m.Dst, m.Src, m.Tag}
-	h.arrivedQ[k] = append(h.arrivedQ[k], m)
+	h.arrivedQ.push(matchKey{m.Comm, m.Dst, m.Src, m.Tag}, m)
 }
 
 // completeNet finishes an internode receive: an HtoD staging copy when the

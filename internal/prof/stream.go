@@ -73,6 +73,9 @@ func ReadStream(r io.Reader) (Trace, error) { //impacc:allow-unused the reader t
 		if len(line) == 0 {
 			continue
 		}
+		if sawEnd {
+			return Trace{}, fmt.Errorf("prof: trace stream line %d: record after the end record", lineNo)
+		}
 		var l streamLine
 		if err := json.Unmarshal(line, &l); err != nil {
 			return Trace{}, fmt.Errorf("prof: trace stream line %d: %w", lineNo, err)
@@ -89,6 +92,9 @@ func ReadStream(r io.Reader) (Trace, error) { //impacc:allow-unused the reader t
 		case "span", "edge", "claim":
 			if !sawHdr {
 				return Trace{}, fmt.Errorf("prof: trace stream line %d: record before header", lineNo)
+			}
+			if (l.T == "span" && l.Span == nil) || (l.T == "edge" && l.Edge == nil) {
+				return Trace{}, fmt.Errorf("prof: trace stream line %d: %s record without its %s", lineNo, l.T, l.T)
 			}
 			recs = append(recs, l.StreamRec)
 		default:

@@ -81,7 +81,7 @@ func benchShardGroup(b *testing.B, nShards, workers int) {
 				return
 			}
 			if n%8 == 0 {
-				e.Post(dst, e.Now()+2000, func() {})
+				e.Post(dst, e.Now()+2000, Func(func() {}))
 			}
 			e.After(97, tick)
 		}

@@ -26,7 +26,7 @@ func TestEventOrderAcrossInlineBoundary(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				name := fmt.Sprintf("cb%d", i)
-				ev.OnFire(func() { order = append(order, name) })
+				ev.OnFire(Func(func() { order = append(order, name) }))
 			}
 			e.Spawn("firer", func(p *Proc) {
 				p.Sleep(Microsecond)
@@ -56,12 +56,12 @@ func TestEventOnFireDuringFire(t *testing.T) {
 	e := NewEngine()
 	ev := e.NewEvent("nested")
 	var order []string
-	ev.OnFire(func() {
+	ev.OnFire(Func(func() {
 		order = append(order, "first")
-		ev.OnFire(func() { order = append(order, "nested") })
-	})
-	ev.OnFire(func() { order = append(order, "second") })
-	ev.OnFire(func() { order = append(order, "third") })
+		ev.OnFire(Func(func() { order = append(order, "nested") }))
+	}))
+	ev.OnFire(Func(func() { order = append(order, "second") }))
+	ev.OnFire(Func(func() { order = append(order, "third") }))
 	ev.Fire()
 	want := []string{"first", "nested", "second", "third"}
 	if !reflect.DeepEqual(order, want) {

@@ -24,7 +24,7 @@ func beatGroup(nShards, rounds int, lookahead Dur, workers int) (*ShardGroup, []
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for k := 0; k < rounds; k++ {
 				p.Sleep(Dur(30 + i*7 + k))
-				e.Post(dst, e.Now()+Time(lookahead)+Time(1+i*3), func() {})
+				e.Post(dst, e.Now()+Time(lookahead)+Time(1+i*3), Func(func() {}))
 				p.Sleep(Dur(11 + i))
 			}
 		})
@@ -250,7 +250,7 @@ func TestCausalityPanicCaptured(t *testing.T) {
 	// shard 1's window (fence = 10+50) lets it run to t=40. At the barrier
 	// the injection lands in shard 1's past.
 	engines[0].At(Time(10), func() {
-		engines[0].Post(engines[1], Time(11), func() {})
+		engines[0].Post(engines[1], Time(11), Func(func() {}))
 	})
 	engines[1].At(Time(20), func() {})
 	engines[1].At(Time(40), func() {})

@@ -12,13 +12,13 @@ import "impacc/internal/telemetry"
 // The first waiter and the first OnFire callback live inline; only a second
 // of either allocates the overflow record, so an event embedded in the
 // object that owns it (a message command, a stream operation) costs that
-// owner no extra allocation. Keep the struct within 64 bytes: owners embed
-// it by the hundred thousand.
+// owner no extra allocation. An event names no engine: each waiter resumes
+// on its own. Keep the struct within 64 bytes: owners embed it by the
+// hundred thousand.
 type Event struct {
-	eng   *Engine
 	why   string
-	first *Proc  // first waiter
-	fn    func() // first OnFire callback
+	first *Proc    // first waiter
+	cb    Callback // first OnFire callback
 	more  *eventMore
 	fired bool
 }
@@ -27,7 +27,7 @@ type Event struct {
 // arrival order after the inline ones.
 type eventMore struct {
 	waiters []*Proc
-	fns     []func()
+	cbs     []Callback
 }
 
 // NewEvent returns an unfired event. why labels deadlock diagnostics.
@@ -38,9 +38,9 @@ func (e *Engine) NewEvent(why string) *Event {
 }
 
 // InitEvent resets ev, typically a field of a larger struct, to an unfired
-// event on e labelled why — NewEvent for an event its owner embeds.
+// event labelled why — NewEvent for an event its owner embeds.
 func (e *Engine) InitEvent(ev *Event, why string) {
-	*ev = Event{eng: e, why: why}
+	*ev = Event{why: why}
 }
 
 // Fired reports whether Fire has been called.
@@ -57,20 +57,20 @@ func (ev *Event) Fire() {
 	ev.more = nil
 	if p := ev.first; p != nil {
 		ev.first = nil
-		ev.eng.wake(p, ev.eng.now)
+		p.eng.wake(p, p.eng.now)
 	}
 	if more != nil {
 		for _, p := range more.waiters {
-			ev.eng.wake(p, ev.eng.now)
+			p.eng.wake(p, p.eng.now)
 		}
 	}
-	if fn := ev.fn; fn != nil {
-		ev.fn = nil
-		fn()
+	if cb := ev.cb; cb != nil {
+		ev.cb = nil
+		cb.Call()
 	}
 	if more != nil {
-		for _, fn := range more.fns {
-			fn()
+		for _, cb := range more.cbs {
+			cb.Call()
 		}
 	}
 }
@@ -83,17 +83,17 @@ func (ev *Event) overflow() *eventMore {
 	return ev.more
 }
 
-// OnFire registers fn to run when the event fires (immediately if it
+// OnFire registers cb to run when the event fires (immediately if it
 // already has). Callbacks run in engine context before waiters resume.
-func (ev *Event) OnFire(fn func()) {
+func (ev *Event) OnFire(cb Callback) {
 	switch {
 	case ev.fired:
-		fn()
-	case ev.fn == nil:
-		ev.fn = fn
+		cb.Call()
+	case ev.cb == nil:
+		ev.cb = cb
 	default:
 		m := ev.overflow()
-		m.fns = append(m.fns, fn)
+		m.cbs = append(m.cbs, cb)
 	}
 }
 

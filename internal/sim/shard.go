@@ -266,7 +266,7 @@ func (g *ShardGroup) exchange() (err error) {
 		for i := range e.outbox {
 			re := e.outbox[i]
 			e.outbox[i] = remoteEvent{}
-			re.dst.inject(re.at, re.fn, re.lp, re.seq)
+			re.dst.inject(re.at, re.cb, re.lp, re.seq)
 		}
 		e.outbox = e.outbox[:0]
 	}

@@ -39,7 +39,7 @@ func shardWorkload(nShards, rounds int, lookahead Dur, workers int) ([]*strings.
 				// unambiguous order to compare against.
 				at := e.Now() + Time(lookahead) + Time(1+i*3)
 				kk := k
-				e.Post(dst, at, func() { fmt.Fprintf(dstLog, "(%d,msg%d.%d)", dst.Now(), i, kk) })
+				e.Post(dst, at, Func(func() { fmt.Fprintf(dstLog, "(%d,msg%d.%d)", dst.Now(), i, kk) }))
 				p.Sleep(Dur(11 + i))
 			}
 		})
@@ -311,7 +311,7 @@ func TestInjectCausalityCheck(t *testing.T) {
 			t.Fatal("past-time inject did not panic")
 		}
 	}()
-	e.inject(Time(50), func() {}, 1, 1) // t=50 < now=100: causality violation
+	e.inject(Time(50), Func(func() {}), 1, 1) // t=50 < now=100: causality violation
 }
 
 // TestInjectCausalityCheckAllowsFuture: the invariant accepts strictly

@@ -64,9 +64,26 @@ func DurFromSeconds(s float64) Dur {
 	return Dur(s*1e9 + 0.5)
 }
 
+// Callback is work the engine runs inline in engine context: a dispatched
+// event, an Event's OnFire hook, or a cross-shard Post. An owner that
+// implements Call is scheduled as itself, without a closure; Func adapts a
+// plain func(), and since a func value is one pointer the conversion does
+// not allocate.
+type Callback interface{ Call() }
+
+// Func adapts a plain function to Callback.
+type Func func()
+
+// Call runs f.
+func (f Func) Call() { f() }
+
+// fireCall fires the event it points at: the Callback FireAt schedules.
+type fireCall Event
+
+func (f *fireCall) Call() { (*Event)(f).Fire() }
+
 // event is a scheduled occurrence. If proc is non-nil the event resumes that
-// process; otherwise fn runs inline in the engine loop, or, with fn nil too,
-// fire is fired (FireAt). Events are pooled on
+// process; otherwise cb runs inline in the engine loop. Events are pooled on
 // a per-engine freelist; no pointer to one may outlive its dispatch.
 type event struct {
 	at Time
@@ -90,8 +107,7 @@ type event struct {
 	seq uint64
 
 	proc *Proc
-	fn   func()
-	fire *Event
+	cb   Callback
 }
 
 // dlKey packs a (depth, lp) pair into an event's dl word.
@@ -235,8 +251,7 @@ func (e *Engine) alloc() *event {
 // free clears an event's references and returns it to the freelist.
 func (e *Engine) free(ev *event) {
 	ev.proc = nil
-	ev.fn = nil
-	ev.fire = nil
+	ev.cb = nil
 	e.pool = append(e.pool, ev)
 }
 
@@ -297,7 +312,7 @@ func (e *Engine) popHeap() *event {
 // schedule inserts an event at absolute time t (clamped to now) and returns
 // it. Events for the current instant go to the FIFO nowQ; future events go
 // to the heap.
-func (e *Engine) schedule(t Time, p *Proc, fn func()) *event {
+func (e *Engine) schedule(t Time, p *Proc, cb Callback) {
 	if t < e.now {
 		t = e.now
 	}
@@ -307,13 +322,12 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) *event {
 	if t == e.now {
 		depth = uint32(e.dispatchDepth + 1)
 	}
-	ev.at, ev.dl, ev.seq, ev.proc, ev.fn = t, dlKey(depth, e.lp), e.seq, p, fn
+	ev.at, ev.dl, ev.seq, ev.proc, ev.cb = t, dlKey(depth, e.lp), e.seq, p, cb
 	if t == e.now {
 		e.nowQ = append(e.nowQ, ev)
 	} else {
 		e.pushHeap(ev)
 	}
-	return ev
 }
 
 // remoteEvent is an event bound for another shard's timeline, buffered in
@@ -321,25 +335,25 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) *event {
 type remoteEvent struct {
 	dst *Engine
 	at  Time
-	fn  func()
+	cb  Callback
 	lp  int32
 	seq uint64
 }
 
-// Post schedules fn at absolute time at on dst's timeline. When dst is the
-// engine itself this is exactly At; otherwise the event is stamped with this
+// Post schedules cb at absolute time at on dst's timeline. When dst is the
+// engine itself this is exactly CallAt; otherwise the event is stamped with this
 // engine's (lp, seq) — so the merge order is decided by the sender's
 // schedule, not by delivery order — and buffered until the coordinator
 // exchanges outboxes at a synchronization barrier. Cross-shard posts must
 // target a strictly future instant on the receiving shard; conservative
 // lookahead guarantees that, and inject turns violations into panics.
-func (e *Engine) Post(dst *Engine, at Time, fn func()) {
+func (e *Engine) Post(dst *Engine, at Time, cb Callback) {
 	if dst == e {
-		e.schedule(at, nil, fn)
+		e.schedule(at, nil, cb)
 		return
 	}
 	e.seq++
-	e.outbox = append(e.outbox, remoteEvent{dst: dst, at: at, fn: fn, lp: e.lp, seq: e.seq})
+	e.outbox = append(e.outbox, remoteEvent{dst: dst, at: at, cb: cb, lp: e.lp, seq: e.seq})
 }
 
 // inject lands a cross-shard event in this engine's heap, carrying the
@@ -347,25 +361,29 @@ func (e *Engine) Post(dst *Engine, at Time, fn func()) {
 // An event landing at or before the shard's clock breaks the lookahead
 // bound and would corrupt the merge order, so it panics (one compare per
 // cross-shard event).
-func (e *Engine) inject(at Time, fn func(), lp int32, seq uint64) {
+func (e *Engine) inject(at Time, cb Callback, lp int32, seq uint64) {
 	if at <= e.now && e.dispatched > 0 {
 		panic(fmt.Sprintf("sim: causality violation: event from lp %d injected at t=%d into shard %d already at t=%d",
 			lp, int64(at), e.lp, int64(e.now)))
 	}
 	ev := e.alloc()
-	ev.at, ev.dl, ev.seq, ev.fn = at, dlKey(0, lp), seq, fn
+	ev.at, ev.dl, ev.seq, ev.cb = at, dlKey(0, lp), seq, cb
 	e.pushHeap(ev)
 }
 
 // At schedules fn to run in engine context at absolute virtual time t.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, Func(fn)) }
+
+// CallAt schedules cb to run in engine context at absolute virtual time t:
+// At for an owner that is its own callback.
+func (e *Engine) CallAt(t Time, cb Callback) { e.schedule(t, nil, cb) }
 
 // FireAt fires ev at absolute virtual time t: At(t, ev.Fire) without the
 // closure, for completions whose time is known when they are scheduled.
-func (e *Engine) FireAt(t Time, ev *Event) { e.schedule(t, nil, nil).fire = ev }
+func (e *Engine) FireAt(t Time, ev *Event) { e.schedule(t, nil, (*fireCall)(ev)) }
 
 // After schedules fn to run in engine context after duration d.
-func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
+func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, Func(fn)) }
 
 // Proc is a simulation process: an iter.Pull coroutine that runs
 // cooperatively under the engine. Resuming it (next) and parking it (yield)
@@ -625,7 +643,7 @@ func (e *Engine) runUntil(fence Time) error {
 		}
 		// Copy out and free before dispatch: the handler may schedule,
 		// which reuses pooled events.
-		p, fn, fire := ev.proc, ev.fn, ev.fire
+		p, cb := ev.proc, ev.cb
 		e.dispatchDepth = int32(ev.dl >> 32)
 		if e.flight != nil {
 			e.recordFlight(ev.at, ev.dl, ev.seq, p)
@@ -640,10 +658,8 @@ func (e *Engine) runUntil(fence Time) error {
 			if !p.done { // lazy cancellation: skip dead processes
 				p.next()
 			}
-		} else if fn != nil {
-			fn()
-		} else if fire != nil {
-			fire.Fire()
+		} else {
+			cb.Call()
 		}
 		e.dispatchDepth = -1
 	}

@@ -479,7 +479,7 @@ func TestOnFireCallbacks(t *testing.T) {
 	e := NewEngine()
 	ev := e.NewEvent("cb")
 	var order []string
-	ev.OnFire(func() { order = append(order, "early") })
+	ev.OnFire(Func(func() { order = append(order, "early") }))
 	e.Spawn("w", func(p *Proc) {
 		ev.Wait(p)
 		order = append(order, "waiter")
@@ -497,7 +497,7 @@ func TestOnFireCallbacks(t *testing.T) {
 	}
 	// Registering after fire runs immediately.
 	ran := false
-	ev.OnFire(func() { ran = true })
+	ev.OnFire(Func(func() { ran = true }))
 	if !ran {
 		t.Fatal("post-fire OnFire did not run")
 	}

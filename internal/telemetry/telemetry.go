@@ -73,9 +73,16 @@ type family struct {
 	help   string
 	kind   Kind
 	keys   []string
-	series []*series          // insertion order, or key order once sorted
-	byKey  map[string]*series // built on first lookup
+	series []*series // insertion order, or key order once sorted
+	// byKey indexes series by key, built by the first lookup in a family
+	// past linearMax series; smaller families are searched linearly.
+	byKey map[string]*series
 }
+
+// linearMax is the most series a family searches without its byKey index.
+// Per-node registries hold one series per family, and building a map for
+// each would cost more than it saves.
+const linearMax = 8
 
 // series is one (family, label values) time series.
 type series struct {
@@ -132,40 +139,73 @@ func (r *Registry) family(name, help string, kind Kind, keys []string) *family {
 	return f
 }
 
-// index returns the family's key -> series map, building it on first use.
-func (f *family) index() map[string]*series {
+// find returns the series with the given key, or nil. The first lookup in
+// a family past linearMax series builds its byKey index.
+func (f *family) find(key string) *series {
+	if f.byKey == nil && len(f.series) <= linearMax {
+		for _, s := range f.series {
+			if s.key == key {
+				return s
+			}
+		}
+		return nil
+	}
 	if f.byKey == nil {
 		f.byKey = make(map[string]*series, len(f.series))
 		for _, s := range f.series {
 			f.byKey[s.key] = s
 		}
 	}
-	return f.byKey
+	return f.byKey[key]
 }
 
 // add appends a series new to the family.
 func (f *family) add(s *series) *series {
-	f.index()[s.key] = s
+	if f.byKey != nil {
+		f.byKey[s.key] = s
+	}
 	f.series = append(f.series, s)
 	return s
 }
 
 // get returns the series for (name, labels), creating the family and series
-// as needed. Labels are "k1, v1, k2, v2, ..." pairs.
+// as needed. Labels are "k1, v1, k2, v2, ..." pairs. Only a new family
+// allocates its label keys.
 func (r *Registry) get(name, help string, kind Kind, kv []string) *series {
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd label list %q", kv))
 	}
-	keys, values := make([]string, len(kv)/2), make([]string, len(kv)/2)
-	for i := range keys {
-		keys[i], values[i] = kv[2*i], kv[2*i+1]
+	f, ok := r.families[name]
+	if !ok || !f.schemaIs(kind, kv) {
+		keys := make([]string, len(kv)/2)
+		for i := range keys {
+			keys[i] = kv[2*i]
+		}
+		f = r.family(name, help, kind, keys) // creates, or panics on a mismatch
 	}
-	f := r.family(name, help, kind, keys)
+	values := make([]string, len(kv)/2)
+	for i := range values {
+		values[i] = kv[2*i+1]
+	}
 	key := strings.Join(values, "\x1f")
-	if s, ok := f.index()[key]; ok {
+	if s := f.find(key); s != nil {
 		return s
 	}
 	return f.add(&series{key: key, values: values})
+}
+
+// schemaIs reports whether the family has the given kind and the label
+// keys of the "k1, v1, ..." list kv.
+func (f *family) schemaIs(kind Kind, kv []string) bool {
+	if f.kind != kind || 2*len(f.keys) != len(kv) {
+		return false
+	}
+	for i, k := range f.keys {
+		if kv[2*i] != k {
+			return false
+		}
+	}
+	return true
 }
 
 // Counter is a monotonically increasing integer metric.
@@ -281,7 +321,7 @@ func (r *Registry) Merge(src *Registry) {
 	for _, sf := range src.allFamilies() {
 		df := r.family(sf.name, sf.help, sf.kind, sf.keys)
 		for _, ss := range sf.series {
-			if d, ok := df.index()[ss.key]; ok {
+			if d := df.find(ss.key); d != nil {
 				mergeSeries(d, ss, sf.kind)
 			} else {
 				df.add(ss.clone())
