@@ -219,19 +219,20 @@ func (e *Env) IsPresent(host xmem.Addr) bool { //impacc:allow-unused OpenACC acc
 // blocks until the kernel completes (the construct's implicit barrier),
 // otherwise it returns immediately with the kernel queued on queue async
 // (paper §3.6).
-func (e *Env) Kernels(p *sim.Proc, spec device.KernelSpec, async int) *sim.Event {
+func (e *Env) Kernels(p *sim.Proc, spec device.KernelSpec, async int) {
 	lstart := p.Now()
 	p.Sleep(e.Ctx.Dev.Spec.KernelLaunch)
 	e.hostSpan("launch", spec.Name, lstart, p.Now())
 	if async < 0 {
-		ev := e.Stream(SyncQueue).EnqueueKernel(spec)
+		s := e.Stream(SyncQueue)
+		s.EnqueueKernel(spec)
 		start := p.Now()
-		ev.Wait(p)
+		s.Sync(p)
 		e.WaitTime += sim.Dur(p.Now() - start)
 		e.hostSpan("accwait", spec.Name, start, p.Now())
-		return ev
+		return
 	}
-	return e.Stream(async).EnqueueKernel(spec)
+	e.Stream(async).EnqueueKernel(spec)
 }
 
 // hostSpan records a host-lane trace span when tracing is on. Launch

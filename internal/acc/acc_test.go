@@ -281,14 +281,15 @@ func TestKernelsSyncBlocksAsyncDoesNot(t *testing.T) {
 
 func TestWaitAllDrainsEveryQueue(t *testing.T) {
 	r := newRig(t, topo.PSG(), 0, 0)
-	spec := device.KernelSpec{FLOPs: 1e9, Kind: device.KindCompute}
+	var done [4]bool
 	r.run(t, func(p *sim.Proc) {
-		r.env.Kernels(p, spec, 1)
-		r.env.Kernels(p, spec, 2)
-		r.env.Kernels(p, spec, 3)
+		for q := 1; q <= 3; q++ {
+			r.env.Kernels(p, device.KernelSpec{FLOPs: 1e9, Kind: device.KindCompute,
+				Body: func() { done[q] = true }}, q)
+		}
 		r.env.WaitAll(p)
 		for q := 1; q <= 3; q++ {
-			if !r.env.Stream(q).Done().Fired() {
+			if !done[q] {
 				t.Fatalf("queue %d still pending after WaitAll", q)
 			}
 		}
@@ -312,7 +313,7 @@ func TestQueuesIndependentCompletion(t *testing.T) {
 	long := device.KernelSpec{FLOPs: 1e11, Kind: device.KindCompute}
 	var shortDone, longDone sim.Time
 	r.run(t, func(p *sim.Proc) {
-		e1 := r.env.Kernels(p, long, 1)
+		r.env.Kernels(p, long, 1)
 		// Copy on q2 overlaps kernel on q1 (copies do not use the
 		// device compute resource).
 		host, _ := r.sp.AllocHost(1<<20, true)
@@ -322,7 +323,7 @@ func TestQueuesIndependentCompletion(t *testing.T) {
 		e2 := r.env.Stream(2)
 		e2.Sync(p)
 		shortDone = p.Now()
-		e1.Wait(p)
+		r.env.Wait(p, 1)
 		longDone = p.Now()
 		r.env.DataExit(p, host, Delete)
 	})

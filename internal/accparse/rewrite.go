@@ -2,6 +2,8 @@ package accparse
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Global-to-thread-local analysis (paper §3.1): because IMPACC implements
@@ -188,10 +190,37 @@ func RewriteThreadLocal(src string) (string, []GlobalVar) {
 		trimmed := strings.TrimLeft(lines[i], " \t")
 		indent := lines[i][:len(lines[i])-len(trimmed)]
 		if g.Static {
-			lines[i] = indent + strings.Replace(trimmed, "static ", "static __thread ", 1)
+			lines[i] = indent + afterStatic(trimmed)
 		} else {
 			lines[i] = indent + "__thread " + trimmed
 		}
 	}
 	return strings.Join(lines, "\n"), globals
+}
+
+// afterStatic inserts __thread after the storage class of a static
+// declaration line: after the first "static" that ends at a blank, as
+// findGlobals split the words, else after the first "static" at all. A
+// line whose static keyword a comment splits gets __thread in front.
+func afterStatic(line string) string {
+	at := -1
+	for i := 0; ; {
+		j := strings.Index(line[i:], "static")
+		if j < 0 {
+			break
+		}
+		k := i + j + len("static")
+		if at < 0 {
+			at = k
+		}
+		if r, _ := utf8.DecodeRuneInString(line[k:]); unicode.IsSpace(r) {
+			at = k
+			break
+		}
+		i = k
+	}
+	if at < 0 {
+		return "__thread " + line
+	}
+	return line[:at] + " __thread" + line[at:]
 }

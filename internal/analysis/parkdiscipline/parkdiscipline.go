@@ -3,7 +3,7 @@
 //
 // The sim engine runs exactly one process at a time; a process gives up
 // control only through Proc.park (via Sleep, Event.Wait, Cond.Wait,
-// Semaphore.Acquire, Queue.Get, FIFOResource.Use). A process that instead
+// Semaphore.Acquire, FIFOResource.Use). A process that instead
 // blocks on a raw channel, sync.WaitGroup, or mutex stalls the entire
 // engine: the engine thinks the process is still running, no other process
 // can be scheduled to unblock it, and the run deadlocks outside the
@@ -171,6 +171,6 @@ func recvTypeName(fn *types.Func) string {
 
 func report(pass *analysis.Pass, pos token.Pos, what string) {
 	pass.Reportf(pos,
-		"%s blocks a sim process outside the engine (the engine cannot schedule around it); use the park-based primitives (Proc.Sleep, sim.Event/Cond/Semaphore/Queue, FIFOResource) or annotate //impacc:allow-parkdiscipline <reason>",
+		"%s blocks a sim process outside the engine (the engine cannot schedule around it); use the park-based primitives (Proc.Sleep, sim.Event/Cond/Semaphore, FIFOResource) or annotate //impacc:allow-parkdiscipline <reason>",
 		what)
 }

@@ -43,11 +43,10 @@ func spawnSite(e *sim.Engine, ch chan int) {
 }
 
 // primitives shows the sanctioned engine-mediated blocking.
-func primitives(p *sim.Proc, ev *sim.Event, c *sim.Cond, s *sim.Semaphore, q *sim.Queue) {
+func primitives(p *sim.Proc, ev *sim.Event, c *sim.Cond, s *sim.Semaphore) {
 	ev.Wait(p)   // sim.Event.Wait parks via the engine: ok
 	c.Wait(p)    // ok
 	s.Acquire(p) // ok
-	_ = q.Get(p) // ok
 }
 
 // hostSide has no *sim.Proc and is not spawned: ordinary Go concurrency is

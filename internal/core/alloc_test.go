@@ -35,12 +35,12 @@ var allocPaths = []allocPath{
 	// 4 requests, 2 payload snapshots and 2 wire messages, each its own
 	// cross-shard delivery. The parked receives sit in their map slot.
 	{name: "internode-host", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true}, budget: 9},
-	// Per queued op: the op (request, command and completion callback in
-	// one) and its stream entry; per ACCWait: the barrier closure and its
-	// stream entry; plus the snapshots and wire messages of
-	// internode-host.
+	// 4 queued ops, each its request, command, stream entry and completion
+	// callback in one; 2 barrier stream entries, one per ACCWait (the
+	// wait itself reuses its stream's completion event); plus the 2
+	// snapshots and 2 wire messages of internode-host.
 	{name: "unified-queue-device", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
-		device: true, budget: 17},
+		device: true, budget: 11},
 }
 
 // program runs rounds exchanges on the path.
@@ -128,14 +128,17 @@ func TestUnifiedOpDeadlockLabel(t *testing.T) {
 	}
 }
 
-// TestRequestSize keeps a request and a unified-queue op in the Go size
-// classes their allocation budgets assume: every non-blocking call
-// allocates one of them.
+// TestRequestSize keeps a request, a unified-queue op and its barrier in the
+// Go size classes their allocation budgets assume: every non-blocking call
+// allocates one of the first two, every drained queue one barrier.
 func TestRequestSize(t *testing.T) {
 	if got := unsafe.Sizeof(Request{}); got > 192 {
 		t.Errorf("sizeof(Request) = %d bytes, want <= 192", got)
 	}
-	if got := unsafe.Sizeof(uqOp{}); got > 240 {
-		t.Errorf("sizeof(uqOp) = %d bytes, want <= 240", got)
+	if got := unsafe.Sizeof(uqOp{}); got > 256 {
+		t.Errorf("sizeof(uqOp) = %d bytes, want <= 256", got)
+	}
+	if got := unsafe.Sizeof(uqDrain{}); got > 48 {
+		t.Errorf("sizeof(uqDrain) = %d bytes, want <= 48", got)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"impacc/internal/device"
 	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/sim"
@@ -62,10 +63,24 @@ func parseOpts(opts []Opt) callOpts {
 // and Status read the matched envelope from the request itself.
 type Request struct {
 	cmd msg.Cmd
-	// queued marks an operation placed on a unified activity queue: its
-	// command is posted when the queue reaches it.
-	queued bool
+	// uq names the operation of a request placed on a unified activity
+	// queue, whose command is posted when the queue reaches it; uqNone
+	// for a request posted at once. It sits in the command's tail
+	// padding, which keeps a uqOp in the 256-byte size class.
+	uq uqKind
 }
+
+// uqKind selects the fixed labels of one MPI operation placed on a unified
+// activity queue.
+type uqKind uint8
+
+const (
+	uqNone uqKind = iota
+	uqSend
+	uqRecv
+	uqIsend
+	uqIrecv
+)
 
 // uqName holds the fixed labels of one MPI operation placed on a unified
 // activity queue: the stream operation's label, its command's completion
@@ -73,21 +88,22 @@ type Request struct {
 // string.
 type uqName struct{ why, done, op string }
 
-var (
-	uqSend  = uqName{"op:mpi_send", "mpi_send-done", "send"}
-	uqRecv  = uqName{"op:mpi_recv", "mpi_recv-done", "recv"}
-	uqIsend = uqName{"op:mpi_isend", "mpi_isend-done", "isend"}
-	uqIrecv = uqName{"op:mpi_irecv", "mpi_irecv-done", "irecv"}
-)
+var uqNames = [...]uqName{
+	uqSend:  {"op:mpi_send", "mpi_send-done", "send"},
+	uqRecv:  {"op:mpi_recv", "mpi_recv-done", "recv"},
+	uqIsend: {"op:mpi_isend", "mpi_isend-done", "isend"},
+	uqIrecv: {"op:mpi_irecv", "mpi_irecv-done", "irecv"},
+}
 
-// uqOp is one MPI operation placed on a unified activity queue. Its
-// command is filled in at enqueue time and posted when the queue reaches
-// the operation (Run); the command's Done fires at transfer completion and
+// uqOp is one MPI operation placed on a unified activity queue: request,
+// stream entry and completion callback in one allocation. Its command is
+// filled in at enqueue time and posted when the queue reaches the
+// operation (Run); the command's Done fires at transfer completion and
 // calls the op itself (Call).
 type uqOp struct {
 	Request
+	device.Entry
 	t     *Task
-	n     *uqName
 	q     int
 	start sim.Time // when the queue reached the operation
 	next  *uqOp    // the next operation in flight on the same queue
@@ -209,7 +225,7 @@ func (t *Task) sendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst, 
 	wdst := c.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI(&uqSend, true, buf, bytes, t.rank, wdst, tag, o)
+		t.enqueueUnifiedMPI(uqSend, true, buf, bytes, t.rank, wdst, tag, o)
 		return
 	}
 	start := t.proc.Now()
@@ -232,7 +248,7 @@ func (t *Task) recvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src, 
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI(&uqRecv, false, buf, bytes, wsrc, t.rank, tag, o)
+		t.enqueueUnifiedMPI(uqRecv, false, buf, bytes, wsrc, t.rank, tag, o)
 		return
 	}
 	start := t.proc.Now()
@@ -252,7 +268,7 @@ func (t *Task) isendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst,
 	wdst := c.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(&uqIsend, true, buf, bytes, t.rank, wdst, tag, o)
+		return t.enqueueUnifiedMPI(uqIsend, true, buf, bytes, t.rank, wdst, tag, o)
 	}
 	r := &Request{}
 	t.initCmd(&r.cmd, t.cmdWhy, true, buf, bytes, t.rank, wdst, tag, o)
@@ -274,7 +290,7 @@ func (t *Task) irecvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src,
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(&uqIrecv, false, buf, bytes, wsrc, t.rank, tag, o)
+		return t.enqueueUnifiedMPI(uqIrecv, false, buf, bytes, wsrc, t.rank, tag, o)
 	}
 	r := &Request{}
 	t.initCmd(&r.cmd, t.cmdWhy, false, buf, bytes, wsrc, t.rank, tag, o)
@@ -319,15 +335,14 @@ func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst
 // as in Figure 4 (c)); its completion is tracked, and any later kernel,
 // data operation, or wait on the same queue first drains outstanding MPI
 // completions — the queue's in-order completion guarantee.
-func (t *Task) enqueueUnifiedMPI(n *uqName, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *Request {
+func (t *Task) enqueueUnifiedMPI(k uqKind, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *Request {
 	if t.rt.Cfg.Mode == Legacy || !t.rt.feats.UnifiedQueue {
-		t.failf("async MPI (%s) requires the IMPACC unified activity queue", strings.TrimPrefix(n.why, "op:"))
+		t.failf("async MPI (%s) requires the IMPACC unified activity queue", strings.TrimPrefix(uqNames[k].why, "op:"))
 	}
 	q := o.async
-	op := &uqOp{t: t, n: n, q: q}
-	op.queued = true
-	t.initCmd(&op.cmd, n.done, isSend, buf, bytes, src, dst, tag, o)
-	t.env.Stream(q).EnqueueRunner(n.why, op)
+	op := &uqOp{Request: Request{uq: k}, t: t, q: q}
+	t.initCmd(&op.cmd, uqNames[k].done, isSend, buf, bytes, src, dst, tag, o)
+	t.env.Stream(q).Enqueue(op)
 	c := t.uqPending[q]
 	if c.head == nil {
 		c.head = op
@@ -339,9 +354,12 @@ func (t *Task) enqueueUnifiedMPI(n *uqName, isSend bool, buf xmem.Addr, bytes in
 	return &op.Request
 }
 
+// Why labels the op's stream entry in deadlock diagnostics.
+func (op *uqOp) Why(*device.Stream) string { return uqNames[op.uq].why }
+
 // Run runs when the queue reaches the operation: it posts the command and
 // arms the op as the command's completion callback.
-func (op *uqOp) Run(p *sim.Proc) {
+func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) {
 	t, cmd := op.t, &op.cmd
 	op.start = p.Now()
 	t.post(p, cmd)
@@ -359,14 +377,15 @@ func (op *uqOp) Run(p *sim.Proc) {
 // span.
 func (op *uqOp) Call() {
 	t, cmd := op.t, &op.cmd
-	t.mpiObserve(op.n.op, op.start)
+	name := uqNames[op.uq].op
+	t.mpiObserve(name, op.start)
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
 		peer, bytes := cmd.Dst, cmd.Bytes
 		if !cmd.IsSend {
 			peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
 		}
 		tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
-			Stream: op.q, Kind: "mpi", Name: op.n.op, Start: op.start,
+			Stream: op.q, Kind: "mpi", Name: name, Start: op.start,
 			End: t.eng().Now(), Bytes: bytes, Peer: peer})
 	}
 }
@@ -379,15 +398,25 @@ func (t *Task) uqBarrier(q int) {
 		return
 	}
 	t.uqPending[q] = uqChain{}
-	rank := t.rank
-	t.env.Stream(q).EnqueueFunc("op:uq-barrier", func(p *sim.Proc) {
-		for op := head; op != nil; op = op.next {
-			op.cmd.Done.Wait(p)
-			if op.cmd.Err != nil {
-				panic(&RunError{Rank: rank, Err: op.cmd.Err})
-			}
+	t.env.Stream(q).Enqueue(&uqDrain{head: head})
+}
+
+// uqDrain is the stream entry of a uqBarrier: it waits, in enqueue order,
+// for the chain of MPI operations starting at head.
+type uqDrain struct {
+	device.Entry
+	head *uqOp
+}
+
+func (d *uqDrain) Why(*device.Stream) string { return "op:uq-barrier" }
+
+func (d *uqDrain) Run(_ *device.Stream, p *sim.Proc) {
+	for op := d.head; op != nil; op = op.next {
+		op.cmd.Done.Wait(p)
+		if op.cmd.Err != nil {
+			panic(&RunError{Rank: op.t.rank, Err: op.cmd.Err})
 		}
-	})
+	}
 }
 
 // Status reports which message satisfied a receive (MPI_Status): the world
@@ -433,7 +462,7 @@ func (t *Task) Waitany(reqs ...*Request) int { //impacc:allow-unused reproduces 
 				continue
 			}
 			if r.cmd.Done.Fired() {
-				if !r.queued {
+				if r.uq == uqNone {
 					if tr := t.rt.Cfg.Trace; tr != nil && lastWait != 0 && r.cmd.TraceID != 0 {
 						tr.claim(t.pl.Node, r.cmd.TraceID, lastWait, t.proc.Now())
 					}

@@ -1,9 +1,11 @@
 package device
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"impacc/internal/sim"
 	"impacc/internal/topo"
@@ -229,18 +231,33 @@ func TestKernelDuration(t *testing.T) {
 	}
 }
 
+// markOp is a test stream operation: it runs fn, labelled why.
+type markOp struct {
+	Entry
+	why string
+	fn  func(p *sim.Proc)
+}
+
+func (m *markOp) Why(*Stream) string         { return m.why }
+func (m *markOp) Run(_ *Stream, p *sim.Proc) { m.fn(p) }
+
+// finished reports whether a queued entry has run to completion.
+func finished(e *Entry) bool { return e.run == nil }
+
 func TestStreamInOrderExecution(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	host, _ := ctx.Space.AllocHost(1<<20, true)
 	dev, _ := ctx.MemAlloc(1 << 20)
 	st := ctx.NewStream(1)
 	var order []string
-	first := st.EnqueueCopy(dev, host, 1<<20)
-	st.EnqueueFunc("op:mark1", func(p *sim.Proc) { order = append(order, "a") })
+	st.EnqueueCopy(dev, host, 1<<20)
+	first := st.tail
+	st.Enqueue(&markOp{why: "op:mark1", fn: func(p *sim.Proc) { order = append(order, "a") }})
 	st.EnqueueKernel(KernelSpec{Name: "k", FLOPs: 1e9, Kind: KindCompute,
 		Body: func() { order = append(order, "kernel") }})
-	last := st.EnqueueFunc("op:mark2", func(p *sim.Proc) { order = append(order, "b") })
-	if st.Done() != last || first.Fired() || last.Fired() {
+	last := &markOp{why: "op:mark2", fn: func(p *sim.Proc) { order = append(order, "b") }}
+	st.Enqueue(last)
+	if st.tail != &last.Entry || finished(first) || finished(&last.Entry) {
 		t.Fatal("queued work completed before the engine ran")
 	}
 	eng.Spawn("waiter", func(p *sim.Proc) {
@@ -251,7 +268,7 @@ func TestStreamInOrderExecution(t *testing.T) {
 	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !first.Fired() || !last.Fired() {
+	if !finished(first) || !finished(&last.Entry) {
 		t.Fatal("a stream op never completed")
 	}
 	want := []string{"a", "kernel", "b", "synced"}
@@ -274,12 +291,12 @@ func TestStreamsRunIndependently(t *testing.T) {
 	s1 := ctx.NewStream(1)
 	s2 := ctx.NewStream(2)
 	var kEnd, cEnd sim.Time
-	k := s1.EnqueueKernel(KernelSpec{Name: "long", FLOPs: 1e11, Kind: KindCompute})
-	c := s2.EnqueueCopy(dev, host, 1<<26)
+	s1.EnqueueKernel(KernelSpec{Name: "long", FLOPs: 1e11, Kind: KindCompute})
+	s2.EnqueueCopy(dev, host, 1<<26)
 	eng.Spawn("obs", func(p *sim.Proc) {
-		c.Wait(p)
+		s2.Sync(p)
 		cEnd = p.Now()
-		k.Wait(p)
+		s1.Sync(p)
 		kEnd = p.Now()
 	})
 	s1.Close()
@@ -298,13 +315,13 @@ func TestKernelsSerializeOnDevice(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	s1 := ctx.NewStream(1)
 	s2 := ctx.NewStream(2)
-	e1 := s1.EnqueueKernel(KernelSpec{FLOPs: 1e11, Kind: KindCompute})
-	e2 := s2.EnqueueKernel(KernelSpec{FLOPs: 1e11, Kind: KindCompute})
+	s1.EnqueueKernel(KernelSpec{FLOPs: 1e11, Kind: KindCompute})
+	s2.EnqueueKernel(KernelSpec{FLOPs: 1e11, Kind: KindCompute})
 	var t1, t2 sim.Time
 	eng.Spawn("obs", func(p *sim.Proc) {
-		e1.Wait(p)
+		s1.Sync(p)
 		t1 = p.Now()
-		e2.Wait(p)
+		s2.Sync(p)
 		t2 = p.Now()
 	})
 	s1.Close()
@@ -479,7 +496,7 @@ func TestStreamOpDeadlockLabel(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	stuck := ctx.NewStream(0)
 	never := eng.NewEvent("never")
-	stuck.EnqueueFunc("op:stuck", func(p *sim.Proc) { never.Wait(p) })
+	stuck.Enqueue(&markOp{why: "op:stuck", fn: func(p *sim.Proc) { never.Wait(p) }})
 	st := ctx.NewStream(1)
 	st.EnqueueWaitStream(stuck)
 	st.EnqueueKernel(KernelSpec{Name: "stencil", FLOPs: 1e6, Kind: KindCompute})
@@ -498,5 +515,74 @@ func TestStreamOpDeadlockLabel(t *testing.T) {
 		if !found {
 			t.Errorf("blocked = %v, want an entry ending %q", de.Blocked, w)
 		}
+	}
+}
+
+// mallocs counts the heap objects n calls of f allocate.
+func mallocs(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestStreamOpAllocs pins the host cost of a queued device operation: a
+// copy or a kernel allocates its own record and nothing else (no closure,
+// queue slot or label), each record stays in its size class, and syncing a
+// busy stream reuses the stream's completion event after the first Sync.
+func TestStreamOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"copyOp", unsafe.Sizeof(copyOp{}), 64},
+		{"kernelOp", unsafe.Sizeof(kernelOp{}), 112},
+		{"waitOp", unsafe.Sizeof(waitOp{}), 64},
+	} {
+		if c.size > c.max {
+			t.Errorf("sizeof(%s) = %d bytes, want <= %d", c.name, c.size, c.max)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	eng, _, ctx := psgRig(0)
+	host, _ := ctx.Space.AllocHost(64, true)
+	dev, _ := ctx.MemAlloc(64)
+	k := KernelSpec{Name: "k", FLOPs: 1e6, Kind: KindCompute}
+	st := ctx.NewStream(1)
+	const n = 1000
+	if got := mallocs(n, func() { st.EnqueueCopy(dev, host, 64) }); got != n {
+		t.Errorf("%d EnqueueCopy calls allocated %d objects, want %d", n, got, n)
+	}
+	if got := mallocs(n, func() { st.EnqueueKernel(k) }); got != n {
+		t.Errorf("%d EnqueueKernel calls allocated %d objects, want %d", n, got, n)
+	}
+
+	// Each round enqueues a kernel and syncs while it runs; once the first
+	// Sync has made the stream's event, a round allocates only the kernel.
+	var first, steady uint64
+	eng.Spawn("host", func(p *sim.Proc) {
+		first = mallocs(1, func() {
+			st.EnqueueKernel(k)
+			st.Sync(p)
+		})
+		steady = mallocs(n, func() {
+			st.EnqueueKernel(k)
+			st.Sync(p)
+		})
+		st.Close()
+	})
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first == 0 || steady != n {
+		t.Errorf("kernel+Sync rounds allocated %d objects (first) and %d over the next %d, want >0 and %d",
+			first, steady, n, n)
 	}
 }

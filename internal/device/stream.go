@@ -17,81 +17,122 @@ type Stream struct {
 	ID  int
 	Ctx *Context
 
-	q      *sim.Queue
-	closed bool
-	// lastDone is the completion event of the newest operation. It points
-	// into that operation's streamOp, which it keeps alive until the next
-	// enqueue; idle is the already-fired event of a stream with no
-	// operations yet.
-	lastDone   *sim.Event
-	idle       sim.Event
-	kernelHist *telemetry.Histogram
-	// tail is the trace ID of the last traced operation enqueued, the
-	// source of the next in-order "stream" edge (0 = none yet).
-	tail uint64
+	// head is the oldest queued entry, linked through Entry.next; tail is
+	// the newest entry enqueued, which stays in place after it runs so
+	// Sync can tell whether the stream has drained.
+	head, tail *Entry
+	cond       *sim.Cond
+	closed     bool
+	// spare is a fired completion event kept for the next entry a
+	// process waits on, so a stream that is synced over and over
+	// allocates one event, not one per Sync.
+	spare *sim.Event
+	// kernel and kernelWhy cache the completion label of the last kernel
+	// a process waited on, so syncing on launches of one kernel builds
+	// its label once.
+	kernel, kernelWhy string
+	kernelHist        *telemetry.Histogram
+	// traceTail is the trace ID of the last traced operation enqueued,
+	// the source of the next in-order "stream" edge (0 = none yet).
+	traceTail uint64
 }
 
-// Runner is the work of one stream operation, run on the stream's process
-// when the queue reaches it. An owner that already holds the operation's
-// state implements it to enqueue without a closure (EnqueueRunner).
-type Runner interface{ Run(p *sim.Proc) }
-
-// runFunc adapts a closure to Runner; a func value is one word, so the
-// conversion allocates nothing.
-type runFunc func(p *sim.Proc)
-
-func (f runFunc) Run(p *sim.Proc) { f(p) }
-
-// streamOp is one queue entry. It owns its completion event, so enqueueing
-// allocates the entry and nothing else.
-type streamOp struct {
-	run  Runner // nil for poison (close)
-	done sim.Event
+// Runner is one queued operation: a record that embeds Entry and runs on
+// the stream's process when the queue reaches it. Owners outside this
+// package (the unified activity queue's MPI operations) implement it too,
+// so enqueueing allocates the record and nothing else.
+type Runner interface {
+	Run(s *Stream, p *sim.Proc)
+	// Why labels the operation's completion event on stream s in
+	// deadlock diagnostics, by convention "op:<name>". It is called only
+	// when a process waits on the operation before it finishes.
+	Why(s *Stream) string
+	entry() *Entry
 }
+
+// Entry is the queue header a Runner embeds. The stream links entries
+// through it and marks an entry finished by clearing run. The completion
+// event is made only when a process waits on an unfinished entry (Sync, or
+// a stream waiting on another stream's tail), so an entry nobody waits on
+// never owns one.
+type Entry struct {
+	next *Entry
+	run  Runner     // the record itself; nil once finished
+	done *sim.Event // nil until a process waits on the entry
+}
+
+func (e *Entry) entry() *Entry { return e } //impacc:allow-unused Enqueue calls it through Runner on the records that embed Entry
 
 // NewStream creates an activity queue on the context's device and starts
 // its simulation process. Streams must be Closed when the owning task
 // finishes, or the engine reports them as deadlocked processes.
 func (c *Context) NewStream(id int) *Stream {
 	eng := c.Dev.rt.Eng
-	s := &Stream{ID: id, Ctx: c, q: eng.NewQueue(fmt.Sprintf("stream%d", id))}
+	s := &Stream{ID: id, Ctx: c, cond: eng.NewCond(fmt.Sprintf("queue:stream%d", id))}
 	if reg := eng.Metrics; reg != nil {
 		s.kernelHist = reg.Histogram(KernelDurationNs, "kernel durations by activity queue",
 			"node", c.Dev.rt.Spec.Name, "dev", strconv.Itoa(c.Dev.Index), "stream", strconv.Itoa(id))
 	}
-	eng.InitEvent(&s.idle, "stream-init")
-	s.idle.Fire()
-	s.lastDone = &s.idle
 	eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
 	return s
 }
 
 func (s *Stream) loop(p *sim.Proc) {
 	for {
-		op := s.q.Get(p).(*streamOp)
-		if op.run == nil {
-			op.done.Fire()
-			return
+		for s.head == nil {
+			if s.closed {
+				return
+			}
+			s.cond.Wait(p)
 		}
-		op.run.Run(p)
-		// The finished op may live on as the stream's lastDone; drop its
-		// closures so they do not keep what they captured alive too.
-		op.run = nil
-		op.done.Fire()
+		e := s.head
+		s.head, e.next = e.next, nil
+		e.run.Run(s, p)
+		e.run = nil
+		if ev := e.done; ev != nil {
+			e.done = nil
+			ev.Fire()
+			s.spare = ev
+		}
 	}
 }
 
-// enqueue adds an operation and returns its completion event, labelled why
-// ("op:<name>") in deadlock diagnostics.
-func (s *Stream) enqueue(why string, run Runner) *sim.Event {
+// Enqueue adds r to the end of the queue. The IMPACC unified activity
+// queue (paper §3.6) uses it to place MPI non-blocking communication calls
+// in the same in-order queue as kernels and copies.
+func (s *Stream) Enqueue(r Runner) {
 	if s.closed {
 		panic("device: enqueue on closed stream")
 	}
-	op := &streamOp{run: run}
-	s.Ctx.Dev.rt.Eng.InitEvent(&op.done, why)
-	s.q.Put(op)
-	s.lastDone = &op.done
-	return &op.done
+	e := r.entry()
+	e.run = r
+	if s.head == nil {
+		s.head = e
+	} else {
+		s.tail.next = e
+	}
+	s.tail = e
+	s.cond.WakeOne()
+}
+
+// wait blocks p until entry e of this stream has finished; a nil entry
+// has. The first process to wait gives e its completion event, labelled
+// by e's Why.
+func (s *Stream) wait(p *sim.Proc, e *Entry) {
+	if e == nil || e.run == nil {
+		return
+	}
+	ev := e.done
+	if ev == nil {
+		if ev = s.spare; ev != nil {
+			s.spare = nil
+		} else {
+			ev = new(sim.Event)
+		}
+		s.Ctx.Dev.rt.Eng.InitEvent(ev, e.run.Why(s))
+		e.done = ev
+	}
+	ev.Wait(p)
 }
 
 // chainID allocates a trace ID for the operation being enqueued and records
@@ -103,67 +144,76 @@ func (s *Stream) chainID() uint64 {
 		return 0
 	}
 	id := sink.NewID()
-	if s.tail != 0 {
-		sink.Edge("stream", s.tail, id, s.Ctx.Dev.rt.Eng.Now())
+	if s.traceTail != 0 {
+		sink.Edge("stream", s.traceTail, id, s.Ctx.Dev.rt.Eng.Now())
 	}
-	s.tail = id
+	s.traceTail = id
 	return id
 }
 
+// copyOp is a queued memory copy.
+type copyOp struct {
+	Entry
+	dst, src xmem.Addr
+	n        int64
+	id       uint64 // trace ID, 0 when tracing is off
+}
+
+func (o *copyOp) Why(*Stream) string { return "op:copy" }
+
+func (o *copyOp) Run(s *Stream, p *sim.Proc) {
+	if _, err := s.Ctx.transferLane(p, s.ID, o.id, o.dst, o.src, o.n); err != nil {
+		panic(fmt.Sprintf("stream copy: %v", err))
+	}
+}
+
 // EnqueueCopy schedules an asynchronous memory copy (cuMemcpyAsync /
-// clEnqueue{Read,Write}Buffer with CL_NON_BLOCKING) and returns its
-// completion event.
-func (s *Stream) EnqueueCopy(dst, src xmem.Addr, n int64) *sim.Event {
-	id := s.chainID()
-	return s.enqueue("op:copy", runFunc(func(p *sim.Proc) {
-		if _, err := s.Ctx.transferLane(p, s.ID, id, dst, src, n); err != nil {
-			panic(fmt.Sprintf("stream copy: %v", err))
-		}
-	}))
+// clEnqueue{Read,Write}Buffer with CL_NON_BLOCKING).
+func (s *Stream) EnqueueCopy(dst, src xmem.Addr, n int64) {
+	s.Enqueue(&copyOp{dst: dst, src: src, n: n, id: s.chainID()})
+}
+
+// kernelOp is a queued kernel launch.
+type kernelOp struct {
+	Entry
+	k  KernelSpec
+	id uint64 // trace ID, 0 when tracing is off
+}
+
+func (o *kernelOp) Why(s *Stream) string {
+	if s.kernel != o.k.Name || s.kernelWhy == "" {
+		s.kernel, s.kernelWhy = o.k.Name, "op:kernel:"+o.k.Name
+	}
+	return s.kernelWhy
+}
+
+func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
+	k := &o.k
+	dur := Duration(s.Ctx.Dev.Spec, *k)
+	start := s.Ctx.Dev.compute.Use(p, dur, 0)
+	if k.Body != nil {
+		k.Body()
+	}
+	s.Ctx.Stats.KernelCount++
+	s.Ctx.Stats.KernelTime += dur
+	if s.kernelHist != nil {
+		s.kernelHist.Observe(int64(dur))
+	}
+	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
+		sink.Span(o.id, s.ID, "kernel", k.Name, start, start+sim.Time(dur), 0)
+	}
 }
 
 // EnqueueKernel schedules a kernel launch. The device compute resource
 // serializes kernels from all streams of the device; the kernel's Body (if
 // any) executes at completion so data results are real.
-func (s *Stream) EnqueueKernel(k KernelSpec) *sim.Event {
-	id := s.chainID()
-	return s.enqueue("op:kernel:"+k.Name, runFunc(func(p *sim.Proc) {
-		dur := Duration(s.Ctx.Dev.Spec, k)
-		start := s.Ctx.Dev.compute.Use(p, dur, 0)
-		if k.Body != nil {
-			k.Body()
-		}
-		s.Ctx.Stats.KernelCount++
-		s.Ctx.Stats.KernelTime += dur
-		if s.kernelHist != nil {
-			s.kernelHist.Observe(int64(dur))
-		}
-		if sink := s.Ctx.Sink; sink != nil && id != 0 {
-			sink.Span(id, s.ID, "kernel", k.Name, start, start+sim.Time(dur), 0)
-		}
-	}))
-}
-
-// EnqueueFunc schedules an arbitrary operation on the stream. why labels
-// its completion event in deadlock diagnostics; by convention it is
-// "op:<name>", spelled out by the caller so enqueueing builds no string.
-func (s *Stream) EnqueueFunc(why string, fn func(p *sim.Proc)) *sim.Event {
-	return s.enqueue(why, runFunc(fn))
-}
-
-// EnqueueRunner is EnqueueFunc for an owner that implements Runner itself.
-// The IMPACC unified activity queue (paper §3.6) uses it to place MPI
-// non-blocking communication calls in the same in-order queue as kernels
-// and copies.
-func (s *Stream) EnqueueRunner(why string, r Runner) *sim.Event {
-	return s.enqueue(why, r)
+func (s *Stream) EnqueueKernel(k KernelSpec) {
+	s.Enqueue(&kernelOp{k: k, id: s.chainID()})
 }
 
 // Sync blocks p until every operation enqueued so far has completed
 // (#pragma acc wait on this queue).
-func (s *Stream) Sync(p *sim.Proc) {
-	s.lastDone.Wait(p)
-}
+func (s *Stream) Sync(p *sim.Proc) { s.wait(p, s.tail) }
 
 // Close shuts the stream process down after draining queued work. Safe to
 // call twice.
@@ -172,9 +222,27 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
-	op := &streamOp{}
-	s.Ctx.Dev.rt.Eng.InitEvent(&op.done, "stream-close")
-	s.q.Put(op)
+	s.cond.WakeOne()
+}
+
+// waitOp is a queued cross-stream dependency: it waits for the entry that
+// was src's tail when it was enqueued.
+type waitOp struct {
+	Entry
+	src    *Stream
+	target *Entry
+	id     uint64 // trace ID, 0 when tracing is off
+}
+
+func (o *waitOp) Why(*Stream) string { return "op:wait-event" }
+
+func (o *waitOp) Run(s *Stream, p *sim.Proc) {
+	start := p.Now()
+	o.src.wait(p, o.target)
+	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
+		sink.Span(o.id, s.ID, "accwait", "qwait", start, p.Now(), 0)
+	}
+	//impacc:allow-spanbalance no span exists to balance when tracing is off (sink == nil / id == 0); with tracing on, the record above is unconditional
 }
 
 // EnqueueWaitStream makes this stream wait for src's current tail before
@@ -182,23 +250,10 @@ func (s *Stream) Close() {
 // the cross-stream dependency behind "#pragma acc wait(q) async(r)". It
 // records the cross-stream "event" edge and an accwait span over the actual
 // wait interval for the causal trace.
-func (s *Stream) EnqueueWaitStream(src *Stream) *sim.Event {
-	ev := src.Done()
-	sink := s.Ctx.Sink
-	id := s.chainID()
-	if sink != nil && id != 0 && src.tail != 0 {
-		sink.Edge("event", src.tail, id, s.Ctx.Dev.rt.Eng.Now())
+func (s *Stream) EnqueueWaitStream(src *Stream) {
+	o := &waitOp{src: src, target: src.tail, id: s.chainID()}
+	if sink := s.Ctx.Sink; sink != nil && o.id != 0 && src.traceTail != 0 {
+		sink.Edge("event", src.traceTail, o.id, s.Ctx.Dev.rt.Eng.Now())
 	}
-	return s.enqueue("op:wait-event", runFunc(func(p *sim.Proc) {
-		start := p.Now()
-		ev.Wait(p)
-		if sink != nil && id != 0 {
-			sink.Span(id, s.ID, "accwait", "qwait", start, p.Now(), 0)
-		}
-		//impacc:allow-spanbalance no span exists to balance when tracing is off (sink == nil / id == 0); with tracing on, the record above is unconditional
-	}))
+	s.Enqueue(o)
 }
-
-// Done returns the completion event of the last operation enqueued so far
-// (cuEventRecord at the current tail).
-func (s *Stream) Done() *sim.Event { return s.lastDone }

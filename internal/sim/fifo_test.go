@@ -89,21 +89,36 @@ func TestFIFOMatchesSliceModelProperty(t *testing.T) {
 	}
 }
 
-// TestFIFOLongBacklog drains a 10k-item backlog through Queue, Cond and
+// TestFIFOLongBacklog drains a 10k-item backlog through FIFO, Cond and
 // Semaphore, checking that every pop keeps arrival order.
 func TestFIFOLongBacklog(t *testing.T) {
 	const n = 10000
-	e := NewEngine()
-	q := e.NewQueue("backlog")
+	var q FIFO[int]
 	for i := 0; i < n; i++ {
-		q.Put(i)
+		q.Push(i)
 	}
 	for i := 0; i < n; i++ {
-		if v, ok := q.items.Pop(); !ok || v.(int) != i {
+		if v, ok := q.Pop(); !ok || v != i {
 			t.Fatalf("pop #%d = %v, %v", i, v, ok)
 		}
 	}
+	// Refill a half-drained queue so push slides the live tail.
+	for i := 0; i < n; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < n/2; i++ {
+		q.Pop()
+	}
+	for i := n; i < n+n/2; i++ {
+		q.Push(i)
+	}
+	for i := n / 2; i < n+n/2; i++ {
+		if v, _ := q.Pop(); v != i {
+			t.Fatalf("Pop = %d, want %d", v, i)
+		}
+	}
 
+	e := NewEngine()
 	c := e.NewCond("c")
 	s := e.NewSemaphore(0, "s")
 	var condOrder, semOrder []int
@@ -124,22 +139,6 @@ func TestFIFOLongBacklog(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s.Release()
 		}
-		// Refill a half-drained queue so push slides the live tail.
-		for i := 0; i < n; i++ {
-			q.Put(i)
-		}
-		for i := 0; i < n/2; i++ {
-			q.Get(p)
-		}
-		for i := n; i < n+n/2; i++ {
-			q.Put(i)
-		}
-		for i := n / 2; i < n+n/2; i++ {
-			if v := q.Get(p).(int); v != i {
-				t.Errorf("Get = %d, want %d", v, i)
-				return
-			}
-		}
 	})
 	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestFIFOLongBacklog(t *testing.T) {
 			t.Fatalf("wake #%d: cond %d, semaphore %d", i, condOrder[i], semOrder[i])
 		}
 	}
-	if c.waiters.Len() != 0 || s.avail != 0 || q.items.Len() != 0 {
-		t.Fatalf("left over: %d waiting, %d permits, %d items", c.waiters.Len(), s.avail, q.items.Len())
+	if c.waiters.Len() != 0 || s.avail != 0 || q.Len() != 0 {
+		t.Fatalf("left over: %d waiting, %d permits, %d items", c.waiters.Len(), s.avail, q.Len())
 	}
 }

@@ -317,30 +317,3 @@ func CoUseAsync(occupy Dur, rs ...*FIFOResource) (start, end Time) {
 	}
 	return start, end
 }
-
-// Queue is an unbounded FIFO of arbitrary items with blocking receive.
-// Multiple consumers are served in FIFO order.
-type Queue struct {
-	items FIFO[interface{}]
-	cond  *Cond
-}
-
-// NewQueue returns an empty queue.
-func (e *Engine) NewQueue(why string) *Queue {
-	return &Queue{cond: e.NewCond("queue:" + why)}
-}
-
-// Put appends an item and wakes one waiting consumer. Put never blocks.
-func (q *Queue) Put(item interface{}) {
-	q.items.Push(item)
-	q.cond.WakeOne()
-}
-
-// Get removes and returns the oldest item, blocking p until one exists.
-func (q *Queue) Get(p *Proc) interface{} {
-	for q.items.Len() == 0 {
-		q.cond.Wait(p)
-	}
-	item, _ := q.items.Pop()
-	return item
-}

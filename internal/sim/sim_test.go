@@ -317,31 +317,6 @@ func TestFIFOResourceUseAsync(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	e := NewEngine()
-	q := e.NewQueue("msgs")
-	var got []int
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p).(int))
-		}
-	})
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(Microsecond)
-			q.Put(i)
-		}
-	})
-	if err := soloGroup(e).Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("got %v, want ascending", got)
-		}
-	}
-}
-
 func TestYieldRunsQueuedEventsFirst(t *testing.T) {
 	e := NewEngine()
 	var order []string
