@@ -53,8 +53,8 @@ func TestPublicMappingAndSystems(t *testing.T) {
 	if !f.UnifiedQueue || !f.Aliasing {
 		t.Fatal("IMPACC defaults missing features")
 	}
-	if impacc.DefaultFeatures(impacc.Legacy).Fusion {
-		t.Fatal("legacy defaults must disable fusion")
+	if impacc.DefaultFeatures(impacc.Legacy) != (impacc.Features{}) {
+		t.Fatal("legacy defaults must disable every IMPACC technique")
 	}
 }
 

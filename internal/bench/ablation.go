@@ -73,8 +73,8 @@ func Ablations(opt Options) ([]AblationRow, error) {
 	}
 
 	jobs := []func() (AblationRow, error){
-		// Message fusion: intra-node DGEMM distribution without fused copies
-		// falls back to the legacy two-copy transport.
+		// Node heap aliasing: without it, the intra-node DGEMM distribution
+		// of readonly buffers copies instead of sharing pages.
 		feature("node-heap-aliasing", fmt.Sprintf("DGEMM %d (PSG x8)", n), topo.PSG(), 8,
 			func(f *core.Features) { f.Aliasing = false }, dgemm),
 		feature("direct-p2p-dtod", fmt.Sprintf("%dx%dMB DtoD intra (PSG)", reps, xfer>>20), topo.PSG(), 2,

@@ -74,7 +74,7 @@ func (c *Comm) Barrier() {
 	if n == 1 {
 		return
 	}
-	o := callOpts{async: -1, comm: c.id}
+	o := c.opts(nil)
 	me := c.myRank
 	round := 0
 	for off := 1; off < n; off <<= 1 {
@@ -87,9 +87,7 @@ func (c *Comm) Barrier() {
 		r := t.postRecv(t.proc, t.scratch, 1, src, tag, o)
 		s.Done.Wait(t.proc)
 		r.Done.Wait(t.proc)
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("barrier", start)
-		t.mpiSpan("barrier", start, mark, -1, 0)
+		t.mpiEnd("barrier", start, mark, -1, 0)
 		t.checkCmd(s)
 		t.checkCmd(r)
 		round++
@@ -126,19 +124,11 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	if c.Size() == 1 {
 		return
 	}
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
+	o := c.collOpts(opts)
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	leaders, myLeader := c.leaders(root)
 
-	start := t.proc.Now()
-	mark := t.traceMark()
-	defer func() {
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("bcast", start)
-		t.mpiSpan("bcast", start, mark, -1, bytes)
-	}()
+	defer t.mpiEnd("bcast", t.proc.Now(), t.traceMark(), -1, bytes)
 
 	// Phase 1 among node leaders: a segmented pipelined binomial tree for
 	// small and medium payloads; bandwidth-optimal scatter + ring
@@ -160,16 +150,11 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 				pend = append(pend, t.postSend(t.proc, buf, bytes, c.ranks[crank], base-2, o))
 			}
 		}
-		for _, s := range pend {
-			s.Done.Wait(t.proc)
-			t.checkCmd(s)
-		}
+		t.waitAll(pend...)
 		return
 	}
 	// Non-leader: receive from the node leader.
-	r := t.postRecv(t.proc, buf, bytes, c.ranks[myLeader], base-2, o)
-	r.Done.Wait(t.proc)
-	t.checkCmd(r)
+	t.waitAll(t.postRecv(t.proc, buf, bytes, c.ranks[myLeader], base-2, o))
 }
 
 // bcastTree runs the segmented pipelined binomial tree among leaders and
@@ -187,9 +172,7 @@ func (c *Comm) bcastTree(buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx
 		}
 		seg := buf + xmem.Addr(off)
 		if parent >= 0 {
-			r := t.postRecv(t.proc, seg, segLen, c.ranks[leaders[parent]], base-1, o)
-			r.Done.Wait(t.proc)
-			t.checkCmd(r)
+			t.waitAll(t.postRecv(t.proc, seg, segLen, c.ranks[leaders[parent]], base-1, o))
 		}
 		for _, k := range kids {
 			pend = append(pend, t.postSend(t.proc, seg, segLen, c.ranks[leaders[k]], base-1, o))
@@ -223,14 +206,9 @@ func (c *Comm) bcastScatterAllgather(buf xmem.Addr, bytes int64, leaders []int, 
 			}
 			pend = append(pend, t.postSend(t.proc, buf+xmem.Addr(off(i)), size(i), world(i), base-3, o))
 		}
-		for _, s := range pend {
-			s.Done.Wait(t.proc)
-			t.checkCmd(s)
-		}
+		t.waitAll(pend...)
 	} else {
-		r := t.postRecv(t.proc, buf+xmem.Addr(off(idx)), size(idx), world(rootIdx), base-3, o)
-		r.Done.Wait(t.proc)
-		t.checkCmd(r)
+		t.waitAll(t.postRecv(t.proc, buf+xmem.Addr(off(idx)), size(idx), world(rootIdx), base-3, o))
 	}
 	// Ring allgather: at step s, leader i forwards chunk (i-s) mod l to
 	// its successor and receives chunk (i-s-1) mod l from its predecessor.
@@ -254,9 +232,7 @@ func (c *Comm) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, 
 	t := c.t
 	c.checkRank(root)
 	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
+	o := c.collOpts(opts)
 	sbuf, bytes := t.resolveBuf(sendAddr, count, dt, o)
 	n := c.Size()
 
@@ -275,21 +251,18 @@ func (c *Comm) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, 
 		start := t.proc.Now()
 		mark := t.traceMark()
 		tmp := t.tempAlloc(bytes)
+		// The tree moves runtime temporaries and already resolved
+		// addresses, so its messages carry no clause.
+		plain := c.opts(nil)
 		for _, child := range mpi.ReduceChildren(c.myRank, root, n) {
-			r := t.postRecv(t.proc, tmp, bytes, c.ranks[child], base-1, callOpts{async: -1, comm: c.id})
-			r.Done.Wait(t.proc)
-			t.checkCmd(r)
+			t.waitAll(t.postRecv(t.proc, tmp, bytes, c.ranks[child], base-1, plain))
 			t.combine(op, dt, accAddr, tmp, count)
 		}
 		if parent := mpi.ReduceParent(c.myRank, root, n); parent >= 0 {
-			s := t.postSend(t.proc, accAddr, bytes, c.ranks[parent], base-1, callOpts{async: -1, comm: c.id})
-			s.Done.Wait(t.proc)
-			t.checkCmd(s)
+			t.waitAll(t.postSend(t.proc, accAddr, bytes, c.ranks[parent], base-1, plain))
 		}
 		t.tempFree(tmp)
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("reduce", start)
-		t.mpiSpan("reduce", start, mark, -1, bytes)
+		t.mpiEnd("reduce", start, mark, -1, bytes)
 	}
 }
 
@@ -302,85 +275,142 @@ func (c *Comm) Allreduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatyp
 // Gather is MPI_Gather: every member's send block lands at the root's recv
 // buffer at offset rank*count.
 func (c *Comm) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) {
-	t := c.t
-	c.checkRank(root)
-	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
-	sbuf, bytes := t.resolveBuf(sendAddr, count, dt, o)
-	if c.myRank != root {
-		start := t.proc.Now()
-		mark := t.traceMark()
-		s := t.postSend(t.proc, sbuf, bytes, c.ranks[root], base-1, o)
-		s.Done.Wait(t.proc)
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("gather", start)
-		t.mpiSpan("gather", start, mark, c.ranks[root], bytes)
-		t.checkCmd(s)
-		return
-	}
-	rbuf, _ := t.resolveBuf(recvAddr, count*c.Size(), dt, o)
-	start := t.proc.Now()
-	mark := t.traceMark()
-	var reqs []*msg.Cmd
-	for crank := 0; crank < c.Size(); crank++ {
-		slot := rbuf + xmem.Addr(int64(crank)*bytes)
-		if crank == root {
-			t.localCopy(slot, sbuf, bytes)
-			continue
-		}
-		reqs = append(reqs, t.postRecv(t.proc, slot, bytes, c.ranks[crank], base-1, o))
-	}
-	for _, r := range reqs {
-		r.Done.Wait(t.proc)
-		t.checkCmd(r)
-	}
-	t.commTime += dur(t.proc.Now() - start)
-	t.mpiObserve("gather", start)
-	t.mpiSpan("gather", start, mark, -1, bytes*int64(c.Size()))
+	c.gather(sendAddr, count, dt, recvAddr, blocks{}, root, opts)
+}
+
+// Gatherv is MPI_Gatherv: member i contributes counts[i] elements, landing
+// at element offset displs[i] of the root's recv buffer. counts and displs
+// are significant at the root only; each sender passes its own sendCount.
+func (c *Comm) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype,
+	recvAddr xmem.Addr, counts, displs []int, root int, opts ...Opt) {
+	c.gather(sendAddr, sendCount, dt, recvAddr, blocks{v: true, counts: counts, displs: displs}, root, opts)
 }
 
 // Scatter is MPI_Scatter: block rank*count of the root's send buffer lands
 // in each member's recv buffer.
 func (c *Comm) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) {
+	c.scatter(sendAddr, blocks{}, dt, recvAddr, count, root, opts)
+}
+
+// Scatterv is MPI_Scatterv: the root sends counts[i] elements from offset
+// displs[i] to member i.
+func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype,
+	recvAddr xmem.Addr, recvCount int, root int, opts ...Opt) {
+	c.scatter(sendAddr, blocks{v: true, counts: counts, displs: displs}, dt, recvAddr, recvCount, root, opts)
+}
+
+// blocks lays out the root's buffer of a gather or scatter. The v forms
+// give the layout explicitly: member i's block is counts[i] elements at
+// element offset displs[i]. Gather and Scatter use the regular layout (v
+// false), which needs no slices: every block is the root's own count of
+// elements, member i's at offset i*count.
+type blocks struct {
+	v              bool
+	counts, displs []int
+}
+
+// block returns member i's element count and offset, given the root's own
+// count.
+func (b blocks) block(i, count int) (n, displ int) {
+	if !b.v {
+		return count, i * count
+	}
+	return b.counts[i], b.displs[i]
+}
+
+// extent is the element count the layout spans over size members.
+func (b blocks) extent(size, count int) int {
+	total := 0
+	for i := 0; i < size; i++ {
+		if n, d := b.block(i, count); d+n > total {
+			total = d + n
+		}
+	}
+	return total
+}
+
+// gather is the body of Gather and Gatherv: every member's block lands in
+// the root's recv buffer as b lays it out. The root's span records the
+// total bytes of the regular layout and 0 for Gatherv.
+func (c *Comm) gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, b blocks, root int, opts []Opt) {
 	t := c.t
 	c.checkRank(root)
 	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
-	rbuf, bytes := t.resolveBuf(recvAddr, count, dt, o)
+	o := c.collOpts(opts)
+	sbuf, bytes := t.resolveBuf(sendAddr, count, dt, o)
+	n := c.Size()
+	name, rootBytes := "gather", bytes*int64(n)
+	if b.v {
+		name, rootBytes = "gatherv", 0
+	}
+	start := t.proc.Now()
+	mark := t.traceMark()
 	if c.myRank != root {
-		start := t.proc.Now()
-		mark := t.traceMark()
+		s := t.postSend(t.proc, sbuf, bytes, c.ranks[root], base-1, o)
+		s.Done.Wait(t.proc)
+		t.mpiEnd(name, start, mark, c.ranks[root], bytes)
+		t.checkCmd(s)
+		return
+	}
+	if b.v && (len(b.counts) != n || len(b.displs) != n) {
+		t.failf("Gatherv: counts/displs must have %d entries", n)
+	}
+	rbuf, _ := t.resolveBuf(recvAddr, b.extent(n, count), dt, o)
+	var reqs []*msg.Cmd
+	for crank := 0; crank < n; crank++ {
+		cnt, displ := b.block(crank, count)
+		slot := rbuf + xmem.Addr(int64(displ)*dt.Size())
+		nbytes := int64(cnt) * dt.Size()
+		if crank == root {
+			t.localCopy(slot, sbuf, nbytes)
+			continue
+		}
+		reqs = append(reqs, t.postRecv(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
+	}
+	t.waitAll(reqs...)
+	t.mpiEnd(name, start, mark, -1, rootBytes)
+}
+
+// scatter is the body of Scatter and Scatterv: each member's recv buffer
+// gets its block of the root's send buffer as b lays it out. The root's
+// span records the total bytes of the regular layout and 0 for Scatterv.
+func (c *Comm) scatter(sendAddr xmem.Addr, b blocks, dt mpi.Datatype, recvAddr xmem.Addr, count, root int, opts []Opt) {
+	t := c.t
+	c.checkRank(root)
+	base := c.collBase()
+	o := c.collOpts(opts)
+	rbuf, bytes := t.resolveBuf(recvAddr, count, dt, o)
+	n := c.Size()
+	name, rootBytes := "scatter", bytes*int64(n)
+	if b.v {
+		name, rootBytes = "scatterv", 0
+	}
+	start := t.proc.Now()
+	mark := t.traceMark()
+	if c.myRank != root {
 		r := t.postRecv(t.proc, rbuf, bytes, c.ranks[root], base-1, o)
 		r.Done.Wait(t.proc)
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("scatter", start)
-		t.mpiSpan("scatter", start, mark, c.ranks[root], bytes)
+		t.mpiEnd(name, start, mark, c.ranks[root], bytes)
 		t.checkCmd(r)
 		return
 	}
-	sbuf, _ := t.resolveBuf(sendAddr, count*c.Size(), dt, o)
-	start := t.proc.Now()
-	mark := t.traceMark()
+	if b.v && (len(b.counts) != n || len(b.displs) != n) {
+		t.failf("Scatterv: counts/displs must have %d entries", n)
+	}
+	sbuf, _ := t.resolveBuf(sendAddr, b.extent(n, count), dt, o)
 	var reqs []*msg.Cmd
-	for crank := 0; crank < c.Size(); crank++ {
-		slot := sbuf + xmem.Addr(int64(crank)*bytes)
+	for crank := 0; crank < n; crank++ {
+		cnt, displ := b.block(crank, count)
+		slot := sbuf + xmem.Addr(int64(displ)*dt.Size())
+		nbytes := int64(cnt) * dt.Size()
 		if crank == root {
-			t.localCopy(rbuf, slot, bytes)
+			t.localCopy(rbuf, slot, nbytes)
 			continue
 		}
-		reqs = append(reqs, t.postSend(t.proc, slot, bytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postSend(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
 	}
-	for _, s := range reqs {
-		s.Done.Wait(t.proc)
-		t.checkCmd(s)
-	}
-	t.commTime += dur(t.proc.Now() - start)
-	t.mpiObserve("scatter", start)
-	t.mpiSpan("scatter", start, mark, -1, bytes*int64(c.Size()))
+	t.waitAll(reqs...)
+	t.mpiEnd(name, start, mark, -1, rootBytes)
 }
 
 // Allgather is MPI_Allgather: Gather to rank 0 followed by a Bcast of the
@@ -395,9 +425,7 @@ func (c *Comm) Allgather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAdd
 func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) {
 	t := c.t
 	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
+	o := c.collOpts(opts)
 	n := c.Size()
 	me := c.myRank
 	sbuf, _ := t.resolveBuf(sendAddr, count*n, dt, o)
@@ -414,13 +442,8 @@ func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr
 			t.postSend(t.proc, sbuf+xmem.Addr(int64(dst)*blk), blk, c.ranks[dst], base-1, o),
 			t.postRecv(t.proc, rbuf+xmem.Addr(int64(src)*blk), blk, c.ranks[src], base-1, o))
 	}
-	for _, r := range reqs {
-		r.Done.Wait(t.proc)
-		t.checkCmd(r)
-	}
-	t.commTime += dur(t.proc.Now() - start)
-	t.mpiObserve("alltoall", start)
-	t.mpiSpan("alltoall", start, mark, -1, blk*int64(n-1))
+	t.waitAll(reqs...)
+	t.mpiEnd("alltoall", start, mark, -1, blk*int64(n-1))
 }
 
 // ---- helpers -----------------------------------------------------------
@@ -453,12 +476,23 @@ func (t *Task) tempFree(a xmem.Addr) {
 	}
 }
 
-// noAsync rejects an async clause on a collective. Every collective entry
-// point funnels through this one check so the rejection is uniform (the
-// unified activity queue only carries point-to-point MPI ops, §3.6).
-func (t *Task) noAsync(o callOpts) {
+// collOpts is the prelude of every collective: its clauses on c, with an
+// async clause rejected uniformly (the unified activity queue only carries
+// point-to-point MPI ops, §3.6).
+func (c *Comm) collOpts(opts []Opt) callOpts {
+	o := c.opts(opts)
 	if o.async >= 0 {
-		t.failf("collectives do not accept async clauses")
+		c.t.failf("collectives do not accept async clauses")
+	}
+	return o
+}
+
+// waitAll blocks until each command completes in turn, failing the task on
+// the first that failed.
+func (t *Task) waitAll(cmds ...*msg.Cmd) {
+	for _, cmd := range cmds {
+		cmd.Done.Wait(t.proc)
+		t.checkCmd(cmd)
 	}
 }
 
@@ -488,7 +522,7 @@ func (t *Task) combine(op mpi.Op, dt mpi.Datatype, acc, in xmem.Addr, count int)
 // (count elements) lands in member i's recv buffer.
 func (c *Comm) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
 	t := c.t
-	t.noAsync(parseOpts(opts))
+	c.collOpts(opts)
 	n := c.Size()
 	// Only the funnel root materializes the full count*n reduction; the
 	// other members pass Nil, which Reduce and Scatter never resolve
@@ -508,9 +542,7 @@ func (c *Comm) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Dat
 func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
 	t := c.t
 	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
+	o := c.collOpts(opts)
 	sbuf, bytes := t.resolveBuf(sendAddr, count, dt, o)
 	rbuf, _ := t.resolveBuf(recvAddr, count, dt, o)
 	t.localCopy(rbuf, sbuf, bytes)
@@ -519,22 +551,16 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 	mark := t.traceMark()
 	if me > 0 {
 		prefix := t.tempAlloc(bytes)
-		r := t.postRecv(t.proc, prefix, bytes, c.ranks[me-1], base-1, o)
-		r.Done.Wait(t.proc)
-		t.checkCmd(r)
+		t.waitAll(t.postRecv(t.proc, prefix, bytes, c.ranks[me-1], base-1, o))
 		// recv = op(prefix, mine): combine into the prefix then swap in.
 		t.combine(op, dt, prefix, rbuf, count)
 		t.localCopy(rbuf, prefix, bytes)
 		t.tempFree(prefix)
 	}
 	if me < c.Size()-1 {
-		s := t.postSend(t.proc, rbuf, bytes, c.ranks[me+1], base-1, o)
-		s.Done.Wait(t.proc)
-		t.checkCmd(s)
+		t.waitAll(t.postSend(t.proc, rbuf, bytes, c.ranks[me+1], base-1, o))
 	}
-	t.commTime += dur(t.proc.Now() - start)
-	t.mpiObserve("scan", start)
-	t.mpiSpan("scan", start, mark, -1, bytes)
+	t.mpiEnd("scan", start, mark, -1, bytes)
 }
 
 // ReduceScatter is MPI_Reduce_scatter_block over MPI_COMM_WORLD.
@@ -545,113 +571,6 @@ func (t *Task) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Dat
 // Scan is MPI_Scan over MPI_COMM_WORLD.
 func (t *Task) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t.world.Scan(sendAddr, recvAddr, count, dt, op, opts...)
-}
-
-// Gatherv is MPI_Gatherv: member i contributes counts[i] elements, landing
-// at element offset displs[i] of the root's recv buffer. counts and displs
-// are significant at the root only; each sender passes its own sendCount.
-func (c *Comm) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype,
-	recvAddr xmem.Addr, counts, displs []int, root int, opts ...Opt) {
-	t := c.t
-	c.checkRank(root)
-	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
-	sbuf, sbytes := t.resolveBuf(sendAddr, sendCount, dt, o)
-	if c.myRank != root {
-		start := t.proc.Now()
-		mark := t.traceMark()
-		s := t.postSend(t.proc, sbuf, sbytes, c.ranks[root], base-1, o)
-		s.Done.Wait(t.proc)
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("gatherv", start)
-		t.mpiSpan("gatherv", start, mark, c.ranks[root], sbytes)
-		t.checkCmd(s)
-		return
-	}
-	if len(counts) != c.Size() || len(displs) != c.Size() {
-		t.failf("Gatherv: counts/displs must have %d entries", c.Size())
-	}
-	total := 0
-	for i, d := range displs {
-		if end := d + counts[i]; end > total {
-			total = end
-		}
-	}
-	rbuf, _ := t.resolveBuf(recvAddr, total, dt, o)
-	start := t.proc.Now()
-	mark := t.traceMark()
-	var reqs []*msg.Cmd
-	for crank := 0; crank < c.Size(); crank++ {
-		slot := rbuf + xmem.Addr(int64(displs[crank])*dt.Size())
-		nbytes := int64(counts[crank]) * dt.Size()
-		if crank == root {
-			t.localCopy(slot, sbuf, nbytes)
-			continue
-		}
-		reqs = append(reqs, t.postRecv(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
-	}
-	for _, r := range reqs {
-		r.Done.Wait(t.proc)
-		t.checkCmd(r)
-	}
-	t.commTime += dur(t.proc.Now() - start)
-	t.mpiObserve("gatherv", start)
-	t.mpiSpan("gatherv", start, mark, -1, 0)
-}
-
-// Scatterv is MPI_Scatterv: the root sends counts[i] elements from offset
-// displs[i] to member i.
-func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype,
-	recvAddr xmem.Addr, recvCount int, root int, opts ...Opt) {
-	t := c.t
-	c.checkRank(root)
-	base := c.collBase()
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.noAsync(o)
-	rbuf, rbytes := t.resolveBuf(recvAddr, recvCount, dt, o)
-	if c.myRank != root {
-		start := t.proc.Now()
-		mark := t.traceMark()
-		r := t.postRecv(t.proc, rbuf, rbytes, c.ranks[root], base-1, o)
-		r.Done.Wait(t.proc)
-		t.commTime += dur(t.proc.Now() - start)
-		t.mpiObserve("scatterv", start)
-		t.mpiSpan("scatterv", start, mark, c.ranks[root], rbytes)
-		t.checkCmd(r)
-		return
-	}
-	if len(counts) != c.Size() || len(displs) != c.Size() {
-		t.failf("Scatterv: counts/displs must have %d entries", c.Size())
-	}
-	total := 0
-	for i, d := range displs {
-		if end := d + counts[i]; end > total {
-			total = end
-		}
-	}
-	sbuf, _ := t.resolveBuf(sendAddr, total, dt, o)
-	start := t.proc.Now()
-	mark := t.traceMark()
-	var reqs []*msg.Cmd
-	for crank := 0; crank < c.Size(); crank++ {
-		slot := sbuf + xmem.Addr(int64(displs[crank])*dt.Size())
-		nbytes := int64(counts[crank]) * dt.Size()
-		if crank == root {
-			t.localCopy(rbuf, slot, nbytes)
-			continue
-		}
-		reqs = append(reqs, t.postSend(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
-	}
-	for _, s := range reqs {
-		s.Done.Wait(t.proc)
-		t.checkCmd(s)
-	}
-	t.commTime += dur(t.proc.Now() - start)
-	t.mpiObserve("scatterv", start)
-	t.mpiSpan("scatterv", start, mark, -1, 0)
 }
 
 // Gatherv is MPI_Gatherv over MPI_COMM_WORLD.

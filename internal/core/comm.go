@@ -171,7 +171,7 @@ func commID(parent, seq, color int) int {
 // Send is MPI_Send on this communicator (dst is a communicator rank).
 func (c *Comm) Send(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	c.checkRank(dst)
-	c.t.sendOn(c, addr, count, dt, dst, tag, opts)
+	c.p2p(uqSend, addr, count, dt, dst, tag, opts)
 }
 
 // Recv is MPI_Recv on this communicator.
@@ -179,13 +179,13 @@ func (c *Comm) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, op
 	if src != AnySource {
 		c.checkRank(src)
 	}
-	c.t.recvOn(c, addr, count, dt, src, tag, opts)
+	c.p2p(uqRecv, addr, count, dt, src, tag, opts)
 }
 
 // Isend is MPI_Isend on this communicator.
 func (c *Comm) Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) *Request {
 	c.checkRank(dst)
-	return c.t.isendOn(c, addr, count, dt, dst, tag, opts)
+	return c.p2p(uqIsend, addr, count, dt, dst, tag, opts)
 }
 
 // Irecv is MPI_Irecv on this communicator.
@@ -193,7 +193,7 @@ func (c *Comm) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, o
 	if src != AnySource {
 		c.checkRank(src)
 	}
-	return c.t.irecvOn(c, addr, count, dt, src, tag, opts)
+	return c.p2p(uqIrecv, addr, count, dt, src, tag, opts)
 }
 
 // Sendrecv is MPI_Sendrecv on this communicator.
@@ -228,8 +228,7 @@ func (c *Comm) Probe(src, tag int, dt mpi.Datatype) int {
 	backoff := sim.Dur(200)
 	for {
 		if ok, n := c.Iprobe(src, tag, dt); ok {
-			t.commTime += dur(t.proc.Now() - start)
-			t.mpiObserve("probe", start)
+			t.mpiTime("probe", start)
 			return n
 		}
 		if t.proc.Now()-start > sim.Time(60*sim.Second) {

@@ -57,7 +57,6 @@ const (
 // Features toggles the individual IMPACC techniques, for ablations. The
 // zero value means "defaults for the mode".
 type Features struct {
-	Fusion       bool // message fusion (§3.7)
 	Aliasing     bool // node heap aliasing (§3.8)
 	DirectP2P    bool // direct DtoD over shared root complex
 	RDMA         bool // GPUDirect RDMA internode
@@ -67,7 +66,7 @@ type Features struct {
 // DefaultFeatures returns the canonical feature set for a mode.
 func DefaultFeatures(m Mode) Features {
 	if m == IMPACC {
-		return Features{Fusion: true, Aliasing: true, DirectP2P: true, RDMA: true, UnifiedQueue: true}
+		return Features{Aliasing: true, DirectP2P: true, RDMA: true, UnifiedQueue: true}
 	}
 	return Features{}
 }

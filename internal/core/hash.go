@@ -56,9 +56,11 @@ func (c *Config) CanonicalString() string {
 		}
 	}
 	w("pin", strconv.Itoa(int(pin)))
+	// Message fusion is not a feature but the IMPACC transport itself; its
+	// entry keeps the encoding (and every digest) of the v2 scheme.
 	f := c.features()
 	w("features", fmt.Sprintf("fusion=%t aliasing=%t directp2p=%t rdma=%t unifiedqueue=%t",
-		f.Fusion, f.Aliasing, f.DirectP2P, f.RDMA, f.UnifiedQueue))
+		c.Mode == IMPACC, f.Aliasing, f.DirectP2P, f.RDMA, f.UnifiedQueue))
 	w("overheads", fmt.Sprintf("cmd=%d handler=%d alias=%d", cmdOverhead, handlerOverhead, aliasOverhead))
 	w("backed", strconv.FormatBool(c.Backed))
 	w("seed", strconv.FormatUint(c.Seed, 10))

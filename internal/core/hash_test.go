@@ -96,7 +96,7 @@ func TestConfigHashSensitivity(t *testing.T) {
 		{"mode", func(c *Config) { c.Mode = Legacy }},
 		{"devicetypes", func(c *Config) { c.DeviceTypes = topo.MaskOf(topo.XeonPhi) }},
 		{"pin", func(c *Config) { c.Pin = PinFar }},
-		{"features", func(c *Config) { c.Features = &Features{Fusion: true} }},
+		{"features", func(c *Config) { c.Features = &Features{} }},
 		{"backed", func(c *Config) { c.Backed = true }},
 		{"seed", func(c *Config) { c.Seed = 2017 }},
 		{"maxtasks", func(c *Config) { c.MaxTasks = 3 }},

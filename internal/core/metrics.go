@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"impacc/internal/msg"
 	"impacc/internal/sim"
 	"impacc/internal/telemetry"
 )
@@ -45,4 +46,18 @@ func (t *Task) mpiObserve(op string, start sim.Time) {
 	}
 	t.phase = s.phase
 	s.h.Observe(int64(t.proc.Now() - start))
+}
+
+// mpiTime accounts a host call into MPI that started at start: the host
+// time it blocked and the op's latency.
+func (t *Task) mpiTime(op string, start sim.Time) {
+	t.commTime += dur(t.proc.Now() - start)
+	t.mpiObserve(op, start)
+}
+
+// mpiEnd is the epilogue of every blocking MPI call: mpiTime plus the
+// call's span (see mpiSpan), whose ID it returns.
+func (t *Task) mpiEnd(op string, start sim.Time, mark, peer int, bytes int64, cmds ...*msg.Cmd) uint64 {
+	t.mpiTime(op, start)
+	return t.mpiSpan(op, start, mark, peer, bytes, cmds...)
 }

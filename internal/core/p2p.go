@@ -46,8 +46,10 @@ func ReadOnly() Opt { return Opt{readonly: true} }
 // activity queue of §3.6. Requires IMPACC mode.
 func Async(q int) Opt { return Opt{async: true, q: q} }
 
-func parseOpts(opts []Opt) callOpts {
-	o := callOpts{async: -1}
+// opts resolves an MPI call's clauses on communicator c, whose context id
+// scopes the call's messages.
+func (c *Comm) opts(opts []Opt) callOpts {
+	o := callOpts{async: -1, comm: c.id}
 	for _, f := range opts {
 		o.device = o.device || f.device
 		o.readonly = o.readonly || f.readonly
@@ -70,8 +72,7 @@ type Request struct {
 	uq uqKind
 }
 
-// uqKind selects the fixed labels of one MPI operation placed on a unified
-// activity queue.
+// uqKind names one of the four point-to-point operations.
 type uqKind uint8
 
 const (
@@ -82,17 +83,20 @@ const (
 	uqIrecv
 )
 
-// uqName holds the fixed labels of one MPI operation placed on a unified
-// activity queue: the stream operation's label, its command's completion
-// label and its latency op. They are spelled out so enqueueing builds no
-// string.
-type uqName struct{ why, done, op string }
+// uqName describes one point-to-point operation: on a unified activity
+// queue, its stream operation's label and its command's completion label;
+// its latency op; whether it sends; and whether it blocks the host. The
+// labels are spelled out so posting or enqueueing builds no string.
+type uqName struct {
+	why, done, op  string
+	send, blocking bool
+}
 
 var uqNames = [...]uqName{
-	uqSend:  {"op:mpi_send", "mpi_send-done", "send"},
-	uqRecv:  {"op:mpi_recv", "mpi_recv-done", "recv"},
-	uqIsend: {"op:mpi_isend", "mpi_isend-done", "isend"},
-	uqIrecv: {"op:mpi_irecv", "mpi_irecv-done", "irecv"},
+	uqSend:  {"op:mpi_send", "mpi_send-done", "send", true, true},
+	uqRecv:  {"op:mpi_recv", "mpi_recv-done", "recv", false, true},
+	uqIsend: {"op:mpi_isend", "mpi_isend-done", "isend", true, false},
+	uqIrecv: {"op:mpi_irecv", "mpi_irecv-done", "irecv", false, false},
 }
 
 // uqOp is one MPI operation placed on a unified activity queue: request,
@@ -190,7 +194,7 @@ func (t *Task) checkTag(tag int) {
 // queue, §3.6).
 func (t *Task) Send(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) {
 	t.checkRank(dst)
-	t.sendOn(t.world, addr, count, dt, dst, tag, opts)
+	t.world.p2p(uqSend, addr, count, dt, dst, tag, opts)
 }
 
 // Recv is MPI_Recv on MPI_COMM_WORLD. src may be AnySource, tag AnyTag.
@@ -198,7 +202,7 @@ func (t *Task) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, op
 	if src != AnySource {
 		t.checkRank(src)
 	}
-	t.recvOn(t.world, addr, count, dt, src, tag, opts)
+	t.world.p2p(uqRecv, addr, count, dt, src, tag, opts)
 }
 
 // Isend is MPI_Isend on MPI_COMM_WORLD: the send is initiated and a request
@@ -206,7 +210,7 @@ func (t *Task) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, op
 // the returned request completes when the queue reaches and finishes it.
 func (t *Task) Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) *Request {
 	t.checkRank(dst)
-	return t.isendOn(t.world, addr, count, dt, dst, tag, opts)
+	return t.world.p2p(uqIsend, addr, count, dt, dst, tag, opts)
 }
 
 // Irecv is MPI_Irecv on MPI_COMM_WORLD.
@@ -214,91 +218,54 @@ func (t *Task) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, o
 	if src != AnySource {
 		t.checkRank(src)
 	}
-	return t.irecvOn(t.world, addr, count, dt, src, tag, opts)
+	return t.world.p2p(uqIrecv, addr, count, dt, src, tag, opts)
 }
 
-// sendOn implements blocking send over communicator c (dst is a comm rank).
-func (t *Task) sendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts []Opt) {
-	o := parseOpts(opts)
-	o.comm = c.id
+// p2p is the one path of the four point-to-point ops over communicator c.
+// peer is a communicator rank, or AnySource for a receive; the entry point
+// has checked it. With Async(q) the op joins activity queue q. Otherwise
+// its command is posted at once: a non-blocking op returns its request, and
+// a blocking op waits for it, accounts it under its own name and returns
+// nil.
+func (c *Comm) p2p(k uqKind, addr xmem.Addr, count int, dt mpi.Datatype, peer, tag int, opts []Opt) *Request {
+	t, kind := c.t, &uqNames[k]
+	o := c.opts(opts)
 	t.checkTag(tag)
-	wdst := c.ranks[dst]
-	buf, bytes := t.resolveBuf(addr, count, dt, o)
-	if o.async >= 0 {
-		t.enqueueUnifiedMPI(uqSend, true, buf, bytes, t.rank, wdst, tag, o)
-		return
+	if peer != AnySource {
+		peer = c.ranks[peer]
 	}
-	start := t.proc.Now()
-	cmd := t.postSend(t.proc, buf, bytes, wdst, tag, o)
-	cmd.Done.Wait(t.proc)
-	t.commTime += sim.Dur(t.proc.Now() - start)
-	t.mpiObserve("send", start)
-	t.mpiSpan("send", start, -1, wdst, bytes, cmd)
-	t.checkCmd(cmd)
-}
-
-// recvOn implements blocking receive over communicator c.
-func (t *Task) recvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts []Opt) {
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.checkTag(tag)
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.ranks[src]
+	src, dst := t.rank, peer
+	if !kind.send {
+		src, dst = peer, t.rank
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		t.enqueueUnifiedMPI(uqRecv, false, buf, bytes, wsrc, t.rank, tag, o)
-		return
-	}
-	start := t.proc.Now()
-	cmd := t.postRecv(t.proc, buf, bytes, wsrc, tag, o)
-	cmd.Done.Wait(t.proc)
-	t.commTime += sim.Dur(t.proc.Now() - start)
-	t.mpiObserve("recv", start)
-	t.mpiSpan("recv", start, -1, cmd.MatchedSrc, cmd.MatchedBytes, cmd)
-	t.checkCmd(cmd)
-}
-
-// isendOn implements non-blocking send over communicator c.
-func (t *Task) isendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts []Opt) *Request {
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.checkTag(tag)
-	wdst := c.ranks[dst]
-	buf, bytes := t.resolveBuf(addr, count, dt, o)
-	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(uqIsend, true, buf, bytes, t.rank, wdst, tag, o)
+		return t.enqueueUnifiedMPI(k, buf, bytes, src, dst, tag, o)
 	}
 	r := &Request{}
-	t.initCmd(&r.cmd, t.cmdWhy, true, buf, bytes, t.rank, wdst, tag, o)
+	cmd := &r.cmd
+	t.initCmd(cmd, t.cmdWhy, kind.send, buf, bytes, src, dst, tag, o)
 	start := t.proc.Now()
-	t.post(t.proc, &r.cmd)
-	t.commTime += sim.Dur(t.proc.Now() - start)
-	t.mpiObserve("isend", start)
-	return r
+	t.post(t.proc, cmd)
+	if !kind.blocking {
+		t.mpiTime(kind.op, start)
+		return r
+	}
+	cmd.Done.Wait(t.proc)
+	peer, bytes = cmdPeer(cmd)
+	t.mpiEnd(kind.op, start, -1, peer, bytes, cmd)
+	t.checkCmd(cmd)
+	return nil
 }
 
-// irecvOn implements non-blocking receive over communicator c.
-func (t *Task) irecvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts []Opt) *Request {
-	o := parseOpts(opts)
-	o.comm = c.id
-	t.checkTag(tag)
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.ranks[src]
+// cmdPeer returns the world rank at the other end of a completed command
+// and the bytes it moved: the destination and size of a send, the matched
+// source and size of a receive.
+func cmdPeer(cmd *msg.Cmd) (int, int64) {
+	if cmd.IsSend {
+		return cmd.Dst, cmd.Bytes
 	}
-	buf, bytes := t.resolveBuf(addr, count, dt, o)
-	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(uqIrecv, false, buf, bytes, wsrc, t.rank, tag, o)
-	}
-	r := &Request{}
-	t.initCmd(&r.cmd, t.cmdWhy, false, buf, bytes, wsrc, t.rank, tag, o)
-	start := t.proc.Now()
-	t.post(t.proc, &r.cmd)
-	t.commTime += sim.Dur(t.proc.Now() - start)
-	t.mpiObserve("irecv", start)
-	return r
+	return cmd.MatchedSrc, cmd.MatchedBytes
 }
 
 // Wait is MPI_Wait/MPI_Waitall over the given requests.
@@ -310,13 +277,8 @@ func (t *Task) Wait(reqs ...*Request) {
 		cmd := &r.cmd
 		start := t.proc.Now()
 		cmd.Done.Wait(t.proc)
-		t.commTime += sim.Dur(t.proc.Now() - start)
-		t.mpiObserve("wait", start)
-		peer, bytes := cmd.Dst, cmd.Bytes
-		if !cmd.IsSend {
-			peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
-		}
-		t.mpiSpan("wait", start, -1, peer, bytes, cmd)
+		peer, bytes := cmdPeer(cmd)
+		t.mpiEnd("wait", start, -1, peer, bytes, cmd)
 		t.checkCmd(cmd)
 	}
 }
@@ -335,13 +297,13 @@ func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst
 // as in Figure 4 (c)); its completion is tracked, and any later kernel,
 // data operation, or wait on the same queue first drains outstanding MPI
 // completions — the queue's in-order completion guarantee.
-func (t *Task) enqueueUnifiedMPI(k uqKind, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *Request {
+func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *Request {
 	if t.rt.Cfg.Mode == Legacy || !t.rt.feats.UnifiedQueue {
 		t.failf("async MPI (%s) requires the IMPACC unified activity queue", strings.TrimPrefix(uqNames[k].why, "op:"))
 	}
 	q := o.async
 	op := &uqOp{Request: Request{uq: k}, t: t, q: q}
-	t.initCmd(&op.cmd, uqNames[k].done, isSend, buf, bytes, src, dst, tag, o)
+	t.initCmd(&op.cmd, uqNames[k].done, uqNames[k].send, buf, bytes, src, dst, tag, o)
 	t.env.Stream(q).Enqueue(op)
 	c := t.uqPending[q]
 	if c.head == nil {
@@ -380,10 +342,7 @@ func (op *uqOp) Call() {
 	name := uqNames[op.uq].op
 	t.mpiObserve(name, op.start)
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
-		peer, bytes := cmd.Dst, cmd.Bytes
-		if !cmd.IsSend {
-			peer, bytes = cmd.MatchedSrc, cmd.MatchedBytes
-		}
+		peer, bytes := cmdPeer(cmd)
 		tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
 			Stream: op.q, Kind: "mpi", Name: name, Start: op.start,
 			End: t.eng().Now(), Bytes: bytes, Peer: peer})
@@ -480,8 +439,6 @@ func (t *Task) Waitany(reqs ...*Request) int { //impacc:allow-unused reproduces 
 		}
 		start := t.proc.Now()
 		any.Wait(t.proc)
-		t.commTime += sim.Dur(t.proc.Now() - start)
-		t.mpiObserve("wait", start)
-		lastWait = t.mpiSpan("wait", start, -1, -1, 0)
+		lastWait = t.mpiEnd("wait", start, -1, -1, 0)
 	}
 }

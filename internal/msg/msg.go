@@ -322,7 +322,14 @@ type matchKey struct {
 // keyedFIFO holds pending entries FIFO per concrete envelope. A key's first
 // entry lives in its map slot, so parking one entry per key, the common
 // case, allocates no slice.
-type keyedFIFO[T any] map[matchKey]parked[T]
+type keyedFIFO[T stamped] map[matchKey]parked[T]
+
+// stamped is an entry of a keyedFIFO: a command or an arrived message,
+// ordered by its hub-local stamp.
+type stamped interface{ order() uint64 }
+
+func (c *Cmd) order() uint64    { return c.seq }
+func (m *netMsg) order() uint64 { return m.seq }
 
 // parked is one key's pending entries: head, then rest in arrival order.
 type parked[T any] struct {
@@ -345,6 +352,25 @@ func (m keyedFIFO[T]) push(k matchKey, v T) {
 func (m keyedFIFO[T]) first(k matchKey) (v T, ok bool) {
 	q, ok := m[k]
 	return q.head, ok
+}
+
+// peek returns the earliest-queued entry the receive r accepts, plus its
+// key, without consuming it; ok is false when there is none. A concrete
+// receive is one map lookup; a wildcard receive takes the min-stamp head
+// across matching keys (unique stamps keep this independent of map
+// iteration order).
+func (m keyedFIFO[T]) peek(r *Cmd) (best T, bestK matchKey, ok bool) {
+	if r.Src != AnySource && r.Tag != AnyTag {
+		k := matchKey{r.Comm, r.Dst, r.Src, r.Tag}
+		best, ok = m.first(k)
+		return best, k, ok
+	}
+	for k, q := range m {
+		if r.accepts(k.comm, k.dst, k.src, k.tag) && (!ok || q.head.order() < best.order()) {
+			best, bestK, ok = q.head, k, true
+		}
+	}
+	return best, bestK, ok
 }
 
 // pop drops the head of k's queue, deleting the key when it empties.
@@ -498,12 +524,12 @@ func (h *Hub) handleCmd(cmd *Cmd) {
 	if cmd.Done.Fired() {
 		return // timed out before the handler dequeued it
 	}
-	if s, k := h.peekSendFor(cmd); s != nil {
+	if s, k, ok := h.sendQ.peek(cmd); ok {
 		h.sendQ.pop(k)
 		h.completePair(s, cmd)
 		return
 	}
-	if m, k := h.peekArrivedFor(cmd); m != nil {
+	if m, k, ok := h.arrivedQ.peek(cmd); ok {
 		h.arrivedQ.pop(k)
 		h.completeNet(m, cmd)
 		return
@@ -561,43 +587,6 @@ func (h *Hub) takeRecvFor(comm, dst, src, tag int) *Cmd {
 		h.recvQ.pop(k)
 	}
 	return best
-}
-
-// peekSendFor returns the earliest-queued pending send the receive accepts,
-// plus its key, without consuming it. A concrete receive is one map lookup;
-// a wildcard receive takes the min-seq head across matching keys (unique
-// stamps keep this independent of map iteration order).
-func (h *Hub) peekSendFor(r *Cmd) (*Cmd, matchKey) {
-	if r.Src != AnySource && r.Tag != AnyTag {
-		k := matchKey{r.Comm, r.Dst, r.Src, r.Tag}
-		s, _ := h.sendQ.first(k)
-		return s, k
-	}
-	var best *Cmd
-	var bestK matchKey
-	for k, q := range h.sendQ {
-		if r.accepts(k.comm, k.dst, k.src, k.tag) && (best == nil || q.head.seq < best.seq) {
-			best, bestK = q.head, k
-		}
-	}
-	return best, bestK
-}
-
-// peekArrivedFor is peekSendFor over the arrived internode messages.
-func (h *Hub) peekArrivedFor(r *Cmd) (*netMsg, matchKey) {
-	if r.Src != AnySource && r.Tag != AnyTag {
-		k := matchKey{r.Comm, r.Dst, r.Src, r.Tag}
-		m, _ := h.arrivedQ.first(k)
-		return m, k
-	}
-	var best *netMsg
-	var bestK matchKey
-	for k, q := range h.arrivedQ {
-		if r.accepts(k.comm, k.dst, k.src, k.tag) && (best == nil || q.head.seq < best.seq) {
-			best, bestK = q.head, k
-		}
-	}
-	return best, bestK
 }
 
 // stageKind names how one leg of an intra-node transfer is priced.
@@ -854,10 +843,10 @@ func (h *Hub) tryAlias(send, recv *Cmd) bool {
 // MPI_Iprobe would see.
 func (h *Hub) Probe(dst, src, tag, comm int) (bool, int64) {
 	probe := &Cmd{Src: src, Dst: dst, Tag: tag, Comm: comm}
-	if s, _ := h.peekSendFor(probe); s != nil {
+	if s, _, ok := h.sendQ.peek(probe); ok {
 		return true, s.Bytes
 	}
-	if m, _ := h.peekArrivedFor(probe); m != nil {
+	if m, _, ok := h.arrivedQ.peek(probe); ok {
 		return true, m.Bytes
 	}
 	return false, 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -302,15 +303,6 @@ func (g *ShardGroup) runWindow(active []*Engine, fence Time, errs []error) {
 	}
 }
 
-// limitStamp is the canonical position of one dispatched event, recorded
-// while a window runs within exactThreshold of the MaxEvents budget so the
-// barrier can name the exact event that exhausted it.
-type limitStamp struct {
-	at  Time
-	dl  uint64
-	seq uint64
-}
-
 // exactThreshold is the remaining-budget distance below which shards start
 // recording canonical stamps for exact MaxEvents attribution. It must be at
 // least a few times the shard count so the coarse mode's per-shard window
@@ -327,8 +319,8 @@ func (g *ShardGroup) exactThreshold() int64 {
 // for one window. Far from the cap every shard gets an equal slice small
 // enough that the window total can never cross the budget; within
 // exactThreshold of it, each shard may dispatch up to the full remainder
-// and records canonical stamps so checkEventBudget can attribute the limit
-// error exactly. Both caps are pure functions of barrier state, so the
+// and records the time of every dispatch so checkEventBudget can attribute
+// the limit error exactly. Both caps are pure functions of barrier state, so the
 // whole trajectory — including the final window's bounded overshoot — is
 // identical at every worker count.
 func (g *ShardGroup) armEventBudget() {
@@ -342,7 +334,9 @@ func (g *ShardGroup) armEventBudget() {
 		if exact {
 			e.winCap = uint64(remaining)
 			if e.winStamps == nil {
-				e.winStamps = make([]limitStamp, 0, remaining)
+				// Non-nil arms recording; the slice grows only as the
+				// shard dispatches, so an idle shard holds nothing.
+				e.winStamps = []Time{}
 			} else {
 				e.winStamps = e.winStamps[:0]
 			}
@@ -358,7 +352,9 @@ func (g *ShardGroup) armEventBudget() {
 // reaches MaxEvents, attributing the *LimitError to the canonical
 // (at, depth, lp, seq)-least event that exhausted the budget — the same
 // event a serial engine over the merged schedule would have stopped at —
-// so the error bytes match at every worker count.
+// so the error bytes match at every worker count. The error names only the
+// event's time, and the r-th event in that order happens at the r-th
+// smallest dispatch time, so the shards record times alone.
 func (g *ShardGroup) checkEventBudget() error {
 	if g.MaxEvents == 0 {
 		return nil
@@ -370,29 +366,20 @@ func (g *ShardGroup) checkEventBudget() error {
 	// The budget can only be crossed with stamp recording armed (far from
 	// the cap the window caps keep the total strictly below it), so every
 	// dispatch of the crossing window is stamped. The budget ran out at the
-	// r-th canonical stamp, where r is the pre-window remainder.
+	// r-th smallest stamp, where r is the pre-window remainder.
 	var windowEvents int64
 	for _, e := range g.engines {
 		windowEvents += int64(e.winCount)
 	}
 	r := int64(g.MaxEvents) - (int64(total) - windowEvents)
-	var stamps []limitStamp
+	var stamps []Time
 	for _, e := range g.engines {
 		stamps = append(stamps, e.winStamps...)
 	}
-	sort.Slice(stamps, func(i, j int) bool {
-		a, b := stamps[i], stamps[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.dl != b.dl {
-			return a.dl < b.dl
-		}
-		return a.seq < b.seq
-	})
+	slices.Sort(stamps)
 	at := g.MaxNow()
 	if r >= 1 && int64(len(stamps)) >= r {
-		at = stamps[r-1].at
+		at = stamps[r-1]
 	}
 	return &LimitError{Resource: "events", Limit: int64(g.MaxEvents), At: at}
 }

@@ -152,13 +152,12 @@ type Engine struct {
 	// current window (the ShardGroup's deterministic MaxEvents
 	// enforcement): reaching it pauses the shard until the barrier, like an
 	// exhausted fence, without halting. winCount counts the window's
-	// dispatches; winStamps, when non-nil, records their canonical
-	// (at, dl, seq) stamps so the group can name the budget-exhausting
-	// event exactly. All three are rearmed by the coordinator at every
-	// window barrier.
+	// dispatches; winStamps, when non-nil, records their times so the
+	// group can date the budget-exhausting event exactly. All three are
+	// rearmed by the coordinator at every window barrier.
 	winCap    uint64
 	winCount  uint64
-	winStamps []limitStamp
+	winStamps []Time
 
 	// heap is a 4-ary min-heap on (at, seq) holding every pending event
 	// scheduled for a future instant. Events for the current instant
@@ -649,7 +648,7 @@ func (e *Engine) runUntil(fence Time) error {
 			e.recordFlight(ev.at, ev.dl, ev.seq, p)
 		}
 		if e.winStamps != nil {
-			e.winStamps = append(e.winStamps, limitStamp{at: ev.at, dl: ev.dl, seq: ev.seq})
+			e.winStamps = append(e.winStamps, ev.at)
 		}
 		e.free(ev)
 		e.dispatched++
