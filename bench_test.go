@@ -24,7 +24,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, quick); err != nil {
+		if _, err := e.Run(io.Discard, quick); err != nil {
 			b.Fatal(err)
 		}
 	}

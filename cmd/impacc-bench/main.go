@@ -6,10 +6,15 @@
 //	impacc-bench -list
 //	impacc-bench -exp fig9
 //	impacc-bench -exp fig10,fig11 -quick
-//	impacc-bench -exp all
+//	impacc-bench -exp all -csv results/csv
+//
+// Each experiment runs once: its table on stdout and its -csv records come
+// from the same rows, and -metrics/-prof aggregate every successful leaf run
+// of the selected experiments exactly once.
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +45,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list available experiments")
 		exp     = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		quick   = fs.Bool("quick", false, "shrink sweeps for a fast run")
-		csv     = fs.String("csv", "", "also write <id>.csv files with the raw series into this directory")
+		csvDir  = fs.String("csv", "", "also write <id>.csv files with the raw series into this directory")
 		metrics = fs.String("metrics", "", "write the aggregate telemetry of every run to this file (Prometheus text if it ends in .prom, JSON otherwise)")
 		profile = fs.String("prof", "", "trace every run and write the aggregate profile (critical path, top sites) to this file (JSON if it ends in .json, text otherwise)")
 		jobs    = fs.Int("j", runtime.GOMAXPROCS(0), "run up to N simulations concurrently (output stays byte-identical)")
@@ -126,15 +131,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		opt.Chaos = spec
 	}
 	if *metrics != "" {
-		// One registry shared by every run of every selected experiment:
-		// counters and histograms aggregate across the whole sweep (each run
-		// merges its private registry on completion, so concurrent runs are
-		// safe and order-independent).
+		// One registry for every run of every selected experiment: the
+		// harness merges each successful run's registry in, one at a time
+		// under its fold lock, and merges commute, so counters and
+		// histograms aggregate byte-identically for any -j.
 		opt.Metrics = telemetry.NewRegistry()
 	}
 	if *profile != "" {
-		// One aggregate shared by every run; Add is commutative so the
-		// snapshot is byte-identical for any -j.
+		// One aggregate for every run, folded the same way.
 		opt.Prof = prof.NewAggregate()
 	}
 	// Experiments run through the worker pool (up to -j simulations at once)
@@ -148,8 +152,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "(%s wall)\n\n", r.Wall.Round(time.Millisecond))
-		if *csv != "" {
-			if err := writeCSV(*csv, r.Exp.ID, opt); err != nil {
+		if *csvDir != "" && r.CSV != nil {
+			if err := writeCSV(*csvDir, r.Exp.ID, r.CSV); err != nil {
 				fmt.Fprintf(stderr, "impacc-bench: csv %s: %v\n", r.Exp.ID, err)
 				return 1
 			}
@@ -190,8 +194,8 @@ func writeProfile(path string, ap *prof.AggProfile) error {
 	return err
 }
 
-// writeCSV stores an experiment's raw series under dir/<id>.csv.
-func writeCSV(dir, id string, opt bench.Options) error {
+// writeCSV stores an experiment's CSV records under dir/<id>.csv.
+func writeCSV(dir, id string, recs [][]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -199,13 +203,9 @@ func writeCSV(dir, id string, opt bench.Options) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	ok, err := bench.WriteCSV(id, f, opt)
-	if err != nil {
-		return err
+	err = csv.NewWriter(f).WriteAll(recs)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if !ok {
-		os.Remove(f.Name()) // experiment has no tabular form
-	}
-	return nil
+	return err
 }

@@ -131,3 +131,39 @@ func TestProfDeterministicAcrossJobs(t *testing.T) {
 		t.Errorf("aggregate critical path %d != summed makespan %d", sum, ap.MakespanNs)
 	}
 }
+
+// TestCSVCountsNoRunTwice: -csv writes the records of the runs that printed
+// the tables, so adding it leaves the -metrics and -prof aggregates byte for
+// byte as they are without it.
+func TestCSVCountsNoRunTwice(t *testing.T) {
+	dir := t.TempDir()
+	run := func(tag string, extra ...string) (metrics, profile []byte) {
+		m := filepath.Join(dir, tag+"-metrics.json")
+		p := filepath.Join(dir, tag+"-prof.json")
+		args := append([]string{"-exp", "fig7", "-quick", "-metrics", m, "-prof", p}, extra...)
+		var out, errb bytes.Buffer
+		if rc := realMain(args, &out, &errb); rc != 0 {
+			t.Fatalf("realMain %v = %d, stderr:\n%s", args, rc, errb.String())
+		}
+		var err error
+		if metrics, err = os.ReadFile(m); err != nil {
+			t.Fatal(err)
+		}
+		if profile, err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+		return metrics, profile
+	}
+	plainM, plainP := run("plain")
+	csvDir := filepath.Join(dir, "csv")
+	csvM, csvP := run("csv", "-csv", csvDir)
+	if !bytes.Equal(plainM, csvM) {
+		t.Errorf("-csv changed the -metrics aggregate:\n%s\n---\n%s", plainM, csvM)
+	}
+	if !bytes.Equal(plainP, csvP) {
+		t.Errorf("-csv changed the -prof aggregate:\n%s\n---\n%s", plainP, csvP)
+	}
+	if _, err := os.Stat(filepath.Join(csvDir, "fig7.csv")); err != nil {
+		t.Errorf("-csv wrote no fig7.csv: %v", err)
+	}
+}

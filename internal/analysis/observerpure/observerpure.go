@@ -49,13 +49,13 @@ var stateTypes = map[string]map[string]bool{
 }
 
 // mutMethods are methods of state types that mutate them (scheduling,
-// process control, registry adoption). Reads (Now, Events, Stats, ...) are
+// process control). Reads (Now, Events, Stats, ...) are
 // what observers are for and stay legal.
 var mutMethods = map[string]bool{
 	"Cancel": true, "At": true, "After": true, "CallAt": true, "FireAt": true,
 	"Post": true, "OnFire": true,
 	"Spawn": true, "SpawnAt": true, "Run": true, "Execute": true,
-	"ArmFlight": true, "AdoptMetrics": true, "Fire": true, "SetFaults": true,
+	"ArmFlight": true, "Fire": true, "SetFaults": true,
 }
 
 // hookField reports whether a FuncBind wires an observer hook.

@@ -46,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 var schedMethods = map[string]bool{
 	"At": true, "After": true, "CallAt": true, "FireAt": true,
 	"Spawn": true, "SpawnAt": true,
-	"Post": true, "ArmFlight": true, "AdoptMetrics": true,
+	"Post": true, "ArmFlight": true,
 }
 
 // exempt returns whether a package implements the engine/exchange machinery

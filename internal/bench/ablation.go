@@ -161,16 +161,18 @@ func Ablations(opt Options) ([]AblationRow, error) {
 	})
 }
 
-func runAblation(w io.Writer, opt Options) error {
+func runAblation(w io.Writer, opt Options) ([][]string, error) {
 	rows, err := Ablations(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-24s %-26s %12s %12s %8s\n", "technique", "workload", "disabled", "enabled", "cost")
+	recs := [][]string{{"technique", "workload", "disabled_ns", "enabled_ns", "cost"}}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-24s %-26s %12v %12v %7.2fx\n", r.Technique, r.Workload, r.Off, r.On, r.Gain())
+		recs = append(recs, []string{r.Technique, r.Workload, itoa(r.Off), itoa(r.On), ftoa(r.Gain())})
 	}
-	return nil
+	return recs, nil
 }
 
 // devicePingPong exchanges a device buffer between ranks 0 and 1 reps

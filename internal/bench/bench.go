@@ -2,13 +2,14 @@
 // evaluation (§4): the system table, the behavioural figures (2, 5, 6, 7),
 // the microbenchmarks (8, 9), the application studies (10-15), and ablation
 // experiments for each IMPACC technique. Each experiment produces typed
-// results (asserted by tests) and prints the same rows/series the paper
-// reports.
+// results (asserted by tests), prints the same rows/series the paper
+// reports, and returns those rows as CSV records for plotting.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"impacc/internal/core"
 	"impacc/internal/fault"
@@ -23,13 +24,13 @@ type Options struct {
 	// Quick shrinks sweeps for CI/tests; full runs reproduce the paper's
 	// parameter ranges.
 	Quick bool
-	// Metrics, when non-nil, is shared by every run an experiment performs,
-	// aggregating all of their telemetry into one registry (each run merges
-	// its private registry on completion).
+	// Metrics, when non-nil, aggregates the telemetry of every successful
+	// run an experiment performs: runGated merges each run's registry in
+	// (Merge is commutative, so parallel sweeps snapshot byte-identically
+	// to serial ones).
 	Metrics *telemetry.Registry
-	// Prof, when non-nil, traces every run and folds its analyzed profile
-	// into the aggregate (Add is commutative, so parallel sweeps snapshot
-	// byte-identically to serial ones).
+	// Prof, when non-nil, traces every run and folds the analyzed profile
+	// of each successful one into the aggregate (Add is commutative too).
 	Prof *prof.Aggregate
 	// Chaos, when non-nil, applies the same deterministic fault-injection
 	// spec to every run an experiment performs (each run instantiates a
@@ -57,15 +58,18 @@ type Options struct {
 	// large-scale systems.
 	Lean bool
 
-	// gate, when non-nil, bounds concurrent simulations (see WithJobs).
-	gate chan struct{}
+	// pool, when non-nil, bounds concurrent simulations (see WithJobs).
+	pool *pool
 }
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(w io.Writer, opt Options) error
+	// Run prints the experiment's table to w and returns the same rows as
+	// CSV records, header first; nil for the experiments with no tabular
+	// form (table1, fig2).
+	Run func(w io.Writer, opt Options) ([][]string, error)
 }
 
 // All lists every experiment in paper order.
@@ -77,12 +81,12 @@ var All = []Experiment{
 	{"fig7", "Figure 7: node heap aliasing", runFig7},
 	{"fig8", "Figure 8: NUMA-friendly task-CPU pinning", runFig8},
 	{"fig9", "Figure 9: point-to-point communication bandwidth", runFig9},
-	{"fig10", "Figure 10: DGEMM speedup", runFig10},
+	{"fig10", "Figure 10: DGEMM speedup", runSpeedups(Fig10)},
 	{"fig11", "Figure 11: DGEMM execution time breakdown (PSG)", runFig11},
-	{"fig12", "Figure 12: EP speedup", runFig12},
-	{"fig13", "Figure 13: Jacobi speedup", runFig13},
+	{"fig12", "Figure 12: EP speedup", runSpeedups(Fig12)},
+	{"fig13", "Figure 13: Jacobi speedup", runSpeedups(Fig13)},
 	{"fig14", "Figure 14: Jacobi DtoD communication breakdown (PSG)", runFig14},
-	{"fig15", "Figure 15: LULESH performance scaling", runFig15},
+	{"fig15", "Figure 15: LULESH performance scaling", runSpeedups(Fig15)},
 	{"ablation", "Ablations: each IMPACC technique on/off", runAblation},
 	{"ext-2d", "Extension: 1-D vs 2-D Jacobi partitioning over communicators", runExt2D},
 }
@@ -107,7 +111,6 @@ func baseCfg(opt Options, sys *topo.System, mode core.Mode, maxTasks int, backed
 		Backed:     backed,
 		Seed:       2016, // HPDC'16
 		JitterPct:  1.0,
-		Metrics:    opt.Metrics,
 		Chaos:      opt.Chaos,
 		Limits:     opt.Limits,
 		Parallel:   opt.ParSim,
@@ -134,6 +137,12 @@ func gbs(bytes int64, d sim.Dur) float64 {
 	return float64(bytes) / d.Seconds() / 1e9
 }
 
+// itoa and ftoa format CSV cells: integers (counts, bytes, nanoseconds) in
+// decimal, measured values with six significant digits.
+func itoa[T ~int | ~int64 | ~uint64](v T) string { return strconv.FormatInt(int64(v), 10) }
+
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+
 // sizeLabel formats a transfer size like the paper's axes.
 func sizeLabel(n int64) string {
 	switch {
@@ -149,7 +158,7 @@ func sizeLabel(n int64) string {
 }
 
 // runTable1 prints the Table 1 configurations from the topology presets.
-func runTable1(w io.Writer, opt Options) error {
+func runTable1(w io.Writer, opt Options) ([][]string, error) {
 	systems := []*topo.System{topo.PSG(), topo.Beacon(32), topo.Titan(8192)}
 	fmt.Fprintf(w, "%-22s %-14s %-16s %-14s\n", "System", "PSG", "Beacon", "Titan")
 	row := func(name string, f func(s *topo.System) string) {
@@ -173,7 +182,7 @@ func runTable1(w io.Writer, opt Options) error {
 	row("Interconnect", func(s *topo.System) string { return s.Nodes[0].NIC.Name })
 	row("Net GB/s", func(s *topo.System) string { return fmt.Sprintf("%.1f", s.Nodes[0].NIC.Link.GBs) })
 	row("THREAD_MULTIPLE", func(s *topo.System) string { return fmt.Sprint(s.ThreadMultiple) })
-	return nil
+	return nil, nil
 }
 
 // Fig2Result is the mapping for one device-type selection.
@@ -199,7 +208,7 @@ func Fig2() []Fig2Result {
 	return out
 }
 
-func runFig2(w io.Writer, opt Options) error {
+func runFig2(w io.Writer, opt Options) ([][]string, error) {
 	sys := topo.HeteroDemo()
 	for _, res := range Fig2() {
 		fmt.Fprintf(w, "IMPACC_ACC_DEVICE_TYPE=%s -> %d tasks\n", res.Mask, len(res.Tasks))
@@ -209,5 +218,5 @@ func runFig2(w io.Writer, opt Options) error {
 				rank, pl.Node, sys.Nodes[pl.Node].Name, pl.Device, dev.Name, dev.Class)
 		}
 	}
-	return nil
+	return nil, nil
 }

@@ -76,10 +76,21 @@ func runSweeps(opt Options, jobs []sweepJob) ([]SpeedupRow, error) {
 	return flatten(chunks), nil
 }
 
-func printSpeedups(w io.Writer, rows []SpeedupRow) {
-	fmt.Fprintf(w, "%-16s %-10s %6s %10s %10s\n", "panel", "param", "tasks", "IMPACC", "MPI+X")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-10s %6d %10.2f %10.2f\n", r.Panel, r.Param, r.Tasks, r.IMPACC, r.MPIX)
+// runSpeedups is the Run of a speedup figure: one table, one CSV, from
+// the rows fig returns.
+func runSpeedups(fig func(Options) ([]SpeedupRow, error)) func(io.Writer, Options) ([][]string, error) {
+	return func(w io.Writer, opt Options) ([][]string, error) {
+		rows, err := fig(opt)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "%-16s %-10s %6s %10s %10s\n", "panel", "param", "tasks", "IMPACC", "MPI+X")
+		recs := [][]string{{"panel", "param", "tasks", "impacc_speedup", "mpix_speedup"}}
+		for _, r := range rows {
+			fmt.Fprintf(w, "%-16s %-10s %6d %10.2f %10.2f\n", r.Panel, r.Param, r.Tasks, r.IMPACC, r.MPIX)
+			recs = append(recs, []string{r.Panel, r.Param, itoa(r.Tasks), ftoa(r.IMPACC), ftoa(r.MPIX)})
+		}
+		return recs, nil
 	}
 }
 
@@ -124,15 +135,6 @@ func Fig10(opt Options) ([]SpeedupRow, error) {
 			func(s apps.Style) core.Program { return apps.DGEMM(apps.DGEMMConfig{N: titanN, Style: s}) })
 	})
 	return runSweeps(opt, jobs)
-}
-
-func runFig10(w io.Writer, opt Options) error {
-	rows, err := Fig10(opt)
-	if err != nil {
-		return err
-	}
-	printSpeedups(w, rows)
-	return nil
 }
 
 // ---- Figure 11: DGEMM breakdown -------------------------------------------
@@ -201,17 +203,19 @@ func Fig11(opt Options) ([]Fig11Row, error) {
 	return flatten(chunks), nil
 }
 
-func runFig11(w io.Writer, opt Options) error {
+func runFig11(w io.Writer, opt Options) ([][]string, error) {
 	rows, err := Fig11(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-6s %6s %-12s %8s %8s %8s %8s\n", "N", "tasks", "mode", "kernel", "comm", "other", "total")
+	recs := [][]string{{"n", "tasks", "mode", "kernel", "comm", "other"}}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-6d %6d %-12s %8.3f %8.3f %8.3f %8.3f\n",
 			r.N, r.Tasks, r.Mode, r.Kernel, r.Comm, r.Other, r.Kernel+r.Comm+r.Other)
+		recs = append(recs, []string{itoa(r.N), itoa(r.Tasks), r.Mode.String(), ftoa(r.Kernel), ftoa(r.Comm), ftoa(r.Other)})
 	}
-	return nil
+	return recs, nil
 }
 
 // ---- Figure 12: EP ---------------------------------------------------------
@@ -259,15 +263,6 @@ func Fig12(opt Options) ([]SpeedupRow, error) {
 	return runSweeps(opt, jobs)
 }
 
-func runFig12(w io.Writer, opt Options) error {
-	rows, err := Fig12(opt)
-	if err != nil {
-		return err
-	}
-	printSpeedups(w, rows)
-	return nil
-}
-
 // ---- Figure 13: Jacobi -----------------------------------------------------
 
 // Fig13 sweeps Jacobi strong scaling.
@@ -313,15 +308,6 @@ func Fig13(opt Options) ([]SpeedupRow, error) {
 		return speedupSweep(opt, "Titan", fmt.Sprintf("%dx%d", titanN, titanN), titanSys, titanTasks, titanBase, jProg(titanN))
 	})
 	return runSweeps(opt, jobs)
-}
-
-func runFig13(w io.Writer, opt Options) error {
-	rows, err := Fig13(opt)
-	if err != nil {
-		return err
-	}
-	printSpeedups(w, rows)
-	return nil
 }
 
 // ---- Figure 14: Jacobi DtoD breakdown --------------------------------------
@@ -388,19 +374,22 @@ func Fig14(opt Options) ([]Fig14Row, error) {
 	})
 }
 
-func runFig14(w io.Writer, opt Options) error {
+func runFig14(w io.Writer, opt Options) ([][]string, error) {
 	rows, err := Fig14(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-6s %6s %14s %14s %14s %14s %14s\n",
 		"N", "tasks", "IMPACC DtoD", "MPI+X DtoH", "MPI+X HtoH", "MPI+X HtoD", "MPI+X total")
+	recs := [][]string{{"n", "tasks", "impacc_dtod_ns", "mpix_dtoh_ns", "mpix_htoh_ns", "mpix_htod_ns"}}
 	for _, r := range rows {
 		total := r.MPIXDtoH + r.MPIXHtoH + r.MPIXHtoD
 		fmt.Fprintf(w, "%-6d %6d %14v %14v %14v %14v %14v\n",
 			r.N, r.Tasks, r.IMPACCDtoD, r.MPIXDtoH, r.MPIXHtoH, r.MPIXHtoD, total)
+		recs = append(recs, []string{itoa(r.N), itoa(r.Tasks), itoa(r.IMPACCDtoD),
+			itoa(r.MPIXDtoH), itoa(r.MPIXHtoH), itoa(r.MPIXHtoD)})
 	}
-	return nil
+	return recs, nil
 }
 
 // ---- Figure 15: LULESH -----------------------------------------------------
@@ -442,15 +431,6 @@ func Fig15(opt Options) ([]SpeedupRow, error) {
 	return runSweeps(opt, jobs)
 }
 
-func runFig15(w io.Writer, opt Options) error {
-	rows, err := Fig15(opt)
-	if err != nil {
-		return err
-	}
-	printSpeedups(w, rows)
-	return nil
-}
-
 // ---- Extension: 1-D vs 2-D Jacobi partitioning -----------------------------
 
 // Ext2DRow compares halo traffic and elapsed time of the two partitionings.
@@ -486,15 +466,18 @@ func Ext2D(opt Options) ([]Ext2DRow, error) {
 	})
 }
 
-func runExt2D(w io.Writer, opt Options) error {
+func runExt2D(w io.Writer, opt Options) ([][]string, error) {
 	rows, err := Ext2D(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-6s %6s %12s %12s %14s %14s\n", "N", "tasks", "1D elapsed", "2D elapsed", "1D halo bytes", "2D halo bytes")
+	recs := [][]string{{"n", "tasks", "elapsed_1d_ns", "elapsed_2d_ns", "halo_1d_bytes", "halo_2d_bytes"}}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-6d %6d %12v %12v %14d %14d\n",
 			r.N, r.Tasks, r.Elapsed1D, r.Elapsed2D, r.Halo1D, r.Halo2D)
+		recs = append(recs, []string{itoa(r.N), itoa(r.Tasks), itoa(r.Elapsed1D), itoa(r.Elapsed2D),
+			itoa(r.Halo1D), itoa(r.Halo2D)})
 	}
-	return nil
+	return recs, nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"impacc/internal/acc"
 	"impacc/internal/apps"
@@ -103,16 +104,18 @@ func fig5Prog(style apps.Style, n int64, issue []sim.Time) core.Program {
 	}
 }
 
-func runFig5(w io.Writer, opt Options) error {
+func runFig5(w io.Writer, opt Options) ([][]string, error) {
 	res, err := Fig5(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-10s %12s %14s\n", "style", "elapsed", "host-captive")
+	recs := [][]string{{"style", "elapsed_ns", "host_captive_ns"}}
 	for _, r := range res {
 		fmt.Fprintf(w, "%-10s %12v %14v\n", r.Style, r.Elapsed, r.IssueSpan)
+		recs = append(recs, []string{r.Style.String(), itoa(r.Elapsed), itoa(r.IssueSpan)})
 	}
-	return nil
+	return recs, nil
 }
 
 // ---- Figure 6: message fusion -------------------------------------------
@@ -161,17 +164,20 @@ func Fig6(opt Options) ([]Fig6Result, error) {
 	})
 }
 
-func runFig6(w io.Writer, opt Options) error {
+func runFig6(w io.Writer, opt Options) ([][]string, error) {
 	res, err := Fig6(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-6s %14s %14s %14s %14s\n", "pair", "MPI+X copies", "IMPACC copies", "MPI+X time", "IMPACC time")
+	recs := [][]string{{"pair", "mpix_copies", "impacc_copies", "mpix_ns", "impacc_ns"}}
 	for _, r := range res {
 		fmt.Fprintf(w, "%-6s %14d %14d %14v %14v\n",
 			r.Pair, r.LegacyCopies, r.IMPACCCopies, r.LegacyTime, r.IMPACCTime)
+		recs = append(recs, []string{r.Pair, itoa(r.LegacyCopies), itoa(r.IMPACCCopies),
+			itoa(r.LegacyTime), itoa(r.IMPACCTime)})
 	}
-	return nil
+	return recs, nil
 }
 
 // ---- Figure 7: node heap aliasing ---------------------------------------
@@ -231,20 +237,22 @@ func Fig7(opt Options) ([]Fig7Result, error) {
 	})
 }
 
-func runFig7(w io.Writer, opt Options) error {
+func runFig7(w io.Writer, opt Options) ([][]string, error) {
 	res, err := Fig7(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-20s %8s %8s %12s\n", "variant", "aliases", "copies", "recv time")
+	recs := [][]string{{"readonly", "aliases", "copies", "recv_ns"}}
 	for _, r := range res {
 		name := "plain"
 		if r.ReadOnly {
 			name = "readonly (#pam)"
 		}
 		fmt.Fprintf(w, "%-20s %8d %8d %12v\n", name, r.Aliases, r.Copies, r.Elapsed)
+		recs = append(recs, []string{strconv.FormatBool(r.ReadOnly), itoa(r.Aliases), itoa(r.Copies), itoa(r.Elapsed)})
 	}
-	return nil
+	return recs, nil
 }
 
 // ---- Figure 8: NUMA-friendly pinning -------------------------------------
@@ -320,17 +328,19 @@ func Fig8(opt Options) ([]Fig8Row, error) {
 	})
 }
 
-func runFig8(w io.Writer, opt Options) error {
+func runFig8(w io.Writer, opt Options) ([][]string, error) {
 	rows, err := Fig8(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-8s %-5s %-8s %12s %12s %8s\n", "system", "dir", "size", "near GB/s", "far GB/s", "ratio")
+	recs := [][]string{{"system", "dir", "bytes", "near_gbs", "far_gbs"}}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s %-5s %-8s %12.2f %12.2f %8.2f\n",
 			r.System, r.Dir, sizeLabel(r.Bytes), r.NearGBs, r.FarGBs, r.NearGBs/r.FarGBs)
+		recs = append(recs, []string{r.System, r.Dir, itoa(r.Bytes), ftoa(r.NearGBs), ftoa(r.FarGBs)})
 	}
-	return nil
+	return recs, nil
 }
 
 // ---- Figure 9: point-to-point bandwidth ----------------------------------
@@ -441,15 +451,17 @@ func Fig9(opt Options) ([]Fig9Row, error) {
 	})
 }
 
-func runFig9(w io.Writer, opt Options) error {
+func runFig9(w io.Writer, opt Options) ([][]string, error) {
 	rows, err := Fig9(opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%-20s %-8s %13s %13s %8s\n", "panel", "size", "IMPACC GB/s", "MPI+X GB/s", "ratio")
+	recs := [][]string{{"panel", "bytes", "impacc_gbs", "mpix_gbs"}}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-20s %-8s %13.2f %13.2f %8.2f\n",
 			r.Panel, sizeLabel(r.Bytes), r.IMPACCGBs, r.MPIXGBs, r.IMPACCGBs/r.MPIXGBs)
+		recs = append(recs, []string{r.Panel, itoa(r.Bytes), ftoa(r.IMPACCGBs), ftoa(r.MPIXGBs)})
 	}
-	return nil
+	return recs, nil
 }

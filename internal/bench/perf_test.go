@@ -48,7 +48,7 @@ func benchFig13ParSim(b *testing.B, parSim int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := fig13.Run(&buf, opt); err != nil {
+		if _, err := fig13.Run(&buf, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

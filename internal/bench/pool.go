@@ -10,27 +10,36 @@ import (
 	"impacc/internal/core"
 )
 
+// pool is the worker pool of a parallel sweep: gate bounds the concurrent
+// simulations, and fold serializes adding their results to the shared
+// Options.Metrics and Options.Prof aggregates.
+type pool struct {
+	gate chan struct{}
+	fold sync.Mutex
+}
+
 // WithJobs returns a copy of the options that runs up to n simulations
 // concurrently. Every core run owns a private engine, so sweep points are
 // independent; determinism is preserved because results are collected per
-// point and emitted in canonical order, and telemetry merges are
+// point and emitted in canonical order, and the aggregate folds are
 // commutative. n <= 1 (and the zero Options value) stay strictly serial.
 func (o Options) WithJobs(n int) Options {
-	o.gate = nil
+	o.pool = nil
 	if n > 1 {
-		o.gate = make(chan struct{}, n)
+		o.pool = &pool{gate: make(chan struct{}, n)}
 	}
 	return o
 }
 
 // runGated executes one simulation, holding a worker-pool slot for its
-// duration. Slots are taken only around leaf core.Run calls — never while
-// fanning out — so nested sweeps cannot deadlock the pool and at most Jobs
-// engines ever run at once.
+// duration, and folds a successful run into the sweep aggregates. Slots
+// are taken only around leaf runs — never while fanning out — so nested
+// sweeps cannot deadlock the pool and at most Jobs engines ever run at
+// once.
 func runGated(opt Options, cfg core.Config, prog core.Program) (*core.Report, error) {
-	if opt.gate != nil {
-		opt.gate <- struct{}{}
-		defer func() { <-opt.gate }()
+	if opt.pool != nil {
+		opt.pool.gate <- struct{}{}
+		defer func() { <-opt.pool.gate }()
 	}
 	if opt.Prof != nil && cfg.Trace == nil {
 		cfg.Trace = core.NewTracer()
@@ -40,15 +49,23 @@ func runGated(opt Options, cfg core.Config, prog core.Program) (*core.Report, er
 		return nil, err
 	}
 	rep, err := rt.Execute(prog)
-	if err == nil && opt.Prof != nil {
-		opt.Prof.Add(rep.Prof)
-	}
 	if err != nil {
 		if st := rt.Stall(); st != nil {
 			err = fmt.Errorf("%w (flight recorder: parked %s)", err, strings.Join(st.ParkedRanks(), " "))
 		}
+		return nil, err
 	}
-	return rep, err
+	if opt.pool != nil {
+		opt.pool.fold.Lock()
+		defer opt.pool.fold.Unlock()
+	}
+	if opt.Metrics != nil {
+		opt.Metrics.Merge(rt.Metrics())
+	}
+	if opt.Prof != nil {
+		opt.Prof.Add(rep.Prof)
+	}
+	return rep, nil
 }
 
 // parMap applies f to every item, concurrently when the options carry a
@@ -58,7 +75,7 @@ func runGated(opt Options, cfg core.Config, prog core.Program) (*core.Report, er
 // loops.
 func parMap[T, R any](opt Options, items []T, f func(i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
-	if opt.gate == nil || len(items) < 2 {
+	if opt.pool == nil || len(items) < 2 {
 		for i, it := range items {
 			r, err := f(i, it)
 			if err != nil {
@@ -99,8 +116,11 @@ func flatten[R any](chunks [][]R) []R {
 type RunResult struct {
 	Exp    Experiment
 	Output []byte
-	Wall   time.Duration
-	Err    error
+	// CSV holds the records Exp.Run returned: the same rows as Output,
+	// header first; nil for table1 and fig2.
+	CSV  [][]string
+	Wall time.Duration
+	Err  error
 }
 
 // RunMany executes the experiments — concurrently when the options carry a
@@ -113,9 +133,9 @@ func RunMany(exps []Experiment, opt Options) []RunResult {
 		var buf bytes.Buffer
 		//impacc:allow-walltime operator-facing progress timing (RunResult.Wall); never enters simulation state or output bytes
 		start := time.Now()
-		err := e.Run(&buf, opt)
+		recs, err := e.Run(&buf, opt)
 		//impacc:allow-walltime operator-facing progress timing; the Wall field is excluded from canonical output
-		return RunResult{Exp: e, Output: buf.Bytes(), Wall: time.Since(start), Err: err}, nil
+		return RunResult{Exp: e, Output: buf.Bytes(), CSV: recs, Wall: time.Since(start), Err: err}, nil
 	})
 	return out
 }

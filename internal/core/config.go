@@ -18,7 +18,6 @@ import (
 	"impacc/internal/fault"
 	"impacc/internal/msg"
 	"impacc/internal/sim"
-	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
 
@@ -147,11 +146,6 @@ type Config struct {
 	// copies, MPI blocking, host compute) for timeline export.
 	//impacc:hash-exclude pure observer: span collection never changes simulated bytes
 	Trace *Tracer
-	// Metrics, when non-nil, is adopted as the engine's telemetry registry,
-	// letting several runs (e.g. a benchmark sweep) aggregate into one
-	// registry. Nil keeps the engine's own fresh registry.
-	//impacc:hash-exclude pure observer: registry choice never changes simulated bytes
-	Metrics *telemetry.Registry
 	// Chaos, when non-nil, instantiates a deterministic fault-injection
 	// plan for the run (see internal/fault): link degradation and flaps,
 	// NIC send stalls, compute stragglers, transient device-copy failures,
@@ -161,7 +155,7 @@ type Config struct {
 	// zero value is unlimited.
 	Limits Limits
 	// Parallel is the number of worker threads driving the sharded
-	// simulation engine (intra-run parallelism). Like Trace and Metrics it
+	// simulation engine (intra-run parallelism). Like Trace it
 	// changes how the run executes, never what it simulates: any worker
 	// count produces byte-identical reports, traces, and telemetry, so the
 	// field is excluded from the canonical content hash. Values below 1
@@ -170,7 +164,7 @@ type Config struct {
 	Parallel int
 	// Progress, when non-nil, emits deterministic virtual-time heartbeats
 	// every Progress.Every of virtual time (see Progress). An observer like
-	// Trace/Metrics/Parallel: never changes what the run simulates, excluded
+	// Trace/Parallel: never changes what the run simulates, excluded
 	// from the canonical content hash.
 	//impacc:hash-exclude pure observer: heartbeats never change simulated bytes
 	Progress *Progress

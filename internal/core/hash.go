@@ -29,7 +29,7 @@ const ConfigHashScheme = "impacc-cfg-v2"
 // byte-identical runs, which — runs being deterministic — makes the string
 // a content address for the run's results.
 //
-// Observer-only fields (Trace, Metrics, Progress, FlightRing) are
+// Observer-only fields (Trace, Progress, FlightRing) are
 // deliberately excluded: they change what is recorded about a run, never
 // the simulated bytes. Parallel is excluded for the same reason: the
 // sharded engine produces byte-identical output for every worker count, so

@@ -8,7 +8,6 @@ import (
 
 	"impacc/internal/fault"
 	"impacc/internal/sim"
-	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
 
@@ -125,11 +124,10 @@ func TestParallelLimitsStillApply(t *testing.T) {
 }
 
 // TestParallelCancel: Cancel still tears a parallel run down cleanly — a
-// *sim.CancelError out of Execute, nothing merged into a shared registry —
-// exactly like the serial engine (cancel_test.go covers that path).
+// *sim.CancelError out of Execute — exactly like the serial engine
+// (cancel_test.go covers that path).
 func TestParallelCancel(t *testing.T) {
-	shared := telemetry.NewRegistry()
-	cfg := Config{System: topo.Beacon(2), Backed: true, Metrics: shared, Parallel: 2}
+	cfg := Config{System: topo.Beacon(2), Backed: true, Parallel: 2}
 	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +137,5 @@ func TestParallelCancel(t *testing.T) {
 	var ce *sim.CancelError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Execute = %v, want *sim.CancelError", err)
-	}
-	if snap := shared.Snapshot(0); len(snap.Families) != 0 {
-		t.Fatalf("cancelled parallel run merged %d metric families into the shared registry", len(snap.Families))
 	}
 }

@@ -15,7 +15,7 @@ import (
 // a boundary fires only after every event at or before it has been
 // dispatched on every shard, so the snapshot's content is a pure function of
 // the configuration — independent of worker count, shard count, and window
-// sizing. Like Trace and Metrics, Progress changes how a run is observed,
+// sizing. Like Trace, Progress changes how a run is observed,
 // never what it simulates, and is excluded from the canonical content hash.
 
 // Progress asks the runtime for deterministic virtual-time heartbeats.

@@ -139,7 +139,7 @@ func (rt *Runtime) buildReport() *Report {
 		}
 		r.Hubs = append(r.Hubs, hr)
 	}
-	reg := rt.runMetrics()
+	reg := rt.Metrics()
 	rt.Fab.RecordUtilization(reg, r.Elapsed)
 	r.Metrics = reg.Snapshot(int64(rt.group.MaxNow()))
 	if tr := rt.Cfg.Trace; tr != nil && !tr.Streaming() {

@@ -53,12 +53,8 @@ type Runtime struct {
 	// instantiated fresh per run from Cfg.Chaos so concurrent runs of the
 	// same spec draw identical per-node streams (serial vs -j N parity).
 	faults *fault.Plan
-	// aggregate, when non-nil, receives a merge of the run's private
-	// telemetry after Execute completes (mutex-guarded inside Merge, so
-	// many runs may share one aggregate concurrently).
-	aggregate *telemetry.Registry
 	// metrics is the run's merged registry — shard registries merged in
-	// shard order — built once by runMetrics after the group run finishes.
+	// shard order — built once by Metrics after the group run finishes.
 	metrics *telemetry.Registry
 	// heapCap enforces Limits.MaxAllocBytes (nil when unlimited).
 	heapCap *heapCap
@@ -118,10 +114,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Cfg:   cfg,
 		feats: cfg.features(),
 		nodes: map[int]*nodeState{},
-		// Each engine keeps a private registry during the run (so
-		// concurrent runs never contend); runMetrics merges them, and
-		// Execute folds the merge into cfg.Metrics when it finishes.
-		aggregate: cfg.Metrics,
 	}
 	nNodes := len(cfg.System.Nodes)
 	lookahead := cfg.System.MinNetLatency()
@@ -271,15 +263,11 @@ func (rt *Runtime) Events() uint64 { return rt.group.Events() }
 // Cancel stops an Execute in flight as soon as every shard finishes its
 // current event; Execute then returns a *sim.CancelError. It is safe to
 // call from any goroutine at any time (it only flips atomic flags), which
-// is what lets a serving layer kill abandoned jobs. A cancelled run merges
-// no telemetry into a shared aggregate registry (Config.Metrics): the
-// cancel instant comes from wall time, so partial counters would poison the
-// aggregate's determinism.
+// is what lets a serving layer kill abandoned jobs.
 func (rt *Runtime) Cancel() { rt.group.Cancel() }
 
 // Execute runs prog across all tasks to completion.
 func (rt *Runtime) Execute(prog Program) (*Report, error) {
-	defer rt.mergeMetrics()
 	for _, t := range rt.tasks {
 		t := t
 		//impacc:allow-sharddiscipline setup-time seeding before group.Run: every engine is quiescent, no shard owns anything yet
@@ -326,15 +314,15 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 	return rt.buildReport(), nil
 }
 
-// runMetrics returns the run's merged telemetry registry, building it on
-// first use: telemetry.MergeShards folds the shard registries into exactly
+// Metrics returns the run's merged telemetry registry, building it on
+// first use after Execute: telemetry.MergeShards folds the shard registries into exactly
 // what a single shared registry would hold — almost every family carries a
 // node, rank, or resource label owned by one shard, and the series two
 // shards can share (lean mode's rank="all" MPI histograms, a fault counter
 // for a remote node's RDMA path) merge commutatively. The run is over, so
 // the registry's clock is the group's final virtual time, read once:
 // report-time gauges carry end-of-run stamps.
-func (rt *Runtime) runMetrics() *telemetry.Registry {
+func (rt *Runtime) Metrics() *telemetry.Registry {
 	if rt.metrics == nil {
 		regs := make([]*telemetry.Registry, len(rt.shards))
 		for i, e := range rt.shards {
@@ -346,15 +334,4 @@ func (rt *Runtime) runMetrics() *telemetry.Registry {
 		rt.metrics = reg
 	}
 	return rt.metrics
-}
-
-// mergeMetrics folds the run's merged registry into the shared aggregate
-// (if any). Deferred from Execute so it runs after buildReport has recorded
-// end-of-run gauges, and on error paths too — except after a cancel, whose
-// wall-clock-driven truncation point would make the merged partial counters
-// nondeterministic.
-func (rt *Runtime) mergeMetrics() {
-	if rt.aggregate != nil && !rt.group.Cancelled() {
-		rt.aggregate.Merge(rt.runMetrics())
-	}
 }

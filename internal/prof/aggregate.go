@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"impacc/internal/sim"
 )
 
 // Aggregate folds the profiles of many runs (a benchmark sweep) into one
-// summary. Add is commutative and associative, so concurrent workers
-// produce byte-identical snapshots regardless of completion order.
+// summary. Add is commutative and associative, so runs folded in any
+// completion order produce byte-identical snapshots. An Aggregate has no
+// lock: whoever shares one across goroutines serializes Add and Snapshot.
 type Aggregate struct {
-	mu         sync.Mutex
 	runs       int
 	makespanNs int64 // summed across runs
 	critNs     map[string]int64
@@ -26,13 +25,11 @@ func NewAggregate() *Aggregate {
 	return &Aggregate{critNs: map[string]int64{}, sites: map[[2]string]*Site{}}
 }
 
-// Add folds one run's profile in. Safe for concurrent use.
+// Add folds one run's profile in.
 func (a *Aggregate) Add(p *Profile) {
 	if p == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.runs++
 	a.makespanNs += p.MakespanNs
 	for k, v := range p.CritPath.ByKindNs {
@@ -68,8 +65,6 @@ type AggProfile struct {
 
 // Snapshot materializes the aggregate with at most topN sites.
 func (a *Aggregate) Snapshot(topN int) *AggProfile {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	ap := &AggProfile{Runs: a.runs, MakespanNs: a.makespanNs, CritPathNs: map[string]int64{}}
 	for k, v := range a.critNs {
 		ap.CritPathNs[k] = v

@@ -195,18 +195,18 @@ type Engine struct {
 	// simulation goroutine. The run loop polls it before every dispatch.
 	cancel *atomic.Bool
 
-	// Metrics is the engine's telemetry registry. Every FIFOResource
-	// reports occupancy into it, and higher layers (fabric, devices,
-	// message hubs, tasks) register their own families. Replace it (via
-	// AdoptMetrics) before creating resources to aggregate several runs
-	// into one registry.
+	// Metrics is the engine's telemetry registry, stamped with its virtual
+	// time. Every FIFOResource reports occupancy into it, and higher layers
+	// (fabric, devices, message hubs, tasks) register their own families.
 	Metrics *telemetry.Registry
 }
 
-// NewEngine returns an engine with an empty event queue at time zero.
+// NewEngine returns an engine with an empty event queue at time zero and a
+// fresh registry whose clock is the engine's virtual time, so metric
+// mutations are stamped deterministically.
 func NewEngine() *Engine {
-	e := &Engine{dispatchDepth: -1}
-	e.AdoptMetrics(telemetry.NewRegistry())
+	e := &Engine{dispatchDepth: -1, Metrics: telemetry.NewRegistry()}
+	e.Metrics.SetClock(func() int64 { return int64(e.now) })
 	return e
 }
 
@@ -222,13 +222,6 @@ func NewLPEngine(lp int) *Engine {
 
 // LP returns the engine's logical-process id (0 for standalone engines).
 func (e *Engine) LP() int { return int(e.lp) }
-
-// AdoptMetrics makes reg the engine's registry and points its clock at the
-// virtual time, so metric mutations are stamped deterministically.
-func (e *Engine) AdoptMetrics(reg *telemetry.Registry) {
-	e.Metrics = reg
-	reg.SetClock(func() int64 { return int64(e.now) })
-}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }

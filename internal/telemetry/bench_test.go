@@ -42,7 +42,7 @@ func titanShards(n int) []*Registry {
 var mergedSink *Registry
 
 // BenchmarkRunMetricsMerge merges the 512 shard registries of a
-// titan:512-shaped run, as Runtime.runMetrics does at run end.
+// titan:512-shaped run, as Runtime.Metrics does at run end.
 func BenchmarkRunMetricsMerge(b *testing.B) {
 	regs := titanShards(512)
 	b.ReportAllocs()

@@ -54,8 +54,6 @@ type BucketSnap struct {
 // Snapshot exports the registry's current state at virtual time atNs.
 // Families sort by name and series by label values.
 func (r *Registry) Snapshot(atNs int64) *Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	fams := r.allFamilies()
 	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, len(fams))}

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Kind discriminates metric families.
@@ -48,16 +47,15 @@ type Label struct {
 }
 
 // Registry holds metric families. The zero value is not ready; use
-// NewRegistry. A registry may be shared across several engine runs (the
-// bench harness does this to aggregate a sweep); counters then accumulate
-// across runs.
+// NewRegistry. Merge folds finished runs into one registry (the bench
+// harness aggregates a sweep this way); counters then accumulate across
+// runs.
 //
-// Concurrency: direct mutation (Add, Set, Observe) is only safe from a
-// single goroutine — in practice, simulation context. An aggregate registry
-// fed exclusively through Merge may receive merges from many goroutines
-// concurrently; Merge and Snapshot lock, single-run mutators do not.
+// Concurrency: a registry has no lock. One goroutine owns it — in practice
+// the simulation context of its engine, or the harness folding finished
+// runs — and whoever shares one across goroutines holds a lock around every
+// call, Merge and Snapshot included.
 type Registry struct {
-	mu       sync.Mutex // guards Merge/Snapshot on shared aggregates
 	clock    func() int64
 	families map[string]*family
 	names    []string // insertion order, for stable iteration before sorting
@@ -313,11 +311,8 @@ func (s *series) hist() *hist {
 // otherwise counters and histogram buckets add, gauges keep the maximum
 // (peak semantics across runs), histogram min/max widen, and timestamps
 // keep the latest. src's resource records arrive as the four sim_resource_*
-// families. src must be quiescent (its run finished); r may be merged into
-// from several goroutines concurrently.
+// families. src must be quiescent (its run finished).
 func (r *Registry) Merge(src *Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, sf := range src.allFamilies() {
 		df := r.family(sf.name, sf.help, sf.kind, sf.keys)
 		for _, ss := range sf.series {
