@@ -7,9 +7,9 @@
 package acc
 
 import (
-	"sort"
-
 	"fmt"
+	"maps"
+	"slices"
 
 	"impacc/internal/device"
 	"impacc/internal/ptable"
@@ -76,12 +76,17 @@ func (e *Env) Stream(q int) *device.Stream {
 	return s
 }
 
-// Close shuts down all streams created by this environment.
+// Close shuts down all streams created by this environment, in ascending
+// queue order: each close wakes a stream process, so the order is part of
+// the run's event sequence.
 func (e *Env) Close() {
-	for _, s := range e.streams {
-		s.Close()
+	for _, q := range e.queues() {
+		e.streams[q].Close()
 	}
 }
+
+// queues returns the numbers of the environment's queues in ascending order.
+func (e *Env) queues() []int { return slices.Sorted(maps.Keys(e.streams)) }
 
 // DataEnter implements "#pragma acc enter data" over one host range. With
 // Copyin or Create, a device buffer is allocated and registered in the
@@ -258,12 +263,7 @@ func (e *Env) Wait(p *sim.Proc, q int) {
 // WaitAll implements "#pragma acc wait": block until every queue drains.
 // Queues are waited in ascending number order to keep runs deterministic.
 func (e *Env) WaitAll(p *sim.Proc) {
-	qs := make([]int, 0, len(e.streams))
-	for q := range e.streams {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	for _, q := range qs {
+	for _, q := range e.queues() {
 		e.Wait(p, q)
 	}
 }

@@ -70,13 +70,6 @@ func DefaultFeatures(m Mode) Features {
 	return Features{}
 }
 
-// The runtime's fixed software costs.
-const (
-	cmdOverhead     = 300 * sim.Nanosecond // task-side message command creation
-	handlerOverhead = 400 * sim.Nanosecond // handler per-command processing
-	aliasOverhead   = sim.Microsecond      // applying node heap aliasing
-)
-
 // Limits caps one run's resource consumption so a hosting tool (the bench
 // harness, impacc-serve) can bound runaway or abusive jobs. The zero value
 // means unlimited. Hitting a cap is deterministic — the same configuration
@@ -215,15 +208,12 @@ func (c *Config) features() Features {
 func (c *Config) msgConfig() msg.Config {
 	f := c.features()
 	mc := msg.Config{
-		Legacy:          c.Mode == Legacy,
-		Aliasing:        f.Aliasing,
-		RDMA:            f.RDMA,
-		DirectP2P:       f.DirectP2P,
-		ThreadMultiple:  c.System.ThreadMultiple && !c.ForceSerialMPI,
-		CmdOverhead:     cmdOverhead,
-		HandlerOverhead: handlerOverhead,
-		AliasOverhead:   aliasOverhead,
-		MPIOverhead:     c.System.MPIOverhead,
+		Legacy:         c.Mode == Legacy,
+		Aliasing:       f.Aliasing,
+		RDMA:           f.RDMA,
+		DirectP2P:      f.DirectP2P,
+		ThreadMultiple: c.System.ThreadMultiple && !c.ForceSerialMPI,
+		MPIOverhead:    c.System.MPIOverhead,
 	}
 	if c.Chaos != nil {
 		mc.NetTimeout = c.Chaos.Timeout()

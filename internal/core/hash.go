@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"impacc/internal/msg"
 	"impacc/internal/topo"
 )
 
@@ -61,7 +62,7 @@ func (c *Config) CanonicalString() string {
 	f := c.features()
 	w("features", fmt.Sprintf("fusion=%t aliasing=%t directp2p=%t rdma=%t unifiedqueue=%t",
 		c.Mode == IMPACC, f.Aliasing, f.DirectP2P, f.RDMA, f.UnifiedQueue))
-	w("overheads", fmt.Sprintf("cmd=%d handler=%d alias=%d", cmdOverhead, handlerOverhead, aliasOverhead))
+	w("overheads", fmt.Sprintf("cmd=%d handler=%d alias=%d", msg.CmdOverhead, msg.HandlerOverhead, msg.AliasOverhead))
 	w("backed", strconv.FormatBool(c.Backed))
 	w("seed", strconv.FormatUint(c.Seed, 10))
 	w("maxtasks", strconv.Itoa(c.MaxTasks))

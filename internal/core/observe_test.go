@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"impacc/internal/device"
 	"impacc/internal/fault"
+	"impacc/internal/mpi"
 	"impacc/internal/prof"
 	"impacc/internal/sim"
 	"impacc/internal/topo"
@@ -271,5 +273,46 @@ func TestStallClean(t *testing.T) {
 	}
 	if rt.Stall() != nil {
 		t.Fatal("Stall() non-nil after a clean run")
+	}
+}
+
+// TestStallStreamExitOrder: a rank that leaves four idle activity queues
+// behind while another rank deadlocks must produce the same stall dump on
+// every run. The finished task closes its streams, and each close wakes a
+// stream process to exit; the order of those wake-ups is in the dump.
+func TestStallStreamExitOrder(t *testing.T) {
+	prog := func(tk *Task) {
+		buf := tk.Malloc(8)
+		if tk.Rank() == 1 {
+			tk.Recv(buf, 1, mpi.Float64, 0, 0) // never sent
+			return
+		}
+		for q := 1; q <= 4; q++ {
+			tk.Kernels(device.KernelSpec{Name: "k", FLOPs: 1e6, Kind: device.KindCompute}, q)
+		}
+		tk.ACCWaitAll()
+	}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		rt, err := NewRuntime(Config{System: topo.PSG(), MaxTasks: 2, FlightRing: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Execute(prog); err == nil {
+			t.Fatal("Execute succeeded; want a deadlock")
+		}
+		st := rt.Stall()
+		if st == nil {
+			t.Fatal("Stall() = nil after a deadlock")
+		}
+		var buf bytes.Buffer
+		if err := st.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d stall dump differs from run 0:\n got: %s\nwant: %s", i, buf.Bytes(), first)
+		}
 	}
 }

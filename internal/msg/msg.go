@@ -55,13 +55,6 @@ type Config struct {
 	// support; when false, internode calls from one node serialize.
 	ThreadMultiple bool
 
-	// CmdOverhead is the task-side cost of creating a message command
-	// and enqueuing it (IMPACC intra-node path).
-	CmdOverhead sim.Dur
-	// HandlerOverhead is the handler-side cost per processed command.
-	HandlerOverhead sim.Dur
-	// AliasOverhead is the cost of applying node heap aliasing.
-	AliasOverhead sim.Dur
 	// MPIOverhead is the per-call cost of the underlying MPI library.
 	MPIOverhead sim.Dur
 
@@ -70,10 +63,11 @@ type Config struct {
 	// Zero disables timeouts (healthy-run behavior is unchanged).
 	NetTimeout sim.Dur
 	// MaxNetRetries bounds send re-attempts across a down link before the
-	// command fails; zero takes a default when a fault model is attached.
+	// command fails. Set it, and NetBackoff, when a fault model is
+	// attached.
 	MaxNetRetries int
 	// NetBackoff is the first send-retry delay; each further attempt
-	// doubles it. Zero takes a default when a fault model is attached.
+	// doubles it.
 	NetBackoff sim.Dur
 }
 
@@ -168,11 +162,15 @@ func (e *NetError) Error() string {
 		e.Src, e.Dst, e.Tag, e.Bytes, e.Attempts, int64(e.At))
 }
 
-// Resilience defaults used when a fault model is attached but the config
-// leaves the knobs zero.
+// The message handler's fixed software costs.
 const (
-	defaultNetRetries = 8
-	defaultNetBackoff = 100 * sim.Microsecond
+	// CmdOverhead is the task-side cost of creating a message command
+	// and enqueuing it (IMPACC intra-node path).
+	CmdOverhead = 300 * sim.Nanosecond
+	// HandlerOverhead is the handler-side cost per processed command.
+	HandlerOverhead = 400 * sim.Nanosecond
+	// AliasOverhead is the cost of applying node heap aliasing.
+	AliasOverhead = sim.Microsecond
 )
 
 // netMsg is an internode message arriving at the destination node: the
@@ -446,22 +444,6 @@ func (h *Hub) SetFaults(fm FaultModel) {
 	}
 }
 
-// netRetries / netBackoff resolve the resilience knobs, falling back to the
-// package defaults when a fault model is attached with the knobs unset.
-func (h *Hub) netRetries() int {
-	if h.Cfg.MaxNetRetries > 0 {
-		return h.Cfg.MaxNetRetries
-	}
-	return defaultNetRetries
-}
-
-func (h *Hub) netBackoff() sim.Dur {
-	if h.Cfg.NetBackoff > 0 {
-		return h.Cfg.NetBackoff
-	}
-	return defaultNetBackoff
-}
-
 // Stats snapshots the hub's telemetry counters into the legacy view.
 func (h *Hub) Stats() Stats {
 	return Stats{
@@ -479,7 +461,7 @@ func (h *Hub) Stats() Stats {
 // dispatch schedules the handler thread to consume the next queued item
 // after its per-command processing time.
 func (h *Hub) dispatch(net bool) {
-	_, end := h.handlerCPU.UseAsync(h.Cfg.HandlerOverhead)
+	_, end := h.handlerCPU.UseAsync(HandlerOverhead)
 	if net {
 		h.Eng.CallAt(end, h.handleNextNet)
 	} else {
@@ -496,7 +478,7 @@ func (h *Hub) HandlerBusy() sim.Dur { return h.handlerCPU.BusyTime() }
 // communication onto the communication thread by inserting message commands
 // into the intra-node message queues").
 func (h *Hub) PostIntra(p *sim.Proc, cmd *Cmd) {
-	over := h.Cfg.CmdOverhead
+	over := CmdOverhead
 	if h.Cfg.Legacy {
 		over = h.Cfg.MPIOverhead
 	}
@@ -589,48 +571,6 @@ func (h *Hub) takeRecvFor(comm, dst, src, tag int) *Cmd {
 	return best
 }
 
-// stageKind names how one leg of an intra-node transfer is priced.
-type stageKind uint8
-
-const (
-	hostCopy   stageKind = iota // host memory to host memory
-	pcieCopy                    // between host and device dev
-	p2pCopy                     // directly from device dev to device dev2
-	deviceCopy                  // within device dev's memory
-	shmCopy                     // through the legacy shared-memory segment
-)
-
-// stage is one priced leg of a transfer.
-type stage struct {
-	kind      stageKind
-	dev, dev2 int
-}
-
-// chain is the legs of one transfer, run back to back: one for a fused
-// copy, two for the legacy transport or a DtoD copy staged through host
-// memory. It is a value, so pricing a transfer allocates nothing.
-type chain struct {
-	legs [2]stage
-	n    int
-}
-
-// runLeg prices leg s for n bytes from now and returns its completion time.
-func (h *Hub) runLeg(s stage, n int64) sim.Time {
-	switch s.kind {
-	case hostCopy:
-		return h.Fab.HostCopyAsync(h.Node, n)
-	case pcieCopy:
-		return h.Fab.PCIeCopyAsync(h.Node, s.dev, -1, n, true)
-	case p2pCopy:
-		return h.Fab.P2PCopyAsync(h.Node, s.dev, s.dev2, n)
-	case deviceCopy:
-		bw := h.Fab.Sys.Nodes[h.Node].Devices[s.dev].MemBWGBs
-		return h.Eng.Now() + sim.Time(sim.DurFromSeconds(2*float64(n)/(bw*1e9)))
-	default:
-		return h.Fab.ShmCopyAsync(h.Node, n)
-	}
-}
-
 // pairOp is a matched intra-node pair in flight. Its copy legs run back to
 // back from the record itself, scheduled as a sim.Callback: each leg starts
 // at the previous one's completion, and the pair lands at the last one's.
@@ -639,7 +579,7 @@ func (h *Hub) runLeg(s stage, n int64) sim.Time {
 type pairOp struct {
 	h          *Hub
 	send, recv *Cmd
-	c          chain
+	route      device.Route
 	leg        int // index of the next leg to price
 	dir        device.Direction
 	start      sim.Time
@@ -661,19 +601,24 @@ func (h *Hub) newPair(send, recv *Cmd) *pairOp {
 // nextLeg prices the pair's next leg from now and schedules the record at
 // its completion.
 func (pr *pairOp) nextLeg() {
-	s := pr.c.legs[pr.leg]
+	l := pr.route.Leg(pr.leg)
 	pr.leg++
-	pr.h.Eng.CallAt(pr.h.runLeg(s, pr.send.Bytes), pr)
+	pr.h.Eng.CallAt(pr.h.price(l, pr.send.Bytes), pr)
 }
+
+// price charges one copy leg of n bytes from now and returns its completion
+// time. The runtime's buffers are pre-pinned and its copies start from the
+// device's near socket.
+func (h *Hub) price(l device.Leg, n int64) sim.Time { return l.Price(h.Fab, h.Node, n, -1, true) }
 
 // Call runs at the end of the pair's current leg: it starts the next leg,
 // or recycles the record and completes the pair.
 func (pr *pairOp) Call() {
-	if pr.leg < pr.c.n {
+	if pr.leg < pr.route.Len() {
 		pr.nextLeg()
 		return
 	}
-	h, send, recv, copied, dir, start := pr.h, pr.send, pr.recv, pr.c.n > 0, pr.dir, pr.start
+	h, send, recv, copied, dir, start := pr.h, pr.send, pr.recv, pr.route.Len() > 0, pr.dir, pr.start
 	*pr = pairOp{next: h.freePairs}
 	h.freePairs = pr
 	if copied {
@@ -723,7 +668,7 @@ func (h *Hub) completePair(send, recv *Cmd) {
 	recv.MatchedSrc, recv.MatchedTag, recv.MatchedBytes = send.Src, send.Tag, send.Bytes
 	if send.Bytes == 0 {
 		// Zero-byte message: synchronization only, nothing to move.
-		h.Eng.CallAt(h.Eng.Now()+sim.Time(h.Cfg.AliasOverhead), h.newPair(send, recv))
+		h.Eng.CallAt(h.Eng.Now()+sim.Time(AliasOverhead), h.newPair(send, recv))
 		return
 	}
 	if h.tryAlias(send, recv) {
@@ -744,16 +689,16 @@ func (h *Hub) completePair(send, recv *Cmd) {
 	if h.Cfg.Legacy {
 		// Figure 6 (a): inter-process transport with a redundant
 		// host-to-host copy — send buffer -> shm segment -> recv buffer.
-		pr.c = chain{legs: [2]stage{{kind: shmCopy}, {kind: shmCopy}}, n: 2}
+		pr.route = device.ShmRoute()
 		h.ctr.legacyCopies.Add(2)
 	} else {
-		pr.c = h.fusedChain(pr.dir, dloc, sloc)
+		pr.route = device.PlanCopy(h.Fab, h.Node, pr.dir, dloc, sloc, h.Cfg.DirectP2P)
 		h.ctr.fusedCopies.Inc()
 	}
 	pr.nextLeg()
 }
 
-// finishPair lands a matched intra-node pair once its copy chain is done:
+// finishPair lands a matched intra-node pair once its copy route is done:
 // the payload moves, the copy is recorded from start, and both commands
 // complete.
 func (h *Hub) finishPair(send, recv *Cmd, dir device.Direction, start sim.Time) {
@@ -765,30 +710,6 @@ func (h *Hub) finishPair(send, recv *Cmd, dir device.Direction, start sim.Time) 
 	recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
 	send.Done.Fire()
 	recv.Done.Fire()
-}
-
-// fusedChain builds the cost chain for an IMPACC fused copy (Figure 6 b/c).
-func (h *Hub) fusedChain(dir device.Direction, dloc, sloc xmem.Loc) chain {
-	one := func(s stage) chain { return chain{legs: [2]stage{s}, n: 1} }
-	switch dir {
-	case device.HtoH:
-		return one(stage{kind: hostCopy})
-	case device.HtoD:
-		return one(stage{kind: pcieCopy, dev: dloc.Device()})
-	case device.DtoH:
-		return one(stage{kind: pcieCopy, dev: sloc.Device()})
-	default: // DtoD
-		sd, dd := sloc.Device(), dloc.Device()
-		if sd == dd {
-			return one(stage{kind: deviceCopy, dev: sd})
-		}
-		if h.Cfg.DirectP2P && h.Fab.CanP2P(h.Node, sd, dd) {
-			// Direct transfer between devices over PCIe without CPU or
-			// system memory involvement (GPUDirect / DirectGMA).
-			return one(stage{kind: p2pCopy, dev: sd, dev2: dd})
-		}
-		return chain{legs: [2]stage{{kind: pcieCopy, dev: sd}, {kind: pcieCopy, dev: dd}}, n: 2}
-	}
 }
 
 // tryAlias applies node heap aliasing when the five requirements of §3.8
@@ -833,7 +754,7 @@ func (h *Hub) tryAlias(send, recv *Cmd) bool {
 	h.Heap.Drop(recv.Addr)
 	h.ctr.aliases.Inc()
 	send.Aliased, recv.Aliased = true, true
-	h.Eng.CallAt(h.Eng.Now()+sim.Time(h.Cfg.AliasOverhead), h.newPair(send, recv))
+	h.Eng.CallAt(h.Eng.Now()+sim.Time(AliasOverhead), h.newPair(send, recv))
 	return true
 }
 

@@ -15,8 +15,7 @@ func impaccCfg() Config {
 	return Config{
 		Aliasing: true, RDMA: true, DirectP2P: true,
 		ThreadMultiple: true,
-		CmdOverhead:    300, HandlerOverhead: 400, AliasOverhead: 1000,
-		MPIOverhead: 400,
+		MPIOverhead:    400,
 	}
 }
 

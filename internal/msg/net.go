@@ -110,7 +110,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	// Without MPI_THREAD_MULTIPLE the library's internal staging copy is
 	// part of the serialized call (paper §3.7): hold the lock until the
 	// device-to-host stage completes.
-	end := h.Fab.PCIeCopyAsync(h.Node, sloc.Device(), -1, n, true)
+	end := h.price(device.Leg{Kind: device.PCIeLeg, Dev: sloc.Device()}, n)
 	if locked {
 		h.Eng.At(end, h.serial.Release)
 	}
@@ -123,7 +123,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 // instead of wedging the transfer.
 func (h *Hub) netInject(cmd *Cmd, m *netMsg, dst *Hub, n int64, attempt int) {
 	if h.faults != nil && !h.faults.LinkUp(h.Node, h.Eng.Now()) {
-		if attempt >= h.netRetries() {
+		if attempt >= h.Cfg.MaxNetRetries {
 			h.fctr.failures.Inc()
 			h.fail(cmd, nil, &NetError{Op: "send", Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag,
 				Bytes: n, Attempts: attempt, At: h.Eng.Now()})
@@ -135,7 +135,7 @@ func (h *Hub) netInject(cmd *Cmd, m *netMsg, dst *Hub, n int64, attempt int) {
 			shift = 20 // keep the doubling bounded
 		}
 		start := h.Eng.Now()
-		h.Eng.After(h.netBackoff()<<uint(shift), func() {
+		h.Eng.After(h.Cfg.NetBackoff<<uint(shift), func() {
 			if h.OnFault != nil {
 				h.OnFault("retry", cmd.Src, start, h.Eng.Now())
 			}
@@ -255,7 +255,7 @@ func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 	}
 	h.ctr.staged.Inc()
 	h.ctr.netIn.Inc()
-	end := h.Fab.PCIeCopyAsync(h.Node, dloc.Device(), -1, m.Bytes, true)
+	end := h.price(device.Leg{Kind: device.PCIeLeg, Dev: dloc.Device()}, m.Bytes)
 	h.Eng.At(end, func() { h.landNet(m, recv, onDevice, start) })
 }
 

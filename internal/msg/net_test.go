@@ -181,7 +181,10 @@ func TestLegacyRejectsDeviceRecv(t *testing.T) {
 // defers with backoff and eventually completes; the payload still lands and
 // the retries are counted.
 func TestNetSendRetriesThroughOutage(t *testing.T) {
-	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), impaccCfg())
+	cfg := impaccCfg()
+	cfg.MaxNetRetries = 8
+	cfg.NetBackoff = 100 * sim.Microsecond
+	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), cfg)
 	h0.SetFaults(&stubFaults{linkUpAt: sim.Time(5 * sim.Millisecond)})
 	src, _ := e0.Space.AllocHost(1024, true)
 	dst, _ := e1.Space.AllocHost(1024, true)

@@ -14,8 +14,8 @@ import (
 //
 // All *Async methods charge resource occupancy starting at the current
 // virtual time and return the completion time without blocking; callers
-// (device streams, message handlers) sleep until completion or attach
-// callbacks. Blocking variants park the calling process.
+// (device copies, message handlers) sleep until completion or attach
+// callbacks.
 type Fabric struct {
 	Sys *System
 
@@ -161,11 +161,6 @@ func (f *Fabric) HostCopyAsync(node int, n int64) sim.Time {
 	return end + sim.Time(spec.HostCopySW)
 }
 
-// HostCopy is the blocking variant of HostCopyAsync.
-func (f *Fabric) HostCopy(p *sim.Proc, node int, n int64) {
-	p.SleepUntil(f.HostCopyAsync(node, n))
-}
-
 // ShmCopyAsync prices one copy of the legacy inter-process shared-memory
 // transport: host memcpy at the node's ShmFactor bandwidth plus the
 // per-message IPC synchronization overhead. This is the "inter-process
@@ -219,11 +214,6 @@ func (f *Fabric) PCIeCopyAsync(node, dev, fromSocket int, n int64, pinned bool) 
 	}
 	_, end := nr.PCIe[dev].UseAsync(occupy)
 	return end + sim.Time(tail)
-}
-
-// PCIeCopy is the blocking variant of PCIeCopyAsync.
-func (f *Fabric) PCIeCopy(p *sim.Proc, node, dev, fromSocket int, n int64, pinned bool) {
-	p.SleepUntil(f.PCIeCopyAsync(node, dev, fromSocket, n, pinned))
 }
 
 // P2PCopyAsync prices a direct device-to-device PCIe copy of n bytes between

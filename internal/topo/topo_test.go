@@ -151,7 +151,7 @@ func TestFabricHostCopy(t *testing.T) {
 	f := NewShardedFabric([]*sim.Engine{eng}, PSG())
 	var end sim.Time
 	eng.Spawn("t", func(p *sim.Proc) {
-		f.HostCopy(p, 0, 1<<30)
+		p.SleepUntil(f.HostCopyAsync(0, 1<<30))
 		end = p.Now()
 	})
 	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
