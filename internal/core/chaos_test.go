@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"impacc/internal/acc"
+	"impacc/internal/device"
 	"impacc/internal/fault"
 	"impacc/internal/mpi"
+	"impacc/internal/msg"
+	"impacc/internal/sim"
 	"impacc/internal/topo"
 	"impacc/internal/xmem"
 )
@@ -168,4 +173,91 @@ func (r *Report) metricsJSON(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// runQueuedFailure executes prog under the chaos spec, if any, and returns
+// the runtime and the run's error, which must be the *RunError of task
+// rank with no *sim.PanicError in its chain.
+func runQueuedFailure(t *testing.T, cfg Config, chaos string, rank int, prog Program) (*Runtime, error) {
+	t.Helper()
+	if chaos != "" {
+		spec, err := fault.ParseSpec(chaos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Chaos = spec
+	}
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Execute(prog)
+	var re *RunError
+	if !errors.As(err, &re) || re.Rank != rank {
+		t.Fatalf("err = %v, want the *RunError of task %d", err, rank)
+	}
+	if !strings.HasPrefix(err.Error(), "task ") {
+		t.Fatalf("err = %q, want a task-prefixed error", err)
+	}
+	var pe *sim.PanicError
+	if errors.As(err, &pe) {
+		t.Fatalf("err = %v: a *sim.PanicError is in the chain", err)
+	}
+	return rt, err
+}
+
+// TestQueuedCopyFailureFailsTask: a queued copy that runs out of copy
+// retries fails the task owning the queue with a typed error that names
+// the task's device context, as a synchronous copy failure would.
+func TestQueuedCopyFailureFailsTask(t *testing.T) {
+	cfg := Config{System: topo.Beacon(2), Mode: Legacy}
+	rt, err := runQueuedFailure(t, cfg, "1:copyfail=*:1", 0, func(tk *Task) {
+		buf := tk.Malloc(4096)
+		tk.DataEnter(buf, 4096, acc.Create)
+		tk.UpdateDevice(buf, 4096, 1)
+		tk.ACCWait(1)
+	})
+	var se *device.StreamError
+	if !errors.As(err, &se) || se.Queue != 1 || se.Ctx != rt.tasks[0].ep.Ctx {
+		t.Fatalf("err = %v, want a queue-1 *device.StreamError on task 0's context", err)
+	}
+	if !strings.Contains(err.Error(), "copy failed after") {
+		t.Fatalf("err = %q, want the copy failure", err)
+	}
+}
+
+// TestQueuedRecvTimeoutFailsTask: a unified-queue receive that times out
+// fails its task with the *msg.NetError of the receive.
+func TestQueuedRecvTimeoutFailsTask(t *testing.T) {
+	cfg := Config{System: topo.Titan(2), Mode: IMPACC}
+	_, err := runQueuedFailure(t, cfg, "1:timeout=50us", 0, func(tk *Task) {
+		if tk.Rank() != 0 {
+			return
+		}
+		buf := tk.Malloc(64)
+		tk.DataEnter(buf, 64, acc.Create)
+		tk.Irecv(buf, 8, mpi.Float64, 1, 0, OnDevice(), Async(1))
+		tk.ACCWait(1)
+	})
+	var ne *msg.NetError
+	if !errors.As(err, &ne) || ne.Op != "recv" || ne.Src != 1 || ne.Dst != 0 {
+		t.Fatalf("err = %v, want the receive's *msg.NetError", err)
+	}
+}
+
+// TestQueuedKernelFailFailsTask: a kernel body that fails its task on the
+// stream's process ends the run with that task's own error.
+func TestQueuedKernelFailFailsTask(t *testing.T) {
+	boom := errors.New("kernel boom")
+	cfg := Config{System: topo.Titan(2), Mode: IMPACC}
+	_, err := runQueuedFailure(t, cfg, "", 1, func(tk *Task) {
+		if tk.Rank() != 1 {
+			return
+		}
+		tk.Kernels(device.KernelSpec{Name: "k", FLOPs: 1e6, Body: func() { tk.Fail(boom) }}, 1)
+		tk.ACCWait(1)
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the kernel's error", err)
+	}
 }

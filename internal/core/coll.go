@@ -8,11 +8,12 @@ import (
 	"impacc/internal/xmem"
 )
 
-// Collective communications, implemented on communicators and re-exported
-// on Task for MPI_COMM_WORLD. All collectives are blocking and must be
-// called by every member in the same order (standard MPI semantics);
-// internal messages use reserved negative tags scoped by the communicator's
-// context id, so they never match application wildcard receives.
+// Collective communications, implemented on communicators; Task reaches
+// them for MPI_COMM_WORLD through its embedded world communicator. All
+// collectives are blocking and must be called by every member in the same
+// order (standard MPI semantics); internal messages use reserved negative
+// tags scoped by the communicator's context id, so they never match
+// application wildcard receives.
 //
 // MPI_Bcast follows the paper's two-level scheme (§3.8): the root sends the
 // buffer to one task in every participating node and that task forwards it
@@ -20,44 +21,6 @@ import (
 // heap aliasing candidates when the readonly attribute is given. Among node
 // leaders, small payloads ride a pipelined binomial tree; large payloads
 // use bandwidth-optimal scatter + ring allgather (van de Geijn).
-
-// Barrier is MPI_Barrier over MPI_COMM_WORLD.
-func (t *Task) Barrier() { t.world.Barrier() }
-
-// Bcast is MPI_Bcast over MPI_COMM_WORLD.
-func (t *Task) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts ...Opt) {
-	t.world.Bcast(addr, count, dt, root, opts...)
-}
-
-// Reduce is MPI_Reduce over MPI_COMM_WORLD.
-func (t *Task) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, root int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.Reduce(sendAddr, recvAddr, count, dt, op, root, opts...)
-}
-
-// Allreduce is MPI_Allreduce over MPI_COMM_WORLD.
-func (t *Task) Allreduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
-	t.world.Allreduce(sendAddr, recvAddr, count, dt, op, opts...)
-}
-
-// Gather is MPI_Gather over MPI_COMM_WORLD.
-func (t *Task) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.Gather(sendAddr, count, dt, recvAddr, root, opts...)
-}
-
-// Scatter is MPI_Scatter over MPI_COMM_WORLD.
-func (t *Task) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, root int, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.Scatter(sendAddr, count, dt, recvAddr, root, opts...)
-}
-
-// Allgather is MPI_Allgather over MPI_COMM_WORLD.
-func (t *Task) Allgather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.Allgather(sendAddr, count, dt, recvAddr, opts...)
-}
-
-// Alltoall is MPI_Alltoall over MPI_COMM_WORLD.
-func (t *Task) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.Alltoall(sendAddr, count, dt, recvAddr, opts...)
-}
 
 // collBase reserves a fresh negative tag range for one collective instance
 // on this communicator.
@@ -281,7 +244,7 @@ func (c *Comm) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr x
 // Gatherv is MPI_Gatherv: member i contributes counts[i] elements, landing
 // at element offset displs[i] of the root's recv buffer. counts and displs
 // are significant at the root only; each sender passes its own sendCount.
-func (c *Comm) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype,
+func (c *Comm) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype, //impacc:allow-unused reproduces the paper's MPI API (§3)
 	recvAddr xmem.Addr, counts, displs []int, root int, opts ...Opt) {
 	c.gather(sendAddr, sendCount, dt, recvAddr, blocks{v: true, counts: counts, displs: displs}, root, opts)
 }
@@ -294,7 +257,7 @@ func (c *Comm) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr 
 
 // Scatterv is MPI_Scatterv: the root sends counts[i] elements from offset
 // displs[i] to member i.
-func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype,
+func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype, //impacc:allow-unused reproduces the paper's MPI API (§3)
 	recvAddr xmem.Addr, recvCount int, root int, opts ...Opt) {
 	c.scatter(sendAddr, blocks{v: true, counts: counts, displs: displs}, dt, recvAddr, recvCount, root, opts)
 }
@@ -422,7 +385,7 @@ func (c *Comm) Allgather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAdd
 
 // Alltoall is MPI_Alltoall: block j of member i's send buffer lands at
 // block i of member j's recv buffer (pairwise exchange schedule).
-func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) {
+func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr xmem.Addr, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t := c.t
 	base := c.collBase()
 	o := c.collOpts(opts)
@@ -520,7 +483,7 @@ func (t *Task) combine(op mpi.Op, dt mpi.Datatype, acc, in xmem.Addr, count int)
 // ReduceScatter is MPI_Reduce_scatter_block: the elementwise reduction of
 // all members' send buffers (count*Size elements) is computed and block i
 // (count elements) lands in member i's recv buffer.
-func (c *Comm) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
+func (c *Comm) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t := c.t
 	c.collOpts(opts)
 	n := c.Size()
@@ -539,7 +502,7 @@ func (c *Comm) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Dat
 
 // Scan is MPI_Scan: member i receives op(x_0, ..., x_i), the inclusive
 // prefix reduction in rank order, via a linear chain.
-func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) {
+func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t := c.t
 	base := c.collBase()
 	o := c.collOpts(opts)
@@ -561,26 +524,4 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 		t.waitAll(t.postSend(t.proc, rbuf, bytes, c.ranks[me+1], base-1, o))
 	}
 	t.mpiEnd("scan", start, mark, -1, bytes)
-}
-
-// ReduceScatter is MPI_Reduce_scatter_block over MPI_COMM_WORLD.
-func (t *Task) ReduceScatter(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.ReduceScatter(sendAddr, recvAddr, count, dt, op, opts...)
-}
-
-// Scan is MPI_Scan over MPI_COMM_WORLD.
-func (t *Task) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op mpi.Op, opts ...Opt) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	t.world.Scan(sendAddr, recvAddr, count, dt, op, opts...)
-}
-
-// Gatherv is MPI_Gatherv over MPI_COMM_WORLD.
-func (t *Task) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype, //impacc:allow-unused reproduces the paper's MPI API (§3)
-	recvAddr xmem.Addr, counts, displs []int, root int, opts ...Opt) {
-	t.world.Gatherv(sendAddr, sendCount, dt, recvAddr, counts, displs, root, opts...)
-}
-
-// Scatterv is MPI_Scatterv over MPI_COMM_WORLD.
-func (t *Task) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatype, //impacc:allow-unused reproduces the paper's MPI API (§3)
-	recvAddr xmem.Addr, recvCount int, root int, opts ...Opt) {
-	t.world.Scatterv(sendAddr, counts, displs, dt, recvAddr, recvCount, root, opts...)
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // Comm is an MPI communicator: an ordered group of tasks with an isolated
-// matching context. Point-to-point and collective operations exist on both
-// Task (MPI_COMM_WORLD shorthand) and Comm.
+// matching context. Task embeds its MPI_COMM_WORLD view, so a Comm method
+// that Task does not declare itself is also a Task method over the world.
 type Comm struct {
 	t *Task
 	// id is the context id carried by every message of this communicator;
@@ -36,7 +36,7 @@ type Comm struct {
 func (t *Task) World() *Comm { return t.world }
 
 // Rank returns the calling task's rank within the communicator.
-func (c *Comm) Rank() int { return c.myRank } //impacc:allow-unused reproduces the paper's MPI API (§3)
+func (c *Comm) Rank() int { return c.myRank }
 
 // Size returns the number of tasks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
@@ -222,7 +222,7 @@ func (c *Comm) Iprobe(src, tag int, dt mpi.Datatype) (bool, int) {
 // since a poll loop would keep the event queue alive forever, a probe that
 // sees nothing for 60 virtual seconds aborts the task as a likely deadlock
 // (real MPI would hang here).
-func (c *Comm) Probe(src, tag int, dt mpi.Datatype) int {
+func (c *Comm) Probe(src, tag int, dt mpi.Datatype) int { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	t := c.t
 	start := t.proc.Now()
 	backoff := sim.Dur(200)

@@ -225,6 +225,9 @@ func allreduceBytesPerRankCall(t *testing.T, nodes, k int) float64 {
 // must not grow with P (it grew linearly when every call rebuilt the node
 // leader map).
 func TestAllreduceAllocScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, which moves allocation totals")
+	}
 	const k = 8
 	small := allreduceBytesPerRankCall(t, 32, k)
 	large := allreduceBytesPerRankCall(t, 512, k)

@@ -188,6 +188,10 @@ func (t *Task) checkTag(tag int) {
 	}
 }
 
+// The world's point-to-point entry points are declared on Task rather
+// than promoted from its embedded world communicator: their rank check
+// names the world ("rank 5 out of range [0,2)"), not a communicator id.
+
 // Send is MPI_Send on MPI_COMM_WORLD: blocking standard-mode send of count
 // elements of dt at addr to rank dst. With Async(q), the call is placed on
 // activity queue q and the host continues immediately (unified activity

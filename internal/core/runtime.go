@@ -309,6 +309,23 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 		}
 	}
 	if simErr != nil {
+		// A stream process has no caller, so a failed queued operation
+		// panics: a queued MPI op or kernel body with its task's *RunError,
+		// a queued copy with a *device.StreamError naming the task's
+		// context. Either way the owning task fails, as it would have
+		// synchronously.
+		if pe, ok := simErr.(*sim.PanicError); ok {
+			switch v := pe.Value.(type) {
+			case *RunError:
+				return nil, v
+			case *device.StreamError:
+				for _, t := range rt.tasks {
+					if t.ep.Ctx == v.Ctx {
+						return nil, &RunError{Rank: t.rank, Err: v}
+					}
+				}
+			}
+		}
 		return nil, simErr
 	}
 	return rt.buildReport(), nil

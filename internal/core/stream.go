@@ -6,7 +6,6 @@ import (
 	"io"
 	"iter"
 	"math"
-	"slices"
 	"sort"
 
 	"impacc/internal/prof"
@@ -162,9 +161,8 @@ func (tr *Tracer) FlushWindow(fence sim.Time) {
 }
 
 // CloseStream flushes everything still retained and finalizes the sink with
-// the run's makespan (clamped up to the latest flushed stamp, as WriteStream
-// clamps it). Returns the first sink error, if any.
-// No-op on buffered tracers.
+// the run's makespan, clamped up to the latest flushed stamp. Returns the
+// first sink error, if any. No-op on buffered tracers.
 func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	if tr.sink == nil {
 		return nil
@@ -180,21 +178,12 @@ func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	return tr.sinkErr
 }
 
-// WriteStream exports a buffered tracer as the trace stream: every record
-// of every lane merged into canonical stream order and written through the
-// same sink implementation the streaming path uses, so the bytes are
-// identical to a streamed run of the same job.
+// WriteStream exports a buffered tracer as the trace stream by attaching a
+// stream writer on w as its sink and closing the stream, so the bytes are
+// those of a streamed run of the same job. It consumes the retained
+// records: the tracer is a drained streaming tracer afterwards, so write
+// the stream after every other post-run view.
 func (tr *Tracer) WriteStream(w io.Writer, makespan sim.Time) error {
-	sink := NewStreamWriter(w)
-	recs := slices.Collect(tr.records())
-	sortStream(recs)
-	if err := sink.Emit(recs); err != nil {
-		return err
-	}
-	if n := len(recs); n > 0 {
-		if last := sim.Time(recs[n-1].At); makespan < last {
-			makespan = last
-		}
-	}
-	return sink.Close(makespan)
+	tr.sink = NewStreamWriter(w)
+	return tr.CloseStream(makespan)
 }

@@ -7,7 +7,6 @@ import (
 
 	"impacc/internal/acc"
 	"impacc/internal/device"
-	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/sim"
 	"impacc/internal/topo"
@@ -51,9 +50,14 @@ type Task struct {
 	// uqPending tracks MPI operations in flight on each unified activity
 	// queue (§3.6); later queue operations drain them first.
 	uqPending map[int]uqChain
-	// world is the MPI_COMM_WORLD view of this task.
-	world *Comm
+	// world is the MPI_COMM_WORLD view of this task. Embedding it makes
+	// every Comm method a Task method over MPI_COMM_WORLD; Task declares
+	// only the entry points whose behaviour differs (see p2p.go).
+	*world
 }
+
+// world names the embedded communicator so the field stays unexported.
+type world = Comm
 
 // dur converts an elapsed virtual-time difference to a duration.
 func dur(x sim.Time) sim.Dur { return sim.Dur(x) }
@@ -132,12 +136,6 @@ func (t *Task) Failf(format string, args ...interface{}) { t.failf(format, args.
 // CopyLocal copies bytes within the task's own memory, charged as a normal
 // transfer on the shared links.
 func (t *Task) CopyLocal(dst, src xmem.Addr, n int64) { t.localCopy(dst, src, n) }
-
-// Rank returns the task's cluster-wide unique id.
-func (t *Task) Rank() int { return t.rank }
-
-// Size returns the total number of tasks (MPI_COMM_WORLD size).
-func (t *Task) Size() int { return len(t.rt.tasks) }
 
 // NodeIdx returns the index of the node hosting this task.
 func (t *Task) NodeIdx() int { return t.pl.Node }
@@ -388,16 +386,6 @@ func (t *Task) DevicePtr(host xmem.Addr) xmem.Addr {
 		t.fail(err)
 	}
 	return d
-}
-
-// Iprobe is MPI_Iprobe over MPI_COMM_WORLD.
-func (t *Task) Iprobe(src, tag int, dt mpi.Datatype) (bool, int) { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	return t.world.Iprobe(src, tag, dt)
-}
-
-// Probe is MPI_Probe over MPI_COMM_WORLD.
-func (t *Task) Probe(src, tag int, dt mpi.Datatype) int { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	return t.world.Probe(src, tag, dt)
 }
 
 // DataRange describes one allocation's role in a structured data region.

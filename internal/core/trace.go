@@ -76,8 +76,8 @@ func (l *traceLane) push(r streamRec) {
 // without cross-shard coordination.
 //
 // A tracer runs in one of two modes. Buffered (NewTracer) retains every
-// record, so the post-run views — Data, Spans, WriteJSON, WriteChromeTrace,
-// WriteStream — all work. Streaming (NewStreamTracer) flushes records to a
+// record, so the post-run views — Data, Spans, WriteJSON, WriteChromeTrace —
+// all work, and WriteStream exports them last as a stream. Streaming (NewStreamTracer) flushes records to a
 // SpanSink at window barriers and drops them, bounding memory by the
 // densest window instead of the whole run; the in-memory views are then
 // empty, and the sink receives exactly the bytes WriteStream would have

@@ -163,9 +163,23 @@ func (o *copyOp) Why(*Stream) string { return "op:copy" }
 
 func (o *copyOp) Run(s *Stream, p *sim.Proc) {
 	if _, err := s.Ctx.transferLane(p, s.ID, o.id, o.dst, o.src, o.n); err != nil {
-		panic(fmt.Sprintf("stream copy: %v", err))
+		panic(&StreamError{Ctx: s.Ctx, Queue: s.ID, Err: err})
 	}
 }
+
+// StreamError is the panic value of a queued copy that failed. A stream
+// process has no caller to return to, so the panic ends the run; the
+// runtime that owns Ctx recovers it from the engine's panic and fails the
+// context's owner with it.
+type StreamError struct {
+	Ctx   *Context
+	Queue int
+	Err   error
+}
+
+func (e *StreamError) Error() string { return fmt.Sprintf("queue %d: %v", e.Queue, e.Err) }
+
+func (e *StreamError) Unwrap() error { return e.Err } //impacc:allow-unused errors.Is and errors.As call it through an anonymous interface
 
 // EnqueueCopy schedules an asynchronous memory copy (cuMemcpyAsync /
 // clEnqueue{Read,Write}Buffer with CL_NON_BLOCKING).
