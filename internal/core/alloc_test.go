@@ -41,6 +41,20 @@ var allocPaths = []allocPath{
 	// snapshots and 2 wire messages of internode-host.
 	{name: "unified-queue-device", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
 		device: true, budget: 11},
+	// unified-queue-device without GPUDirect RDMA: each message stages
+	// through host memory on both sides, and the message is its own
+	// injection and landing callback, so the path costs what the RDMA one
+	// does.
+	{name: "internode-staged", cfg: Config{System: noRDMA(topo.Titan(2)), Mode: IMPACC, Backed: true},
+		device: true, budget: 11},
+}
+
+// noRDMA returns sys with GPUDirect RDMA off on every NIC.
+func noRDMA(sys *topo.System) *topo.System {
+	for i := range sys.Nodes {
+		sys.Nodes[i].NIC.RDMA = false
+	}
+	return sys
 }
 
 // program runs rounds exchanges on the path.

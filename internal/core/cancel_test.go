@@ -208,9 +208,10 @@ func TestHeapCapStopsAtBarrier(t *testing.T) {
 
 // TestHeapErrorOutranksGroup: the heap-limit error is a task error, and
 // like every task error it comes before the group's own error — here a
-// cancel that lands after the crossing.
+// cancel that lands after the crossing. The flight recorder files the run
+// under the heap error too, not under the cancel.
 func TestHeapErrorOutranksGroup(t *testing.T) {
-	cfg := Config{System: topo.PSG(), Backed: true, MaxTasks: 2}
+	cfg := Config{System: topo.PSG(), Backed: true, MaxTasks: 2, FlightRing: 8}
 	cfg.Limits.MaxAllocBytes = 1 << 10
 	rt, err := NewRuntime(cfg)
 	if err != nil {
@@ -228,6 +229,9 @@ func TestHeapErrorOutranksGroup(t *testing.T) {
 	const want = "task 0: core: task heap limit exceeded: 0 + 2048 bytes > cap 1024"
 	if err == nil || err.Error() != want {
 		t.Fatalf("Execute = %v, want %q", err, want)
+	}
+	if st := rt.Stall(); st == nil || st.Reason != "task-error" || st.Error != want {
+		t.Fatalf("stall = %+v, want reason task-error naming %q", st, want)
 	}
 }
 

@@ -175,10 +175,10 @@ func (r *Report) metricsJSON(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// runQueuedFailure executes prog under the chaos spec, if any, and returns
+// runTaskFailure executes prog under the chaos spec, if any, and returns
 // the runtime and the run's error, which must be the *RunError of task
 // rank with no *sim.PanicError in its chain.
-func runQueuedFailure(t *testing.T, cfg Config, chaos string, rank int, prog Program) (*Runtime, error) {
+func runTaskFailure(t *testing.T, cfg Config, chaos string, rank int, prog Program) (*Runtime, error) {
 	t.Helper()
 	if chaos != "" {
 		spec, err := fault.ParseSpec(chaos)
@@ -211,7 +211,7 @@ func runQueuedFailure(t *testing.T, cfg Config, chaos string, rank int, prog Pro
 // the task's device context, as a synchronous copy failure would.
 func TestQueuedCopyFailureFailsTask(t *testing.T) {
 	cfg := Config{System: topo.Beacon(2), Mode: Legacy, FlightRing: 8}
-	rt, err := runQueuedFailure(t, cfg, "1:copyfail=*:1", 0, func(tk *Task) {
+	rt, err := runTaskFailure(t, cfg, "1:copyfail=*:1", 0, func(tk *Task) {
 		buf := tk.Malloc(4096)
 		tk.DataEnter(buf, 4096, acc.Create)
 		tk.UpdateDevice(buf, 4096, 1)
@@ -235,7 +235,7 @@ func TestQueuedCopyFailureFailsTask(t *testing.T) {
 // fails its task with the *msg.NetError of the receive.
 func TestQueuedRecvTimeoutFailsTask(t *testing.T) {
 	cfg := Config{System: topo.Titan(2), Mode: IMPACC}
-	_, err := runQueuedFailure(t, cfg, "1:timeout=50us", 0, func(tk *Task) {
+	_, err := runTaskFailure(t, cfg, "1:timeout=50us", 0, func(tk *Task) {
 		if tk.Rank() != 0 {
 			return
 		}
@@ -255,7 +255,7 @@ func TestQueuedRecvTimeoutFailsTask(t *testing.T) {
 func TestQueuedKernelFailFailsTask(t *testing.T) {
 	boom := errors.New("kernel boom")
 	cfg := Config{System: topo.Titan(2), Mode: IMPACC}
-	_, err := runQueuedFailure(t, cfg, "", 1, func(tk *Task) {
+	_, err := runTaskFailure(t, cfg, "", 1, func(tk *Task) {
 		if tk.Rank() != 1 {
 			return
 		}
@@ -264,5 +264,53 @@ func TestQueuedKernelFailFailsTask(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the kernel's error", err)
+	}
+}
+
+// TestSyncCopyFailureFilesTaskError: a synchronous copy that runs out of
+// copy retries fails its task in the task's own process; the peer left
+// waiting for it deadlocks, and the flight recorder files the run under the
+// task error the run returns, not under the deadlock it caused.
+func TestSyncCopyFailureFilesTaskError(t *testing.T) {
+	cfg := Config{System: topo.Beacon(2), Mode: Legacy, FlightRing: 8}
+	rt, err := runTaskFailure(t, cfg, "1:copyfail=*:1", 0, func(tk *Task) {
+		buf := tk.Malloc(4096)
+		switch tk.Rank() {
+		case 0:
+			tk.DataEnter(buf, 4096, acc.Create)
+			tk.UpdateDevice(buf, 4096, -1)
+			tk.Send(buf, 8, mpi.Float64, 1, 0)
+		case 1:
+			tk.Recv(buf, 8, mpi.Float64, 0, 0)
+		}
+	})
+	if !strings.Contains(err.Error(), "copy failed after") {
+		t.Fatalf("err = %q, want the copy failure", err)
+	}
+	if st := rt.Stall(); st == nil || st.Reason != "task-error" || st.Error != err.Error() {
+		t.Fatalf("stall = %+v, want reason task-error naming %q", st, err)
+	}
+}
+
+// TestSyncRecvTimeoutFilesTaskError: a blocking internode receive that
+// times out fails its task; a same-node peer waiting on that task
+// deadlocks, and the stall dump names the timeout.
+func TestSyncRecvTimeoutFilesTaskError(t *testing.T) {
+	cfg := Config{System: topo.Beacon(2), Mode: IMPACC, FlightRing: 8}
+	rt, err := runTaskFailure(t, cfg, "1:timeout=50us", 0, func(tk *Task) {
+		buf := tk.Malloc(64)
+		switch tk.Rank() {
+		case 0:
+			tk.Recv(buf, 8, mpi.Float64, tk.Size()-1, 0) // on the other node
+		case 1:
+			tk.Recv(buf, 8, mpi.Float64, 0, 0) // on rank 0's node
+		}
+	})
+	var ne *msg.NetError
+	if !errors.As(err, &ne) || ne.Op != "recv" || ne.Dst != 0 {
+		t.Fatalf("err = %v, want rank 0's receive *msg.NetError", err)
+	}
+	if st := rt.Stall(); st == nil || st.Reason != "task-error" || st.Error != err.Error() {
+		t.Fatalf("stall = %+v, want reason task-error naming %q", st, err)
 	}
 }

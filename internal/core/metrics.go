@@ -17,6 +17,7 @@ const MPILatencyNs = "core_mpi_latency_ns"
 // mpiOpStats is a task's cached latency histogram and phase string
 // ("mpi:<op>") for one MPI op.
 type mpiOpStats struct {
+	op    string
 	h     *telemetry.Histogram
 	phase string
 }
@@ -24,25 +25,34 @@ type mpiOpStats struct {
 // mpiObserve records one completed MPI operation's latency for the task.
 // Histograms and phase strings are created lazily per (rank, op) so only
 // ops a task actually issues allocate series, and an op allocates nothing
-// after its first call. Lean mode collapses the rank label to "all": tasks
-// sharing a node then share one series per op (safe — a shard runs one
-// process at a time), and the cross-shard merge adds the per-node
-// aggregates commutatively, so per-rank telemetry stays O(ops) instead of
-// O(ranks * ops) on generated large-scale systems.
+// after its first call. A task issues a handful of ops, so they are found
+// by a scan of a short slice, where comparing two names is a length test
+// and at most a few bytes, not a hash. Lean mode collapses the rank label
+// to "all": tasks sharing a node then share one series per op (safe — a
+// shard runs one process at a time), and the cross-shard merge adds the
+// per-node aggregates commutatively, so per-rank telemetry stays O(ops)
+// instead of O(ranks * ops) on generated large-scale systems.
 func (t *Task) mpiObserve(op string, start sim.Time) {
-	s, ok := t.mpiLat[op]
-	if !ok {
+	var s *mpiOpStats
+	for i := range t.mpiLat {
+		if t.mpiLat[i].op == op {
+			s = &t.mpiLat[i]
+			break
+		}
+	}
+	if s == nil {
 		rank := "all"
 		if !t.rt.lean {
 			rank = strconv.Itoa(t.rank)
 		}
-		s = mpiOpStats{
+		t.mpiLat = append(t.mpiLat, mpiOpStats{
+			op: op,
 			h: t.eng().Metrics.Histogram(MPILatencyNs,
 				"per-task MPI operation latency by op",
 				"rank", rank, "op", op),
 			phase: "mpi:" + op,
-		}
-		t.mpiLat[op] = s
+		})
+		s = &t.mpiLat[len(t.mpiLat)-1]
 	}
 	t.phase = s.phase
 	s.h.Observe(int64(t.proc.Now() - start))

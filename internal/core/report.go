@@ -96,6 +96,9 @@ func (rt *Runtime) buildReport() *Report {
 	if rt.Cfg.Chaos != nil {
 		r.Run.Chaos = rt.Cfg.Chaos.String()
 	}
+	if len(rt.tasks) > 0 { // an empty list stays nil: it encodes as null
+		r.Tasks = make([]TaskReport, 0, len(rt.tasks))
+	}
 	for _, t := range rt.tasks {
 		tr := TaskReport{
 			Rank:           t.rank,
@@ -119,6 +122,9 @@ func (rt *Runtime) buildReport() *Report {
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
+	if len(nodes) > 0 {
+		r.Hubs = make([]HubReport, 0, len(nodes))
+	}
 	for _, n := range nodes {
 		ns := rt.nodes[n]
 		nr := rt.Fab.Node(n)

@@ -77,8 +77,8 @@ const defaultStreamFlushBeat = sim.Dur(1_000_000)
 
 // Stall returns the flight recorder's dump after an Execute that ended
 // abnormally with Config.FlightRing armed; nil after a clean run or when
-// disarmed. A failed queued operation that Execute returns as its task's
-// *RunError is filed under reason "task-error". See sim.StallReport.
+// disarmed. A task failure that Execute returns, queued or synchronous, is
+// filed under reason "task-error". See sim.StallReport.
 func (rt *Runtime) Stall() *sim.StallReport { return rt.group.Stall() }
 
 // RunError wraps a task failure.
@@ -301,12 +301,12 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 		// failed task need not be. Like any task error it outranks the
 		// group's own error, cancel included (TestHeapErrorOutranksGroup).
 		if err := rt.heapCap.check(math.MaxInt64); err != nil {
-			return nil, err
+			return nil, rt.taskError(err)
 		}
 	}
 	for _, t := range rt.tasks {
 		if t.err != nil {
-			return nil, t.err
+			return nil, rt.taskError(t.err)
 		}
 	}
 	if simErr != nil {
@@ -332,10 +332,11 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 	return rt.buildReport(), nil
 }
 
-// taskError returns err, the task failure a panicked stream process stood
-// for, and files the flight recorder's dump under it: reason "task-error"
-// and err's text, so the dump names the error the run returns.
-func (rt *Runtime) taskError(err *RunError) error {
+// taskError returns err, the failure of a task or of the stream process
+// that stood for it, and files the flight recorder's dump under it: reason
+// "task-error" and err's text, so the dump names the error the run returns
+// rather than, say, the deadlock the failed task left its peers in.
+func (rt *Runtime) taskError(err error) error {
 	if st := rt.group.Stall(); st != nil {
 		st.Reason, st.Error = "task-error", err.Error()
 	}

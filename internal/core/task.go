@@ -37,8 +37,8 @@ type Task struct {
 	// progress observer at beat barriers (which order the accesses).
 	phase string
 	// mpiLat caches the task's per-op MPI latency histograms and phase
-	// strings.
-	mpiLat map[string]mpiOpStats
+	// strings, in first-use order.
+	mpiLat []mpiOpStats
 	// cmdWhy labels the completion event of every message command the task
 	// posts ("mpi-<rank>"), built once so posting one builds no string.
 	cmdWhy string
@@ -111,7 +111,6 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	t.rng = sim.NewRNG(rt.Cfg.Seed ^ (uint64(rank)*0x9E3779B97F4A7C15 + 0x1234567))
 	t.scratch, _ = t.space.AllocHost(64, false)
 	t.uqPending = map[int]uqChain{}
-	t.mpiLat = map[string]mpiOpStats{}
 	t.cmdWhy = "mpi-" + strconv.Itoa(rank)
 	t.world = rt.newWorld(t)
 	return t

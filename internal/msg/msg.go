@@ -191,6 +191,14 @@ type netMsg struct {
 	// netInject priced.
 	to     *Hub
 	occupy sim.Dur
+	// from and cmd are the sending hub and command of a staged send, which
+	// injects itself when its staging copy is done (stagedInject); recv and
+	// start are the receive a staged receive lands in when its staging copy
+	// is done (stagedLand), and the time that copy started.
+	from  *Hub
+	cmd   *Cmd
+	recv  *Cmd
+	start sim.Time
 	// direct marks a GPUDirect RDMA transfer that has already landed in
 	// device memory (no receive-side staging copy).
 	direct bool

@@ -114,7 +114,17 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	if locked {
 		h.Eng.At(end, h.serial.Release)
 	}
-	h.Eng.At(end, func() { h.netInject(cmd, m, dst, n, 0) })
+	m.from, m.cmd, m.to = h, cmd, dst
+	h.Eng.CallAt(end, (*stagedInject)(m))
+}
+
+// stagedInject is a staged netMsg as the Callback that injects it once its
+// device-to-host stage is done, on the sender's shard.
+type stagedInject netMsg
+
+func (s *stagedInject) Call() {
+	m := (*netMsg)(s)
+	m.from.netInject(m.cmd, m, m.to, m.Bytes, 0)
 }
 
 // netInject pushes a message onto the wire, deferring with deterministic
@@ -256,7 +266,17 @@ func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 	h.ctr.staged.Inc()
 	h.ctr.netIn.Inc()
 	end := h.price(device.Leg{Kind: device.PCIeLeg, Dev: dloc.Device()}, m.Bytes)
-	h.Eng.At(end, func() { h.landNet(m, recv, onDevice, start) })
+	m.recv, m.start = recv, start
+	h.Eng.CallAt(end, (*stagedLand)(m))
+}
+
+// stagedLand is a netMsg received into device memory as the Callback that
+// lands it once its host-to-device stage is done, on the receiver's shard.
+type stagedLand netMsg
+
+func (s *stagedLand) Call() {
+	m := (*netMsg)(s)
+	m.to.landNet(m, m.recv, true, m.start)
 }
 
 // landNet finishes an internode receive once any staging copy is done: the

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -74,5 +75,34 @@ var observed Resource
 func BenchmarkResourceObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		observed.Observe(int64(i), int64(i&7), 100)
+	}
+}
+
+// BenchmarkHistogramObserve records one sample per op into 32768 histogram
+// series visited in a fixed scrambled order, so the working set exceeds a
+// 2 MiB L2 and every sample pays for the state it touches, as the per-node
+// and per-rank histograms of a large run do. Even series take samples of
+// one magnitude, as a copy-size histogram does; odd ones spread over eight
+// buckets, as an MPI latency histogram does.
+func BenchmarkHistogramObserve(b *testing.B) {
+	const n = 1 << 15
+	r := NewRegistry()
+	now := int64(0)
+	r.SetClock(func() int64 { return now })
+	hs := make([]*Histogram, n)
+	for i := range hs {
+		hs[i] = r.Histogram("bench_ns", "benchmark histogram", "node", fmt.Sprintf("n%05d", i>>3), "dev", fmt.Sprint(i&7))
+	}
+	order := rand.New(rand.NewPCG(1, 2)).Perm(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := order[i&(n-1)]
+		v := int64(4096 + j)
+		if j&1 != 0 {
+			v = 1000 << (i & 7)
+		}
+		now = int64(i)
+		hs[j].Observe(v)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -12,9 +13,11 @@ import (
 // equivalence tests: series registered through label pairs joined into a map
 // key, a keyed Merge that registers every source series again, resource
 // monitors registered as four series each, a Snapshot that sorts joined
-// keys, and encoding/json for WriteJSON. The metric handles are shared with
-// the registry: a reference series is mutated through a Counter, Gauge or
-// Histogram whose registry only supplies the clock.
+// keys, and encoding/json for WriteJSON. Counters and gauges are mutated
+// through the registry's own Counter and Gauge handles, whose registry only
+// supplies the clock. A histogram keeps its own state, the earlier flat
+// 65-bucket layout, so the reference checks the compact hist's widening and
+// merge rather than sharing them.
 
 type refRegistry struct {
 	clk      *Registry // clock source for the shared handles
@@ -26,8 +29,53 @@ type refFamily struct {
 	name, help string
 	kind       Kind
 	keys       []string
-	series     map[string]*series
+	series     map[string]*refSeries
 	order      []string
+}
+
+// refSeries is a counter or gauge series, or a histogram's state.
+type refSeries struct {
+	series
+	h *refHist
+}
+
+// refHist is the earlier histogram state: every bucket stored.
+type refHist struct {
+	clk                   *Registry
+	buckets               [65]uint64
+	count                 uint64
+	sum, min, max, lastNs int64
+}
+
+func (h *refHist) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.buckets[bits.Len64(uint64(v))]++
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
+	h.lastNs = h.clk.now()
+}
+
+func (h *refHist) merge(src *refHist) {
+	if src.count > 0 {
+		if h.count == 0 || src.min < h.min {
+			h.min = src.min
+		}
+		h.max = max(h.max, src.max)
+		for i, n := range src.buckets {
+			h.buckets[i] += n
+		}
+		h.count += src.count
+		h.sum += src.sum
+	}
+	h.lastNs = max(h.lastNs, src.lastNs)
 }
 
 func newRefRegistry(clock func() int64) *refRegistry {
@@ -47,11 +95,11 @@ func refLabelPairs(kv []string) (keys, values []string) {
 	return keys, values
 }
 
-func (r *refRegistry) get(name, help string, kind Kind, kv []string) *series {
+func (r *refRegistry) get(name, help string, kind Kind, kv []string) *refSeries {
 	keys, values := refLabelPairs(kv)
 	f, ok := r.families[name]
 	if !ok {
-		f = &refFamily{name: name, help: help, kind: kind, keys: keys, series: map[string]*series{}}
+		f = &refFamily{name: name, help: help, kind: kind, keys: keys, series: map[string]*refSeries{}}
 		r.families[name] = f
 		r.names = append(r.names, name)
 	} else if f.kind != kind || strings.Join(f.keys, ",") != strings.Join(keys, ",") {
@@ -60,9 +108,9 @@ func (r *refRegistry) get(name, help string, kind Kind, kv []string) *series {
 	k := strings.Join(values, "\x1f")
 	s, ok := f.series[k]
 	if !ok {
-		s = &series{values: values}
+		s = &refSeries{series: series{values: values}}
 		if kind == KindHistogram {
-			s.h = new(hist)
+			s.h = &refHist{clk: r.clk}
 		}
 		f.series[k] = s
 		f.order = append(f.order, k)
@@ -71,15 +119,15 @@ func (r *refRegistry) get(name, help string, kind Kind, kv []string) *series {
 }
 
 func (r *refRegistry) Counter(name, help string, kv ...string) *Counter {
-	return &Counter{r: r.clk, s: r.get(name, help, KindCounter, kv)}
+	return &Counter{r: r.clk, s: &r.get(name, help, KindCounter, kv).series}
 }
 
 func (r *refRegistry) Gauge(name, help string, kv ...string) *Gauge {
-	return &Gauge{r: r.clk, s: r.get(name, help, KindGauge, kv)}
+	return &Gauge{r: r.clk, s: &r.get(name, help, KindGauge, kv).series}
 }
 
-func (r *refRegistry) Histogram(name, help string, kv ...string) *Histogram {
-	return &Histogram{r: r.clk, s: r.get(name, help, KindHistogram, kv)}
+func (r *refRegistry) Histogram(name, help string, kv ...string) *refHist {
+	return r.get(name, help, KindHistogram, kv).h
 }
 
 // refMonitor is the earlier per-resource monitor: four registered series.
@@ -113,7 +161,12 @@ func (r *refRegistry) Merge(src *refRegistry) {
 			for i, key := range sf.keys {
 				kv = append(kv, key, ss.values[i])
 			}
-			mergeSeries(r.get(name, sf.help, sf.kind, kv), ss, sf.kind)
+			d := r.get(name, sf.help, sf.kind, kv)
+			if sf.kind == KindHistogram {
+				d.h.merge(ss.h)
+			} else {
+				mergeSeries(&d.series, &ss.series, sf.kind)
+			}
 		}
 	}
 }
@@ -139,7 +192,7 @@ func (r *refRegistry) Snapshot(atNs int64) *Snapshot {
 			case KindGauge:
 				ss.GaugeValue = s.fval
 			default:
-				ss.Count, ss.Sum, ss.Min, ss.Max = s.h.count, s.h.sum, s.h.min, s.h.max
+				ss.LastNs, ss.Count, ss.Sum, ss.Min, ss.Max = s.h.lastNs, s.h.count, s.h.sum, s.h.min, s.h.max
 				for i, n := range s.h.buckets {
 					if n == 0 {
 						continue

@@ -56,70 +56,133 @@ func (r *Registry) AddResource(res *Resource) {
 	r.resources = append(r.resources, res)
 }
 
-// resourceFamilies materializes the registry's resource records as the four
-// resource families, their series in name order; nil without records.
-func (r *Registry) resourceFamilies() []*family {
-	rows := r.resourceRows()
-	n := len(rows)
-	if n == 0 {
-		return nil
-	}
-	fams := [4]family{
-		{name: ResourceBusyNs, help: "accumulated occupied time per serialized resource", kind: KindCounter},
-		{name: ResourceWaitNs, help: "accumulated queue-wait time per serialized resource", kind: KindCounter},
-		{name: ResourceUses, help: "completed occupations per serialized resource", kind: KindCounter},
-		{name: ResourcePeakBacklogNs, help: "largest single queue-wait observed per serialized resource", kind: KindGauge},
-	}
-	names, slab, ptrs := make([]string, n), make([]series, 4*n), make([]*series, 4*n)
-	for i := range rows {
-		names[i] = rows[i].Name
-		v, row := names[i:i+1:i+1], &rows[i]
-		slab[i] = series{key: row.Name, values: v, ival: row.BusyNs, lastNs: row.BusyAt}
-		slab[n+i] = series{key: row.Name, values: v, ival: row.WaitNs, lastNs: row.WaitAt}
-		slab[2*n+i] = series{key: row.Name, values: v, ival: row.Uses, lastNs: row.UsesAt}
-		slab[3*n+i] = series{key: row.Name, values: v, fval: float64(row.PeakNs), lastNs: row.PeakAt}
-	}
-	out := make([]*family, 4)
-	for fi := range fams {
-		for i := fi * n; i < (fi+1)*n; i++ {
-			ptrs[i] = &slab[i]
-		}
-		f := &fams[fi]
-		f.keys, f.series = resourceKeys, ptrs[fi*n:(fi+1)*n:(fi+1)*n]
-		out[fi] = f
-	}
-	return out
+// resourceFamilies are the four families a resource record reads as, in
+// name order.
+var resourceFamilies = [...]struct {
+	name, help string
+	kind       Kind
+}{
+	{ResourceBusyNs, "accumulated occupied time per serialized resource", KindCounter},
+	{ResourcePeakBacklogNs, "largest single queue-wait observed per serialized resource", KindGauge},
+	{ResourceUses, "completed occupations per serialized resource", KindCounter},
+	{ResourceWaitNs, "accumulated queue-wait time per serialized resource", KindCounter},
 }
 
 // resourceKeys is the label schema of the resource families.
 var resourceKeys = []string{"resource"}
 
-// resourceRows returns copies of the registry's resource records sorted by
-// name, with equal names folded as the one shared series per family that
-// registering them by name would have made: totals add and their stamps
-// keep the latest; the peak keeps the larger value and the time a record
-// first reached it, as one shared gauge on one clock would have.
-func (r *Registry) resourceRows() []Resource {
-	rows := make([]Resource, len(r.resources))
-	for i, res := range r.resources {
-		rows[i] = *res
+// sample returns the record's value and stamp in resourceFamilies[fi].
+func (r *Resource) sample(fi int) (v, at int64) {
+	switch fi {
+	case 0:
+		return r.BusyNs, r.BusyAt
+	case 1:
+		return r.PeakNs, r.PeakAt
+	case 2:
+		return r.Uses, r.UsesAt
+	default:
+		return r.WaitNs, r.WaitAt
 	}
-	slices.SortFunc(rows, func(a, b Resource) int { return strings.Compare(a.Name, b.Name) })
-	out := rows[:0]
-	for _, row := range rows {
-		n := len(out)
-		if n == 0 || out[n-1].Name != row.Name {
-			out = append(out, row)
+}
+
+// shardRecord is a resource record and the index of the shard registry
+// holding it.
+type shardRecord struct {
+	res   *Resource
+	shard int
+}
+
+// appendRecords appends the registry's records, tagged with shard, to recs.
+func (r *Registry) appendRecords(recs []shardRecord, shard int) []shardRecord {
+	for _, res := range r.resources {
+		recs = append(recs, shardRecord{res, shard})
+	}
+	return recs
+}
+
+// resourceRows returns the registry's resource records folded to rows
+// sorted by name, one per name. Records that are so already, as MergeShards
+// leaves them, are returned as they are.
+func (r *Registry) resourceRows() []*Resource {
+	res := r.resources
+	for i := 1; i < len(res); i++ {
+		if res[i-1].Name >= res[i].Name {
+			return foldRecords(r.appendRecords(nil, 0))
+		}
+	}
+	return res
+}
+
+// foldRecords returns copies of the records sorted by name, with equal
+// names folded into one row. Within one shard, records of one name fold as
+// the one shared series per family that registering them by name would
+// have made: totals add and their stamps keep the latest; the peak keeps
+// the larger value and the time a record first reached it, as one shared
+// gauge on one clock would have. Across shards the per-shard rows fold by
+// Registry.Merge's rules: totals add, the peak keeps the larger value, and
+// every stamp keeps the latest.
+func foldRecords(recs []shardRecord) []*Resource {
+	slices.SortFunc(recs, func(a, b shardRecord) int {
+		if c := strings.Compare(a.res.Name, b.res.Name); c != 0 {
+			return c
+		}
+		return a.shard - b.shard
+	})
+	rows := make([]Resource, 0, len(recs))
+	for i := 0; i < len(recs); {
+		row := *recs[i].res
+		for i++; i < len(recs) && recs[i].shard == recs[i-1].shard && recs[i].res.Name == row.Name; i++ {
+			row.fold(recs[i].res)
+			if p := recs[i].res; p.PeakNs > row.PeakNs || p.PeakNs == row.PeakNs && p.PeakAt < row.PeakAt {
+				row.PeakNs, row.PeakAt = p.PeakNs, p.PeakAt
+			}
+		}
+		n := len(rows)
+		if n == 0 || rows[n-1].Name != row.Name {
+			rows = append(rows, row)
 			continue
 		}
-		d := &out[n-1]
-		d.BusyNs += row.BusyNs
-		d.WaitNs += row.WaitNs
-		d.Uses += row.Uses
-		d.BusyAt, d.WaitAt, d.UsesAt = max(d.BusyAt, row.BusyAt), max(d.WaitAt, row.WaitAt), max(d.UsesAt, row.UsesAt)
-		if row.PeakNs > d.PeakNs || row.PeakNs == d.PeakNs && row.PeakAt < d.PeakAt {
-			d.PeakNs, d.PeakAt = row.PeakNs, row.PeakAt
-		}
+		d := &rows[n-1]
+		d.fold(&row)
+		d.PeakNs, d.PeakAt = max(d.PeakNs, row.PeakNs), max(d.PeakAt, row.PeakAt)
+	}
+	out := make([]*Resource, len(rows))
+	for i := range rows {
+		out[i] = &rows[i]
 	}
 	return out
+}
+
+// fold adds src's totals into r, keeping each total's latest stamp.
+func (r *Resource) fold(src *Resource) {
+	r.BusyNs += src.BusyNs
+	r.WaitNs += src.WaitNs
+	r.Uses += src.Uses
+	r.BusyAt, r.WaitAt, r.UsesAt = max(r.BusyAt, src.BusyAt), max(r.WaitAt, src.WaitAt), max(r.UsesAt, src.UsesAt)
+}
+
+// resourceSnaps writes rows as the four resource families: each row is one
+// series per family, and the four series share its label.
+func resourceSnaps(rows []*Resource) []FamilySnap {
+	n := len(rows)
+	labels, all := make([]Label, n), make([]SeriesSnap, len(resourceFamilies)*n)
+	for i := range rows {
+		labels[i] = Label{Key: resourceKeys[0], Value: rows[i].Name}
+	}
+	fams := make([]FamilySnap, len(resourceFamilies))
+	for fi, rf := range resourceFamilies {
+		series := all[fi*n : (fi+1)*n : (fi+1)*n]
+		for i := range rows {
+			v, at := rows[i].sample(fi)
+			ss := &series[i]
+			ss.Labels, ss.LastNs = labels[i:i+1:i+1], at
+			if rf.kind == KindGauge {
+				ss.GaugeValue = float64(v)
+			} else {
+				ss.Value = v
+			}
+		}
+		fams[fi] = FamilySnap{Name: rf.name, Help: rf.help, Kind: rf.kind.String(), Series: series}
+	}
+	return fams
 }

@@ -54,17 +54,20 @@ type BucketSnap struct {
 // Snapshot exports the registry's current state at virtual time atNs.
 // Families sort by name and series by label values.
 func (r *Registry) Snapshot(atNs int64) *Snapshot {
-	fams := r.allFamilies()
-	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
-	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, len(fams))}
-	for i, f := range fams {
-		snap.Families[i] = f.snapshot()
+	rows := r.resourceRows()
+	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, 0, len(r.families)+len(resourceFamilies))}
+	for _, f := range r.families {
+		snap.Families = append(snap.Families, f.snapshot())
 	}
+	if len(rows) > 0 {
+		snap.Families = append(snap.Families, resourceSnaps(rows)...)
+	}
+	slices.SortFunc(snap.Families, func(a, b FamilySnap) int { return strings.Compare(a.Name, b.Name) })
 	return snap
 }
 
 // snapshot exports the family, sorting its series by key first. The
-// series' labels share one allocation.
+// series' labels share one allocation, and so do a histogram's buckets.
 func (f *family) snapshot() FamilySnap {
 	slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
 	fs := FamilySnap{Name: f.name, Help: f.help, Kind: f.kind.String(), Series: make([]SeriesSnap, len(f.series))}
@@ -85,21 +88,37 @@ func (f *family) snapshot() FamilySnap {
 		case KindGauge:
 			ss.GaugeValue = s.fval
 		default:
-			h := s.hist()
-			ss.Count, ss.Sum, ss.Min, ss.Max = h.count, h.sum, h.min, h.max
-			for b, n := range h.buckets {
-				if n == 0 {
-					continue
-				}
-				le := int64(0)
-				if b > 0 {
-					le = 1<<uint(b) - 1
-				}
-				ss.Buckets = append(ss.Buckets, BucketSnap{Le: le, N: n})
-			}
+			h := &s.h.hist
+			ss.LastNs, ss.Count, ss.Sum, ss.Min, ss.Max = h.lastNs, h.count(), h.sum, h.min, h.max
+			ss.Buckets = h.snapshot()
 		}
 	}
 	return fs
+}
+
+// snapshot returns the occupied buckets, nil without samples.
+func (h *hist) snapshot() []BucketSnap {
+	n := 0
+	for _, c := range h.b {
+		if c != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]BucketSnap, 0, n)
+	for j, c := range h.b {
+		if c == 0 {
+			continue
+		}
+		le := int64(0)
+		if b := h.lo + j; b > 0 {
+			le = 1<<uint(b) - 1
+		}
+		out = append(out, BucketSnap{Le: le, N: c})
+	}
+	return out
 }
 
 // WriteFile stores the snapshot at path: Prometheus text exposition when

@@ -56,9 +56,10 @@ type Label struct {
 // runs — and whoever shares one across goroutines holds a lock around every
 // call, Merge and Snapshot included.
 type Registry struct {
-	clock    func() int64
-	families map[string]*family
-	names    []string // insertion order, for stable iteration before sorting
+	clock func() int64
+	// families in registration order, searched linearly: the code fixes
+	// the set of family names, a few dozen at most.
+	families []*family
 	// resources are the records of AddResource, read only when the registry
 	// is snapshotted or merged.
 	resources []*Resource
@@ -82,29 +83,84 @@ type family struct {
 // each would cost more than it saves.
 const linearMax = 8
 
-// series is one (family, label values) time series.
+// series is one (family, label values) time series. A histogram series
+// keeps its stamp in its state, so a sample touches one object.
 type series struct {
-	key    string   // label values joined by \x1f: the lookup and sort key
-	values []string // label values, aligned with family.keys
-	lastNs int64    // virtual time of the last mutation
-	ival   int64    // counter value
-	fval   float64  // gauge value
-	h      *hist    // histogram state, allocated by the first sample
+	key    string     // label values joined by \x1f: the lookup and sort key
+	values []string   // label values, aligned with family.keys
+	lastNs int64      // virtual time of the last mutation (counters, gauges)
+	ival   int64      // counter value
+	fval   float64    // gauge value
+	h      *Histogram // histogram handle and state, set with the series
 }
 
-// hist is a histogram series' state: bucket i counts values v with
+// hist is a histogram's state: bucket i counts values v with
 // bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i - 1]; bucket 0 counts v == 0.
+// The header a sample updates comes first. b holds only the occupied range
+// of buckets, lo through lo+len(b)-1, and starts out in the inline array
+// one, so a histogram whose samples share a magnitude keeps all of its
+// state in one small object; a wider range moves to a slice of its own.
+// The sample count is the buckets' sum.
 type hist struct {
-	buckets  [65]uint64
-	count    uint64
 	sum      int64
 	min, max int64
+	lastNs   int64 // virtual time of the last sample
+	lo       int
+	b        []uint64
+	one      [1]uint64
+}
+
+// add counts n samples in bucket i, widening the stored range to hold it.
+func (h *hist) add(i int, n uint64) {
+	if j := i - h.lo; uint(j) < uint(len(h.b)) {
+		h.b[j] += n
+		return
+	}
+	if len(h.b) == 0 {
+		h.lo, h.b = i, h.one[:]
+		h.b[0] = n
+		return
+	}
+	lo, hi := min(h.lo, i), max(h.lo+len(h.b), i+1)
+	if lo == h.lo && hi-lo <= cap(h.b) {
+		h.b = h.b[:hi-lo] // the spare capacity was never written: zero
+	} else {
+		b := make([]uint64, hi-lo, hi-lo+1)
+		copy(b[h.lo-lo:], h.b)
+		h.lo, h.b = lo, b
+	}
+	h.b[i-lo] += n
+}
+
+// count returns the number of samples.
+func (h *hist) count() uint64 {
+	n := uint64(0)
+	for _, c := range h.b {
+		n += c
+	}
+	return n
+}
+
+// merge folds src's samples into h: buckets and sum add, min and max
+// widen, the stamp keeps the latest.
+func (h *hist) merge(src *hist) {
+	if len(src.b) > 0 {
+		if len(h.b) == 0 || src.min < h.min {
+			h.min = src.min
+		}
+		h.max = max(h.max, src.max)
+		h.sum += src.sum
+		for j, n := range src.b {
+			if n != 0 {
+				h.add(src.lo+j, n)
+			}
+		}
+	}
+	h.lastNs = max(h.lastNs, src.lastNs)
 }
 
 // NewRegistry returns an empty registry with a zero clock.
-func NewRegistry() *Registry {
-	return &Registry{families: map[string]*family{}}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // SetClock installs the virtual-time source stamped onto every mutation.
 // The simulation engine points this at its clock when it adopts a registry.
@@ -121,11 +177,10 @@ func (r *Registry) now() int64 {
 // kind and label keys must match the family's on every call — a mismatch is
 // a programming error and panics.
 func (r *Registry) family(name, help string, kind Kind, keys []string) *family {
-	f, ok := r.families[name]
-	if !ok {
+	f := r.lookup(name)
+	if f == nil {
 		f = &family{name: name, help: help, kind: kind, keys: keys}
-		r.families[name] = f
-		r.names = append(r.names, name)
+		r.families = append(r.families, f)
 		return f
 	}
 	if f.kind != kind {
@@ -135,6 +190,16 @@ func (r *Registry) family(name, help string, kind Kind, keys []string) *family {
 		panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", name, f.keys, keys))
 	}
 	return f
+}
+
+// lookup returns the named family, or nil.
+func (r *Registry) lookup(name string) *family {
+	for _, f := range r.families {
+		if f.name == name {
+			return f
+		}
+	}
+	return nil
 }
 
 // find returns the series with the given key, or nil. The first lookup in
@@ -173,8 +238,8 @@ func (r *Registry) get(name, help string, kind Kind, kv []string) *series {
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd label list %q", kv))
 	}
-	f, ok := r.families[name]
-	if !ok || !f.schemaIs(kind, kv) {
+	f := r.lookup(name)
+	if f == nil || !f.schemaIs(kind, kv) {
 		keys := make([]string, len(kv)/2)
 		for i := range keys {
 			keys[i] = kv[2*i]
@@ -260,15 +325,21 @@ func (g *Gauge) SetMax(v float64) {
 
 // Histogram is a log2-bucketed distribution of non-negative int64 samples
 // (durations in nanoseconds, sizes in bytes). Bucket i counts samples in
-// [2^(i-1), 2^i - 1]; bucket 0 counts zeros.
+// [2^(i-1), 2^i - 1]; bucket 0 counts zeros. A histogram series has one
+// handle, which holds its state, so a sample is a few stores into one
+// object.
 type Histogram struct {
-	r *Registry
-	s *series
+	hist
+	r *Registry // stamps samples with its clock
 }
 
 // Histogram returns the histogram series for (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
-	return &Histogram{r: r, s: r.get(name, help, KindHistogram, labels)}
+	s := r.get(name, help, KindHistogram, labels)
+	if s.h == nil {
+		s.h = &Histogram{r: r}
+	}
+	return s.h
 }
 
 // Observe records one sample (negative samples clamp to zero).
@@ -276,33 +347,15 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	s := h.s.h
-	if s == nil {
-		s = new(hist)
-		h.s.h = s
+	if len(h.b) == 0 || v < h.min {
+		h.min = v
 	}
-	s.buckets[bits.Len64(uint64(v))]++
-	if s.count == 0 || v < s.min {
-		s.min = v
+	if v > h.max {
+		h.max = v
 	}
-	if v > s.max {
-		s.max = v
-	}
-	s.count++
-	s.sum += v
-	h.s.lastNs = h.r.now()
-}
-
-// emptyHist is the state of a histogram series with no samples.
-var emptyHist hist
-
-// hist returns the series' histogram state, which is empty before the first
-// sample.
-func (s *series) hist() *hist {
-	if s.h == nil {
-		return &emptyHist
-	}
-	return s.h
+	h.add(bits.Len64(uint64(v)), 1)
+	h.sum += v
+	h.lastNs = h.r.now()
 }
 
 // Merge folds every series of src into r. Rules are commutative so a set of
@@ -310,16 +363,54 @@ func (s *series) hist() *hist {
 // keeps parallel sweeps deterministic: a series new to r is copied as it is;
 // otherwise counters and histogram buckets add, gauges keep the maximum
 // (peak semantics across runs), histogram min/max widen, and timestamps
-// keep the latest. src's resource records arrive as the four sim_resource_*
-// families. src must be quiescent (its run finished).
+// keep the latest. src's resource records arrive as series of the four
+// sim_resource_* families, and r's own records, if it holds any, become
+// such series first. src must be quiescent (its run finished).
 func (r *Registry) Merge(src *Registry) {
-	for _, sf := range src.allFamilies() {
+	if len(r.resources) > 0 {
+		// r's own records become series first, so that src's resource
+		// series fold into them by the rules above.
+		own := r.resourceRows()
+		r.resources = nil
+		r.mergeRows(own)
+	}
+	for _, sf := range src.families {
 		df := r.family(sf.name, sf.help, sf.kind, sf.keys)
 		for _, ss := range sf.series {
 			if d := df.find(ss.key); d != nil {
 				mergeSeries(d, ss, sf.kind)
 			} else {
-				df.add(ss.clone())
+				df.add(ss.clone(r))
+			}
+		}
+	}
+	r.mergeRows(src.resourceRows())
+}
+
+// mergeRows folds resource rows into r as series of the four resource
+// families.
+func (r *Registry) mergeRows(rows []*Resource) {
+	if len(rows) == 0 {
+		return
+	}
+	var fams [len(resourceFamilies)]*family
+	for fi, rf := range resourceFamilies {
+		fams[fi] = r.family(rf.name, rf.help, rf.kind, resourceKeys)
+	}
+	for _, row := range rows {
+		values := []string{row.Name}
+		for fi, df := range fams {
+			v, at := row.sample(fi)
+			s := series{key: row.Name, values: values, lastNs: at}
+			if df.kind == KindGauge {
+				s.fval = float64(v)
+			} else {
+				s.ival = v
+			}
+			if d := df.find(s.key); d != nil {
+				mergeSeries(d, &s, df.kind)
+			} else {
+				df.add(&s)
 			}
 		}
 	}
@@ -330,28 +421,45 @@ func (r *Registry) Merge(src *Registry) {
 // family by sorting the union of the shards' series by key and merging
 // where keys coincide (lean mode's rank="all" histograms and remote-RDMA
 // fault counters are the series shards share), so no series is looked up
-// or inserted in a map. A single registry is returned as it is. The result
-// shares the series only one shard holds, so regs must be quiescent and
-// stay unmutated while it is in use; its clock is unset.
+// or inserted in a map. The shards' resource records are folded once, by
+// the rules of Merge where shards share a name, and the result holds the
+// folded rows as its records, one per name. A single registry is returned
+// as it is. The result shares the series only one shard holds, so
+// regs must be quiescent and stay unmutated while it is in use; its clock
+// is unset.
 func MergeShards(regs []*Registry) *Registry {
 	if len(regs) == 1 {
 		return regs[0]
 	}
-	out, union := NewRegistry(), map[string][]*series{}
+	out, nrec, nser := NewRegistry(), 0, map[*family]int{}
 	for _, src := range regs {
-		for _, sf := range src.allFamilies() {
-			out.family(sf.name, sf.help, sf.kind, sf.keys)
-			union[sf.name] = append(union[sf.name], sf.series...)
+		for _, sf := range src.families {
+			nser[out.family(sf.name, sf.help, sf.kind, sf.keys)] += len(sf.series)
+		}
+		nrec += len(src.resources)
+	}
+	for _, src := range regs {
+		for _, sf := range src.families {
+			f := out.lookup(sf.name)
+			if f.series == nil {
+				f.series = make([]*series, 0, nser[f])
+			}
+			f.series = append(f.series, sf.series...) // the union, merged below
 		}
 	}
-	for _, name := range out.names {
-		f, all := out.families[name], union[name]
+	recs := make([]shardRecord, 0, nrec)
+	for i, src := range regs {
+		recs = src.appendRecords(recs, i)
+	}
+	out.resources = foldRecords(recs)
+	for _, f := range out.families {
+		all := f.series
 		slices.SortFunc(all, func(a, b *series) int { return strings.Compare(a.key, b.key) })
 		n := 0
 		for i := 0; i < len(all); i, n = i+1, n+1 {
 			s := all[i]
 			if i+1 < len(all) && all[i+1].key == s.key {
-				s = s.clone() // the shards keep their own series intact
+				s = s.clone(out) // the shards keep their own series intact
 				for ; i+1 < len(all) && all[i+1].key == s.key; i++ {
 					mergeSeries(s, all[i+1], f.kind)
 				}
@@ -363,24 +471,15 @@ func MergeShards(regs []*Registry) *Registry {
 	return out
 }
 
-// clone returns a copy of s that shares no mutable state with it.
-func (s *series) clone() *series {
+// clone returns a copy of s, for registry r, that shares no mutable state
+// with it.
+func (s *series) clone(r *Registry) *series {
 	c := *s
 	if s.h != nil {
-		h := *s.h
-		c.h = &h
+		c.h = &Histogram{r: r}
+		c.h.merge(&s.h.hist)
 	}
 	return &c
-}
-
-// allFamilies returns the registry's families, with its resource records
-// materialized as the four resource families.
-func (r *Registry) allFamilies() []*family {
-	fams := r.resourceFamilies()
-	for _, name := range r.names {
-		fams = append(fams, r.families[name])
-	}
-	return fams
 }
 
 // mergeSeries applies the per-kind commutative merge of src into dst.
@@ -393,23 +492,7 @@ func mergeSeries(dst, src *series, kind Kind) {
 			dst.fval = src.fval
 		}
 	case KindHistogram:
-		if s := src.hist(); s.count > 0 {
-			if dst.h == nil {
-				dst.h = new(hist)
-			}
-			d := dst.h
-			if d.count == 0 || s.min < d.min {
-				d.min = s.min
-			}
-			if s.max > d.max {
-				d.max = s.max
-			}
-			for i := range d.buckets {
-				d.buckets[i] += s.buckets[i]
-			}
-			d.count += s.count
-			d.sum += s.sum
-		}
+		dst.h.merge(&src.h.hist)
 	}
 	if src.lastNs > dst.lastNs {
 		dst.lastNs = src.lastNs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,50 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %+v, want %+v", i, ss.Buckets[i], b)
 		}
 	}
+}
+
+// TestHistogramWidenAndMerge: the stored bucket range widens downward and
+// upward as samples arrive, and a merge of histograms whose ranges do not
+// overlap, in either order, keeps every bucket.
+func TestHistogramWidenAndMerge(t *testing.T) {
+	r := NewRegistry()
+	hi, lo := r.Histogram("a_ns", ""), r.Histogram("b_ns", "")
+	for _, v := range []int64{1000, 4, 0, 1 << 40} { // 1023, then down, then up
+		hi.Observe(v)
+	}
+	lo.Observe(2)
+	lo.Observe(1)
+	wantHi := []BucketSnap{{0, 1}, {7, 1}, {1023, 1}, {1<<41 - 1, 1}}
+	wantLo := []BucketSnap{{1, 1}, {3, 1}}
+	check := func(what string, h *Histogram, count uint64, sum, min, max int64, want []BucketSnap) {
+		t.Helper()
+		if got := h.snapshot(); !slices.Equal(got, want) {
+			t.Errorf("%s: buckets = %v, want %v", what, got, want)
+		}
+		if h.count() != count || h.sum != sum || h.min != min || h.max != max {
+			t.Errorf("%s: count/sum/min/max = %d/%d/%d/%d, want %d/%d/%d/%d",
+				what, h.count(), h.sum, h.min, h.max, count, sum, min, max)
+		}
+	}
+	check("widened", hi, 4, 1004+1<<40, 0, 1<<40, wantHi)
+	check("ascending", lo, 2, 3, 1, 2, wantLo)
+	all := []BucketSnap{{0, 1}, {1, 1}, {3, 1}, {7, 1}, {1023, 1}, {1<<41 - 1, 1}}
+	for _, pair := range [][2]*Histogram{{hi, lo}, {lo, hi}} {
+		m := &Histogram{r: r}
+		m.merge(&pair[0].hist)
+		m.merge(&pair[1].hist)
+		check("merged", m, 6, 1007+1<<40, 0, 1<<40, all)
+	}
+	// Disjoint ranges: the lower one merged into the higher one widens it
+	// downward past a gap, and the higher into the lower upward.
+	up, down := &Histogram{r: r}, &Histogram{r: r}
+	up.merge(&lo.hist)
+	up.Observe(1 << 50)
+	down.Observe(1 << 50)
+	down.merge(&lo.hist)
+	want := []BucketSnap{{1, 1}, {3, 1}, {1<<51 - 1, 1}}
+	check("up", up, 3, 3+1<<50, 1, 1<<50, want)
+	check("down", down, 3, 3+1<<50, 1, 1<<50, want)
 }
 
 // promLine matches one Prometheus text-format sample line.

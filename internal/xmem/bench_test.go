@@ -8,10 +8,7 @@ package xmem
 // 5 and 40 segments span the measured range: no address map of the
 // impacc-perf workloads holds more than 40 entries.
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 var sinkLoc Loc
 
@@ -36,12 +33,22 @@ func fillSpace(b *testing.B, s *Space, n int) []Addr {
 }
 
 // BenchmarkSpaceLookup resolves interior addresses round-robin over n
-// segments: the Floor search behind every Bytes, Copy and message send.
+// segments, more than the lookup cache holds: the Floor search behind
+// every Bytes, Copy and message send. The pair case alternates between two
+// of 40 segments, as a copy's source and destination do, and is served
+// from the cache.
 func BenchmarkSpaceLookup(b *testing.B) {
-	for _, n := range []int{5, 40} {
-		b.Run(fmt.Sprintf("segs=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		pair bool
+	}{{"segs=5", 5, false}, {"segs=40", 40, false}, {"segs=40/pair", 40, true}} {
+		b.Run(c.name, func(b *testing.B) {
 			s := NewSpace("bench", 1)
-			addrs := fillSpace(b, s, n)
+			addrs := fillSpace(b, s, c.n)
+			if c.pair {
+				addrs = []Addr{addrs[3], addrs[30]}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			j := 0
@@ -51,7 +58,7 @@ func BenchmarkSpaceLookup(b *testing.B) {
 					b.Fatal(err)
 				}
 				sinkLoc = loc
-				if j++; j == n {
+				if j++; j == len(addrs) {
 					j = 0
 				}
 			}

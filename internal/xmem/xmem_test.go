@@ -469,3 +469,45 @@ func TestViewRangeErrors(t *testing.T) {
 		t.Fatal("unbacked float view should be nil, no error")
 	}
 }
+
+// TestLookupCache: lookups served by the cache of recently resolved
+// segments agree with a search, and Free and Alias drop a cached segment
+// so a later lookup sees the change.
+func TestLookupCache(t *testing.T) {
+	s := newTestSpace(t)
+	a, _ := s.AllocHost(200, true) // the next host segment starts at a+256
+	b, _ := s.AllocDevice(1, 200, true)
+	c, _ := s.AllocHost(200, true)
+	for i := 0; i < 3; i++ { // alternate a copy's two ends, then a third segment
+		for _, addr := range []Addr{a + 8, b + 16, a + 199, b, c + 1} {
+			loc, err := s.Lookup(addr)
+			seg, _ := s.segs.Floor(addr)
+			if err != nil || loc.Seg != seg || loc.Off != int64(addr-seg.Base) {
+				t.Fatalf("Lookup(%#x) = %+v, %v; want segment %#x offset %d", uint64(addr), loc, err, uint64(seg.Base), addr-seg.Base)
+			}
+		}
+	}
+	if _, err := s.Lookup(a + 200); err == nil { // just past a cached segment
+		t.Fatal("Lookup past a's end succeeded")
+	}
+	// Alias a cached segment: the next lookup follows the alias.
+	if _, err := s.Lookup(c + 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Alias(c, a); err != nil {
+		t.Fatal(err)
+	}
+	if loc, err := s.Lookup(c + 4); err != nil || loc.Seg.Base != a || loc.Off != 4 {
+		t.Fatalf("Lookup through alias = %+v, %v; want a+4", loc, err)
+	}
+	// Free a cached segment: its addresses are unmapped at once.
+	if _, err := s.Lookup(b + 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Lookup(b + 1); err == nil {
+		t.Fatal("Lookup of a freed, cached segment succeeded")
+	}
+}
