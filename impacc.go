@@ -54,7 +54,10 @@ type (
 	Program = core.Program
 	// Report summarizes a finished run.
 	Report = core.Report
-	// Request is a non-blocking communication handle.
+	// Request is a non-blocking communication handle (MPI_Request). It is a
+	// small value, and the zero Request is MPI_REQUEST_NULL. The Wait that
+	// completes a request frees it, after which every copy of the handle
+	// is null: waiting on it again returns at once.
 	Request = core.Request
 	// Opt modifies an MPI call (the IMPACC directive clauses).
 	Opt = core.Opt

@@ -89,7 +89,7 @@ func Jacobi(cfg JacobiConfig) core.Program {
 					t.UpdateHost(lastOwned, stride, 1)
 				}
 				t.ACCWait(1)
-				var reqs []*core.Request
+				var reqs []core.Request
 				if haveUp {
 					reqs = append(reqs,
 						t.Isend(firstOwned, w, mpi.Float64, up, tagUp),

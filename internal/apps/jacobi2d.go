@@ -89,7 +89,7 @@ func Jacobi2D(cfg Jacobi2DConfig) core.Program {
 			// --- Horizontal halos: pack on device, exchange, unpack.
 			t.Kernels(packCols, -1)
 
-			exchange := func(buf xmem.Addr, count int, comm *core.Comm, peer, tag int, recv xmem.Addr) []*core.Request {
+			exchange := func(buf xmem.Addr, count int, comm *core.Comm, peer, tag int, recv xmem.Addr) []core.Request {
 				if peer < 0 {
 					return nil
 				}
@@ -97,7 +97,7 @@ func Jacobi2D(cfg Jacobi2DConfig) core.Program {
 				if cfg.Style == StyleUnified {
 					opts = append(opts, core.OnDevice())
 				}
-				return []*core.Request{
+				return []core.Request{
 					comm.Isend(buf, count, mpi.Float64, peer, tag, opts...),
 					comm.Irecv(recv, count, mpi.Float64, peer, tag, opts...),
 				}
@@ -113,7 +113,7 @@ func Jacobi2D(cfg Jacobi2DConfig) core.Program {
 				t.UpdateHost(sendL, colBytes, -1)
 				t.UpdateHost(sendR, colBytes, -1)
 			}
-			var reqs []*core.Request
+			var reqs []core.Request
 			if up >= 0 {
 				reqs = append(reqs, exchange(firstRow, cols, colComm, up, tag2dV, topGhost)...)
 			}

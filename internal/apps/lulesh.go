@@ -151,7 +151,7 @@ func LULESH(cfg LULESHConfig) core.Program {
 			for _, f := range faces {
 				t.UpdateHost(f.sendBuf, faceBytes, -1)
 			}
-			var reqs []*core.Request
+			var reqs []core.Request
 			for _, f := range faces {
 				reqs = append(reqs,
 					t.Isend(f.sendBuf, s*s, mpi.Float64, f.peer, tagFace),

@@ -167,3 +167,23 @@ func FuzzCompile(f *testing.F) {
 		}
 	})
 }
+
+// TestChaosTimeoutOnRecycledRequests runs Jacobi on eight Titan nodes under
+// receive deadlines that every receive meets. A completed receive's
+// deadline outlives its request, whose record later receives reuse: the
+// run succeeds only if a stale deadline leaves the reused record alone.
+func TestChaosTimeoutOnRecycledRequests(t *testing.T) {
+	for _, c := range []struct{ style, timeout string }{
+		{"sync", "500us"}, {"async", "500us"}, {"sync", "100us"},
+	} {
+		s := Spec{System: "titan:8", App: "jacobi", Style: c.style, N: 256, Iters: 20,
+			Chaos: "7:timeout=" + c.timeout}
+		r, err := Compile(s.WithDefaults(), topo.Titan(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Run(r.Config, r.Program); err != nil {
+			t.Errorf("style %s, timeout %s: %v", c.style, c.timeout, err)
+		}
+	}
+}

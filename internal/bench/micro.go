@@ -82,7 +82,7 @@ func fig5Prog(style apps.Style, n int64, issue []sim.Time) core.Program {
 				t.Kernels(spec, 1)
 				t.UpdateHost(buf0, n, 1)
 				t.ACCWait(1)
-				rs := []*core.Request{
+				rs := []core.Request{
 					t.Isend(buf0, count, mpi.Float64, peer, 1),
 					t.Irecv(buf1, count, mpi.Float64, peer, 1),
 				}

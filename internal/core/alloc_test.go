@@ -13,12 +13,13 @@ import (
 
 // allocPath is one message path whose per-round heap allocations are held
 // to a committed budget. A round is one Isend/Irecv/Wait exchange between
-// ranks 0 and 1, counted over the whole run (both ranks, their hubs and
-// streams).
+// ranks 0 and 1, or a Barrier and an Allreduce, counted over the whole run
+// (both ranks, their hubs and streams).
 type allocPath struct {
 	name   string
 	cfg    Config
 	device bool // exchange device copies on unified activity queue 1
+	coll   bool // run a Barrier and an Allreduce instead of the exchange
 	// budget is the most allocations one round may add: the count
 	// measured when it was set, plus one for amortized slice growth. A new
 	// allocation per message or per matched pair exceeds it. Raise it only
@@ -28,25 +29,31 @@ type allocPath struct {
 }
 
 var allocPaths = []allocPath{
-	// 4 requests, each owning its command. The fused copies run from the
-	// hub's recycled pair records and the parked sends sit in their match
-	// queue's map slot.
-	{name: "intra-node", cfg: psgCfg(IMPACC, 2), budget: 5},
-	// 4 requests, 2 payload snapshots and 2 wire messages, each its own
-	// cross-shard delivery. The parked receives sit in their map slot.
-	{name: "internode-host", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true}, budget: 9},
-	// 4 queued ops, each its request, command, stream entry and completion
-	// callback in one; 2 barrier stream entries, one per ACCWait (the
-	// wait itself reuses its stream's completion event); plus the 2
-	// snapshots and 2 wire messages of internode-host.
+	// Nothing: the requests come off each task's free list, the fused
+	// copies run from the hub's recycled pair records and the parked sends
+	// sit in their match queue's map slot.
+	{name: "intra-node", cfg: psgCfg(IMPACC, 2), budget: 1},
+	// The 2 payload snapshots. The wire messages come off the hubs' spare
+	// lists and the parked receives sit in their map slot.
+	{name: "internode-host", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true}, budget: 3},
+	// 4 queued ops, each its request record, stream entry and completion
+	// callback in one, which nothing recycles; 2 barrier stream entries,
+	// one per ACCWait (the wait itself reuses its stream's completion
+	// event); plus the 2 snapshots of internode-host.
 	{name: "unified-queue-device", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
-		device: true, budget: 11},
+		device: true, budget: 9},
 	// unified-queue-device without GPUDirect RDMA: each message stages
 	// through host memory on both sides, and the message is its own
 	// injection and landing callback, so the path costs what the RDMA one
 	// does.
 	{name: "internode-staged", cfg: Config{System: noRDMA(topo.Titan(2)), Mode: IMPACC, Backed: true},
-		device: true, budget: 11},
+		device: true, budget: 9},
+	// A Barrier and an Allreduce of one float64 between two nodes: the
+	// internal commands come off the free lists like the exchange's, and
+	// what is left is the Reduce's scratch buffers (xmem.Space.AllocHost),
+	// the broadcast tree's child and pending lists and a payload snapshot.
+	{name: "collective", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
+		coll: true, budget: 12},
 }
 
 // noRDMA returns sys with GPUDirect RDMA off on every NIC.
@@ -70,6 +77,11 @@ func (ap allocPath) program(rounds int) Program {
 		}
 		peer := 1 - tk.Rank()
 		for i := 0; i < rounds; i++ {
+			if ap.coll {
+				tk.Barrier()
+				tk.Allreduce(sbuf, rbuf, 1, mpi.Float64, mpi.Sum)
+				continue
+			}
 			s := tk.Isend(sbuf, n, mpi.Float64, peer, 0, opts...)
 			r := tk.Irecv(rbuf, n, mpi.Float64, peer, 0, opts...)
 			tk.Wait(s, r)
@@ -142,12 +154,17 @@ func TestUnifiedOpDeadlockLabel(t *testing.T) {
 	}
 }
 
-// TestRequestSize keeps a request, a unified-queue op and its barrier in the
-// Go size classes their allocation budgets assume: every non-blocking call
-// allocates one of the first two, every drained queue one barrier.
+// TestRequestSize keeps a request handle a pointer and a generation, and a
+// request record, a unified-queue op and its barrier in the Go size
+// classes their allocation budgets assume: a task's free list holds
+// records, every queued MPI call allocates an op, every drained queue one
+// barrier.
 func TestRequestSize(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got > 192 {
-		t.Errorf("sizeof(Request) = %d bytes, want <= 192", got)
+	if got := unsafe.Sizeof(Request{}); got != 16 {
+		t.Errorf("sizeof(Request) = %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(request{}); got > 192 {
+		t.Errorf("sizeof(request) = %d bytes, want <= 192", got)
 	}
 	if got := unsafe.Sizeof(uqOp{}); got > 256 {
 		t.Errorf("sizeof(uqOp) = %d bytes, want <= 256", got)

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"impacc/internal/mpi"
-	"impacc/internal/msg"
 	"impacc/internal/xmem"
 )
 
@@ -46,13 +45,12 @@ func (c *Comm) Barrier() {
 		src := c.ranks[(me-off+n)%n]
 		start := t.proc.Now()
 		mark := t.traceMark()
-		s := t.postSend(t.proc, t.scratch, 1, dst, tag, o)
-		r := t.postRecv(t.proc, t.scratch, 1, src, tag, o)
-		s.Done.Wait(t.proc)
-		r.Done.Wait(t.proc)
+		s := t.postSend(t.scratch, 1, dst, tag, o)
+		r := t.postRecv(t.scratch, 1, src, tag, o)
+		s.cmd.Done.Wait(t.proc)
+		r.cmd.Done.Wait(t.proc)
 		t.mpiEnd("barrier", start, mark, -1, 0)
-		t.checkCmd(s)
-		t.checkCmd(r)
+		t.checkFree(s, r)
 		round++
 	}
 }
@@ -99,7 +97,7 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	// instead of log(P) times.
 	if c.myRank == myLeader {
 		idx, rootIdx := c.layout.slot[c.myRank], c.layout.slot[root]
-		var pend []*msg.Cmd
+		var pend []*request
 		if len(leaders) >= 4 && bytes >= int64(len(leaders))*bcastSegBytes {
 			c.bcastScatterAllgather(buf, bytes, leaders, idx, rootIdx, base, o)
 		} else {
@@ -110,24 +108,24 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 		// hold).
 		for _, crank := range c.layout.group[idx] {
 			if crank != c.myRank {
-				pend = append(pend, t.postSend(t.proc, buf, bytes, c.ranks[crank], base-2, o))
+				pend = append(pend, t.postSend(buf, bytes, c.ranks[crank], base-2, o))
 			}
 		}
 		t.waitAll(pend...)
 		return
 	}
 	// Non-leader: receive from the node leader.
-	t.waitAll(t.postRecv(t.proc, buf, bytes, c.ranks[myLeader], base-2, o))
+	t.waitAll(t.postRecv(buf, bytes, c.ranks[myLeader], base-2, o))
 }
 
 // bcastTree runs the segmented pipelined binomial tree among leaders and
 // returns the pending child sends (waited by the caller together with the
 // local fanout).
-func (c *Comm) bcastTree(buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx, base int, o callOpts) []*msg.Cmd {
+func (c *Comm) bcastTree(buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx, base int, o callOpts) []*request {
 	t := c.t
 	parent := mpi.BcastParent(idx, rootIdx, len(leaders))
 	kids := mpi.BcastChildren(idx, rootIdx, len(leaders))
-	var pend []*msg.Cmd
+	var pend []*request
 	for off := int64(0); off < bytes; off += bcastSegBytes {
 		segLen := bytes - off
 		if segLen > bcastSegBytes {
@@ -135,10 +133,10 @@ func (c *Comm) bcastTree(buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx
 		}
 		seg := buf + xmem.Addr(off)
 		if parent >= 0 {
-			t.waitAll(t.postRecv(t.proc, seg, segLen, c.ranks[leaders[parent]], base-1, o))
+			t.waitAll(t.postRecv(seg, segLen, c.ranks[leaders[parent]], base-1, o))
 		}
 		for _, k := range kids {
-			pend = append(pend, t.postSend(t.proc, seg, segLen, c.ranks[leaders[k]], base-1, o))
+			pend = append(pend, t.postSend(seg, segLen, c.ranks[leaders[k]], base-1, o))
 		}
 	}
 	return pend
@@ -162,16 +160,16 @@ func (c *Comm) bcastScatterAllgather(buf xmem.Addr, bytes int64, leaders []int, 
 	world := func(i int) int { return c.ranks[leaders[i]] }
 	// Scatter: the root sends every other leader its chunk.
 	if idx == rootIdx {
-		var pend []*msg.Cmd
+		var pend []*request
 		for i := 0; i < l; i++ {
 			if i == rootIdx {
 				continue
 			}
-			pend = append(pend, t.postSend(t.proc, buf+xmem.Addr(off(i)), size(i), world(i), base-3, o))
+			pend = append(pend, t.postSend(buf+xmem.Addr(off(i)), size(i), world(i), base-3, o))
 		}
 		t.waitAll(pend...)
 	} else {
-		t.waitAll(t.postRecv(t.proc, buf+xmem.Addr(off(idx)), size(idx), world(rootIdx), base-3, o))
+		t.waitAll(t.postRecv(buf+xmem.Addr(off(idx)), size(idx), world(rootIdx), base-3, o))
 	}
 	// Ring allgather: at step s, leader i forwards chunk (i-s) mod l to
 	// its successor and receives chunk (i-s-1) mod l from its predecessor.
@@ -180,12 +178,11 @@ func (c *Comm) bcastScatterAllgather(buf xmem.Addr, bytes int64, leaders []int, 
 	for s := 0; s < l-1; s++ {
 		sendChunk := ((idx-s)%l + l) % l
 		recvChunk := ((idx-s-1)%l + l) % l
-		sc := t.postSend(t.proc, buf+xmem.Addr(off(sendChunk)), size(sendChunk), next, base-4, o)
-		rc := t.postRecv(t.proc, buf+xmem.Addr(off(recvChunk)), size(recvChunk), prev, base-4, o)
-		sc.Done.Wait(t.proc)
-		rc.Done.Wait(t.proc)
-		t.checkCmd(sc)
-		t.checkCmd(rc)
+		sc := t.postSend(buf+xmem.Addr(off(sendChunk)), size(sendChunk), next, base-4, o)
+		rc := t.postRecv(buf+xmem.Addr(off(recvChunk)), size(recvChunk), prev, base-4, o)
+		sc.cmd.Done.Wait(t.proc)
+		rc.cmd.Done.Wait(t.proc)
+		t.checkFree(sc, rc)
 	}
 }
 
@@ -218,11 +215,11 @@ func (c *Comm) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, 
 		// addresses, so its messages carry no clause.
 		plain := c.opts(nil)
 		for _, child := range mpi.ReduceChildren(c.myRank, root, n) {
-			t.waitAll(t.postRecv(t.proc, tmp, bytes, c.ranks[child], base-1, plain))
+			t.waitAll(t.postRecv(tmp, bytes, c.ranks[child], base-1, plain))
 			t.combine(op, dt, accAddr, tmp, count)
 		}
 		if parent := mpi.ReduceParent(c.myRank, root, n); parent >= 0 {
-			t.waitAll(t.postSend(t.proc, accAddr, bytes, c.ranks[parent], base-1, plain))
+			t.waitAll(t.postSend(accAddr, bytes, c.ranks[parent], base-1, plain))
 		}
 		t.tempFree(tmp)
 		t.mpiEnd("reduce", start, mark, -1, bytes)
@@ -309,17 +306,17 @@ func (c *Comm) gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr x
 	start := t.proc.Now()
 	mark := t.traceMark()
 	if c.myRank != root {
-		s := t.postSend(t.proc, sbuf, bytes, c.ranks[root], base-1, o)
-		s.Done.Wait(t.proc)
+		s := t.postSend(sbuf, bytes, c.ranks[root], base-1, o)
+		s.cmd.Done.Wait(t.proc)
 		t.mpiEnd(name, start, mark, c.ranks[root], bytes)
-		t.checkCmd(s)
+		t.checkFree(s)
 		return
 	}
 	if b.v && (len(b.counts) != n || len(b.displs) != n) {
 		t.failf("Gatherv: counts/displs must have %d entries", n)
 	}
 	rbuf, _ := t.resolveBuf(recvAddr, b.extent(n, count), dt, o)
-	var reqs []*msg.Cmd
+	var reqs []*request
 	for crank := 0; crank < n; crank++ {
 		cnt, displ := b.block(crank, count)
 		slot := rbuf + xmem.Addr(int64(displ)*dt.Size())
@@ -328,7 +325,7 @@ func (c *Comm) gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr x
 			t.localCopy(slot, sbuf, nbytes)
 			continue
 		}
-		reqs = append(reqs, t.postRecv(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postRecv(slot, nbytes, c.ranks[crank], base-1, o))
 	}
 	t.waitAll(reqs...)
 	t.mpiEnd(name, start, mark, -1, rootBytes)
@@ -351,17 +348,17 @@ func (c *Comm) scatter(sendAddr xmem.Addr, b blocks, dt mpi.Datatype, recvAddr x
 	start := t.proc.Now()
 	mark := t.traceMark()
 	if c.myRank != root {
-		r := t.postRecv(t.proc, rbuf, bytes, c.ranks[root], base-1, o)
-		r.Done.Wait(t.proc)
+		r := t.postRecv(rbuf, bytes, c.ranks[root], base-1, o)
+		r.cmd.Done.Wait(t.proc)
 		t.mpiEnd(name, start, mark, c.ranks[root], bytes)
-		t.checkCmd(r)
+		t.checkFree(r)
 		return
 	}
 	if b.v && (len(b.counts) != n || len(b.displs) != n) {
 		t.failf("Scatterv: counts/displs must have %d entries", n)
 	}
 	sbuf, _ := t.resolveBuf(sendAddr, b.extent(n, count), dt, o)
-	var reqs []*msg.Cmd
+	var reqs []*request
 	for crank := 0; crank < n; crank++ {
 		cnt, displ := b.block(crank, count)
 		slot := sbuf + xmem.Addr(int64(displ)*dt.Size())
@@ -370,7 +367,7 @@ func (c *Comm) scatter(sendAddr xmem.Addr, b blocks, dt mpi.Datatype, recvAddr x
 			t.localCopy(rbuf, slot, nbytes)
 			continue
 		}
-		reqs = append(reqs, t.postSend(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postSend(slot, nbytes, c.ranks[crank], base-1, o))
 	}
 	t.waitAll(reqs...)
 	t.mpiEnd(name, start, mark, -1, rootBytes)
@@ -397,13 +394,13 @@ func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr
 	t.localCopy(rbuf+xmem.Addr(int64(me)*blk), sbuf+xmem.Addr(int64(me)*blk), blk)
 	start := t.proc.Now()
 	mark := t.traceMark()
-	var reqs []*msg.Cmd
+	var reqs []*request
 	for step := 1; step < n; step++ {
 		dst := (me + step) % n
 		src := (me - step + n) % n
 		reqs = append(reqs,
-			t.postSend(t.proc, sbuf+xmem.Addr(int64(dst)*blk), blk, c.ranks[dst], base-1, o),
-			t.postRecv(t.proc, rbuf+xmem.Addr(int64(src)*blk), blk, c.ranks[src], base-1, o))
+			t.postSend(sbuf+xmem.Addr(int64(dst)*blk), blk, c.ranks[dst], base-1, o),
+			t.postRecv(rbuf+xmem.Addr(int64(src)*blk), blk, c.ranks[src], base-1, o))
 	}
 	t.waitAll(reqs...)
 	t.mpiEnd("alltoall", start, mark, -1, blk*int64(n-1))
@@ -450,12 +447,24 @@ func (c *Comm) collOpts(opts []Opt) callOpts {
 	return o
 }
 
-// waitAll blocks until each command completes in turn, failing the task on
-// the first that failed.
-func (t *Task) waitAll(cmds ...*msg.Cmd) {
-	for _, cmd := range cmds {
-		cmd.Done.Wait(t.proc)
-		t.checkCmd(cmd)
+// waitAll blocks until each request completes in turn, failing the task on
+// the first that failed and freeing the others as they complete.
+func (t *Task) waitAll(reqs ...*request) {
+	for _, r := range reqs {
+		r.cmd.Done.Wait(t.proc)
+		t.checkCmd(&r.cmd)
+		t.freeRequest(r)
+	}
+}
+
+// checkFree fails the task on the first of the completed requests that
+// failed, and otherwise frees them all.
+func (t *Task) checkFree(reqs ...*request) {
+	for _, r := range reqs {
+		t.checkCmd(&r.cmd)
+	}
+	for _, r := range reqs {
+		t.freeRequest(r)
 	}
 }
 
@@ -514,14 +523,14 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 	mark := t.traceMark()
 	if me > 0 {
 		prefix := t.tempAlloc(bytes)
-		t.waitAll(t.postRecv(t.proc, prefix, bytes, c.ranks[me-1], base-1, o))
+		t.waitAll(t.postRecv(prefix, bytes, c.ranks[me-1], base-1, o))
 		// recv = op(prefix, mine): combine into the prefix then swap in.
 		t.combine(op, dt, prefix, rbuf, count)
 		t.localCopy(rbuf, prefix, bytes)
 		t.tempFree(prefix)
 	}
 	if me < c.Size()-1 {
-		t.waitAll(t.postSend(t.proc, rbuf, bytes, c.ranks[me+1], base-1, o))
+		t.waitAll(t.postSend(rbuf, bytes, c.ranks[me+1], base-1, o))
 	}
 	t.mpiEnd("scan", start, mark, -1, bytes)
 }

@@ -183,13 +183,13 @@ func (c *Comm) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, op
 }
 
 // Isend is MPI_Isend on this communicator.
-func (c *Comm) Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) *Request {
+func (c *Comm) Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) Request {
 	c.checkRank(dst)
 	return c.p2p(uqIsend, addr, count, dt, dst, tag, opts)
 }
 
 // Irecv is MPI_Irecv on this communicator.
-func (c *Comm) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) *Request {
+func (c *Comm) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Request {
 	if src != AnySource {
 		c.checkRank(src)
 	}

@@ -345,7 +345,7 @@ func TestWaitany(t *testing.T) {
 		case 0:
 			r1 := tk.Irecv(buf1, 8, mpi.Float64, 1, 1)
 			r2 := tk.Irecv(buf2, 8, mpi.Float64, 2, 2)
-			first := tk.Waitany(nil, r1, r2)
+			first := tk.Waitany(Request{}, r1, r2)
 			// Rank 2 sends immediately; rank 1 sends late.
 			if first != 2 {
 				t.Errorf("first completed = %d, want 2 (the early sender)", first)

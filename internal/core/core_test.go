@@ -708,9 +708,13 @@ func TestRequestDoneAndWaitNil(t *testing.T) {
 		buf := tk.Malloc(8)
 		if tk.Rank() == 0 {
 			r := tk.Isend(buf, 1, mpi.Float64, 1, 0)
-			tk.Wait(nil, r) // nil requests are skipped
-			if !r.cmd.Done.Fired() {
+			rec := r.r
+			tk.Wait(Request{}, r) // null requests are skipped
+			if !rec.cmd.Done.Fired() {
 				t.Error("request not done after Wait")
+			}
+			if r.live() != nil {
+				t.Error("request still live after Wait freed it")
 			}
 		} else {
 			tk.Recv(buf, 1, mpi.Float64, 0, 0)

@@ -60,16 +60,68 @@ func (c *Comm) opts(opts []Opt) callOpts {
 	return o
 }
 
-// Request is a non-blocking communication handle (MPI_Request). It owns its
-// message command, whose Done event is the request's completion, so Wait
-// and Status read the matched envelope from the request itself.
+// Request is a non-blocking communication handle (MPI_Request): a small
+// value naming a request record and the generation the record had when the
+// request was issued. The zero Request is MPI_REQUEST_NULL. As in MPI, a
+// request lives until the call that completes it: Wait, or the entry
+// Waitany returns, frees the record for the task's next request, and every
+// handle to the freed record is null from then on, so a second Wait on it
+// returns at once. A request placed on a unified activity queue is never
+// freed.
 type Request struct {
+	r   *request
+	gen uint32
+}
+
+// request is the record behind a Request. It owns its message command,
+// whose Done event is the request's completion and whose Gen is the
+// record's generation, so a wait reads the matched envelope from the
+// record itself.
+type request struct {
 	cmd msg.Cmd
 	// uq names the operation of a request placed on a unified activity
 	// queue, whose command is posted when the queue reaches it; uqNone
-	// for a request posted at once. It sits in the command's tail
-	// padding, which keeps a uqOp in the 256-byte size class.
+	// for a request posted at once. It fills the record to the 192-byte
+	// size class, which keeps a uqOp in the 256-byte one.
 	uq uqKind
+}
+
+// handle returns the live handle of r.
+func (r *request) handle() Request { return Request{r: r, gen: r.cmd.Gen} }
+
+// live returns the record a handle names, or nil when the handle is null:
+// the zero Request, or one whose record has been freed since. (Only a
+// handle kept across 2^32 reuses of its record could match again.)
+func (h Request) live() *request {
+	if h.r == nil || h.r.cmd.Gen != h.gen {
+		return nil
+	}
+	return h.r
+}
+
+// newRequest takes a request record off the task's free list, or makes
+// one.
+func (t *Task) newRequest() *request {
+	n := len(t.reqFree)
+	if n == 0 {
+		return new(request)
+	}
+	r := t.reqFree[n-1]
+	t.reqFree = t.reqFree[:n-1]
+	return r
+}
+
+// freeRequest ends a completed request posted at once: its generation
+// moves on, which nulls every handle to it and disarms its receive
+// deadline, and the record returns to the task's free list. A request
+// whose command failed is never freed: checkCmd fails the task first. A
+// queued request (uqOp) is not freed either; nothing recycles its record.
+func (t *Task) freeRequest(r *request) {
+	if r.uq != uqNone {
+		return
+	}
+	r.cmd.Gen++
+	t.reqFree = append(t.reqFree, r)
 }
 
 // uqKind names one of the four point-to-point operations.
@@ -99,13 +151,13 @@ var uqNames = [...]uqName{
 	uqIrecv: {"op:mpi_irecv", "mpi_irecv-done", "irecv", false, false},
 }
 
-// uqOp is one MPI operation placed on a unified activity queue: request,
-// stream entry and completion callback in one allocation. Its command is
-// filled in at enqueue time and posted when the queue reaches the
-// operation (Run); the command's Done fires at transfer completion and
+// uqOp is one MPI operation placed on a unified activity queue: request
+// record, stream entry and completion callback in one allocation. Its
+// command is filled in at enqueue time and posted when the queue reaches
+// the operation (Run); the command's Done fires at transfer completion and
 // calls the op itself (Call).
 type uqOp struct {
-	Request
+	request
 	device.Entry
 	t     *Task
 	q     int
@@ -132,12 +184,13 @@ func (t *Task) resolveBuf(addr xmem.Addr, count int, dt mpi.Datatype, o callOpts
 	return buf, int64(count) * dt.Size()
 }
 
-// initCmd fills in a message command whose Done is labelled why. Ranks
-// are world ranks; o.comm scopes the matching context.
+// initCmd fills in a message command whose Done is labelled why, keeping
+// its reuse generation. Ranks are world ranks; o.comm scopes the matching
+// context.
 func (t *Task) initCmd(cmd *msg.Cmd, why string, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) {
 	*cmd = msg.Cmd{
 		IsSend: isSend, Src: src, Dst: dst, Tag: tag, Comm: o.comm,
-		Addr: buf, Bytes: bytes, Ep: t.ep, ReadOnly: o.readonly,
+		Addr: buf, Bytes: bytes, Ep: t.ep, ReadOnly: o.readonly, Gen: cmd.Gen,
 	}
 	t.eng().InitEvent(&cmd.Done, why)
 }
@@ -160,20 +213,21 @@ func (t *Task) post(p *sim.Proc, cmd *msg.Cmd) {
 	}
 }
 
-// postSend initiates the send on process p and returns its command.
-func (t *Task) postSend(p *sim.Proc, buf xmem.Addr, bytes int64, dst, tag int, o callOpts) *msg.Cmd {
-	cmd := new(msg.Cmd)
-	t.initCmd(cmd, t.cmdWhy, true, buf, bytes, t.rank, dst, tag, o)
-	t.post(p, cmd)
-	return cmd
+// postSend initiates a collective's internal send and returns its request
+// record, which the collective's wait frees.
+func (t *Task) postSend(buf xmem.Addr, bytes int64, dst, tag int, o callOpts) *request {
+	r := t.newRequest()
+	t.initCmd(&r.cmd, t.cmdWhy, true, buf, bytes, t.rank, dst, tag, o)
+	t.post(t.proc, &r.cmd)
+	return r
 }
 
-// postRecv posts the receive on process p.
-func (t *Task) postRecv(p *sim.Proc, buf xmem.Addr, bytes int64, src, tag int, o callOpts) *msg.Cmd {
-	cmd := new(msg.Cmd)
-	t.initCmd(cmd, t.cmdWhy, false, buf, bytes, src, t.rank, tag, o)
-	t.post(p, cmd)
-	return cmd
+// postRecv posts a collective's internal receive, like postSend.
+func (t *Task) postRecv(buf xmem.Addr, bytes int64, src, tag int, o callOpts) *request {
+	r := t.newRequest()
+	t.initCmd(&r.cmd, t.cmdWhy, false, buf, bytes, src, t.rank, tag, o)
+	t.post(t.proc, &r.cmd)
+	return r
 }
 
 func (t *Task) checkCmd(cmd *msg.Cmd) {
@@ -212,13 +266,13 @@ func (t *Task) Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, op
 // Isend is MPI_Isend on MPI_COMM_WORLD: the send is initiated and a request
 // returned. With Async(q) the operation instead joins activity queue q and
 // the returned request completes when the queue reaches and finishes it.
-func (t *Task) Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) *Request {
+func (t *Task) Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) Request {
 	t.checkRank(dst)
 	return t.world.p2p(uqIsend, addr, count, dt, dst, tag, opts)
 }
 
 // Irecv is MPI_Irecv on MPI_COMM_WORLD.
-func (t *Task) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) *Request {
+func (t *Task) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Request {
 	if src != AnySource {
 		t.checkRank(src)
 	}
@@ -229,9 +283,9 @@ func (t *Task) Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, o
 // peer is a communicator rank, or AnySource for a receive; the entry point
 // has checked it. With Async(q) the op joins activity queue q. Otherwise
 // its command is posted at once: a non-blocking op returns its request, and
-// a blocking op waits for it, accounts it under its own name and returns
-// nil.
-func (c *Comm) p2p(k uqKind, addr xmem.Addr, count int, dt mpi.Datatype, peer, tag int, opts []Opt) *Request {
+// a blocking op waits for it, accounts it under its own name, frees it and
+// returns the null request.
+func (c *Comm) p2p(k uqKind, addr xmem.Addr, count int, dt mpi.Datatype, peer, tag int, opts []Opt) Request {
 	t, kind := c.t, &uqNames[k]
 	o := c.opts(opts)
 	t.checkTag(tag)
@@ -246,20 +300,18 @@ func (c *Comm) p2p(k uqKind, addr xmem.Addr, count int, dt mpi.Datatype, peer, t
 	if o.async >= 0 {
 		return t.enqueueUnifiedMPI(k, buf, bytes, src, dst, tag, o)
 	}
-	r := &Request{}
+	r := t.newRequest()
 	cmd := &r.cmd
 	t.initCmd(cmd, t.cmdWhy, kind.send, buf, bytes, src, dst, tag, o)
 	start := t.proc.Now()
 	t.post(t.proc, cmd)
 	if !kind.blocking {
 		t.mpiTime(kind.op, start)
-		return r
+		return r.handle()
 	}
-	cmd.Done.Wait(t.proc)
-	peer, bytes = cmdPeer(cmd)
-	t.mpiEnd(kind.op, start, -1, peer, bytes, cmd)
-	t.checkCmd(cmd)
-	return nil
+	t.wait(r, kind.op, start)
+	t.freeRequest(r)
+	return Request{}
 }
 
 // cmdPeer returns the world rank at the other end of a completed command
@@ -272,19 +324,25 @@ func cmdPeer(cmd *msg.Cmd) (int, int64) {
 	return cmd.MatchedSrc, cmd.MatchedBytes
 }
 
-// Wait is MPI_Wait/MPI_Waitall over the given requests.
-func (t *Task) Wait(reqs ...*Request) {
-	for _, r := range reqs {
-		if r == nil {
-			continue
+// Wait is MPI_Wait/MPI_Waitall over the given requests: it waits for each
+// live request in turn and frees it. Null requests return at once.
+func (t *Task) Wait(reqs ...Request) {
+	for _, h := range reqs {
+		if r := h.live(); r != nil {
+			t.wait(r, "wait", t.proc.Now())
+			t.freeRequest(r)
 		}
-		cmd := &r.cmd
-		start := t.proc.Now()
-		cmd.Done.Wait(t.proc)
-		peer, bytes := cmdPeer(cmd)
-		t.mpiEnd("wait", start, -1, peer, bytes, cmd)
-		t.checkCmd(cmd)
 	}
+}
+
+// wait blocks until r completes, accounts the call under op from start and
+// fails the task if r's command failed.
+func (t *Task) wait(r *request, op string, start sim.Time) {
+	cmd := &r.cmd
+	cmd.Done.Wait(t.proc)
+	peer, bytes := cmdPeer(cmd)
+	t.mpiEnd(op, start, -1, peer, bytes, cmd)
+	t.checkCmd(cmd)
 }
 
 // Sendrecv is MPI_Sendrecv: concurrent blocking send and receive.
@@ -301,12 +359,12 @@ func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst
 // as in Figure 4 (c)); its completion is tracked, and any later kernel,
 // data operation, or wait on the same queue first drains outstanding MPI
 // completions — the queue's in-order completion guarantee.
-func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) *Request {
+func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) Request {
 	if t.rt.Cfg.Mode == Legacy || !t.rt.feats.UnifiedQueue {
 		t.failf("async MPI (%s) requires the IMPACC unified activity queue", strings.TrimPrefix(uqNames[k].why, "op:"))
 	}
 	q := o.async
-	op := &uqOp{Request: Request{uq: k}, t: t, q: q}
+	op := &uqOp{request: request{uq: k}, t: t, q: q}
 	t.initCmd(&op.cmd, uqNames[k].done, uqNames[k].send, buf, bytes, src, dst, tag, o)
 	t.env.Stream(q).Enqueue(op)
 	c := t.uqPending[q]
@@ -317,7 +375,7 @@ func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, src, dst,
 	}
 	c.tail = op
 	t.uqPending[q] = c
-	return &op.Request
+	return op.handle()
 }
 
 // Why labels the op's stream entry in deadlock diagnostics.
@@ -390,54 +448,52 @@ type Status struct {
 	Count  int
 }
 
-// Status returns the matched-message information of a completed receive
-// request; Count is in dt units. Meaningful after Wait/Done.
-func (r *Request) Status(dt mpi.Datatype) Status {
-	cmd := &r.cmd
-	if !cmd.Done.Fired() {
-		return Status{Source: AnySource, Tag: AnyTag}
-	}
-	return Status{
-		Source: cmd.MatchedSrc,
-		Tag:    cmd.MatchedTag,
-		Count:  int(cmd.MatchedBytes / dt.Size()),
-	}
-}
-
 // RecvStatus is MPI_Recv returning the matched status — the companion of
-// wildcard receives.
+// wildcard receives. Count is in dt units. The status is read from the
+// request before the request is freed.
 func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Status { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	r := t.Irecv(addr, count, dt, src, tag, opts...)
-	t.Wait(r)
-	return r.Status(dt)
+	r := t.Irecv(addr, count, dt, src, tag, opts...).r
+	t.wait(r, "wait", t.proc.Now())
+	cmd := &r.cmd
+	st := Status{Source: cmd.MatchedSrc, Tag: cmd.MatchedTag, Count: int(cmd.MatchedBytes / dt.Size())}
+	t.freeRequest(r)
+	return st
 }
 
-// Waitany is MPI_Waitany: block until one of the requests completes and
-// return its index. Completed or nil entries are reported immediately.
-func (t *Task) Waitany(reqs ...*Request) int { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	if len(reqs) == 0 {
-		return -1
-	}
+// Waitany is MPI_Waitany: block until one of the live requests completes,
+// free it and return its index. Null entries are skipped, so a loop that
+// waits on the same list until Waitany reports -1 need not clear the
+// entries it was given; with no live entry (or none at all) Waitany
+// returns -1 at once, MPI_Waitany's MPI_UNDEFINED. A completed request
+// placed on a unified activity queue is reported without being freed.
+func (t *Task) Waitany(reqs ...Request) int { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	var lastWait uint64
 	for {
-		for i, r := range reqs {
+		live := false
+		for i, h := range reqs {
+			r := h.live()
 			if r == nil {
 				continue
 			}
+			live = true
 			if r.cmd.Done.Fired() {
 				if r.uq == uqNone {
 					if tr := t.rt.Cfg.Trace; tr != nil && lastWait != 0 && r.cmd.TraceID != 0 {
 						tr.claim(t.pl.Node, r.cmd.TraceID, lastWait, t.proc.Now())
 					}
 					t.checkCmd(&r.cmd)
+					t.freeRequest(r)
 				}
 				return i
 			}
 		}
+		if !live {
+			return -1
+		}
 		// Park until any one fires: register a shared wake.
 		any := t.eng().NewEvent("waitany")
-		for _, r := range reqs {
-			if r != nil {
+		for _, h := range reqs {
+			if r := h.live(); r != nil {
 				r.cmd.Done.OnFire(sim.Func(any.Fire))
 			}
 		}

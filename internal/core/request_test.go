@@ -1,0 +1,189 @@
+package core
+
+import (
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"impacc/internal/mpi"
+	"impacc/internal/sim"
+	"impacc/internal/topo"
+)
+
+// opSamples counts the MPI latency samples rank recorded under op.
+func opSamples(rep *Report, rank int, op string) uint64 {
+	for _, fam := range rep.Metrics.Families {
+		if fam.Name != MPILatencyNs {
+			continue
+		}
+		for _, s := range fam.Series {
+			var r, o string
+			for _, l := range s.Labels {
+				switch l.Key {
+				case "rank":
+					r = l.Value
+				case "op":
+					o = l.Value
+				}
+			}
+			if r == strconv.Itoa(rank) && o == op {
+				return s.Count
+			}
+		}
+	}
+	return 0
+}
+
+// TestWaitFreedHandleReturnsAtOnce: the Wait that completes a request frees
+// it, so a second Wait on the same handle is a Wait on MPI_REQUEST_NULL. It
+// returns at once and records no wait sample.
+func TestWaitFreedHandleReturnsAtOnce(t *testing.T) {
+	rep := mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
+		buf := tk.Malloc(64)
+		if tk.Rank() == 1 {
+			tk.Recv(buf, 8, mpi.Float64, 0, 0)
+			return
+		}
+		r := tk.Isend(buf, 8, mpi.Float64, 1, 0)
+		tk.Wait(r)
+		if r.live() != nil {
+			t.Error("handle still live after the Wait that completed it")
+		}
+		t0 := tk.Now()
+		tk.Wait(r)
+		if tk.Now() != t0 {
+			t.Errorf("second Wait took %v, want 0", dur(tk.Now()-t0))
+		}
+	})
+	if n := opSamples(rep, 0, "wait"); n != 1 {
+		t.Errorf("rank 0 recorded %d wait samples, want 1", n)
+	}
+}
+
+// TestStaleHandleSkipsReusedRecord: a freed record is reused by the task's
+// next request, and a handle from before the reuse names the completed op,
+// not the new one: waiting on it must not wait for the later send, which
+// rank 1 receives 5 ms later.
+func TestStaleHandleSkipsReusedRecord(t *testing.T) {
+	mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
+		buf := tk.Malloc(64)
+		if tk.Rank() == 1 {
+			tk.Recv(buf, 8, mpi.Float64, 0, 0)
+			tk.Busy(5 * sim.Millisecond)
+			tk.Recv(buf, 8, mpi.Float64, 0, 1)
+			return
+		}
+		r1 := tk.Isend(buf, 8, mpi.Float64, 1, 0)
+		tk.Wait(r1)
+		r2 := tk.Isend(buf, 8, mpi.Float64, 1, 1)
+		if r2.r != r1.r {
+			t.Fatal("the second Isend did not reuse the freed record")
+		}
+		t0 := tk.Now()
+		tk.Wait(r1)
+		if tk.Now() != t0 {
+			t.Errorf("Wait on the stale handle took %v, want 0", dur(tk.Now()-t0))
+		}
+		tk.Wait(r2)
+		if tk.Now()-t0 < sim.Time(5*sim.Millisecond) {
+			t.Errorf("Wait on the live handle took %v, want >= 5ms", dur(tk.Now()-t0))
+		}
+	})
+}
+
+// TestWaitanyLoopTerminates: Waitany frees the request it returns, so a
+// loop that never clears its list sees each request once and then -1.
+func TestWaitanyLoopTerminates(t *testing.T) {
+	mustRun(t, psgCfg(IMPACC, 3), func(tk *Task) {
+		buf := tk.Malloc(64)
+		if tk.Rank() != 0 {
+			tk.Send(buf, 4, mpi.Float64, 0, tk.Rank())
+			return
+		}
+		reqs := []Request{
+			tk.Irecv(buf, 4, mpi.Float64, 1, 1),
+			tk.Irecv(buf+32, 4, mpi.Float64, 2, 2),
+		}
+		var got []int
+		for i := tk.Waitany(reqs...); i >= 0; i = tk.Waitany(reqs...) {
+			got = append(got, i)
+			if len(got) > len(reqs) {
+				t.Fatalf("Waitany returned %v: a request came back after it completed", got)
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, []int{0, 1}) {
+			t.Errorf("Waitany returned %v, want each of 0 and 1 once", got)
+		}
+	})
+}
+
+// TestWaitanyNoLiveRequest: with no live request MPI_Waitany returns
+// MPI_UNDEFINED at once; here that is -1, as for an empty list.
+func TestWaitanyNoLiveRequest(t *testing.T) {
+	mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
+		if i := tk.Waitany(Request{}, Request{}); i != -1 {
+			t.Errorf("Waitany(null, null) = %d, want -1", i)
+		}
+		buf := tk.Malloc(64)
+		peer := 1 - tk.Rank()
+		r := tk.Isend(buf, 1, mpi.Float64, peer, 0)
+		tk.Recv(buf+8, 1, mpi.Float64, peer, 0)
+		tk.Wait(r)
+		t0 := tk.Now()
+		if i := tk.Waitany(r); i != -1 {
+			t.Errorf("Waitany(freed) = %d, want -1", i)
+		}
+		if tk.Now() != t0 {
+			t.Errorf("Waitany(freed) took %v, want 0", dur(tk.Now()-t0))
+		}
+	})
+}
+
+// TestRecvStatusAcrossNodes: RecvStatus reads the matched source, tag and
+// count before it frees the request, on internode wildcard receives whose
+// records are reused from one call to the next.
+func TestRecvStatusAcrossNodes(t *testing.T) {
+	mustRun(t, Config{System: topo.Titan(3), Mode: IMPACC, Backed: true}, func(tk *Task) {
+		buf := tk.Malloc(256)
+		if tk.Rank() != 0 {
+			tk.Busy(sim.Dur(tk.Rank()) * sim.Millisecond)
+			tk.Send(buf, tk.Rank()*4, mpi.Float64, 0, tk.Rank()*10)
+			return
+		}
+		for want := 1; want <= 2; want++ {
+			st := tk.RecvStatus(buf, 32, mpi.Float64, AnySource, AnyTag)
+			if st != (Status{Source: want, Tag: want * 10, Count: want * 4}) {
+				t.Errorf("RecvStatus = %+v, want source %d, tag %d, count %d", st, want, want*10, want*4)
+			}
+		}
+	})
+}
+
+// TestFailedRecvNeverReused: a receive that fails fails its task in the
+// Wait, before the request would be freed, so its record keeps its
+// generation and never returns to the free list.
+func TestFailedRecvNeverReused(t *testing.T) {
+	var failed *Task
+	var r Request
+	_, err := Run(psgCfg(IMPACC, 2), func(tk *Task) {
+		buf := tk.Malloc(64)
+		if tk.Rank() == 1 {
+			tk.Send(buf, 8, mpi.Float64, 0, 0)
+			return
+		}
+		failed = tk
+		r = tk.Irecv(buf, 4, mpi.Float64, 1, 0)
+		tk.Wait(r)
+	})
+	if err == nil || !strings.Contains(err.Error(), "truncation") {
+		t.Fatalf("Run = %v, want a truncation error", err)
+	}
+	if r.live() == nil {
+		t.Error("the failed request was freed")
+	}
+	if slices.Contains(failed.reqFree, r.r) {
+		t.Error("the failed request's record is on the free list")
+	}
+}

@@ -23,8 +23,8 @@ type mpiSurface interface {
 	Size() int
 	Send(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt)
 	Recv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt)
-	Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) *Request
-	Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) *Request
+	Isend(addr xmem.Addr, count int, dt mpi.Datatype, dst, tag int, opts ...Opt) Request
+	Irecv(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Request
 	Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst, sendTag int,
 		recvAddr xmem.Addr, recvCount int, rdt mpi.Datatype, src, recvTag int, opts ...Opt)
 	Iprobe(src, tag int, dt mpi.Datatype) (bool, int)
@@ -76,9 +76,9 @@ func exerciseMPI(tk *Task, c mpiSurface, impacc bool) {
 	rr := c.Irecv(b, 128, f, left, 2)
 	sr := c.Isend(a, 128, f, right, 2)
 	tk.Wait(rr, sr)
-	reqs := []*Request{c.Irecv(b, 32, f, AnySource, 3), c.Isend(a, 32, f, right, 3)}
+	reqs := []Request{c.Irecv(b, 32, f, AnySource, 3), c.Isend(a, 32, f, right, 3)}
 	for range reqs {
-		reqs[tk.Waitany(reqs...)] = nil
+		reqs[tk.Waitany(reqs...)] = Request{}
 	}
 	c.Sendrecv(a, 16, f, right, 4, b, 16, f, left, 4)
 	sr = c.Isend(a, 24, f, right, 5)

@@ -74,9 +74,16 @@ type Config struct {
 // Cmd is one send or receive command. Task threads create commands and
 // enqueue them; the handler matches pairs and completes them.
 //
+// The owner may reuse a command once its Done has fired and it did not
+// fail: no hub structure reads a *Cmd after its Done fired, except a failed
+// one, which the hub's lazy purges may still find parked (a failed command
+// fails its task, so it is never reused). The one hub reference that
+// outlives the command, a receive's NetTimeout deadline, acts only while
+// Gen is unchanged.
+//
 // The bools sit together at the end, so the struct carries no padding:
-// core.Request embeds a Cmd and must stay within the 192-byte size class
-// (TestRequestSize).
+// core's request record embeds a Cmd and must stay within the 192-byte
+// size class (TestRequestSize).
 type Cmd struct {
 	Src   int // sender rank (AnySource allowed on receives)
 	Dst   int // receiver rank
@@ -104,6 +111,10 @@ type Cmd struct {
 	// parks in a pending structure; "earliest posted" comparisons across
 	// the keyed queues and the wildcard list reduce to min-seq.
 	seq uint64
+	// Gen is the owner's reuse generation: an owner that recycles the
+	// command moves it on when it frees the command and keeps it when it
+	// fills the command in again.
+	Gen uint32
 
 	IsSend bool
 	// ReadOnly carries the IMPACC directive's readonly attribute
@@ -175,8 +186,9 @@ const (
 
 // netMsg is an internode message arriving at the destination node: the
 // entry unit of the pending internode message queue. It is its own
-// cross-shard delivery (Call), so sending one allocates nothing beyond the
-// message and its eager snapshot.
+// cross-shard delivery (Call), and it comes off the sending hub's spare
+// list and returns to the receiving hub's (see Hub.spareMsgs), so sending
+// one allocates nothing beyond its eager snapshot.
 type netMsg struct {
 	Src, Dst, Tag int
 	Comm          int
@@ -318,6 +330,43 @@ type Hub struct {
 	handleNext, handleNextNet sim.Callback
 	// freePairs recycles the records of intra-node pairs in flight.
 	freePairs *pairOp
+	// spareMsgs recycles internode wire messages: a send takes one from
+	// its own hub's list and the message returns to the list of the hub
+	// it ends on, so each list is touched only by its own shard and a
+	// message crosses shards only as the Post that delivers it. At most
+	// maxSpareMsgs are kept.
+	spareMsgs []*netMsg
+}
+
+// maxSpareMsgs bounds a hub's spare wire messages. Messages leave the
+// sender's list and return to the receiver's, so a hub that receives more
+// than it sends, such as a gather root, would otherwise keep one record
+// for every message it ever took in. A halo exchange returns about as many
+// messages to a hub as it takes: unbounded, the spare lists of the
+// impacc-perf workloads peak at 2 (Jacobi) and 12 (LULESH) per hub. So 32
+// spares serve the steady state of those exchanges with room to spare,
+// while the root of a 1024-node gather keeps 32 records (about 5 KB)
+// rather than 1023.
+const maxSpareMsgs = 32
+
+// newNetMsg takes a wire message off the hub's spare list, or makes one.
+func (h *Hub) newNetMsg() *netMsg {
+	if n := len(h.spareMsgs); n > 0 {
+		m := h.spareMsgs[n-1]
+		h.spareMsgs = h.spareMsgs[:n-1]
+		return m
+	}
+	return new(netMsg)
+}
+
+// freeNetMsg ends wire message m on hub h, the hub whose shard holds it:
+// the receiver once it landed or failed, the sender when it never left.
+// Clearing it drops its payload snapshot.
+func (h *Hub) freeNetMsg(m *netMsg) {
+	if len(h.spareMsgs) < maxSpareMsgs {
+		*m = netMsg{}
+		h.spareMsgs = append(h.spareMsgs, m)
+	}
 }
 
 // matchKey is a fully-concrete message envelope: the unit of FIFO matching.
@@ -651,8 +700,11 @@ func (h *Hub) fail(send, recv *Cmd, err error) {
 // timeoutRecv fails a posted receive whose NetTimeout deadline elapsed
 // unmatched. The command may still sit in a matching structure; fired
 // entries are purged lazily the next time matching touches their queue.
-func (h *Hub) timeoutRecv(cmd *Cmd) {
-	if cmd.matched || cmd.Done.Fired() {
+// gen is the command's Gen when the receive was posted: a command its
+// owner has since freed and reused is another receive, whose own deadline
+// is its own.
+func (h *Hub) timeoutRecv(cmd *Cmd, gen uint32) {
+	if cmd.Gen != gen || cmd.matched || cmd.Done.Fired() {
 		return
 	}
 	if h.fctr != nil {

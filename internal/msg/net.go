@@ -39,7 +39,8 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 		// Zero-byte message: a bare network round of latency only.
 		unlock()
 		h.ctr.netOut.Inc()
-		m := &netMsg{Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm,
+		m := h.newNetMsg()
+		*m = netMsg{Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm,
 			SendID: cmd.TraceID, SendPost: cmd.PostedAt}
 		h.netInject(cmd, m, dst, 0, 0)
 		return
@@ -97,7 +98,8 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 		unlock() // host-memory and RDMA sends release the call lock here
 	}
 	h.ctr.netOut.Inc()
-	m := &netMsg{
+	m := h.newNetMsg()
+	*m = netMsg{
 		Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm, Bytes: n,
 		snapshot: snapshot,
 		direct:   direct,
@@ -137,6 +139,7 @@ func (h *Hub) netInject(cmd *Cmd, m *netMsg, dst *Hub, n int64, attempt int) {
 			h.fctr.failures.Inc()
 			h.fail(cmd, nil, &NetError{Op: "send", Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag,
 				Bytes: n, Attempts: attempt, At: h.Eng.Now()})
+			h.freeNetMsg(m)
 			return
 		}
 		h.fctr.retries.Inc()
@@ -209,7 +212,8 @@ func (h *Hub) PostNetRecv(p *sim.Proc, cmd *Cmd) {
 		h.serial.Release()
 	}
 	if h.Cfg.NetTimeout > 0 {
-		h.Eng.After(h.Cfg.NetTimeout, func() { h.timeoutRecv(cmd) })
+		gen := cmd.Gen
+		h.Eng.After(h.Cfg.NetTimeout, func() { h.timeoutRecv(cmd, gen) })
 	}
 	h.intraQ.Push(cmd)
 	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.Len()))
@@ -235,7 +239,7 @@ func (h *Hub) handleNet(m *netMsg) {
 func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 	recv.matched = true
 	if recv.Bytes < m.Bytes {
-		h.fail(nil, recv, fmt.Errorf("msg: truncation: recv %d bytes < message %d", recv.Bytes, m.Bytes))
+		h.failNet(m, recv, fmt.Errorf("msg: truncation: recv %d bytes < message %d", recv.Bytes, m.Bytes))
 		return
 	}
 	if h.OnMatch != nil && m.SendID != 0 && recv.TraceID != 0 {
@@ -244,17 +248,18 @@ func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 	recv.MatchedSrc, recv.MatchedTag, recv.MatchedBytes = m.Src, m.Tag, m.Bytes
 	if m.Bytes == 0 {
 		h.ctr.netIn.Inc()
+		h.freeNetMsg(m)
 		recv.Done.Fire()
 		return
 	}
 	dloc, err := recv.Ep.Space.Lookup(recv.Addr)
 	if err != nil {
-		h.fail(nil, recv, err)
+		h.failNet(m, recv, err)
 		return
 	}
 	onDevice := dloc.Kind() == xmem.DeviceMem
 	if onDevice && h.Cfg.Legacy {
-		h.fail(nil, recv, fmt.Errorf("msg: legacy MPI cannot receive into device memory"))
+		h.failNet(m, recv, fmt.Errorf("msg: legacy MPI cannot receive into device memory"))
 		return
 	}
 	start := h.Eng.Now()
@@ -280,19 +285,27 @@ func (s *stagedLand) Call() {
 }
 
 // landNet finishes an internode receive once any staging copy is done: the
-// payload lands, the copy is recorded from start, and Done fires.
+// payload lands, the copy is recorded from start, the message returns to
+// the hub's spare list, and Done fires.
 func (h *Hub) landNet(m *netMsg, recv *Cmd, onDevice bool, start sim.Time) {
 	n := m.Bytes
 	if err := h.landPayload(m, recv, n); err != nil {
-		h.fail(nil, recv, err)
+		h.failNet(m, recv, err)
 		return
 	}
+	h.freeNetMsg(m)
 	dir := device.HtoH
 	if onDevice {
 		dir = device.HtoD
 	}
 	recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
 	recv.Done.Fire()
+}
+
+// failNet fails internode receive recv and ends its message m.
+func (h *Hub) failNet(m *netMsg, recv *Cmd, err error) {
+	h.freeNetMsg(m)
+	h.fail(nil, recv, err)
 }
 
 // landPayload writes the eager snapshot into the receive buffer. The live

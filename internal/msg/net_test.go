@@ -354,3 +354,45 @@ func TestRDMARerouteToStaging(t *testing.T) {
 		t.Fatalf("rerouted counter = %d, want 1", got)
 	}
 }
+
+// TestNetMsgSpareLists: a wire message ends on the spare list of the hub it
+// lands on, which takes it for its next send, and a hub that only receives
+// keeps at most maxSpareMsgs of them.
+func TestNetMsgSpareLists(t *testing.T) {
+	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), impaccCfg())
+	const msgs = maxSpareMsgs + 8
+	src, _ := e0.Space.AllocHost(8, true)
+	dst, _ := e1.Space.AllocHost(8, true)
+	eng.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			h0.PostNetSend(p, newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: i, Addr: src, Bytes: 8, Ep: e0}), h1)
+		}
+	})
+	var recvs []*Cmd
+	eng.Spawn("recver", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond) // every message is in flight or parked by now
+		for i := 0; i < msgs; i++ {
+			rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: i, Addr: dst, Bytes: 8, Ep: e1})
+			recvs = append(recvs, rc)
+			h1.PostNetRecv(p, rc)
+		}
+		for _, rc := range recvs {
+			rc.Done.Wait(p)
+		}
+	})
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range recvs {
+		if rc.Err != nil || rc.MatchedBytes != 8 {
+			t.Fatalf("recv tag %d: err %v, %d bytes", rc.Tag, rc.Err, rc.MatchedBytes)
+		}
+	}
+	if len(h0.spareMsgs) != 0 || len(h1.spareMsgs) != maxSpareMsgs {
+		t.Fatalf("spares: sender %d, receiver %d; want 0 and %d", len(h0.spareMsgs), len(h1.spareMsgs), maxSpareMsgs)
+	}
+	spare := h1.spareMsgs[len(h1.spareMsgs)-1]
+	if m := h1.newNetMsg(); m != spare {
+		t.Fatal("the receiver's next send did not take its spare message")
+	}
+}
