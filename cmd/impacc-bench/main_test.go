@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"impacc/internal/telemetry"
 )
 
 // TestSmokeFig6 drives the full command path through realMain on a fast
@@ -73,7 +71,12 @@ func TestMetricsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap telemetry.Snapshot
+	var snap struct {
+		Families []struct {
+			Name   string
+			Series []json.RawMessage
+		}
+	}
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("metrics not JSON: %v", err)
 	}

@@ -193,7 +193,7 @@ func main() {
 	}
 	if *metrics != "" {
 		fatal(rep.Metrics.WriteFile(*metrics))
-		fmt.Printf("  metrics: %d families -> %s\n", len(rep.Metrics.Families), *metrics)
+		fmt.Printf("  metrics: %d families -> %s\n", rep.Metrics.NumFamilies(), *metrics)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strconv"
 	"testing"
 
@@ -13,11 +14,32 @@ import (
 	"impacc/internal/topo"
 )
 
-// family returns the named family of snap, or nil.
-func family(snap *telemetry.Snapshot, name string) *telemetry.FamilySnap {
-	for i := range snap.Families {
-		if snap.Families[i].Name == name {
-			return &snap.Families[i]
+// metricFamily is a family of the JSON metrics export, decoded.
+type metricFamily struct {
+	Name   string
+	Series []struct {
+		Labels     []telemetry.Label
+		Value      int64
+		GaugeValue float64 `json:"gauge_value"`
+		Count      uint64
+		Sum        int64
+	}
+}
+
+// family returns the named family of snap's JSON export, or nil.
+func family(t *testing.T, snap *telemetry.Snapshot, name string) *metricFamily {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snap.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dec struct{ Families []metricFamily }
+	if err := json.Unmarshal(buf.Bytes(), &dec); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dec.Families {
+		if dec.Families[i].Name == name {
+			return &dec.Families[i]
 		}
 	}
 	return nil
@@ -75,7 +97,7 @@ func TestMetricsContents(t *testing.T) {
 	rep := jacobiReport(t)
 	snap := rep.Metrics
 
-	util := family(snap, topo.LinkUtilization)
+	util := family(t, snap, topo.LinkUtilization)
 	if util == nil || len(util.Series) == 0 {
 		t.Fatal("no link utilization gauges")
 	}
@@ -86,7 +108,7 @@ func TestMetricsContents(t *testing.T) {
 	}
 
 	dev := rep.TotalDev()
-	kh := family(snap, device.KernelDurationNs)
+	kh := family(t, snap, device.KernelDurationNs)
 	if kh == nil {
 		t.Fatal("no kernel duration histograms")
 	}
@@ -98,7 +120,7 @@ func TestMetricsContents(t *testing.T) {
 		t.Errorf("kernel histogram count = %d, report says %d", kernels, dev.KernelCount)
 	}
 
-	ch := family(snap, device.CopyBytes)
+	ch := family(t, snap, device.CopyBytes)
 	if ch == nil {
 		t.Fatal("no copy size histograms")
 	}
@@ -117,7 +139,7 @@ func TestMetricsContents(t *testing.T) {
 		msg.FusedCopiesTotal: hub.FusedCopies,
 		msg.NetOutTotal:      hub.NetOut,
 	} {
-		f := family(snap, fam)
+		f := family(t, snap, fam)
 		if f == nil {
 			t.Errorf("missing hub counter family %q", fam)
 			continue
@@ -131,7 +153,7 @@ func TestMetricsContents(t *testing.T) {
 		}
 	}
 
-	mpiF := family(snap, core.MPILatencyNs)
+	mpiF := family(t, snap, core.MPILatencyNs)
 	if mpiF == nil || len(mpiF.Series) == 0 {
 		t.Fatal("no MPI latency histograms")
 	}

@@ -196,8 +196,11 @@ func TestLocalIndexMatchesScan(t *testing.T) {
 
 // allreduceBytesPerRankCall measures the heap bytes one Allreduce costs
 // each rank on titan:nodes: the difference between runs of k and 2k calls
-// cancels set-up and teardown.
-func allreduceBytesPerRankCall(t *testing.T, nodes, k int) float64 {
+// cancels set-up and teardown. k is chosen so that k*nodes rank-calls are
+// at least rankCalls, so the per-call bytes outweigh the run-to-run noise
+// of set-up (goroutine stacks, pooled buffers) on a small system too.
+func allreduceBytesPerRankCall(t *testing.T, nodes, rankCalls int) float64 {
+	k := max(1, (rankCalls+nodes-1)/nodes)
 	run := func(calls int) int64 {
 		cfg := Config{System: topo.Titan(nodes), Mode: IMPACC, Backed: true}
 		var before, after runtime.MemStats
@@ -228,9 +231,9 @@ func TestAllreduceAllocScaling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, which moves allocation totals")
 	}
-	const k = 8
-	small := allreduceBytesPerRankCall(t, 32, k)
-	large := allreduceBytesPerRankCall(t, 512, k)
+	const rankCalls = 4096
+	small := allreduceBytesPerRankCall(t, 32, rankCalls)
+	large := allreduceBytesPerRankCall(t, 512, rankCalls)
 	t.Logf("bytes per rank per Allreduce: titan:32 %.0f, titan:512 %.0f", small, large)
 	if large > 1.5*small {
 		t.Errorf("titan:512 costs %.0f B per rank per Allreduce, more than 1.5x titan:32's %.0f B", large, small)

@@ -85,7 +85,7 @@ func TestLeanAggregatesAboveThreshold(t *testing.T) {
 		Progress: &Progress{Every: 50 * sim.Microsecond, Emit: func(hb Heartbeat) { beats = append(beats, hb) }}}
 	rep := mustRun(t, cfg, leanProg)
 
-	for _, fam := range rep.Metrics.Families {
+	for _, fam := range metricFamilies(t, rep) {
 		if fam.Name != MPILatencyNs {
 			continue
 		}

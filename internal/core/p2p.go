@@ -66,8 +66,8 @@ func (c *Comm) opts(opts []Opt) callOpts {
 // request lives until the call that completes it: Wait, or the entry
 // Waitany returns, frees the record for the task's next request, and every
 // handle to the freed record is null from then on, so a second Wait on it
-// returns at once. A request placed on a unified activity queue is never
-// freed.
+// returns at once. A request placed on a unified activity queue is freed
+// the same way, though its record is never reused.
 type Request struct {
 	r   *request
 	gen uint32
@@ -111,17 +111,16 @@ func (t *Task) newRequest() *request {
 	return r
 }
 
-// freeRequest ends a completed request posted at once: its generation
-// moves on, which nulls every handle to it and disarms its receive
-// deadline, and the record returns to the task's free list. A request
-// whose command failed is never freed: checkCmd fails the task first. A
-// queued request (uqOp) is not freed either; nothing recycles its record.
+// freeRequest ends a completed request: its generation moves on, which
+// nulls every handle to it and disarms its receive deadline, and a request
+// posted at once returns to the task's free list. A queued request's
+// record is part of its uqOp, which nothing recycles. A request whose
+// command failed is never freed: checkCmd fails the task first.
 func (t *Task) freeRequest(r *request) {
-	if r.uq != uqNone {
-		return
-	}
 	r.cmd.Gen++
-	t.reqFree = append(t.reqFree, r)
+	if r.uq == uqNone {
+		t.reqFree = append(t.reqFree, r)
+	}
 }
 
 // uqKind names one of the four point-to-point operations.
@@ -465,7 +464,8 @@ func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag i
 // waits on the same list until Waitany reports -1 need not clear the
 // entries it was given; with no live entry (or none at all) Waitany
 // returns -1 at once, MPI_Waitany's MPI_UNDEFINED. A completed request
-// placed on a unified activity queue is reported without being freed.
+// placed on a unified activity queue is freed too; its queue, not
+// Waitany, claims its trace span and reports its failure.
 func (t *Task) Waitany(reqs ...Request) int { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	var lastWait uint64
 	for {
@@ -482,8 +482,8 @@ func (t *Task) Waitany(reqs ...Request) int { //impacc:allow-unused reproduces t
 						tr.claim(t.pl.Node, r.cmd.TraceID, lastWait, t.proc.Now())
 					}
 					t.checkCmd(&r.cmd)
-					t.freeRequest(r)
 				}
+				t.freeRequest(r)
 				return i
 			}
 		}

@@ -126,16 +126,13 @@ func (rt *Runtime) emitHeartbeat(seq int, at sim.Time) {
 			hb.Phases[i] = t.phase
 		}
 	}
-	nodes := make([]int, 0, len(rt.nodes))
-	for n := range rt.nodes {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		st := rt.nodes[n].hub.Stats()
-		hb.IntraMsgs += st.IntraMsgs
-		hb.NetOut += st.NetOut
-		hb.NetIn += st.NetIn
+	for _, ns := range rt.nodes {
+		if ns != nil {
+			st := ns.hub.Stats()
+			hb.IntraMsgs += st.IntraMsgs
+			hb.NetOut += st.NetOut
+			hb.NetIn += st.NetIn
+		}
 	}
 	rt.Cfg.Progress.Emit(hb)
 }

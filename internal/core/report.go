@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"impacc/internal/device"
 	"impacc/internal/msg"
@@ -74,6 +73,8 @@ type Report struct {
 	Hubs    []HubReport
 	// Metrics is the full telemetry registry snapshot taken at run end,
 	// after link utilization gauges are recorded. See internal/telemetry.
+	// The snapshot is a view of the run's registry, so a report keeps the
+	// run's registries (and what their resource records belong to) alive.
 	Metrics *telemetry.Snapshot
 	// Prof is the causal-trace profile (critical path, per-rank breakdowns,
 	// call-site table); nil unless the run was traced. See internal/prof.
@@ -117,16 +118,13 @@ func (rt *Runtime) buildReport() *Report {
 		}
 		r.Tasks = append(r.Tasks, tr)
 	}
-	var nodes []int
-	for n := range rt.nodes {
-		nodes = append(nodes, n)
+	if n := len(rt.worldLayout.first); n > 0 {
+		r.Hubs = make([]HubReport, 0, n)
 	}
-	sort.Ints(nodes)
-	if len(nodes) > 0 {
-		r.Hubs = make([]HubReport, 0, len(nodes))
-	}
-	for _, n := range nodes {
-		ns := rt.nodes[n]
+	for n, ns := range rt.nodes {
+		if ns == nil {
+			continue
+		}
 		nr := rt.Fab.Node(n)
 		hr := HubReport{
 			Node:        n,

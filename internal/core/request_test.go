@@ -1,19 +1,45 @@
 package core
 
 import (
+	"encoding/json"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"impacc/internal/acc"
 	"impacc/internal/mpi"
 	"impacc/internal/sim"
+	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
 
+// metricFamily is a family of a report's metrics export, decoded.
+type metricFamily struct {
+	Name   string
+	Series []struct {
+		Labels []telemetry.Label
+		Count  uint64
+	}
+}
+
+// metricFamilies decodes the report's metrics export.
+func metricFamilies(t *testing.T, rep *Report) []metricFamily {
+	t.Helper()
+	b, err := json.Marshal(rep.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Families []metricFamily }
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Families
+}
+
 // opSamples counts the MPI latency samples rank recorded under op.
-func opSamples(rep *Report, rank int, op string) uint64 {
-	for _, fam := range rep.Metrics.Families {
+func opSamples(t *testing.T, rep *Report, rank int, op string) uint64 {
+	for _, fam := range metricFamilies(t, rep) {
 		if fam.Name != MPILatencyNs {
 			continue
 		}
@@ -56,7 +82,7 @@ func TestWaitFreedHandleReturnsAtOnce(t *testing.T) {
 			t.Errorf("second Wait took %v, want 0", dur(tk.Now()-t0))
 		}
 	})
-	if n := opSamples(rep, 0, "wait"); n != 1 {
+	if n := opSamples(t, rep, 0, "wait"); n != 1 {
 		t.Errorf("rank 0 recorded %d wait samples, want 1", n)
 	}
 }
@@ -117,6 +143,38 @@ func TestWaitanyLoopTerminates(t *testing.T) {
 			t.Errorf("Waitany returned %v, want each of 0 and 1 once", got)
 		}
 	})
+}
+
+// TestQueuedHandleFreedByItsWait: a request placed on a unified activity
+// queue goes null after the call that completes it, as one posted at once
+// does: Waitany returns its index once and then -1, and a second Wait on
+// it records no wait sample.
+func TestQueuedHandleFreedByItsWait(t *testing.T) {
+	rep := mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
+		buf := tk.Malloc(64)
+		if tk.Rank() == 1 {
+			tk.Recv(buf, 8, mpi.Float64, 0, 0)
+			tk.Recv(buf, 8, mpi.Float64, 0, 1)
+			return
+		}
+		tk.DataEnter(buf, 64, acc.Create)
+		r := tk.Isend(buf, 8, mpi.Float64, 1, 0, OnDevice(), Async(1))
+		tk.ACCWait(1)
+		for n, i := 0, tk.Waitany(r); i >= 0; n, i = n+1, tk.Waitany(r) {
+			if n > 0 {
+				t.Fatalf("Waitany returned %d again after it completed the queued request", i)
+			}
+		}
+		r = tk.Isend(buf, 8, mpi.Float64, 1, 1, OnDevice(), Async(1))
+		tk.Wait(r)
+		if r.live() != nil {
+			t.Error("queued handle still live after the Wait that completed it")
+		}
+		tk.Wait(r)
+	})
+	if n := opSamples(t, rep, 0, "wait"); n != 1 {
+		t.Errorf("rank 0 recorded %d wait samples, want 1", n)
+	}
 }
 
 // TestWaitanyNoLiveRequest: with no live request MPI_Waitany returns

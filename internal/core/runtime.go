@@ -41,7 +41,8 @@ type Runtime struct {
 	shards []*sim.Engine
 	group  *sim.ShardGroup
 
-	nodes      map[int]*nodeState
+	// nodes is indexed by node: nil for a node that hosts no rank.
+	nodes      []*nodeState
 	tasks      []*Task
 	placements []Placement
 	// worldRanks (the identity 0..P-1) and worldLayout back every task's
@@ -114,9 +115,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		Cfg:   cfg,
 		feats: cfg.features(),
-		nodes: map[int]*nodeState{},
 	}
 	nNodes := len(cfg.System.Nodes)
+	rt.nodes = make([]*nodeState, nNodes)
 	lookahead := cfg.System.MinNetLatency()
 	perNode := make([]*sim.Engine, nNodes)
 	if nNodes > 1 && lookahead > 0 {
@@ -195,8 +196,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	mcfg := cfg.msgConfig()
 	for rank, pl := range rt.placements {
-		ns, ok := rt.nodes[pl.Node]
-		if !ok {
+		ns := rt.nodes[pl.Node]
+		if ns == nil {
 			heap := xmem.NewHeapTable()
 			neng := rt.Fab.Engine(pl.Node)
 			ns = &nodeState{

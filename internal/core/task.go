@@ -150,7 +150,7 @@ func (t *Task) DeviceIndex() int { return t.pl.Device }
 func (t *Task) LocalIndex() int { return t.local } //impacc:allow-unused reproduces the paper's node-aware task API (§3.3)
 
 // NumNodes returns the number of nodes hosting tasks.
-func (t *Task) NumNodes() int { return len(t.rt.nodes) } //impacc:allow-unused reproduces the paper's node-aware task API (§3.3)
+func (t *Task) NumNodes() int { return len(t.rt.worldLayout.first) } //impacc:allow-unused reproduces the paper's node-aware task API (§3.3)
 
 // DeviceType is acc_get_device_type: the class of the attached accelerator,
 // the hook for manual load balancing across heterogeneous devices (§3.2).

@@ -403,39 +403,28 @@ func metadataEvents(spans []Span) []chromeEvent {
 // into Chrome counter events at the time of their last mutation, sorted by
 // timestamp with a name tie-break so the trace bytes are deterministic
 // regardless of snapshot family order. Histograms and the (potentially
-// huge) per-resource monitor families are left to the JSON/Prometheus
-// exports.
+// huge) per-resource families are left to the JSON/Prometheus exports.
 func (tr *Tracer) counterEvents() []chromeEvent {
 	if tr.metrics == nil {
 		return nil
 	}
 	var out []chromeEvent
-	for _, f := range tr.metrics.Families {
-		if f.Kind == "histogram" || strings.HasPrefix(f.Name, "sim_resource_") {
-			continue
-		}
-		for _, s := range f.Series {
-			v := float64(s.Value)
-			if f.Kind == "gauge" {
-				v = s.GaugeValue
+	tr.metrics.Values(func(name string, keys, values []string, lastNs int64, v float64) {
+		if len(keys) > 0 {
+			parts := make([]string, len(keys))
+			for i, k := range keys {
+				parts[i] = k + "=" + values[i]
 			}
-			name := f.Name
-			if len(s.Labels) > 0 {
-				parts := make([]string, 0, len(s.Labels))
-				for _, l := range s.Labels {
-					parts = append(parts, l.Key+"="+l.Value)
-				}
-				name += "{" + strings.Join(parts, ",") + "}"
-			}
-			out = append(out, chromeEvent{
-				Name: name,
-				Cat:  "metric",
-				Ph:   "C",
-				Ts:   float64(s.LastNs) / 1e3,
-				Args: map[string]any{"value": v},
-			})
+			name += "{" + strings.Join(parts, ",") + "}"
 		}
-	}
+		out = append(out, chromeEvent{
+			Name: name,
+			Cat:  "metric",
+			Ph:   "C",
+			Ts:   float64(lastNs) / 1e3,
+			Args: map[string]any{"value": v},
+		})
+	})
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Ts != out[j].Ts {
 			return out[i].Ts < out[j].Ts

@@ -47,18 +47,15 @@ func buildGoldenTracer() *Tracer {
 	tr.record(Span{ID: w, Rank: 0, Node: 0, Stream: 2, Kind: "accwait", Name: "qwait",
 		Start: 1300, End: 2600, Peer: -1})
 
-	tr.AttachMetrics(&telemetry.Snapshot{AtNs: 5000, Families: []telemetry.FamilySnap{
-		{Name: "msg_net_out_total", Kind: "counter", Series: []telemetry.SeriesSnap{
-			{Labels: []telemetry.Label{{Key: "node", Value: "0"}}, LastNs: 2500, Value: 2},
-		}},
-		{Name: "link_utilization", Kind: "gauge", Series: []telemetry.SeriesSnap{
-			{LastNs: 5000, GaugeValue: 0.5},
-		}},
-		// Histograms are excluded from counter events.
-		{Name: "device_kernel_duration_ns", Kind: "histogram", Series: []telemetry.SeriesSnap{
-			{LastNs: 2500, Count: 1, Sum: 1000},
-		}},
-	}})
+	now := int64(2500)
+	reg := telemetry.NewRegistry()
+	reg.SetClock(func() int64 { return now })
+	reg.Counter("msg_net_out_total", "", "node", "0").Add(2)
+	// Histograms are excluded from counter events.
+	reg.Histogram("device_kernel_duration_ns", "").Observe(1000)
+	now = 5000
+	reg.Gauge("link_utilization", "").Set(0.5)
+	tr.AttachMetrics(reg.Snapshot(now))
 	return tr
 }
 

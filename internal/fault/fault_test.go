@@ -277,26 +277,26 @@ func TestTelemetryCounters(t *testing.T) {
 	if downs == 0 {
 		t.Fatal("rdmaflap on node 1 never took its RDMA path down")
 	}
-	series := func(reg *telemetry.Registry, kind, node string) *telemetry.SeriesSnap {
-		for _, f := range reg.Snapshot(0).Families {
-			for i, s := range f.Series {
-				if f.Name == InjectedTotal && s.Labels[0].Value == kind && s.Labels[1].Value == node {
-					return &f.Series[i]
-				}
+	type sample struct{ value, lastNs int64 }
+	series := func(reg *telemetry.Registry, kind, node string) *sample {
+		var got *sample
+		reg.Snapshot(0).Values(func(name string, _, values []string, lastNs int64, v float64) {
+			if name == InjectedTotal && values[0] == kind && values[1] == node {
+				got = &sample{int64(v), lastNs}
 			}
-		}
-		return nil
+		})
+		return got
 	}
 	for _, c := range []struct {
 		kind, node    string
 		value, lastNs int64
 	}{{"degrade", "0", 1, 100}, {"copyfail", "0", 2, 300}, {"rdmadown", "1", int64(downs), lastDown}} {
 		s := series(regs[0], c.kind, c.node)
-		if s == nil || s.Value != c.value || s.LastNs != c.lastNs {
+		if s == nil || s.value != c.value || s.lastNs != c.lastNs {
 			t.Fatalf("%s{node=%s} in node 0's registry = %+v, want value %d at %d", c.kind, c.node, s, c.value, c.lastNs)
 		}
 	}
-	if fams := regs[1].Snapshot(0).Families; len(fams) != 0 {
-		t.Fatalf("node 1's registry recorded injections it never asked about: %+v", fams)
+	if n := regs[1].Snapshot(0).NumFamilies(); n != 0 {
+		t.Fatalf("node 1's registry recorded injections it never asked about: %d families", n)
 	}
 }

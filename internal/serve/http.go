@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -138,14 +139,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the Prometheus exposition of the server's own
-// registry. Counters are mutated under the server mutex, so the snapshot is
-// taken under it too.
+// registry. Counters are mutated under the server mutex, and a snapshot
+// reads the live registry, so the exposition is written under it too, into
+// a buffer sent once the mutex is released.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	var buf bytes.Buffer
 	s.mu.Lock()
 	now := nowNanos()
 	s.refreshAgeLocked(now)
-	snap := s.reg.Snapshot(now)
+	s.reg.Snapshot(now).WritePrometheus(&buf)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap.WritePrometheus(w)
+	w.Write(buf.Bytes())
 }

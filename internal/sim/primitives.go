@@ -246,19 +246,8 @@ func (r *FIFOResource) BusyTime() Dur { return Dur(r.use.BusyNs) }
 // occupy the resource, e.g. propagation delay). It returns the time the
 // occupation started.
 func (r *FIFOResource) Use(p *Proc, occupy, tail Dur) Time {
-	if occupy < 0 {
-		occupy = 0
-	}
-	if tail < 0 {
-		tail = 0
-	}
-	start := r.eng.now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	r.freeAt = start + Time(occupy)
-	r.observe(r.eng.now, start, occupy)
-	p.SleepUntil(r.freeAt + Time(tail))
+	start, end := r.UseAsyncFrom(r.eng.now, occupy)
+	p.SleepUntil(end + Time(max(tail, 0)))
 	return start
 }
 
@@ -266,16 +255,7 @@ func (r *FIFOResource) Use(p *Proc, occupy, tail Dur) Time {
 // the completion time. It is used by device copy engines whose completion is
 // signalled through stream events rather than a blocked caller.
 func (r *FIFOResource) UseAsync(occupy Dur) (start, end Time) {
-	if occupy < 0 {
-		occupy = 0
-	}
-	start = r.eng.now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	r.freeAt = start + Time(occupy)
-	r.observe(r.eng.now, start, occupy)
-	return start, r.freeAt
+	return r.UseAsyncFrom(r.eng.now, occupy)
 }
 
 // UseAsyncFrom occupies the resource like UseAsync, but for a request whose

@@ -86,7 +86,7 @@ func newTwin(rng *rand.Rand, shard, n int) *twin {
 
 // writeBoth renders a registry snapshot with WriteJSON and the reference
 // snapshot with encoding/json, failing the test on any difference.
-func writeBoth(t *testing.T, what string, got *Snapshot, want *Snapshot) {
+func writeBoth(t *testing.T, what string, got *Snapshot, want *jsonSnap) {
 	t.Helper()
 	var g, w bytes.Buffer
 	if err := got.WriteJSON(&g); err != nil {
@@ -170,37 +170,36 @@ func TestMergeShardsMatchesMerge(t *testing.T) {
 }
 
 // TestWriteJSONMatchesEncoder: WriteJSON writes exactly encoding/json's
-// indented bytes for adversarial strings, both float formats, and nil or
-// empty lists, and fails like the encoder on NaN and infinities.
+// indented bytes, and WritePrometheus the reference's text, for
+// adversarial names, help strings and label values, both float formats,
+// empty histograms and an empty registry; WriteJSON fails like the encoder
+// on NaN and infinities.
 func TestWriteJSONMatchesEncoder(t *testing.T) {
-	var series []SeriesSnap
+	tw := &twin{reg: NewRegistry()}
+	tw.ref = newRefRegistry(func() int64 { return tw.now })
+	tw.reg.SetClock(func() int64 { return tw.now })
+	sameBytes(t, "empty", tw.reg.Snapshot(-1), tw.ref.Snapshot(-1))
 	for i, v := range labelValues {
-		series = append(series, SeriesSnap{
-			Labels: []Label{{Key: "k", Value: v}, {Key: v, Value: "x"}},
-			LastNs: int64(i) - 3, Value: int64(i * i), Count: uint64(i), Sum: -int64(i), Min: int64(i % 3), Max: int64(i),
-			Buckets: []BucketSnap{{Le: int64(i), N: uint64(i)}}[:i%2],
-		})
+		tw.now = int64(i) - 3
+		name := fmt.Sprintf("c%d_total", i) // one family per key set
+		tw.reg.Counter(name, "", "k", v, v, "x").Add(int64(i * i))
+		tw.ref.Counter(name, "", "k", v, v, "x").Add(int64(i * i))
+		tw.reg.Histogram("<odd\" name>", "a \\ help\nwith  marks", "k", v).Observe(int64(i) << i)
+		tw.ref.Histogram("<odd\" name>", "a \\ help\nwith  marks", "k", v).Observe(int64(i) << i)
 	}
+	tw.reg.Histogram("empty_ns", "no samples")
+	tw.ref.Histogram("empty_ns", "no samples")
 	gauges := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 1e21, 1e20, -0.5, 0.1, 1.5e300, 5e-324, 123456789, 2.5e-10}
-	for _, g := range gauges {
-		series = append(series, SeriesSnap{GaugeValue: g})
+	for i, g := range gauges {
+		tw.reg.Gauge("g", "h", "i", fmt.Sprint(i)).Set(g)
+		tw.ref.Gauge("g", "h", "i", fmt.Sprint(i)).Set(g)
 	}
-	snaps := []*Snapshot{
-		{},
-		{AtNs: -1, Families: []FamilySnap{}},
-		{AtNs: 7, Families: []FamilySnap{
-			{Name: "nil_series", Kind: "counter"},
-			{Name: "empty", Help: "h", Kind: "gauge", Series: []SeriesSnap{}},
-			{Name: "<odd\" name>", Help: "a \\ help\nwith  marks", Kind: "histogram", Series: series},
-		}},
-	}
-	for i, s := range snaps {
-		writeBoth(t, fmt.Sprintf("snapshot %d", i), s, s)
-	}
+	sameBytes(t, "adversarial", tw.reg.Snapshot(7), tw.ref.Snapshot(7))
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		s := &Snapshot{Families: []FamilySnap{{Name: "g", Kind: "gauge", Series: []SeriesSnap{{GaugeValue: 1}, {GaugeValue: bad}}}}}
+		tw.reg.Gauge("g", "h", "i", "bad").Set(bad)
+		tw.ref.Gauge("g", "h", "i", "bad").Set(bad)
 		var g, w bytes.Buffer
-		gerr, werr := s.WriteJSON(&g), refWriteJSON(&w, s)
+		gerr, werr := tw.reg.Snapshot(0).WriteJSON(&g), refWriteJSON(&w, tw.ref.Snapshot(0))
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() || g.Len() != 0 || w.Len() != 0 {
 			t.Errorf("gauge %v: WriteJSON err %v wrote %d bytes; encoder err %v wrote %d", bad, gerr, g.Len(), werr, w.Len())
 		}

@@ -11,7 +11,8 @@ import (
 // operations on 1–8 shard registries, each fed in step with a reference
 // twin (reference_test.go), and requires three routes to one registry to
 // write identical JSON and Prometheus bytes: MergeShards, a keyed Merge of
-// every shard into a fresh registry, and the reference's own keyed merge.
+// every shard into a fresh registry, and the reference's own keyed merge,
+// which it writes with encoding/json and a Prometheus writer of its own.
 // Each shard's snapshot, report-time gauges set after the merge, two
 // sweep-style Merges of the merged registry into an aggregate, and a Merge
 // into the MergeShards result itself are checked the same way.
@@ -168,15 +169,15 @@ func checkRegistryOps(t *testing.T, data []byte) {
 
 // sameBytes fails the test unless got writes the same JSON as the
 // reference snapshot does through encoding/json, and the same Prometheus
-// text as want.
-func sameBytes(t *testing.T, what string, got, want *Snapshot) {
+// text as the reference's own writer.
+func sameBytes(t *testing.T, what string, got *Snapshot, want *jsonSnap) {
 	t.Helper()
 	writeBoth(t, what, got, want)
 	var g, w bytes.Buffer
 	if err := got.WritePrometheus(&g); err != nil {
 		t.Fatal(err)
 	}
-	if err := want.WritePrometheus(&w); err != nil {
+	if err := refWritePrometheus(&w, want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(g.Bytes(), w.Bytes()) {

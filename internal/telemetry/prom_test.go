@@ -28,25 +28,35 @@ func TestPromEscape(t *testing.T) {
 	}
 }
 
+// TestPromLabels: promSample renders a label set, with the le label a
+// histogram bucket adds, in braces, and no braces for an empty set.
 func TestPromLabels(t *testing.T) {
 	cases := []struct {
 		name   string
 		labels []Label
-		extra  []Label
+		le     string
 		want   string
 	}{
-		{"empty", nil, nil, ""},
-		{"one", []Label{{"op", "send"}}, nil, `{op="send"}`},
-		{"two plus extra", []Label{{"op", "send"}, {"rank", "3"}},
-			[]Label{{"le", "+Inf"}}, `{op="send",rank="3",le="+Inf"}`},
-		{"newline", []Label{{"msg", "a\nb"}}, nil, `{msg="a\nb"}`},
-		{"backslash", []Label{{"path", `a\b`}}, nil, `{path="a\\b"}`},
-		{"quote", []Label{{"q", `say "hi"`}}, nil, `{q="say \"hi\""}`},
-		{"combined", []Label{{"v", "x\n\"y\"\\z"}}, nil, `{v="x\n\"y\"\\z"}`},
+		{"empty", nil, "", ""},
+		{"one", []Label{{"op", "send"}}, "", `{op="send"}`},
+		{"two plus le", []Label{{"op", "send"}, {"rank", "3"}}, "+Inf", `{op="send",rank="3",le="+Inf"}`},
+		{"le alone", nil, "7", `{le="7"}`},
+		{"newline", []Label{{"msg", "a\nb"}}, "", `{msg="a\nb"}`},
+		{"backslash", []Label{{"path", `a\b`}}, "", `{path="a\\b"}`},
+		{"quote", []Label{{"q", `say "hi"`}}, "", `{q="say \"hi\""}`},
+		{"combined", []Label{{"v", "x\n\"y\"\\z"}}, "", `{v="x\n\"y\"\\z"}`},
 	}
 	for _, c := range cases {
-		if got := promLabels(c.labels, c.extra...); got != c.want {
-			t.Errorf("%s: promLabels = %q, want %q", c.name, got, c.want)
+		p := point{values: []string{}}
+		for _, l := range c.labels {
+			p.keys, p.values = append(p.keys, l.Key), append(p.values, l.Value)
+		}
+		var le []byte
+		if c.le != "" {
+			le = []byte(c.le)
+		}
+		if got := string(promSample(nil, "m", "", &p, le, []byte("1"))); got != "m"+c.want+" 1\n" {
+			t.Errorf("%s: promSample = %q, want labels %q", c.name, got, c.want)
 		}
 	}
 }

@@ -6,14 +6,16 @@ import (
 	"io"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // This file keeps the registry's earlier code paths as references for the
 // equivalence tests: series registered through label pairs joined into a map
 // key, a keyed Merge that registers every source series again, resource
-// monitors registered as four series each, a Snapshot that sorts joined
-// keys, and encoding/json for WriteJSON. Counters and gauges are mutated
+// monitors registered as four series each, a Snapshot that copies every
+// series into plain structs sorted by joined keys, encoding/json for
+// WriteJSON and fmt for WritePrometheus. Counters and gauges are mutated
 // through the registry's own Counter and Gauge handles, whose registry only
 // supplies the clock. A histogram keeps its own state, the earlier flat
 // 65-bucket layout, so the reference checks the compact hist's widening and
@@ -171,18 +173,50 @@ func (r *refRegistry) Merge(src *refRegistry) {
 	}
 }
 
-func (r *refRegistry) Snapshot(atNs int64) *Snapshot {
-	snap := &Snapshot{AtNs: atNs, Families: []FamilySnap{}}
+// jsonSnap, jsonFamily, jsonSeries and jsonBucket are the snapshot schema
+// as encoding/json encodes it: the reference registry snapshots into them,
+// and tests decode WriteJSON's output into them.
+type jsonSnap struct {
+	AtNs     int64        `json:"at_ns"`
+	Families []jsonFamily `json:"families"`
+}
+
+type jsonFamily struct {
+	Name   string       `json:"name"`
+	Help   string       `json:"help,omitempty"`
+	Kind   string       `json:"kind"`
+	Series []jsonSeries `json:"series"`
+}
+
+type jsonSeries struct {
+	Labels     []Label      `json:"labels,omitempty"`
+	LastNs     int64        `json:"last_ns"`
+	Value      int64        `json:"value,omitempty"`
+	GaugeValue float64      `json:"gauge_value,omitempty"`
+	Count      uint64       `json:"count,omitempty"`
+	Sum        int64        `json:"sum,omitempty"`
+	Min        int64        `json:"min,omitempty"`
+	Max        int64        `json:"max,omitempty"`
+	Buckets    []jsonBucket `json:"buckets,omitempty"`
+}
+
+type jsonBucket struct {
+	Le int64  `json:"le"`
+	N  uint64 `json:"n"`
+}
+
+func (r *refRegistry) Snapshot(atNs int64) *jsonSnap {
+	snap := &jsonSnap{AtNs: atNs, Families: []jsonFamily{}}
 	names := append([]string(nil), r.names...)
 	sort.Strings(names)
 	for _, name := range names {
 		f := r.families[name]
-		fs := FamilySnap{Name: f.name, Help: f.help, Kind: f.kind.String()}
+		fs := jsonFamily{Name: f.name, Help: f.help, Kind: f.kind.String(), Series: []jsonSeries{}}
 		keys := append([]string(nil), f.order...)
 		sort.Strings(keys)
 		for _, k := range keys {
 			s := f.series[k]
-			ss := SeriesSnap{LastNs: s.lastNs}
+			ss := jsonSeries{LastNs: s.lastNs}
 			for i, key := range f.keys {
 				ss.Labels = append(ss.Labels, Label{Key: key, Value: s.values[i]})
 			}
@@ -201,7 +235,7 @@ func (r *refRegistry) Snapshot(atNs int64) *Snapshot {
 					if i > 0 {
 						le = 1<<uint(i) - 1
 					}
-					ss.Buckets = append(ss.Buckets, BucketSnap{Le: le, N: n})
+					ss.Buckets = append(ss.Buckets, jsonBucket{Le: le, N: n})
 				}
 			}
 			fs.Series = append(fs.Series, ss)
@@ -211,9 +245,51 @@ func (r *refRegistry) Snapshot(atNs int64) *Snapshot {
 	return snap
 }
 
-// refWriteJSON is the earlier Snapshot.WriteJSON.
-func refWriteJSON(w io.Writer, s *Snapshot) error {
+// refWriteJSON is the earlier Snapshot.WriteJSON: encoding/json, indented.
+func refWriteJSON(w io.Writer, s *jsonSnap) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(s)
+}
+
+// refWritePrometheus is the earlier Snapshot.WritePrometheus: one fmt call
+// per line, labels joined as strings.
+func refWritePrometheus(w io.Writer, s *jsonSnap) error {
+	labels := func(ls []Label, extra ...Label) string {
+		var parts []string
+		for _, l := range append(append([]Label(nil), ls...), extra...) {
+			v := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(l.Value)
+			parts = append(parts, l.Key+`="`+v+`"`)
+		}
+		if len(parts) == 0 {
+			return ""
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	var b strings.Builder
+	for _, f := range s.Families {
+		if f.Help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(f.Help))
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
+		for _, ss := range f.Series {
+			switch f.Kind {
+			case "counter":
+				fmt.Fprintf(&b, "%s%s %d\n", f.Name, labels(ss.Labels), ss.Value)
+			case "gauge":
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, labels(ss.Labels), strconv.FormatFloat(ss.GaugeValue, 'g', -1, 64))
+			default:
+				cum := uint64(0)
+				for _, bk := range ss.Buckets {
+					cum += bk.N
+					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, labels(ss.Labels, Label{"le", strconv.FormatInt(bk.Le, 10)}), cum)
+				}
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, labels(ss.Labels, Label{"le", "+Inf"}), ss.Count)
+				fmt.Fprintf(&b, "%s_sum%s %d\n", f.Name, labels(ss.Labels), ss.Sum)
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, labels(ss.Labels), ss.Count)
+			}
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

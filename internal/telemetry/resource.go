@@ -57,15 +57,12 @@ func (r *Registry) AddResource(res *Resource) {
 }
 
 // resourceFamilies are the four families a resource record reads as, in
-// name order.
-var resourceFamilies = [...]struct {
-	name, help string
-	kind       Kind
-}{
-	{ResourceBusyNs, "accumulated occupied time per serialized resource", KindCounter},
-	{ResourcePeakBacklogNs, "largest single queue-wait observed per serialized resource", KindGauge},
-	{ResourceUses, "completed occupations per serialized resource", KindCounter},
-	{ResourceWaitNs, "accumulated queue-wait time per serialized resource", KindCounter},
+// name order. They hold no series: snapshots read them off the records.
+var resourceFamilies = [...]family{
+	{name: ResourceBusyNs, help: "accumulated occupied time per serialized resource", kind: KindCounter, keys: resourceKeys},
+	{name: ResourcePeakBacklogNs, help: "largest single queue-wait observed per serialized resource", kind: KindGauge, keys: resourceKeys},
+	{name: ResourceUses, help: "completed occupations per serialized resource", kind: KindCounter, keys: resourceKeys},
+	{name: ResourceWaitNs, help: "accumulated queue-wait time per serialized resource", kind: KindCounter, keys: resourceKeys},
 }
 
 // resourceKeys is the label schema of the resource families.
@@ -159,30 +156,4 @@ func (r *Resource) fold(src *Resource) {
 	r.WaitNs += src.WaitNs
 	r.Uses += src.Uses
 	r.BusyAt, r.WaitAt, r.UsesAt = max(r.BusyAt, src.BusyAt), max(r.WaitAt, src.WaitAt), max(r.UsesAt, src.UsesAt)
-}
-
-// resourceSnaps writes rows as the four resource families: each row is one
-// series per family, and the four series share its label.
-func resourceSnaps(rows []*Resource) []FamilySnap {
-	n := len(rows)
-	labels, all := make([]Label, n), make([]SeriesSnap, len(resourceFamilies)*n)
-	for i := range rows {
-		labels[i] = Label{Key: resourceKeys[0], Value: rows[i].Name}
-	}
-	fams := make([]FamilySnap, len(resourceFamilies))
-	for fi, rf := range resourceFamilies {
-		series := all[fi*n : (fi+1)*n : (fi+1)*n]
-		for i := range rows {
-			v, at := rows[i].sample(fi)
-			ss := &series[i]
-			ss.Labels, ss.LastNs = labels[i:i+1:i+1], at
-			if rf.kind == KindGauge {
-				ss.GaugeValue = float64(v)
-			} else {
-				ss.Value = v
-			}
-		}
-		fams[fi] = FamilySnap{Name: rf.name, Help: rf.help, Kind: rf.kind.String(), Series: series}
-	}
-	return fams
 }

@@ -1,6 +1,8 @@
 package telemetry_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"slices"
 	"testing"
 
@@ -26,7 +28,14 @@ func TestResourceMonitor(t *testing.T) {
 	if err := sim.NewShardGroup([]*sim.Engine{e}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Metrics.Snapshot(int64(e.Now()))
+	var buf bytes.Buffer
+	if err := e.Metrics.Snapshot(int64(e.Now())).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Families []family }
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		family   string
 		resource string
@@ -40,19 +49,32 @@ func TestResourceMonitor(t *testing.T) {
 		{telemetry.ResourceBusyNs, "n0/idle", 0, 0},
 		{telemetry.ResourcePeakBacklogNs, "n0/idle", 0, 0},
 	} {
-		i := slices.IndexFunc(snap.Families, func(f telemetry.FamilySnap) bool { return f.Name == c.family })
+		i := slices.IndexFunc(snap.Families, func(f family) bool { return f.Name == c.family })
 		if i < 0 || len(snap.Families[i].Series) != 2 {
 			t.Fatalf("%s: no family with two series in %+v", c.family, snap.Families)
 		}
-		var ss *telemetry.SeriesSnap
+		var ss *series
 		for j, s := range snap.Families[i].Series {
 			if s.Labels[0] == (telemetry.Label{Key: "resource", Value: c.resource}) {
 				ss = &snap.Families[i].Series[j]
 			}
 		}
-		got := float64(ss.Value) + ss.GaugeValue
+		got := ss.Value + ss.GaugeValue
 		if got != c.value || ss.LastNs != c.lastNs {
 			t.Errorf("%s{resource=%s} = %v at %d, want %v at %d", c.family, c.resource, got, ss.LastNs, c.value, c.lastNs)
 		}
 	}
+}
+
+// family and series decode the JSON export's families and series.
+type family struct {
+	Name   string
+	Series []series
+}
+
+type series struct {
+	Labels     []telemetry.Label
+	LastNs     int64   `json:"last_ns"`
+	Value      float64 `json:"value"`
+	GaugeValue float64 `json:"gauge_value"`
 }

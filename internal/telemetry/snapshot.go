@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -11,114 +10,109 @@ import (
 	"strings"
 )
 
-// Snapshot is a point-in-time export of a registry: plain data, safe to
-// embed in run reports and to serialize. Families, series, and labels are
-// sorted, so marshaling a snapshot is deterministic.
+// Snapshot is a registry read at one virtual time. It is a view, not a
+// copy: taking it sorts the registry's families by name and their series
+// by label values, and writing it reads the series and resource rows as
+// they are then. So the registry must not be mutated between Snapshot and
+// the last write (its run is finished, or its owner holds one lock around
+// both). Two runs with the same seed write byte-identical snapshots.
 type Snapshot struct {
 	// AtNs is the virtual time the snapshot was taken, in nanoseconds.
-	AtNs     int64        `json:"at_ns"`
-	Families []FamilySnap `json:"families"`
+	AtNs int64
+	fams []*family   // by name; a resource family reads rows
+	rows []*Resource // the registry's records, folded to one row per name
 }
 
-// FamilySnap is one metric family in a snapshot.
-type FamilySnap struct {
-	Name   string       `json:"name"`
-	Help   string       `json:"help,omitempty"`
-	Kind   string       `json:"kind"`
-	Series []SeriesSnap `json:"series"`
-}
-
-// SeriesSnap is one series in a snapshot.
-type SeriesSnap struct {
-	Labels []Label `json:"labels,omitempty"`
-	LastNs int64   `json:"last_ns"`
-	// Counter value.
-	Value int64 `json:"value,omitempty"`
-	// Gauge value.
-	GaugeValue float64 `json:"gauge_value,omitempty"`
-	// Histogram aggregate and non-cumulative log2 buckets.
-	Count   uint64       `json:"count,omitempty"`
-	Sum     int64        `json:"sum,omitempty"`
-	Min     int64        `json:"min,omitempty"`
-	Max     int64        `json:"max,omitempty"`
-	Buckets []BucketSnap `json:"buckets,omitempty"`
-}
-
-// BucketSnap is one occupied histogram bucket: N samples with value <= Le
-// (and greater than the previous bucket's Le).
-type BucketSnap struct {
-	Le int64  `json:"le"`
-	N  uint64 `json:"n"`
-}
-
-// Snapshot exports the registry's current state at virtual time atNs.
-// Families sort by name and series by label values.
+// Snapshot returns the registry's view at virtual time atNs.
 func (r *Registry) Snapshot(atNs int64) *Snapshot {
-	rows := r.resourceRows()
-	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, 0, len(r.families)+len(resourceFamilies))}
+	s := &Snapshot{AtNs: atNs, fams: make([]*family, 0, len(r.families)+len(resourceFamilies)), rows: r.resourceRows()}
 	for _, f := range r.families {
-		snap.Families = append(snap.Families, f.snapshot())
+		slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
+		s.fams = append(s.fams, f)
 	}
-	if len(rows) > 0 {
-		snap.Families = append(snap.Families, resourceSnaps(rows)...)
+	if len(s.rows) > 0 {
+		for i := range resourceFamilies {
+			s.fams = append(s.fams, &resourceFamilies[i])
+		}
 	}
-	slices.SortFunc(snap.Families, func(a, b FamilySnap) int { return strings.Compare(a.Name, b.Name) })
-	return snap
+	slices.SortFunc(s.fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	return s
 }
 
-// snapshot exports the family, sorting its series by key first. The
-// series' labels share one allocation, and so do a histogram's buckets.
-func (f *family) snapshot() FamilySnap {
-	slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
-	fs := FamilySnap{Name: f.name, Help: f.help, Kind: f.kind.String(), Series: make([]SeriesSnap, len(f.series))}
-	k := len(f.keys)
-	labels := make([]Label, k*len(f.series))
-	for i, s := range f.series {
-		ss := &fs.Series[i]
-		ss.LastNs = s.lastNs
-		if k > 0 {
-			ss.Labels = labels[i*k : (i+1)*k : (i+1)*k]
-			for j, key := range f.keys {
-				ss.Labels[j] = Label{Key: key, Value: s.values[j]}
-			}
-		}
-		switch f.kind {
-		case KindCounter:
-			ss.Value = s.ival
-		case KindGauge:
-			ss.GaugeValue = s.fval
-		default:
-			h := &s.h.hist
-			ss.LastNs, ss.Count, ss.Sum, ss.Min, ss.Max = h.lastNs, h.count(), h.sum, h.min, h.max
-			ss.Buckets = h.snapshot()
-		}
-	}
-	return fs
-}
+// NumFamilies reports how many metric families the snapshot writes.
+func (s *Snapshot) NumFamilies() int { return len(s.fams) }
 
-// snapshot returns the occupied buckets, nil without samples.
-func (h *hist) snapshot() []BucketSnap {
-	n := 0
-	for _, c := range h.b {
-		if c != 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]BucketSnap, 0, n)
-	for j, c := range h.b {
-		if c == 0 {
+// Values calls fn for every counter and gauge series, in the order the
+// writers write them, with its family name, label keys and values, the
+// virtual time of its last mutation and its value. Histograms and the
+// resource families, which hold no series, are skipped.
+func (s *Snapshot) Values(fn func(name string, keys, values []string, lastNs int64, v float64)) {
+	for _, f := range s.fams {
+		if f.kind == KindHistogram {
 			continue
 		}
-		le := int64(0)
-		if b := h.lo + j; b > 0 {
-			le = 1<<uint(b) - 1
+		for _, se := range f.series {
+			v := float64(se.ival)
+			if f.kind == KindGauge {
+				v = se.fval
+			}
+			fn(f.name, f.keys, se.values, se.lastNs, v)
 		}
-		out = append(out, BucketSnap{Le: le, N: c})
 	}
-	return out
+}
+
+// rowFamily returns f's index in resourceFamilies, or -1 for a family of
+// the registry's own.
+func rowFamily(f *family) int {
+	for i := range resourceFamilies {
+		if f == &resourceFamilies[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// point is one series as the writers read it: a registry series or, in a
+// resource family, one resource row. It lives on the writer's stack.
+type point struct {
+	keys   []string
+	values []string // label values, aligned with keys; nil for a row
+	row    string   // a row's name, its one label value
+	lastNs int64
+	ival   int64   // counter value
+	fval   float64 // gauge value
+	h      *hist   // histogram state
+}
+
+// label returns the j-th label value.
+func (p *point) label(j int) string {
+	if p.values == nil {
+		return p.row
+	}
+	return p.values[j]
+}
+
+// size returns the number of series f writes; fi is rowFamily(f).
+func (s *Snapshot) size(f *family, fi int) int {
+	if fi >= 0 {
+		return len(s.rows)
+	}
+	return len(f.series)
+}
+
+// at loads f's i-th series into p; fi is rowFamily(f).
+func (s *Snapshot) at(f *family, fi, i int, p *point) {
+	if fi >= 0 {
+		row := s.rows[i]
+		v, at := row.sample(fi)
+		*p = point{keys: f.keys, row: row.Name, lastNs: at, ival: v, fval: float64(v)}
+		return
+	}
+	se := f.series[i]
+	*p = point{keys: f.keys, values: se.values, lastNs: se.lastNs, ival: se.ival, fval: se.fval}
+	if se.h != nil {
+		p.h, p.lastNs = &se.h.hist, se.h.lastNs
+	}
 }
 
 // WriteFile stores the snapshot at path: Prometheus text exposition when
@@ -139,46 +133,62 @@ func (s *Snapshot) WriteFile(path string) error {
 	return err
 }
 
+// MarshalJSON returns the bytes WriteJSON writes, so a report embedding
+// the snapshot encodes the same document.
+func (s *Snapshot) MarshalJSON() ([]byte, error) {
+	j := &writer{}
+	err := s.writeJSON(j)
+	return j.b, err
+}
+
 // WriteJSON emits the snapshot as indented JSON: exactly the bytes of a
-// json.Encoder with SetIndent("", " "), appended directly instead of
-// encoded by reflection and re-indented. Output is deterministic. A NaN or
-// infinite gauge fails with the encoder's error before anything is written.
+// json.Encoder with SetIndent("", " ") encoding its families and series,
+// appended directly instead of encoded by reflection and re-indented.
+// Output is deterministic. A NaN or infinite gauge fails with the
+// encoder's error before anything is written.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
-	for i := range s.Families {
-		for _, ss := range s.Families[i].Series {
-			if v := ss.GaugeValue; math.IsNaN(v) || math.IsInf(v, 0) {
+	return s.writeJSON(&writer{w: w, b: make([]byte, 0, 64<<10)})
+}
+
+func (s *Snapshot) writeJSON(j *writer) error {
+	for _, f := range s.fams {
+		for _, se := range f.series {
+			if v := se.fval; f.kind == KindGauge && (math.IsNaN(v) || math.IsInf(v, 0)) {
 				_, err := json.Marshal(v)
 				return err
 			}
 		}
 	}
-	j := &jsonWriter{w: w, b: make([]byte, 0, 64<<10)}
 	j.open('{')
 	j.key("at_ns")
 	j.b = strconv.AppendInt(j.b, s.AtNs, 10)
 	j.key("families")
-	j.array(s.Families == nil, len(s.Families), func(i int) {
-		f := &s.Families[i]
+	j.array(len(s.fams), func(i int) {
+		f, fi := s.fams[i], rowFamily(s.fams[i])
 		j.key("name")
-		j.str(f.Name)
-		if f.Help != "" {
+		j.str(f.name)
+		if f.help != "" {
 			j.key("help")
-			j.str(f.Help)
+			j.str(f.help)
 		}
 		j.key("kind")
-		j.str(f.Kind)
+		j.str(f.kind.String())
 		j.key("series")
-		j.array(f.Series == nil, len(f.Series), func(i int) { j.series(&f.Series[i]) })
+		var p point
+		j.array(s.size(f, fi), func(i int) {
+			s.at(f, fi, i, &p)
+			j.series(f.kind, &p)
+		})
 	})
 	j.close('}')
 	j.b = append(j.b, '\n')
 	return j.flush(0)
 }
 
-// jsonWriter appends indented JSON to b, flushing it to w in large chunks.
-// depth is the nesting level and first whether the innermost array or
-// object is still empty.
-type jsonWriter struct {
+// writer appends output to b, flushing it to w in large chunks; without w
+// it keeps everything in b. Its JSON methods indent: depth is the nesting
+// level and first whether the innermost array or object is still empty.
+type writer struct {
 	w     io.Writer
 	b     []byte
 	err   error
@@ -186,7 +196,7 @@ type jsonWriter struct {
 	first bool
 }
 
-func (j *jsonWriter) open(c byte) {
+func (j *writer) open(c byte) {
 	j.b = append(j.b, c)
 	j.depth++
 	j.first = true
@@ -194,12 +204,12 @@ func (j *jsonWriter) open(c byte) {
 
 // newline starts a line indented one space per level (a snapshot's
 // deepest members are at level 7).
-func (j *jsonWriter) newline() {
+func (j *writer) newline() {
 	j.b = append(j.b, "\n        "[:1+j.depth]...)
 }
 
 // next starts an element or member: a comma after the first, then a new line.
-func (j *jsonWriter) next() {
+func (j *writer) next() {
 	if !j.first {
 		j.b = append(j.b, ',')
 	}
@@ -207,7 +217,7 @@ func (j *jsonWriter) next() {
 	j.newline()
 }
 
-func (j *jsonWriter) close(c byte) {
+func (j *writer) close(c byte) {
 	j.depth--
 	if !j.first { // an empty array or object stays on one line
 		j.newline()
@@ -217,20 +227,15 @@ func (j *jsonWriter) close(c byte) {
 }
 
 // key starts a member named by a plain ASCII name.
-func (j *jsonWriter) key(name string) {
+func (j *writer) key(name string) {
 	j.next()
 	j.b = append(j.b, '"')
 	j.b = append(j.b, name...)
 	j.b = append(j.b, `": `...)
 }
 
-// array writes null when isNil, else an array of n objects whose members
-// elem writes.
-func (j *jsonWriter) array(isNil bool, n int, elem func(i int)) {
-	if isNil {
-		j.b = append(j.b, "null"...)
-		return
-	}
+// array writes an array of n objects whose members elem writes.
+func (j *writer) array(n int, elem func(i int)) {
 	j.open('[')
 	for i := 0; i < n && j.flush(32<<10) == nil; i++ {
 		j.next()
@@ -241,45 +246,60 @@ func (j *jsonWriter) array(isNil bool, n int, elem func(i int)) {
 	j.close(']')
 }
 
-// series writes a SeriesSnap's members in field order, omitting the zero
-// ones its omitempty tags omit.
-func (j *jsonWriter) series(ss *SeriesSnap) {
-	if len(ss.Labels) > 0 {
+// series writes a series' members in the order and with the omissions of
+// the report's schema: labels, last_ns, then the kind's value members,
+// each left out when zero.
+func (j *writer) series(kind Kind, p *point) {
+	if len(p.keys) > 0 {
 		j.key("labels")
-		j.array(false, len(ss.Labels), func(i int) {
+		j.array(len(p.keys), func(i int) {
 			j.key("key")
-			j.str(ss.Labels[i].Key)
+			j.str(p.keys[i])
 			j.key("value")
-			j.str(ss.Labels[i].Value)
+			j.str(p.label(i))
 		})
 	}
 	j.key("last_ns")
-	j.b = strconv.AppendInt(j.b, ss.LastNs, 10)
-	j.int("value", ss.Value)
-	if ss.GaugeValue != 0 {
-		j.key("gauge_value")
-		j.float(ss.GaugeValue)
-	}
-	if ss.Count != 0 {
-		j.key("count")
-		j.b = strconv.AppendUint(j.b, ss.Count, 10)
-	}
-	j.int("sum", ss.Sum)
-	j.int("min", ss.Min)
-	j.int("max", ss.Max)
-	if len(ss.Buckets) > 0 {
+	j.b = strconv.AppendInt(j.b, p.lastNs, 10)
+	switch kind {
+	case KindCounter:
+		j.int("value", p.ival)
+	case KindGauge:
+		if p.fval != 0 {
+			j.key("gauge_value")
+			j.float(p.fval)
+		}
+	default:
+		h := p.h
+		if n := h.count(); n != 0 {
+			j.key("count")
+			j.b = strconv.AppendUint(j.b, n, 10)
+		}
+		j.int("sum", h.sum)
+		j.int("min", h.min)
+		j.int("max", h.max)
+		if len(h.b) == 0 { // no samples: every stored bucket holds some
+			return
+		}
 		j.key("buckets")
-		j.array(false, len(ss.Buckets), func(i int) {
-			j.key("le")
-			j.b = strconv.AppendInt(j.b, ss.Buckets[i].Le, 10)
-			j.key("n")
-			j.b = strconv.AppendUint(j.b, ss.Buckets[i].N, 10)
-		})
+		j.open('[')
+		for i, c := range h.b {
+			if c != 0 {
+				j.next()
+				j.open('{')
+				j.key("le")
+				j.b = strconv.AppendInt(j.b, h.le(i), 10)
+				j.key("n")
+				j.b = strconv.AppendUint(j.b, c, 10)
+				j.close('}')
+			}
+		}
+		j.close(']')
 	}
 }
 
 // int writes an omitempty integer member.
-func (j *jsonWriter) int(name string, v int64) {
+func (j *writer) int(name string, v int64) {
 	if v != 0 {
 		j.key(name)
 		j.b = strconv.AppendInt(j.b, v, 10)
@@ -288,7 +308,7 @@ func (j *jsonWriter) int(name string, v int64) {
 
 // str appends s as encoding/json quotes it, HTML-safe: plain ASCII is
 // copied and anything else left to json.Marshal.
-func (j *jsonWriter) str(s string) {
+func (j *writer) str(s string) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals
@@ -303,7 +323,7 @@ func (j *jsonWriter) str(s string) {
 
 // float appends a finite v in encoding/json's format: the shortest
 // representation, in exponent form below 1e-6 and from 1e21 up.
-func (j *jsonWriter) float(v float64) {
+func (j *writer) float(v float64) {
 	format := byte('f')
 	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
 		format = 'e'
@@ -316,9 +336,9 @@ func (j *jsonWriter) float(v float64) {
 }
 
 // flush writes the buffer out once it holds more than limit bytes and
-// returns the first write error.
-func (j *jsonWriter) flush(limit int) error {
-	if j.err == nil && len(j.b) > limit {
+// returns the first write error. Without a writer it keeps the bytes.
+func (j *writer) flush(limit int) error {
+	if j.w != nil && j.err == nil && len(j.b) > limit {
 		_, j.err = j.w.Write(j.b)
 		j.b = j.b[:0]
 	}
@@ -336,70 +356,67 @@ func promEscape(v string) string {
 // it two escapes, backslash and newline.
 var helpEscape = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
-// promLabels renders a sorted label set, optionally with an extra le pair.
-func promLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
-		return ""
+// promSample appends one sample line: name and suffix, the point's label
+// set plus an le label when le is not nil, then v.
+func promSample(b []byte, name, suffix string, p *point, le, v []byte) []byte {
+	b = append(append(b, name...), suffix...)
+	sep := byte('{')
+	for j, key := range p.keys {
+		// promEscape already produces the exact escaped body; quoting by
+		// formatting (%q) would escape its backslashes again.
+		b = append(append(append(append(b, sep), key...), `="`...), promEscape(p.label(j))...)
+		b, sep = append(b, '"'), ','
 	}
-	parts := make([]string, len(all))
-	for i, l := range all {
-		// promEscape already produced the exact escaped body; %q would
-		// re-escape its backslashes, emitting \\n where Prometheus expects
-		// \n. Quote by concatenation, not by formatting.
-		parts[i] = l.Key + `="` + promEscape(l.Value) + `"`
+	if le != nil {
+		b = append(append(append(append(b, sep), `le="`...), le...), '"')
+		sep = ','
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	if sep == ',' {
+		b = append(b, '}')
+	}
+	return append(append(append(b, ' '), v...), '\n')
 }
+
+// promInf is the le bound of a histogram's last bucket.
+var promInf = []byte("+Inf")
 
 // WritePrometheus emits the snapshot in the Prometheus text exposition
 // format (version 0.0.4). Histograms render with cumulative le buckets plus
 // the +Inf bucket, _sum, and _count, so standard scrapers and promtool can
 // consume the output. Output is deterministic.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
-	for fi := range s.Families {
-		f := &s.Families[fi]
-		if f.Help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, helpEscape.Replace(f.Help)); err != nil {
-				return err
-			}
+	j := &writer{w: w, b: make([]byte, 0, 64<<10)}
+	var p point
+	var num, le [24]byte
+	for _, f := range s.fams {
+		if f.help != "" {
+			j.b = append(append(append(append(j.b, "# HELP "...), f.name...), ' '), helpEscape.Replace(f.help)...)
+			j.b = append(j.b, '\n')
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Kind); err != nil {
-			return err
-		}
-		for i := range f.Series {
-			ss := &f.Series[i]
-			switch f.Kind {
-			case "counter":
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, promLabels(ss.Labels), ss.Value); err != nil {
-					return err
-				}
-			case "gauge":
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.Name, promLabels(ss.Labels),
-					strconv.FormatFloat(ss.GaugeValue, 'g', -1, 64)); err != nil {
-					return err
-				}
-			default: // histogram
+		j.b = append(append(append(append(append(j.b, "# TYPE "...), f.name...), ' '), f.kind.String()...), '\n')
+		fi := rowFamily(f)
+		for i, n := 0, s.size(f, fi); i < n && j.flush(32<<10) == nil; i++ {
+			s.at(f, fi, i, &p)
+			switch f.kind {
+			case KindCounter:
+				j.b = promSample(j.b, f.name, "", &p, nil, strconv.AppendInt(num[:0], p.ival, 10))
+			case KindGauge:
+				j.b = promSample(j.b, f.name, "", &p, nil, strconv.AppendFloat(num[:0], p.fval, 'g', -1, 64))
+			default:
 				cum := uint64(0)
-				for _, b := range ss.Buckets {
-					cum += b.N
-					le := Label{Key: "le", Value: strconv.FormatInt(b.Le, 10)}
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.Name, promLabels(ss.Labels, le), cum); err != nil {
-						return err
+				for k, c := range p.h.b {
+					if c != 0 {
+						cum += c
+						j.b = promSample(j.b, f.name, "_bucket", &p, strconv.AppendInt(le[:0], p.h.le(k), 10),
+							strconv.AppendUint(num[:0], cum, 10))
 					}
 				}
-				inf := Label{Key: "le", Value: "+Inf"}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.Name, promLabels(ss.Labels, inf), ss.Count); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", f.Name, promLabels(ss.Labels), ss.Sum); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.Name, promLabels(ss.Labels), ss.Count); err != nil {
-					return err
-				}
+				count := strconv.AppendUint(num[:0], cum, 10)
+				j.b = promSample(j.b, f.name, "_bucket", &p, promInf, count)
+				j.b = promSample(j.b, f.name, "_sum", &p, nil, strconv.AppendInt(le[:0], p.h.sum, 10))
+				j.b = promSample(j.b, f.name, "_count", &p, nil, count)
 			}
 		}
 	}
-	return nil
+	return j.flush(0)
 }

@@ -54,7 +54,7 @@ type Label struct {
 // Concurrency: a registry has no lock. One goroutine owns it — in practice
 // the simulation context of its engine, or the harness folding finished
 // runs — and whoever shares one across goroutines holds a lock around every
-// call, Merge and Snapshot included.
+// call, Merge, Snapshot and the writes of a snapshot included.
 type Registry struct {
 	clock func() int64
 	// families in registration order, searched linearly: the code fixes
@@ -130,6 +130,14 @@ func (h *hist) add(i int, n uint64) {
 		h.lo, h.b = lo, b
 	}
 	h.b[i-lo] += n
+}
+
+// le returns the upper bound of stored bucket j: 2^(lo+j) - 1, or 0.
+func (h *hist) le(j int) int64 {
+	if b := h.lo + j; b > 0 {
+		return 1<<uint(b) - 1
+	}
+	return 0
 }
 
 // count returns the number of samples.
@@ -363,17 +371,10 @@ func (h *Histogram) Observe(v int64) {
 // keeps parallel sweeps deterministic: a series new to r is copied as it is;
 // otherwise counters and histogram buckets add, gauges keep the maximum
 // (peak semantics across runs), histogram min/max widen, and timestamps
-// keep the latest. src's resource records arrive as series of the four
-// sim_resource_* families, and r's own records, if it holds any, become
-// such series first. src must be quiescent (its run finished).
+// keep the latest. Resource records fold as MergeShards folds them, r's
+// as shard 0 and src's as shard 1, and r keeps the folded rows as its
+// records. src must be quiescent (its run finished).
 func (r *Registry) Merge(src *Registry) {
-	if len(r.resources) > 0 {
-		// r's own records become series first, so that src's resource
-		// series fold into them by the rules above.
-		own := r.resourceRows()
-		r.resources = nil
-		r.mergeRows(own)
-	}
 	for _, sf := range src.families {
 		df := r.family(sf.name, sf.help, sf.kind, sf.keys)
 		for _, ss := range sf.series {
@@ -384,35 +385,9 @@ func (r *Registry) Merge(src *Registry) {
 			}
 		}
 	}
-	r.mergeRows(src.resourceRows())
-}
-
-// mergeRows folds resource rows into r as series of the four resource
-// families.
-func (r *Registry) mergeRows(rows []*Resource) {
-	if len(rows) == 0 {
-		return
-	}
-	var fams [len(resourceFamilies)]*family
-	for fi, rf := range resourceFamilies {
-		fams[fi] = r.family(rf.name, rf.help, rf.kind, resourceKeys)
-	}
-	for _, row := range rows {
-		values := []string{row.Name}
-		for fi, df := range fams {
-			v, at := row.sample(fi)
-			s := series{key: row.Name, values: values, lastNs: at}
-			if df.kind == KindGauge {
-				s.fval = float64(v)
-			} else {
-				s.ival = v
-			}
-			if d := df.find(s.key); d != nil {
-				mergeSeries(d, &s, df.kind)
-			} else {
-				df.add(&s)
-			}
-		}
+	if len(r.resources)+len(src.resources) > 0 {
+		recs := r.appendRecords(make([]shardRecord, 0, len(r.resources)+len(src.resources)), 0)
+		r.resources = foldRecords(src.appendRecords(recs, 1))
 	}
 }
 

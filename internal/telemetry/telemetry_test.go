@@ -41,7 +41,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("gauge = %v, want 0.75", g.s.fval)
 	}
 
-	snap := r.Snapshot(now)
+	snap := decode(t, r.Snapshot(now))
 	if snap.AtNs != 50 {
 		t.Fatalf("snapshot at %d, want 50", snap.AtNs)
 	}
@@ -54,13 +54,38 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// decode writes s as JSON and decodes it.
+func decode(t *testing.T, s *Snapshot) *jsonSnap {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := &jsonSnap{}
+	if err := json.Unmarshal(b.Bytes(), out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// buckets returns h's occupied buckets.
+func buckets(h *hist) []jsonBucket {
+	var out []jsonBucket
+	for j, n := range h.b {
+		if n != 0 {
+			out = append(out, jsonBucket{h.le(j), n})
+		}
+	}
+	return out
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_ns", "latency")
 	for _, v := range []int64{0, 1, 2, 3, 4, 1000, -7} {
 		h.Observe(v)
 	}
-	ss := r.Snapshot(0).Families[0].Series[0]
+	ss := decode(t, r.Snapshot(0)).Families[0].Series[0]
 	if ss.Count != 7 {
 		t.Fatalf("count = %d, want 7", ss.Count)
 	}
@@ -72,7 +97,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	// Expected buckets: le=0 -> {0, -7}, le=1 -> {1}, le=3 -> {2, 3},
 	// le=7 -> {4}, le=1023 -> {1000}.
-	want := []BucketSnap{{0, 2}, {1, 1}, {3, 2}, {7, 1}, {1023, 1}}
+	want := []jsonBucket{{0, 2}, {1, 1}, {3, 2}, {7, 1}, {1023, 1}}
 	if len(ss.Buckets) != len(want) {
 		t.Fatalf("buckets = %+v, want %+v", ss.Buckets, want)
 	}
@@ -94,11 +119,11 @@ func TestHistogramWidenAndMerge(t *testing.T) {
 	}
 	lo.Observe(2)
 	lo.Observe(1)
-	wantHi := []BucketSnap{{0, 1}, {7, 1}, {1023, 1}, {1<<41 - 1, 1}}
-	wantLo := []BucketSnap{{1, 1}, {3, 1}}
-	check := func(what string, h *Histogram, count uint64, sum, min, max int64, want []BucketSnap) {
+	wantHi := []jsonBucket{{0, 1}, {7, 1}, {1023, 1}, {1<<41 - 1, 1}}
+	wantLo := []jsonBucket{{1, 1}, {3, 1}}
+	check := func(what string, h *Histogram, count uint64, sum, min, max int64, want []jsonBucket) {
 		t.Helper()
-		if got := h.snapshot(); !slices.Equal(got, want) {
+		if got := buckets(&h.hist); !slices.Equal(got, want) {
 			t.Errorf("%s: buckets = %v, want %v", what, got, want)
 		}
 		if h.count() != count || h.sum != sum || h.min != min || h.max != max {
@@ -108,7 +133,7 @@ func TestHistogramWidenAndMerge(t *testing.T) {
 	}
 	check("widened", hi, 4, 1004+1<<40, 0, 1<<40, wantHi)
 	check("ascending", lo, 2, 3, 1, 2, wantLo)
-	all := []BucketSnap{{0, 1}, {1, 1}, {3, 1}, {7, 1}, {1023, 1}, {1<<41 - 1, 1}}
+	all := []jsonBucket{{0, 1}, {1, 1}, {3, 1}, {7, 1}, {1023, 1}, {1<<41 - 1, 1}}
 	for _, pair := range [][2]*Histogram{{hi, lo}, {lo, hi}} {
 		m := &Histogram{r: r}
 		m.merge(&pair[0].hist)
@@ -122,7 +147,7 @@ func TestHistogramWidenAndMerge(t *testing.T) {
 	up.Observe(1 << 50)
 	down.Observe(1 << 50)
 	down.merge(&lo.hist)
-	want := []BucketSnap{{1, 1}, {3, 1}, {1<<51 - 1, 1}}
+	want := []jsonBucket{{1, 1}, {3, 1}, {1<<51 - 1, 1}}
 	check("up", up, 3, 3+1<<50, 1, 1<<50, want)
 	check("down", down, 3, 3+1<<50, 1, 1<<50, want)
 }

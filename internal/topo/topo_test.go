@@ -176,21 +176,19 @@ func TestRecordUtilization(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		f.RecordUtilization(reg, c.elapsed)
 		var got float64 = -1
-		for _, fam := range reg.Snapshot(0).Families {
-			for _, ss := range fam.Series {
-				if fam.Name == LinkUtilization && slices.Contains(ss.Labels, telemetry.Label{Key: "link", Value: "membus"}) {
-					got = ss.GaugeValue
-				}
+		reg.Snapshot(0).Values(func(name string, _, values []string, _ int64, v float64) {
+			if name == LinkUtilization && slices.Contains(values, "membus") {
+				got = v
 			}
-		}
+		})
 		if got != c.want {
 			t.Errorf("membus utilization over %v = %v, want %v", c.elapsed, got, c.want)
 		}
 	}
 	reg := telemetry.NewRegistry()
 	f.RecordUtilization(reg, 0)
-	if fams := reg.Snapshot(0).Families; len(fams) != 0 {
-		t.Fatalf("zero elapsed recorded %d gauge families", len(fams))
+	if n := reg.Snapshot(0).NumFamilies(); n != 0 {
+		t.Fatalf("zero elapsed recorded %d gauge families", n)
 	}
 }
 
