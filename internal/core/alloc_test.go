@@ -36,18 +36,18 @@ var allocPaths = []allocPath{
 	// The 2 payload snapshots. The wire messages come off the hubs' spare
 	// lists and the parked receives sit in their map slot.
 	{name: "internode-host", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true}, budget: 3},
-	// 4 queued ops, each its request record, stream entry and completion
-	// callback in one, which nothing recycles; 2 barrier stream entries,
-	// one per ACCWait (the wait itself reuses its stream's completion
-	// event); plus the 2 snapshots of internode-host.
+	// The 2 snapshots of internode-host. The 4 queued ops (each its
+	// request record, stream entry and completion callback in one) and
+	// the 2 drains, one per ACCWait, come off their task's free lists, and
+	// the wait itself reuses its stream's completion event.
 	{name: "unified-queue-device", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
-		device: true, budget: 9},
+		device: true, budget: 3},
 	// unified-queue-device without GPUDirect RDMA: each message stages
 	// through host memory on both sides, and the message is its own
 	// injection and landing callback, so the path costs what the RDMA one
 	// does.
 	{name: "internode-staged", cfg: Config{System: noRDMA(topo.Titan(2)), Mode: IMPACC, Backed: true},
-		device: true, budget: 9},
+		device: true, budget: 3},
 	// A Barrier and an Allreduce of one float64 between two nodes: the
 	// internal commands come off the free lists like the exchange's, and
 	// what is left is the Reduce's scratch buffers (xmem.Space.AllocHost),
@@ -154,11 +154,12 @@ func TestUnifiedOpDeadlockLabel(t *testing.T) {
 	}
 }
 
-// TestRequestSize keeps a request handle a pointer and a generation, and a
-// request record, a unified-queue op and its barrier in the Go size
-// classes their allocation budgets assume: a task's free list holds
-// records, every queued MPI call allocates an op, every drained queue one
-// barrier.
+// TestRequestSize keeps a request handle a pointer, a generation and a
+// slot, and a command record, a unified-queue op and its barrier in the Go
+// size classes their allocation budgets assume: a task's free lists hold
+// them, and a task makes as many as it has in flight at once. The ops of a
+// host that runs ahead of its queue are the largest share, so a slab of
+// them must fit the 1792-byte size class.
 func TestRequestSize(t *testing.T) {
 	if got := unsafe.Sizeof(Request{}); got != 16 {
 		t.Errorf("sizeof(Request) = %d bytes, want 16", got)
@@ -166,8 +167,8 @@ func TestRequestSize(t *testing.T) {
 	if got := unsafe.Sizeof(request{}); got > 192 {
 		t.Errorf("sizeof(request) = %d bytes, want <= 192", got)
 	}
-	if got := unsafe.Sizeof(uqOp{}); got > 256 {
-		t.Errorf("sizeof(uqOp) = %d bytes, want <= 256", got)
+	if got := unsafe.Sizeof([uqSlab]uqOp{}); got > 1792 {
+		t.Errorf("sizeof([%d]uqOp) = %d bytes, want <= 1792", uqSlab, got)
 	}
 	if got := unsafe.Sizeof(uqDrain{}); got > 48 {
 		t.Errorf("sizeof(uqDrain) = %d bytes, want <= 48", got)

@@ -713,7 +713,7 @@ func TestRequestDoneAndWaitNil(t *testing.T) {
 			if !rec.cmd.Done.Fired() {
 				t.Error("request not done after Wait")
 			}
-			if r.live() != nil {
+			if live(tk, r) {
 				t.Error("request still live after Wait freed it")
 			}
 		} else {

@@ -61,45 +61,54 @@ func (c *Comm) opts(opts []Opt) callOpts {
 }
 
 // Request is a non-blocking communication handle (MPI_Request): a small
-// value naming a request record and the generation the record had when the
-// request was issued. The zero Request is MPI_REQUEST_NULL. As in MPI, a
-// request lives until the call that completes it: Wait, or the entry
-// Waitany returns, frees the record for the task's next request, and every
-// handle to the freed record is null from then on, so a second Wait on it
-// returns at once. A request placed on a unified activity queue is freed
-// the same way, though its record is never reused.
+// value naming a request and the generation it had when it was issued. A
+// request posted at once is named by its record; one placed on a unified
+// activity queue by its op's slot among its task's queued ops, since the
+// op takes a command record only when the queue reaches it. The zero
+// Request is MPI_REQUEST_NULL. As in MPI, a request lives until the call
+// that completes it: Wait, or the entry Waitany returns, frees it, and
+// every handle to it is null from then on, so a second Wait on it returns
+// at once. The drain that passes a queued request (ACCWait, or the barrier
+// before a later kernel, copy or wait on its queue) completes it too, as
+// "#pragma acc wait" does, so a Wait after that is a Wait on
+// MPI_REQUEST_NULL.
 type Request struct {
-	r   *request
-	gen uint32
+	r    *request
+	gen  uint32
+	slot uint32 // a queued request's slot plus one; 0 for one posted at once
 }
 
-// request is the record behind a Request. It owns its message command,
-// whose Done event is the request's completion and whose Gen is the
-// record's generation, so a wait reads the matched envelope from the
+// request is a command record: the record behind a request posted at
+// once, or a queued op's while the queue runs it. It owns its message
+// command, whose Done event is the request's completion and whose Gen is
+// the record's generation, so a wait reads the matched envelope from the
 // record itself.
 type request struct {
 	cmd msg.Cmd
-	// uq names the operation of a request placed on a unified activity
-	// queue, whose command is posted when the queue reaches it; uqNone
-	// for a request posted at once. It fills the record to the 192-byte
-	// size class, which keeps a uqOp in the 256-byte one.
-	uq uqKind
 }
 
 // handle returns the live handle of r.
 func (r *request) handle() Request { return Request{r: r, gen: r.cmd.Gen} }
 
-// live returns the record a handle names, or nil when the handle is null:
-// the zero Request, or one whose record has been freed since. (Only a
-// handle kept across 2^32 reuses of its record could match again.)
-func (h Request) live() *request {
-	if h.r == nil || h.r.cmd.Gen != h.gen {
-		return nil
+// live returns the command record a handle names and, for a queued
+// request, its op, which takes its record now if the queue has not reached
+// it yet; both are nil when the handle is null: the zero Request, or one
+// whose request has been freed since. (Only a handle kept across 2^32
+// reuses of its record or op could match again.)
+func (t *Task) live(h Request) (*request, *uqOp) {
+	switch {
+	case h.slot != 0:
+		i := h.slot - 1
+		if op := &t.uqSlabs[i/uqSlab][i%uqSlab]; op.gen == h.gen {
+			return op.record(), op
+		}
+	case h.r != nil && h.r.cmd.Gen == h.gen:
+		return h.r, nil
 	}
-	return h.r
+	return nil, nil
 }
 
-// newRequest takes a request record off the task's free list, or makes
+// newRequest takes a command record off the task's free list, or makes
 // one.
 func (t *Task) newRequest() *request {
 	n := len(t.reqFree)
@@ -111,24 +120,32 @@ func (t *Task) newRequest() *request {
 	return r
 }
 
-// freeRequest ends a completed request: its generation moves on, which
-// nulls every handle to it and disarms its receive deadline, and a request
-// posted at once returns to the task's free list. A queued request's
-// record is part of its uqOp, which nothing recycles. A request whose
-// command failed is never freed: checkCmd fails the task first.
+// freeRequest frees a completed command record: its generation moves on,
+// which nulls every handle to it and disarms its receive deadline, and it
+// returns to the task's free list. A record whose command failed is never
+// freed: checkCmd fails the task first.
 func (t *Task) freeRequest(r *request) {
 	r.cmd.Gen++
-	if r.uq == uqNone {
-		t.reqFree = append(t.reqFree, r)
+	t.reqFree = append(t.reqFree, r)
+}
+
+// release ends a request completed by a Wait or Waitany. One posted at
+// once is freed. A queued op's generation moves on, which nulls its
+// handles, and it keeps its record until the drain that passes it frees
+// both.
+func (t *Task) release(r *request, op *uqOp) {
+	if op != nil {
+		op.gen++
+		return
 	}
+	t.freeRequest(r)
 }
 
 // uqKind names one of the four point-to-point operations.
 type uqKind uint8
 
 const (
-	uqNone uqKind = iota
-	uqSend
+	uqSend uqKind = iota
 	uqRecv
 	uqIsend
 	uqIrecv
@@ -150,18 +167,68 @@ var uqNames = [...]uqName{
 	uqIrecv: {"op:mpi_irecv", "mpi_irecv-done", "irecv", false, false},
 }
 
-// uqOp is one MPI operation placed on a unified activity queue: request
-// record, stream entry and completion callback in one allocation. Its
-// command is filled in at enqueue time and posted when the queue reaches
-// the operation (Run); the command's Done fires at transfer completion and
-// calls the op itself (Call).
+// uqOp is one MPI operation placed on a unified activity queue: the call,
+// its stream entry and its completion callback in one record, which its
+// task makes in slabs and recycles. The op takes a command record off its
+// task's free list and fills it in when the queue reaches it (Run), or
+// earlier if a wait needs it; the command's Done fires at transfer
+// completion and calls the op itself (Call), and the drain that passes the
+// op frees the op and its record (uqDrain.Run). Until the queue reaches
+// it, an op is only the call, so a host that runs far ahead of its queue
+// holds 104 bytes per queued call. Ranks, the communicator id and the
+// queue are C ints, as in the MPI and OpenACC APIs.
 type uqOp struct {
-	request
 	device.Entry
 	t     *Task
-	q     int
-	start sim.Time // when the queue reached the operation
-	next  *uqOp    // the next operation in flight on the same queue
+	r     *request // the command record; nil until the op needs one
+	next  *uqOp    // the next op in flight on the same queue, or free
+	buf   xmem.Addr
+	bytes int64
+	tag   int
+	// peer is the world rank at the other end (AnySource for a wildcard
+	// receive), comm the communicator's context id and q the queue.
+	peer, comm, q int32
+	gen, slot     uint32 // slot is one-based: 0 names no op
+	uq            uqKind
+	readonly      bool
+}
+
+// uqSlab is how many ops a task makes at once: 17 ops of 104 bytes fill
+// a 1792-byte size class.
+const uqSlab = 17
+
+// newUQOp takes an op off the task's free list, first filling the list
+// from a new slab when it is empty.
+func (t *Task) newUQOp() *uqOp {
+	if t.uqFree == nil {
+		slab := new([uqSlab]uqOp)
+		base := uint32(len(t.uqSlabs) * uqSlab)
+		t.uqSlabs = append(t.uqSlabs, slab)
+		for i := uqSlab - 1; i >= 0; i-- {
+			op := &slab[i]
+			op.t, op.slot, op.next = t, base+uint32(i)+1, t.uqFree
+			t.uqFree = op
+		}
+	}
+	op := t.uqFree
+	t.uqFree, op.next = op.next, nil
+	return op
+}
+
+// record returns the op's command record, first taking one off the task's
+// free list and filling it in if the op has none.
+func (op *uqOp) record() *request {
+	if op.r == nil {
+		t, kind := op.t, &uqNames[op.uq]
+		src, dst := t.rank, int(op.peer)
+		if !kind.send {
+			src, dst = dst, src
+		}
+		op.r = t.newRequest()
+		t.initCmd(&op.r.cmd, kind.done, kind.send, op.buf, op.bytes, src, dst, op.tag,
+			callOpts{readonly: op.readonly, comm: int(op.comm)})
+	}
+	return op.r
 }
 
 // uqChain is the MPI operations in flight on one unified activity queue,
@@ -297,7 +364,7 @@ func (c *Comm) p2p(k uqKind, addr xmem.Addr, count int, dt mpi.Datatype, peer, t
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
-		return t.enqueueUnifiedMPI(k, buf, bytes, src, dst, tag, o)
+		return t.enqueueUnifiedMPI(k, buf, bytes, peer, tag, o)
 	}
 	r := t.newRequest()
 	cmd := &r.cmd
@@ -327,9 +394,9 @@ func cmdPeer(cmd *msg.Cmd) (int, int64) {
 // live request in turn and frees it. Null requests return at once.
 func (t *Task) Wait(reqs ...Request) {
 	for _, h := range reqs {
-		if r := h.live(); r != nil {
+		if r, op := t.live(h); r != nil {
 			t.wait(r, "wait", t.proc.Now())
-			t.freeRequest(r)
+			t.release(r, op)
 		}
 	}
 }
@@ -358,13 +425,14 @@ func (t *Task) Sendrecv(sendAddr xmem.Addr, sendCount int, sdt mpi.Datatype, dst
 // as in Figure 4 (c)); its completion is tracked, and any later kernel,
 // data operation, or wait on the same queue first drains outstanding MPI
 // completions — the queue's in-order completion guarantee.
-func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) Request {
+func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, peer, tag int, o callOpts) Request {
 	if t.rt.Cfg.Mode == Legacy || !t.rt.feats.UnifiedQueue {
 		t.failf("async MPI (%s) requires the IMPACC unified activity queue", strings.TrimPrefix(uqNames[k].why, "op:"))
 	}
 	q := o.async
-	op := &uqOp{request: request{uq: k}, t: t, q: q}
-	t.initCmd(&op.cmd, uqNames[k].done, uqNames[k].send, buf, bytes, src, dst, tag, o)
+	op := t.newUQOp()
+	op.uq, op.buf, op.bytes, op.tag, op.readonly = k, buf, bytes, tag, o.readonly
+	op.peer, op.comm, op.q = int32(peer), int32(o.comm), int32(q)
 	t.env.Stream(q).Enqueue(op)
 	c := t.uqPending[q]
 	if c.head == nil {
@@ -374,7 +442,7 @@ func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, src, dst,
 	}
 	c.tail = op
 	t.uqPending[q] = c
-	return op.handle()
+	return Request{gen: op.gen, slot: op.slot}
 }
 
 // Why labels the op's stream entry in deadlock diagnostics.
@@ -383,8 +451,8 @@ func (op *uqOp) Why(*device.Stream) string { return uqNames[op.uq].why }
 // Run runs when the queue reaches the operation: it posts the command and
 // arms the op as the command's completion callback.
 func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) {
-	t, cmd := op.t, &op.cmd
-	op.start = p.Now()
+	t, cmd := op.t, &op.record().cmd
+	cmd.PostedAt = p.Now()
 	t.post(p, cmd)
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
 		// The queued operation observes its own command: its span is
@@ -396,16 +464,16 @@ func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) {
 }
 
 // Call runs when the command finishes: it records the latency of the
-// queued op itself, from when the queue reached it, and its stream-lane
-// span.
+// queued op itself, from when the queue reached it and posted its command,
+// and its stream-lane span.
 func (op *uqOp) Call() {
-	t, cmd := op.t, &op.cmd
+	t, cmd := op.t, &op.r.cmd
 	name := uqNames[op.uq].op
-	t.mpiObserve(name, op.start)
+	t.mpiObserve(name, cmd.PostedAt)
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
 		peer, bytes := cmdPeer(cmd)
 		tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
-			Stream: op.q, Kind: "mpi", Name: name, Start: op.start,
+			Stream: int(op.q), Kind: "mpi", Name: name, Start: cmd.PostedAt,
 			End: t.eng().Now(), Bytes: bytes, Peer: peer})
 	}
 }
@@ -418,25 +486,48 @@ func (t *Task) uqBarrier(q int) {
 		return
 	}
 	t.uqPending[q] = uqChain{}
-	t.env.Stream(q).Enqueue(&uqDrain{head: head})
+	d := t.drainFree
+	if d == nil {
+		d = new(uqDrain)
+	} else {
+		t.drainFree, d.next = d.next, nil
+	}
+	d.head = head
+	t.env.Stream(q).Enqueue(d)
 }
 
 // uqDrain is the stream entry of a uqBarrier: it waits, in enqueue order,
-// for the chain of MPI operations starting at head.
+// for the chain of MPI operations starting at head. The task recycles it.
 type uqDrain struct {
 	device.Entry
 	head *uqOp
+	next *uqDrain // the next free drain
 }
 
 func (d *uqDrain) Why(*device.Stream) string { return "op:uq-barrier" }
 
+// Run completes each op of the chain as it passes it, as "#pragma acc
+// wait" does. Once an op's command has finished (and the op's completion
+// callback, which the command's Done runs before this process resumes, has
+// read it), the op's generation moves on, which nulls every handle to it,
+// and the op and its command record go back on their task's free lists.
+// An op whose command failed fails the task instead and is never freed.
+// The drain then frees itself.
 func (d *uqDrain) Run(_ *device.Stream, p *sim.Proc) {
-	for op := d.head; op != nil; op = op.next {
-		op.cmd.Done.Wait(p)
-		if op.cmd.Err != nil {
-			panic(&RunError{Rank: op.t.rank, Err: op.cmd.Err})
+	t := d.head.t
+	for op := d.head; op != nil; {
+		r := op.r
+		r.cmd.Done.Wait(p)
+		if r.cmd.Err != nil {
+			panic(&RunError{Rank: t.rank, Err: r.cmd.Err})
 		}
+		next := op.next
+		t.freeRequest(r)
+		op.gen++
+		op.r, op.next, t.uqFree = nil, t.uqFree, op
+		op = next
 	}
+	d.head, d.next, t.drainFree = nil, t.drainFree, d
 }
 
 // Status reports which message satisfied a receive (MPI_Status): the world
@@ -451,11 +542,11 @@ type Status struct {
 // wildcard receives. Count is in dt units. The status is read from the
 // request before the request is freed.
 func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Status { //impacc:allow-unused reproduces the paper's MPI API (§3)
-	r := t.Irecv(addr, count, dt, src, tag, opts...).r
+	r, op := t.live(t.Irecv(addr, count, dt, src, tag, opts...))
 	t.wait(r, "wait", t.proc.Now())
 	cmd := &r.cmd
 	st := Status{Source: cmd.MatchedSrc, Tag: cmd.MatchedTag, Count: int(cmd.MatchedBytes / dt.Size())}
-	t.freeRequest(r)
+	t.release(r, op)
 	return st
 }
 
@@ -471,19 +562,19 @@ func (t *Task) Waitany(reqs ...Request) int { //impacc:allow-unused reproduces t
 	for {
 		live := false
 		for i, h := range reqs {
-			r := h.live()
+			r, op := t.live(h)
 			if r == nil {
 				continue
 			}
 			live = true
 			if r.cmd.Done.Fired() {
-				if r.uq == uqNone {
+				if op == nil {
 					if tr := t.rt.Cfg.Trace; tr != nil && lastWait != 0 && r.cmd.TraceID != 0 {
 						tr.claim(t.pl.Node, r.cmd.TraceID, lastWait, t.proc.Now())
 					}
 					t.checkCmd(&r.cmd)
 				}
-				t.freeRequest(r)
+				t.release(r, op)
 				return i
 			}
 		}
@@ -493,7 +584,7 @@ func (t *Task) Waitany(reqs ...Request) int { //impacc:allow-unused reproduces t
 		// Park until any one fires: register a shared wake.
 		any := t.eng().NewEvent("waitany")
 		for _, h := range reqs {
-			if r := h.live(); r != nil {
+			if r, _ := t.live(h); r != nil {
 				r.cmd.Done.OnFire(sim.Func(any.Fire))
 			}
 		}

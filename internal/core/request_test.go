@@ -37,6 +37,12 @@ func metricFamilies(t *testing.T, rep *Report) []metricFamily {
 	return snap.Families
 }
 
+// live reports whether h is live on task tk.
+func live(tk *Task, h Request) bool {
+	r, _ := tk.live(h)
+	return r != nil
+}
+
 // opSamples counts the MPI latency samples rank recorded under op.
 func opSamples(t *testing.T, rep *Report, rank int, op string) uint64 {
 	for _, fam := range metricFamilies(t, rep) {
@@ -73,7 +79,7 @@ func TestWaitFreedHandleReturnsAtOnce(t *testing.T) {
 		}
 		r := tk.Isend(buf, 8, mpi.Float64, 1, 0)
 		tk.Wait(r)
-		if r.live() != nil {
+		if live(tk, r) {
 			t.Error("handle still live after the Wait that completed it")
 		}
 		t0 := tk.Now()
@@ -147,8 +153,8 @@ func TestWaitanyLoopTerminates(t *testing.T) {
 
 // TestQueuedHandleFreedByItsWait: a request placed on a unified activity
 // queue goes null after the call that completes it, as one posted at once
-// does: Waitany returns its index once and then -1, and a second Wait on
-// it records no wait sample.
+// does: the drain of ACCWait, after which Waitany returns -1, or a Wait
+// before the drain, after which a second Wait records no wait sample.
 func TestQueuedHandleFreedByItsWait(t *testing.T) {
 	rep := mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
 		buf := tk.Malloc(64)
@@ -167,13 +173,59 @@ func TestQueuedHandleFreedByItsWait(t *testing.T) {
 		}
 		r = tk.Isend(buf, 8, mpi.Float64, 1, 1, OnDevice(), Async(1))
 		tk.Wait(r)
-		if r.live() != nil {
+		if live(tk, r) {
 			t.Error("queued handle still live after the Wait that completed it")
 		}
 		tk.Wait(r)
 	})
 	if n := opSamples(t, rep, 0, "wait"); n != 1 {
 		t.Errorf("rank 0 recorded %d wait samples, want 1", n)
+	}
+}
+
+// TestQueuedRequestFreedByDrain: the drain that passes a queued op
+// completes it, as "#pragma acc wait" does, so after ACCWait the op's
+// handle is null: Wait and Waitany on it return at once and record no
+// wait sample. The next queued op reuses the record, and the old handle
+// stays null.
+func TestQueuedRequestFreedByDrain(t *testing.T) {
+	rep := mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
+		buf := tk.Malloc(64)
+		tk.DataEnter(buf, 64, acc.Create)
+		post := func(tag int) Request {
+			if tk.Rank() == 0 {
+				return tk.Isend(buf, 8, mpi.Float64, 1, tag, OnDevice(), Async(1))
+			}
+			return tk.Irecv(buf, 8, mpi.Float64, 0, tag, OnDevice(), Async(1))
+		}
+		r := post(0)
+		tk.ACCWait(1)
+		if live(tk, r) {
+			t.Errorf("rank %d: queued handle still live after ACCWait", tk.Rank())
+		}
+		t0 := tk.Now()
+		tk.Wait(r)
+		if i := tk.Waitany(r); i != -1 {
+			t.Errorf("rank %d: Waitany(drained) = %d, want -1", tk.Rank(), i)
+		}
+		if tk.Now() != t0 {
+			t.Errorf("rank %d: Wait and Waitany on a drained handle took %v, want 0", tk.Rank(), dur(tk.Now()-t0))
+		}
+		r2 := post(1)
+		if r2.slot != r.slot {
+			t.Errorf("rank %d: the next queued op did not reuse the drained record", tk.Rank())
+		}
+		if live(tk, r) || !live(tk, r2) {
+			t.Errorf("rank %d: after reuse the old handle is live or the new one null", tk.Rank())
+		}
+		tk.ACCWait(1)
+		tk.Wait(r, r2)
+		tk.DataExit(buf, acc.Delete)
+	})
+	for rank := range 2 {
+		if n := opSamples(t, rep, rank, "wait"); n != 0 {
+			t.Errorf("rank %d recorded %d wait samples, want 0", rank, n)
+		}
 	}
 }
 
@@ -238,7 +290,7 @@ func TestFailedRecvNeverReused(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "truncation") {
 		t.Fatalf("Run = %v, want a truncation error", err)
 	}
-	if r.live() == nil {
+	if !live(failed, r) {
 		t.Error("the failed request was freed")
 	}
 	if slices.Contains(failed.reqFree, r.r) {

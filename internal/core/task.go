@@ -50,10 +50,16 @@ type Task struct {
 	// uqPending tracks MPI operations in flight on each unified activity
 	// queue (§3.6); later queue operations drain them first.
 	uqPending map[int]uqChain
-	// reqFree is a stack of freed request records, reused by the task's
-	// next point-to-point or collective command. Only the task's own
-	// process touches it.
-	reqFree []*request
+	// reqFree is a stack of freed command records, reused by the task's
+	// next point-to-point, collective or queued command. uqSlabs holds
+	// every unified-queue op the task has made, by slot; uqFree and
+	// drainFree list the ops and drains its queues have finished. Only the
+	// task's own process and its queues' processes, all on the task's
+	// shard, touch them.
+	reqFree   []*request
+	uqSlabs   []*[uqSlab]uqOp
+	uqFree    *uqOp
+	drainFree *uqDrain
 	// world is the MPI_COMM_WORLD view of this task. Embedding it makes
 	// every Comm method a Task method over MPI_COMM_WORLD; Task declares
 	// only the entry points whose behaviour differs (see p2p.go).

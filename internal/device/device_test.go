@@ -241,9 +241,6 @@ type markOp struct {
 func (m *markOp) Why(*Stream) string         { return m.why }
 func (m *markOp) Run(_ *Stream, p *sim.Proc) { m.fn(p) }
 
-// finished reports whether a queued entry has run to completion.
-func finished(e *Entry) bool { return e.run == nil }
-
 func TestStreamInOrderExecution(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	host, _ := ctx.Space.AllocHost(1<<20, true)
@@ -251,13 +248,12 @@ func TestStreamInOrderExecution(t *testing.T) {
 	st := ctx.NewStream(1)
 	var order []string
 	st.EnqueueCopy(dev, host, 1<<20)
-	first := st.tail
 	st.Enqueue(&markOp{why: "op:mark1", fn: func(p *sim.Proc) { order = append(order, "a") }})
 	st.EnqueueKernel(KernelSpec{Name: "k", FLOPs: 1e9, Kind: KindCompute,
 		Body: func() { order = append(order, "kernel") }})
 	last := &markOp{why: "op:mark2", fn: func(p *sim.Proc) { order = append(order, "b") }}
 	st.Enqueue(last)
-	if st.tail != &last.Entry || finished(first) || finished(&last.Entry) {
+	if st.tail != &last.Entry || st.enqueued != 4 || st.finished != 0 {
 		t.Fatal("queued work completed before the engine ran")
 	}
 	eng.Spawn("waiter", func(p *sim.Proc) {
@@ -268,7 +264,7 @@ func TestStreamInOrderExecution(t *testing.T) {
 	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !finished(first) || !finished(&last.Entry) {
+	if st.finished != 4 {
 		t.Fatal("a stream op never completed")
 	}
 	want := []string{"a", "kernel", "b", "synced"}
@@ -530,9 +526,12 @@ func mallocs(n int, f func()) uint64 {
 }
 
 // TestStreamOpAllocs pins the host cost of a queued device operation: a
-// copy or a kernel allocates its own record and nothing else (no closure,
-// queue slot or label), each record stays in its size class, and syncing a
-// busy stream reuses the stream's completion event after the first Sync.
+// copy or a kernel allocates at most its own record (no closure, queue slot
+// or label), each record stays in its size class, a finished record is
+// reused by its stream's next enqueue of its kind, and syncing a busy
+// stream reuses the stream's completion event after the first Sync. So
+// once a stream has run as much work as it is given, enqueueing and
+// syncing allocate nothing.
 func TestStreamOpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -542,7 +541,7 @@ func TestStreamOpAllocs(t *testing.T) {
 		size, max uintptr
 	}{
 		{"copyOp", unsafe.Sizeof(copyOp{}), 64},
-		{"kernelOp", unsafe.Sizeof(kernelOp{}), 112},
+		{"kernelOp", unsafe.Sizeof(kernelOp{}), 80},
 		{"waitOp", unsafe.Sizeof(waitOp{}), 64},
 	} {
 		if c.size > c.max {
@@ -555,8 +554,9 @@ func TestStreamOpAllocs(t *testing.T) {
 	host, _ := ctx.Space.AllocHost(64, true)
 	dev, _ := ctx.MemAlloc(64)
 	k := KernelSpec{Name: "k", FLOPs: 1e6, Kind: KindCompute}
-	st := ctx.NewStream(1)
+	st, other := ctx.NewStream(1), ctx.NewStream(2)
 	const n = 1000
+	// Before anything has run, each operation makes its record.
 	if got := mallocs(n, func() { st.EnqueueCopy(dev, host, 64) }); got != n {
 		t.Errorf("%d EnqueueCopy calls allocated %d objects, want %d", n, got, n)
 	}
@@ -564,25 +564,78 @@ func TestStreamOpAllocs(t *testing.T) {
 		t.Errorf("%d EnqueueKernel calls allocated %d objects, want %d", n, got, n)
 	}
 
-	// Each round enqueues a kernel and syncs while it runs; once the first
-	// Sync has made the stream's event, a round allocates only the kernel.
-	var first, steady uint64
+	var copies, kernels, synced, waits uint64
 	eng.Spawn("host", func(p *sim.Proc) {
-		first = mallocs(1, func() {
+		// The first burst has run: the same burst again reuses its records.
+		st.Sync(p)
+		copies = mallocs(n, func() { st.EnqueueCopy(dev, host, 64) })
+		kernels = mallocs(n, func() { st.EnqueueKernel(k) })
+		st.Sync(p)
+		// Each round enqueues a kernel and syncs while it runs.
+		synced = mallocs(n, func() {
 			st.EnqueueKernel(k)
 			st.Sync(p)
 		})
-		steady = mallocs(n, func() {
+		// Each round makes the other stream wait on a running kernel.
+		round := func() {
 			st.EnqueueKernel(k)
-			st.Sync(p)
-		})
+			other.EnqueueWaitStream(st)
+			other.Sync(p)
+		}
+		round() // the other stream's first wait record and event
+		waits = mallocs(n, round)
 		st.Close()
+		other.Close()
 	})
 	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if first == 0 || steady != n {
-		t.Errorf("kernel+Sync rounds allocated %d objects (first) and %d over the next %d, want >0 and %d",
-			first, steady, n, n)
+	for _, c := range []struct {
+		what string
+		got  uint64
+	}{
+		{"EnqueueCopy calls", copies},
+		{"EnqueueKernel calls", kernels},
+		{"kernel+Sync rounds", synced},
+		{"kernel+wait+Sync rounds", waits},
+	} {
+		if c.got != 0 {
+			t.Errorf("%d steady-state %s allocated %d objects, want 0", n, c.what, c.got)
+		}
+	}
+}
+
+// TestStreamWaitSurvivesRecycledTarget: stream b waits on stream a's tail,
+// a kernel that finishes, goes back on a's free list and is reused by a's
+// next kernel before b's wait runs. The wait is on the finished kernel, so
+// b must not wait for the new one.
+func TestStreamWaitSurvivesRecycledTarget(t *testing.T) {
+	eng, _, ctx := psgRig(0)
+	a, b := ctx.NewStream(1), ctx.NewStream(2)
+	a.EnqueueKernel(KernelSpec{Name: "short", FLOPs: 1e3, Kind: KindCompute})
+	target := a.tail
+	b.Enqueue(&markOp{why: "op:gate", fn: func(p *sim.Proc) { p.Sleep(sim.Millisecond) }})
+	b.EnqueueWaitStream(a)
+	var bEnd, aEnd sim.Time
+	reused := false
+	eng.Spawn("host", func(p *sim.Proc) {
+		a.Sync(p) // the short kernel finishes while b is still gated
+		a.EnqueueKernel(KernelSpec{Name: "long", FLOPs: 1e11, Kind: KindCompute})
+		reused = a.tail == target
+		b.Sync(p)
+		bEnd = p.Now()
+		a.Sync(p)
+		aEnd = p.Now()
+		a.Close()
+		b.Close()
+	})
+	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Fatal("the long kernel did not reuse the short kernel's record")
+	}
+	if bEnd >= aEnd || bEnd > sim.Time(2*sim.Millisecond) {
+		t.Fatalf("b synced at %v, a's long kernel ended at %v: b waited on the reused record", bEnd, aEnd)
 	}
 }

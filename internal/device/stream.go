@@ -18,11 +18,17 @@ type Stream struct {
 	Ctx *Context
 
 	// head is the oldest queued entry, linked through Entry.next; tail is
-	// the newest entry enqueued, which stays in place after it runs so
-	// Sync can tell whether the stream has drained.
-	head, tail *Entry
-	cond       *sim.Cond
-	closed     bool
+	// the newest entry enqueued. enqueued and finished count the entries
+	// added and run so far: an entry's ticket is the count that added it,
+	// and the entry has finished once finished reaches its ticket, whether
+	// or not its record has been reused since.
+	head, tail         *Entry
+	enqueued, finished uint64
+	cond               *sim.Cond
+	closed             bool
+	// copies, kernels and waits are the stream's finished records of each
+	// kind, linked through Entry.next, for its next enqueue of the kind.
+	copies, kernels, waits *Entry
 	// spare is a fired completion event kept for the next entry a
 	// process waits on, so a stream that is synced over and over
 	// allocates one event, not one per Sync.
@@ -40,7 +46,9 @@ type Stream struct {
 // Runner is one queued operation: a record that embeds Entry and runs on
 // the stream's process when the queue reaches it. Owners outside this
 // package (the unified activity queue's MPI operations) implement it too,
-// so enqueueing allocates the record and nothing else.
+// so enqueueing allocates the record and nothing else. After Run returns,
+// the stream reads only the entry's completion event, before it yields, so
+// Run may end by handing a record its owner recycles back to the owner.
 type Runner interface {
 	Run(s *Stream, p *sim.Proc)
 	// Why labels the operation's completion event on stream s in
@@ -51,13 +59,13 @@ type Runner interface {
 }
 
 // Entry is the queue header a Runner embeds. The stream links entries
-// through it and marks an entry finished by clearing run. The completion
-// event is made only when a process waits on an unfinished entry (Sync, or
-// a stream waiting on another stream's tail), so an entry nobody waits on
+// through it and counts it finished once it has run. The completion event
+// is made only when a process waits on an unfinished entry (Sync, or a
+// stream waiting on another stream's tail), so an entry nobody waits on
 // never owns one.
 type Entry struct {
 	next *Entry
-	run  Runner     // the record itself; nil once finished
+	run  Runner     // the record itself
 	done *sim.Event // nil until a process waits on the entry
 }
 
@@ -87,14 +95,50 @@ func (s *Stream) loop(p *sim.Proc) {
 		}
 		e := s.head
 		s.head, e.next = e.next, nil
-		e.run.Run(s, p)
-		e.run = nil
+		r := e.run
+		r.Run(s, p)
+		s.finished++
 		if ev := e.done; ev != nil {
 			e.done = nil
 			ev.Fire()
 			s.spare = ev
 		}
+		s.recycle(r, e)
 	}
+}
+
+// recycle puts a finished record of this package, whose entry is e, on
+// its stream's free list; only this stream reuses it. A kernel record
+// drops its body, so it keeps no kernel Body alive.
+func (s *Stream) recycle(r Runner, e *Entry) {
+	var free **Entry
+	switch o := r.(type) {
+	case *copyOp:
+		free = &s.copies
+	case *kernelOp:
+		o.body = nil
+		free = &s.kernels
+	case *waitOp:
+		o.src, o.target = nil, nil
+		free = &s.waits
+	default:
+		return
+	}
+	e.next, *free = *free, e
+}
+
+// reuse takes a record of type T off a free list of its entries, or makes
+// one.
+func reuse[T any, P interface {
+	*T
+	Runner
+}](free **Entry) P {
+	e := *free
+	if e == nil {
+		return new(T)
+	}
+	*free, e.next = e.next, nil
+	return e.run.(P)
 }
 
 // Enqueue adds r to the end of the queue. The IMPACC unified activity
@@ -106,6 +150,7 @@ func (s *Stream) Enqueue(r Runner) {
 	}
 	e := r.entry()
 	e.run = r
+	s.enqueued++
 	if s.head == nil {
 		s.head = e
 	} else {
@@ -115,11 +160,12 @@ func (s *Stream) Enqueue(r Runner) {
 	s.cond.WakeOne()
 }
 
-// wait blocks p until entry e of this stream has finished; a nil entry
-// has. The first process to wait gives e its completion event, labelled
-// by e's Why.
-func (s *Stream) wait(p *sim.Proc, e *Entry) {
-	if e == nil || e.run == nil {
+// wait blocks p until the entry of this stream with the given ticket has
+// finished. An unfinished entry is still queued, so e, the record that
+// entry was enqueued as, still holds it. The first process to wait gives e
+// its completion event, labelled by e's Why.
+func (s *Stream) wait(p *sim.Proc, e *Entry, ticket uint64) {
+	if s.finished >= ticket {
 		return
 	}
 	ev := e.done
@@ -184,29 +230,33 @@ func (e *StreamError) Unwrap() error { return e.Err } //impacc:allow-unused erro
 // EnqueueCopy schedules an asynchronous memory copy (cuMemcpyAsync /
 // clEnqueue{Read,Write}Buffer with CL_NON_BLOCKING).
 func (s *Stream) EnqueueCopy(dst, src xmem.Addr, n int64) {
-	s.Enqueue(&copyOp{dst: dst, src: src, n: n, id: s.chainID()})
+	o := reuse[copyOp](&s.copies)
+	o.dst, o.src, o.n, o.id = dst, src, n, s.chainID()
+	s.Enqueue(o)
 }
 
-// kernelOp is a queued kernel launch.
+// kernelOp is a queued kernel launch. It keeps what running the kernel
+// needs: its name, its body and its duration, priced when it is enqueued.
 type kernelOp struct {
 	Entry
-	k  KernelSpec
-	id uint64 // trace ID, 0 when tracing is off
+	name string
+	body func()
+	dur  sim.Dur
+	id   uint64 // trace ID, 0 when tracing is off
 }
 
 func (o *kernelOp) Why(s *Stream) string {
-	if s.kernel != o.k.Name || s.kernelWhy == "" {
-		s.kernel, s.kernelWhy = o.k.Name, "op:kernel:"+o.k.Name
+	if s.kernel != o.name || s.kernelWhy == "" {
+		s.kernel, s.kernelWhy = o.name, "op:kernel:"+o.name
 	}
 	return s.kernelWhy
 }
 
 func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
-	k := &o.k
-	dur := Duration(s.Ctx.Dev.Spec, *k)
+	dur := o.dur
 	start := s.Ctx.Dev.compute.Use(p, dur, 0)
-	if k.Body != nil {
-		k.Body()
+	if o.body != nil {
+		o.body()
 	}
 	s.Ctx.Stats.KernelCount++
 	s.Ctx.Stats.KernelTime += dur
@@ -214,7 +264,7 @@ func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
 		s.kernelHist.Observe(int64(dur))
 	}
 	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
-		sink.Span(o.id, s.ID, "kernel", k.Name, start, start+sim.Time(dur), 0)
+		sink.Span(o.id, s.ID, "kernel", o.name, start, start+sim.Time(dur), 0)
 	}
 }
 
@@ -222,12 +272,14 @@ func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
 // serializes kernels from all streams of the device; the kernel's Body (if
 // any) executes at completion so data results are real.
 func (s *Stream) EnqueueKernel(k KernelSpec) {
-	s.Enqueue(&kernelOp{k: k, id: s.chainID()})
+	o := reuse[kernelOp](&s.kernels)
+	o.name, o.body, o.dur, o.id = k.Name, k.Body, Duration(s.Ctx.Dev.Spec, k), s.chainID()
+	s.Enqueue(o)
 }
 
 // Sync blocks p until every operation enqueued so far has completed
 // (#pragma acc wait on this queue).
-func (s *Stream) Sync(p *sim.Proc) { s.wait(p, s.tail) }
+func (s *Stream) Sync(p *sim.Proc) { s.wait(p, s.tail, s.enqueued) }
 
 // Close shuts the stream process down after draining queued work. Safe to
 // call twice.
@@ -240,11 +292,13 @@ func (s *Stream) Close() {
 }
 
 // waitOp is a queued cross-stream dependency: it waits for the entry that
-// was src's tail when it was enqueued.
+// was src's tail when it was enqueued. It keeps that entry's ticket, since
+// the target's record may finish and be reused before the wait runs.
 type waitOp struct {
 	Entry
 	src    *Stream
 	target *Entry
+	ticket uint64
 	id     uint64 // trace ID, 0 when tracing is off
 }
 
@@ -252,7 +306,7 @@ func (o *waitOp) Why(*Stream) string { return "op:wait-event" }
 
 func (o *waitOp) Run(s *Stream, p *sim.Proc) {
 	start := p.Now()
-	o.src.wait(p, o.target)
+	o.src.wait(p, o.target, o.ticket)
 	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
 		sink.Span(o.id, s.ID, "accwait", "qwait", start, p.Now(), 0)
 	}
@@ -265,7 +319,8 @@ func (o *waitOp) Run(s *Stream, p *sim.Proc) {
 // records the cross-stream "event" edge and an accwait span over the actual
 // wait interval for the causal trace.
 func (s *Stream) EnqueueWaitStream(src *Stream) {
-	o := &waitOp{src: src, target: src.tail, id: s.chainID()}
+	o := reuse[waitOp](&s.waits)
+	o.src, o.target, o.ticket, o.id = src, src.tail, src.enqueued, s.chainID()
 	if sink := s.Ctx.Sink; sink != nil && o.id != 0 && src.traceTail != 0 {
 		sink.Edge("event", src.traceTail, o.id, s.Ctx.Dev.rt.Eng.Now())
 	}

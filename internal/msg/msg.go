@@ -103,8 +103,10 @@ type Cmd struct {
 	MatchedSrc, MatchedTag int
 	MatchedBytes           int64
 	// TraceID tags the command for causal tracing (0 = untraced); PostedAt
-	// records when the task initiated the operation. Both are set by the
-	// core runtime when a tracer is attached and surface in Hub.OnMatch.
+	// records when the task, or the activity queue it was placed on,
+	// initiated the operation. The core runtime sets both when a tracer is
+	// attached, and they surface in Hub.OnMatch; it sets PostedAt on a
+	// queued command always, as the start of the queued op's latency.
 	TraceID  uint64
 	PostedAt sim.Time
 	// seq is the hub-local posting order stamp, assigned when the command

@@ -99,7 +99,7 @@ func (r *Registry) appendRecords(recs []shardRecord, shard int) []shardRecord {
 
 // resourceRows returns the registry's resource records folded to rows
 // sorted by name, one per name. Records that are so already, as MergeShards
-// leaves them, are returned as they are.
+// and Merge leave them, are returned as they are.
 func (r *Registry) resourceRows() []*Resource {
 	res := r.resources
 	for i := 1; i < len(res); i++ {

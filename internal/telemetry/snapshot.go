@@ -147,7 +147,7 @@ func (s *Snapshot) MarshalJSON() ([]byte, error) {
 // Output is deterministic. A NaN or infinite gauge fails with the
 // encoder's error before anything is written.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
-	return s.writeJSON(&writer{w: w, b: make([]byte, 0, 64<<10)})
+	return s.writeJSON(s.newWriter(w))
 }
 
 func (s *Snapshot) writeJSON(j *writer) error {
@@ -185,8 +185,23 @@ func (s *Snapshot) writeJSON(j *writer) error {
 	return j.flush(0)
 }
 
-// writer appends output to b, flushing it to w in large chunks; without w
-// it keeps everything in b. Its JSON methods indent: depth is the nesting
+// flushChunk is the output a writer to w gathers before it writes it out.
+const flushChunk = 32 << 10
+
+// newWriter returns a writer to w whose buffer fits the snapshot: about
+// 256 bytes a family and a series, capped at a flush chunk and the series
+// that crosses it. So a small snapshot takes a small buffer, and a large
+// one a buffer that rarely grows.
+func (s *Snapshot) newWriter(w io.Writer) *writer {
+	n := 256 * len(s.fams)
+	for _, f := range s.fams {
+		n += 256 * s.size(f, rowFamily(f))
+	}
+	return &writer{w: w, b: make([]byte, 0, min(n, flushChunk+flushChunk/8))}
+}
+
+// writer appends output to b, flushing it to w in chunks; without w it
+// keeps everything in b. Its JSON methods indent: depth is the nesting
 // level and first whether the innermost array or object is still empty.
 type writer struct {
 	w     io.Writer
@@ -237,7 +252,7 @@ func (j *writer) key(name string) {
 // array writes an array of n objects whose members elem writes.
 func (j *writer) array(n int, elem func(i int)) {
 	j.open('[')
-	for i := 0; i < n && j.flush(32<<10) == nil; i++ {
+	for i := 0; i < n && j.flush(flushChunk) == nil; i++ {
 		j.next()
 		j.open('{')
 		elem(i)
@@ -385,7 +400,7 @@ var promInf = []byte("+Inf")
 // the +Inf bucket, _sum, and _count, so standard scrapers and promtool can
 // consume the output. Output is deterministic.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
-	j := &writer{w: w, b: make([]byte, 0, 64<<10)}
+	j := s.newWriter(w)
 	var p point
 	var num, le [24]byte
 	for _, f := range s.fams {
@@ -395,7 +410,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}
 		j.b = append(append(append(append(append(j.b, "# TYPE "...), f.name...), ' '), f.kind.String()...), '\n')
 		fi := rowFamily(f)
-		for i, n := 0, s.size(f, fi); i < n && j.flush(32<<10) == nil; i++ {
+		for i, n := 0, s.size(f, fi); i < n && j.flush(flushChunk) == nil; i++ {
 			s.at(f, fi, i, &p)
 			switch f.kind {
 			case KindCounter:

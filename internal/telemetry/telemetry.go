@@ -399,12 +399,15 @@ func (r *Registry) Merge(src *Registry) {
 // or inserted in a map. The shards' resource records are folded once, by
 // the rules of Merge where shards share a name, and the result holds the
 // folded rows as its records, one per name. A single registry is returned
-// as it is. The result shares the series only one shard holds, so
-// regs must be quiescent and stay unmutated while it is in use; its clock
-// is unset.
+// itself, its records folded the same way, so its snapshots do not fold
+// them again. The result shares the series only one shard holds, so regs
+// must be quiescent and stay unmutated while it is in use; its clock is
+// unset.
 func MergeShards(regs []*Registry) *Registry {
 	if len(regs) == 1 {
-		return regs[0]
+		r := regs[0]
+		r.resources = r.resourceRows()
+		return r
 	}
 	out, nrec, nser := NewRegistry(), 0, map[*family]int{}
 	for _, src := range regs {
