@@ -118,7 +118,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	limits, err := core.ParseLimits(*maxVTime, *maxEvents, *maxAlloc)
 	if err != nil {
-		fmt.Fprintf(stderr, "impacc-bench: max-vtime: %v\n", err)
+		fmt.Fprintf(stderr, "impacc-bench: %v\n", err)
 		return 2
 	}
 	opt := bench.Options{Quick: *quick, ParSim: *parSim, FlightRing: *flight, Lean: *lean, Limits: limits}.WithJobs(*jobs)

@@ -36,6 +36,20 @@ func TestMaxVTimeZeroUnlimited(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitFlags: a negative count is a usage error that names its
+// flag, not an unlimited run.
+func TestNegativeLimitFlags(t *testing.T) {
+	for _, flag := range []string{"-max-events", "-max-alloc"} {
+		var out, errb bytes.Buffer
+		if rc := realMain([]string{"-exp", "fig6", "-quick", flag, "-1"}, &out, &errb); rc != 2 {
+			t.Fatalf("%s -1: realMain = %d, want 2", flag, rc)
+		}
+		if !strings.Contains(errb.String(), flag[1:]+":") {
+			t.Errorf("%s -1: stderr %q does not name the flag", flag, errb.String())
+		}
+	}
+}
+
 // TestSmokeList covers the -list path.
 func TestSmokeList(t *testing.T) {
 	var out, errb bytes.Buffer

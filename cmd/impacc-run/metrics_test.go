@@ -18,7 +18,7 @@ import (
 type metricFamily struct {
 	Name   string
 	Series []struct {
-		Labels     []telemetry.Label
+		Labels     []struct{ Key, Value string }
 		Value      int64
 		GaugeValue float64 `json:"gauge_value"`
 		Count      uint64

@@ -53,7 +53,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	limits, err := core.ParseLimits(*maxVTime, *maxEvents, *maxAlloc)
 	if err != nil {
-		fmt.Fprintf(stderr, "impacc-serve: max-vtime: %v\n", err)
+		fmt.Fprintf(stderr, "impacc-serve: %v\n", err)
 		return 2
 	}
 

@@ -37,6 +37,10 @@ func TestBadFlags(t *testing.T) {
 	if code := realMain([]string{"-max-vtime", "10parsecs"}, &out, &errOut); code != 2 {
 		t.Fatalf("bad duration exit = %d, want 2", code)
 	}
+	errOut.Reset()
+	if code := realMain([]string{"-max-events", "-1"}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "max-events:") {
+		t.Fatalf("negative -max-events: exit = %d, stderr %q; want 2 naming the flag", code, errOut.String())
+	}
 }
 
 // TestMaxVTimeZeroUnlimited: "-max-vtime 0" parses as unlimited. The

@@ -116,7 +116,7 @@ func (e *Env) DataEnter(p *sim.Proc, host xmem.Addr, n int64, mode EnterMode) (x
 		return xmem.Nil, err
 	}
 	if mode == Copyin {
-		if _, err := e.Ctx.Transfer(p, dev, host, n); err != nil {
+		if err := e.Ctx.Transfer(p, dev, host, n); err != nil {
 			return xmem.Nil, err
 		}
 	}
@@ -138,7 +138,7 @@ func (e *Env) DataExit(p *sim.Proc, host xmem.Addr, mode ExitMode) error {
 		return nil
 	}
 	if mode == Copyout {
-		if _, err := e.Ctx.Transfer(p, ent.Host, ent.Dev, ent.Size); err != nil {
+		if err := e.Ctx.Transfer(p, ent.Host, ent.Dev, ent.Size); err != nil {
 			return err
 		}
 	}
@@ -169,7 +169,7 @@ func (e *Env) UpdateDevice(p *sim.Proc, host xmem.Addr, n int64, async int) erro
 		return err
 	}
 	if async < 0 {
-		_, err = e.Ctx.Transfer(p, dev, host, n)
+		err = e.Ctx.Transfer(p, dev, host, n)
 		return err
 	}
 	e.Stream(async).EnqueueCopy(dev, host, n)
@@ -186,7 +186,7 @@ func (e *Env) UpdateHost(p *sim.Proc, host xmem.Addr, n int64, async int) error 
 		return err
 	}
 	if async < 0 {
-		_, err = e.Ctx.Transfer(p, host, dev, n)
+		err = e.Ctx.Transfer(p, host, dev, n)
 		return err
 	}
 	e.Stream(async).EnqueueCopy(host, dev, n)

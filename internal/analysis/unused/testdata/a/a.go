@@ -29,6 +29,17 @@ type Context struct {
 	Elem  []int
 }
 
+// Label is named only by tests: its JSON-tagged fields are exempt, the
+// type is not.
+type Label struct { // want `type Label is never used by non-test code`
+	Key string `json:"key"`
+}
+
+type orphan int // want `type orphan is never used by non-test code`
+
+//impacc:allow-unused kept API: the annotation covers types too
+type KeptType int
+
 type T[V any] struct {
 	Val V
 }

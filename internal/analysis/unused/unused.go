@@ -1,5 +1,5 @@
-// Package unused flags API that nothing uses: a package-level func or
-// method that no non-test code refers to, and an exported struct field that
+// Package unused flags API that nothing uses: a package-level func, method
+// or type that no non-test code refers to, and an exported struct field that
 // no non-test code writes. DESIGN.md §9 lists what counts and what is
 // exempt.
 package unused
@@ -16,14 +16,14 @@ import (
 // Analyzer implements the unused pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "unused",
-	Doc:  "flag funcs and methods that no non-test code refers to, and exported fields that no non-test code writes",
+	Doc:  "flag funcs, methods and types that no non-test code refers to, and exported fields that no non-test code writes",
 	Run:  run,
 }
 
 const hint = "; delete it, or annotate //impacc:allow-unused <reason>"
 
-// refs holds one Run's referred-to funcs and written fields, and its
-// interfaces by method name.
+// refs holds one Run's referred-to funcs and types and written fields, and
+// its interfaces by method name.
 type refs struct {
 	used   map[types.Object]bool
 	ifaces map[string][]*types.Interface
@@ -37,7 +37,7 @@ func run(pass *analysis.Pass) error {
 	// partial run flags nothing a full run would not.
 	r := pass.Facts.Memo("unused", func() any { return collect(pass.Facts.Program) }).(*refs)
 	for _, f := range pass.Files {
-		// Package-level funcs, methods and named struct types only.
+		// Package-level funcs, methods and types only.
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.File, *ast.GenDecl:
@@ -53,6 +53,9 @@ func run(pass *analysis.Pass) error {
 					pass.Reportf(n.Name.Pos(), "%s is never used by non-test code"+hint, what)
 				}
 			case *ast.TypeSpec:
+				if !r.used[pass.Info.Defs[n.Name]] {
+					pass.Reportf(n.Name.Pos(), "type %s is never used by non-test code"+hint, n.Name.Name)
+				}
 				if st, ok := n.Type.(*ast.StructType); ok {
 					for _, field := range st.Fields.List {
 						for _, name := range field.Names {
@@ -89,8 +92,11 @@ func collect(pkgs []*analysis.Package) *refs {
 	r.addIface(types.Universe.Lookup("error").Type())
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.Info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				r.used[fn.Origin()] = true
+			switch obj := obj.(type) {
+			case *types.Func:
+				r.used[obj.Origin()] = true
+			case *types.TypeName:
+				r.used[obj] = true
 			}
 		}
 		for _, sel := range pkg.Info.Selections {

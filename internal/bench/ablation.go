@@ -23,138 +23,97 @@ type AblationRow struct {
 // Gain is the slowdown factor from disabling the technique.
 func (r AblationRow) Gain() float64 { return r.Off.Seconds() / r.On.Seconds() }
 
-// withFeature runs prog with the full IMPACC feature set, minus the given
-// mutation when off.
-func runFeature(opt Options, sys *topo.System, tasks int, mutate func(f *core.Features), off bool, prog core.Program) (sim.Dur, error) {
-	f := core.DefaultFeatures(core.IMPACC)
-	if off {
-		mutate(&f)
-	}
-	cfg := baseCfg(opt, sys, core.IMPACC, tasks, false)
-	cfg.Features = &f
-	d, _, err := elapsedOf(opt, cfg, prog)
-	return d, err
-}
-
 // Ablations measures each design choice DESIGN.md calls out.
 func Ablations(opt Options) ([]AblationRow, error) {
-	n := 2048
-	iters := 10
+	n, iters := 2048, 10
+	// Direct DtoD and GPUDirect RDMA matter for bandwidth-bound device
+	// transfers: measure ping-pong exchanges of large device buffers.
+	xfer, reps := int64(32<<20), 8
+	// Small messages: the serialized call window (library overhead +
+	// staging setup) exceeds the per-message wire time, so the lock is the
+	// bottleneck — the regime the paper's argument addresses.
+	msgBytes, rounds := int64(4096), 128
 	if opt.Quick {
-		n = 512
-		iters = 3
+		n, iters, xfer, reps, rounds = 512, 3, 4<<20, 3, 24
 	}
-	// feature builds a technique job: the same workload with the mutation
-	// applied (off) and with the full feature set (on).
-	feature := func(name, workload string, sys *topo.System, tasks int,
-		mutate func(*core.Features), prog core.Program) func() (AblationRow, error) {
+	// ablate builds a technique's row from run: the workload with the
+	// technique disabled (off), then enabled.
+	ablate := func(name, workload string, run func(off bool) (sim.Dur, error)) func() (AblationRow, error) {
 		return func() (AblationRow, error) {
-			off, err := runFeature(opt, sys, tasks, mutate, true, prog)
-			if err != nil {
-				return AblationRow{}, fmt.Errorf("%s off: %w", name, err)
+			row := AblationRow{Technique: name, Workload: workload}
+			var err error
+			if row.Off, err = run(true); err != nil {
+				return row, fmt.Errorf("%s off: %w", name, err)
 			}
-			on, err := runFeature(opt, sys, tasks, mutate, false, prog)
-			if err != nil {
-				return AblationRow{}, fmt.Errorf("%s on: %w", name, err)
+			if row.On, err = run(false); err != nil {
+				return row, fmt.Errorf("%s on: %w", name, err)
 			}
-			return AblationRow{Technique: name, Workload: workload, Off: off, On: on}, nil
+			return row, nil
+		}
+	}
+	// run runs prog under IMPACC with tasks tasks on sys, after edit (if
+	// any) adjusts the config.
+	run := func(sys *topo.System, tasks int, prog core.Program, edit func(*core.Config)) (sim.Dur, error) {
+		cfg := baseCfg(opt, sys, core.IMPACC, tasks, false)
+		if edit != nil {
+			edit(&cfg)
+		}
+		d, _, err := elapsedOf(opt, cfg, prog)
+		return d, err
+	}
+	// feature runs prog with the full IMPACC feature set, minus the
+	// mutation when off.
+	feature := func(sys *topo.System, tasks int, prog core.Program, mutate func(*core.Features)) func(bool) (sim.Dur, error) {
+		return func(off bool) (sim.Dur, error) {
+			f := core.DefaultFeatures(core.IMPACC)
+			if off {
+				mutate(&f)
+			}
+			return run(sys, tasks, prog, func(c *core.Config) { c.Features = &f })
 		}
 	}
 
-	dgemm := apps.DGEMM(apps.DGEMMConfig{N: n, Style: apps.StyleUnified})
-
-	// Direct DtoD and GPUDirect RDMA matter for bandwidth-bound device
-	// transfers: measure ping-pong exchanges of large device buffers.
-	xfer := int64(32 << 20)
-	reps := 8
-	if opt.Quick {
-		xfer = 4 << 20
-		reps = 3
-	}
-
+	pingPong := devicePingPong(xfer, reps)
 	jobs := []func() (AblationRow, error){
 		// Node heap aliasing: without it, the intra-node DGEMM distribution
 		// of readonly buffers copies instead of sharing pages.
-		feature("node-heap-aliasing", fmt.Sprintf("DGEMM %d (PSG x8)", n), topo.PSG(), 8,
-			func(f *core.Features) { f.Aliasing = false }, dgemm),
-		feature("direct-p2p-dtod", fmt.Sprintf("%dx%dMB DtoD intra (PSG)", reps, xfer>>20), topo.PSG(), 2,
-			func(f *core.Features) { f.DirectP2P = false }, devicePingPong(xfer, reps)),
-		feature("gpudirect-rdma", fmt.Sprintf("%dx%dMB DtoD inter (Titan)", reps, xfer>>20), topo.Titan(2), 2,
-			func(f *core.Features) { f.RDMA = false }, devicePingPong(xfer, reps)),
+		ablate("node-heap-aliasing", fmt.Sprintf("DGEMM %d (PSG x8)", n),
+			feature(topo.PSG(), 8, apps.DGEMM(apps.DGEMMConfig{N: n, Style: apps.StyleUnified}),
+				func(f *core.Features) { f.Aliasing = false })),
+		ablate("direct-p2p-dtod", fmt.Sprintf("%dx%dMB DtoD intra (PSG)", reps, xfer>>20),
+			feature(topo.PSG(), 2, pingPong, func(f *core.Features) { f.DirectP2P = false })),
+		ablate("gpudirect-rdma", fmt.Sprintf("%dx%dMB DtoD inter (Titan)", reps, xfer>>20),
+			feature(topo.Titan(2), 2, pingPong, func(f *core.Features) { f.RDMA = false })),
 		// Unified activity queue: unified style vs the async style with
 		// explicit synchronization, both under IMPACC.
-		func() (AblationRow, error) {
-			cfgU := baseCfg(opt, topo.PSG(), core.IMPACC, 8, false)
-			on, _, err := elapsedOf(opt, cfgU, apps.Jacobi(apps.JacobiConfig{N: n, Iters: iters, Style: apps.StyleUnified}))
-			if err != nil {
-				return AblationRow{}, err
+		ablate("unified-activity-queue", fmt.Sprintf("Jacobi %d (PSG x8)", n), func(off bool) (sim.Dur, error) {
+			style := apps.StyleUnified
+			if off {
+				style = apps.StyleAsync
 			}
-			cfgA := baseCfg(opt, topo.PSG(), core.IMPACC, 8, false)
-			off, _, err := elapsedOf(opt, cfgA, apps.Jacobi(apps.JacobiConfig{N: n, Iters: iters, Style: apps.StyleAsync}))
-			if err != nil {
-				return AblationRow{}, err
-			}
-			return AblationRow{
-				Technique: "unified-activity-queue",
-				Workload:  fmt.Sprintf("Jacobi %d (PSG x8)", n),
-				Off:       off, On: on,
-			}, nil
-		},
-		// MPI_THREAD_MULTIPLE: without it, each node's internode calls — and
-		// the library-internal staging copies of device sends on the
-		// non-GPUDirect Beacon — serialize (paper §3.7). Four tasks per node
-		// exchanging device buffers across the network expose the lock.
-		func() (AblationRow, error) {
+			return run(topo.PSG(), 8, apps.Jacobi(apps.JacobiConfig{N: n, Iters: iters, Style: style}), nil)
+		}),
+		// MPI_THREAD_MULTIPLE: an MPI library without it serializes each
+		// node's internode calls — and the library-internal staging copies
+		// of device sends on the non-GPUDirect Beacon (paper §3.7). Four
+		// tasks per node exchanging device buffers across the network
+		// expose the lock.
+		ablate("mpi-thread-multiple", fmt.Sprintf("%dx%dKB dev exch (Beacon 2x4)", rounds, msgBytes>>10), func(off bool) (sim.Dur, error) {
 			sys := topo.Beacon(2)
-			// Small messages: the serialized call window (library overhead +
-			// staging setup) exceeds the per-message wire time, so the lock
-			// is the bottleneck — the regime the paper's argument addresses.
-			msgBytes, rounds := int64(4096), 128
-			if opt.Quick {
-				rounds = 24
+			if off {
+				sys.ThreadMultiple = false
 			}
-			mk := func(serial bool) (sim.Dur, error) {
-				cfg := baseCfg(opt, sys, core.IMPACC, 8, false)
-				cfg.ForceSerialMPI = serial
-				d, _, err := elapsedOf(opt, cfg, crossNodeDeviceExchange(msgBytes, rounds))
-				return d, err
-			}
-			off, err := mk(true)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			on, err := mk(false)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			return AblationRow{
-				Technique: "mpi-thread-multiple",
-				Workload:  fmt.Sprintf("%dx%dKB dev exch (Beacon 2x4)", rounds, msgBytes>>10),
-				Off:       off, On: on,
-			}, nil
-		},
+			return run(sys, 8, crossNodeDeviceExchange(msgBytes, rounds), nil)
+		}),
 		// NUMA pinning: far vs near (the Figure 8 effect at app level).
-		func() (AblationRow, error) {
-			mk := func(pin core.PinPolicy) (sim.Dur, error) {
-				cfg := baseCfg(opt, topo.PSG(), core.IMPACC, 8, false)
-				cfg.Pin = pin
-				d, _, err := elapsedOf(opt, cfg, apps.DGEMM(apps.DGEMMConfig{N: n, Style: apps.StyleSync}))
-				return d, err
-			}
-			off, err := mk(core.PinFar)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			on, err := mk(core.PinNear)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			return AblationRow{
-				Technique: "numa-pinning",
-				Workload:  fmt.Sprintf("DGEMM %d sync (PSG x8)", n),
-				Off:       off, On: on,
-			}, nil
-		},
+		ablate("numa-pinning", fmt.Sprintf("DGEMM %d sync (PSG x8)", n), func(off bool) (sim.Dur, error) {
+			return run(topo.PSG(), 8, apps.DGEMM(apps.DGEMMConfig{N: n, Style: apps.StyleSync}), func(c *core.Config) {
+				c.Pin = core.PinNear
+				if off {
+					c.Pin = core.PinFar
+				}
+			})
+		}),
 	}
 	return parMap(opt, jobs, func(_ int, job func() (AblationRow, error)) (AblationRow, error) {
 		return job()

@@ -248,8 +248,40 @@ func TestParseLimits(t *testing.T) {
 	if want := (Limits{MaxVirtualTime: 20 * sim.Microsecond, MaxEvents: 200, MaxAllocBytes: 1 << 20}); err != nil || l != want {
 		t.Errorf("ParseLimits(20us) = %+v, %v; want %+v", l, err, want)
 	}
-	if _, err := ParseLimits("10parsecs", 0, 0); err == nil {
-		t.Error("a bad duration must fail")
+	// A bad duration or a negative count fails, naming its flag: a negative
+	// count must not run unlimited under a second content address.
+	for _, c := range []struct {
+		vtime         string
+		events, alloc int64
+		flag          string
+	}{
+		{"10parsecs", 0, 0, "max-vtime"},
+		{"", -1, 0, "max-events"},
+		{"", 0, -1, "max-alloc"},
+	} {
+		if _, err := ParseLimits(c.vtime, c.events, c.alloc); err == nil || !strings.HasPrefix(err.Error(), c.flag+":") {
+			t.Errorf("ParseLimits(%q, %d, %d) = %v; want an error naming %s", c.vtime, c.events, c.alloc, err, c.flag)
+		}
+	}
+}
+
+// TestValidateRejectsNegativeLimits: a Config built without ParseLimits
+// gets the same check, naming the field.
+func TestValidateRejectsNegativeLimits(t *testing.T) {
+	for _, c := range []struct {
+		limits Limits
+		field  string
+	}{
+		{Limits{MaxEvents: -1}, "MaxEvents"},
+		{Limits{MaxAllocBytes: -5}, "MaxAllocBytes"},
+	} {
+		cfg := Config{System: topo.Beacon(2), Limits: c.limits}
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("validate(%+v) = %v; want an error naming %s", c.limits, err, c.field)
+		}
+	}
+	if err := (&Config{System: topo.Beacon(2), Limits: Limits{MaxEvents: 1, MaxAllocBytes: 1}}).validate(); err != nil {
+		t.Errorf("positive limits rejected: %v", err)
 	}
 }
 

@@ -91,14 +91,30 @@ type Limits struct {
 
 // ParseLimits builds Limits from the -max-vtime, -max-events and
 // -max-alloc flags every front-end shares. An empty or "0" vtime, like a
-// zero count, means unlimited.
+// zero count, means unlimited; a negative count fails. The error names the
+// flag.
 func ParseLimits(vtime string, events, alloc int64) (Limits, error) {
 	l := Limits{MaxEvents: events, MaxAllocBytes: alloc}
-	var err error
 	if vtime != "" && vtime != "0" {
-		l.MaxVirtualTime, err = sim.ParseDur(vtime)
+		var err error
+		if l.MaxVirtualTime, err = sim.ParseDur(vtime); err != nil {
+			return l, fmt.Errorf("max-vtime: %w", err)
+		}
 	}
-	return l, err
+	return l, l.check("max-events", "max-alloc")
+}
+
+// check rejects a negative MaxEvents or MaxAllocBytes, naming the count
+// by the matching label: a negative count must not run unlimited under a
+// content address of its own.
+func (l Limits) check(events, alloc string) error {
+	if l.MaxEvents < 0 {
+		return fmt.Errorf("%s: %d is negative (0 means unlimited)", events, l.MaxEvents)
+	}
+	if l.MaxAllocBytes < 0 {
+		return fmt.Errorf("%s: %d is negative (0 means unlimited)", alloc, l.MaxAllocBytes)
+	}
+	return nil
 }
 
 // Config describes one run.
@@ -118,9 +134,6 @@ type Config struct {
 	Seed uint64
 	// MaxTasks caps the number of launched tasks (0 = all devices).
 	MaxTasks int
-	// ForceSerialMPI pretends the underlying MPI library lacks
-	// MPI_THREAD_MULTIPLE (paper §3.7 fallback), for ablation.
-	ForceSerialMPI bool
 	// JitterPct adds deterministic pseudo-random skew to host compute
 	// (percent, e.g. 2.0). Models OS noise; 0 disables.
 	JitterPct float64
@@ -178,13 +191,10 @@ func (c *Config) validate() error {
 	if len(c.System.Nodes) == 0 {
 		return fmt.Errorf("core: system has no nodes")
 	}
-	if c.Pin == PinDefault {
-		if c.Mode == IMPACC {
-			c.Pin = PinNear
-		} else {
-			c.Pin = PinNone
-		}
+	if err := c.Limits.check("core: Limits.MaxEvents", "core: Limits.MaxAllocBytes"); err != nil {
+		return err
 	}
+	c.Pin = c.pin()
 	if c.Progress != nil {
 		if c.Progress.Every <= 0 {
 			return fmt.Errorf("core: Config.Progress.Every must be positive")
@@ -194,6 +204,18 @@ func (c *Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// pin resolves PinDefault by mode: PinNear under IMPACC, PinNone under
+// legacy.
+func (c *Config) pin() PinPolicy {
+	switch {
+	case c.Pin != PinDefault:
+		return c.Pin
+	case c.Mode == IMPACC:
+		return PinNear
+	}
+	return PinNone
 }
 
 // features resolves the effective feature set.
@@ -212,7 +234,7 @@ func (c *Config) msgConfig() msg.Config {
 		Aliasing:       f.Aliasing,
 		RDMA:           f.RDMA,
 		DirectP2P:      f.DirectP2P,
-		ThreadMultiple: c.System.ThreadMultiple && !c.ForceSerialMPI,
+		ThreadMultiple: c.System.ThreadMultiple,
 		MPIOverhead:    c.System.MPIOverhead,
 	}
 	if c.Chaos != nil {

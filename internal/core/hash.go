@@ -48,15 +48,7 @@ func (c *Config) CanonicalString() string {
 	w("system", systemDigest(c.System))
 	w("mode", c.Mode.String())
 	w("devicetypes", strconv.FormatUint(uint64(c.DeviceTypes), 10))
-	pin := c.Pin
-	if pin == PinDefault {
-		if c.Mode == IMPACC {
-			pin = PinNear
-		} else {
-			pin = PinNone
-		}
-	}
-	w("pin", strconv.Itoa(int(pin)))
+	w("pin", strconv.Itoa(int(c.pin())))
 	// Message fusion is not a feature but the IMPACC transport itself; its
 	// entry keeps the encoding (and every digest) of the v2 scheme.
 	f := c.features()
@@ -66,7 +58,10 @@ func (c *Config) CanonicalString() string {
 	w("backed", strconv.FormatBool(c.Backed))
 	w("seed", strconv.FormatUint(c.Seed, 10))
 	w("maxtasks", strconv.Itoa(c.MaxTasks))
-	w("forceserialmpi", strconv.FormatBool(c.ForceSerialMPI))
+	// The serialized-MPI fallback is a property of the system (its
+	// ThreadMultiple, already in the system digest); the constant entry
+	// keeps the encoding, and every digest, of the v2 scheme.
+	w("forceserialmpi", "false")
 	w("jitterpct", strconv.FormatFloat(c.JitterPct, 'g', -1, 64))
 	chaos := ""
 	if c.Chaos != nil {

@@ -98,7 +98,6 @@ func TestConfigHashSensitivity(t *testing.T) {
 		{"backed", func(c *Config) { c.Backed = true }},
 		{"seed", func(c *Config) { c.Seed = 2017 }},
 		{"maxtasks", func(c *Config) { c.MaxTasks = 3 }},
-		{"forceserialmpi", func(c *Config) { c.ForceSerialMPI = true }},
 		{"jitterpct", func(c *Config) { c.JitterPct = 2 }},
 		{"chaos", func(c *Config) { c.Chaos, _ = fault.ParseSpec("1:straggle=*:2") }},
 		{"limits", func(c *Config) { c.Limits.MaxEvents = 1000 }},

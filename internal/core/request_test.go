@@ -10,7 +10,6 @@ import (
 	"impacc/internal/acc"
 	"impacc/internal/mpi"
 	"impacc/internal/sim"
-	"impacc/internal/telemetry"
 	"impacc/internal/topo"
 )
 
@@ -18,7 +17,7 @@ import (
 type metricFamily struct {
 	Name   string
 	Series []struct {
-		Labels []telemetry.Label
+		Labels []struct{ Key, Value string }
 		Count  uint64
 	}
 }

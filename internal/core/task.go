@@ -116,7 +116,7 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	if rt.Cfg.Trace != nil {
 		ctx.Sink = &taskSink{tr: rt.Cfg.Trace, rank: rank, node: pl.Node}
 	}
-	t.ep = &msg.Endpoint{Rank: rank, Node: pl.Node, Space: t.space, Ctx: ctx}
+	t.ep = &msg.Endpoint{Space: t.space, Ctx: ctx}
 	t.env = acc.NewEnv(ctx)
 	t.rng = sim.NewRNG(rt.Cfg.Seed ^ (uint64(rank)*0x9E3779B97F4A7C15 + 0x1234567))
 	t.scratch, _ = t.space.AllocHost(64, false)

@@ -54,9 +54,7 @@ func (c *Context) Record(dir Direction, n int64, elapsed sim.Dur) { c.record(dir
 
 // record accumulates one finished copy into the context stats.
 func (c *Context) record(dir Direction, n int64, elapsed sim.Dur) {
-	if h := c.copyBytes[dir]; h != nil {
-		h.Observe(n)
-	}
+	c.copyBytes[dir].Observe(n)
 	switch dir {
 	case HtoH:
 		c.Stats.HtoHCount++
@@ -165,27 +163,27 @@ func (l Leg) Price(fab *topo.Fabric, node int, n int64, socket int, pinned bool)
 
 // Transfer performs a synchronous memory copy of n bytes from src to dst
 // within the context's address space: it charges simulated time on the
-// shared links (blocking p), moves the real bytes, and records stats. It
-// returns the direction it classified. A copy between distinct devices
-// takes the direct peer path when the topology allows it.
-func (c *Context) Transfer(p *sim.Proc, dst, src xmem.Addr, n int64) (Direction, error) {
+// shared links (blocking p), moves the real bytes, and records stats under
+// the direction it classifies. A copy between distinct devices takes the
+// direct peer path when the topology allows it.
+func (c *Context) Transfer(p *sim.Proc, dst, src xmem.Addr, n int64) error {
 	return c.transferLane(p, -1, 0, dst, src, n)
 }
 
 // transferLane is Transfer attributed to a trace lane: stream copies pass
 // their queue number and pre-allocated trace ID; synchronous copies run on
 // the host lane (-1) and allocate an ID on demand.
-func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.Addr, n int64) (Direction, error) {
+func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.Addr, n int64) error {
 	if n < 0 {
-		return HtoH, fmt.Errorf("device: Transfer: negative size %d", n)
+		return fmt.Errorf("device: Transfer: negative size %d", n)
 	}
 	dloc, err := c.Space.Lookup(dst)
 	if err != nil {
-		return HtoH, fmt.Errorf("device: Transfer dst: %w", err)
+		return fmt.Errorf("device: Transfer dst: %w", err)
 	}
 	sloc, err := c.Space.Lookup(src)
 	if err != nil {
-		return HtoH, fmt.Errorf("device: Transfer src: %w", err)
+		return fmt.Errorf("device: Transfer src: %w", err)
 	}
 	dir := Classify(dloc, sloc)
 	rt := c.Dev.rt
@@ -219,7 +217,7 @@ func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.A
 		}
 		c.Sink.Span(id, lane, "copy", dir.String(), start, p.Now(), n)
 	}
-	return dir, copyErr
+	return copyErr
 }
 
 // drive runs route's legs for n bytes back to back, blocking p on each.

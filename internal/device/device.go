@@ -33,8 +33,9 @@ const (
 )
 
 // API distinguishes the CUDA-style driver from the OpenCL-style runtime.
-// The distinction shows up in the present table entry layout (Figure 3) and
-// in launch overheads.
+// The distinction shows up only in the present table entry layout (Figure
+// 3): an OpenCL device gets minted buffer handles. Launch cost comes from
+// the device spec's KernelLaunch, whatever the API.
 type API int
 
 const (
@@ -137,8 +138,8 @@ type KernelSpec struct {
 	FLOPs float64 // double-precision operations performed
 	Bytes float64 // device memory traffic generated
 	Kind  KernelKind
-	// Gangs/Workers/Vector record the OpenACC launch geometry (§2.3).
-	// They do not change the cost model but are validated and reported.
+	// Gangs/Workers/Vector record the OpenACC launch geometry (§2.3). The
+	// cost model and the reports ignore them.
 	Gangs, Workers, Vector int
 	// Body, when non-nil, is executed for real at kernel completion so
 	// applications produce genuine numerical results.
@@ -233,12 +234,10 @@ type Context struct {
 // NewContext binds device dev to an address space and pin socket.
 func (rt *Runtime) NewContext(dev int, space *xmem.Space, socket int, backed, pinned bool) *Context {
 	c := &Context{Dev: rt.Devices[dev], Space: space, Socket: socket, Backed: backed, Pinned: pinned}
-	if reg := rt.Eng.Metrics; reg != nil {
-		node, di := rt.Spec.Name, strconv.Itoa(dev)
-		for _, dir := range []Direction{HtoH, HtoD, DtoH, DtoD} {
-			c.copyBytes[dir] = reg.Histogram(CopyBytes, "memory copy sizes by direction",
-				"node", node, "dev", di, "dir", dir.String())
-		}
+	node, di := rt.Spec.Name, strconv.Itoa(dev)
+	for _, dir := range []Direction{HtoH, HtoD, DtoH, DtoD} {
+		c.copyBytes[dir] = rt.Eng.Metrics.Histogram(CopyBytes, "memory copy sizes by direction",
+			"node", node, "dev", di, "dir", dir.String())
 	}
 	return c
 }

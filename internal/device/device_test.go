@@ -92,24 +92,26 @@ func TestTransferDirectionsAndData(t *testing.T) {
 	for i := range hb {
 		hb[i] = byte(i)
 	}
-	var dirs []Direction
 	eng.Spawn("t", func(p *sim.Proc) {
-		d1, err := ctx.Transfer(p, dev, host, 1024) // HtoD
-		if err != nil {
-			t.Error(err)
+		for _, c := range []struct {
+			dst, src xmem.Addr
+			count    *int64 // the Stats counter the copy's direction moves
+		}{
+			{dev, host, &ctx.Stats.HtoDCount},
+			{host2, dev, &ctx.Stats.DtoHCount},
+			{host2, host, &ctx.Stats.HtoHCount},
+		} {
+			before := *c.count
+			if err := ctx.Transfer(p, c.dst, c.src, 1024); err != nil {
+				t.Error(err)
+			}
+			if *c.count != before+1 {
+				t.Errorf("copy %#x <- %#x: its direction's count did not move: %+v", c.dst, c.src, ctx.Stats)
+			}
 		}
-		d2, _ := ctx.Transfer(p, host2, dev, 1024)  // DtoH
-		d3, _ := ctx.Transfer(p, host2, host, 1024) // HtoH
-		dirs = []Direction{d1, d2, d3}
 	})
 	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
-	}
-	want := []Direction{HtoD, DtoH, HtoH}
-	for i := range want {
-		if dirs[i] != want[i] {
-			t.Fatalf("dirs = %v, want %v", dirs, want)
-		}
 	}
 	b2, _ := ctx.Space.Bytes(host2, 1024)
 	for i := range b2 {
@@ -129,13 +131,13 @@ func TestTransferErrors(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	host, _ := ctx.Space.AllocHost(64, true)
 	eng.Spawn("t", func(p *sim.Proc) {
-		if _, err := ctx.Transfer(p, host, 0xdead, 8); err == nil {
+		if err := ctx.Transfer(p, host, 0xdead, 8); err == nil {
 			t.Error("unmapped src must fail")
 		}
-		if _, err := ctx.Transfer(p, 0xdead, host, 8); err == nil {
+		if err := ctx.Transfer(p, 0xdead, host, 8); err == nil {
 			t.Error("unmapped dst must fail")
 		}
-		if _, err := ctx.Transfer(p, host, host, -1); err == nil {
+		if err := ctx.Transfer(p, host, host, -1); err == nil {
 			t.Error("negative size must fail")
 		}
 	})
@@ -161,7 +163,7 @@ func TestDtoDPeerVsStaged(t *testing.T) {
 	var peerTime, stagedTime sim.Dur
 	eng.Spawn("peer", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := ctx0.Transfer(p, d1, d0, 64<<20); err != nil {
+		if err := ctx0.Transfer(p, d1, d0, 64<<20); err != nil {
 			t.Error(err)
 		}
 		peerTime = sim.Dur(p.Now() - start)
@@ -179,7 +181,7 @@ func TestDtoDPeerVsStaged(t *testing.T) {
 	dB, _ := ctxB.MemAlloc(64 << 20)
 	eng2.Spawn("staged", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := ctxA.Transfer(p, dB, dA, 64<<20); err != nil {
+		if err := ctxA.Transfer(p, dB, dA, 64<<20); err != nil {
 			t.Error(err)
 		}
 		stagedTime = sim.Dur(p.Now() - start)
@@ -197,17 +199,15 @@ func TestSameDeviceDtoD(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	a, _ := ctx.MemAlloc(1 << 20)
 	b, _ := ctx.MemAlloc(1 << 20)
-	var dir Direction
 	eng.Spawn("t", func(p *sim.Proc) {
-		dir, _ = ctx.Transfer(p, b, a, 1<<20)
+		if err := ctx.Transfer(p, b, a, 1<<20); err != nil {
+			t.Error(err)
+		}
 	})
 	if err := sim.NewShardGroup([]*sim.Engine{eng}, 0, 1).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dir != DtoD {
-		t.Fatalf("dir = %v", dir)
-	}
-	if ctx.Stats.DtoDCount != 1 {
+	if ctx.Stats.DtoDCount != 1 || ctx.Stats.HtoHCount+ctx.Stats.HtoDCount+ctx.Stats.DtoHCount != 0 {
 		t.Fatal("stats missing DtoD")
 	}
 }
@@ -445,12 +445,12 @@ func TestTransferRetriesTransientCopyFault(t *testing.T) {
 	var healthy, faulty sim.Dur
 	eng.Spawn("t", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := ctx.Transfer(p, dev, host, 4096); err != nil {
+		if err := ctx.Transfer(p, dev, host, 4096); err != nil {
 			t.Error(err)
 		}
 		faulty = sim.Dur(p.Now() - start)
 		start = p.Now()
-		if _, err := ctx.Transfer(p, dev, host, 4096); err != nil { // healed
+		if err := ctx.Transfer(p, dev, host, 4096); err != nil { // healed
 			t.Error(err)
 		}
 		healthy = sim.Dur(p.Now() - start)
@@ -476,7 +476,7 @@ func TestTransferRetriesTransientCopyFault(t *testing.T) {
 	d2, _ := ctx2.MemAlloc(64)
 	var err2 error
 	eng2.Spawn("t", func(p *sim.Proc) {
-		_, err2 = ctx2.Transfer(p, d2, h2, 64)
+		err2 = ctx2.Transfer(p, d2, h2, 64)
 	})
 	if err := sim.NewShardGroup([]*sim.Engine{eng2}, 0, 1).Run(); err != nil {
 		t.Fatal(err)

@@ -76,11 +76,9 @@ func (e *Entry) entry() *Entry { return e } //impacc:allow-unused Enqueue calls 
 // finishes, or the engine reports them as deadlocked processes.
 func (c *Context) NewStream(id int) *Stream {
 	eng := c.Dev.rt.Eng
-	s := &Stream{ID: id, Ctx: c, cond: eng.NewCond(fmt.Sprintf("queue:stream%d", id))}
-	if reg := eng.Metrics; reg != nil {
-		s.kernelHist = reg.Histogram(KernelDurationNs, "kernel durations by activity queue",
-			"node", c.Dev.rt.Spec.Name, "dev", strconv.Itoa(c.Dev.Index), "stream", strconv.Itoa(id))
-	}
+	s := &Stream{ID: id, Ctx: c, cond: eng.NewCond(fmt.Sprintf("queue:stream%d", id)),
+		kernelHist: eng.Metrics.Histogram(KernelDurationNs, "kernel durations by activity queue",
+			"node", c.Dev.rt.Spec.Name, "dev", strconv.Itoa(c.Dev.Index), "stream", strconv.Itoa(id))}
 	eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
 	return s
 }
@@ -208,7 +206,7 @@ type copyOp struct {
 func (o *copyOp) Why(*Stream) string { return "op:copy" }
 
 func (o *copyOp) Run(s *Stream, p *sim.Proc) {
-	if _, err := s.Ctx.transferLane(p, s.ID, o.id, o.dst, o.src, o.n); err != nil {
+	if err := s.Ctx.transferLane(p, s.ID, o.id, o.dst, o.src, o.n); err != nil {
 		panic(&StreamError{Ctx: s.Ctx, Queue: s.ID, Err: err})
 	}
 }
@@ -260,9 +258,7 @@ func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
 	}
 	s.Ctx.Stats.KernelCount++
 	s.Ctx.Stats.KernelTime += dur
-	if s.kernelHist != nil {
-		s.kernelHist.Observe(int64(dur))
-	}
+	s.kernelHist.Observe(int64(dur))
 	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
 		sink.Span(o.id, s.ID, "kernel", o.name, start, start+sim.Time(dur), 0)
 	}

@@ -28,12 +28,10 @@ const (
 	AnyTag    = -1
 )
 
-// Endpoint is one task's communication identity: its rank, node, address
-// space (shared per node under IMPACC, private per task under legacy), and
-// device context.
+// Endpoint is one task's communication identity: its address space
+// (shared per node under IMPACC, private per task under legacy) and device
+// context.
 type Endpoint struct {
-	Rank  int
-	Node  int
 	Space *xmem.Space
 	Ctx   *device.Context
 }
@@ -122,9 +120,6 @@ type Cmd struct {
 	// ReadOnly carries the IMPACC directive's readonly attribute
 	// (#pragma acc mpi sendbuf(readonly) / recvbuf(readonly)).
 	ReadOnly bool
-	// Aliased reports (after completion) that node heap aliasing served
-	// this pair with zero copies.
-	Aliased bool
 	// matched marks a receive the handler has paired with a message; a
 	// NetTimeout deadline firing after this point is a no-op even though
 	// Done waits on the transfer stages.
@@ -453,9 +448,6 @@ func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.
 		arrivedQ:   keyedFIFO[*netMsg]{},
 	}
 	reg := eng.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry() // detached hub (tests); keep counting
-	}
 	name := fab.Sys.Nodes[node].Name
 	h.ctr = hubCounters{
 		intraMsgs:      reg.Counter(IntraMsgsTotal, "intra-node commands processed", "node", name),
@@ -815,7 +807,6 @@ func (h *Hub) tryAlias(send, recv *Cmd) bool {
 	}
 	h.Heap.Drop(recv.Addr)
 	h.ctr.aliases.Inc()
-	send.Aliased, recv.Aliased = true, true
 	h.Eng.CallAt(h.Eng.Now()+sim.Time(AliasOverhead), h.newPair(send, recv))
 	return true
 }

@@ -44,12 +44,9 @@ func newNodeRig(t *testing.T, sys *topo.System, cfg Config) *nodeRig {
 	return &nodeRig{eng: eng, fab: fab, hub: hub, sp: sp, heap: heap, rt: rt}
 }
 
-func (r *nodeRig) endpoint(rank, dev int, space *xmem.Space) *Endpoint {
+func (r *nodeRig) endpoint(dev int, space *xmem.Space) *Endpoint {
 	sock := r.fab.Sys.Nodes[0].Devices[dev].Socket
-	return &Endpoint{
-		Rank: rank, Node: 0, Space: space,
-		Ctx: r.rt.NewContext(dev, space, sock, true, true),
-	}
+	return &Endpoint{Space: space, Ctx: r.rt.NewContext(dev, space, sock, true, true)}
 }
 
 func (r *nodeRig) run(t *testing.T) {
@@ -67,12 +64,12 @@ func newCmd(eng *sim.Engine, why string, cmd Cmd) *Cmd {
 	return c
 }
 
-// sendRecv posts a blocking pair between two endpoints and returns the
-// commands after the run.
+// cmdPair builds a matching send (rank 0, endpoint sep) and receive
+// (rank 1, endpoint rep).
 func cmdPair(eng *sim.Engine, sep, rep *Endpoint, saddr, raddr xmem.Addr, n int64, sro, rro bool) (*Cmd, *Cmd) {
-	s := newCmd(eng, "send", Cmd{IsSend: true, Src: sep.Rank, Dst: rep.Rank, Tag: 7,
+	s := newCmd(eng, "send", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 7,
 		Addr: saddr, Bytes: n, Ep: sep, ReadOnly: sro})
-	r := newCmd(eng, "recv", Cmd{Src: sep.Rank, Dst: rep.Rank, Tag: 7,
+	r := newCmd(eng, "recv", Cmd{Src: 0, Dst: 1, Tag: 7,
 		Addr: raddr, Bytes: n, Ep: rep, ReadOnly: rro})
 	return s, r
 }
@@ -85,8 +82,8 @@ func TestIntraFusedHtoH(t *testing.T) {
 	for i := range sb {
 		sb[i] = byte(i)
 	}
-	e0 := r.endpoint(0, 0, r.sp)
-	e1 := r.endpoint(1, 1, r.sp)
+	e0 := r.endpoint(0, r.sp)
+	e1 := r.endpoint(1, r.sp)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 1024, false, false)
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s)
@@ -122,7 +119,7 @@ func TestSendBeforeRecvAndAfter(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
 	src, _ := r.sp.AllocHost(64, true)
 	dst, _ := r.sp.AllocHost(64, true)
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 64, false, false)
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s)
@@ -141,7 +138,7 @@ func TestSendBeforeRecvAndAfter(t *testing.T) {
 func TestFIFOMatchingPerPair(t *testing.T) {
 	// Two sends same (src,dst,tag): first send pairs with first recv.
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	a1, _ := r.sp.AllocHost(8, true)
 	a2, _ := r.sp.AllocHost(8, true)
 	d1, _ := r.sp.AllocHost(8, true)
@@ -179,7 +176,7 @@ func TestFIFOMatchingPerPair(t *testing.T) {
 
 func TestTagAndWildcardMatching(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	aT5, _ := r.sp.AllocHost(8, true)
 	aT9, _ := r.sp.AllocHost(8, true)
 	bT5, _ := r.sp.Bytes(aT5, 8)
@@ -217,7 +214,7 @@ func TestTagAndWildcardMatching(t *testing.T) {
 
 func TestTruncationError(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	src, _ := r.sp.AllocHost(128, true)
 	dst, _ := r.sp.AllocHost(64, true)
 	s := newCmd(r.eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 128, Ep: e0})
@@ -237,7 +234,7 @@ func TestNodeHeapAliasingApplies(t *testing.T) {
 	// Figure 7: 100-element src, 10-element dst at offset; readonly on
 	// both sides; recv covers a whole allocation.
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	src, _ := r.sp.AllocHost(800, true)
 	dst, _ := r.sp.AllocHost(80, true)
 	r.heap.Register(src, 800, 0)
@@ -254,8 +251,8 @@ func TestNodeHeapAliasingApplies(t *testing.T) {
 		rc.Done.Wait(p)
 	})
 	r.run(t)
-	if !s.Aliased || !rc.Aliased || r.hub.Stats().Aliases != 1 {
-		t.Fatalf("aliasing not applied: %v %v %d", s.Aliased, rc.Aliased, r.hub.Stats().Aliases)
+	if r.hub.Stats().Aliases != 1 {
+		t.Fatalf("aliasing not applied: %d aliases", r.hub.Stats().Aliases)
 	}
 	if r.hub.Stats().FusedCopies != 0 {
 		t.Fatal("aliased pair must not copy")
@@ -315,7 +312,7 @@ func TestAliasingRequirements(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			r := newNodeRig(t, topo.PSG(), impaccCfg())
-			e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+			e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 			sro, rro, saddr, raddr, sn, rn := v.setup(r)
 			s := newCmd(r.eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: saddr,
 				Bytes: sn, Ep: e0, ReadOnly: sro})
@@ -327,8 +324,8 @@ func TestAliasingRequirements(t *testing.T) {
 				rc.Done.Wait(p)
 			})
 			r.run(t)
-			if s.Aliased || rc.Aliased {
-				t.Fatalf("%s: aliasing must not apply", v.name)
+			if n := r.hub.Stats().Aliases; n != 0 {
+				t.Fatalf("%s: aliasing must not apply, %d aliases", v.name, n)
 			}
 			if rc.Err != nil {
 				t.Fatalf("%s: pair errored: %v", v.name, rc.Err)
@@ -342,7 +339,7 @@ func TestAliasingRequirements(t *testing.T) {
 
 func TestDeviceBuffersNeverAlias(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	src, _ := e0.Ctx.MemAlloc(256)
 	dst, _ := e1.Ctx.MemAlloc(256)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 256, true, true)
@@ -352,7 +349,7 @@ func TestDeviceBuffersNeverAlias(t *testing.T) {
 		rc.Done.Wait(p)
 	})
 	r.run(t)
-	if s.Aliased {
+	if r.hub.Stats().Aliases != 0 {
 		t.Fatal("device buffers must not alias (requirement 2)")
 	}
 	if r.hub.Stats().FusedCopies != 1 {
@@ -367,11 +364,11 @@ func TestLegacyIntraIsSlowerThanFused(t *testing.T) {
 	n := int64(16 << 20)
 	run := func(cfg Config) sim.Dur {
 		r := newNodeRig(t, topo.PSG(), cfg)
-		e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+		e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 		var sp1 *xmem.Space
 		if cfg.Legacy {
 			sp1 = xmem.NewSpace("p1", 8) // private space per process
-			e1 = &Endpoint{Rank: 1, Node: 0, Space: sp1,
+			e1 = &Endpoint{Space: sp1,
 				Ctx: r.rt.NewContext(1, sp1, 0, true, false)}
 		}
 		src, _ := e0.Space.AllocHost(n, true)
@@ -405,7 +402,7 @@ func TestDtoDP2PVsDisabled(t *testing.T) {
 		cfg := impaccCfg()
 		cfg.DirectP2P = p2p
 		r := newNodeRig(t, topo.PSG(), cfg)
-		e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+		e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 		src, _ := e0.Ctx.MemAlloc(n)
 		dst, _ := e1.Ctx.MemAlloc(n)
 		s, rc := cmdPair(r.eng, e0, e1, src, dst, n, false, false)
@@ -438,8 +435,8 @@ func twoNodeRig(t testing.TB, sys *topo.System, cfg Config) (*sim.Engine, *Hub, 
 	rt1 := device.NewRuntime(eng, fab, 1)
 	sp0 := xmem.NewSpace("n0", len(sys.Nodes[0].Devices))
 	sp1 := xmem.NewSpace("n1", len(sys.Nodes[1].Devices))
-	e0 := &Endpoint{Rank: 0, Node: 0, Space: sp0, Ctx: rt0.NewContext(0, sp0, 0, true, true)}
-	e1 := &Endpoint{Rank: 1, Node: 1, Space: sp1, Ctx: rt1.NewContext(0, sp1, 0, true, true)}
+	e0 := &Endpoint{Space: sp0, Ctx: rt0.NewContext(0, sp0, 0, true, true)}
+	e1 := &Endpoint{Space: sp1, Ctx: rt1.NewContext(0, sp1, 0, true, true)}
 	return eng, h0, h1, e0, e1
 }
 
@@ -553,8 +550,8 @@ func TestSerializedInternodeWithoutThreadMultiple(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 4; i++ {
 			i := i
-			e := &Endpoint{Rank: i, Node: 0, Space: sp0, Ctx: rt0.NewContext(i, sp0, 0, true, true)}
-			er := &Endpoint{Rank: 10 + i, Node: 1, Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
+			e := &Endpoint{Space: sp0, Ctx: rt0.NewContext(i, sp0, 0, true, true)}
+			er := &Endpoint{Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
 			src, _ := sp0.AllocHost(64, true)
 			dst, _ := sp1.AllocHost(64, true)
 			s := newCmd(eng, "s", Cmd{IsSend: true, Src: i, Dst: 10 + i, Tag: 0, Addr: src, Bytes: 64, Ep: e})
@@ -588,7 +585,7 @@ func TestSerializedInternodeWithoutThreadMultiple(t *testing.T) {
 
 func TestUnbackedPayloadTimingOnly(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	src, _ := r.sp.AllocHost(1<<20, false)
 	dst, _ := r.sp.AllocHost(1<<20, false)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 1<<20, false, false)
@@ -610,8 +607,8 @@ func TestFusedDtoDCrossSocketStaged(t *testing.T) {
 	// Devices 0 and 4 on PSG sit on different root complexes: the fused
 	// copy must stage DtoH + HtoD rather than go direct.
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0 := r.endpoint(0, 0, r.sp)
-	e4 := r.endpoint(1, 4, r.sp)
+	e0 := r.endpoint(0, r.sp)
+	e4 := r.endpoint(4, r.sp)
 	src, _ := e0.Ctx.MemAlloc(32 << 20)
 	dst, _ := e4.Ctx.MemAlloc(32 << 20)
 	s, rc := cmdPair(r.eng, e0, e4, src, dst, 32<<20, false, false)
@@ -626,8 +623,8 @@ func TestFusedDtoDCrossSocketStaged(t *testing.T) {
 	r.run(t)
 	// Same size direct P2P between devices 0,1:
 	r2 := newNodeRig(t, topo.PSG(), impaccCfg())
-	f0 := r2.endpoint(0, 0, r2.sp)
-	f1 := r2.endpoint(1, 1, r2.sp)
+	f0 := r2.endpoint(0, r2.sp)
+	f1 := r2.endpoint(1, r2.sp)
 	src2, _ := f0.Ctx.MemAlloc(32 << 20)
 	dst2, _ := f1.Ctx.MemAlloc(32 << 20)
 	s2, rc2 := cmdPair(r2.eng, f0, f1, src2, dst2, 32<<20, false, false)
@@ -648,8 +645,8 @@ func TestFusedDtoDCrossSocketStaged(t *testing.T) {
 func TestFusedSameDeviceCopy(t *testing.T) {
 	// Both endpoints on the same device: on-device DMA.
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0 := r.endpoint(0, 0, r.sp)
-	e1 := r.endpoint(1, 0, r.sp) // same device 0
+	e0 := r.endpoint(0, r.sp)
+	e1 := r.endpoint(0, r.sp) // same device 0
 	src, _ := e0.Ctx.MemAlloc(1 << 20)
 	dst, _ := e1.Ctx.MemAlloc(1 << 20)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 1<<20, false, false)
@@ -717,8 +714,8 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 4; i++ {
 			i := i
-			es := &Endpoint{Rank: i, Node: 0, Space: sp0, Ctx: rt0.NewContext(i, sp0, 0, true, true)}
-			er := &Endpoint{Rank: 10 + i, Node: 1, Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
+			es := &Endpoint{Space: sp0, Ctx: rt0.NewContext(i, sp0, 0, true, true)}
+			er := &Endpoint{Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
 			src, _ := es.Ctx.MemAlloc(4096)
 			dst, _ := er.Ctx.MemAlloc(4096)
 			eng.Spawn("s", func(p *sim.Proc) {
@@ -758,7 +755,7 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 
 func TestHubProbe(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	src, _ := r.sp.AllocHost(256, true)
 	s := newCmd(r.eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 4, Addr: src, Bytes: 256, Ep: e0})
 	r.eng.Spawn("x", func(p *sim.Proc) {
@@ -800,7 +797,7 @@ func TestCommScopedMatchingAtHubLevel(t *testing.T) {
 	// Same (src, dst, tag), different comm contexts: each recv matches
 	// only its own context's send.
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
-	e0, e1 := r.endpoint(0, 0, r.sp), r.endpoint(1, 1, r.sp)
+	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
 	a1, _ := r.sp.AllocHost(8, true)
 	a2, _ := r.sp.AllocHost(8, true)
 	d1, _ := r.sp.AllocHost(8, true)

@@ -227,9 +227,7 @@ type FIFOResource struct {
 // busy time) reports into the engine's metrics registry under its name.
 func (e *Engine) NewFIFOResource(name string) *FIFOResource {
 	r := &FIFOResource{eng: e, use: telemetry.Resource{Name: name}}
-	if e.Metrics != nil {
-		e.Metrics.AddResource(&r.use)
-	}
+	e.Metrics.AddResource(&r.use)
 	return r
 }
 

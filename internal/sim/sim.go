@@ -205,8 +205,9 @@ type Engine struct {
 	cancel *atomic.Bool
 
 	// Metrics is the engine's telemetry registry, stamped with its virtual
-	// time. Every FIFOResource reports occupancy into it, and higher layers
-	// (fabric, devices, message hubs, tasks) register their own families.
+	// time. NewEngine sets it and it is never nil. Every FIFOResource
+	// reports occupancy into it, and higher layers (fabric, devices, message
+	// hubs, tasks) register their own families.
 	Metrics *telemetry.Registry
 }
 

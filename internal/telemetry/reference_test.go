@@ -188,6 +188,12 @@ type jsonFamily struct {
 	Series []jsonSeries `json:"series"`
 }
 
+// Label is one name=value pair attached to a series.
+type Label struct {
+	Key   string `json:"key"`
+	Value string `json:"value"`
+}
+
 type jsonSeries struct {
 	Labels     []Label      `json:"labels,omitempty"`
 	LastNs     int64        `json:"last_ns"`

@@ -55,7 +55,7 @@ func TestResourceMonitor(t *testing.T) {
 		}
 		var ss *series
 		for j, s := range snap.Families[i].Series {
-			if s.Labels[0] == (telemetry.Label{Key: "resource", Value: c.resource}) {
+			if s.Labels[0] == (label{Key: "resource", Value: c.resource}) {
 				ss = &snap.Families[i].Series[j]
 			}
 		}
@@ -66,15 +66,17 @@ func TestResourceMonitor(t *testing.T) {
 	}
 }
 
-// family and series decode the JSON export's families and series.
+// family, series and label decode the JSON export's families and series.
 type family struct {
 	Name   string
 	Series []series
 }
 
 type series struct {
-	Labels     []telemetry.Label
+	Labels     []label
 	LastNs     int64   `json:"last_ns"`
 	Value      float64 `json:"value"`
 	GaugeValue float64 `json:"gauge_value"`
 }
+
+type label struct{ Key, Value string }

@@ -40,12 +40,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Label is one name=value pair attached to a series.
-type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
 // Registry holds metric families. The zero value is not ready; use
 // NewRegistry. Merge folds finished runs into one registry (the bench
 // harness aggregates a sweep this way); counters then accumulate across

@@ -125,7 +125,7 @@ const LinkUtilization = "fabric_link_utilization"
 // node: accumulated busy time divided by elapsed, clamped to [0, 1]. Call
 // at the end of a run with the run's elapsed virtual time.
 func (f *Fabric) RecordUtilization(reg *telemetry.Registry, elapsed sim.Dur) {
-	if reg == nil || elapsed <= 0 {
+	if elapsed <= 0 {
 		return
 	}
 	for i := range f.Sys.Nodes {
