@@ -138,20 +138,49 @@ func TestConfigCanonicalStringShape(t *testing.T) {
 
 // TestSystemDigestMatchesMarshal pins the streamed topology digest to the
 // SHA-256 of json.Marshal's bytes, the encoding it replaced, on presets
-// from one node to a generated 1024-node torus.
+// from one node to a generated 1024-node torus, on every generated shape,
+// and on a JSON-loaded system without a Topo whose names need escaping.
 func TestSystemDigestMatchesMarshal(t *testing.T) {
-	for _, spec := range []string{"psg", "titan:512", "gemini:16,8,8", "beacon:3"} {
+	type named struct {
+		name string
+		sys  *topo.System
+	}
+	var systems []named
+	for _, spec := range []string{"psg", "titan:512", "gemini:16,8,8", "beacon:3",
+		"hetero", "fattree:4", "dragonfly:4,2,2", "titan:1"} {
 		sys, err := topo.Preset(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(sys)
+		systems = append(systems, named{spec, sys})
+	}
+	loaded, err := topo.LoadSystem(strings.NewReader(`{
+	  "name": "mini <&> \"quoted\" é ", "mpiOverhead": 400,
+	  "nodes": [{
+	    "name": "n<0>&", "count": 2,
+	    "sockets": [{"name": "cpu", "cores": 8, "gflopsDP": 300}],
+	    "hostMemGBs": 10, "numaPenalty": 1,
+	    "nic": {"name": "eth", "link": {"latency": 2000, "gbs": 1}},
+	    "devices": [{"class": "nvidia", "name": "gpu0", "memoryGB": 8,
+	      "gflopsDP": 1000, "gemmEff": 0.8, "memBWGBs": 200, "stencilEff": 0.5,
+	      "kernelLaunch": 8000, "pcie": {"latency": 900, "gbs": 12}, "p2pGBs": 10}]
+	  }]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Topo != nil {
+		t.Fatal("loaded system has a Topo")
+	}
+	systems = append(systems, named{"json", loaded})
+	for _, s := range systems {
+		data, err := json.Marshal(s.sys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(data)
-		if got, want := systemDigest(sys), hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%s: systemDigest = %s, want %s", spec, got, want)
+		if got, want := systemDigest(s.sys), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: systemDigest = %s, want %s", s.name, got, want)
 		}
 	}
 }
