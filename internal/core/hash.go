@@ -83,38 +83,58 @@ func (c *Config) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// systemDigest content-addresses the topology through its JSON encoding.
-// topo.System is plain nested structs (no maps, no pointers), so
+// systemDigest content-addresses the topology: the SHA-256 of its
+// json.Marshal bytes. topo.System is plain nested structs (no maps), so
 // encoding/json emits fields in declaration order and the bytes are
-// deterministic. The encoding streams into the hash; the digest is that of
-// json.Marshal's bytes, without the newline the encoder appends.
+// deterministic. The digest writes the System's own fields itself and
+// encodes one NodeSpec at a time into the hash, so encoding/json's buffer
+// holds one node, never the whole system.
 func systemDigest(sys *topo.System) string {
 	if sys == nil {
 		return "nil"
 	}
-	h := &withoutLast{h: sha256.New()}
-	if err := json.NewEncoder(h).Encode(sys); err != nil {
-		// A value type of plain structs and slices cannot fail to marshal.
-		panic(fmt.Sprintf("core: topology marshal: %v", err))
+	h := sha256.New()
+	enc := json.NewEncoder(valueWriter{h})
+	encode := func(v any) {
+		if err := enc.Encode(v); err != nil {
+			// Plain structs, slices and strings cannot fail to marshal.
+			panic(fmt.Sprintf("core: topology marshal: %v", err))
+		}
 	}
-	return hex.EncodeToString(h.h.Sum(nil))
+	b := []byte(`{"Name":`)
+	h.Write(b)
+	encode(sys.Name)
+	b = append(b[:0], `,"Nodes":`...)
+	switch {
+	case sys.Nodes == nil:
+		b = append(b, "null"...)
+	case len(sys.Nodes) == 0:
+		b = append(b, "[]"...)
+	default:
+		sep := byte('[')
+		for i := range sys.Nodes {
+			h.Write(append(b, sep))
+			b, sep = b[:0], ','
+			encode(&sys.Nodes[i])
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"MPIOverhead":`...), int64(sys.MPIOverhead), 10)
+	b = strconv.AppendBool(append(b, `,"ThreadMultiple":`...), sys.ThreadMultiple)
+	h.Write(b)
+	if sys.Topo != nil {
+		h.Write([]byte(`,"Topo":`))
+		encode(sys.Topo)
+	}
+	h.Write([]byte{'}'})
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// withoutLast writes to h everything written to it but the last byte.
-type withoutLast struct {
-	h    hash.Hash
-	last [1]byte
-	held bool
-}
+// valueWriter writes one encoded value to h without the newline that
+// json.Encoder.Encode ends it with (and writes in one call).
+type valueWriter struct{ h hash.Hash }
 
-func (w *withoutLast) Write(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if w.held {
-		w.h.Write(w.last[:])
-	}
+func (w valueWriter) Write(p []byte) (int, error) {
 	w.h.Write(p[:len(p)-1])
-	w.last[0], w.held = p[len(p)-1], true
 	return len(p), nil
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -172,7 +173,8 @@ func TestSystemDigestMatchesMarshal(t *testing.T) {
 	if loaded.Topo != nil {
 		t.Fatal("loaded system has a Topo")
 	}
-	systems = append(systems, named{"json", loaded})
+	systems = append(systems, named{"json", loaded}, named{"no-nodes", &topo.System{Name: "x"}},
+		named{"empty-nodes", &topo.System{Nodes: []topo.NodeSpec{}}})
 	for _, s := range systems {
 		data, err := json.Marshal(s.sys)
 		if err != nil {
@@ -182,5 +184,35 @@ func TestSystemDigestMatchesMarshal(t *testing.T) {
 		if got, want := systemDigest(s.sys), hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("%s: systemDigest = %s, want %s", s.name, got, want)
 		}
+	}
+}
+
+// TestSystemDigestAllocBound: the digest encodes one node at a time, so
+// hashing the 1024-node gemini:16,8,8 system allocates a few kilobytes,
+// not a buffer the size of its JSON (about 1.5 MB). Each run starts with
+// encoding/json's buffer pool emptied by the collector, as a run of a
+// large system usually finds it.
+func TestSystemDigestAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, which moves allocation totals")
+	}
+	sys, err := topo.Preset("gemini:16,8,8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	systemDigest(sys) // encoding/json's type cache
+	var most uint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC() // twice: a pool keeps its items through one collection
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		systemDigest(sys)
+		runtime.ReadMemStats(&after)
+		most = max(most, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("systemDigest(gemini:16,8,8) allocates up to %d B", most)
+	if most >= 64<<10 {
+		t.Errorf("systemDigest(gemini:16,8,8) allocates %d B, want under 64 KB", most)
 	}
 }

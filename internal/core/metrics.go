@@ -14,6 +14,9 @@ import (
 // scatterv, probe). Buckets are powers of two in virtual nanoseconds.
 const MPILatencyNs = "core_mpi_latency_ns"
 
+var mpiLatency = telemetry.NewFamily(MPILatencyNs, "per-task MPI operation latency by op",
+	telemetry.KindHistogram, "rank", "op")
+
 // mpiOpStats is a task's cached latency histogram and phase string
 // ("mpi:<op>") for one MPI op.
 type mpiOpStats struct {
@@ -46,10 +49,8 @@ func (t *Task) mpiObserve(op string, start sim.Time) {
 			rank = strconv.Itoa(t.rank)
 		}
 		t.mpiLat = append(t.mpiLat, mpiOpStats{
-			op: op,
-			h: t.eng().Metrics.Histogram(MPILatencyNs,
-				"per-task MPI operation latency by op",
-				"rank", rank, "op", op),
+			op:    op,
+			h:     t.eng().Metrics.Histogram(mpiLatency, rank, op),
 			phase: "mpi:" + op,
 		})
 		s = &t.mpiLat[len(t.mpiLat)-1]

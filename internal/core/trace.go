@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"impacc/internal/msg"
 	"impacc/internal/prof"
@@ -409,14 +408,7 @@ func (tr *Tracer) counterEvents() []chromeEvent {
 		return nil
 	}
 	var out []chromeEvent
-	tr.metrics.Values(func(name string, keys, values []string, lastNs int64, v float64) {
-		if len(keys) > 0 {
-			parts := make([]string, len(keys))
-			for i, k := range keys {
-				parts[i] = k + "=" + values[i]
-			}
-			name += "{" + strings.Join(parts, ",") + "}"
-		}
+	tr.metrics.Values(func(name string, lastNs int64, v float64) {
 		out = append(out, chromeEvent{
 			Name: name,
 			Cat:  "metric",

@@ -50,11 +50,11 @@ func buildGoldenTracer() *Tracer {
 	now := int64(2500)
 	reg := telemetry.NewRegistry()
 	reg.SetClock(func() int64 { return now })
-	reg.Counter("msg_net_out_total", "", "node", "0").Add(2)
+	reg.Counter(telemetry.NewFamily("msg_net_out_total", "", telemetry.KindCounter, "node"), "0").Add(2)
 	// Histograms are excluded from counter events.
-	reg.Histogram("device_kernel_duration_ns", "").Observe(1000)
+	reg.Histogram(telemetry.NewFamily("device_kernel_duration_ns", "", telemetry.KindHistogram)).Observe(1000)
 	now = 5000
-	reg.Gauge("link_utilization", "").Set(0.5)
+	reg.Gauge(telemetry.NewFamily("link_utilization", "", telemetry.KindGauge)).Set(0.5)
 	tr.AttachMetrics(reg.Snapshot(now))
 	return tr
 }

@@ -32,6 +32,13 @@ const (
 	CopyBytes = "device_copy_bytes"
 )
 
+var (
+	kernelDurations = telemetry.NewFamily(KernelDurationNs, "kernel durations by activity queue",
+		telemetry.KindHistogram, "node", "dev", "stream")
+	copySizes = telemetry.NewFamily(CopyBytes, "memory copy sizes by direction",
+		telemetry.KindHistogram, "node", "dev", "dir")
+)
+
 // API distinguishes the CUDA-style driver from the OpenCL-style runtime.
 // The distinction shows up only in the present table entry layout (Figure
 // 3): an OpenCL device gets minted buffer handles. Launch cost comes from
@@ -236,8 +243,7 @@ func (rt *Runtime) NewContext(dev int, space *xmem.Space, socket int, backed, pi
 	c := &Context{Dev: rt.Devices[dev], Space: space, Socket: socket, Backed: backed, Pinned: pinned}
 	node, di := rt.Spec.Name, strconv.Itoa(dev)
 	for _, dir := range []Direction{HtoH, HtoD, DtoH, DtoD} {
-		c.copyBytes[dir] = rt.Eng.Metrics.Histogram(CopyBytes, "memory copy sizes by direction",
-			"node", node, "dev", di, "dir", dir.String())
+		c.copyBytes[dir] = rt.Eng.Metrics.Histogram(copySizes, node, di, dir.String())
 	}
 	return c
 }

@@ -77,8 +77,7 @@ func (e *Entry) entry() *Entry { return e } //impacc:allow-unused Enqueue calls 
 func (c *Context) NewStream(id int) *Stream {
 	eng := c.Dev.rt.Eng
 	s := &Stream{ID: id, Ctx: c, cond: eng.NewCond(fmt.Sprintf("queue:stream%d", id)),
-		kernelHist: eng.Metrics.Histogram(KernelDurationNs, "kernel durations by activity queue",
-			"node", c.Dev.rt.Spec.Name, "dev", strconv.Itoa(c.Dev.Index), "stream", strconv.Itoa(id))}
+		kernelHist: eng.Metrics.Histogram(kernelDurations, c.Dev.rt.Spec.Name, strconv.Itoa(c.Dev.Index), strconv.Itoa(id))}
 	eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
 	return s
 }

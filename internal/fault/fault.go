@@ -26,6 +26,9 @@ import (
 // copyfail) and node index.
 const InjectedTotal = "fault_injected_total"
 
+var injected = telemetry.NewFamily(InjectedTotal, "injected fault events by kind and node",
+	telemetry.KindCounter, "kind", "node")
+
 // Default resilience parameters, used when the spec leaves them unset.
 const (
 	// DefaultTimeout bounds how long a posted internode receive waits for
@@ -435,8 +438,7 @@ func NewPlan(spec *Spec, regs []*telemetry.Registry) *Plan {
 // count records one injected fault of kind on node, asked by node from, in
 // from's registry (stamped by that registry's clock: the asking engine's).
 func (p *Plan) count(kind string, from, node int) {
-	p.regs[from].Counter(InjectedTotal, "injected fault events by kind and node",
-		"kind", kind, "node", strconv.Itoa(node)).Inc()
+	p.regs[from].Counter(injected, kind, strconv.Itoa(node)).Inc()
 }
 
 // applies reports whether a rule's node selector covers node.

@@ -280,8 +280,8 @@ func TestTelemetryCounters(t *testing.T) {
 	type sample struct{ value, lastNs int64 }
 	series := func(reg *telemetry.Registry, kind, node string) *sample {
 		var got *sample
-		reg.Snapshot(0).Values(func(name string, _, values []string, lastNs int64, v float64) {
-			if name == InjectedTotal && values[0] == kind && values[1] == node {
+		reg.Snapshot(0).Values(func(name string, lastNs int64, v float64) {
+			if name == InjectedTotal+"{kind="+kind+",node="+node+"}" {
 				got = &sample{int64(v), lastNs}
 			}
 		})

@@ -217,8 +217,8 @@ type netMsg struct {
 }
 
 // Stats is a snapshot of the hub's counters, used by the Figure 6/7
-// experiments and the run report. The live counts are telemetry counters
-// (the single source of truth); Hub.Stats materializes this view.
+// experiments and the run report. The live counts are the hub's telemetry
+// record (the single source of truth); Hub.Stats materializes this view.
 type Stats struct {
 	IntraMsgs    uint64 // intra-node commands processed
 	NetIn        uint64 // internode messages received
@@ -257,13 +257,53 @@ const (
 	NetFailuresTotal = "msg_net_failures_total"
 )
 
-// hubCounters are the hub's live telemetry handles.
-type hubCounters struct {
-	intraMsgs, netIn, netOut       *telemetry.Counter
-	fusedCopies, legacyCopies      *telemetry.Counter
-	aliases, rdmaDirect, staged    *telemetry.Counter
-	intraQueuePeak, pendingNetPeak *telemetry.Gauge
+// The samples of a hub record, in hubSchema's order.
+const (
+	hubIntraMsgs = iota
+	hubNetIn
+	hubNetOut
+	hubFusedCopies
+	hubLegacyCopies
+	hubAliases
+	hubRDMADirect
+	hubStaged
+	hubIntraQueuePeak
+	hubPendingNetPeak
+	hubSamples
+)
+
+// hubSchema is the ten families a hub record reads as, labeled by node.
+var hubSchema = telemetry.NewRecordSchema(
+	telemetry.NewFamily(IntraMsgsTotal, "intra-node commands processed", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(NetInTotal, "internode messages received", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(NetOutTotal, "internode messages sent", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(FusedCopiesTotal, "matched pairs served by one fused copy", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(LegacyCopiesTotal, "legacy shared-memory transport copies", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(AliasesTotal, "pairs served by node heap aliasing", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(RDMADirectTotal, "internode transfers using GPUDirect RDMA", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(StagedTotal, "internode transfers staged through host memory", telemetry.KindCounter, "node"),
+	telemetry.NewFamily(IntraQueuePeak, "deepest observed intra-node message queue backlog", telemetry.KindGauge, "node"),
+	telemetry.NewFamily(PendingNetPeak, "deepest observed pending internode message backlog", telemetry.KindGauge, "node"),
+)
+
+// hubRecord is a hub's counters and backlog peaks as plain samples, which
+// its engine's registry reads only when snapshotted or merged.
+type hubRecord struct {
+	node string
+	s    [hubSamples]telemetry.Sample
 }
+
+func (r *hubRecord) Record() (*telemetry.RecordSchema, string, []telemetry.Sample) {
+	return hubSchema, r.node, r.s[:]
+}
+
+// The resilience families, registered lazily (SetFaults).
+var (
+	netRetries  = telemetry.NewFamily(NetRetriesTotal, "internode send attempts deferred by a down link", telemetry.KindCounter, "node")
+	netTimeouts = telemetry.NewFamily(NetTimeoutsTotal, "internode receives failed by timeout", telemetry.KindCounter, "node")
+	netRerouted = telemetry.NewFamily(NetReroutedTotal, "RDMA transfers rerouted to host staging", telemetry.KindCounter, "node")
+	netFailures = telemetry.NewFamily(NetFailuresTotal, "internode commands failed after exhausting retries", telemetry.KindCounter, "node")
+)
 
 // faultCounters are the resilience telemetry handles; nil on healthy runs.
 type faultCounters struct {
@@ -290,9 +330,8 @@ type Hub struct {
 	// bounds — the hook the causal tracer uses to attribute fault time.
 	OnFault func(kind string, rank int, start, end sim.Time)
 
-	ctr    hubCounters
+	rec    hubRecord
 	fctr   *faultCounters
-	reg    *telemetry.Registry
 	faults FaultModel
 
 	// The paper's queues (§3.7) are lock-free multi-producer single-consumer;
@@ -447,21 +486,8 @@ func NewHub(eng *sim.Engine, fab *topo.Fabric, node int, cfg Config, heap *xmem.
 		recvQ:      keyedFIFO[*Cmd]{},
 		arrivedQ:   keyedFIFO[*netMsg]{},
 	}
-	reg := eng.Metrics
-	name := fab.Sys.Nodes[node].Name
-	h.ctr = hubCounters{
-		intraMsgs:      reg.Counter(IntraMsgsTotal, "intra-node commands processed", "node", name),
-		netIn:          reg.Counter(NetInTotal, "internode messages received", "node", name),
-		netOut:         reg.Counter(NetOutTotal, "internode messages sent", "node", name),
-		fusedCopies:    reg.Counter(FusedCopiesTotal, "matched pairs served by one fused copy", "node", name),
-		legacyCopies:   reg.Counter(LegacyCopiesTotal, "legacy shared-memory transport copies", "node", name),
-		aliases:        reg.Counter(AliasesTotal, "pairs served by node heap aliasing", "node", name),
-		rdmaDirect:     reg.Counter(RDMADirectTotal, "internode transfers using GPUDirect RDMA", "node", name),
-		staged:         reg.Counter(StagedTotal, "internode transfers staged through host memory", "node", name),
-		intraQueuePeak: reg.Gauge(IntraQueuePeak, "deepest observed intra-node message queue backlog", "node", name),
-		pendingNetPeak: reg.Gauge(PendingNetPeak, "deepest observed pending internode message backlog", "node", name),
-	}
-	h.reg = reg
+	h.rec.node = fab.Sys.Nodes[node].Name
+	eng.Metrics.AddRecord(&h.rec)
 	if !cfg.ThreadMultiple {
 		h.serial = eng.NewSemaphore(1, fmt.Sprintf("hub%d-serial", node))
 	}
@@ -486,28 +512,35 @@ func (h *Hub) SetFaults(fm FaultModel) {
 		h.fctr = nil
 		return
 	}
-	name := h.Fab.Sys.Nodes[h.Node].Name
+	reg, name := h.Eng.Metrics, h.rec.node
 	h.fctr = &faultCounters{
-		retries:  h.reg.Counter(NetRetriesTotal, "internode send attempts deferred by a down link", "node", name),
-		timeouts: h.reg.Counter(NetTimeoutsTotal, "internode receives failed by timeout", "node", name),
-		rerouted: h.reg.Counter(NetReroutedTotal, "RDMA transfers rerouted to host staging", "node", name),
-		failures: h.reg.Counter(NetFailuresTotal, "internode commands failed after exhausting retries", "node", name),
+		retries:  reg.Counter(netRetries, name),
+		timeouts: reg.Counter(netTimeouts, name),
+		rerouted: reg.Counter(netRerouted, name),
+		failures: reg.Counter(netFailures, name),
 	}
 }
 
-// Stats snapshots the hub's telemetry counters into the legacy view.
+// Stats reads the hub's counters out of its telemetry record.
 func (h *Hub) Stats() Stats {
+	s := &h.rec.s
 	return Stats{
-		IntraMsgs:    uint64(h.ctr.intraMsgs.Value()),
-		NetIn:        uint64(h.ctr.netIn.Value()),
-		NetOut:       uint64(h.ctr.netOut.Value()),
-		FusedCopies:  uint64(h.ctr.fusedCopies.Value()),
-		LegacyCopies: uint64(h.ctr.legacyCopies.Value()),
-		Aliases:      uint64(h.ctr.aliases.Value()),
-		RDMADirect:   uint64(h.ctr.rdmaDirect.Value()),
-		Staged:       uint64(h.ctr.staged.Value()),
+		IntraMsgs:    uint64(s[hubIntraMsgs].V),
+		NetIn:        uint64(s[hubNetIn].V),
+		NetOut:       uint64(s[hubNetOut].V),
+		FusedCopies:  uint64(s[hubFusedCopies].V),
+		LegacyCopies: uint64(s[hubLegacyCopies].V),
+		Aliases:      uint64(s[hubAliases].V),
+		RDMADirect:   uint64(s[hubRDMADirect].V),
+		Staged:       uint64(s[hubStaged].V),
 	}
 }
+
+// count adds d to the record's sample i at the hub's virtual time.
+func (h *Hub) count(i int, d int64) { h.rec.s[i].Add(d, int64(h.Eng.Now())) }
+
+// peak raises the record's peak sample i to a queue length n.
+func (h *Hub) peak(i, n int) { h.rec.s[i].SetMax(int64(n), int64(h.Eng.Now())) }
 
 // dispatch schedules the handler thread to consume the next queued item
 // after its per-command processing time.
@@ -536,9 +569,9 @@ func (h *Hub) PostIntra(p *sim.Proc, cmd *Cmd) {
 	if over > 0 {
 		p.Sleep(over)
 	}
-	h.ctr.intraMsgs.Inc()
+	h.count(hubIntraMsgs, 1)
 	h.intraQ.Push(cmd)
-	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.Len()))
+	h.peak(hubIntraQueuePeak, h.intraQ.Len())
 	h.dispatch(false)
 }
 
@@ -744,10 +777,10 @@ func (h *Hub) completePair(send, recv *Cmd) {
 		// Figure 6 (a): inter-process transport with a redundant
 		// host-to-host copy — send buffer -> shm segment -> recv buffer.
 		pr.route = device.ShmRoute()
-		h.ctr.legacyCopies.Add(2)
+		h.count(hubLegacyCopies, 2)
 	} else {
 		pr.route = device.PlanCopy(h.Fab, h.Node, pr.dir, dloc, sloc, h.Cfg.DirectP2P)
-		h.ctr.fusedCopies.Inc()
+		h.count(hubFusedCopies, 1)
 	}
 	pr.nextLeg()
 }
@@ -806,7 +839,7 @@ func (h *Hub) tryAlias(send, recv *Cmd) bool {
 		return false
 	}
 	h.Heap.Drop(recv.Addr)
-	h.ctr.aliases.Inc()
+	h.count(hubAliases, 1)
 	h.Eng.CallAt(h.Eng.Now()+sim.Time(AliasOverhead), h.newPair(send, recv))
 	return true
 }

@@ -38,7 +38,7 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	if cmd.Bytes == 0 {
 		// Zero-byte message: a bare network round of latency only.
 		unlock()
-		h.ctr.netOut.Inc()
+		h.count(hubNetOut, 1)
 		m := h.newNetMsg()
 		*m = netMsg{Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm,
 			SendID: cmd.TraceID, SendPost: cmd.PostedAt}
@@ -89,15 +89,15 @@ func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
 	}
 	staged := onDevice && !direct
 	if staged {
-		h.ctr.staged.Inc()
+		h.count(hubStaged, 1)
 	}
 	if direct {
-		h.ctr.rdmaDirect.Inc()
+		h.count(hubRDMADirect, 1)
 	}
 	if !staged {
 		unlock() // host-memory and RDMA sends release the call lock here
 	}
-	h.ctr.netOut.Inc()
+	h.count(hubNetOut, 1)
 	m := h.newNetMsg()
 	*m = netMsg{
 		Src: cmd.Src, Dst: cmd.Dst, Tag: cmd.Tag, Comm: cmd.Comm, Bytes: n,
@@ -193,7 +193,7 @@ func (m *netMsg) Call() {
 // message queue and wakes the handler.
 func (h *Hub) deliver(m *netMsg) {
 	h.pendingQ.Push(m)
-	h.ctr.pendingNetPeak.SetMax(float64(h.pendingQ.Len()))
+	h.peak(hubPendingNetPeak, h.pendingQ.Len())
 	h.dispatch(true)
 }
 
@@ -216,7 +216,7 @@ func (h *Hub) PostNetRecv(p *sim.Proc, cmd *Cmd) {
 		h.Eng.After(h.Cfg.NetTimeout, func() { h.timeoutRecv(cmd, gen) })
 	}
 	h.intraQ.Push(cmd)
-	h.ctr.intraQueuePeak.SetMax(float64(h.intraQ.Len()))
+	h.peak(hubIntraQueuePeak, h.intraQ.Len())
 	h.dispatch(false)
 }
 
@@ -247,7 +247,7 @@ func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 	}
 	recv.MatchedSrc, recv.MatchedTag, recv.MatchedBytes = m.Src, m.Tag, m.Bytes
 	if m.Bytes == 0 {
-		h.ctr.netIn.Inc()
+		h.count(hubNetIn, 1)
 		h.freeNetMsg(m)
 		recv.Done.Fire()
 		return
@@ -264,12 +264,12 @@ func (h *Hub) completeNet(m *netMsg, recv *Cmd) {
 	}
 	start := h.Eng.Now()
 	if !onDevice || m.direct {
-		h.ctr.netIn.Inc()
+		h.count(hubNetIn, 1)
 		h.landNet(m, recv, onDevice, start)
 		return
 	}
-	h.ctr.staged.Inc()
-	h.ctr.netIn.Inc()
+	h.count(hubStaged, 1)
+	h.count(hubNetIn, 1)
 	end := h.price(device.Leg{Kind: device.PCIeLeg, Dev: dloc.Device()}, m.Bytes)
 	m.recv, m.start = recv, start
 	h.Eng.CallAt(end, (*stagedLand)(m))

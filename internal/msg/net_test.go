@@ -18,9 +18,16 @@ type stubFaults struct {
 func (f *stubFaults) LinkUp(node int, at sim.Time) bool       { return at >= f.linkUpAt }
 func (f *stubFaults) RDMAUp(from, node int, at sim.Time) bool { return !f.rdmaDown }
 
-// counterVal reads a hub counter registered on the shared engine registry.
+// counterVal reads a hub resilience counter off the shared engine
+// registry's snapshot, or -1 when it is not registered.
 func counterVal(eng *sim.Engine, h *Hub, family string) int64 {
-	return eng.Metrics.Counter(family, "", "node", h.Fab.Sys.Nodes[h.Node].Name).Value()
+	got := int64(-1)
+	eng.Metrics.Snapshot(0).Values(func(series string, _ int64, v float64) {
+		if series == family+"{node="+h.Fab.Sys.Nodes[h.Node].Name+"}" {
+			got = int64(v)
+		}
+	})
+	return got
 }
 
 // TestSendBufferReuseAfterDone is the regression test for the stale-read

@@ -152,6 +152,13 @@ func New(cfg Config) *Server {
 		cfg.FlightRing = defaultFlightRing
 	}
 	reg := telemetry.NewRegistry()
+	counter := func(name, help string) *telemetry.Counter {
+		return reg.Counter(telemetry.NewFamily(name, help, telemetry.KindCounter))
+	}
+	gauge := func(name, help string) *telemetry.Gauge {
+		return reg.Gauge(telemetry.NewFamily(name, help, telemetry.KindGauge))
+	}
+	phases := telemetry.NewFamily("serve_phase_latency_ns", "per-phase wall latency", telemetry.KindHistogram, "phase")
 	s := &Server{
 		cfg:   cfg,
 		reg:   reg,
@@ -159,21 +166,21 @@ func New(cfg Config) *Server {
 		jobs:  map[string]*job{},
 		queue: make(chan string, cfg.QueueCap),
 
-		mHits:      reg.Counter("serve_cache_hits_total", "submissions answered from the result cache"),
-		mMisses:    reg.Counter("serve_cache_misses_total", "submissions that scheduled a fresh run"),
-		mEvictions: reg.Counter("serve_cache_evictions_total", "results evicted by the byte bound"),
-		mCoalesced: reg.Counter("serve_jobs_coalesced_total", "submissions deduplicated onto an in-flight identical job"),
-		mRejected:  reg.Counter("serve_admission_rejected_total", "submissions rejected with 429 (queue full)"),
-		mRuns:      reg.Counter("serve_runs_total", "simulations actually executed"),
-		mRunsFail:  reg.Counter("serve_runs_failed_total", "executed simulations that ended in error"),
-		mCancelled: reg.Counter("serve_jobs_cancelled_total", "jobs cancelled before or during execution"),
-		gQueue:     reg.Gauge("serve_queue_depth", "jobs admitted but not yet running"),
-		gAge:       reg.Gauge("serve_job_age_seconds", "age of the oldest queued or running job (0 when idle)"),
-		gBytes:     reg.Gauge("serve_cache_bytes", "bytes held by the result cache"),
-		gEntries:   reg.Gauge("serve_cache_entries", "results held by the cache"),
-		hQueue:     reg.Histogram("serve_phase_latency_ns", "per-phase wall latency", "phase", "queue"),
-		hRun:       reg.Histogram("serve_phase_latency_ns", "per-phase wall latency", "phase", "run"),
-		hRender:    reg.Histogram("serve_phase_latency_ns", "per-phase wall latency", "phase", "render"),
+		mHits:      counter("serve_cache_hits_total", "submissions answered from the result cache"),
+		mMisses:    counter("serve_cache_misses_total", "submissions that scheduled a fresh run"),
+		mEvictions: counter("serve_cache_evictions_total", "results evicted by the byte bound"),
+		mCoalesced: counter("serve_jobs_coalesced_total", "submissions deduplicated onto an in-flight identical job"),
+		mRejected:  counter("serve_admission_rejected_total", "submissions rejected with 429 (queue full)"),
+		mRuns:      counter("serve_runs_total", "simulations actually executed"),
+		mRunsFail:  counter("serve_runs_failed_total", "executed simulations that ended in error"),
+		mCancelled: counter("serve_jobs_cancelled_total", "jobs cancelled before or during execution"),
+		gQueue:     gauge("serve_queue_depth", "jobs admitted but not yet running"),
+		gAge:       gauge("serve_job_age_seconds", "age of the oldest queued or running job (0 when idle)"),
+		gBytes:     gauge("serve_cache_bytes", "bytes held by the result cache"),
+		gEntries:   gauge("serve_cache_entries", "results held by the cache"),
+		hQueue:     reg.Histogram(phases, "queue"),
+		hRun:       reg.Histogram(phases, "run"),
+		hRender:    reg.Histogram(phases, "render"),
 	}
 	s.cache.onEvict = func(string, *Result) { s.mEvictions.Inc() }
 	return s

@@ -218,7 +218,7 @@ type FIFOResource struct {
 	eng    *Engine
 	freeAt Time
 	// use holds the occupancy totals (busy, wait, uses, peak backlog) and
-	// the virtual time each last changed, as plain fields the engine's
+	// the virtual time each last changed, as a record the engine's
 	// registry reads only when snapshotted or merged.
 	use telemetry.Resource
 }
@@ -227,7 +227,7 @@ type FIFOResource struct {
 // busy time) reports into the engine's metrics registry under its name.
 func (e *Engine) NewFIFOResource(name string) *FIFOResource {
 	r := &FIFOResource{eng: e, use: telemetry.Resource{Name: name}}
-	e.Metrics.AddResource(&r.use)
+	e.Metrics.AddRecord(&r.use)
 	return r
 }
 
@@ -237,7 +237,7 @@ func (r *FIFOResource) observe(arrival, start Time, occupy Dur) {
 }
 
 // BusyTime reports the total occupied time, for utilization reports.
-func (r *FIFOResource) BusyTime() Dur { return Dur(r.use.BusyNs) }
+func (r *FIFOResource) BusyTime() Dur { return Dur(r.use.BusyNs()) }
 
 // Use occupies the resource for occupy time starting when it becomes free,
 // then keeps the caller blocked for a further tail (latency that does not

@@ -278,8 +278,9 @@ func TestFIFOResourceSerializes(t *testing.T) {
 	if r.BusyTime() != 30*Microsecond {
 		t.Fatalf("busy = %v, want 30us", r.BusyTime())
 	}
-	if r.use.Uses != 3 {
-		t.Fatalf("uses = %d, want 3", r.use.Uses)
+	// The record's third sample counts occupations.
+	if _, _, s := r.use.Record(); s[2].V != 3 {
+		t.Fatalf("uses = %d, want 3", s[2].V)
 	}
 }
 

@@ -7,9 +7,17 @@ import (
 	"testing"
 )
 
+// The families of titanShards, declared once as the simulator declares
+// its own.
+var (
+	copySizes = NewFamily("device_copy_bytes", "copy sizes", KindHistogram, "node", "dev", "dir")
+	kernels   = NewFamily("device_kernel_duration_ns", "kernels", KindHistogram, "node", "dev", "stream")
+	latencies = NewFamily("core_mpi_latency_ns", "MPI latency", KindHistogram, "rank", "op")
+)
+
 // titanShards builds n shard registries shaped like a titan:n run's: per
-// node, ten msg counters and gauges, four copy-size and one kernel
-// histogram, five MPI-latency histograms, and seven resource records.
+// node, a hub record, four copy-size and one kernel histogram, five
+// MPI-latency histograms, and seven resource records.
 func titanShards(n int) []*Registry {
 	regs := make([]*Registry, n)
 	for i := range regs {
@@ -17,22 +25,22 @@ func titanShards(n int) []*Registry {
 		now := int64(0)
 		r.SetClock(func() int64 { now += 97; return now })
 		node := fmt.Sprintf("titan%05d", i)
-		for _, name := range []string{"aliases", "fused_copies", "intra_msgs", "legacy_copies", "net_in", "net_out", "rdma_direct", "staged"} {
-			r.Counter("msg_"+name+"_total", "hub counter", "node", node).Add(int64(i % 61))
-		}
-		r.Gauge("msg_intra_queue_peak", "hub peak", "node", node).SetMax(1)
-		r.Gauge("msg_pending_net_peak", "hub peak", "node", node).SetMax(2)
+		hub := &hubRecord{name: node}
+		hub.s[0].Add(int64(i%61), 5)
+		hub.s[1].Add(int64(i%59), 7)
+		hub.s[2].SetMax(2, 9)
+		r.AddRecord(hub)
 		for _, dir := range []string{"DtoD", "DtoH", "HtoD", "HtoH"} {
-			r.Histogram("device_copy_bytes", "copy sizes", "node", node, "dev", "0", "dir", dir).Observe(int64(i) << 10)
+			r.Histogram(copySizes, node, "0", dir).Observe(int64(i) << 10)
 		}
-		r.Histogram("device_kernel_duration_ns", "kernels", "node", node, "dev", "0", "stream", "0").Observe(70_000)
+		r.Histogram(kernels, node, "0", "0").Observe(70_000)
 		for _, op := range []string{"allreduce", "bcast", "irecv", "isend", "wait"} {
-			r.Histogram("core_mpi_latency_ns", "MPI latency", "rank", fmt.Sprint(i), "op", op).Observe(int64(6802 + i))
+			r.Histogram(latencies, fmt.Sprint(i), op).Observe(int64(6802 + i))
 		}
 		for _, link := range []string{"dev0", "handler", "inter", "membus", "nic-in", "nic-out", "pcie0"} {
 			res := &Resource{Name: node + "/" + link}
 			res.Observe(now, int64(i%3), 1000)
-			r.AddResource(res)
+			r.AddRecord(res)
 		}
 		regs[i] = r
 	}
@@ -89,9 +97,10 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
 	now := int64(0)
 	r.SetClock(func() int64 { return now })
+	f := NewFamily("bench_ns", "benchmark histogram", KindHistogram, "node", "dev")
 	hs := make([]*Histogram, n)
 	for i := range hs {
-		hs[i] = r.Histogram("bench_ns", "benchmark histogram", "node", fmt.Sprintf("n%05d", i>>3), "dev", fmt.Sprint(i&7))
+		hs[i] = r.Histogram(f, fmt.Sprintf("n%05d", i>>3), fmt.Sprint(i&7))
 	}
 	order := rand.New(rand.NewPCG(1, 2)).Perm(n)
 	b.ReportAllocs()

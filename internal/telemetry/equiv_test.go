@@ -19,12 +19,59 @@ type twin struct {
 	ref  *refRegistry
 	res  []*Resource
 	mons []*refMonitor
+	hubs []*hubRecord
+}
+
+// hubSchema is the shape of a message hub's record: totals and a backlog
+// peak per node. hubRecord is one such record.
+var hubSchema = NewRecordSchema(
+	NewFamily("r_in_total", "record total", KindCounter, "node"),
+	NewFamily("r_out_total", "record total", KindCounter, "node"),
+	NewFamily("r_peak", "record peak", KindGauge, "node"),
+)
+
+type hubRecord struct {
+	name string
+	s    [3]Sample
+}
+
+func (r *hubRecord) Record() (*RecordSchema, string, []Sample) { return hubSchema, r.name, r.s[:] }
+
+// addHub attaches a hub record to the twin's registry and its three
+// series, at zero, to the reference.
+func (tw *twin) addHub(name string) {
+	rec := &hubRecord{name: name}
+	tw.reg.AddRecord(rec)
+	tw.hubs = append(tw.hubs, rec)
+	for i, f := range hubSchema.fams {
+		if i < 2 {
+			tw.ref.Counter(f.name, f.help, "node", name)
+		} else {
+			tw.ref.Gauge(f.name, f.help, "node", name)
+		}
+	}
+}
+
+// countHub updates sample i of the twin's j-th hub record by v, as the hub
+// does: a total adds v, the peak rises to it. The reference registry does
+// the same to its series.
+func (tw *twin) countHub(j, i int, v int64) {
+	rec := tw.hubs[j]
+	f := hubSchema.fams[i]
+	if i < 2 {
+		rec.s[i].Add(v, tw.now)
+		tw.ref.Counter(f.name, f.help, "node", rec.name).Add(v)
+		return
+	}
+	rec.s[i].SetMax(v, tw.now)
+	setMax(tw.ref.Gauge(f.name, f.help, "node", rec.name), float64(v))
 }
 
 // newTwin applies n random operations. Series labeled with the shard are
 // owned by it; the rest (rank="all" histograms, f_total{kind,node},
-// z_total, and resources named shared/*) may appear on every shard, and
-// resources named s<shard>/dup appear twice on one shard.
+// z_total, resources named shared/* and the hub record shared-h) may
+// appear on every shard, and resources named s<shard>/dup and hub records
+// named s<shard>-h appear twice on one shard.
 func newTwin(rng *rand.Rand, shard, n int) *twin {
 	tw := &twin{}
 	tw.reg = NewRegistry()
@@ -34,21 +81,25 @@ func newTwin(rng *rand.Rand, shard, n int) *twin {
 	names := []string{fmt.Sprintf("s%d/a", shard), fmt.Sprintf("s%d/dup", shard), fmt.Sprintf("s%d/dup", shard), "shared/x"}
 	for _, name := range names[:1+rng.IntN(len(names))] {
 		res := &Resource{Name: name}
-		tw.reg.AddResource(res)
+		tw.reg.AddRecord(res)
 		tw.res = append(tw.res, res)
 		tw.mons = append(tw.mons, tw.ref.Resource(name))
+	}
+	hubs := []string{fmt.Sprintf("s%d-h", shard), fmt.Sprintf("s%d-h", shard), "shared-h"}
+	for _, name := range hubs[:1+rng.IntN(len(hubs))] {
+		tw.addHub(name)
 	}
 	for i := 0; i < n; i++ {
 		tw.now += rng.Int64N(4)
 		d := rng.Int64N(200) - 20
-		switch rng.IntN(7) {
+		switch rng.IntN(8) {
 		case 0:
 			node := own()
-			tw.reg.Counter("c_total", "owned counter", "node", node).Add(d)
+			counter(tw.reg, "c_total", "owned counter", "node", node).Add(d)
 			tw.ref.Counter("c_total", "owned counter", "node", node).Add(d)
 		case 1:
 			kind, node := labelValues[rng.IntN(3)], labelValues[rng.IntN(4)]
-			tw.reg.Counter("f_total", "shared counter", "kind", kind, "node", node).Inc()
+			counter(tw.reg, "f_total", "shared counter", "kind", kind, "node", node).Inc()
 			tw.ref.Counter("f_total", "shared counter", "kind", kind, "node", node).Inc()
 		case 2:
 			// Non-negative, as every gauge the simulator records: a merge
@@ -56,11 +107,11 @@ func newTwin(rng *rand.Rand, shard, n int) *twin {
 			// reference merge raised a negative gauge to zero.
 			node, v := own(), float64(max(d, 0))/8
 			if rng.IntN(2) == 0 {
-				tw.reg.Gauge("g_peak", "owned gauge", "node", node).Set(v)
+				gauge(tw.reg, "g_peak", "owned gauge", "node", node).Set(v)
 				tw.ref.Gauge("g_peak", "owned gauge", "node", node).Set(v)
 			} else {
-				tw.reg.Gauge("g_peak", "owned gauge", "node", node).SetMax(v)
-				tw.ref.Gauge("g_peak", "owned gauge", "node", node).SetMax(v)
+				setMax(gauge(tw.reg, "g_peak", "owned gauge", "node", node), v)
+				setMax(tw.ref.Gauge("g_peak", "owned gauge", "node", node), v)
 			}
 		case 3:
 			rank := "all"
@@ -69,11 +120,13 @@ func newTwin(rng *rand.Rand, shard, n int) *twin {
 			}
 			op := []string{"send", "recv", "wait"}[rng.IntN(3)]
 			v := rng.Int64N(1<<uint(rng.IntN(40))) - 3
-			tw.reg.Histogram("h_ns", "histogram", "rank", rank, "op", op).Observe(v)
+			histogram(tw.reg, "h_ns", "histogram", "rank", rank, "op", op).Observe(v)
 			tw.ref.Histogram("h_ns", "histogram", "rank", rank, "op", op).Observe(v)
 		case 4:
-			tw.reg.Counter("z_total", "").Add(d)
+			counter(tw.reg, "z_total", "").Add(d)
 			tw.ref.Counter("z_total", "").Add(d)
+		case 5:
+			tw.countHub(rng.IntN(len(tw.hubs)), rng.IntN(3), d/8)
 		default:
 			j := rng.IntN(len(tw.res))
 			wait, occupy := max(0, rng.Int64N(60)-30), rng.Int64N(50)
@@ -129,7 +182,7 @@ func TestMergeShardsMatchesKeyedMerge(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			name := []string{"u_util", "g_peak"}[i%2]
 			node := labelValues[rng.IntN(len(labelValues))]
-			merged.Gauge(name, "report-time gauge", "node", node).Set(float64(i) / 7)
+			gauge(merged, name, "report-time gauge", "node", node).Set(float64(i) / 7)
 			ref.Gauge(name, "report-time gauge", "node", node).Set(float64(i) / 7)
 		}
 		writeBoth(t, fmt.Sprintf("seed %d merged with gauges", seed), merged.Snapshot(end), ref.Snapshot(end))
@@ -153,7 +206,7 @@ func TestMergeShardsMatchesMerge(t *testing.T) {
 		for i := range regs {
 			regs[i] = newTwin(rng, i, rng.IntN(80)).reg
 			node := labelValues[rng.IntN(3)]
-			regs[i].Gauge("g_peak", "owned gauge", "node", node).Set(-float64(1 + rng.IntN(9)))
+			gauge(regs[i], "g_peak", "owned gauge", "node", node).Set(-float64(1 + rng.IntN(9)))
 			fresh.Merge(regs[i])
 		}
 		var got, want bytes.Buffer
@@ -182,21 +235,21 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	for i, v := range labelValues {
 		tw.now = int64(i) - 3
 		name := fmt.Sprintf("c%d_total", i) // one family per key set
-		tw.reg.Counter(name, "", "k", v, v, "x").Add(int64(i * i))
+		counter(tw.reg, name, "", "k", v, v, "x").Add(int64(i * i))
 		tw.ref.Counter(name, "", "k", v, v, "x").Add(int64(i * i))
-		tw.reg.Histogram("<odd\" name>", "a \\ help\nwith  marks", "k", v).Observe(int64(i) << i)
+		histogram(tw.reg, "<odd\" name>", "a \\ help\nwith  marks", "k", v).Observe(int64(i) << i)
 		tw.ref.Histogram("<odd\" name>", "a \\ help\nwith  marks", "k", v).Observe(int64(i) << i)
 	}
-	tw.reg.Histogram("empty_ns", "no samples")
+	histogram(tw.reg, "empty_ns", "no samples")
 	tw.ref.Histogram("empty_ns", "no samples")
 	gauges := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 1e21, 1e20, -0.5, 0.1, 1.5e300, 5e-324, 123456789, 2.5e-10}
 	for i, g := range gauges {
-		tw.reg.Gauge("g", "h", "i", fmt.Sprint(i)).Set(g)
+		gauge(tw.reg, "g", "h", "i", fmt.Sprint(i)).Set(g)
 		tw.ref.Gauge("g", "h", "i", fmt.Sprint(i)).Set(g)
 	}
 	sameBytes(t, "adversarial", tw.reg.Snapshot(7), tw.ref.Snapshot(7))
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		tw.reg.Gauge("g", "h", "i", "bad").Set(bad)
+		gauge(tw.reg, "g", "h", "i", "bad").Set(bad)
 		tw.ref.Gauge("g", "h", "i", "bad").Set(bad)
 		var g, w bytes.Buffer
 		gerr, werr := tw.reg.Snapshot(0).WriteJSON(&g), refWriteJSON(&w, tw.ref.Snapshot(0))

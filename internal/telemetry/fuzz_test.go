@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzRegistry decodes bytes into counter, gauge, histogram and resource
-// operations on 1–8 shard registries, each fed in step with a reference
+// FuzzRegistry decodes bytes into counter, gauge, histogram, resource and
+// hub record operations on 1–8 shard registries, each fed in step with a reference
 // twin (reference_test.go), and requires three routes to one registry to
 // write identical JSON and Prometheus bytes: MergeShards, a keyed Merge of
 // every shard into a fresh registry, and the reference's own keyed merge,
@@ -30,7 +30,9 @@ import (
 // folding both shards' records as one registry's would keep shard 0's
 // stamp; shard-dup-peak has one shard hold two records of one name that
 // reach one peak at different times; extreme-values feeds the extreme
-// samples and deltas to shared and owned series.
+// samples and deltas to shared and owned series; hub-records has two
+// shards hold a hub record of one name, and one shard two of its own
+// name, whose totals add and whose peaks tie.
 func FuzzRegistry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -49,19 +51,21 @@ var (
 
 // applyOp applies one decoded operation to shard i's twin. Labels named
 // s<i>-... are owned by the shard; rank="all" histograms, f_total, z_total,
-// shared g_peak nodes and resources named shared/x appear on any shard.
+// shared g_peak nodes, resources named shared/x and hub records named
+// shared-h appear on any shard. A shard may hold two hub records of its
+// own name.
 func applyOp(tw *twin, i int, op, a, b byte) {
 	own := fmt.Sprintf("s%d-%s", i, labelValues[int(a)%len(labelValues)])
 	delta := fuzzDeltas[int(b)%len(fuzzDeltas)] + int64(b)/int64(len(fuzzDeltas))
-	switch op % 8 {
+	switch op % 10 {
 	case 0:
 		tw.now += int64(a) << (b % 24)
 	case 1:
-		tw.reg.Counter("c_total", "owned counter", "node", own).Add(delta)
+		counter(tw.reg, "c_total", "owned counter", "node", own).Add(delta)
 		tw.ref.Counter("c_total", "owned counter", "node", own).Add(delta)
 	case 2:
 		kind, node := labelValues[int(a)%3], labelValues[int(b)%4]
-		tw.reg.Counter("f_total", "shared counter", "kind", kind, "node", node).Add(delta)
+		counter(tw.reg, "f_total", "shared counter", "kind", kind, "node", node).Add(delta)
 		tw.ref.Counter("f_total", "shared counter", "kind", kind, "node", node).Add(delta)
 	case 3:
 		node := own
@@ -70,11 +74,11 @@ func applyOp(tw *twin, i int, op, a, b byte) {
 		}
 		v := float64(b) / 8
 		if a&1 == 0 {
-			tw.reg.Gauge("g_peak", "gauge", "node", node).Set(v)
+			gauge(tw.reg, "g_peak", "gauge", "node", node).Set(v)
 			tw.ref.Gauge("g_peak", "gauge", "node", node).Set(v)
 		} else {
-			tw.reg.Gauge("g_peak", "gauge", "node", node).SetMax(v)
-			tw.ref.Gauge("g_peak", "gauge", "node", node).SetMax(v)
+			setMax(gauge(tw.reg, "g_peak", "gauge", "node", node), v)
+			setMax(tw.ref.Gauge("g_peak", "gauge", "node", node), v)
 		}
 	case 4:
 		rank := "all"
@@ -86,12 +90,12 @@ func applyOp(tw *twin, i int, op, a, b byte) {
 		if b&0x80 != 0 {
 			v = int64(b&0x7f) << (a % 48)
 		}
-		tw.reg.Histogram("h_ns", "histogram", "rank", rank, "op", op).Observe(v)
+		histogram(tw.reg, "h_ns", "histogram", "rank", rank, "op", op).Observe(v)
 		tw.ref.Histogram("h_ns", "histogram", "rank", rank, "op", op).Observe(v)
 	case 5:
 		name := []string{fmt.Sprintf("s%d/a", i), fmt.Sprintf("s%d/dup", i), fmt.Sprintf("s%d/dup", i), "shared/x"}[a%4]
 		res := &Resource{Name: name}
-		tw.reg.AddResource(res)
+		tw.reg.AddRecord(res)
 		tw.res = append(tw.res, res)
 		tw.mons = append(tw.mons, tw.ref.Resource(name))
 	case 6:
@@ -102,9 +106,15 @@ func applyOp(tw *twin, i int, op, a, b byte) {
 		wait, occupy := (int64(b>>3)-2)*scale, (int64(b&7)-1)*scale
 		tw.res[j].Observe(tw.now, wait, occupy)
 		tw.mons[j].Observe(wait, occupy)
-	default:
-		tw.reg.Counter("z_total", "").Add(delta)
+	case 7:
+		counter(tw.reg, "z_total", "").Add(delta)
 		tw.ref.Counter("z_total", "").Add(delta)
+	case 8:
+		tw.addHub([]string{fmt.Sprintf("s%d-h", i), "shared-h"}[a%4/3])
+	default:
+		if len(tw.hubs) > 0 {
+			tw.countHub(int(a)%len(tw.hubs), int(b)%3, int64(b>>2)-1)
+		}
 	}
 }
 
@@ -147,8 +157,8 @@ func checkRegistryOps(t *testing.T, data []byte) {
 	// Report-time gauges, in a new family and in a merged one.
 	for k, b := range data[:min(len(data), 4)] {
 		name, node := []string{"u_util", "g_peak"}[k%2], labelValues[int(b)%len(labelValues)]
-		for _, g := range []*Gauge{merged.Gauge(name, "report-time gauge", "node", node),
-			fresh.Gauge(name, "report-time gauge", "node", node), ref.Gauge(name, "report-time gauge", "node", node)} {
+		for _, g := range []*Gauge{gauge(merged, name, "report-time gauge", "node", node),
+			gauge(fresh, name, "report-time gauge", "node", node), ref.Gauge(name, "report-time gauge", "node", node)} {
 			g.Set(float64(b) / 7)
 		}
 	}

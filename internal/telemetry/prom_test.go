@@ -47,10 +47,12 @@ func TestPromLabels(t *testing.T) {
 		{"combined", []Label{{"v", "x\n\"y\"\\z"}}, "", `{v="x\n\"y\"\\z"}`},
 	}
 	for _, c := range cases {
-		p := point{values: []string{}}
+		var p point
+		var values []string
 		for _, l := range c.labels {
-			p.keys, p.values = append(p.keys, l.Key), append(p.values, l.Value)
+			p.keys, values = append(p.keys, l.Key), append(values, l.Value)
 		}
+		p.key = strings.Join(values, "\x1f")
 		var le []byte
 		if c.le != "" {
 			le = []byte(c.le)
@@ -65,7 +67,7 @@ func TestPromLabels(t *testing.T) {
 // exposition format with single (not double) escaping.
 func TestPrometheusLabelEscapingEndToEnd(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("demo_total", "demo", "who", "a\n\"b\"\\c").Inc()
+	counter(reg, "demo_total", "demo", "who", "a\n\"b\"\\c").Inc()
 	var b strings.Builder
 	if err := reg.Snapshot(0).WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -80,7 +82,7 @@ func TestPrometheusLabelEscapingEndToEnd(t *testing.T) {
 // newline — and nothing else (quotes stay as they are).
 func TestPrometheusHelpEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("demo_total", "a \\ path\nand a \"quote\"").Inc()
+	counter(reg, "demo_total", "a \\ path\nand a \"quote\"").Inc()
 	var b strings.Builder
 	if err := reg.Snapshot(0).WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -35,10 +35,12 @@ type refFamily struct {
 	order      []string
 }
 
-// refSeries is a counter or gauge series, or a histogram's state.
+// refSeries is a counter or gauge series, or a histogram's state, with
+// its label values.
 type refSeries struct {
 	series
-	h *refHist
+	values []string
+	h      *refHist
 }
 
 // refHist is the earlier histogram state: every bucket stored.
@@ -110,7 +112,7 @@ func (r *refRegistry) get(name, help string, kind Kind, kv []string) *refSeries 
 	k := strings.Join(values, "\x1f")
 	s, ok := f.series[k]
 	if !ok {
-		s = &refSeries{series: series{values: values}}
+		s = &refSeries{series: series{r: r.clk}, values: values}
 		if kind == KindHistogram {
 			s.h = &refHist{clk: r.clk}
 		}
@@ -121,11 +123,11 @@ func (r *refRegistry) get(name, help string, kind Kind, kv []string) *refSeries 
 }
 
 func (r *refRegistry) Counter(name, help string, kv ...string) *Counter {
-	return &Counter{r: r.clk, s: &r.get(name, help, KindCounter, kv).series}
+	return (*Counter)(&r.get(name, help, KindCounter, kv).series)
 }
 
 func (r *refRegistry) Gauge(name, help string, kv ...string) *Gauge {
-	return &Gauge{r: r.clk, s: &r.get(name, help, KindGauge, kv).series}
+	return (*Gauge)(&r.get(name, help, KindGauge, kv).series)
 }
 
 func (r *refRegistry) Histogram(name, help string, kv ...string) *refHist {
@@ -151,7 +153,7 @@ func (m *refMonitor) Observe(waitNs, occupyNs int64) {
 	m.busy.Add(occupyNs)
 	m.wait.Add(waitNs)
 	m.uses.Inc()
-	m.peak.SetMax(float64(waitNs))
+	setMax(m.peak, float64(waitNs))
 }
 
 func (r *refRegistry) Merge(src *refRegistry) {
@@ -228,9 +230,9 @@ func (r *refRegistry) Snapshot(atNs int64) *jsonSnap {
 			}
 			switch f.kind {
 			case KindCounter:
-				ss.Value = s.ival
+				ss.Value = s.v
 			case KindGauge:
-				ss.GaugeValue = s.fval
+				ss.GaugeValue = s.gauge()
 			default:
 				ss.LastNs, ss.Count, ss.Sum, ss.Min, ss.Max = s.h.lastNs, s.h.count, s.h.sum, s.h.min, s.h.max
 				for i, n := range s.h.buckets {

@@ -19,23 +19,44 @@ import (
 type Snapshot struct {
 	// AtNs is the virtual time the snapshot was taken, in nanoseconds.
 	AtNs int64
-	fams []*family   // by name; a resource family reads rows
-	rows []*Resource // the registry's records, folded to one row per name
+	fams []famView // by name
+}
+
+// famView is one family as the writers read it: a family of the
+// registry's own, or a record family, which reads sample fi of a run of
+// folded record rows of one schema.
+type famView struct {
+	*Family
+	series []*series
+	rows   []Record
+	fi     int
 }
 
 // Snapshot returns the registry's view at virtual time atNs.
 func (r *Registry) Snapshot(atNs int64) *Snapshot {
-	s := &Snapshot{AtNs: atNs, fams: make([]*family, 0, len(r.families)+len(resourceFamilies)), rows: r.resourceRows()}
+	rows := r.recordRows()
+	s := &Snapshot{AtNs: atNs, fams: make([]famView, 0, len(r.families)+8)}
 	for _, f := range r.families {
-		slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
-		s.fams = append(s.fams, f)
-	}
-	if len(s.rows) > 0 {
-		for i := range resourceFamilies {
-			s.fams = append(s.fams, &resourceFamilies[i])
+		if f.unsorted {
+			slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
+			f.unsorted = false
 		}
+		s.fams = append(s.fams, famView{Family: f.Family, series: f.series})
 	}
-	slices.SortFunc(s.fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	for i := 0; i < len(rows); {
+		schema, _, _ := rows[i].Record()
+		j := i + 1
+		for ; j < len(rows); j++ {
+			if sc, _, _ := rows[j].Record(); sc != schema {
+				break
+			}
+		}
+		for fi, f := range schema.fams {
+			s.fams = append(s.fams, famView{Family: f, rows: rows[i:j], fi: fi})
+		}
+		i = j
+	}
+	slices.SortFunc(s.fams, func(a, b famView) int { return strings.Compare(a.name, b.name) })
 	return s
 }
 
@@ -43,41 +64,43 @@ func (r *Registry) Snapshot(atNs int64) *Snapshot {
 func (s *Snapshot) NumFamilies() int { return len(s.fams) }
 
 // Values calls fn for every counter and gauge series, in the order the
-// writers write them, with its family name, label keys and values, the
-// virtual time of its last mutation and its value. Histograms and the
-// resource families, which hold no series, are skipped.
-func (s *Snapshot) Values(fn func(name string, keys, values []string, lastNs int64, v float64)) {
-	for _, f := range s.fams {
-		if f.kind == KindHistogram {
+// writers write them, with its name and labels in the form name{k=v,...}
+// (the bare name when it has no labels), the virtual time of its last
+// mutation and its value. Histograms and the resource families, one
+// series per serialized resource, are skipped.
+func (s *Snapshot) Values(fn func(series string, lastNs int64, v float64)) {
+	var p point
+	var b []byte
+	for i := range s.fams {
+		f := &s.fams[i]
+		if f.kind == KindHistogram || f.rows != nil && slices.Contains(resourceSchema.fams, f.Family) {
 			continue
 		}
-		for _, se := range f.series {
-			v := float64(se.ival)
-			if f.kind == KindGauge {
-				v = se.fval
+		for j := range f.size() {
+			f.at(j, &p)
+			b = append(b[:0], f.name...)
+			sep := byte('{')
+			for k, key := range f.keys {
+				b = append(append(append(append(b, sep), key...), '='), p.label(k)...)
+				sep = ','
 			}
-			fn(f.name, f.keys, se.values, se.lastNs, v)
+			if sep == ',' {
+				b = append(b, '}')
+			}
+			v := float64(p.ival)
+			if f.kind == KindGauge {
+				v = p.fval
+			}
+			fn(string(b), p.lastNs, v)
 		}
 	}
-}
-
-// rowFamily returns f's index in resourceFamilies, or -1 for a family of
-// the registry's own.
-func rowFamily(f *family) int {
-	for i := range resourceFamilies {
-		if f == &resourceFamilies[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 // point is one series as the writers read it: a registry series or, in a
-// resource family, one resource row. It lives on the writer's stack.
+// record family, one record row. It lives on the writer's stack.
 type point struct {
 	keys   []string
-	values []string // label values, aligned with keys; nil for a row
-	row    string   // a row's name, its one label value
+	key    string // label values joined by \x1f; a row's name
 	lastNs int64
 	ival   int64   // counter value
 	fval   float64 // gauge value
@@ -86,30 +109,30 @@ type point struct {
 
 // label returns the j-th label value.
 func (p *point) label(j int) string {
-	if p.values == nil {
-		return p.row
+	if len(p.keys) == 1 {
+		return p.key
 	}
-	return p.values[j]
+	return label(p.key, j)
 }
 
-// size returns the number of series f writes; fi is rowFamily(f).
-func (s *Snapshot) size(f *family, fi int) int {
-	if fi >= 0 {
-		return len(s.rows)
+// size returns the number of series the family writes.
+func (f *famView) size() int {
+	if f.rows != nil {
+		return len(f.rows)
 	}
 	return len(f.series)
 }
 
-// at loads f's i-th series into p; fi is rowFamily(f).
-func (s *Snapshot) at(f *family, fi, i int, p *point) {
-	if fi >= 0 {
-		row := s.rows[i]
-		v, at := row.sample(fi)
-		*p = point{keys: f.keys, row: row.Name, lastNs: at, ival: v, fval: float64(v)}
+// at loads the family's i-th series into p.
+func (f *famView) at(i int, p *point) {
+	if f.rows != nil {
+		_, name, smp := f.rows[i].Record()
+		x := smp[f.fi]
+		*p = point{keys: f.keys, key: name, lastNs: x.At, ival: x.V, fval: float64(x.V)}
 		return
 	}
 	se := f.series[i]
-	*p = point{keys: f.keys, values: se.values, lastNs: se.lastNs, ival: se.ival, fval: se.fval}
+	*p = point{keys: f.keys, key: se.key, lastNs: se.lastNs, ival: se.v, fval: se.gauge()}
 	if se.h != nil {
 		p.h, p.lastNs = &se.h.hist, se.h.lastNs
 	}
@@ -153,7 +176,7 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 func (s *Snapshot) writeJSON(j *writer) error {
 	for _, f := range s.fams {
 		for _, se := range f.series {
-			if v := se.fval; f.kind == KindGauge && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			if v := se.gauge(); f.kind == KindGauge && (math.IsNaN(v) || math.IsInf(v, 0)) {
 				_, err := json.Marshal(v)
 				return err
 			}
@@ -164,7 +187,7 @@ func (s *Snapshot) writeJSON(j *writer) error {
 	j.b = strconv.AppendInt(j.b, s.AtNs, 10)
 	j.key("families")
 	j.array(len(s.fams), func(i int) {
-		f, fi := s.fams[i], rowFamily(s.fams[i])
+		f := &s.fams[i]
 		j.key("name")
 		j.str(f.name)
 		if f.help != "" {
@@ -175,8 +198,8 @@ func (s *Snapshot) writeJSON(j *writer) error {
 		j.str(f.kind.String())
 		j.key("series")
 		var p point
-		j.array(s.size(f, fi), func(i int) {
-			s.at(f, fi, i, &p)
+		j.array(f.size(), func(i int) {
+			f.at(i, &p)
 			j.series(f.kind, &p)
 		})
 	})
@@ -194,8 +217,8 @@ const flushChunk = 32 << 10
 // one a buffer that rarely grows.
 func (s *Snapshot) newWriter(w io.Writer) *writer {
 	n := 256 * len(s.fams)
-	for _, f := range s.fams {
-		n += 256 * s.size(f, rowFamily(f))
+	for i := range s.fams {
+		n += 256 * s.fams[i].size()
 	}
 	return &writer{w: w, b: make([]byte, 0, min(n, flushChunk+flushChunk/8))}
 }
@@ -403,15 +426,15 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	j := s.newWriter(w)
 	var p point
 	var num, le [24]byte
-	for _, f := range s.fams {
+	for i := range s.fams {
+		f := &s.fams[i]
 		if f.help != "" {
 			j.b = append(append(append(append(j.b, "# HELP "...), f.name...), ' '), helpEscape.Replace(f.help)...)
 			j.b = append(j.b, '\n')
 		}
 		j.b = append(append(append(append(append(j.b, "# TYPE "...), f.name...), ' '), f.kind.String()...), '\n')
-		fi := rowFamily(f)
-		for i, n := 0, s.size(f, fi); i < n && j.flush(flushChunk) == nil; i++ {
-			s.at(f, fi, i, &p)
+		for i, n := 0, f.size(); i < n && j.flush(flushChunk) == nil; i++ {
+			f.at(i, &p)
 			switch f.kind {
 			case KindCounter:
 				j.b = promSample(j.b, f.name, "", &p, nil, strconv.AppendInt(num[:0], p.ival, 10))

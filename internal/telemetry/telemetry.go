@@ -6,6 +6,13 @@
 // time go" — the data behind the paper's breakdown figures (11, 14) and the
 // handler-occupancy discussion of §3.7 — without ad-hoc counter structs.
 //
+// Cost: a family's descriptor (Family) is a package-level value that every
+// registry of the process shares, a counter or gauge is its series, and a
+// component that keeps several totals per node (a serialized resource, a
+// message hub) keeps them as a plain-field Record, which the registry
+// reads as series only when snapshotted or merged. So a node's telemetry
+// costs about one record and a few series, not a descriptor set per node.
+//
 // Determinism: the registry is mutated only from simulation context (the
 // engine runs one process at a time), timestamps are virtual nanoseconds
 // supplied by a clock callback, and snapshots sort families, series, and
@@ -14,6 +21,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -40,7 +48,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Registry holds metric families. The zero value is not ready; use
+// Family is a metric family's schema: its name, help text, kind and label
+// keys. Declare each family once, as a package-level value (NewFamily):
+// every registry of the process shares the descriptor, and a registry
+// holds only the family's series.
+type Family struct {
+	name string
+	help string
+	kind Kind
+	keys []string
+}
+
+// NewFamily returns the schema of a family with the given name, help text,
+// kind and label keys.
+func NewFamily(name, help string, kind Kind, keys ...string) *Family {
+	return &Family{name: name, help: help, kind: kind, keys: keys}
+}
+
+// Registry holds metric families and records. The zero value is not ready; use
 // NewRegistry. Merge folds finished runs into one registry (the bench
 // harness aggregates a sweep this way); counters then accumulate across
 // runs.
@@ -54,21 +79,21 @@ type Registry struct {
 	// families in registration order, searched linearly: the code fixes
 	// the set of family names, a few dozen at most.
 	families []*family
-	// resources are the records of AddResource, read only when the registry
-	// is snapshotted or merged.
-	resources []*Resource
+	// records are the records of AddRecord, read only when the registry is
+	// snapshotted or merged.
+	records []Record
 }
 
-// family is one named metric with a fixed kind, help string, and label
-// schema shared by all of its series.
+// family is a registry's series of one Family.
 type family struct {
-	name   string
-	help   string
-	kind   Kind
-	keys   []string
+	*Family
 	series []*series // insertion order, or key order once sorted
-	// byKey indexes series by key, built by the first lookup in a family
-	// past linearMax series; smaller families are searched linearly.
+	// unsorted reports that series are not in strictly ascending key
+	// order, as they are when added in that order, merged or snapshotted.
+	unsorted bool
+	// byKey indexes the series of an unsorted family by key, built by the
+	// first lookup past linearMax series. Smaller families are searched
+	// linearly and sorted ones by bisection.
 	byKey map[string]*series
 }
 
@@ -77,16 +102,19 @@ type family struct {
 // each would cost more than it saves.
 const linearMax = 8
 
-// series is one (family, label values) time series. A histogram series
-// keeps its stamp in its state, so a sample touches one object.
+// series is one (family, label values) time series: a counter or gauge
+// itself (Counter and Gauge are its handles), or a histogram's key and
+// handle. Its label values are read out of its key.
 type series struct {
 	key    string     // label values joined by \x1f: the lookup and sort key
-	values []string   // label values, aligned with family.keys
+	r      *Registry  // stamps mutations with its clock
 	lastNs int64      // virtual time of the last mutation (counters, gauges)
-	ival   int64      // counter value
-	fval   float64    // gauge value
+	v      int64      // counter value, or a gauge's float64 bits
 	h      *Histogram // histogram handle and state, set with the series
 }
+
+// gauge returns a gauge series' value.
+func (s *series) gauge() float64 { return math.Float64frombits(uint64(s.v)) }
 
 // hist is a histogram's state: bucket i counts values v with
 // bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i - 1]; bucket 0 counts v == 0.
@@ -175,37 +203,31 @@ func (r *Registry) now() int64 {
 	return r.clock()
 }
 
-// family returns the named family, creating it with the given schema. The
-// kind and label keys must match the family's on every call — a mismatch is
-// a programming error and panics.
-func (r *Registry) family(name, help string, kind Kind, keys []string) *family {
-	f := r.lookup(name)
-	if f == nil {
-		f = &family{name: name, help: help, kind: kind, keys: keys}
-		r.families = append(r.families, f)
-		return f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("telemetry: %s registered as %v, requested as %v", name, f.kind, kind))
-	}
-	if !slices.Equal(f.keys, keys) {
-		panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", name, f.keys, keys))
-	}
-	return f
-}
-
-// lookup returns the named family, or nil.
-func (r *Registry) lookup(name string) *family {
-	for _, f := range r.families {
-		if f.name == name {
-			return f
+// family returns the registry's series of f, adding the family on first
+// use. A registered family of f's name must have f's kind and label keys —
+// a mismatch is a programming error and panics.
+func (r *Registry) family(f *Family) *family {
+	for _, rf := range r.families {
+		if rf.Family == f {
+			return rf
+		}
+		if rf.name == f.name {
+			if rf.kind != f.kind {
+				panic(fmt.Sprintf("telemetry: %s registered as %v, requested as %v", f.name, rf.kind, f.kind))
+			}
+			if !slices.Equal(rf.keys, f.keys) {
+				panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", f.name, rf.keys, f.keys))
+			}
+			return rf
 		}
 	}
-	return nil
+	rf := &family{Family: f}
+	r.families = append(r.families, rf)
+	return rf
 }
 
 // find returns the series with the given key, or nil. The first lookup in
-// a family past linearMax series builds its byKey index.
+// an unsorted family past linearMax series builds its byKey index.
 func (f *family) find(key string) *series {
 	if f.byKey == nil && len(f.series) <= linearMax {
 		for _, s := range f.series {
@@ -214,6 +236,13 @@ func (f *family) find(key string) *series {
 			}
 		}
 		return nil
+	}
+	if !f.unsorted {
+		i, ok := slices.BinarySearchFunc(f.series, key, func(s *series, key string) int { return strings.Compare(s.key, key) })
+		if !ok {
+			return nil
+		}
+		return f.series[i]
 	}
 	if f.byKey == nil {
 		f.byKey = make(map[string]*series, len(f.series))
@@ -226,6 +255,9 @@ func (f *family) find(key string) *series {
 
 // add appends a series new to the family.
 func (f *family) add(s *series) *series {
+	if n := len(f.series); n > 0 && s.key < f.series[n-1].key {
+		f.unsorted = true
+	}
 	if f.byKey != nil {
 		f.byKey[s.key] = s
 	}
@@ -233,56 +265,50 @@ func (f *family) add(s *series) *series {
 	return s
 }
 
-// get returns the series for (name, labels), creating the family and series
-// as needed. Labels are "k1, v1, k2, v2, ..." pairs. Only a new family
-// allocates its label keys.
-func (r *Registry) get(name, help string, kind Kind, kv []string) *series {
-	if len(kv)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: odd label list %q", kv))
+// get returns the series of f with the given label values, one per label
+// key, creating it as needed. A value must not hold the key separator
+// \x1f.
+func (r *Registry) get(f *Family, kind Kind, values []string) *series {
+	if f.kind != kind {
+		panic(fmt.Sprintf("telemetry: %s is a %v, requested as a %v", f.name, f.kind, kind))
 	}
-	f := r.lookup(name)
-	if f == nil || !f.schemaIs(kind, kv) {
-		keys := make([]string, len(kv)/2)
-		for i := range keys {
-			keys[i] = kv[2*i]
+	if len(values) != len(f.keys) {
+		panic(fmt.Sprintf("telemetry: %s has label keys %q, got values %q", f.name, f.keys, values))
+	}
+	for _, v := range values {
+		if strings.IndexByte(v, keySep) >= 0 {
+			panic(fmt.Sprintf("telemetry: %s label value %q holds the key separator", f.name, v))
 		}
-		f = r.family(name, help, kind, keys) // creates, or panics on a mismatch
 	}
-	values := make([]string, len(kv)/2)
-	for i := range values {
-		values[i] = kv[2*i+1]
-	}
+	rf := r.family(f)
 	key := strings.Join(values, "\x1f")
-	if s := f.find(key); s != nil {
+	if s := rf.find(key); s != nil {
 		return s
 	}
-	return f.add(&series{key: key, values: values})
+	return rf.add(&series{key: key, r: r})
 }
 
-// schemaIs reports whether the family has the given kind and the label
-// keys of the "k1, v1, ..." list kv.
-func (f *family) schemaIs(kind Kind, kv []string) bool {
-	if f.kind != kind || 2*len(f.keys) != len(kv) {
-		return false
+// keySep separates the label values in a series key.
+const keySep = '\x1f'
+
+// label returns the j-th label value of a series key.
+func label(key string, j int) string {
+	for ; j > 0; j-- {
+		key = key[strings.IndexByte(key, keySep)+1:]
 	}
-	for i, k := range f.keys {
-		if kv[2*i] != k {
-			return false
-		}
+	if i := strings.IndexByte(key, keySep); i >= 0 {
+		return key[:i]
 	}
-	return true
+	return key
 }
 
-// Counter is a monotonically increasing integer metric.
-type Counter struct {
-	r *Registry
-	s *series
-}
+// Counter is a monotonically increasing integer metric: its series.
+type Counter series
 
-// Counter returns the counter series for (name, labels), creating it at
-// zero on first use. Labels are "key, value" pairs.
-func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	return &Counter{r: r, s: r.get(name, help, KindCounter, labels)}
+// Counter returns the counter series of f with the given label values,
+// creating it at zero on first use.
+func (r *Registry) Counter(f *Family, values ...string) *Counter {
+	return (*Counter)(r.get(f, KindCounter, values))
 }
 
 // Add increases the counter by d (negative deltas are ignored).
@@ -290,39 +316,26 @@ func (c *Counter) Add(d int64) {
 	if d <= 0 {
 		return
 	}
-	c.s.ival += d
-	c.s.lastNs = c.r.now()
+	c.v += d
+	c.lastNs = c.r.now()
 }
 
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.s.ival }
+// Gauge is a floating-point metric that can move in both directions: its
+// series.
+type Gauge series
 
-// Gauge is a floating-point metric that can move in both directions.
-type Gauge struct {
-	r *Registry
-	s *series
-}
-
-// Gauge returns the gauge series for (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	return &Gauge{r: r, s: r.get(name, help, KindGauge, labels)}
+// Gauge returns the gauge series of f with the given label values.
+func (r *Registry) Gauge(f *Family, values ...string) *Gauge {
+	return (*Gauge)(r.get(f, KindGauge, values))
 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	g.s.fval = v
-	g.s.lastNs = g.r.now()
-}
-
-// SetMax stores v if it exceeds the current value (peak tracking).
-func (g *Gauge) SetMax(v float64) {
-	if v > g.s.fval {
-		g.s.fval = v
-		g.s.lastNs = g.r.now()
-	}
+	g.v = int64(math.Float64bits(v))
+	g.lastNs = g.r.now()
 }
 
 // Histogram is a log2-bucketed distribution of non-negative int64 samples
@@ -335,9 +348,9 @@ type Histogram struct {
 	r *Registry // stamps samples with its clock
 }
 
-// Histogram returns the histogram series for (name, labels).
-func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
-	s := r.get(name, help, KindHistogram, labels)
+// Histogram returns the histogram series of f with the given label values.
+func (r *Registry) Histogram(f *Family, values ...string) *Histogram {
+	s := r.get(f, KindHistogram, values)
 	if s.h == nil {
 		s.h = &Histogram{r: r}
 	}
@@ -365,12 +378,12 @@ func (h *Histogram) Observe(v int64) {
 // keeps parallel sweeps deterministic: a series new to r is copied as it is;
 // otherwise counters and histogram buckets add, gauges keep the maximum
 // (peak semantics across runs), histogram min/max widen, and timestamps
-// keep the latest. Resource records fold as MergeShards folds them, r's
-// as shard 0 and src's as shard 1, and r keeps the folded rows as its
-// records. src must be quiescent (its run finished).
+// keep the latest. Records fold as MergeShards folds them, r's as shard 0
+// and src's as shard 1, and r keeps the folded rows as its records. src
+// must be quiescent (its run finished).
 func (r *Registry) Merge(src *Registry) {
 	for _, sf := range src.families {
-		df := r.family(sf.name, sf.help, sf.kind, sf.keys)
+		df := r.family(sf.Family)
 		for _, ss := range sf.series {
 			if d := df.find(ss.key); d != nil {
 				mergeSeries(d, ss, sf.kind)
@@ -379,9 +392,9 @@ func (r *Registry) Merge(src *Registry) {
 			}
 		}
 	}
-	if len(r.resources)+len(src.resources) > 0 {
-		recs := r.appendRecords(make([]shardRecord, 0, len(r.resources)+len(src.resources)), 0)
-		r.resources = foldRecords(src.appendRecords(recs, 1))
+	if len(r.records)+len(src.records) > 0 {
+		recs := r.appendRecords(make([]shardRecord, 0, len(r.records)+len(src.records)), 0)
+		r.records = foldRecords(src.appendRecords(recs, 1), false)
 	}
 }
 
@@ -390,29 +403,30 @@ func (r *Registry) Merge(src *Registry) {
 // family by sorting the union of the shards' series by key and merging
 // where keys coincide (lean mode's rank="all" histograms and remote-RDMA
 // fault counters are the series shards share), so no series is looked up
-// or inserted in a map. The shards' resource records are folded once, by
-// the rules of Merge where shards share a name, and the result holds the
-// folded rows as its records, one per name. A single registry is returned
-// itself, its records folded the same way, so its snapshots do not fold
-// them again. The result shares the series only one shard holds, so regs
-// must be quiescent and stay unmutated while it is in use; its clock is
+// or inserted in a map. The shards' records are folded once, by the rules
+// of Merge where shards share a name, and the result holds the folded rows
+// as its records, one per name. A series or record only one shard holds is
+// shared, not copied; a shared series stamps with the result's clock from
+// then on. A single registry is returned itself, its records folded the
+// same way, so its snapshots do not fold them again. So regs must be
+// quiescent and stay unmutated while the result is in use; its clock is
 // unset.
 func MergeShards(regs []*Registry) *Registry {
 	if len(regs) == 1 {
 		r := regs[0]
-		r.resources = r.resourceRows()
+		r.records = r.recordRows()
 		return r
 	}
 	out, nrec, nser := NewRegistry(), 0, map[*family]int{}
 	for _, src := range regs {
 		for _, sf := range src.families {
-			nser[out.family(sf.name, sf.help, sf.kind, sf.keys)] += len(sf.series)
+			nser[out.family(sf.Family)] += len(sf.series)
 		}
-		nrec += len(src.resources)
+		nrec += len(src.records)
 	}
 	for _, src := range regs {
 		for _, sf := range src.families {
-			f := out.lookup(sf.name)
+			f := out.family(sf.Family)
 			if f.series == nil {
 				f.series = make([]*series, 0, nser[f])
 			}
@@ -423,7 +437,7 @@ func MergeShards(regs []*Registry) *Registry {
 	for i, src := range regs {
 		recs = src.appendRecords(recs, i)
 	}
-	out.resources = foldRecords(recs)
+	out.records = foldRecords(recs, true)
 	for _, f := range out.families {
 		all := f.series
 		slices.SortFunc(all, func(a, b *series) int { return strings.Compare(a.key, b.key) })
@@ -435,6 +449,8 @@ func MergeShards(regs []*Registry) *Registry {
 				for ; i+1 < len(all) && all[i+1].key == s.key; i++ {
 					mergeSeries(s, all[i+1], f.kind)
 				}
+			} else {
+				s.adopt(out)
 			}
 			all[n] = s
 		}
@@ -443,10 +459,19 @@ func MergeShards(regs []*Registry) *Registry {
 	return out
 }
 
+// adopt makes r the registry whose clock stamps s from now on.
+func (s *series) adopt(r *Registry) {
+	s.r = r
+	if s.h != nil {
+		s.h.r = r
+	}
+}
+
 // clone returns a copy of s, for registry r, that shares no mutable state
 // with it.
 func (s *series) clone(r *Registry) *series {
 	c := *s
+	c.r = r
 	if s.h != nil {
 		c.h = &Histogram{r: r}
 		c.h.merge(&s.h.hist)
@@ -458,10 +483,10 @@ func (s *series) clone(r *Registry) *series {
 func mergeSeries(dst, src *series, kind Kind) {
 	switch kind {
 	case KindCounter:
-		dst.ival += src.ival
+		dst.v += src.v
 	case KindGauge:
-		if src.fval > dst.fval {
-			dst.fval = src.fval
+		if src.gauge() > dst.gauge() {
+			dst.v = src.v
 		}
 	case KindHistogram:
 		dst.h.merge(&src.h.hist)

@@ -14,31 +14,27 @@ func TestCounterGaugeBasics(t *testing.T) {
 	now := int64(0)
 	r.SetClock(func() int64 { return now })
 
-	c := r.Counter("msgs_total", "messages", "node", "n0")
+	c := counter(r, "msgs_total", "messages", "node", "n0")
 	c.Inc()
 	now = 50
 	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
+	if c.v != 3 {
+		t.Fatalf("counter = %d, want 3", c.v)
 	}
 	c.Add(-5) // ignored
-	if c.Value() != 3 {
-		t.Fatalf("counter after negative add = %d, want 3", c.Value())
+	if c.v != 3 {
+		t.Fatalf("counter after negative add = %d, want 3", c.v)
 	}
 	// Same (name, labels) resolves to the same series.
-	if r.Counter("msgs_total", "messages", "node", "n0").Value() != 3 {
+	if counter(r, "msgs_total", "messages", "node", "n0").v != 3 {
 		t.Fatal("re-fetched counter lost its value")
 	}
 
-	g := r.Gauge("util", "utilization")
+	g := gauge(r, "util", "utilization")
 	g.Set(0.5)
-	g.SetMax(0.25)
-	if g.s.fval != 0.5 {
-		t.Fatalf("SetMax lowered gauge to %v", g.s.fval)
-	}
-	g.SetMax(0.75)
-	if g.s.fval != 0.75 {
-		t.Fatalf("gauge = %v, want 0.75", g.s.fval)
+	g.Set(0.25)
+	if v := (*series)(g).gauge(); v != 0.25 {
+		t.Fatalf("gauge = %v, want 0.25", v)
 	}
 
 	snap := decode(t, r.Snapshot(now))
@@ -81,7 +77,7 @@ func buckets(h *hist) []jsonBucket {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_ns", "latency")
+	h := histogram(r, "lat_ns", "latency")
 	for _, v := range []int64{0, 1, 2, 3, 4, 1000, -7} {
 		h.Observe(v)
 	}
@@ -113,7 +109,7 @@ func TestHistogramBuckets(t *testing.T) {
 // overlap, in either order, keeps every bucket.
 func TestHistogramWidenAndMerge(t *testing.T) {
 	r := NewRegistry()
-	hi, lo := r.Histogram("a_ns", ""), r.Histogram("b_ns", "")
+	hi, lo := histogram(r, "a_ns", ""), histogram(r, "b_ns", "")
 	for _, v := range []int64{1000, 4, 0, 1 << 40} { // 1023, then down, then up
 		hi.Observe(v)
 	}
@@ -158,9 +154,9 @@ var promLine = regexp.MustCompile(
 
 func TestPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "a counter", "node", "n0").Add(7)
-	r.Gauge("b_util", "a gauge", "node", "n0", "link", "pcie0").Set(0.375)
-	h := r.Histogram("c_ns", "a histogram")
+	counter(r, "a_total", "a counter", "node", "n0").Add(7)
+	gauge(r, "b_util", "a gauge", "node", "n0", "link", "pcie0").Set(0.375)
+	h := histogram(r, "c_ns", "a histogram")
 	h.Observe(3)
 	h.Observe(900)
 
@@ -203,10 +199,10 @@ func TestSnapshotDeterminism(t *testing.T) {
 	build := func() *bytes.Buffer {
 		r := NewRegistry()
 		// Insert in an order that differs from sorted order.
-		r.Counter("z_total", "", "k", "2").Inc()
-		r.Counter("z_total", "", "k", "1").Add(5)
-		r.Counter("a_total", "").Inc()
-		r.Histogram("m_ns", "", "op", "send").Observe(128)
+		counter(r, "z_total", "", "k", "2").Inc()
+		counter(r, "z_total", "", "k", "1").Add(5)
+		counter(r, "a_total", "").Inc()
+		histogram(r, "m_ns", "", "op", "send").Observe(128)
 		var buf bytes.Buffer
 		if err := r.Snapshot(9).WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -239,11 +235,15 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 func TestSchemaMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	x := NewFamily("x_total", "", KindCounter)
+	r.Counter(x)
 	for name, fn := range map[string]func(){
-		"kind":   func() { r.Gauge("x_total", "") },
-		"labels": func() { r.Counter("x_total", "", "k", "v") },
-		"odd":    func() { r.Counter("y_total", "", "k") },
+		"kind":      func() { r.Gauge(x) },
+		"same-name": func() { r.Gauge(NewFamily("x_total", "", KindGauge)) },
+		"labels":    func() { r.Counter(NewFamily("x_total", "", KindCounter, "k"), "v") },
+		"values":    func() { r.Counter(NewFamily("y_total", "", KindCounter, "k")) },
+		"separator": func() { r.Counter(NewFamily("z_total", "", KindCounter, "k"), "a\x1fb") },
+		"record":    func() { NewRecordSchema(NewFamily("h_ns", "", KindHistogram, "node")) },
 	} {
 		func() {
 			defer func() {
@@ -254,4 +254,59 @@ func TestSchemaMismatchPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestRegistriesShareFamilies: a registry holds only series state; every
+// registry that registers a family reads the family's one descriptor.
+func TestRegistriesShareFamilies(t *testing.T) {
+	lat := NewFamily("lat_ns", "latency", KindHistogram, "rank", "op")
+	msgs := NewFamily("msgs_total", "messages", KindCounter, "node")
+	regs := []*Registry{NewRegistry(), NewRegistry()}
+	for _, r := range regs {
+		r.Histogram(lat, "0", "send")
+		r.Counter(msgs, "n0").Inc()
+		r.AddRecord(&Resource{Name: "n0/pcie0"})
+	}
+	for i, r := range regs {
+		if len(r.families) != 2 || r.families[0].Family != lat || r.families[1].Family != msgs {
+			t.Fatalf("registry %d does not read the shared descriptors", i)
+		}
+	}
+	m := MergeShards(regs)
+	for _, f := range m.families {
+		if f.Family != lat && f.Family != msgs {
+			t.Fatalf("merged family %s has a descriptor of its own", f.name)
+		}
+	}
+}
+
+// familyOf returns a family of the given kind whose label keys are the keys
+// of the "k1, v1, ..." list kv, and kv's values: the schema a test names
+// inline, as the reference registry takes it.
+func familyOf(name, help string, kind Kind, kv []string) (*Family, []string) {
+	keys, values := refLabelPairs(kv)
+	return NewFamily(name, help, kind, keys...), values
+}
+
+// counter, gauge and histogram register a series of a family named inline.
+func counter(r *Registry, name, help string, kv ...string) *Counter {
+	f, values := familyOf(name, help, KindCounter, kv)
+	return r.Counter(f, values...)
+}
+
+func gauge(r *Registry, name, help string, kv ...string) *Gauge {
+	f, values := familyOf(name, help, KindGauge, kv)
+	return r.Gauge(f, values...)
+}
+
+// setMax raises g to v if v exceeds its value, as a peak gauge does.
+func setMax(g *Gauge, v float64) {
+	if v > (*series)(g).gauge() {
+		g.Set(v)
+	}
+}
+
+func histogram(r *Registry, name, help string, kv ...string) *Histogram {
+	f, values := familyOf(name, help, KindHistogram, kv)
+	return r.Histogram(f, values...)
 }

@@ -121,6 +121,26 @@ func (s *System) MinNetLatency() sim.Dur {
 // nic-in), values in [0, 1].
 const LinkUtilization = "fabric_link_utilization"
 
+var linkUtilization = telemetry.NewFamily(LinkUtilization, "per-node shared link utilization over the run",
+	telemetry.KindGauge, "node", "link")
+
+// pcieLinks are the link labels of the first PCIe links of a node.
+var pcieLinks = func() []string {
+	l := make([]string, 16)
+	for d := range l {
+		l[d] = fmt.Sprintf("pcie%d", d)
+	}
+	return l
+}()
+
+// pcieLink returns the link label of a node's d-th PCIe link.
+func pcieLink(d int) string {
+	if d < len(pcieLinks) {
+		return pcieLinks[d]
+	}
+	return fmt.Sprintf("pcie%d", d)
+}
+
 // RecordUtilization writes one utilization gauge per shared link of every
 // node: accumulated busy time divided by elapsed, clamped to [0, 1]. Call
 // at the end of a run with the run's elapsed virtual time.
@@ -129,26 +149,25 @@ func (f *Fabric) RecordUtilization(reg *telemetry.Registry, elapsed sim.Dur) {
 		return
 	}
 	for i := range f.Sys.Nodes {
-		node := f.Sys.Nodes[i].Name
-		nr := f.nodes[i]
-		set := func(link string, r *sim.FIFOResource) {
-			if r == nil {
-				return
-			}
-			u := float64(r.BusyTime()) / float64(elapsed)
-			if u > 1 {
-				u = 1
-			}
-			reg.Gauge(LinkUtilization, "per-node shared link utilization over the run",
-				"node", node, "link", link).Set(u)
+		node, nr := f.Sys.Nodes[i].Name, f.nodes[i]
+		// In label order, so each node's gauges extend the family in order.
+		for _, l := range [...]struct {
+			name string
+			r    *sim.FIFOResource
+		}{{"inter", nr.Inter}, {"membus", nr.MemBus}, {"nic-in", nr.NICIn}, {"nic-out", nr.NICOut}} {
+			setUtilization(reg, node, l.name, l.r, elapsed)
 		}
-		set("inter", nr.Inter)
-		set("membus", nr.MemBus)
-		set("nic-out", nr.NICOut)
-		set("nic-in", nr.NICIn)
 		for d, p := range nr.PCIe {
-			set(fmt.Sprintf("pcie%d", d), p)
+			setUtilization(reg, node, pcieLink(d), p, elapsed)
 		}
+	}
+}
+
+// setUtilization sets the utilization gauge of one link: r's busy time
+// over elapsed, at most 1. A node without the link has a nil r.
+func setUtilization(reg *telemetry.Registry, node, link string, r *sim.FIFOResource, elapsed sim.Dur) {
+	if r != nil {
+		reg.Gauge(linkUtilization, node, link).Set(min(float64(r.BusyTime())/float64(elapsed), 1))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"impacc/internal/sim"
 )
@@ -181,6 +182,11 @@ func (jt *jsonTopo) spec(nNodes int) (*TopoSpec, error) {
 func (jn jsonNode) spec(idx int) (NodeSpec, error) {
 	if jn.Name == "" {
 		return NodeSpec{}, fmt.Errorf("topo: node %d needs a name", idx)
+	}
+	if strings.ContainsRune(jn.Name, '\x1f') {
+		// Telemetry joins a series' label values, node names among them,
+		// with this separator.
+		return NodeSpec{}, fmt.Errorf("topo: node %q: name must not contain the unit separator U+001F", jn.Name)
 	}
 	if len(jn.Sockets) == 0 {
 		return NodeSpec{}, fmt.Errorf("topo: node %q needs at least one socket", jn.Name)

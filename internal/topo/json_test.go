@@ -77,19 +77,21 @@ func TestLoadSystemErrors(t *testing.T) {
 		{"negative copy", `"hostCopySW": 1200`, "must be >= 0"},
 		{"negative launch", `"kernelLaunch": 8000`, "kernelLaunch and pcie latency"},
 		{"nic socket", `"rdma": false`, "nic socket 1 out of range"},
+		{"separator in name", `"name": "n",`, "unit separator"},
 	}
 	muts := map[string]string{
-		"no name":         `"name": ""`,
-		"bad class":       `"class": "nvidia|cpu", "name": "gpu0"`,
-		"bad socket":      `"name": "cpuacc", "socket": 7`,
-		"no nic bw":       `"gbs": 0`,
-		"unknown field":   `"mpiOverhead": 400, "bogus": 1`,
-		"too many nodes":  `"count": 200000`,
-		"negative mpi":    `"mpiOverhead": -1`,
-		"negative nic":    `"latency": -100000`,
-		"negative copy":   `"hostCopySW": -1`,
-		"negative launch": `"kernelLaunch": -8000`,
-		"nic socket":      `"rdma": false, "socket": 1`,
+		"no name":           `"name": ""`,
+		"bad class":         `"class": "nvidia|cpu", "name": "gpu0"`,
+		"bad socket":        `"name": "cpuacc", "socket": 7`,
+		"no nic bw":         `"gbs": 0`,
+		"unknown field":     `"mpiOverhead": 400, "bogus": 1`,
+		"too many nodes":    `"count": 200000`,
+		"negative mpi":      `"mpiOverhead": -1`,
+		"negative nic":      `"latency": -100000`,
+		"negative copy":     `"hostCopySW": -1`,
+		"negative launch":   `"kernelLaunch": -8000`,
+		"nic socket":        `"rdma": false, "socket": 1`,
+		"separator in name": `"name": "n\u001f0",`,
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -176,8 +177,8 @@ func TestRecordUtilization(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		f.RecordUtilization(reg, c.elapsed)
 		var got float64 = -1
-		reg.Snapshot(0).Values(func(name string, _, values []string, _ int64, v float64) {
-			if name == LinkUtilization && slices.Contains(values, "membus") {
+		reg.Snapshot(0).Values(func(series string, _ int64, v float64) {
+			if strings.HasPrefix(series, LinkUtilization+"{") && strings.HasSuffix(series, ",link=membus}") {
 				got = v
 			}
 		})
