@@ -135,8 +135,7 @@ func foldRecords(recs []shardRecord, share bool) []Record {
 		return a.shard - b.shard
 	})
 	out := make([]Record, 0, len(recs))
-	var rows []row
-	var slab []Sample
+	var shard []Sample // one shard's records of the name, folded
 	for i := 0; i < len(recs); {
 		schema, name, _ := recs[i].rec.Record()
 		j := i + 1
@@ -150,30 +149,18 @@ func foldRecords(recs []shardRecord, share bool) []Record {
 			i = j
 			continue
 		}
-		if rows == nil { // room for every record left, so rows never move
-			n := 0
-			for _, sr := range recs[i:] {
-				_, _, s := sr.rec.Record()
-				n += len(s)
-			}
-			rows, slab = make([]row, 0, len(recs)-i), make([]Sample, 0, n)
-		}
-		rows = append(rows, row{schema: schema, name: name})
-		w := &rows[len(rows)-1]
-		for i < j { // one shard's records of the name at a time
+		w := &row{schema: schema, name: name}
+		for i < j {
 			_, _, s := recs[i].rec.Record()
-			start := len(slab)
-			slab = append(slab, s...)
-			shard := slab[start:]
+			shard = append(shard[:0], s...)
 			for i++; i < j && recs[i].shard == recs[i-1].shard; i++ {
 				_, _, s := recs[i].rec.Record()
 				w.fold(shard, s, true)
 			}
 			if w.s == nil {
-				w.s = shard
+				w.s = slices.Clone(shard)
 			} else {
 				w.fold(w.s, shard, false)
-				slab = slab[:start]
 			}
 		}
 		out = append(out, w)

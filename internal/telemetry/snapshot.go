@@ -12,7 +12,7 @@ import (
 
 // Snapshot is a registry read at one virtual time. It is a view, not a
 // copy: taking it sorts the registry's families by name and their series
-// by label values, and writing it reads the series and resource rows as
+// by label values, and writing it reads the series and record rows as
 // they are then. So the registry must not be mutated between Snapshot and
 // the last write (its run is finished, or its owner holds one lock around
 // both). Two runs with the same seed write byte-identical snapshots.
@@ -35,7 +35,7 @@ type famView struct {
 // Snapshot returns the registry's view at virtual time atNs.
 func (r *Registry) Snapshot(atNs int64) *Snapshot {
 	rows := r.recordRows()
-	s := &Snapshot{AtNs: atNs, fams: make([]famView, 0, len(r.families)+8)}
+	s := &Snapshot{AtNs: atNs, fams: make([]famView, 0, len(r.families))}
 	for _, f := range r.families {
 		if f.unsorted {
 			slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
@@ -43,10 +43,9 @@ func (r *Registry) Snapshot(atNs int64) *Snapshot {
 		}
 		s.fams = append(s.fams, famView{Family: f.Family, series: f.series})
 	}
-	for i := 0; i < len(rows); {
+	for i, j := 0, 0; i < len(rows); i = j { // rows[i:j] are one schema's
 		schema, _, _ := rows[i].Record()
-		j := i + 1
-		for ; j < len(rows); j++ {
+		for j = i + 1; j < len(rows); j++ {
 			if sc, _, _ := rows[j].Record(); sc != schema {
 				break
 			}
@@ -54,7 +53,6 @@ func (r *Registry) Snapshot(atNs int64) *Snapshot {
 		for fi, f := range schema.fams {
 			s.fams = append(s.fams, famView{Family: f, rows: rows[i:j], fi: fi})
 		}
-		i = j
 	}
 	slices.SortFunc(s.fams, func(a, b famView) int { return strings.Compare(a.name, b.name) })
 	return s
@@ -107,12 +105,20 @@ type point struct {
 	h      *hist   // histogram state
 }
 
-// label returns the j-th label value.
+// label returns the j-th label value: the j-th field of the key, or all
+// of it for a family of one label, a record family's.
 func (p *point) label(j int) string {
+	key := p.key
 	if len(p.keys) == 1 {
-		return p.key
+		return key
 	}
-	return label(p.key, j)
+	for ; j > 0; j-- {
+		key = key[strings.Index(key, keySep)+1:]
+	}
+	if i := strings.Index(key, keySep); i >= 0 {
+		return key[:i]
+	}
+	return key
 }
 
 // size returns the number of series the family writes.

@@ -276,12 +276,12 @@ func (r *Registry) get(f *Family, kind Kind, values []string) *series {
 		panic(fmt.Sprintf("telemetry: %s has label keys %q, got values %q", f.name, f.keys, values))
 	}
 	for _, v := range values {
-		if strings.IndexByte(v, keySep) >= 0 {
+		if strings.Contains(v, keySep) {
 			panic(fmt.Sprintf("telemetry: %s label value %q holds the key separator", f.name, v))
 		}
 	}
 	rf := r.family(f)
-	key := strings.Join(values, "\x1f")
+	key := strings.Join(values, keySep)
 	if s := rf.find(key); s != nil {
 		return s
 	}
@@ -289,18 +289,7 @@ func (r *Registry) get(f *Family, kind Kind, values []string) *series {
 }
 
 // keySep separates the label values in a series key.
-const keySep = '\x1f'
-
-// label returns the j-th label value of a series key.
-func label(key string, j int) string {
-	for ; j > 0; j-- {
-		key = key[strings.IndexByte(key, keySep)+1:]
-	}
-	if i := strings.IndexByte(key, keySep); i >= 0 {
-		return key[:i]
-	}
-	return key
-}
+const keySep = "\x1f"
 
 // Counter is a monotonically increasing integer metric: its series.
 type Counter series

@@ -125,13 +125,7 @@ var linkUtilization = telemetry.NewFamily(LinkUtilization, "per-node shared link
 	telemetry.KindGauge, "node", "link")
 
 // pcieLinks are the link labels of the first PCIe links of a node.
-var pcieLinks = func() []string {
-	l := make([]string, 16)
-	for d := range l {
-		l[d] = fmt.Sprintf("pcie%d", d)
-	}
-	return l
-}()
+var pcieLinks = [...]string{"pcie0", "pcie1", "pcie2", "pcie3", "pcie4", "pcie5", "pcie6", "pcie7"}
 
 // pcieLink returns the link label of a node's d-th PCIe link.
 func pcieLink(d int) string {
