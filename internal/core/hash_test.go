@@ -189,9 +189,9 @@ func TestSystemDigestMatchesMarshal(t *testing.T) {
 
 // TestSystemDigestAllocBound: the digest encodes one node at a time, so
 // hashing the 1024-node gemini:16,8,8 system allocates a few kilobytes,
-// not a buffer the size of its JSON (about 1.5 MB). Each run starts with
-// encoding/json's buffer pool emptied by the collector, as a run of a
-// large system usually finds it.
+// not a buffer grown to hold its 0.6 MB of JSON (2.1 MB of growth). Each
+// run starts with encoding/json's buffer pool emptied by the collector, as
+// a run of a large system usually finds it.
 func TestSystemDigestAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, which moves allocation totals")
