@@ -177,7 +177,7 @@ func TestMergeShardsMatchesKeyedMerge(t *testing.T) {
 			ref.Merge(s.ref)
 		}
 		// Report-time gauges, in a new family and in a merged one, after a
-		// first snapshot has sorted the merged families.
+		// first snapshot.
 		writeBoth(t, fmt.Sprintf("seed %d merged", seed), merged.Snapshot(end), ref.Snapshot(end))
 		for i := 0; i < 5; i++ {
 			name := []string{"u_util", "g_peak"}[i%2]

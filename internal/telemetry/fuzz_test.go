@@ -10,12 +10,14 @@ import (
 // FuzzRegistry decodes bytes into counter, gauge, histogram, resource and
 // hub record operations on 1–8 shard registries, each fed in step with a reference
 // twin (reference_test.go), and requires three routes to one registry to
-// write identical JSON and Prometheus bytes: MergeShards, a keyed Merge of
+// write identical JSON and Prometheus bytes: MergeShards, a Merge of
 // every shard into a fresh registry, and the reference's own keyed merge,
 // which it writes with encoding/json and a Prometheus writer of its own.
 // Each shard's snapshot, report-time gauges set after the merge, two
 // sweep-style Merges of the merged registry into an aggregate, and a Merge
-// into the MergeShards result itself are checked the same way.
+// into the MergeShards result itself are checked the same way, and each of
+// these registries must hold every family's series in strictly ascending
+// key order before it is snapshotted.
 //
 // The input is one shard-count byte, then 4-byte operations (op, shard, a,
 // b); see applyOp. Gauges stay non-negative, as every gauge the simulator
@@ -138,6 +140,7 @@ func checkRegistryOps(t *testing.T, data []byte) {
 	for i, tw := range shards {
 		regs[i] = tw.reg
 		end = max(end, tw.now)
+		keysAscend(t, fmt.Sprintf("shard %d", i), tw.reg)
 		sameBytes(t, fmt.Sprintf("shard %d", i), tw.reg.Snapshot(tw.now), tw.ref.Snapshot(tw.now))
 	}
 	clock := func() int64 { return end }
@@ -149,6 +152,8 @@ func checkRegistryOps(t *testing.T, data []byte) {
 	merged.SetClock(clock)
 	fresh.SetClock(clock)
 	check := func(what string) {
+		keysAscend(t, what+": MergeShards", merged)
+		keysAscend(t, what+": Merge", fresh)
 		want := ref.Snapshot(end)
 		sameBytes(t, what+": MergeShards", merged.Snapshot(end), want)
 		sameBytes(t, what+": Merge", fresh.Snapshot(end), want)
@@ -168,13 +173,30 @@ func checkRegistryOps(t *testing.T, data []byte) {
 		agg.Merge(merged)
 		aggFresh.Merge(fresh)
 		refAgg.Merge(ref)
+		keysAscend(t, fmt.Sprintf("aggregate %d of MergeShards", k), agg)
+		keysAscend(t, fmt.Sprintf("aggregate %d of Merge", k), aggFresh)
 		want := refAgg.Snapshot(0)
 		sameBytes(t, fmt.Sprintf("aggregate %d of MergeShards", k), agg.Snapshot(0), want)
 		sameBytes(t, fmt.Sprintf("aggregate %d of Merge", k), aggFresh.Snapshot(0), want)
 	}
 	// A Merge into the result of MergeShards, which holds resource records.
 	merged.Merge(fresh)
+	keysAscend(t, "Merge into MergeShards", merged)
 	sameBytes(t, "Merge into MergeShards", merged.Snapshot(0), refAgg.Snapshot(0))
+}
+
+// keysAscend fails the test unless every family of r holds its series in
+// strictly ascending key order, the order lookups bisect and snapshots
+// write.
+func keysAscend(t *testing.T, what string, r *Registry) {
+	t.Helper()
+	for _, f := range r.families {
+		for i := 1; i < len(f.series); i++ {
+			if a, b := f.series[i-1].key, f.series[i].key; a >= b {
+				t.Fatalf("%s: family %s holds key %q before %q", what, f.name, a, b)
+			}
+		}
+	}
 }
 
 // sameBytes fails the test unless got writes the same JSON as the

@@ -10,12 +10,13 @@ import (
 	"strings"
 )
 
-// Snapshot is a registry read at one virtual time. It is a view, not a
-// copy: taking it sorts the registry's families by name and their series
-// by label values, and writing it reads the series and record rows as
-// they are then. So the registry must not be mutated between Snapshot and
-// the last write (its run is finished, or its owner holds one lock around
-// both). Two runs with the same seed write byte-identical snapshots.
+// Snapshot is a registry read at one virtual time. It is a read-only view,
+// not a copy: taking it orders the families by name and writes nothing to
+// the registry, and writing it reads the series, which the registry keeps
+// sorted by label values, and the record rows as they are then. So the
+// registry must not be mutated between Snapshot and the last write (its
+// run is finished, or its owner holds one lock around both). Two runs with
+// the same seed write byte-identical snapshots.
 type Snapshot struct {
 	// AtNs is the virtual time the snapshot was taken, in nanoseconds.
 	AtNs int64
@@ -37,10 +38,6 @@ func (r *Registry) Snapshot(atNs int64) *Snapshot {
 	rows := r.recordRows()
 	s := &Snapshot{AtNs: atNs, fams: make([]famView, 0, len(r.families))}
 	for _, f := range r.families {
-		if f.unsorted {
-			slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.key, b.key) })
-			f.unsorted = false
-		}
 		s.fams = append(s.fams, famView{Family: f.Family, series: f.series})
 	}
 	for i, j := 0, 0; i < len(rows); i = j { // rows[i:j] are one schema's

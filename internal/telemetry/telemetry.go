@@ -15,8 +15,9 @@
 //
 // Determinism: the registry is mutated only from simulation context (the
 // engine runs one process at a time), timestamps are virtual nanoseconds
-// supplied by a clock callback, and snapshots sort families, series, and
-// labels. Two runs with the same seed produce byte-identical exports.
+// supplied by a clock callback, a registry keeps each family's series sorted
+// by label values, and snapshots order families by name. Two runs with the
+// same seed produce byte-identical exports.
 package telemetry
 
 import (
@@ -66,9 +67,10 @@ func NewFamily(name, help string, kind Kind, keys ...string) *Family {
 }
 
 // Registry holds metric families and records. The zero value is not ready; use
-// NewRegistry. Merge folds finished runs into one registry (the bench
-// harness aggregates a sweep this way); counters then accumulate across
-// runs.
+// NewRegistry. Each family's series are kept sorted by label values, so a
+// lookup bisects and a snapshot reads them as they are. Merge folds
+// finished runs into one registry (the bench harness aggregates a sweep
+// this way); counters then accumulate across runs.
 //
 // Concurrency: a registry has no lock. One goroutine owns it — in practice
 // the simulation context of its engine, or the harness folding finished
@@ -84,23 +86,12 @@ type Registry struct {
 	records []Record
 }
 
-// family is a registry's series of one Family.
+// family is a registry's series of one Family, sorted by key: get inserts
+// a new series in its place, and a merge folds into that order.
 type family struct {
 	*Family
-	series []*series // insertion order, or key order once sorted
-	// unsorted reports that series are not in strictly ascending key
-	// order, as they are when added in that order, merged or snapshotted.
-	unsorted bool
-	// byKey indexes the series of an unsorted family by key, built by the
-	// first lookup past linearMax series. Smaller families are searched
-	// linearly and sorted ones by bisection.
-	byKey map[string]*series
+	series []*series
 }
-
-// linearMax is the most series a family searches without its byKey index.
-// Per-node registries hold one series per family, and building a map for
-// each would cost more than it saves.
-const linearMax = 8
 
 // series is one (family, label values) time series: a counter or gauge
 // itself (Counter and Gauge are its handles), or a histogram's key and
@@ -226,45 +217,6 @@ func (r *Registry) family(f *Family) *family {
 	return rf
 }
 
-// find returns the series with the given key, or nil. The first lookup in
-// an unsorted family past linearMax series builds its byKey index.
-func (f *family) find(key string) *series {
-	if f.byKey == nil && len(f.series) <= linearMax {
-		for _, s := range f.series {
-			if s.key == key {
-				return s
-			}
-		}
-		return nil
-	}
-	if !f.unsorted {
-		i, ok := slices.BinarySearchFunc(f.series, key, func(s *series, key string) int { return strings.Compare(s.key, key) })
-		if !ok {
-			return nil
-		}
-		return f.series[i]
-	}
-	if f.byKey == nil {
-		f.byKey = make(map[string]*series, len(f.series))
-		for _, s := range f.series {
-			f.byKey[s.key] = s
-		}
-	}
-	return f.byKey[key]
-}
-
-// add appends a series new to the family.
-func (f *family) add(s *series) *series {
-	if n := len(f.series); n > 0 && s.key < f.series[n-1].key {
-		f.unsorted = true
-	}
-	if f.byKey != nil {
-		f.byKey[s.key] = s
-	}
-	f.series = append(f.series, s)
-	return s
-}
-
 // get returns the series of f with the given label values, one per label
 // key, creating it as needed. A value must not hold the key separator
 // \x1f.
@@ -282,10 +234,11 @@ func (r *Registry) get(f *Family, kind Kind, values []string) *series {
 	}
 	rf := r.family(f)
 	key := strings.Join(values, keySep)
-	if s := rf.find(key); s != nil {
-		return s
+	i, ok := slices.BinarySearchFunc(rf.series, key, func(s *series, key string) int { return strings.Compare(s.key, key) })
+	if !ok {
+		rf.series = slices.Insert(rf.series, i, &series{key: key, r: r})
 	}
-	return rf.add(&series{key: key, r: r})
+	return rf.series[i]
 }
 
 // keySep separates the label values in a series key.
@@ -370,82 +323,90 @@ func (h *Histogram) Observe(v int64) {
 // keep the latest. Records fold as MergeShards folds them, r's as shard 0
 // and src's as shard 1, and r keeps the folded rows as its records. src
 // must be quiescent (its run finished).
-func (r *Registry) Merge(src *Registry) {
-	for _, sf := range src.families {
-		df := r.family(sf.Family)
-		for _, ss := range sf.series {
-			if d := df.find(ss.key); d != nil {
-				mergeSeries(d, ss, sf.kind)
-			} else {
-				df.add(ss.clone(r))
-			}
-		}
-	}
-	if len(r.records)+len(src.records) > 0 {
-		recs := r.appendRecords(make([]shardRecord, 0, len(r.records)+len(src.records)), 0)
-		r.records = foldRecords(src.appendRecords(recs, 1), false)
-	}
-}
+func (r *Registry) Merge(src *Registry) { r.merge([]*Registry{src}, false) }
 
 // MergeShards returns the registry of a finished sharded run: what merging
-// regs (one registry per shard) into a fresh registry gives, built once per
-// family by sorting the union of the shards' series by key and merging
-// where keys coincide (lean mode's rank="all" histograms and remote-RDMA
-// fault counters are the series shards share), so no series is looked up
-// or inserted in a map. The shards' records are folded once, by the rules
-// of Merge where shards share a name, and the result holds the folded rows
-// as its records, one per name. A series or record only one shard holds is
-// shared, not copied; a shared series stamps with the result's clock from
-// then on. A single registry is returned itself, its records folded the
-// same way, so its snapshots do not fold them again. So regs must be
-// quiescent and stay unmutated while the result is in use; its clock is
-// unset.
+// regs (one registry per shard) into a fresh registry gives, by the one
+// fold Merge uses (merge). The shards' records are folded once, by the
+// rules of Merge where shards share a name, and the result holds the
+// folded rows as its records, one per name. A series or record only one
+// shard holds is shared, not copied; a shared series stamps with the
+// result's clock from then on. A single registry is returned itself, its
+// records folded the same way, so its snapshots do not fold them again. So
+// regs must be quiescent and stay unmutated while the result is in use;
+// its clock is unset.
 func MergeShards(regs []*Registry) *Registry {
 	if len(regs) == 1 {
 		r := regs[0]
 		r.records = r.recordRows()
 		return r
 	}
-	out, nrec, nser := NewRegistry(), 0, map[*family]int{}
-	for _, src := range regs {
+	out := NewRegistry()
+	out.merge(regs, true)
+	return out
+}
+
+// merge folds the series and records of srcs into r, the one algorithm of
+// Merge and MergeShards. Per family, r's series and then each source's, in
+// order, are sorted stably by key, so r's own series comes first among
+// equal keys, and each run of equal keys folds into one series: r's own,
+// or else a copy of the run's first. A key only one source holds is that
+// source's series itself, adopted by r, when share is set, and a copy
+// otherwise. Records fold by foldRecords, r's as shard 0 and srcs[i]'s as
+// shard i+1. Each family's union and the record list are sized before
+// they are filled, so each is allocated once.
+func (r *Registry) merge(srcs []*Registry, share bool) {
+	union, nrec := map[*family]int{}, len(r.records)
+	for _, src := range srcs {
 		for _, sf := range src.families {
-			nser[out.family(sf.Family)] += len(sf.series)
+			f := r.family(sf.Family)
+			if _, ok := union[f]; !ok {
+				union[f] = len(f.series)
+			}
+			union[f] += len(sf.series)
 		}
 		nrec += len(src.records)
 	}
-	for _, src := range regs {
+	for _, src := range srcs {
 		for _, sf := range src.families {
-			f := out.family(sf.Family)
-			if f.series == nil {
-				f.series = make([]*series, 0, nser[f])
-			}
-			f.series = append(f.series, sf.series...) // the union, merged below
+			f := r.family(sf.Family)
+			f.series = append(slices.Grow(f.series, union[f]-len(f.series)), sf.series...)
 		}
 	}
-	recs := make([]shardRecord, 0, nrec)
-	for i, src := range regs {
-		recs = src.appendRecords(recs, i)
-	}
-	out.records = foldRecords(recs, true)
-	for _, f := range out.families {
+	for _, f := range r.families {
+		if _, ok := union[f]; !ok {
+			continue
+		}
 		all := f.series
-		slices.SortFunc(all, func(a, b *series) int { return strings.Compare(a.key, b.key) })
+		slices.SortStableFunc(all, func(a, b *series) int { return strings.Compare(a.key, b.key) })
 		n := 0
-		for i := 0; i < len(all); i, n = i+1, n+1 {
-			s := all[i]
-			if i+1 < len(all) && all[i+1].key == s.key {
-				s = s.clone(out) // the shards keep their own series intact
-				for ; i+1 < len(all) && all[i+1].key == s.key; i++ {
-					mergeSeries(s, all[i+1], f.kind)
-				}
-			} else {
-				s.adopt(out)
+		for i := 0; i < len(all); n++ {
+			s, j := all[i], i+1
+			for j < len(all) && all[j].key == s.key {
+				j++
 			}
-			all[n] = s
+			switch {
+			case s.r == r: // r's own series
+			case share && j == i+1:
+				s.adopt(r)
+			default:
+				s = s.clone(r) // the sources keep their own series intact
+			}
+			for _, o := range all[i+1 : j] {
+				mergeSeries(s, o, f.kind)
+			}
+			all[n], i = s, j
 		}
+		clear(all[n:]) // keep no source's series alive
 		f.series = all[:n]
 	}
-	return out
+	if nrec > 0 {
+		recs := r.appendRecords(make([]shardRecord, 0, nrec), 0)
+		for i, src := range srcs {
+			recs = src.appendRecords(recs, i+1)
+		}
+		r.records = foldRecords(recs, share)
+	}
 }
 
 // adopt makes r the registry whose clock stamps s from now on.

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"impacc/internal/sim"
 	"impacc/internal/telemetry"
@@ -142,7 +144,15 @@ func (f *Fabric) RecordUtilization(reg *telemetry.Registry, elapsed sim.Dur) {
 	if elapsed <= 0 {
 		return
 	}
-	for i := range f.Sys.Nodes {
+	// Visit the nodes in name order, which a loaded system's count suffixes
+	// (n-9, n-10) do not follow, so that each gauge extends its family
+	// rather than moving every series after it.
+	order := make([]int, len(f.Sys.Nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(f.Sys.Nodes[a].Name, f.Sys.Nodes[b].Name) })
+	for _, i := range order {
 		node, nr := f.Sys.Nodes[i].Name, f.nodes[i]
 		// In label order, so each node's gauges extend the family in order.
 		for _, l := range [...]struct {

@@ -168,6 +168,7 @@ func PSG() *System {
 // (MPI_THREAD_MULTIPLE). The paper uses up to 32 of 48 nodes.
 func Beacon(n int) *System {
 	sys := &System{Name: "Beacon", MPIOverhead: 450, ThreadMultiple: true}
+	sys.Nodes = make([]NodeSpec, 0, n)
 	for i := 0; i < n; i++ {
 		node := NodeSpec{
 			Name: fmt.Sprintf("beacon%03d", i),
@@ -216,6 +217,7 @@ func Beacon(n int) *System {
 // (paper §4.2, Figure 9 g-i).
 func Titan(n int) *System {
 	sys := &System{Name: "Titan", MPIOverhead: 500, ThreadMultiple: true}
+	sys.Nodes = make([]NodeSpec, 0, n)
 	for i := 0; i < n; i++ {
 		node := NodeSpec{
 			Name: fmt.Sprintf("titan%05d", i),
