@@ -7,14 +7,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"impacc/internal/cli"
 )
 
-// TestSmokeFig6 drives the full command path through realMain on a fast
+// TestSmokeFig6 drives the full command path through Bench on a fast
 // experiment and checks it produces the expected table.
 func TestSmokeFig6(t *testing.T) {
 	var out, errb bytes.Buffer
-	if rc := realMain([]string{"-exp", "fig6", "-quick"}, &out, &errb); rc != 0 {
-		t.Fatalf("realMain = %d, stderr:\n%s", rc, errb.String())
+	if rc := cli.Bench([]string{"-exp", "fig6", "-quick"}, &out, &errb); rc != 0 {
+		t.Fatalf("Bench = %d, stderr:\n%s", rc, errb.String())
 	}
 	s := out.String()
 	if s == "" {
@@ -31,8 +33,8 @@ func TestSmokeFig6(t *testing.T) {
 // text says, not a duration missing its unit.
 func TestMaxVTimeZeroUnlimited(t *testing.T) {
 	var out, errb bytes.Buffer
-	if rc := realMain([]string{"-exp", "fig6", "-quick", "-max-vtime", "0"}, &out, &errb); rc != 0 {
-		t.Fatalf("realMain = %d, stderr:\n%s", rc, errb.String())
+	if rc := cli.Bench([]string{"-exp", "fig6", "-quick", "-max-vtime", "0"}, &out, &errb); rc != 0 {
+		t.Fatalf("Bench = %d, stderr:\n%s", rc, errb.String())
 	}
 }
 
@@ -41,8 +43,8 @@ func TestMaxVTimeZeroUnlimited(t *testing.T) {
 func TestNegativeLimitFlags(t *testing.T) {
 	for _, flag := range []string{"-max-events", "-max-alloc"} {
 		var out, errb bytes.Buffer
-		if rc := realMain([]string{"-exp", "fig6", "-quick", flag, "-1"}, &out, &errb); rc != 2 {
-			t.Fatalf("%s -1: realMain = %d, want 2", flag, rc)
+		if rc := cli.Bench([]string{"-exp", "fig6", "-quick", flag, "-1"}, &out, &errb); rc != 2 {
+			t.Fatalf("%s -1: Bench = %d, want 2", flag, rc)
 		}
 		if !strings.Contains(errb.String(), flag[1:]+":") {
 			t.Errorf("%s -1: stderr %q does not name the flag", flag, errb.String())
@@ -53,8 +55,8 @@ func TestNegativeLimitFlags(t *testing.T) {
 // TestSmokeList covers the -list path.
 func TestSmokeList(t *testing.T) {
 	var out, errb bytes.Buffer
-	if rc := realMain([]string{"-list"}, &out, &errb); rc != 0 {
-		t.Fatalf("realMain = %d", rc)
+	if rc := cli.Bench([]string{"-list"}, &out, &errb); rc != 0 {
+		t.Fatalf("Bench = %d", rc)
 	}
 	if !strings.Contains(out.String(), "fig9") {
 		t.Fatalf("-list missing fig9:\n%s", out.String())
@@ -64,8 +66,8 @@ func TestSmokeList(t *testing.T) {
 // TestSmokeUnknownExperiment checks the error path returns a usage code.
 func TestSmokeUnknownExperiment(t *testing.T) {
 	var out, errb bytes.Buffer
-	if rc := realMain([]string{"-exp", "fig99"}, &out, &errb); rc != 2 {
-		t.Fatalf("realMain = %d, want 2", rc)
+	if rc := cli.Bench([]string{"-exp", "fig99"}, &out, &errb); rc != 2 {
+		t.Fatalf("Bench = %d, want 2", rc)
 	}
 	if !strings.Contains(errb.String(), "unknown experiment") {
 		t.Fatalf("stderr = %q", errb.String())
@@ -78,8 +80,8 @@ func TestMetricsAggregate(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
 	var out, errb bytes.Buffer
-	if rc := realMain([]string{"-exp", "fig6", "-quick", "-metrics", path}, &out, &errb); rc != 0 {
-		t.Fatalf("realMain = %d, stderr:\n%s", rc, errb.String())
+	if rc := cli.Bench([]string{"-exp", "fig6", "-quick", "-metrics", path}, &out, &errb); rc != 0 {
+		t.Fatalf("Bench = %d, stderr:\n%s", rc, errb.String())
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -115,8 +117,8 @@ func TestProfDeterministicAcrossJobs(t *testing.T) {
 	run := func(jobs string, path string) []byte {
 		var out, errb bytes.Buffer
 		args := []string{"-exp", "fig6", "-quick", "-j", jobs, "-prof", path}
-		if rc := realMain(args, &out, &errb); rc != 0 {
-			t.Fatalf("realMain -j %s = %d, stderr:\n%s", jobs, rc, errb.String())
+		if rc := cli.Bench(args, &out, &errb); rc != 0 {
+			t.Fatalf("Bench -j %s = %d, stderr:\n%s", jobs, rc, errb.String())
 		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -159,8 +161,8 @@ func TestCSVCountsNoRunTwice(t *testing.T) {
 		p := filepath.Join(dir, tag+"-prof.json")
 		args := append([]string{"-exp", "fig7", "-quick", "-metrics", m, "-prof", p}, extra...)
 		var out, errb bytes.Buffer
-		if rc := realMain(args, &out, &errb); rc != 0 {
-			t.Fatalf("realMain %v = %d, stderr:\n%s", args, rc, errb.String())
+		if rc := cli.Bench(args, &out, &errb); rc != 0 {
+			t.Fatalf("Bench %v = %d, stderr:\n%s", args, rc, errb.String())
 		}
 		var err error
 		if metrics, err = os.ReadFile(m); err != nil {

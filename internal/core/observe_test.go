@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -70,6 +71,16 @@ func TestHeartbeatByteIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// WriteStream exports a buffered tracer as the trace stream by attaching a
+// stream writer on w as its sink and closing the stream, so the bytes are
+// those of a streamed run of the same job: the reference the streamed bytes
+// are compared with. It consumes the retained records, so write the stream
+// after every other post-run view.
+func (tr *Tracer) WriteStream(w io.Writer, makespan sim.Time) error {
+	tr.sink = NewStreamWriter(w)
+	return tr.CloseStream(makespan)
 }
 
 // streamedTrace runs cfg with a streaming tracer and returns the stream

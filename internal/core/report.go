@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -202,6 +203,14 @@ func (r *Report) MeanKernel() sim.Dur {
 		sum += r.Tasks[i].Dev.KernelTime
 	}
 	return sum / sim.Dur(len(r.Tasks))
+}
+
+// WriteJSON writes the report as indented JSON: the bytes of impacc-run
+// -report and of a served job's report artifact.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(r)
 }
 
 // Print writes a human-readable summary.

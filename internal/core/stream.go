@@ -177,13 +177,3 @@ func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	tr.sinkErr = tr.sink.Close(makespan)
 	return tr.sinkErr
 }
-
-// WriteStream exports a buffered tracer as the trace stream by attaching a
-// stream writer on w as its sink and closing the stream, so the bytes are
-// those of a streamed run of the same job. It consumes the retained
-// records: the tracer is a drained streaming tracer afterwards, so write
-// the stream after every other post-run view.
-func (tr *Tracer) WriteStream(w io.Writer, makespan sim.Time) error {
-	tr.sink = NewStreamWriter(w)
-	return tr.CloseStream(makespan)
-}

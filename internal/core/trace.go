@@ -36,7 +36,7 @@ const (
 // window fence F splits every lane's log exactly: records below F are final,
 // and anything recorded later lands at or above F. That split is what lets
 // the streaming sink flush incrementally yet stay byte-identical to a full
-// post-run sort (see FlushWindow / WriteStream).
+// post-run sort (see FlushWindow / CloseStream).
 type streamRec struct {
 	at   sim.Time
 	seq  uint64
@@ -76,11 +76,11 @@ func (l *traceLane) push(r streamRec) {
 //
 // A tracer runs in one of two modes. Buffered (NewTracer) retains every
 // record, so the post-run views — Data, Spans, WriteJSON, WriteChromeTrace —
-// all work, and WriteStream exports them last as a stream. Streaming (NewStreamTracer) flushes records to a
-// SpanSink at window barriers and drops them, bounding memory by the
-// densest window instead of the whole run; the in-memory views are then
-// empty, and the sink receives exactly the bytes WriteStream would have
-// produced from a buffered run of the same job.
+// all work. Streaming (NewStreamTracer) flushes records to a SpanSink at
+// window barriers and drops them, bounding memory by the densest window
+// instead of the whole run; the in-memory views are then empty, and the
+// sink receives exactly the bytes of one flush of a buffered run's records
+// at run end (the core tests compare the two).
 type Tracer struct {
 	lanes   []*traceLane // indexed by node; lane 0 always exists
 	metrics *telemetry.Snapshot

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -504,9 +503,7 @@ func (s *Server) refreshAgeLocked(now int64) {
 func render(rep *core.Report, tr *core.Tracer) (*Result, error) {
 	res := &Result{}
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(rep); err != nil {
+	if err := rep.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
 	res.ReportJSON = append([]byte(nil), buf.Bytes()...)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -139,24 +138,6 @@ func (f *famView) at(i int, p *point) {
 	if se.h != nil {
 		p.h, p.lastNs = &se.h.hist, se.h.lastNs
 	}
-}
-
-// WriteFile stores the snapshot at path: Prometheus text exposition when
-// the path ends in .prom, indented JSON otherwise.
-func (s *Snapshot) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".prom") {
-		err = s.WritePrometheus(f)
-	} else {
-		err = s.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // MarshalJSON returns the bytes WriteJSON writes, so a report embedding
