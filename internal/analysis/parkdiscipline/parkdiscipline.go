@@ -2,7 +2,7 @@
 // simulation processes.
 //
 // The sim engine runs exactly one process at a time; a process gives up
-// control only through Proc.park (via Sleep, Event.Wait, Cond.Wait,
+// control only through Proc.park (via Sleep, Event.Wait, Idle.Wait,
 // Semaphore.Acquire, FIFOResource.Use). A process that instead
 // blocks on a raw channel, sync.WaitGroup, or mutex stalls the entire
 // engine: the engine thinks the process is still running, no other process
@@ -12,7 +12,8 @@
 // machinery exists to contain; this pass rejects it at vet time.
 //
 // A function is considered process context when it takes a *sim.Proc
-// parameter or is a function literal passed to Engine.Spawn/SpawnAt.
+// parameter or is a function literal passed to Engine.Spawn/SpawnAt or, as
+// a stackless step, to Engine.SpawnStep/SpawnStepAt.
 // Package internal/sim itself is exempt — it implements the discipline.
 package parkdiscipline
 
@@ -102,14 +103,19 @@ func isSimProcPtr(t types.Type) bool {
 	return obj.Name() == "Proc" && obj.Pkg() != nil && obj.Pkg().Name() == "sim"
 }
 
-// isSpawnCall matches x.Spawn(...) / x.SpawnAt(...) syntactically; the
-// receiver is not type-checked so stub engines in tests are covered too.
+// isSpawnCall matches x.Spawn(...) / x.SpawnAt(...) and their SpawnStep
+// forms syntactically; the receiver is not type-checked so stub engines in
+// tests are covered too.
 func isSpawnCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	return sel.Sel.Name == "Spawn" || sel.Sel.Name == "SpawnAt"
+	switch sel.Sel.Name {
+	case "Spawn", "SpawnAt", "SpawnStep", "SpawnStepAt":
+		return true
+	}
+	return false
 }
 
 // checkBody flags raw blocking constructs in one process function body.
@@ -171,6 +177,6 @@ func recvTypeName(fn *types.Func) string {
 
 func report(pass *analysis.Pass, pos token.Pos, what string) {
 	pass.Reportf(pos,
-		"%s blocks a sim process outside the engine (the engine cannot schedule around it); use the park-based primitives (Proc.Sleep, sim.Event/Cond/Semaphore, FIFOResource) or annotate //impacc:allow-parkdiscipline <reason>",
+		"%s blocks a sim process outside the engine (the engine cannot schedule around it); use the park-based primitives (Proc.Sleep, sim.Event/Idle/Semaphore, FIFOResource) or annotate //impacc:allow-parkdiscipline <reason>",
 		what)
 }

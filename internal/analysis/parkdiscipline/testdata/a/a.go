@@ -40,12 +40,15 @@ func spawnSite(e *sim.Engine, ch chan int) {
 	e.SpawnAt(10, "late", func(p *sim.Proc) {
 		ch <- 2 // want `raw channel send`
 	})
+	e.SpawnStep("step", func(p *sim.Proc) {
+		<-ch // want `raw channel receive`
+	})
 }
 
 // primitives shows the sanctioned engine-mediated blocking.
-func primitives(p *sim.Proc, ev *sim.Event, c *sim.Cond, s *sim.Semaphore) {
+func primitives(p *sim.Proc, ev *sim.Event, i *sim.Idle, s *sim.Semaphore) {
 	ev.Wait(p)   // sim.Event.Wait parks via the engine: ok
-	c.Wait(p)    // ok
+	i.Wait(p)    // ok
 	s.Acquire(p) // ok
 }
 

@@ -261,21 +261,25 @@ func (t *Task) initCmd(cmd *msg.Cmd, why string, isSend bool, buf xmem.Addr, byt
 	t.eng().InitEvent(&cmd.Done, why)
 }
 
-// post hands a filled-in command to the node's hub on process p.
-func (t *Task) post(p *sim.Proc, cmd *msg.Cmd) {
-	t.traceCmd(p, cmd)
+// post hands a filled-in command to the node's hub on process p. It
+// reports whether p, a stackless stream process, parked in the post's
+// prefix; called again with cmd once p resumes, it carries on.
+func (t *Task) post(p *sim.Proc, cmd *msg.Cmd) bool {
+	if !cmd.Posting() {
+		t.traceCmd(p, cmd)
+	}
 	hub := t.node.hub
 	switch {
 	case cmd.IsSend && t.sameNode(cmd.Dst):
-		hub.PostIntra(p, cmd)
+		return hub.PostIntra(p, cmd)
 	case cmd.IsSend:
-		hub.PostNetSend(p, cmd, t.rt.nodes[t.rt.placements[cmd.Dst].Node].hub)
+		return hub.PostNetSend(p, cmd, t.rt.nodes[t.rt.placements[cmd.Dst].Node].hub)
 	case cmd.Src != AnySource && t.sameNode(cmd.Src):
-		hub.PostIntra(p, cmd)
+		return hub.PostIntra(p, cmd)
 	default:
 		// Remote or wildcard source: the hub's unified matcher covers
 		// both arrived internode messages and local sends.
-		hub.PostNetRecv(p, cmd)
+		return hub.PostNetRecv(p, cmd)
 	}
 }
 
@@ -449,11 +453,16 @@ func (t *Task) enqueueUnifiedMPI(k uqKind, buf xmem.Addr, bytes int64, peer, tag
 func (op *uqOp) Why(*device.Stream) string { return uqNames[op.uq].why }
 
 // Run runs when the queue reaches the operation: it posts the command and
-// arms the op as the command's completion callback.
-func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) {
+// arms the op as the command's completion callback. A post parked in its
+// prefix keeps its progress in the command, so a resumed Run carries on.
+func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) bool {
 	t, cmd := op.t, &op.record().cmd
-	cmd.PostedAt = p.Now()
-	t.post(p, cmd)
+	if !cmd.Posting() {
+		cmd.PostedAt = p.Now()
+	}
+	if t.post(p, cmd) {
+		return true
+	}
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
 		// The queued operation observes its own command: its span is
 		// recorded on the stream lane under the command's trace ID, so
@@ -461,6 +470,7 @@ func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) {
 		tr.claim(t.pl.Node, cmd.TraceID, cmd.TraceID, p.Now())
 	}
 	cmd.Done.OnFire(op)
+	return false
 }
 
 // Call runs when the command finishes: it records the latency of the
@@ -497,7 +507,8 @@ func (t *Task) uqBarrier(q int) {
 }
 
 // uqDrain is the stream entry of a uqBarrier: it waits, in enqueue order,
-// for the chain of MPI operations starting at head. The task recycles it.
+// for the chain of MPI operations starting at head, the op it waits on
+// now. The task recycles it.
 type uqDrain struct {
 	device.Entry
 	head *uqOp
@@ -512,22 +523,25 @@ func (d *uqDrain) Why(*device.Stream) string { return "op:uq-barrier" }
 // read it), the op's generation moves on, which nulls every handle to it,
 // and the op and its command record go back on their task's free lists.
 // An op whose command failed fails the task instead and is never freed.
-// The drain then frees itself.
-func (d *uqDrain) Run(_ *device.Stream, p *sim.Proc) {
+// The drain then frees itself. Parked on an op, the drain keeps it as its
+// head, so a resumed Run carries on with it.
+func (d *uqDrain) Run(_ *device.Stream, p *sim.Proc) bool {
 	t := d.head.t
-	for op := d.head; op != nil; {
+	for op := d.head; op != nil; op = d.head {
 		r := op.r
-		r.cmd.Done.Wait(p)
+		if r.cmd.Done.Wait(p) {
+			return true
+		}
 		if r.cmd.Err != nil {
 			panic(&RunError{Rank: t.rank, Err: r.cmd.Err})
 		}
-		next := op.next
+		d.head = op.next
 		t.freeRequest(r)
 		op.gen++
 		op.r, op.next, t.uqFree = nil, t.uqFree, op
-		op = next
 	}
-	d.head, d.next, t.drainFree = nil, t.drainFree, d
+	d.next, t.drainFree = t.drainFree, d
+	return false
 }
 
 // Status reports which message satisfied a receive (MPI_Status): the world

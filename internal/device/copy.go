@@ -167,41 +167,69 @@ func (l Leg) Price(fab *topo.Fabric, node int, n int64, socket int, pinned bool)
 // the direction it classifies. A copy between distinct devices takes the
 // direct peer path when the topology allows it.
 func (c *Context) Transfer(p *sim.Proc, dst, src xmem.Addr, n int64) error {
-	return c.transferLane(p, -1, 0, dst, src, n)
+	var x progress
+	_, err := c.transferLane(p, -1, 0, dst, src, n, &x)
+	return err
 }
 
-// transferLane is Transfer attributed to a trace lane: stream copies pass
-// their queue number and pre-allocated trace ID; synchronous copies run on
-// the host lane (-1) and allocate an ID on demand.
-func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.Addr, n int64) error {
-	if n < 0 {
-		return fmt.Errorf("device: Transfer: negative size %d", n)
+// progress is how far an operation has got between the parks of the
+// process running it: started records that it began, at start; a copy
+// also keeps the route it planned, its direction, the legs its current
+// attempt has started and its failed attempts. A stream runs one operation
+// at a time, so it holds the progress of its head entry and the queued
+// records stay in their size classes; Transfer keeps one on the stack.
+type progress struct {
+	started bool
+	start   sim.Time
+	route   Route
+	dir     Direction
+	leg     int
+	attempt int
+}
+
+// transferLane runs a copy on p from where x stands, attributed to a trace
+// lane: stream copies pass their queue number and pre-allocated trace ID;
+// synchronous copies run on the host lane (-1) and allocate an ID on
+// demand. It reports parked when p, a stackless stream process, parked on
+// a leg; called again with the same x once p resumes, it carries on.
+// Otherwise the copy has finished, and err is its outcome.
+func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.Addr, n int64, x *progress) (parked bool, err error) {
+	if !x.started {
+		if n < 0 {
+			return false, fmt.Errorf("device: Transfer: negative size %d", n)
+		}
+		dloc, err := c.Space.Lookup(dst)
+		if err != nil {
+			return false, fmt.Errorf("device: Transfer dst: %w", err)
+		}
+		sloc, err := c.Space.Lookup(src)
+		if err != nil {
+			return false, fmt.Errorf("device: Transfer src: %w", err)
+		}
+		rt := c.Dev.rt
+		dir := Classify(dloc, sloc)
+		*x = progress{started: true, start: p.Now(), dir: dir,
+			route: PlanCopy(rt.Fab, rt.NodeIdx, dir, dloc, sloc, true)}
 	}
-	dloc, err := c.Space.Lookup(dst)
-	if err != nil {
-		return fmt.Errorf("device: Transfer dst: %w", err)
-	}
-	sloc, err := c.Space.Lookup(src)
-	if err != nil {
-		return fmt.Errorf("device: Transfer src: %w", err)
-	}
-	dir := Classify(dloc, sloc)
-	rt := c.Dev.rt
-	route := PlanCopy(rt.Fab, rt.NodeIdx, dir, dloc, sloc, true)
-	start := p.Now()
-	c.drive(p, route, n)
 	var copyErr error
-	if ft := rt.Faults; ft != nil {
+	for {
+		if c.drive(p, x, n) {
+			return true, nil
+		}
 		// Transient copy failures: each failed attempt still spent its
 		// fabric time, and the driver re-drives the transfer until it lands
 		// or the retry budget runs out.
-		for attempt := 1; ft.CopyFail(rt.NodeIdx); attempt++ {
-			if attempt > ft.CopyRetries() {
-				copyErr = fmt.Errorf("device: Transfer %s: copy failed after %d attempts", dir, attempt)
-				break
-			}
-			c.drive(p, route, n)
+		rt := c.Dev.rt
+		ft := rt.Faults
+		if ft == nil || !ft.CopyFail(rt.NodeIdx) {
+			break
 		}
+		x.attempt++
+		if x.attempt > ft.CopyRetries() {
+			copyErr = fmt.Errorf("device: Transfer %s: copy failed after %d attempts", x.dir, x.attempt)
+			break
+		}
+		x.leg = 0
 	}
 	if copyErr == nil {
 		copyErr = c.Space.Copy(dst, src, n)
@@ -210,34 +238,41 @@ func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.A
 	// succeeds, so the transfer is accounted and its span recorded before
 	// any error propagates — otherwise a failing path would leak traced
 	// time and break the profile's telescoping exactness.
-	c.record(dir, n, sim.Dur(p.Now()-start))
+	c.record(x.dir, n, sim.Dur(p.Now()-x.start))
 	if c.Sink != nil {
 		if id == 0 {
 			id = c.Sink.NewID()
 		}
-		c.Sink.Span(id, lane, "copy", dir.String(), start, p.Now(), n)
+		c.Sink.Span(id, lane, "copy", x.dir.String(), x.start, p.Now(), n)
 	}
-	return copyErr
+	return false, copyErr
 }
 
-// drive runs route's legs for n bytes back to back, blocking p on each.
-// A PCIe leg resolves its initiating socket as it starts, so an unpinned
+// drive runs the legs of x's route for n bytes that its current attempt
+// has not started, back to back, and reports whether p parked on one. A
+// PCIe leg resolves its initiating socket as it starts, so an unpinned
 // context alternates sockets leg by leg.
-func (c *Context) drive(p *sim.Proc, route Route, n int64) {
+func (c *Context) drive(p *sim.Proc, x *progress, n int64) bool {
 	rt := c.Dev.rt
-	for i := 0; i < route.Len(); i++ {
-		l := route.Leg(i)
+	for x.leg < x.route.Len() {
+		l := x.route.Leg(x.leg)
+		x.leg++
 		socket := -1
 		if l.Kind == PCIeLeg {
 			socket = c.effSocket()
 		}
 		end := l.Price(rt.Fab, rt.NodeIdx, n, socket, c.Pinned)
+		var parked bool
 		if l.Kind == DeviceLeg {
 			// On-device DMA parks as a plain sleep; the park kind shows
 			// in stall dumps.
-			p.Sleep(sim.Dur(end - p.Now()))
-			continue
+			parked = p.Sleep(sim.Dur(end - p.Now()))
+		} else {
+			parked = p.SleepUntil(end)
 		}
-		p.SleepUntil(end)
+		if parked {
+			return true
+		}
 	}
+	return false
 }

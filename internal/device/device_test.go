@@ -231,15 +231,24 @@ func TestKernelDuration(t *testing.T) {
 	}
 }
 
-// markOp is a test stream operation: it runs fn, labelled why.
+// markOp is a test stream operation: it runs fn, labelled why. fn may park
+// once, as its last step: resumed, the op has finished.
 type markOp struct {
 	Entry
 	why string
-	fn  func(p *sim.Proc)
+	fn  func(p *sim.Proc) (parked bool)
+	ran bool
 }
 
-func (m *markOp) Why(*Stream) string         { return m.why }
-func (m *markOp) Run(_ *Stream, p *sim.Proc) { m.fn(p) }
+func (m *markOp) Why(*Stream) string { return m.why }
+
+func (m *markOp) Run(_ *Stream, p *sim.Proc) bool {
+	if m.ran {
+		return false
+	}
+	m.ran = true
+	return m.fn(p)
+}
 
 func TestStreamInOrderExecution(t *testing.T) {
 	eng, _, ctx := psgRig(0)
@@ -248,10 +257,10 @@ func TestStreamInOrderExecution(t *testing.T) {
 	st := ctx.NewStream(1)
 	var order []string
 	st.EnqueueCopy(dev, host, 1<<20)
-	st.Enqueue(&markOp{why: "op:mark1", fn: func(p *sim.Proc) { order = append(order, "a") }})
+	st.Enqueue(&markOp{why: "op:mark1", fn: func(p *sim.Proc) bool { order = append(order, "a"); return false }})
 	st.EnqueueKernel(KernelSpec{Name: "k", FLOPs: 1e9, Kind: KindCompute,
 		Body: func() { order = append(order, "kernel") }})
-	last := &markOp{why: "op:mark2", fn: func(p *sim.Proc) { order = append(order, "b") }}
+	last := &markOp{why: "op:mark2", fn: func(p *sim.Proc) bool { order = append(order, "b"); return false }}
 	st.Enqueue(last)
 	if st.tail != &last.Entry || st.enqueued != 4 || st.finished != 0 {
 		t.Fatal("queued work completed before the engine ran")
@@ -492,7 +501,7 @@ func TestStreamOpDeadlockLabel(t *testing.T) {
 	eng, _, ctx := psgRig(0)
 	stuck := ctx.NewStream(0)
 	never := eng.NewEvent("never")
-	stuck.Enqueue(&markOp{why: "op:stuck", fn: func(p *sim.Proc) { never.Wait(p) }})
+	stuck.Enqueue(&markOp{why: "op:stuck", fn: func(p *sim.Proc) bool { return never.Wait(p) }})
 	st := ctx.NewStream(1)
 	st.EnqueueWaitStream(stuck)
 	st.EnqueueKernel(KernelSpec{Name: "stencil", FLOPs: 1e6, Kind: KindCompute})
@@ -614,7 +623,7 @@ func TestStreamWaitSurvivesRecycledTarget(t *testing.T) {
 	a, b := ctx.NewStream(1), ctx.NewStream(2)
 	a.EnqueueKernel(KernelSpec{Name: "short", FLOPs: 1e3, Kind: KindCompute})
 	target := a.tail
-	b.Enqueue(&markOp{why: "op:gate", fn: func(p *sim.Proc) { p.Sleep(sim.Millisecond) }})
+	b.Enqueue(&markOp{why: "op:gate", fn: func(p *sim.Proc) bool { return p.Sleep(sim.Millisecond) }})
 	b.EnqueueWaitStream(a)
 	var bEnd, aEnd sim.Time
 	reused := false

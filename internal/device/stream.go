@@ -12,7 +12,9 @@ import (
 // Stream is an in-order device activity queue (an OpenACC async queue / CUDA
 // stream / OpenCL command queue, paper §3.6). Operations enqueued on one
 // stream complete in order; operations on different streams proceed
-// independently and complete in any order.
+// independently and complete in any order. Like the hardware queue it
+// models, a stream is not a thread: it runs as a stackless process (see
+// sim.Engine.SpawnStep) that steps through its entries on the engine.
 type Stream struct {
 	ID  int
 	Ctx *Context
@@ -24,8 +26,10 @@ type Stream struct {
 	// or not its record has been reused since.
 	head, tail         *Entry
 	enqueued, finished uint64
-	cond               *sim.Cond
+	idle               sim.Idle
 	closed             bool
+	// cur is the progress of the head entry while it runs.
+	cur progress
 	// copies, kernels and waits are the stream's finished records of each
 	// kind, linked through Entry.next, for its next enqueue of the kind.
 	copies, kernels, waits *Entry
@@ -46,11 +50,17 @@ type Stream struct {
 // Runner is one queued operation: a record that embeds Entry and runs on
 // the stream's process when the queue reaches it. Owners outside this
 // package (the unified activity queue's MPI operations) implement it too,
-// so enqueueing allocates the record and nothing else. After Run returns,
-// the stream reads only the entry's completion event, before it yields, so
+// so enqueueing allocates the record and nothing else.
+//
+// The stream's process is stackless, so Run is resumable: when a park
+// point it calls reports that p parked, Run returns true at once, and the
+// stream calls it again when p resumes. Run keeps its progress in its
+// record, or, for this package's operations, in the stream's cur. Once Run
+// returns false the operation has finished; the stream
+// then reads only the entry's completion event, before it parks again, so
 // Run may end by handing a record its owner recycles back to the owner.
 type Runner interface {
-	Run(s *Stream, p *sim.Proc)
+	Run(s *Stream, p *sim.Proc) (parked bool)
 	// Why labels the operation's completion event on stream s in
 	// deadlock diagnostics, by convention "op:<name>". It is called only
 	// when a process waits on the operation before it finishes.
@@ -76,24 +86,32 @@ func (e *Entry) entry() *Entry { return e } //impacc:allow-unused Enqueue calls 
 // finishes, or the engine reports them as deadlocked processes.
 func (c *Context) NewStream(id int) *Stream {
 	eng := c.Dev.rt.Eng
-	s := &Stream{ID: id, Ctx: c, cond: eng.NewCond(fmt.Sprintf("queue:stream%d", id)),
+	s := &Stream{ID: id, Ctx: c, idle: sim.NewIdle(fmt.Sprintf("queue:stream%d", id)),
 		kernelHist: eng.Metrics.Histogram(kernelDurations, c.Dev.rt.Spec.Name, strconv.Itoa(c.Dev.Index), strconv.Itoa(id))}
-	eng.Spawn(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.loop)
+	eng.SpawnStep(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.step)
 	return s
 }
 
-func (s *Stream) loop(p *sim.Proc) {
+// step is the stream's process: it runs the head entry, then the next, until
+// an entry parks or the queue is empty, where it idles until Enqueue or
+// Close wakes it. The head stays queued while it runs, and its progress
+// stays in cur, so a resume carries on with it. A closed, drained stream
+// returns without parking, which finishes the process.
+func (s *Stream) step(p *sim.Proc) {
 	for {
-		for s.head == nil {
-			if s.closed {
-				return
-			}
-			s.cond.Wait(p)
-		}
 		e := s.head
-		s.head, e.next = e.next, nil
+		if e == nil {
+			if !s.closed {
+				s.idle.Wait(p)
+			}
+			return
+		}
 		r := e.run
-		r.Run(s, p)
+		if r.Run(s, p) {
+			return
+		}
+		s.head, e.next = e.next, nil
+		s.cur = progress{}
 		s.finished++
 		if ev := e.done; ev != nil {
 			e.done = nil
@@ -154,16 +172,17 @@ func (s *Stream) Enqueue(r Runner) {
 		s.tail.next = e
 	}
 	s.tail = e
-	s.cond.WakeOne()
+	s.idle.Wake()
 }
 
 // wait blocks p until the entry of this stream with the given ticket has
-// finished. An unfinished entry is still queued, so e, the record that
-// entry was enqueued as, still holds it. The first process to wait gives e
-// its completion event, labelled by e's Why.
-func (s *Stream) wait(p *sim.Proc, e *Entry, ticket uint64) {
+// finished, and reports whether a stackless p parked. An unfinished entry
+// is still queued, so e, the record that entry was enqueued as, still
+// holds it. The first process to wait gives e its completion event,
+// labelled by e's Why.
+func (s *Stream) wait(p *sim.Proc, e *Entry, ticket uint64) bool {
 	if s.finished >= ticket {
-		return
+		return false
 	}
 	ev := e.done
 	if ev == nil {
@@ -175,7 +194,7 @@ func (s *Stream) wait(p *sim.Proc, e *Entry, ticket uint64) {
 		s.Ctx.Dev.rt.Eng.InitEvent(ev, e.run.Why(s))
 		e.done = ev
 	}
-	ev.Wait(p)
+	return ev.Wait(p)
 }
 
 // chainID allocates a trace ID for the operation being enqueued and records
@@ -204,10 +223,12 @@ type copyOp struct {
 
 func (o *copyOp) Why(*Stream) string { return "op:copy" }
 
-func (o *copyOp) Run(s *Stream, p *sim.Proc) {
-	if err := s.Ctx.transferLane(p, s.ID, o.id, o.dst, o.src, o.n); err != nil {
+func (o *copyOp) Run(s *Stream, p *sim.Proc) bool {
+	parked, err := s.Ctx.transferLane(p, s.ID, o.id, o.dst, o.src, o.n, &s.cur)
+	if err != nil {
 		panic(&StreamError{Ctx: s.Ctx, Queue: s.ID, Err: err})
 	}
+	return parked
 }
 
 // StreamError is the panic value of a queued copy that failed. A stream
@@ -249,9 +270,16 @@ func (o *kernelOp) Why(s *Stream) string {
 	return s.kernelWhy
 }
 
-func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
-	dur := o.dur
-	start := s.Ctx.Dev.compute.Use(p, dur, 0)
+func (o *kernelOp) Run(s *Stream, p *sim.Proc) bool {
+	x := &s.cur
+	if !x.started {
+		x.started = true
+		var parked bool
+		if x.start, parked = s.Ctx.Dev.compute.Use(p, o.dur, 0); parked {
+			return true
+		}
+	}
+	dur, start := o.dur, x.start
 	if o.body != nil {
 		o.body()
 	}
@@ -261,6 +289,7 @@ func (o *kernelOp) Run(s *Stream, p *sim.Proc) {
 	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
 		sink.Span(o.id, s.ID, "kernel", o.name, start, start+sim.Time(dur), 0)
 	}
+	return false
 }
 
 // EnqueueKernel schedules a kernel launch. The device compute resource
@@ -283,7 +312,7 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
-	s.cond.WakeOne()
+	s.idle.Wake()
 }
 
 // waitOp is a queued cross-stream dependency: it waits for the entry that
@@ -299,13 +328,18 @@ type waitOp struct {
 
 func (o *waitOp) Why(*Stream) string { return "op:wait-event" }
 
-func (o *waitOp) Run(s *Stream, p *sim.Proc) {
-	start := p.Now()
-	o.src.wait(p, o.target, o.ticket)
-	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
-		sink.Span(o.id, s.ID, "accwait", "qwait", start, p.Now(), 0)
+func (o *waitOp) Run(s *Stream, p *sim.Proc) bool {
+	x := &s.cur
+	if !x.started {
+		x.started, x.start = true, p.Now()
+		if o.src.wait(p, o.target, o.ticket) {
+			return true
+		}
 	}
-	//impacc:allow-spanbalance no span exists to balance when tracing is off (sink == nil / id == 0); with tracing on, the record above is unconditional
+	if sink := s.Ctx.Sink; sink != nil && o.id != 0 {
+		sink.Span(o.id, s.ID, "accwait", "qwait", x.start, p.Now(), 0)
+	}
+	return false
 }
 
 // EnqueueWaitStream makes this stream wait for src's current tail before

@@ -79,9 +79,9 @@ type Config struct {
 // outlives the command, a receive's NetTimeout deadline, acts only while
 // Gen is unchanged.
 //
-// The bools sit together at the end, so the struct carries no padding:
-// core's request record embeds a Cmd and must stay within the 192-byte
-// size class (TestRequestSize).
+// The bools and the post stage sit together at the end, so the struct
+// carries no padding: core's request record embeds a Cmd and must stay
+// within the 192-byte size class (TestRequestSize).
 type Cmd struct {
 	Src   int // sender rank (AnySource allowed on receives)
 	Dst   int // receiver rank
@@ -124,7 +124,25 @@ type Cmd struct {
 	// NetTimeout deadline firing after this point is a no-op even though
 	// Done waits on the transfer stages.
 	matched bool
+	// stage is how far the post in progress has got through its parking
+	// prefix; stageLock (zero) except while a stackless poster is parked
+	// in it.
+	stage stage
 }
+
+// stage is a point in a post's parking prefix (Hub.enter).
+type stage uint8
+
+const (
+	stageLock     stage = iota // the serial lock is next
+	stageOverhead              // the call overhead is next
+	stagePaid                  // the prefix is done
+)
+
+// Posting reports whether a post of the command is parked in its prefix:
+// the caller, a stackless process, is to call the same Post method again
+// when it resumes.
+func (c *Cmd) Posting() bool { return c.stage != stageLock }
 
 // accepts reports whether receive r takes a message with the given concrete
 // envelope. Matching is scoped to the communicator context: wildcards never
@@ -556,23 +574,48 @@ func (h *Hub) dispatch(net bool) {
 // HandlerBusy reports the handler thread's accumulated processing time.
 func (h *Hub) HandlerBusy() sim.Dur { return h.handlerCPU.BusyTime() }
 
+// enter takes the caller of a post of cmd through the post's parking
+// prefix from where cmd.stage stands: the serial lock when lock is set and
+// the hub serializes internode calls, then over of call overhead. It
+// reports whether p, a stackless process, parked; the caller then returns
+// and calls the post again once p resumes. A post that gets through resets
+// cmd.stage and runs its tail, which never parks.
+func (h *Hub) enter(p *sim.Proc, cmd *Cmd, lock bool, over sim.Dur) bool {
+	if cmd.stage == stageLock {
+		cmd.stage = stageOverhead
+		if lock && h.serial != nil && h.serial.Acquire(p) {
+			return true
+		}
+	}
+	if cmd.stage == stageOverhead {
+		cmd.stage = stagePaid
+		if over > 0 && p.Sleep(over) {
+			return true
+		}
+	}
+	cmd.stage = stageLock
+	return false
+}
+
 // PostIntra submits an intra-node command from the calling task (or stream)
 // process. The task pays the command-creation overhead; the handler does
 // the rest (paper §3.7: "the task threads shift their intra-node
 // communication onto the communication thread by inserting message commands
-// into the intra-node message queues").
-func (h *Hub) PostIntra(p *sim.Proc, cmd *Cmd) {
+// into the intra-node message queues"). It reports whether a stackless p
+// parked in the overhead (see Cmd.Posting).
+func (h *Hub) PostIntra(p *sim.Proc, cmd *Cmd) bool {
 	over := CmdOverhead
 	if h.Cfg.Legacy {
 		over = h.Cfg.MPIOverhead
 	}
-	if over > 0 {
-		p.Sleep(over)
+	if h.enter(p, cmd, false, over) {
+		return true
 	}
 	h.count(hubIntraMsgs, 1)
 	h.intraQ.Push(cmd)
 	h.peak(hubIntraQueuePeak, h.intraQ.Len())
 	h.dispatch(false)
+	return false
 }
 
 func (h *Hub) handleCmd(cmd *Cmd) {

@@ -21,19 +21,26 @@ import (
 // device-to-host copy chained to the network injection — the
 // cuStreamAddCallback pattern of §3.7. When a fault model reports the RDMA
 // path down, direct transfers degrade to the staging path instead.
-func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) {
-	locked := h.serial != nil
-	if locked {
-		h.serial.Acquire(p)
+//
+// It reports whether a stackless p parked in the lock or the overhead (see
+// Cmd.Posting).
+func (h *Hub) PostNetSend(p *sim.Proc, cmd *Cmd, dst *Hub) bool {
+	if h.enter(p, cmd, true, h.Cfg.MPIOverhead) {
+		return true
 	}
+	h.netSend(cmd, dst)
+	return false
+}
+
+// netSend is PostNetSend's tail, run once its caller holds the serial lock
+// (when the hub has one) and has paid the call overhead.
+func (h *Hub) netSend(cmd *Cmd, dst *Hub) {
+	locked := h.serial != nil
 	unlock := func() {
 		if locked {
 			h.serial.Release()
 			locked = false
 		}
-	}
-	if h.Cfg.MPIOverhead > 0 {
-		p.Sleep(h.Cfg.MPIOverhead)
 	}
 	if cmd.Bytes == 0 {
 		// Zero-byte message: a bare network round of latency only.
@@ -200,13 +207,12 @@ func (h *Hub) deliver(m *netMsg) {
 // PostNetRecv submits a receive for an internode (or any-source) message.
 // The caller pays the MPI call overhead; matching happens in the handler.
 // A positive Config.NetTimeout arms a deadline: a receive still unmatched
-// when it elapses fails with a *NetError instead of blocking forever.
-func (h *Hub) PostNetRecv(p *sim.Proc, cmd *Cmd) {
-	if h.serial != nil {
-		h.serial.Acquire(p)
-	}
-	if h.Cfg.MPIOverhead > 0 {
-		p.Sleep(h.Cfg.MPIOverhead)
+// when it elapses fails with a *NetError instead of blocking forever. It
+// reports whether a stackless p parked in the lock or the overhead (see
+// Cmd.Posting).
+func (h *Hub) PostNetRecv(p *sim.Proc, cmd *Cmd) bool {
+	if h.enter(p, cmd, true, h.Cfg.MPIOverhead) {
+		return true
 	}
 	if h.serial != nil {
 		h.serial.Release()
@@ -218,6 +224,7 @@ func (h *Hub) PostNetRecv(p *sim.Proc, cmd *Cmd) {
 	h.intraQ.Push(cmd)
 	h.peak(hubIntraQueuePeak, h.intraQ.Len())
 	h.dispatch(false)
+	return false
 }
 
 // handleNet matches an arrived internode message against posted receives,

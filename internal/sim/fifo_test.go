@@ -118,13 +118,17 @@ func TestFIFOLongBacklog(t *testing.T) {
 		}
 	}
 
+	// The waker resumes idle processes in the order they queued, as a
+	// device stream's producer would.
 	e := NewEngine()
-	c := e.NewCond("c")
+	var idle FIFO[*Idle]
 	s := e.NewSemaphore(0, "s")
 	var condOrder, semOrder []int
 	for i := 0; i < n; i++ {
 		e.Spawn("c", func(p *Proc) {
-			c.Wait(p)
+			slot := NewIdle("c")
+			idle.Push(&slot)
+			slot.Wait(p)
 			condOrder = append(condOrder, i)
 		})
 		e.Spawn("s", func(p *Proc) {
@@ -134,7 +138,8 @@ func TestFIFOLongBacklog(t *testing.T) {
 	}
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(Microsecond)
-		for c.WakeOne() {
+		for slot, ok := idle.Pop(); ok; slot, ok = idle.Pop() {
+			slot.Wake()
 		}
 		for i := 0; i < n; i++ {
 			s.Release()
@@ -148,7 +153,7 @@ func TestFIFOLongBacklog(t *testing.T) {
 			t.Fatalf("wake #%d: cond %d, semaphore %d", i, condOrder[i], semOrder[i])
 		}
 	}
-	if c.waiters.Len() != 0 || s.avail != 0 || q.Len() != 0 {
-		t.Fatalf("left over: %d waiting, %d permits, %d items", c.waiters.Len(), s.avail, q.Len())
+	if idle.Len() != 0 || s.avail != 0 || q.Len() != 0 {
+		t.Fatalf("left over: %d waiting, %d permits, %d items", idle.Len(), s.avail, q.Len())
 	}
 }

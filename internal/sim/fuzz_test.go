@@ -8,30 +8,43 @@ import (
 )
 
 // FuzzShardGroup is the differential oracle for the in-place resume of
-// Proc.sleepUntil: it decodes bytes into a random program on 1–8 shards and
-// requires every observable of the run to be identical with in-place resume
-// on and off, at 1, 2 and 8 workers. Run it with
+// Proc.sleepUntil and for stackless processes: it decodes bytes into a
+// random program on 1–8 shards and requires every observable of the run to
+// be identical with in-place resume on and off, at 1, 2 and 8 workers, and
+// with each process of the kind its input decodes, with every process a
+// coroutine and with every process stackless. Run it with
 //
 //	go test -run '^$' -fuzz FuzzShardGroup -fuzztime 15s ./internal/sim/
 func FuzzShardGroup(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := decodeFuzzProgram(data)
 		var ref string
-		for _, on := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 8} {
-				var got string
-				withInPlace(on, func() { got = prog.run(workers) })
-				if ref == "" {
-					ref = got
-					continue
-				}
-				if got != ref {
-					t.Fatalf("in-place %v, %d workers: run differs\n got: %s\nwant: %s", on, workers, got, ref)
+		for _, kinds := range []fuzzKinds{kindsDecoded, kindsStackful, kindsStackless} {
+			for _, on := range []bool{true, false} {
+				for _, workers := range []int{1, 2, 8} {
+					var got string
+					withInPlace(on, func() { got = prog.run(workers, kinds) })
+					if ref == "" {
+						ref = got
+						continue
+					}
+					if got != ref {
+						t.Fatalf("kinds %d, in-place %v, %d workers: run differs\n got: %s\nwant: %s", kinds, on, workers, got, ref)
+					}
 				}
 			}
 		}
 	})
 }
+
+// fuzzKinds picks which processes of a run are stackless.
+type fuzzKinds int
+
+const (
+	kindsDecoded   fuzzKinds = iota // as each process's stackless bit says
+	kindsStackful                   // every process a coroutine
+	kindsStackless                  // every process stackless
+)
 
 // fuzzProgram is a decoded FuzzShardGroup input: group settings and one op
 // list per process.
@@ -45,11 +58,12 @@ type fuzzProgram struct {
 	procs     []fuzzProc
 }
 
-// fuzzProc is one process: its shard, start time and ops.
+// fuzzProc is one process: its shard, start time, kind and ops.
 type fuzzProc struct {
-	shard int
-	start Time
-	ops   []fuzzOp
+	shard     int
+	start     Time
+	stackless bool
+	ops       []fuzzOp
 }
 
 // fuzzOp is one step of a process: an opcode and its argument byte.
@@ -65,12 +79,12 @@ const (
 	opPost              // a callback on another shard, at or past the lookahead
 	opFireAt            // fire one of the shard's events arg%8 ahead
 	opWait              // wait on one of the shard's events
-	opCondWait          // wait on the shard's Cond
-	opCondWake          // wake the Cond's longest waiter
+	opCondWait          // idle on the process's own slot, queued on the shard
+	opCondWake          // wake the shard's longest-idle process
 	opAcquire           // take the shard's semaphore
 	opRelease           // return a permit to the shard's semaphore
 	opUse               // FIFOResource.Use(arg%8, arg>>3%4)
-	opSpawn             // spawn a child that sleeps arg%8 and wakes the Cond
+	opSpawn             // spawn a child that sleeps arg%8 and wakes an idle process
 	opPanic             // panic, when arg is 0xff
 	opCount
 )
@@ -78,7 +92,8 @@ const (
 // decodeFuzzProgram turns bytes into a program. Byte 0 picks the shard count,
 // byte 1 the lookahead, byte 2 which limits and observers are armed and
 // bytes 3–5 their values; the rest are (code, arg) pairs, where code 0xff
-// starts a new process on shard arg%shards.
+// starts a new process on shard arg%shards, stackless when arg's top bit is
+// set.
 func decodeFuzzProgram(data []byte) *fuzzProgram {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -107,7 +122,7 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 			if len(p.procs) == 32 {
 				break
 			}
-			p.procs = append(p.procs, fuzzProc{shard: int(arg) % p.shards, start: Time(arg / 8 % 4)})
+			p.procs = append(p.procs, fuzzProc{shard: int(arg) % p.shards, start: Time(arg / 8 % 4), stackless: arg&0x80 != 0})
 			cur = len(p.procs) - 1
 			if code == 0xff {
 				continue
@@ -123,10 +138,17 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 type fuzzShard struct {
 	e      *Engine
 	events [2]*Event
-	cond   *Cond
+	idle   FIFO[*Idle] // the idle slots of waiting processes, oldest first
 	sem    *Semaphore
 	res    *FIFOResource
 	log    strings.Builder
+}
+
+// wake resumes the shard's longest-idle process, if any.
+func (s *fuzzShard) wake() {
+	if slot, ok := s.idle.Pop(); ok {
+		slot.Wake()
+	}
 }
 
 // note logs one dispatch on s: what ran and the engine's stamp for it.
@@ -135,7 +157,7 @@ func (s *fuzzShard) note(what string) {
 }
 
 // act is the callback run on s for a callback op: it logs, then fires an
-// event, wakes the Cond or releases the semaphore, by arg.
+// event, wakes an idle process or releases the semaphore, by arg.
 func (s *fuzzShard) act(tag string, arg byte) Callback {
 	return Func(func() {
 		s.note(tag)
@@ -143,22 +165,23 @@ func (s *fuzzShard) act(tag string, arg byte) Callback {
 		case 1:
 			s.events[arg>>2%2].Fire()
 		case 2:
-			s.cond.WakeOne()
+			s.wake()
 		case 3:
 			s.sem.Release()
 		}
 	})
 }
 
-// run executes the program at the given worker count and renders everything
-// a caller could observe: each shard's dispatch log, the beats and windows,
-// the error, MaxNow, Events and the stall dump.
-func (prog *fuzzProgram) run(workers int) string {
+// run executes the program at the given worker count, with processes of the
+// given kinds, and renders everything a caller could observe: each shard's
+// dispatch log, the beats and windows, the error, MaxNow, Events and the
+// stall dump.
+func (prog *fuzzProgram) run(workers int, kinds fuzzKinds) string {
 	shards := make([]*fuzzShard, prog.shards)
 	engines := make([]*Engine, prog.shards)
 	for i := range shards {
 		e := NewLPEngine(i)
-		s := &fuzzShard{e: e, cond: e.NewCond("c"), sem: e.NewSemaphore(1, "s"), res: e.NewFIFOResource("r")}
+		s := &fuzzShard{e: e, sem: e.NewSemaphore(1, "s"), res: e.NewFIFOResource("r")}
 		for j := range s.events {
 			s.events[j] = e.NewEvent(fmt.Sprint("ev", j))
 		}
@@ -177,12 +200,9 @@ func (prog *fuzzProgram) run(workers int) string {
 	for i, pr := range prog.procs {
 		s := shards[pr.shard]
 		name := fmt.Sprint("p", i)
-		s.e.SpawnAt(pr.start, name, func(p *Proc) {
-			for k, op := range pr.ops {
-				prog.step(shards, s, p, fmt.Sprintf("%s.%d", name, k), op)
-				s.note(name)
-			}
-		})
+		f := &fuzzRun{prog: prog, shards: shards, s: s, name: name, ops: pr.ops, slot: NewIdle("c"),
+			stackless: kinds == kindsStackless || kinds == kindsDecoded && pr.stackless}
+		f.spawn(pr.start, name, f.body)
 	}
 	err := g.Run()
 	fmt.Fprintf(&obs, "err %T %v\nmaxnow %d events %d\n", err, err, g.MaxNow(), g.Events())
@@ -199,49 +219,110 @@ func (prog *fuzzProgram) run(workers int) string {
 	return obs.String()
 }
 
-// step runs one op of a process p on shard s; tag names the callbacks it
-// schedules.
-func (prog *fuzzProgram) step(shards []*fuzzShard, s *fuzzShard, p *Proc, tag string, op fuzzOp) {
+// fuzzRun is one process of a program and its progress: k is the op it is
+// running and sub how far into that op it got, so a stackless process
+// resumes mid-op. A coroutine runs the same body, whose park points never
+// report parked.
+type fuzzRun struct {
+	prog      *fuzzProgram
+	shards    []*fuzzShard
+	s         *fuzzShard
+	name      string
+	ops       []fuzzOp
+	k, sub    int
+	slot      Idle
+	stackless bool
+}
+
+// spawn starts body as a process of the run's kind.
+func (f *fuzzRun) spawn(at Time, name string, body func(p *Proc)) {
+	if f.stackless {
+		f.s.e.SpawnStepAt(at, name, body)
+	} else {
+		f.s.e.SpawnAt(at, name, body)
+	}
+}
+
+// body runs the process's ops from where it stands until one parks.
+func (f *fuzzRun) body(p *Proc) {
+	for ; f.k < len(f.ops); f.k, f.sub = f.k+1, 0 {
+		if f.step(p, fmt.Sprintf("%s.%d", f.name, f.k), f.ops[f.k]) {
+			return
+		}
+		f.s.note(f.name)
+	}
+}
+
+// once runs park point park the first time the op reaches it and reports
+// whether it parked; resumed, the op has passed it.
+func (f *fuzzRun) once(park func() bool) bool {
+	if f.sub > 0 {
+		return false
+	}
+	f.sub = 1
+	return park()
+}
+
+// step runs one op of process p; tag names the callbacks it schedules. It
+// reports whether p parked, so the op resumes at f.sub.
+func (f *fuzzRun) step(p *Proc, tag string, op fuzzOp) bool {
+	s, prog := f.s, f.prog
 	e, arg := s.e, op.arg
 	switch op.code {
 	case opSleep:
-		p.Sleep(Dur(arg % 8))
+		return f.once(func() bool { return p.Sleep(Dur(arg % 8)) })
 	case opSleepUntil:
-		p.SleepUntil(e.now + Time(arg%16) - 4)
+		return f.once(func() bool { return p.SleepUntil(e.now + Time(arg%16) - 4) })
 	case opSleepLoop:
-		for range arg>>2%32 + 1 {
-			p.Sleep(Dur(arg % 4))
+		for f.sub < int(arg>>2%32)+1 {
+			f.sub++
+			if p.Sleep(Dur(arg % 4)) {
+				return true
+			}
 		}
 	case opAtNow:
 		e.CallAt(e.now, s.act(tag, arg))
 	case opAt:
 		e.CallAt(e.now+Time(arg%32), s.act(tag, arg))
 	case opPost:
-		dst := shards[(int(s.e.lp)+1+int(arg>>5))%len(shards)]
+		dst := f.shards[(int(s.e.lp)+1+int(arg>>5))%len(f.shards)]
 		e.Post(dst.e, e.now+Time(prog.lookahead)+Time(arg%8), dst.act(tag, arg>>3))
 	case opFireAt:
 		e.FireAt(e.now+Time(arg%8), s.events[arg>>3%2])
 	case opWait:
-		s.events[arg%2].Wait(p)
+		return f.once(func() bool { return s.events[arg%2].Wait(p) })
 	case opCondWait:
-		s.cond.Wait(p)
+		return f.once(func() bool {
+			s.idle.Push(&f.slot)
+			return f.slot.Wait(p)
+		})
 	case opCondWake:
-		s.cond.WakeOne()
+		s.wake()
 	case opAcquire:
-		s.sem.Acquire(p)
+		return f.once(func() bool { return s.sem.Acquire(p) })
 	case opRelease:
 		s.sem.Release()
 	case opUse:
-		s.res.Use(p, Dur(arg%8), Dur(arg>>3%4))
+		return f.once(func() bool {
+			_, parked := s.res.Use(p, Dur(arg%8), Dur(arg>>3%4))
+			return parked
+		})
 	case opSpawn:
-		e.Spawn(tag, func(c *Proc) {
-			c.Sleep(Dur(arg % 8))
+		slept := false
+		f.spawn(e.now, tag, func(c *Proc) {
+			if !slept {
+				slept = true
+				if c.Sleep(Dur(arg % 8)) {
+					return
+				}
+			}
 			s.note(tag)
-			s.cond.WakeOne()
+			s.wake()
 		})
 	case opPanic:
 		if arg == 0xff {
 			panic(tag)
 		}
 	}
+	return false
 }

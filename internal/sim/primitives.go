@@ -1,10 +1,16 @@
 package sim
 
-import "impacc/internal/telemetry"
+import (
+	"fmt"
+
+	"impacc/internal/telemetry"
+)
 
 // Synchronization primitives for simulation processes. All of them follow
 // the engine's determinism rule: waiters are woken in FIFO order via
-// scheduled events, never by running inline.
+// scheduled events, never by running inline. Each blocking call is a park
+// point and reports whether a stackless caller parked (see SpawnStep); a
+// coroutine blocks in it and sees false.
 
 // Event is a one-shot broadcast: processes block in Wait until Fire, after
 // which Wait returns immediately forever.
@@ -97,10 +103,11 @@ func (ev *Event) OnFire(cb Callback) {
 	}
 }
 
-// Wait blocks p until the event fires.
-func (ev *Event) Wait(p *Proc) {
+// Wait blocks p until the event fires, and reports whether a stackless p
+// parked.
+func (ev *Event) Wait(p *Proc) bool {
 	if ev.fired {
-		return
+		return false
 	}
 	if ev.first == nil {
 		ev.first = p
@@ -108,7 +115,7 @@ func (ev *Event) Wait(p *Proc) {
 		m := ev.overflow()
 		m.waiters = append(m.waiters, p)
 	}
-	p.park("event:", ev.why)
+	return p.park("event:", ev.why)
 }
 
 // FIFO is a slice queue with a head index, so popping the oldest element
@@ -149,32 +156,35 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 // Len reports the number of queued elements.
 func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 
-// Cond is a reusable wait list: Wait blocks until a later WakeOne.
-// Unlike sync.Cond there is no lock: the engine's single-runner rule makes
-// check-then-wait atomic.
-type Cond struct {
-	eng     *Engine
-	waiters FIFO[*Proc]
-	why     string
+// Idle is a one-process wait slot: the process that has run out of work
+// waits on it until whoever hands it more calls Wake. A device stream idles
+// on its own slot while its queue is empty. Unlike sync.Cond there is no
+// lock: the engine's single-runner rule makes check-then-wait atomic.
+type Idle struct {
+	p   *Proc
+	why string
 }
 
-// NewCond returns an empty condition.
-func (e *Engine) NewCond(why string) *Cond { return &Cond{eng: e, why: why} }
+// NewIdle returns an empty slot whose waiter shows as blocked on "cond:"+why
+// in diagnostics.
+func NewIdle(why string) Idle { return Idle{why: why} }
 
-// Wait blocks p until woken.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters.Push(p)
-	p.park("cond:", c.why)
-}
-
-// WakeOne wakes the longest-waiting process, if any, and reports whether one
-// was woken.
-func (c *Cond) WakeOne() bool {
-	p, ok := c.waiters.Pop()
-	if ok {
-		c.eng.wake(p, c.eng.now)
+// Wait blocks p until a later Wake, and reports whether a stackless p
+// parked. The slot holds one waiter at a time.
+func (i *Idle) Wait(p *Proc) bool {
+	if i.p != nil {
+		panic(fmt.Sprintf("sim: %s waits on idle slot %s, which %s already holds", p.Name, i.why, i.p.Name))
 	}
-	return ok
+	i.p = p
+	return p.park("cond:", i.why)
+}
+
+// Wake resumes the waiting process, if any, at the current instant.
+func (i *Idle) Wake() {
+	if p := i.p; p != nil {
+		i.p = nil
+		p.eng.wake(p, p.eng.now)
+	}
 }
 
 // Semaphore is a counting semaphore with FIFO acquisition order.
@@ -190,15 +200,16 @@ func (e *Engine) NewSemaphore(n int, why string) *Semaphore {
 	return &Semaphore{eng: e, avail: n, why: why}
 }
 
-// Acquire takes one permit, blocking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
+// Acquire takes one permit, blocking p until one is available, and reports
+// whether a stackless p parked. A parked p holds the permit when it resumes:
+// the releaser hands it over directly.
+func (s *Semaphore) Acquire(p *Proc) bool {
 	if s.avail > 0 && s.waiters.Len() == 0 {
 		s.avail--
-		return
+		return false
 	}
 	s.waiters.Push(p)
-	p.park("sem:", s.why)
-	// The releaser transferred a permit directly to us.
+	return p.park("sem:", s.why)
 }
 
 // Release returns one permit, waking the longest waiter if any.
@@ -242,11 +253,10 @@ func (r *FIFOResource) BusyTime() Dur { return Dur(r.use.BusyNs()) }
 // Use occupies the resource for occupy time starting when it becomes free,
 // then keeps the caller blocked for a further tail (latency that does not
 // occupy the resource, e.g. propagation delay). It returns the time the
-// occupation started.
-func (r *FIFOResource) Use(p *Proc, occupy, tail Dur) Time {
+// occupation started and whether a stackless p parked.
+func (r *FIFOResource) Use(p *Proc, occupy, tail Dur) (start Time, parked bool) {
 	start, end := r.UseAsyncFrom(r.eng.now, occupy)
-	p.SleepUntil(end + Time(max(tail, 0)))
-	return start
+	return start, p.SleepUntil(end + Time(max(tail, 0)))
 }
 
 // UseAsync occupies the resource without blocking any process and returns

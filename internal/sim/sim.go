@@ -1,7 +1,8 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine. It is the virtual-time substrate under every IMPACC
-// experiment: MPI tasks, message handler threads, and device activity queues
-// all run as cooperative sim processes over a shared virtual clock.
+// experiment: MPI tasks and device activity queues run as cooperative sim
+// processes over a shared virtual clock, and the message handler threads as
+// callbacks on it.
 //
 // Determinism: exactly one process runs at a time. Events are totally
 // ordered by (time, sequence number), so two runs with the same inputs
@@ -387,18 +388,27 @@ func (e *Engine) FireAt(t Time, ev *Event) { e.schedule(t, nil, (*fireCall)(ev))
 // After schedules fn to run in engine context after duration d.
 func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, Func(fn)) }
 
-// Proc is a simulation process: an iter.Pull coroutine that runs
-// cooperatively under the engine. Resuming it (next) and parking it (yield)
-// switch goroutines directly, without the Go scheduler, and at any instant
-// at most one Proc executes.
+// Proc is a simulation process, of one of two kinds. A stackful process
+// (Spawn) is an iter.Pull coroutine: resuming it (next) and parking it
+// (yield) switch goroutines directly, without the Go scheduler. A stackless
+// process (SpawnStep) has no coroutine: each resume calls its step on the
+// engine goroutine, and a park point it reaches records its wake-up, reports
+// "parked" and leaves the step to return. Both kinds are woken by the same
+// events with the same stamps, and at any instant at most one Proc executes.
 type Proc struct {
 	Name string
 	eng  *Engine
 	// next resumes the coroutine until it parks or finishes; yield, saved
-	// by the coroutine body, hands control back to the engine.
+	// by the coroutine body, hands control back to the engine. Both are nil
+	// for a stackless process.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-	done  bool
+	// step is a stackless process's body, called at every resume (nil for
+	// a coroutine); parked records that the running step reached a park
+	// point, so it must return, and the process has not finished.
+	step   func(p *Proc)
+	parked bool
+	done   bool
 	// unwind, when set, makes the next resume panic the haltUnwind
 	// sentinel so the coroutine's defers run and it exits.
 	unwind bool
@@ -427,9 +437,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{Name: name, eng: e}
-	e.procs = append(e.procs, p)
-	e.live++
-	e.maybeCompactProcs()
 	// The deferred recover swallows every panic, so next never re-panics
 	// into the engine loop; only a runtime.Goexit propagates (DESIGN.md §7).
 	// next is never stopped: unwindProcs runs each unfinished coroutine to
@@ -450,8 +457,60 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	})
+	return e.start(t, p)
+}
+
+// SpawnStep creates a stackless process whose body is step, scheduled to
+// start at the current virtual time like Spawn. The engine calls step at
+// the start and at every wake-up. A step resumes from state it keeps
+// itself: when a park point it calls reports that it parked, the step must
+// return at once, and the engine calls it again when the wake-up the park
+// point recorded dispatches. A step that returns without parking finishes
+// the process. A panic in step halts the run as a panic in a Spawn body
+// does.
+func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
+	return e.SpawnStepAt(e.now, name, step)
+}
+
+// SpawnStepAt is SpawnStep with an explicit start time.
+func (e *Engine) SpawnStepAt(t Time, name string, step func(p *Proc)) *Proc {
+	return e.start(t, &Proc{Name: name, eng: e, step: step})
+}
+
+// start registers a new process and schedules its first resume at t.
+func (e *Engine) start(t Time, p *Proc) *Proc {
+	e.procs = append(e.procs, p)
+	e.live++
+	e.maybeCompactProcs()
 	e.schedule(t, p, nil)
 	return p
+}
+
+// runStep resumes stackless process p: it calls p's step until the step
+// returns, and counts the process finished if the step did not park. It
+// recovers a panic in the step into the engine's *PanicError and halts.
+func (e *Engine) runStep(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e.panicked == nil {
+				e.panicked = &PanicError{Proc: p.Name, Value: r}
+			}
+			e.halted = true
+			p.parked = false
+			p.finish()
+		}
+	}()
+	p.parked, p.parkKind, p.parkWhy = false, "", ""
+	p.step(p)
+	if !p.parked {
+		p.finish()
+	}
+}
+
+// finish marks a stackless process done.
+func (p *Proc) finish() {
+	p.done = true
+	p.eng.live--
 }
 
 // maybeCompactProcs drops finished entries from the diagnostics slice once
@@ -503,27 +562,41 @@ func IsHaltUnwind(v interface{}) bool {
 	return ok
 }
 
-// park blocks the calling process and returns control to the engine loop.
-// Something must later wake the process via engine.wake. kind+why is what
-// the process waits on.
-func (p *Proc) park(kind, why string) {
+// park suspends the calling process until something wakes it via
+// engine.wake; kind+why is what the process waits on. A coroutine blocks
+// here and park returns false once it is resumed. A stackless process only
+// records the park and park returns true: the step must return, and the
+// wake-up calls it again.
+func (p *Proc) park(kind, why string) bool {
+	if p.step != nil {
+		if p.parked {
+			panic(fmt.Sprintf("sim: stackless process %s parked on %s%s after parking on %s%s in the same step; a step must return once a park point reports parked",
+				p.Name, kind, why, p.parkKind, p.parkWhy))
+		}
+		p.parked, p.parkKind, p.parkWhy = true, kind, why
+		return true
+	}
 	p.parkKind, p.parkWhy = kind, why
 	p.yield(struct{}{})
 	if p.unwind {
 		panic(haltUnwind{})
 	}
 	p.parkKind, p.parkWhy = "", ""
+	return false
 }
 
 // wake schedules process p to resume at time t.
 func (e *Engine) wake(p *Proc, t Time) { e.schedule(t, p, nil) }
 
 // Sleep suspends the process for duration d of virtual time (a negative d
-// sleeps zero).
-func (p *Proc) Sleep(d Dur) { p.sleepUntil(p.eng.now+Time(d), "sleep") }
+// sleeps zero). Like every park point it reports whether p, a stackless
+// process, parked (see SpawnStep); a coroutine sleeps through it and sees
+// false.
+func (p *Proc) Sleep(d Dur) bool { return p.sleepUntil(p.eng.now+Time(d), "sleep") }
 
-// SleepUntil suspends the process until absolute time t (no-op if t <= now).
-func (p *Proc) SleepUntil(t Time) { p.sleepUntil(t, "sleepUntil") }
+// SleepUntil suspends the process until absolute time t (no-op if t <= now),
+// and reports whether a stackless p parked, like Sleep.
+func (p *Proc) SleepUntil(t Time) bool { return p.sleepUntil(t, "sleepUntil") }
 
 // inPlaceResume enables sleepUntil's in-place resume. Only tests clear it,
 // to run a program through the switching path for comparison.
@@ -535,8 +608,9 @@ var inPlaceResume = true
 // not spent, and no halt, unwind or cancel is pending), it takes the
 // wake-up in place: it stamps and accounts it exactly as schedule and
 // runUntil would, advances the clock and returns without a coroutine
-// switch. Otherwise it parks p under kind until the wake event dispatches.
-func (p *Proc) sleepUntil(t Time, kind string) {
+// switch, and a stackless p carries on in its step. Otherwise it parks p
+// under kind until the wake event dispatches, and reports whether p parked.
+func (p *Proc) sleepUntil(t Time, kind string) bool {
 	e := p.eng
 	if t < e.now {
 		t = e.now
@@ -546,8 +620,7 @@ func (p *Proc) sleepUntil(t Time, kind string) {
 		(e.winCap != 0 && e.winCount >= e.winCap) ||
 		e.halted || e.unwinding || e.cancel.Load() {
 		e.wake(p, t)
-		p.park(kind, "")
-		return
+		return p.park(kind, "")
 	}
 	e.seq++
 	var depth uint32
@@ -562,6 +635,7 @@ func (p *Proc) sleepUntil(t Time, kind string) {
 	}
 	e.account(dlKey(depth, e.lp), e.seq, p)
 	e.inPlace++
+	return false
 }
 
 // CancelError reports that the run was stopped by ShardGroup.Cancel before its
@@ -681,7 +755,11 @@ func (e *Engine) runUntil(fence Time) error {
 		e.account(ev.dl, ev.seq, p)
 		e.free(ev)
 		if p != nil {
-			if !p.done { // lazy cancellation: skip dead processes
+			switch { // lazy cancellation: skip dead processes
+			case p.done:
+			case p.step != nil:
+				e.runStep(p)
+			default:
 				p.next()
 			}
 		} else {
@@ -729,14 +807,18 @@ func (e *Engine) nextAt() (Time, bool) {
 	return 0, false
 }
 
-// unwindProcs resumes every unfinished process with the unwind flag set so
-// it panics the haltUnwind sentinel, runs its defers, and exits. Processes
-// spawned while unwinding (by a defer) are unwound too, without ever
-// running their body.
+// unwindProcs resumes every unfinished coroutine with the unwind flag set
+// so it panics the haltUnwind sentinel, runs its defers, and exits.
+// Processes spawned while unwinding (by a defer) are unwound too, without
+// ever running their body. A stackless process holds no stack to unwind:
+// it is marked finished.
 func (e *Engine) unwindProcs() {
 	e.unwinding = true
 	for i := 0; i < len(e.procs); i++ {
 		p := e.procs[i]
+		if p.step != nil && !p.done {
+			p.finish()
+		}
 		for !p.done {
 			p.unwind = true
 			p.next()

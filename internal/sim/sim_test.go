@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,36 +174,29 @@ func TestEventWaitAfterFire(t *testing.T) {
 	}
 }
 
-func TestCondWakeOneFIFO(t *testing.T) {
+func TestIdleWakeOnce(t *testing.T) {
 	e := NewEngine()
-	c := e.NewCond("c")
-	var woke []string
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			c.Wait(p)
-			woke = append(woke, p.Name)
-		})
-	}
+	slot := NewIdle("c")
+	var woke []Time
+	e.Spawn("w", func(p *Proc) {
+		for range 2 {
+			slot.Wait(p)
+			woke = append(woke, p.Now())
+		}
+	})
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(Microsecond)
-		if !c.WakeOne() {
-			t.Error("WakeOne found no waiter")
-		}
+		slot.Wake()
+		slot.Wake() // the waiter already left the slot: no-op
 		p.Sleep(Microsecond)
-		for c.WakeOne() {
-		}
-		if c.WakeOne() {
-			t.Error("WakeOne woke someone after the list drained")
-		}
+		slot.Wake()
+		slot.Wake()
 	})
 	if err := soloGroup(e).Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"w0", "w1", "w2"}
-	for i := range want {
-		if woke[i] != want[i] {
-			t.Fatalf("wake order = %v, want %v", woke, want)
-		}
+	if len(woke) != 2 || woke[0] != Time(Microsecond) || woke[1] != Time(2*Microsecond) {
+		t.Fatalf("woke at %v, want [1us 2us]", woke)
 	}
 }
 
@@ -555,19 +549,20 @@ func TestHaltStopsRun(t *testing.T) {
 	}
 }
 
-func TestCondWaiting(t *testing.T) {
+func TestIdleWaiting(t *testing.T) {
 	e := NewEngine()
-	c := e.NewCond("c")
-	e.Spawn("w", func(p *Proc) { c.Wait(p) })
-	e.Spawn("obs", func(p *Proc) {
+	slot := NewIdle("c")
+	e.Spawn("w", func(p *Proc) { slot.Wait(p) })
+	e.Spawn("second", func(p *Proc) {
 		p.Sleep(Microsecond)
-		if c.waiters.Len() != 1 {
-			t.Errorf("waiting = %d", c.waiters.Len())
+		if slot.p == nil || slot.p.Name != "w" || slot.p.blockedOn() != "cond:c" {
+			t.Errorf("slot holds %v", slot.p)
 		}
-		c.WakeOne()
+		slot.Wait(p) // a second waiter is a bug the slot reports
 	})
-	if err := soloGroup(e).Run(); err != nil {
-		t.Fatal(err)
+	pe, ok := soloGroup(e).Run().(*PanicError)
+	if !ok || pe.Proc != "second" || !strings.Contains(fmt.Sprint(pe.Value), "already holds") {
+		t.Fatalf("Run = %v, want a panic in second", pe)
 	}
 }
 
