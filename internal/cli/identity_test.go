@@ -114,7 +114,7 @@ var entries = []entry{
 	// Limits, each with the flight recorder armed.
 	runEntry("max-events", 1, "-app jacobi -system beacon:2 -n 128 -iters 3 -max-events 200 -flight-recorder $DIR/stall.json", stall("event-limit")),
 	runEntry("max-vtime", 1, "-app jacobi -system beacon:2 -n 128 -iters 100 -max-vtime 200us -flight-recorder $DIR/stall.json", stall("vtime-limit")),
-	runEntry("max-alloc", 1, "-app jacobi -system psg -n 256 -iters 3 -max-alloc 1000 -flight-recorder $DIR/stall.json", stderrHas("task heap limit exceeded")),
+	runEntry("max-alloc", 1, "-app jacobi -system psg -n 256 -iters 3 -max-alloc 1000 -flight-recorder $DIR/stall.json", stderrHas("task heap limit exceeded"), taskError),
 
 	// Live observers.
 	runEntry("trace-stream-chaos", 0, jacobiTitan2+" -chaos "+chaosSpec+" -trace-stream $DIR/stream.jsonl", streamHeader),
@@ -420,8 +420,9 @@ func faultKinds(kinds ...string) func(*testing.T, artifacts) {
 	}
 }
 
-// taskError: a failed queued copy ends the run with its owner's typed
-// error, and the flight dump names the same error.
+// taskError: a failed task (a queued copy out of retries, the heap cap)
+// ends the run with its typed error, and the flight dump names the same
+// error.
 func taskError(t *testing.T, a artifacts) {
 	var st sim.StallReport
 	decode(t, a, "stall.json", &st)

@@ -137,19 +137,29 @@ func TestLimitsMaxVirtualTime(t *testing.T) {
 	}
 }
 
+// TestLimitsMaxAllocBytes: passing the heap cap fails the task with a
+// *RunError, and an armed flight recorder files its dump under it although
+// the group itself drained cleanly.
 func TestLimitsMaxAllocBytes(t *testing.T) {
-	cfg := Config{System: topo.Beacon(2), Backed: true, MaxTasks: 1}
+	cfg := Config{System: topo.Beacon(2), Backed: true, MaxTasks: 1, FlightRing: 16}
 	cfg.Limits.MaxAllocBytes = 1 << 10
-	_, err := Run(cfg, func(tk *Task) {
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Execute(func(tk *Task) {
 		tk.Malloc(512)
 		tk.Malloc(1024) // 512 + 1024 > 1 KiB cap
 	})
 	var re *RunError
 	if !errors.As(err, &re) {
-		t.Fatalf("Run = %v, want *RunError", err)
+		t.Fatalf("Execute = %v, want *RunError", err)
 	}
 	if !strings.Contains(re.Error(), "heap limit") {
 		t.Fatalf("error %q does not name the heap limit", re.Error())
+	}
+	if st := rt.Stall(); st == nil || st.Reason != "task-error" || st.Error != err.Error() || len(st.Shards) == 0 {
+		t.Fatalf("stall = %+v, want reason task-error naming %q", st, err)
 	}
 }
 

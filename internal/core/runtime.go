@@ -336,11 +336,11 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 // taskError returns err, the failure of a task or of the stream process
 // that stood for it, and files the flight recorder's dump under it: reason
 // "task-error" and err's text, so the dump names the error the run returns
-// rather than, say, the deadlock the failed task left its peers in.
+// rather than, say, the deadlock the failed task left its peers in. A
+// failure that let the group drain cleanly, such as the heap cap, gets a
+// dump too.
 func (rt *Runtime) taskError(err error) error {
-	if st := rt.group.Stall(); st != nil {
-		st.Reason, st.Error = "task-error", err.Error()
-	}
+	rt.group.FileStall("task-error", err)
 	return err
 }
 

@@ -85,8 +85,12 @@ type job struct {
 
 // Status is the wire form of a job's state.
 type Status struct {
-	Key       string   `json:"key"`
-	State     string   `json:"state"`
+	Key   string `json:"key"`
+	State string `json:"state"`
+	// Cached reports that this answer came from the result cache: a
+	// submission that hit it, or the status of a job known only by its
+	// cached result. A job that ran reads false, even once its result is
+	// cached.
 	Cached    bool     `json:"cached"`
 	Error     string   `json:"error,omitempty"`
 	Spec      *JobSpec `json:"spec,omitempty"`
@@ -234,7 +238,9 @@ func (s *Server) Submit(spec JobSpec) (*Status, int, error) {
 	key := comp.key
 	if s.cache.get(key) != nil {
 		s.mHits.Inc()
-		return s.statusLocked(key), 200, nil
+		st := s.statusLocked(key)
+		st.Cached = true
+		return st, 200, nil
 	}
 	if j := s.jobs[key]; j != nil && (j.state == stateQueued || j.state == stateRunning) {
 		s.mCoalesced.Inc()
@@ -350,7 +356,8 @@ func (s *Server) Cancel(key string) (*Status, bool) {
 }
 
 // statusLocked renders a job's state; the caller holds mu. A key present
-// only in the cache (job record cancelled away) synthesizes a done status.
+// only in the cache (job record cancelled away) synthesizes a done status,
+// answered from the cache.
 func (s *Server) statusLocked(key string) *Status {
 	st := &Status{Key: key}
 	cached := s.cache.entries[key] != nil // no recency update for a status peek
@@ -360,7 +367,6 @@ func (s *Server) statusLocked(key string) *Status {
 		st.Cached = cached
 	} else {
 		st.State = j.state
-		st.Cached = cached
 		st.Error = j.errMsg
 		st.Spec = &j.spec
 		st.Stall = j.stall

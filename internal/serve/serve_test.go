@@ -161,6 +161,28 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 }
 
+// TestCachedMeansHit: "cached" says whether the answer came from the cache.
+// The first waited submission runs the job and reads false, although its
+// result is cached by the time it answers; the second is a hit and reads
+// true, and neither runs the job again.
+func TestCachedMeansHit(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	st1, code := postJob(t, ts, smallJob(), true)
+	if code != 200 || st1.State != stateDone || st1.Cached {
+		t.Fatalf("first submit -> %d %+v, want a run that is not cached", code, st1)
+	}
+	if runs, hits := counterValue(t, ts, "serve_runs_total"), counterValue(t, ts, "serve_cache_hits_total"); runs != "1" || hits != "0" {
+		t.Fatalf("after the miss: serve_runs_total %s, serve_cache_hits_total %s; want 1, 0", runs, hits)
+	}
+	st2, code := postJob(t, ts, smallJob(), true)
+	if code != 200 || st2.State != stateDone || !st2.Cached {
+		t.Fatalf("second submit -> %d %+v, want a cache hit", code, st2)
+	}
+	if runs, hits := counterValue(t, ts, "serve_runs_total"), counterValue(t, ts, "serve_cache_hits_total"); runs != "1" || hits != "1" {
+		t.Fatalf("after the hit: serve_runs_total %s, serve_cache_hits_total %s; want 1, 1", runs, hits)
+	}
+}
+
 // TestCacheHitByteIdentical: a second submission of the same spec is a hit
 // (state done, cached, no new run) and its artifacts are byte-identical to
 // the first miss's.
@@ -444,7 +466,10 @@ func TestCancelRunningJob(t *testing.T) {
 	if !ok {
 		t.Fatal("job vanished")
 	}
-	if got.State == stateCancelled && got.Cached {
+	s.mu.Lock()
+	left := s.cache.entries[st.Key] != nil
+	s.mu.Unlock()
+	if got.State == stateCancelled && left {
 		t.Fatal("cancelled job left artifacts in the cache")
 	}
 	// Whatever the race outcome, a fresh submission must produce the

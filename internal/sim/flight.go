@@ -140,7 +140,7 @@ func (g *ShardGroup) Stall() *StallReport { return g.stall }
 // captureStall assembles the stall dump inside Run, before processes are
 // unwound. reason is derived from the error type.
 func (g *ShardGroup) captureStall(err error) {
-	if g.flightCap <= 0 || err == nil {
+	if err == nil {
 		return
 	}
 	reason := "panic"
@@ -160,10 +160,24 @@ func (g *ShardGroup) captureStall(err error) {
 			reason = "causality"
 		}
 	}
-	r := &StallReport{Reason: reason, Error: err.Error(),
-		AtNs: int64(g.MaxNow()), Events: g.Events()}
-	for _, e := range g.engines {
-		r.Shards = append(r.Shards, e.FlightShard())
+	g.FileStall(reason, err)
+}
+
+// FileStall files the flight dump of an armed group under reason and err's
+// text: a run that failed for a reason the group cannot see, such as a task
+// error, names that failure. It keeps the recent events and parked table
+// of a dump Run already captured, and otherwise snapshots them now. No-op
+// when disarmed. Call only with the group quiescent.
+func (g *ShardGroup) FileStall(reason string, err error) {
+	if g.flightCap <= 0 {
+		return
 	}
-	g.stall = r
+	if g.stall == nil {
+		r := &StallReport{AtNs: int64(g.MaxNow()), Events: g.Events()}
+		for _, e := range g.engines {
+			r.Shards = append(r.Shards, e.FlightShard())
+		}
+		g.stall = r
+	}
+	g.stall.Reason, g.stall.Error = reason, err.Error()
 }
