@@ -54,7 +54,7 @@ var stateTypes = map[string]map[string]bool{
 var mutMethods = map[string]bool{
 	"Cancel": true, "At": true, "After": true, "CallAt": true, "FireAt": true,
 	"Post": true, "OnFire": true,
-	"Spawn": true, "SpawnAt": true, "SpawnStep": true, "SpawnStepAt": true,
+	"Spawn": true, "SpawnAt": true, "SpawnStepAt": true,
 	"Wake": true, "Run": true, "Execute": true,
 	"ArmFlight": true, "Fire": true, "SetFaults": true,
 }

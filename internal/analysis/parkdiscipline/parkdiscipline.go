@@ -13,7 +13,7 @@
 //
 // A function is considered process context when it takes a *sim.Proc
 // parameter or is a function literal passed to Engine.Spawn/SpawnAt or, as
-// a stackless step, to Engine.SpawnStep/SpawnStepAt.
+// a stackless step, to Engine.SpawnStepAt.
 // Package internal/sim itself is exempt — it implements the discipline.
 package parkdiscipline
 
@@ -103,8 +103,8 @@ func isSimProcPtr(t types.Type) bool {
 	return obj.Name() == "Proc" && obj.Pkg() != nil && obj.Pkg().Name() == "sim"
 }
 
-// isSpawnCall matches x.Spawn(...) / x.SpawnAt(...) and their SpawnStep
-// forms syntactically; the receiver is not type-checked so stub engines in
+// isSpawnCall matches x.Spawn(...), x.SpawnAt(...) and x.SpawnStepAt(...)
+// syntactically; the receiver is not type-checked so stub engines in
 // tests are covered too.
 func isSpawnCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -112,7 +112,7 @@ func isSpawnCall(call *ast.CallExpr) bool {
 		return false
 	}
 	switch sel.Sel.Name {
-	case "Spawn", "SpawnAt", "SpawnStep", "SpawnStepAt":
+	case "Spawn", "SpawnAt", "SpawnStepAt":
 		return true
 	}
 	return false

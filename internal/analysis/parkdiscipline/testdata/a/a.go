@@ -40,7 +40,7 @@ func spawnSite(e *sim.Engine, ch chan int) {
 	e.SpawnAt(10, "late", func(p *sim.Proc) {
 		ch <- 2 // want `raw channel send`
 	})
-	e.SpawnStep("step", func(p *sim.Proc) {
+	e.SpawnStepAt(0, "step", func(p *sim.Proc) {
 		<-ch // want `raw channel receive`
 	})
 }

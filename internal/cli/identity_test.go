@@ -301,9 +301,9 @@ func differing(a, b artifacts) []string {
 }
 
 // servedJob submits one job twice to an in-process job server that has
-// impacc-serve's default limits (a report records its limits); the second
-// answer must come from the cache. Its artifacts are both status replies
-// and the report in both encodings.
+// impacc-serve's default limits (a report records its limits); the first
+// answer must come from a run and the second from the cache. Its artifacts
+// are both status replies and the report in both encodings.
 func servedJob(t *testing.T) artifacts {
 	srv := serve.New(serve.Config{Workers: 1, Limits: core.Limits{
 		MaxVirtualTime: 10 * sim.Second, MaxEvents: 50_000_000, MaxAllocBytes: 1 << 31,
@@ -335,8 +335,9 @@ func servedJob(t *testing.T) artifacts {
 	var first, second serve.Status
 	decode(t, a, "first.json", &first)
 	decode(t, a, "second.json", &second)
-	if first.State != "done" || second.State != "done" || !second.Cached {
-		t.Fatalf("first %s, second %s cached=%v; want done, then done from the cache", first.State, second.State, second.Cached)
+	if first.State != "done" || first.Cached || second.State != "done" || !second.Cached {
+		t.Fatalf("first %s cached=%v, second %s cached=%v; want done from a run, then done from the cache",
+			first.State, first.Cached, second.State, second.Cached)
 	}
 	counters := get(http.Get(ts.URL + "/metrics"))
 	for _, want := range []string{"serve_runs_total 1\n", "serve_cache_hits_total 1\n"} {

@@ -14,7 +14,7 @@ import (
 // stream complete in order; operations on different streams proceed
 // independently and complete in any order. Like the hardware queue it
 // models, a stream is not a thread: it runs as a stackless process (see
-// sim.Engine.SpawnStep) that steps through its entries on the engine.
+// sim.Engine.SpawnStepAt) that steps through its entries on the engine.
 type Stream struct {
 	ID  int
 	Ctx *Context
@@ -88,7 +88,7 @@ func (c *Context) NewStream(id int) *Stream {
 	eng := c.Dev.rt.Eng
 	s := &Stream{ID: id, Ctx: c, idle: sim.NewIdle(fmt.Sprintf("queue:stream%d", id)),
 		kernelHist: eng.Metrics.Histogram(kernelDurations, c.Dev.rt.Spec.Name, strconv.Itoa(c.Dev.Index), strconv.Itoa(id))}
-	eng.SpawnStep(fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.step)
+	eng.SpawnStepAt(eng.Now(), fmt.Sprintf("%s/dev%d/q%d", c.Dev.rt.Spec.Name, c.Dev.Index, id), s.step)
 	return s
 }
 

@@ -9,7 +9,7 @@ import (
 // Synchronization primitives for simulation processes. All of them follow
 // the engine's determinism rule: waiters are woken in FIFO order via
 // scheduled events, never by running inline. Each blocking call is a park
-// point and reports whether a stackless caller parked (see SpawnStep); a
+// point and reports whether a stackless caller parked (see SpawnStepAt); a
 // coroutine blocks in it and sees false.
 
 // Event is a one-shot broadcast: processes block in Wait until Fire, after

@@ -391,7 +391,7 @@ func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, Func(f
 // Proc is a simulation process, of one of two kinds. A stackful process
 // (Spawn) is an iter.Pull coroutine: resuming it (next) and parking it
 // (yield) switch goroutines directly, without the Go scheduler. A stackless
-// process (SpawnStep) has no coroutine: each resume calls its step on the
+// process (SpawnStepAt) has no coroutine: each resume calls its step on the
 // engine goroutine, and a park point it reaches records its wake-up, reports
 // "parked" and leaves the step to return. Both kinds are woken by the same
 // events with the same stamps, and at any instant at most one Proc executes.
@@ -460,19 +460,13 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return e.start(t, p)
 }
 
-// SpawnStep creates a stackless process whose body is step, scheduled to
-// start at the current virtual time like Spawn. The engine calls step at
-// the start and at every wake-up. A step resumes from state it keeps
-// itself: when a park point it calls reports that it parked, the step must
-// return at once, and the engine calls it again when the wake-up the park
-// point recorded dispatches. A step that returns without parking finishes
-// the process. A panic in step halts the run as a panic in a Spawn body
-// does.
-func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
-	return e.SpawnStepAt(e.now, name, step)
-}
-
-// SpawnStepAt is SpawnStep with an explicit start time.
+// SpawnStepAt creates a stackless process whose body is step, scheduled to
+// start at time t like SpawnAt. The engine calls step at the start and at
+// every wake-up. A step resumes from state it keeps itself: when a park
+// point it calls reports that it parked, the step must return at once, and
+// the engine calls it again when the wake-up the park point recorded
+// dispatches. A step that returns without parking finishes the process. A
+// panic in step halts the run as a panic in a Spawn body does.
 func (e *Engine) SpawnStepAt(t Time, name string, step func(p *Proc)) *Proc {
 	return e.start(t, &Proc{Name: name, eng: e, step: step})
 }
@@ -496,7 +490,6 @@ func (e *Engine) runStep(p *Proc) {
 				e.panicked = &PanicError{Proc: p.Name, Value: r}
 			}
 			e.halted = true
-			p.parked = false
 			p.finish()
 		}
 	}()
@@ -590,7 +583,7 @@ func (e *Engine) wake(p *Proc, t Time) { e.schedule(t, p, nil) }
 
 // Sleep suspends the process for duration d of virtual time (a negative d
 // sleeps zero). Like every park point it reports whether p, a stackless
-// process, parked (see SpawnStep); a coroutine sleeps through it and sees
+// process, parked (see SpawnStepAt); a coroutine sleeps through it and sees
 // false.
 func (p *Proc) Sleep(d Dur) bool { return p.sleepUntil(p.eng.now+Time(d), "sleep") }
 
