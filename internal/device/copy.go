@@ -194,6 +194,7 @@ type progress struct {
 // a leg; called again with the same x once p resumes, it carries on.
 // Otherwise the copy has finished, and err is its outcome.
 func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.Addr, n int64, x *progress) (parked bool, err error) {
+	rt := c.Dev.rt
 	if !x.started {
 		if n < 0 {
 			return false, fmt.Errorf("device: Transfer: negative size %d", n)
@@ -206,7 +207,6 @@ func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.A
 		if err != nil {
 			return false, fmt.Errorf("device: Transfer src: %w", err)
 		}
-		rt := c.Dev.rt
 		dir := Classify(dloc, sloc)
 		*x = progress{started: true, start: p.Now(), dir: dir,
 			route: PlanCopy(rt.Fab, rt.NodeIdx, dir, dloc, sloc, true)}
@@ -219,7 +219,6 @@ func (c *Context) transferLane(p *sim.Proc, lane int, id uint64, dst, src xmem.A
 		// Transient copy failures: each failed attempt still spent its
 		// fabric time, and the driver re-drives the transfer until it lands
 		// or the retry budget runs out.
-		rt := c.Dev.rt
 		ft := rt.Faults
 		if ft == nil || !ft.CopyFail(rt.NodeIdx) {
 			break

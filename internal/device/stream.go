@@ -56,9 +56,9 @@ type Stream struct {
 // point it calls reports that p parked, Run returns true at once, and the
 // stream calls it again when p resumes. Run keeps its progress in its
 // record, or, for this package's operations, in the stream's cur. Once Run
-// returns false the operation has finished; the stream
-// then reads only the entry's completion event, before it parks again, so
-// Run may end by handing a record its owner recycles back to the owner.
+// returns false the operation has finished; the stream then reads only the
+// entry's completion event, before it parks again, so Run may end by
+// handing a record its owner recycles back to the owner.
 type Runner interface {
 	Run(s *Stream, p *sim.Proc) (parked bool)
 	// Why labels the operation's completion event on stream s in
