@@ -218,7 +218,7 @@ func TestQueuedCopyFailureFailsTask(t *testing.T) {
 		tk.ACCWait(1)
 	})
 	var se *device.StreamError
-	if !errors.As(err, &se) || se.Queue != 1 || se.Ctx != rt.tasks[0].ep.Ctx {
+	if !errors.As(err, &se) || se.Queue != 1 || se.Ctx != rt.tasks[0].ctx {
 		t.Fatalf("err = %v, want a queue-1 *device.StreamError on task 0's context", err)
 	}
 	if !strings.Contains(err.Error(), "copy failed after") {

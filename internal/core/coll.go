@@ -474,7 +474,7 @@ func (t *Task) localCopy(dst, src xmem.Addr, n int64) {
 	if dst == src || n == 0 {
 		return
 	}
-	if err := t.ep.Ctx.Transfer(t.proc, dst, src, n); err != nil {
+	if err := t.ctx.Transfer(t.proc, dst, src, n); err != nil {
 		t.fail(err)
 	}
 }

@@ -256,7 +256,7 @@ func (t *Task) resolveBuf(addr xmem.Addr, count int, dt mpi.Datatype, o callOpts
 func (t *Task) initCmd(cmd *msg.Cmd, why string, isSend bool, buf xmem.Addr, bytes int64, src, dst, tag int, o callOpts) {
 	*cmd = msg.Cmd{
 		IsSend: isSend, Src: src, Dst: dst, Tag: tag, Comm: o.comm,
-		Addr: buf, Bytes: bytes, Ep: t.ep, ReadOnly: o.readonly, Gen: cmd.Gen,
+		Addr: buf, Bytes: bytes, Ep: t.ctx, ReadOnly: o.readonly, Gen: cmd.Gen,
 	}
 	t.eng().InitEvent(&cmd.Done, why)
 }

@@ -111,7 +111,7 @@ func (rt *Runtime) buildReport() *Report {
 			Comm:           t.commTime,
 			AccWait:        t.env.WaitTime,
 			HostBusy:       t.hostTime,
-			Dev:            t.ep.Ctx.Stats,
+			Dev:            t.ctx.Stats,
 			LeakedMappings: t.env.PT.Len(),
 		}
 		if sim.Dur(t.endAt) > r.Elapsed {

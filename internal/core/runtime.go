@@ -322,7 +322,7 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 				return nil, rt.taskError(v)
 			case *device.StreamError:
 				for _, t := range rt.tasks {
-					if t.ep.Ctx == v.Ctx {
+					if t.ctx == v.Ctx {
 						return nil, rt.taskError(&RunError{Rank: t.rank, Err: v})
 					}
 				}

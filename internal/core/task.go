@@ -7,7 +7,6 @@ import (
 
 	"impacc/internal/acc"
 	"impacc/internal/device"
-	"impacc/internal/msg"
 	"impacc/internal/sim"
 	"impacc/internal/topo"
 	"impacc/internal/xmem"
@@ -26,7 +25,7 @@ type Task struct {
 
 	proc  *sim.Proc
 	space *xmem.Space
-	ep    *msg.Endpoint
+	ctx   *device.Context
 	env   *acc.Env
 	rng   *sim.RNG
 
@@ -116,7 +115,7 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	if rt.Cfg.Trace != nil {
 		ctx.Sink = &taskSink{tr: rt.Cfg.Trace, rank: rank, node: pl.Node}
 	}
-	t.ep = &msg.Endpoint{Space: t.space, Ctx: ctx}
+	t.ctx = ctx
 	t.env = acc.NewEnv(ctx)
 	t.rng = sim.NewRNG(rt.Cfg.Seed ^ (uint64(rank)*0x9E3779B97F4A7C15 + 0x1234567))
 	t.scratch, _ = t.space.AllocHost(64, false)
@@ -163,7 +162,7 @@ func (t *Task) NumNodes() int { return len(t.rt.worldLayout.first) } //impacc:al
 func (t *Task) DeviceType() topo.DeviceClass { return t.env.DeviceType() }
 
 // DeviceSpec exposes the attached accelerator's description.
-func (t *Task) DeviceSpec() *topo.DeviceSpec { return t.ep.Ctx.Dev.Spec } //impacc:allow-unused reproduces the paper's OpenACC API (§3)
+func (t *Task) DeviceSpec() *topo.DeviceSpec { return t.ctx.Dev.Spec } //impacc:allow-unused reproduces the paper's OpenACC API (§3)
 
 // SetDeviceNum is acc_set_device_num. The task-device mapping is fixed by
 // the runtime for the application's lifetime, so the call is ignored
@@ -279,7 +278,7 @@ func (t *Task) Bytes(addr xmem.Addr, n int64) []byte {
 // the task's pinned socket, with deterministic jitter when configured.
 func (t *Task) Compute(flops float64) {
 	node := &t.rt.Cfg.System.Nodes[t.pl.Node]
-	sock := t.ep.Ctx.Socket
+	sock := t.ctx.Socket
 	if sock < 0 {
 		sock = 0
 	}

@@ -28,14 +28,6 @@ const (
 	AnyTag    = -1
 )
 
-// Endpoint is one task's communication identity: its address space
-// (shared per node under IMPACC, private per task under legacy) and device
-// context.
-type Endpoint struct {
-	Space *xmem.Space
-	Ctx   *device.Context
-}
-
 // Config selects the hub's behaviour. The defaults for each mode live in
 // the core runtime; individual features toggle independently for ablation
 // benchmarks.
@@ -89,7 +81,10 @@ type Cmd struct {
 	Comm  int // communicator context id (0 = MPI_COMM_WORLD)
 	Addr  xmem.Addr
 	Bytes int64
-	Ep    *Endpoint
+	// Ep is the posting task's device context; its Space is the task's
+	// address space (shared per node under IMPACC, private per task under
+	// legacy).
+	Ep *device.Context
 	// Done fires when the operation completes (buffer reusable). The
 	// command owns it: initialize it with Engine.InitEvent before posting.
 	Done sim.Event
@@ -837,7 +832,7 @@ func (h *Hub) finishPair(send, recv *Cmd, dir device.Direction, start sim.Time) 
 		h.fail(send, recv, err)
 		return
 	}
-	recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
+	recv.Ep.Record(dir, n, sim.Dur(h.Eng.Now()-start))
 	send.Done.Fire()
 	recv.Done.Fire()
 }

@@ -44,9 +44,9 @@ func newNodeRig(t *testing.T, sys *topo.System, cfg Config) *nodeRig {
 	return &nodeRig{eng: eng, fab: fab, hub: hub, sp: sp, heap: heap, rt: rt}
 }
 
-func (r *nodeRig) endpoint(dev int, space *xmem.Space) *Endpoint {
+func (r *nodeRig) endpoint(dev int, space *xmem.Space) *device.Context {
 	sock := r.fab.Sys.Nodes[0].Devices[dev].Socket
-	return &Endpoint{Space: space, Ctx: r.rt.NewContext(dev, space, sock, true, true)}
+	return r.rt.NewContext(dev, space, sock, true, true)
 }
 
 func (r *nodeRig) run(t *testing.T) {
@@ -66,7 +66,7 @@ func newCmd(eng *sim.Engine, why string, cmd Cmd) *Cmd {
 
 // cmdPair builds a matching send (rank 0, endpoint sep) and receive
 // (rank 1, endpoint rep).
-func cmdPair(eng *sim.Engine, sep, rep *Endpoint, saddr, raddr xmem.Addr, n int64, sro, rro bool) (*Cmd, *Cmd) {
+func cmdPair(eng *sim.Engine, sep, rep *device.Context, saddr, raddr xmem.Addr, n int64, sro, rro bool) (*Cmd, *Cmd) {
 	s := newCmd(eng, "send", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 7,
 		Addr: saddr, Bytes: n, Ep: sep, ReadOnly: sro})
 	r := newCmd(eng, "recv", Cmd{Src: 0, Dst: 1, Tag: 7,
@@ -109,7 +109,7 @@ func TestIntraFusedHtoH(t *testing.T) {
 	if s.Err != nil || rc.Err != nil {
 		t.Fatalf("errors: %v, %v", s.Err, rc.Err)
 	}
-	if e1.Ctx.Stats.HtoHCount != 1 {
+	if e1.Stats.HtoHCount != 1 {
 		t.Fatal("fused copy not recorded on receiver context")
 	}
 }
@@ -340,8 +340,8 @@ func TestAliasingRequirements(t *testing.T) {
 func TestDeviceBuffersNeverAlias(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
 	e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
-	src, _ := e0.Ctx.MemAlloc(256)
-	dst, _ := e1.Ctx.MemAlloc(256)
+	src, _ := e0.MemAlloc(256)
+	dst, _ := e1.MemAlloc(256)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 256, true, true)
 	r.eng.Spawn("x", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s)
@@ -355,7 +355,7 @@ func TestDeviceBuffersNeverAlias(t *testing.T) {
 	if r.hub.Stats().FusedCopies != 1 {
 		t.Fatal("expected a fused DtoD copy")
 	}
-	if e1.Ctx.Stats.DtoDCount != 1 {
+	if e1.Stats.DtoDCount != 1 {
 		t.Fatal("DtoD not recorded")
 	}
 }
@@ -368,8 +368,7 @@ func TestLegacyIntraIsSlowerThanFused(t *testing.T) {
 		var sp1 *xmem.Space
 		if cfg.Legacy {
 			sp1 = xmem.NewSpace("p1", 8) // private space per process
-			e1 = &Endpoint{Space: sp1,
-				Ctx: r.rt.NewContext(1, sp1, 0, true, false)}
+			e1 = r.rt.NewContext(1, sp1, 0, true, false)
 		}
 		src, _ := e0.Space.AllocHost(n, true)
 		dst, _ := e1.Space.AllocHost(n, true)
@@ -403,8 +402,8 @@ func TestDtoDP2PVsDisabled(t *testing.T) {
 		cfg.DirectP2P = p2p
 		r := newNodeRig(t, topo.PSG(), cfg)
 		e0, e1 := r.endpoint(0, r.sp), r.endpoint(1, r.sp)
-		src, _ := e0.Ctx.MemAlloc(n)
-		dst, _ := e1.Ctx.MemAlloc(n)
+		src, _ := e0.MemAlloc(n)
+		dst, _ := e1.MemAlloc(n)
 		s, rc := cmdPair(r.eng, e0, e1, src, dst, n, false, false)
 		var elapsed sim.Dur
 		r.eng.Spawn("x", func(p *sim.Proc) {
@@ -425,7 +424,7 @@ func TestDtoDP2PVsDisabled(t *testing.T) {
 }
 
 // twoNodeRig wires two Titan nodes with one endpoint each.
-func twoNodeRig(t testing.TB, sys *topo.System, cfg Config) (*sim.Engine, *Hub, *Hub, *Endpoint, *Endpoint) {
+func twoNodeRig(t testing.TB, sys *topo.System, cfg Config) (*sim.Engine, *Hub, *Hub, *device.Context, *device.Context) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fab := topo.NewShardedFabric(slices.Repeat([]*sim.Engine{eng}, len(sys.Nodes)), sys)
@@ -435,8 +434,8 @@ func twoNodeRig(t testing.TB, sys *topo.System, cfg Config) (*sim.Engine, *Hub, 
 	rt1 := device.NewRuntime(eng, fab, 1)
 	sp0 := xmem.NewSpace("n0", len(sys.Nodes[0].Devices))
 	sp1 := xmem.NewSpace("n1", len(sys.Nodes[1].Devices))
-	e0 := &Endpoint{Space: sp0, Ctx: rt0.NewContext(0, sp0, 0, true, true)}
-	e1 := &Endpoint{Space: sp1, Ctx: rt1.NewContext(0, sp1, 0, true, true)}
+	e0 := rt0.NewContext(0, sp0, 0, true, true)
+	e1 := rt1.NewContext(0, sp1, 0, true, true)
 	return eng, h0, h1, e0, e1
 }
 
@@ -482,8 +481,8 @@ func TestInternodeDeviceRDMAvsStaged(t *testing.T) {
 		cfg := impaccCfg()
 		cfg.RDMA = rdma
 		eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), cfg)
-		src, _ := e0.Ctx.MemAlloc(16 << 20)
-		dst, _ := e1.Ctx.MemAlloc(16 << 20)
+		src, _ := e0.MemAlloc(16 << 20)
+		dst, _ := e1.MemAlloc(16 << 20)
 		s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 16 << 20, Ep: e0})
 		rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 16 << 20, Ep: e1})
 		var elapsed sim.Dur
@@ -514,7 +513,7 @@ func TestInternodeDeviceRDMAvsStaged(t *testing.T) {
 
 func TestLegacyRejectsDeviceBuffers(t *testing.T) {
 	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), legacyCfg())
-	src, _ := e0.Ctx.MemAlloc(1024)
+	src, _ := e0.MemAlloc(1024)
 	dst, _ := e1.Space.AllocHost(1024, true)
 	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 0, Addr: src, Bytes: 1024, Ep: e0})
 	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 0, Addr: dst, Bytes: 1024, Ep: e1})
@@ -550,8 +549,8 @@ func TestSerializedInternodeWithoutThreadMultiple(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 4; i++ {
 			i := i
-			e := &Endpoint{Space: sp0, Ctx: rt0.NewContext(i, sp0, 0, true, true)}
-			er := &Endpoint{Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
+			e := rt0.NewContext(i, sp0, 0, true, true)
+			er := rt1.NewContext(i, sp1, 0, true, true)
 			src, _ := sp0.AllocHost(64, true)
 			dst, _ := sp1.AllocHost(64, true)
 			s := newCmd(eng, "s", Cmd{IsSend: true, Src: i, Dst: 10 + i, Tag: 0, Addr: src, Bytes: 64, Ep: e})
@@ -609,8 +608,8 @@ func TestFusedDtoDCrossSocketStaged(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
 	e0 := r.endpoint(0, r.sp)
 	e4 := r.endpoint(4, r.sp)
-	src, _ := e0.Ctx.MemAlloc(32 << 20)
-	dst, _ := e4.Ctx.MemAlloc(32 << 20)
+	src, _ := e0.MemAlloc(32 << 20)
+	dst, _ := e4.MemAlloc(32 << 20)
 	s, rc := cmdPair(r.eng, e0, e4, src, dst, 32<<20, false, false)
 	var elapsed sim.Dur
 	r.eng.Spawn("x", func(p *sim.Proc) {
@@ -625,8 +624,8 @@ func TestFusedDtoDCrossSocketStaged(t *testing.T) {
 	r2 := newNodeRig(t, topo.PSG(), impaccCfg())
 	f0 := r2.endpoint(0, r2.sp)
 	f1 := r2.endpoint(1, r2.sp)
-	src2, _ := f0.Ctx.MemAlloc(32 << 20)
-	dst2, _ := f1.Ctx.MemAlloc(32 << 20)
+	src2, _ := f0.MemAlloc(32 << 20)
+	dst2, _ := f1.MemAlloc(32 << 20)
 	s2, rc2 := cmdPair(r2.eng, f0, f1, src2, dst2, 32<<20, false, false)
 	var direct sim.Dur
 	r2.eng.Spawn("x", func(p *sim.Proc) {
@@ -647,8 +646,8 @@ func TestFusedSameDeviceCopy(t *testing.T) {
 	r := newNodeRig(t, topo.PSG(), impaccCfg())
 	e0 := r.endpoint(0, r.sp)
 	e1 := r.endpoint(0, r.sp) // same device 0
-	src, _ := e0.Ctx.MemAlloc(1 << 20)
-	dst, _ := e1.Ctx.MemAlloc(1 << 20)
+	src, _ := e0.MemAlloc(1 << 20)
+	dst, _ := e1.MemAlloc(1 << 20)
 	s, rc := cmdPair(r.eng, e0, e1, src, dst, 1<<20, false, false)
 	r.eng.Spawn("x", func(p *sim.Proc) {
 		r.hub.PostIntra(p, s)
@@ -714,10 +713,10 @@ func TestSerializedStagingHoldsLock(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 4; i++ {
 			i := i
-			es := &Endpoint{Space: sp0, Ctx: rt0.NewContext(i, sp0, 0, true, true)}
-			er := &Endpoint{Space: sp1, Ctx: rt1.NewContext(i, sp1, 0, true, true)}
-			src, _ := es.Ctx.MemAlloc(4096)
-			dst, _ := er.Ctx.MemAlloc(4096)
+			es := rt0.NewContext(i, sp0, 0, true, true)
+			er := rt1.NewContext(i, sp1, 0, true, true)
+			src, _ := es.MemAlloc(4096)
+			dst, _ := er.MemAlloc(4096)
 			eng.Spawn("s", func(p *sim.Proc) {
 				for round := 0; round < rounds; round++ {
 					p.SleepUntil(sim.Time(round) * sim.Time(period))

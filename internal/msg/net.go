@@ -305,7 +305,7 @@ func (h *Hub) landNet(m *netMsg, recv *Cmd, onDevice bool, start sim.Time) {
 	if onDevice {
 		dir = device.HtoD
 	}
-	recv.Ep.Ctx.Record(dir, n, sim.Dur(h.Eng.Now()-start))
+	recv.Ep.Record(dir, n, sim.Dur(h.Eng.Now()-start))
 	recv.Done.Fire()
 }
 

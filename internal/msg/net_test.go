@@ -165,7 +165,7 @@ func TestInternodeZeroByteParity(t *testing.T) {
 func TestLegacyRejectsDeviceRecv(t *testing.T) {
 	eng, h0, h1, e0, e1 := twoNodeRig(t, topo.Titan(2), legacyCfg())
 	src, _ := e0.Space.AllocHost(4096, true)
-	dst, _ := e1.Ctx.MemAlloc(4096)
+	dst, _ := e1.MemAlloc(4096)
 	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 5, Addr: src, Bytes: 4096, Ep: e0})
 	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 5, Addr: dst, Bytes: 4096, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {
@@ -332,8 +332,8 @@ func TestRDMARerouteToStaging(t *testing.T) {
 	flap := &stubFaults{rdmaDown: true}
 	h0.SetFaults(flap)
 	h1.SetFaults(flap)
-	src, _ := e0.Ctx.MemAlloc(1 << 20)
-	dst, _ := e1.Ctx.MemAlloc(1 << 20)
+	src, _ := e0.MemAlloc(1 << 20)
+	dst, _ := e1.MemAlloc(1 << 20)
 	s := newCmd(eng, "s", Cmd{IsSend: true, Src: 0, Dst: 1, Tag: 7, Addr: src, Bytes: 1 << 20, Ep: e0})
 	rc := newCmd(eng, "r", Cmd{Src: 0, Dst: 1, Tag: 7, Addr: dst, Bytes: 1 << 20, Ep: e1})
 	eng.Spawn("sender", func(p *sim.Proc) {

@@ -60,17 +60,17 @@ type ShardGroup struct {
 	// shard quiescent (the coordinator goroutine calls it between windows).
 	// Set it together with BeatEvery before Run.
 	OnBeat func(at Time)
-	// OnWindow, when non-nil, is called after every window barrier with the
-	// fence the window ran to: every event strictly before the fence has
-	// been dispatched on every shard, and every future record any shard
-	// produces will be stamped at or after it. Streaming observers use it
-	// to flush safely (see core's streaming tracer).
-	OnWindow func(fence Time)
-	// Check, when non-nil, runs after every window's exchange with every
-	// shard quiescent; a non-nil error ends the run (core's task-heap cap).
-	// horizon is the earliest time any event can still run at; a drained
-	// run skips it. Unlike OnWindow, Check may stop the run, so it must
-	// decide from state before horizon alone.
+	// OnWindow, when non-nil, is called at every window barrier after the
+	// exchange, with every shard quiescent, with the horizon: the earliest
+	// pending event on any shard. Every event strictly before it has been
+	// dispatched on every shard, and every future record any shard produces
+	// will be stamped at or after it. Streaming observers use it to flush
+	// safely (see core's streaming tracer). A drained run skips it.
+	OnWindow func(horizon Time)
+	// Check, when non-nil, runs right after OnWindow with the same horizon;
+	// a non-nil error ends the run (core's task-heap cap). Unlike OnWindow,
+	// Check may stop the run, so it must decide from state before horizon
+	// alone.
 	Check func(horizon Time) error
 
 	nextBeat Time
@@ -147,14 +147,11 @@ func (g *ShardGroup) MaxNow() Time {
 // Deadline/MaxEvents cap, *CancelError, or *PanicError. However it ends,
 // every unfinished process on every shard is unwound before returning.
 func (g *ShardGroup) Run() error {
-	stopErr := g.windows()
-	var err error
-	if p := g.firstPanic(); p != nil {
-		err = p
-	} else if stopErr != nil {
-		err = stopErr
-	} else if blocked := g.blockedUnion(); len(blocked) > 0 {
-		err = &DeadlockError{Time: g.MaxNow(), Blocked: blocked}
+	err := g.windows()
+	if err == nil {
+		if blocked := g.blockedUnion(); len(blocked) > 0 {
+			err = &DeadlockError{Time: g.MaxNow(), Blocked: blocked}
+		}
 	}
 	g.captureStall(err)
 	for _, e := range g.engines {
@@ -178,11 +175,14 @@ func (g *ShardGroup) windows() error {
 	if g.BeatEvery > 0 {
 		g.nextBeat = Time(g.BeatEvery)
 	}
+	// T is the horizon, the barrier's one safe instant: the earliest
+	// pending event on any shard, scanned once per barrier after the
+	// exchange. The next window starts at it, and OnWindow and Check see it.
+	T, ok := g.minNextAt()
 	for {
 		if g.Cancelled() {
 			return &CancelError{At: g.MaxNow()}
 		}
-		T, ok := g.minNextAt()
 		if !ok {
 			return nil // drained
 		}
@@ -224,29 +224,51 @@ func (g *ShardGroup) windows() error {
 		}
 		g.armEventBudget()
 		g.runWindow(active, fence, errs)
-		// The stop error of the lowest shard index wins, deterministically.
-		for i := range errs {
-			if errs[i] != nil {
-				return errs[i]
-			}
-		}
-		if err := g.checkEventBudget(); err != nil {
+		if err := g.windowErr(errs); err != nil {
 			return err
-		}
-		if g.OnWindow != nil {
-			g.OnWindow(g.windowFence(fence))
 		}
 		if err := g.exchange(); err != nil {
 			return err
 		}
+		if T, ok = g.minNextAt(); !ok {
+			continue
+		}
+		if g.OnWindow != nil {
+			g.OnWindow(T)
+		}
 		if g.Check != nil {
-			if at, ok := g.minNextAt(); ok {
-				if err := g.Check(at); err != nil {
-					return err
-				}
+			if err := g.Check(T); err != nil {
+				return err
 			}
 		}
 	}
+}
+
+// windowErr is the error that ends the run at this barrier, or nil: the
+// canonically first of the window's process panics and its
+// budget-exhausting event, which is where a serial engine over the merged
+// schedule stops, though other shards may have run past it. A cancel has
+// no place in the schedule; it ends the run unless a panic does.
+func (g *ShardGroup) windowErr(errs []error) error {
+	var first *PanicError
+	var cancel error
+	for _, err := range errs {
+		if pe, ok := err.(*PanicError); ok {
+			if first == nil || pe.key.before(first.key) {
+				first = pe
+			}
+		} else if err != nil {
+			cancel = err
+		}
+	}
+	at, limit := g.checkEventBudget()
+	switch {
+	case first != nil && (limit == nil || !at.before(first.key)):
+		return first
+	case cancel != nil:
+		return cancel
+	}
+	return limit
 }
 
 // exchange moves cross-shard events from outboxes into their destination
@@ -336,7 +358,7 @@ func (g *ShardGroup) armEventBudget() {
 			if e.winStamps == nil {
 				// Non-nil arms recording; the slice grows only as the
 				// shard dispatches, so an idle shard holds nothing.
-				e.winStamps = []Time{}
+				e.winStamps = []eventKey{}
 			} else {
 				e.winStamps = e.winStamps[:0]
 			}
@@ -349,57 +371,46 @@ func (g *ShardGroup) armEventBudget() {
 	}
 }
 
-// checkEventBudget ends the run once the shards' combined dispatch count
-// reaches MaxEvents, attributing the *LimitError to the canonical
+// checkEventBudget returns a *LimitError once the shards' combined
+// dispatch count reaches MaxEvents, with the key of the canonical
 // (at, depth, lp, seq)-least event that exhausted the budget — the same
 // event a serial engine over the merged schedule would have stopped at —
-// so the error bytes match at every worker count. The error names only the
-// event's time, and the r-th event in that order happens at the r-th
-// smallest dispatch time, so the shards record times alone.
-func (g *ShardGroup) checkEventBudget() error {
+// so the error bytes match at every worker count.
+func (g *ShardGroup) checkEventBudget() (eventKey, error) {
 	if g.MaxEvents == 0 {
-		return nil
+		return eventKey{}, nil
 	}
 	total := g.Events()
 	if total < g.MaxEvents {
-		return nil
+		return eventKey{}, nil
 	}
 	// The budget can only be crossed with stamp recording armed (far from
 	// the cap the window caps keep the total strictly below it), so every
 	// dispatch of the crossing window is stamped. The budget ran out at the
-	// r-th smallest stamp, where r is the pre-window remainder.
+	// r-th smallest key, where r is the pre-window remainder.
 	var windowEvents int64
 	for _, e := range g.engines {
 		windowEvents += int64(e.winCount)
 	}
 	r := int64(g.MaxEvents) - (int64(total) - windowEvents)
-	var stamps []Time
+	var stamps []eventKey
 	for _, e := range g.engines {
 		stamps = append(stamps, e.winStamps...)
 	}
-	slices.Sort(stamps)
-	at := g.MaxNow()
+	slices.SortFunc(stamps, func(a, b eventKey) int {
+		switch {
+		case a.before(b):
+			return -1
+		case b.before(a):
+			return 1
+		}
+		return 0
+	})
+	at := eventKey{at: g.MaxNow()}
 	if r >= 1 && int64(len(stamps)) >= r {
 		at = stamps[r-1]
 	}
-	return &LimitError{Resource: "events", Limit: int64(g.MaxEvents), At: at}
-}
-
-// windowFence is the fence OnWindow observers may trust: every event
-// strictly before it has been dispatched on every shard, and every future
-// record will be stamped at or after it. Normally that is the window fence
-// itself; when an event-budget cap paused a shard mid-window, it is pulled
-// back to the earliest still-pending event.
-func (g *ShardGroup) windowFence(fence Time) Time {
-	if g.MaxEvents == 0 {
-		return fence
-	}
-	for _, e := range g.engines {
-		if at, ok := e.nextAt(); ok && at < fence {
-			fence = at
-		}
-	}
-	return fence
+	return at, &LimitError{Resource: "events", Limit: int64(g.MaxEvents), At: at.at}
 }
 
 // NextAt exposes the group's global clock to observers: the earliest

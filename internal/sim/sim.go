@@ -87,6 +87,13 @@ func (f *fireCall) Call() { (*Event)(f).Fire() }
 // process; otherwise cb runs inline in the engine loop. Events are pooled on
 // a per-engine freelist; no pointer to one may outlive its dispatch.
 type event struct {
+	eventKey
+	proc *Proc
+	cb   Callback
+}
+
+// eventKey is an event's place in the canonical order.
+type eventKey struct {
 	at Time
 	// dl packs the canonical tie-break pair (depth, lp) into one word —
 	// depth in the high 32 bits, lp in the low 32 — so eventLess compares
@@ -106,9 +113,6 @@ type event struct {
 	// only on the schedule, never on host scheduling.
 	dl  uint64
 	seq uint64
-
-	proc *Proc
-	cb   Callback
 }
 
 // dlKey packs a (depth, lp) pair into an event's dl word.
@@ -118,16 +122,19 @@ func dlKey(depth uint32, lp int32) uint64 {
 
 // eventLess is the total order on events: (at, depth, lp, seq) ascending.
 // For events stamped by a single engine this is identical to the historical
-// (at, seq) order (see event.dl); across engines it is the canonical
+// (at, seq) order (see eventKey.dl); across engines it is the canonical
 // merge order of the sharded runtime.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func eventLess(a, b *event) bool { return a.before(b.eventKey) }
+
+// before reports whether k precedes o in the (at, depth, lp, seq) order.
+func (k eventKey) before(o eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	if a.dl != b.dl {
-		return a.dl < b.dl
+	if k.dl != o.dl {
+		return k.dl < o.dl
 	}
-	return a.seq < b.seq
+	return k.seq < o.seq
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not ready;
@@ -153,12 +160,15 @@ type Engine struct {
 	// current window (the ShardGroup's deterministic MaxEvents
 	// enforcement): reaching it pauses the shard until the barrier, like an
 	// exhausted fence, without halting. winCount counts the window's
-	// dispatches; winStamps, when non-nil, records their times so the
-	// group can date the budget-exhausting event exactly. All three are
+	// dispatches; winStamps, when non-nil, records their keys so the
+	// group can place the budget-exhausting event exactly. All three are
 	// rearmed by the coordinator at every window barrier.
 	winCap    uint64
 	winCount  uint64
-	winStamps []Time
+	winStamps []eventKey
+	// last is the key of the event dispatched last, which a process panic
+	// is placed at.
+	last eventKey
 	// stamping is set while flight or winStamps is armed (ArmFlight,
 	// armEventBudget), so the dispatch path tests one flag and account
 	// stays small enough to inline.
@@ -445,10 +455,7 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !IsHaltUnwind(r) {
-				if e.panicked == nil {
-					e.panicked = &PanicError{Proc: name, Value: r}
-				}
-				e.halted = true
+				e.halt(name, r)
 			}
 			p.done = true
 			e.live--
@@ -486,10 +493,7 @@ func (e *Engine) start(t Time, p *Proc) *Proc {
 func (e *Engine) runStep(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
-			if e.panicked == nil {
-				e.panicked = &PanicError{Proc: p.Name, Value: r}
-			}
-			e.halted = true
+			e.halt(p.Name, r)
 			p.finish()
 		}
 	}()
@@ -498,6 +502,15 @@ func (e *Engine) runStep(p *Proc) {
 	if !p.parked {
 		p.finish()
 	}
+}
+
+// halt records a panic of process proc in the event being dispatched, unless
+// one came before, and halts the engine.
+func (e *Engine) halt(proc string, r any) {
+	if e.panicked == nil {
+		e.panicked = &PanicError{Proc: proc, Value: r, key: e.last}
+	}
+	e.halted = true
 }
 
 // finish marks a stackless process done.
@@ -528,6 +541,9 @@ func (e *Engine) maybeCompactProcs() {
 type PanicError struct {
 	Proc  string
 	Value interface{}
+	// key places a process panic in the canonical order (zero for the
+	// exchange's), so a group reports the first of a window's stops.
+	key eventKey
 }
 
 func (e *PanicError) Error() string {
@@ -770,6 +786,7 @@ func (e *Engine) runUntil(fence Time) error {
 // popped the event or Proc.sleepUntil never queued it.
 func (e *Engine) account(dl, seq uint64, p *Proc) {
 	e.dispatchDepth = int32(dl >> 32)
+	e.last = eventKey{e.now, dl, seq}
 	if e.stamping {
 		e.stamp(dl, seq, p)
 	}
@@ -784,7 +801,7 @@ func (e *Engine) stamp(dl, seq uint64, p *Proc) {
 		e.recordFlight(e.now, dl, seq, p)
 	}
 	if e.winStamps != nil {
-		e.winStamps = append(e.winStamps, e.now)
+		e.winStamps = append(e.winStamps, e.last)
 	}
 }
 
