@@ -2,7 +2,7 @@ package sim
 
 import (
 	"container/heap"
-		"fmt"
+	"fmt"
 	"sort"
 	"strings"
 )

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,10 +96,7 @@ func NewShardGroup(engines []*Engine, lookahead Dur, workers int) *ShardGroup {
 	if len(engines) > 1 && lookahead <= 0 {
 		panic("sim: multi-shard group requires positive lookahead")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	g := &ShardGroup{engines: engines, lookahead: lookahead, workers: workers}
+	g := &ShardGroup{engines: engines, lookahead: lookahead, workers: max(workers, 1)}
 	for i, e := range engines {
 		if e.lp != int32(i) {
 			panic("sim: shard engines must be created with NewLPEngine(index)")
@@ -134,9 +130,7 @@ func (g *ShardGroup) Events() uint64 {
 func (g *ShardGroup) MaxNow() Time {
 	var t Time
 	for _, e := range g.engines {
-		if e.now > t {
-			t = e.now
-		}
+		t = max(t, e.now)
 	}
 	return t
 }
@@ -330,11 +324,7 @@ func (g *ShardGroup) runWindow(active []*Engine, fence Time, errs []error) {
 // least a few times the shard count so the coarse mode's per-shard window
 // caps stay >= 1.
 func (g *ShardGroup) exactThreshold() int64 {
-	t := int64(4 * len(g.engines))
-	if t < 4096 {
-		t = 4096
-	}
-	return t
+	return max(int64(4*len(g.engines)), 4096)
 }
 
 // armEventBudget distributes the remaining MaxEvents budget to the shards
@@ -397,15 +387,7 @@ func (g *ShardGroup) checkEventBudget() (eventKey, error) {
 	for _, e := range g.engines {
 		stamps = append(stamps, e.winStamps...)
 	}
-	slices.SortFunc(stamps, func(a, b eventKey) int {
-		switch {
-		case a.before(b):
-			return -1
-		case b.before(a):
-			return 1
-		}
-		return 0
-	})
+	sort.Slice(stamps, func(i, j int) bool { return stamps[i].before(stamps[j]) })
 	at := eventKey{at: g.MaxNow()}
 	if r >= 1 && int64(len(stamps)) >= r {
 		at = stamps[r-1]

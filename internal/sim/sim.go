@@ -286,7 +286,7 @@ func (e *Engine) pushHeap(ev *event) {
 // popHeap removes and returns the minimum event (sift-down).
 func (e *Engine) popHeap() *event {
 	h := e.heap
-	min := h[0]
+	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
@@ -301,10 +301,7 @@ func (e *Engine) popHeap() *event {
 				break
 			}
 			best := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
+			end := min(first+4, n)
 			for c := first + 1; c < end; c++ {
 				if eventLess(h[c], h[best]) {
 					best = c
@@ -319,16 +316,14 @@ func (e *Engine) popHeap() *event {
 		h[i] = last
 	}
 	e.heap = h
-	return min
+	return top
 }
 
 // schedule inserts an event at absolute time t (clamped to now) and returns
 // it. Events for the current instant go to the FIFO nowQ; future events go
 // to the heap.
 func (e *Engine) schedule(t Time, p *Proc, cb Callback) {
-	if t < e.now {
-		t = e.now
-	}
+	t = max(t, e.now)
 	e.seq++
 	ev := e.alloc()
 	var depth uint32
@@ -621,9 +616,7 @@ var inPlaceResume = true
 // under kind until the wake event dispatches, and reports whether p parked.
 func (p *Proc) sleepUntil(t Time, kind string) bool {
 	e := p.eng
-	if t < e.now {
-		t = e.now
-	}
+	t = max(t, e.now)
 	if !inPlaceResume || t >= e.fence || e.nowQHead < len(e.nowQ) ||
 		(len(e.heap) > 0 && e.heap[0].at <= t) ||
 		(e.winCap != 0 && e.winCount >= e.winCap) ||
