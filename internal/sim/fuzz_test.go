@@ -274,8 +274,8 @@ type fuzzShard struct {
 	res     *FIFOResource
 	log     strings.Builder
 	times   []Time // the time of each log entry
-	verdict Time   // the shard's first verdict, when hasVerdict
-	has     bool
+	verdict Time   // the shard's first verdict, when judged
+	judged  bool
 }
 
 // note logs one dispatch on s: what ran and the engine's stamp for it.
@@ -346,8 +346,8 @@ func (es *engineSys) use(occupy, tail Dur) bool {
 	return parked
 }
 func (es *engineSys) verdict() {
-	if !es.s.has {
-		es.s.verdict, es.s.has = es.s.e.now, true
+	if !es.s.judged {
+		es.s.verdict, es.s.judged = es.s.e.now, true
 	}
 }
 
@@ -417,7 +417,7 @@ func (prog *fuzzProgram) run(workers int, kinds fuzzKinds) *fuzzOutcome {
 	verdict := func(horizon Time) error {
 		t, found := Time(0), false
 		for _, s := range shards {
-			if s.has && s.verdict < horizon && (!found || s.verdict < t) {
+			if s.judged && s.verdict < horizon && (!found || s.verdict < t) {
 				t, found = s.verdict, true
 			}
 		}
