@@ -87,14 +87,15 @@ func (e *Engine) ArmFlight(n int) {
 	e.stamping = e.flight != nil || e.winStamps != nil
 }
 
-// recordFlight appends one dispatched event to the ring. Called from the
-// dispatch loop only when armed.
-func (e *Engine) recordFlight(at Time, dl uint64, seq uint64, proc *Proc) {
+// recordFlight appends the event being dispatched, which resumes proc, to
+// the ring. Called from the dispatch loop only when armed.
+func (e *Engine) recordFlight(proc *Proc) {
 	kind := "fn"
 	if proc != nil {
 		kind = proc.Name
 	}
-	s := EventStamp{Kind: kind, LP: int(int32(uint32(dl))), AtNs: int64(at), Seq: seq}
+	k := e.cur()
+	s := EventStamp{Kind: kind, LP: int(int32(uint32(k.dl))), AtNs: int64(k.at), Seq: k.seq}
 	if len(e.flight) < cap(e.flight) {
 		e.flight = append(e.flight, s)
 		return

@@ -280,7 +280,7 @@ type fuzzShard struct {
 
 // note logs one dispatch on s: what ran and the engine's stamp for it.
 func (s *fuzzShard) note(what string) {
-	fmt.Fprintf(&s.log, "%s@%d/%d/%d/%d;", what, s.e.now, s.e.dispatchDepth, s.e.seq, s.e.dispatched)
+	fmt.Fprintf(&s.log, "%s@%d/%d/%d/%d;", what, s.e.now, int32(s.e.depth()), s.e.seq, s.e.dispatched)
 	s.times = append(s.times, s.e.now)
 }
 

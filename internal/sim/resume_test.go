@@ -24,7 +24,7 @@ func TestResumeInPlaceAlone(t *testing.T) {
 	e.Spawn("solo", func(p *Proc) {
 		for i := 0; i < 10; i++ {
 			p.Sleep(Dur(i % 2))
-			depths = append(depths, e.dispatchDepth)
+			depths = append(depths, int32(e.depth()))
 		}
 	})
 	if err := soloGroup(e).Run(); err != nil {

@@ -148,10 +148,11 @@ type Engine struct {
 	// engines keep 0; every event carries its scheduler's lp so cross-shard
 	// ties break deterministically.
 	lp int32
-	// dispatchDepth is the depth of the event currently being dispatched,
-	// or -1 between dispatches; schedule derives same-instant child depths
-	// from it (see event.depth).
-	dispatchDepth int32
+	// curDL and curSeq stamp the event being dispatched (see cur). curDL
+	// is idleDL between dispatches, so its depth half reads -1 there;
+	// schedule derives same-instant child depths from it (see
+	// eventKey.dl).
+	curDL, curSeq uint64
 	// outbox buffers events posted to other shards' timelines (Post). A
 	// ShardGroup drains it at every window barrier; standalone engines
 	// never fill it.
@@ -166,9 +167,6 @@ type Engine struct {
 	winCap    uint64
 	winCount  uint64
 	winStamps []eventKey
-	// last is the key of the event dispatched last, which a process panic
-	// is placed at.
-	last eventKey
 	// stamping is set while flight or winStamps is armed (ArmFlight,
 	// armEventBudget), so the dispatch path tests one flag and account
 	// stays small enough to inline.
@@ -226,7 +224,7 @@ type Engine struct {
 // fresh registry whose clock is the engine's virtual time, so metric
 // mutations are stamped deterministically.
 func NewEngine() *Engine {
-	e := &Engine{dispatchDepth: -1, Metrics: telemetry.NewRegistry()}
+	e := &Engine{curDL: idleDL, Metrics: telemetry.NewRegistry()}
 	e.Metrics.SetClock(func() int64 { return int64(e.now) })
 	return e
 }
@@ -328,7 +326,7 @@ func (e *Engine) schedule(t Time, p *Proc, cb Callback) {
 	ev := e.alloc()
 	var depth uint32
 	if t == e.now {
-		depth = uint32(e.dispatchDepth + 1)
+		depth = e.depth() + 1
 	}
 	ev.at, ev.dl, ev.seq, ev.proc, ev.cb = t, dlKey(depth, e.lp), e.seq, p, cb
 	if t == e.now {
@@ -503,7 +501,7 @@ func (e *Engine) runStep(p *Proc) {
 // one came before, and halts the engine.
 func (e *Engine) halt(proc string, r any) {
 	if e.panicked == nil {
-		e.panicked = &PanicError{Proc: proc, Value: r, key: e.last}
+		e.panicked = &PanicError{Proc: proc, Value: r, key: e.cur()}
 	}
 	e.halted = true
 }
@@ -627,7 +625,7 @@ func (p *Proc) sleepUntil(t Time, kind string) bool {
 	e.seq++
 	var depth uint32
 	if t == e.now {
-		depth = uint32(e.dispatchDepth + 1)
+		depth = e.depth() + 1
 	} else {
 		// The current instant is exhausted: advance the clock as
 		// runUntil does.
@@ -767,34 +765,43 @@ func (e *Engine) runUntil(fence Time) error {
 		} else {
 			cb.Call()
 		}
-		e.dispatchDepth = -1
+		e.curDL = idleDL
 	}
 	return e.panicked
 }
 
 // account records the dispatch, at the current instant, of the event
-// stamped (dl, seq), which resumes p (nil for a callback): the depth its
-// same-instant children inherit, the flight ring, the window's stamps and
-// both counters. It is the one place a dispatch is counted, whether runUntil
-// popped the event or Proc.sleepUntil never queued it.
+// stamped (dl, seq), which resumes p (nil for a callback): its key, the
+// depth its same-instant children inherit, the flight ring, the window's
+// stamps and both counters. It is the one place a dispatch is counted,
+// whether runUntil popped the event or Proc.sleepUntil never queued it.
 func (e *Engine) account(dl, seq uint64, p *Proc) {
-	e.dispatchDepth = int32(dl >> 32)
-	e.last = eventKey{e.now, dl, seq}
+	e.curDL, e.curSeq = dl, seq
 	if e.stamping {
-		e.stamp(dl, seq, p)
+		e.stamp(p)
 	}
 	e.dispatched++
 	e.winCount++
 }
 
-// stamp records a dispatch in the flight ring and the window's stamps,
+// idleDL is curDL between dispatches: depth -1 in its high half.
+const idleDL = uint64(^uint32(0)) << 32
+
+// cur is the key of the event being dispatched, at the current instant:
+// the event a process panic happens in.
+func (e *Engine) cur() eventKey { return eventKey{e.now, e.curDL, e.curSeq} }
+
+// depth is the depth of the event being dispatched, -1 between dispatches.
+func (e *Engine) depth() uint32 { return uint32(e.curDL >> 32) }
+
+// stamp records the dispatch in the flight ring and the window's stamps,
 // whichever is armed.
-func (e *Engine) stamp(dl, seq uint64, p *Proc) {
+func (e *Engine) stamp(p *Proc) {
 	if e.flight != nil {
-		e.recordFlight(e.now, dl, seq, p)
+		e.recordFlight(p)
 	}
 	if e.winStamps != nil {
-		e.winStamps = append(e.winStamps, e.last)
+		e.winStamps = append(e.winStamps, e.cur())
 	}
 }
 
