@@ -50,10 +50,11 @@ var allocPaths = []allocPath{
 		device: true, budget: 3},
 	// A Barrier and an Allreduce of one float64 between two nodes: the
 	// internal commands come off the free lists like the exchange's, and
-	// what is left is the Reduce's scratch buffers (xmem.Space.AllocHost),
-	// the broadcast tree's child and pending lists and a payload snapshot.
+	// what is left is the Reduce's scratch buffers (xmem.Space.AllocHost)
+	// and a payload snapshot. The trees' child and pending lists reuse
+	// their task's scratch slices.
 	{name: "collective", cfg: Config{System: topo.Titan(2), Mode: IMPACC, Backed: true},
-		coll: true, budget: 12},
+		coll: true, budget: 9},
 }
 
 // noRDMA returns sys with GPUDirect RDMA off on every NIC.

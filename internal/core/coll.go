@@ -97,11 +97,11 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	// instead of log(P) times.
 	if c.myRank == myLeader {
 		idx, rootIdx := c.layout.slot[c.myRank], c.layout.slot[root]
-		var pend []*request
+		pend := t.collPend[:0]
 		if len(leaders) >= 4 && bytes >= int64(len(leaders))*bcastSegBytes {
 			c.bcastScatterAllgather(buf, bytes, leaders, idx, rootIdx, base, o)
 		} else {
-			pend = c.bcastTree(buf, bytes, leaders, idx, rootIdx, base, o)
+			pend = c.bcastTree(pend, buf, bytes, leaders, idx, rootIdx, base, o)
 		}
 		// Phase 2: forward whole buffers to the other member tasks on
 		// this node (whole-message so the §3.8 aliasing requirements can
@@ -112,6 +112,7 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 			}
 		}
 		t.waitAll(pend...)
+		t.collPend = pend[:0]
 		return
 	}
 	// Non-leader: receive from the node leader.
@@ -119,13 +120,13 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 }
 
 // bcastTree runs the segmented pipelined binomial tree among leaders and
-// returns the pending child sends (waited by the caller together with the
-// local fanout).
-func (c *Comm) bcastTree(buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx, base int, o callOpts) []*request {
+// appends the pending child sends to pend (waited by the caller together
+// with the local fanout).
+func (c *Comm) bcastTree(pend []*request, buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx, base int, o callOpts) []*request {
 	t := c.t
 	parent := mpi.BcastParent(idx, rootIdx, len(leaders))
-	kids := mpi.BcastChildren(idx, rootIdx, len(leaders))
-	var pend []*request
+	kids := mpi.BcastChildren(t.collKids[:0], idx, rootIdx, len(leaders))
+	t.collKids = kids
 	for off := int64(0); off < bytes; off += bcastSegBytes {
 		segLen := bytes - off
 		if segLen > bcastSegBytes {
@@ -214,7 +215,8 @@ func (c *Comm) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, 
 		// The tree moves runtime temporaries and already resolved
 		// addresses, so its messages carry no clause.
 		plain := c.opts(nil)
-		for _, child := range mpi.ReduceChildren(c.myRank, root, n) {
+		t.collKids = mpi.ReduceChildren(t.collKids[:0], c.myRank, root, n)
+		for _, child := range t.collKids {
 			t.waitAll(t.postRecv(tmp, bytes, c.ranks[child], base-1, plain))
 			t.combine(op, dt, accAddr, tmp, count)
 		}

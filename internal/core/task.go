@@ -59,6 +59,12 @@ type Task struct {
 	uqSlabs   []*[uqSlab]uqOp
 	uqFree    *uqOp
 	drainFree *uqDrain
+	// collKids and collPend are a collective's scratch: its tree children
+	// and its pending sends. Collectives run on the task's own process
+	// and wait for their sends before returning, so each call's use ends
+	// before the next one's begins.
+	collKids []int
+	collPend []*request
 	// world is the MPI_COMM_WORLD view of this task. Embedding it makes
 	// every Comm method a Task method over MPI_COMM_WORLD; Task declares
 	// only the entry points whose behaviour differs (see p2p.go).

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Datatype is an MPI basic datatype.
@@ -163,14 +164,26 @@ func BcastParent(rank, root, size int) int {
 	return abs(r&(r-1), root, size)
 }
 
-// BcastChildren returns the binomial-tree children of rank for a broadcast
-// rooted at root, in the order the rank sends to them: largest subtree
-// first, so deep subtrees start forwarding while the parent serves its
-// remaining children — the ordering that makes the tree pipeline in
-// depth×hop time rather than sum-of-depths.
-func BcastChildren(rank, root, size int) []int {
+// BcastChildren appends the binomial-tree children of rank for a broadcast
+// rooted at root to kids and returns the extended slice. They come in the
+// order the rank sends to them: largest subtree first, so deep subtrees
+// start forwarding while the parent serves its remaining children — the
+// ordering that makes the tree pipeline in depth×hop time rather than
+// sum-of-depths. Callers pass a reused slice to keep collectives free of
+// allocation.
+func BcastChildren(kids []int, rank, root, size int) []int {
+	n := len(kids)
+	kids = ReduceChildren(kids, rank, root, size)
+	slices.Reverse(kids[n:])
+	return kids
+}
+
+// ReduceChildren appends the ranks whose partial results rank combines in
+// a binomial-tree reduction to root to kids, in receive order: smallest
+// subtree first (those partials are ready earliest) — the reverse of the
+// broadcast schedule.
+func ReduceChildren(kids []int, rank, root, size int) []int {
 	r := rel(rank, root, size)
-	var kids []int
 	// The lowest set bit of r (or size's span for the root) bounds the
 	// subtree this rank owns.
 	lb := r & (-r)
@@ -179,22 +192,6 @@ func BcastChildren(rank, root, size int) []int {
 	}
 	for bit := 1; bit < lb && r+bit < size; bit <<= 1 {
 		kids = append(kids, abs(r+bit, root, size))
-	}
-	// Reverse: highest bit (deepest subtree) first.
-	for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
-		kids[i], kids[j] = kids[j], kids[i]
-	}
-	return kids
-}
-
-// ReduceChildren returns the ranks whose partial results rank combines in a
-// binomial-tree reduction to root, in receive order: smallest subtree first
-// (those partials are ready earliest) — the reverse of the broadcast
-// schedule.
-func ReduceChildren(rank, root, size int) []int {
-	kids := BcastChildren(rank, root, size)
-	for i, j := 0, len(kids)-1; i < j; i, j = i+1, j-1 {
-		kids[i], kids[j] = kids[j], kids[i]
 	}
 	return kids
 }

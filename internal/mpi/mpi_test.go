@@ -117,17 +117,25 @@ func TestBcastTreeStructure(t *testing.T) {
 		}
 	}
 	// Largest subtree first: pipelined binomial order.
-	kids0 := BcastChildren(0, 0, 8)
+	kids0 := BcastChildren(nil, 0, 0, 8)
 	if len(kids0) != 3 || kids0[0] != 4 || kids0[1] != 2 || kids0[2] != 1 {
 		t.Fatalf("children(0) = %v", kids0)
 	}
 	// Reduce receives the shallow subtrees first.
-	red0 := ReduceChildren(0, 0, 8)
+	red0 := ReduceChildren(nil, 0, 0, 8)
 	if len(red0) != 3 || red0[0] != 1 || red0[2] != 4 {
 		t.Fatalf("reduce children(0) = %v", red0)
 	}
-	if kids := BcastChildren(5, 0, 8); len(kids) != 0 {
+	if kids := BcastChildren(nil, 5, 0, 8); len(kids) != 0 {
 		t.Fatalf("leaf 5 has children %v", kids)
+	}
+	// Both append after what the slice already holds, in place.
+	buf := make([]int, 1, 8)
+	if kids := BcastChildren(buf, 0, 0, 8); len(kids) != 4 || kids[0] != 0 || kids[1] != 4 || kids[3] != 1 || &kids[0] != &buf[0] {
+		t.Fatalf("BcastChildren appended %v", kids)
+	}
+	if kids := ReduceChildren(buf[:1], 0, 0, 8); len(kids) != 4 || kids[1] != 1 || kids[3] != 4 {
+		t.Fatalf("ReduceChildren appended %v", kids)
 	}
 }
 
@@ -138,7 +146,7 @@ func TestBcastTreeNonZeroRootAndOddSize(t *testing.T) {
 		for root := 0; root < size; root += max(1, size/3) {
 			seen := map[int]int{}
 			for rank := 0; rank < size; rank++ {
-				for _, k := range BcastChildren(rank, root, size) {
+				for _, k := range BcastChildren(nil, rank, root, size) {
 					seen[k]++
 					if BcastParent(k, root, size) != rank {
 						t.Fatalf("size %d root %d: child %d of %d has parent %d",

@@ -8,6 +8,7 @@ package sim
 // event, or one wake/park round trip for process benchmarks).
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -105,6 +106,53 @@ func BenchmarkShardGroup4Shards1Worker(b *testing.B) { benchShardGroup(b, 4, 1) 
 // BenchmarkShardGroup4Shards4Workers runs the same schedule on four workers:
 // speedup on a multi-core host, pure coordination overhead on one core.
 func BenchmarkShardGroup4Shards4Workers(b *testing.B) { benchShardGroup(b, 4, 4) }
+
+// BenchmarkShardGroupWindows runs 1024 shards, each with a small state
+// record allocated next to its neighbour's in lp order, as core allocates
+// a node's hubs, resources and registry. Each shard ticks about four
+// times per window, writing its own record, and every fourth tick posts
+// to the next shard, which writes that shard's record. ns/op is ns/event;
+// the 2-worker delta against 1 worker shows whether neighbouring shards'
+// records land on different cores.
+func BenchmarkShardGroupWindows(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchShardGroupWindows(b, workers) })
+	}
+}
+
+func benchShardGroupWindows(b *testing.B, workers int) {
+	const nShards, lookahead, tick = 1024, 1000, 250
+	type nodeState struct{ ticks, msgs uint64 }
+	engines := make([]*Engine, nShards)
+	states := make([]*nodeState, nShards)
+	for i := range engines {
+		engines[i] = NewLPEngine(i)
+		states[i] = &nodeState{}
+	}
+	g := NewShardGroup(engines, lookahead, workers)
+	per := b.N/nShards + 1
+	for i, e := range engines {
+		st, dst, dstState := states[i], engines[(i+1)%nShards], states[(i+1)%nShards]
+		recv := Func(func() { dstState.msgs++ })
+		var step func()
+		step = func() {
+			st.ticks++
+			if st.ticks >= uint64(per) {
+				return
+			}
+			if st.ticks%4 == 0 {
+				e.Post(dst, e.Now()+lookahead, recv)
+			}
+			e.After(tick, step)
+		}
+		e.After(tick, step)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := g.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
 
 // BenchmarkProcSleepWake measures the process context-switch path: one
 // running process sleeping b.N times (one event + two coroutine switches

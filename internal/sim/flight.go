@@ -7,12 +7,13 @@ import (
 
 // The flight recorder answers "what was this run doing just before it
 // died?" for runs that end abnormally — cancelled, capped by a
-// deadline/event budget, deadlocked, or killed by the cross-shard
-// causality panic. Each armed engine keeps a fixed-size ring of the most
-// recent dispatched event stamps; dumping the group yields those rings
-// plus the parked-process table per shard. Recording only ever touches
-// engine-local state from the engine's own dispatch loop, so it costs a
-// few stores per event and nothing when disarmed.
+// deadline/event budget, deadlocked, or halted by a cross-shard post
+// below the lookahead (a causality violation). Each armed engine keeps a
+// fixed-size ring of the most recent dispatched event stamps; dumping the
+// group yields those rings plus the parked-process table per shard.
+// Recording only ever touches engine-local state from the engine's own
+// dispatch loop, so it costs a few stores per event and nothing when
+// disarmed.
 
 // EventStamp is one dispatched event as the flight recorder saw it: the
 // canonical (at, seq) position, the scheduling shard, and the kind — the
@@ -157,7 +158,7 @@ func (g *ShardGroup) captureStall(err error) {
 			reason = "event-limit"
 		}
 	case *PanicError:
-		if e.Proc == "shard-exchange" {
+		if e.Proc == postProc {
 			reason = "causality"
 		}
 	}

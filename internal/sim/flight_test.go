@@ -239,16 +239,16 @@ func TestStallReportJSON(t *testing.T) {
 	}
 }
 
-// TestCausalityPanicCaptured: a lookahead bound violation at exchange time surfaces as a *PanicError from the exchange —
-// not a process panic escaping Run — and the armed flight recorder labels
-// the stall "causality".
+// TestCausalityPanicCaptured: a lookahead bound violation surfaces as the
+// posting dispatch's *PanicError — not a panic escaping Run — and the armed
+// flight recorder labels the stall "causality".
 func TestCausalityPanicCaptured(t *testing.T) {
 	engines := []*Engine{NewLPEngine(0), NewLPEngine(1)}
 	g := NewShardGroup(engines, 50, 1)
 	g.ArmFlight(8)
 	// Shard 0 lies about the lookahead: it posts an event 1ns out while
-	// shard 1's window (fence = 10+50) lets it run to t=40. At the barrier
-	// the injection lands in shard 1's past.
+	// shard 1's window (fence = 10+50) lets it run to t=40, so the event
+	// would land in shard 1's past.
 	engines[0].At(Time(10), func() {
 		engines[0].Post(engines[1], Time(11), Func(func() {}))
 	})
@@ -257,10 +257,10 @@ func TestCausalityPanicCaptured(t *testing.T) {
 	err := g.Run()
 	pe, ok := err.(*PanicError)
 	if !ok {
-		t.Fatalf("Run returned %v, want *PanicError from the exchange", err)
+		t.Fatalf("Run returned %v, want the post's *PanicError", err)
 	}
-	if pe.Proc != "shard-exchange" {
-		t.Fatalf("panic attributed to %q, want shard-exchange", pe.Proc)
+	if pe.Proc != postProc {
+		t.Fatalf("panic attributed to %q, want %s", pe.Proc, postProc)
 	}
 	st := g.Stall()
 	if st == nil || st.Reason != "causality" {

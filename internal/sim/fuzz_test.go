@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -462,4 +465,35 @@ func (prog *fuzzProgram) run(workers int, kinds fuzzKinds) *fuzzOutcome {
 	}
 	out.render = obs.String()
 	return out
+}
+
+// TestEarlyPostSeeds: the FuzzShardGroup seeds with a post below the
+// lookahead end in that post's *PanicError at every worker count, as the
+// reference executor predicts, whether the event would have landed in the
+// destination's past, its future, or the event budget's last window.
+func TestEarlyPostSeeds(t *testing.T) {
+	for _, name := range []string{"early-post-causality", "early-post-idle", "early-post-budget"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzShardGroup", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1]), "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: cannot decode seed: %v", name, err)
+		}
+		prog := decodeFuzzProgram([]byte(data))
+		isPost := func(err error) bool {
+			pe, ok := err.(*PanicError)
+			return ok && pe.Proc == postProc
+		}
+		if err := prog.reference().err; !isPost(err) {
+			t.Fatalf("%s: reference ends in %v, want the post's *PanicError", name, err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			if err := prog.run(workers, kindsDecoded).err; !isPost(err) {
+				t.Fatalf("%s, %d workers: run ends in %v, want the post's *PanicError", name, workers, err)
+			}
+		}
+	}
 }

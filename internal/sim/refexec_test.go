@@ -109,13 +109,6 @@ type refResult struct {
 	exact   bool
 	// check is the first verdict, when it came before the stop.
 	check *refCheck
-	// early reports a cross-LP post below the lookahead. The engine
-	// catches one at the next exchange only if its event lands in the
-	// destination's past, as the exchange's *PanicError; it misses one
-	// that lands in the future, which still keeps the destination's order,
-	// and one still in an outbox when the run stops at that barrier, whose
-	// event the reference may count against the event budget.
-	early bool
 }
 
 // refCheck is a verdict's time and each LP's log length once its instant
@@ -162,6 +155,7 @@ func (prog *fuzzProgram) reference() *refResult {
 		}
 		switch {
 		case x.panicked != nil:
+			l.halted = true
 			x.stopWith(x.panicked, false)
 		case x.cancelled:
 			x.stopWith(&CancelError{At: l.now}, true) // only a one-shard run cancels
@@ -243,17 +237,19 @@ func (x *refExec) schedule(lp int, t Time, p *refProc, fn func()) {
 }
 
 // post queues fn on LP dst at t, stamped with the sender's (lp, seq) at
-// depth 0, as a cross-shard Post lands.
+// depth 0, as a cross-shard Post lands. A post below the lookahead is
+// dropped and fails the dispatch, which goes on to its end.
 func (x *refExec) post(src, dst int, t Time, fn func()) {
 	if src == dst {
 		x.schedule(src, t, nil, fn)
 		return
 	}
 	l := x.lps[src]
-	l.seq++
 	if t < l.now+Time(x.prog.lookahead) {
-		x.res.early = true
+		x.fail(&PanicError{Proc: postProc, Value: lookaheadViolation(int32(src), int32(dst), t, l.now, x.prog.lookahead)})
+		return
 	}
+	l.seq++
 	heap.Push(&x.queue, &refEvent{at: t, lp: src, seq: l.seq, on: dst, fn: fn})
 }
 
@@ -273,13 +269,20 @@ func (x *refExec) resume(lp int, p *refProc) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			x.panicked = &PanicError{Proc: p.run.name, Value: r}
-			p.done, x.lps[lp].halted = true, true
+			x.fail(&PanicError{Proc: p.run.name, Value: r})
+			p.done = true
 		}
 	}()
 	p.on = ""
 	if !p.run.body() {
 		p.done = true
+	}
+}
+
+// fail records the dispatch's first failure.
+func (x *refExec) fail(pe *PanicError) {
+	if x.panicked == nil {
+		x.panicked = pe
 	}
 }
 
@@ -417,14 +420,8 @@ func (r *refSys) note(what string) { r.x.note(r.l, what) }
 // run other shards past it (a panic or the event budget). The Check
 // hook's error depends on where barriers fall, so the reference admits it
 // without placing it, for a verdict before the stop and with at least the
-// logs of the verdict's instant. A run with a post below the lookahead is
-// only required not to let a panic escape Run.
+// logs of the verdict's instant.
 func (r *refResult) admits(got *fuzzOutcome) error {
-	if r.early {
-		// A post below the lookahead breaks the group's precondition, so
-		// no serial schedule predicts the run (see early).
-		return nil
-	}
 	for i, log := range got.logs {
 		if !strings.HasPrefix(r.full[i], log) {
 			return fmt.Errorf("shard %d logged\n  %s\nwhich does not prefix the reference's\n  %s", i, log, r.full[i])

@@ -87,11 +87,11 @@ type ShardGroup struct {
 
 // NewShardGroup builds a group over engines created with NewLPEngine (lp =
 // index). lookahead must be a conservative lower bound on cross-shard event
-// latency: a positive value lets shards run concurrently; zero or negative
-// forces fully serial single-window execution, which is only correct when
-// the group has exactly one engine (callers with no usable lookahead must
-// place everything on one shard). workers bounds how many shards execute
-// concurrently; <= 1 is serial.
+// latency, which Engine.Post enforces: a positive value lets shards run
+// concurrently; zero or negative forces fully serial single-window
+// execution, which is only correct when the group has exactly one engine
+// (callers with no usable lookahead must place everything on one shard).
+// workers bounds how many shards execute concurrently; <= 1 is serial.
 func NewShardGroup(engines []*Engine, lookahead Dur, workers int) *ShardGroup {
 	if len(engines) > 1 && lookahead <= 0 {
 		panic("sim: multi-shard group requires positive lookahead")
@@ -102,6 +102,7 @@ func NewShardGroup(engines []*Engine, lookahead Dur, workers int) *ShardGroup {
 			panic("sim: shard engines must be created with NewLPEngine(index)")
 		}
 		e.cancel = &g.cancelled
+		e.lookahead = lookahead
 	}
 	return g
 }
@@ -221,9 +222,7 @@ func (g *ShardGroup) windows() error {
 		if err := g.windowErr(errs); err != nil {
 			return err
 		}
-		if err := g.exchange(); err != nil {
-			return err
-		}
+		g.exchange()
 		if T, ok = g.minNextAt(); !ok {
 			continue
 		}
@@ -267,18 +266,8 @@ func (g *ShardGroup) windowErr(errs []error) error {
 
 // exchange moves cross-shard events from outboxes into their destination
 // heaps in shard order; the (lp, seq) stamps injected here fix the merge
-// order independent of flush order. A causality panic from inject
-// (an event landing in a destination shard's past — a lookahead bound
-// violation) is captured as a *PanicError so the run ends like any other
-// failed run: processes unwound, flight recorder dumpable, no panic
-// escaping to the host program. Engine.inject itself still panics, so
-// direct misuse keeps its loud failure mode.
-func (g *ShardGroup) exchange() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Proc: "shard-exchange", Value: r}
-		}
-	}()
+// order independent of flush order.
+func (g *ShardGroup) exchange() {
 	for _, e := range g.engines {
 		for i := range e.outbox {
 			re := e.outbox[i]
@@ -287,37 +276,57 @@ func (g *ShardGroup) exchange() (err error) {
 		}
 		e.outbox = e.outbox[:0]
 	}
-	return nil
 }
 
 // runWindow advances every active shard to the fence, on up to g.workers
-// concurrent workers. Each errs slot is owned by one shard, so the error
-// collection is as deterministic as the shards themselves.
+// concurrent workers, the calling goroutine among them. Each errs slot is
+// owned by one shard, so the error collection is as deterministic as the
+// shards themselves.
+//
+// Workers claim contiguous blocks of active, which is in lp order, about
+// blocksPerWorker each. Neighbouring shards' state shares cache lines
+// (core allocates a node's engine, hub and tasks next to the previous
+// node's), so a block keeps it on one core; claiming shards one at a time
+// hands neighbours to different cores, whose writes to the shared lines
+// stall both.
 func (g *ShardGroup) runWindow(active []*Engine, fence Time, errs []error) {
-	if w := min(g.workers, len(active)); w > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range w {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(active) {
-						return
-					}
-					e := active[i]
-					errs[e.lp] = e.runUntil(fence)
-				}
-			}()
+	w := min(g.workers, len(active))
+	if w <= 1 {
+		for _, e := range active {
+			errs[e.lp] = e.runUntil(fence)
 		}
-		wg.Wait()
 		return
 	}
-	for _, e := range active {
-		errs[e.lp] = e.runUntil(fence)
+	block := (len(active) + blocksPerWorker*w - 1) / (blocksPerWorker * w)
+	var next atomic.Int64
+	work := func() {
+		for {
+			lo := int(next.Add(int64(block))) - block
+			if lo >= len(active) {
+				return
+			}
+			for _, e := range active[lo:min(lo+block, len(active))] {
+				errs[e.lp] = e.runUntil(fence)
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for range w - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
+
+// blocksPerWorker is how many contiguous blocks runWindow cuts a window's
+// active shards into per worker: enough that a worker left with a slow
+// block does not hold up the barrier for long, few enough that each block
+// spans many shards.
+const blocksPerWorker = 8
 
 // exactThreshold is the remaining-budget distance below which shards start
 // recording canonical stamps for exact MaxEvents attribution. It must be at

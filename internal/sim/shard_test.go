@@ -297,26 +297,52 @@ func TestNewShardGroupValidation(t *testing.T) {
 	NewShardGroup([]*Engine{NewEngine()}, 0, 1)
 }
 
-// TestInjectCausalityCheck: an event injected at or before a shard's local
-// clock — a lookahead bound violation — panics instead of silently
-// corrupting the merge order.
-func TestInjectCausalityCheck(t *testing.T) {
-	e := NewLPEngine(0)
-	e.At(Time(100), func() {})
-	if err := soloGroup(e).Run(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("past-time inject did not panic")
+// TestPostBelowLookaheadHalts: a cross-shard post below the lookahead — a
+// lookahead bound violation — halts its shard in the posting dispatch, from
+// a callback as from a process, and the run ends with that dispatch's
+// *PanicError at every worker count instead of silently corrupting the
+// merge order. The dropped event never runs.
+func TestPostBelowLookaheadHalts(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, inProc := range []bool{false, true} {
+			engines := []*Engine{NewLPEngine(0), NewLPEngine(1)}
+			g := NewShardGroup(engines, 50, workers)
+			ran := false
+			post := func() { engines[0].Post(engines[1], Time(59), Func(func() { ran = true })) }
+			if inProc {
+				engines[0].SpawnAt(Time(10), "poster", func(p *Proc) { post(); p.Sleep(5) })
+			} else {
+				engines[0].At(Time(10), post)
+			}
+			engines[0].At(Time(30), func() {})
+			engines[1].At(Time(20), func() {})
+			err := g.Run()
+			pe, ok := err.(*PanicError)
+			if !ok || pe.Proc != postProc || pe.key.at != 10 {
+				t.Fatalf("workers %d, in process %v: Run returned %v, want the post's *PanicError at t=10", workers, inProc, err)
+			}
+			if want := lookaheadViolation(0, 1, 59, 10, 50); pe.Value != want {
+				t.Fatalf("panic value %q, want %q", pe.Value, want)
+			}
+			if ran || engines[0].Now() != 10 {
+				t.Fatalf("shard 0 ran on to t=%d (dropped event ran: %v)", engines[0].Now(), ran)
+			}
 		}
-	}()
-	e.inject(Time(50), Func(func() {}), 1, 1) // t=50 < now=100: causality violation
+	}
 }
 
-// TestInjectCausalityCheckAllowsFuture: the invariant accepts strictly
-// future injections (the only kind conservative lookahead produces).
-func TestInjectCausalityCheckAllowsFuture(t *testing.T) {
+// TestPostAtLookaheadAllowed: the check accepts a post exactly one
+// lookahead out, the nearest conservative lookahead allows.
+func TestPostAtLookaheadAllowed(t *testing.T) {
+	engines := []*Engine{NewLPEngine(0), NewLPEngine(1)}
+	g := NewShardGroup(engines, 50, 2)
+	ran := Time(-1)
+	engines[0].At(Time(10), func() {
+		engines[0].Post(engines[1], Time(60), Func(func() { ran = engines[1].Now() }))
+	})
+	if err := g.Run(); err != nil || ran != 60 {
+		t.Fatalf("Run = %v, posted event ran at %d, want nil and 60", err, ran)
+	}
 	logs, err := shardWorkload(3, 4, 100, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -326,4 +352,67 @@ func TestInjectCausalityCheckAllowsFuture(t *testing.T) {
 			t.Fatalf("shard %d logged nothing", i)
 		}
 	}
+}
+
+// TestShardGroupBlockSplit: workers claim contiguous blocks of a window's
+// active shards (see runWindow); groups whose shard counts straddle the
+// block-size steps (1 shard per block up to blocksPerWorker*workers active
+// shards, 2 just past it) and a group of 300 log the same dispatches, the
+// same MaxNow and the same event count at every worker count as at one.
+func TestShardGroupBlockSplit(t *testing.T) {
+	counts := []int{1, 2, 300}
+	for _, w := range []int{2, 3, 8} {
+		b := blocksPerWorker * w
+		counts = append(counts, b-1, b, b+1, 2*b+1)
+	}
+	for _, n := range counts {
+		var ref string
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := blockSplitRun(n, workers)
+			if ref == "" {
+				ref = got
+			} else if got != ref {
+				t.Fatalf("%d shards, %d workers: run differs from one worker's\n got %s\nwant %s", n, workers, got, ref)
+			}
+		}
+	}
+}
+
+// blockSplitRun runs n shards whose processes each dispatch a few events
+// per window and post to another shard every other round, and renders
+// every shard's dispatch log, MaxNow and the event count.
+func blockSplitRun(n, workers int) string {
+	const lookahead = 50
+	engines := make([]*Engine, n)
+	logs := make([]strings.Builder, n)
+	for i := range engines {
+		engines[i] = NewLPEngine(i)
+	}
+	g := NewShardGroup(engines, lookahead, workers)
+	note := func(i int, what string) {
+		e := engines[i]
+		fmt.Fprintf(&logs[i], "%s@%d/%d;", what, e.Now(), e.seq)
+	}
+	for i, e := range engines {
+		e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+			for k := range 12 {
+				p.Sleep(Dur(10 + i%5))
+				note(i, "tick")
+				if k%2 == 0 && n > 1 {
+					dst := (i*7 + k + 1) % n
+					if dst == i {
+						dst = (dst + 1) % n
+					}
+					e.Post(engines[dst], e.Now()+lookahead+Time(i%3), Func(func() { note(dst, fmt.Sprint("msg", i)) }))
+				}
+			}
+		})
+	}
+	err := g.Run()
+	var out strings.Builder
+	fmt.Fprintf(&out, "err %v maxnow %d events %d\n", err, g.MaxNow(), g.Events())
+	for i := range logs {
+		fmt.Fprintf(&out, "%d: %s\n", i, logs[i].String())
+	}
+	return out.String()
 }

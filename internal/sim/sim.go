@@ -212,6 +212,9 @@ type Engine struct {
 	// (see ShardGroup.Cancel), the only state set from outside the
 	// simulation goroutine. The run loop polls it before every dispatch.
 	cancel *atomic.Bool
+	// lookahead is the group's (see NewShardGroup): a post to another
+	// shard must land at least this far past the clock.
+	lookahead Dur
 
 	// Metrics is the engine's telemetry registry, stamped with its virtual
 	// time. NewEngine sets it and it is never nil. Every FIFOResource
@@ -350,28 +353,39 @@ type remoteEvent struct {
 // engine itself this is exactly CallAt; otherwise the event is stamped with this
 // engine's (lp, seq) — so the merge order is decided by the sender's
 // schedule, not by delivery order — and buffered until the coordinator
-// exchanges outboxes at a synchronization barrier. Cross-shard posts must
-// target a strictly future instant on the receiving shard; conservative
-// lookahead guarantees that, and inject turns violations into panics.
+// exchanges outboxes at a synchronization barrier. A cross-shard post must
+// land at least the group's lookahead past the clock, which keeps it at or
+// past the window's fence; one below it breaks the group's precondition,
+// so it is dropped and halts the engine with a *PanicError of the posting
+// dispatch, which the group reports in canonical order.
 func (e *Engine) Post(dst *Engine, at Time, cb Callback) {
 	if dst == e {
 		e.schedule(at, nil, cb)
+		return
+	}
+	if at < e.now+Time(e.lookahead) {
+		e.halt(postProc, lookaheadViolation(e.lp, dst.lp, at, e.now, e.lookahead))
 		return
 	}
 	e.seq++
 	e.outbox = append(e.outbox, remoteEvent{dst: dst, at: at, cb: cb, lp: e.lp, seq: e.seq})
 }
 
+// postProc is the Proc of the *PanicError a post below the lookahead ends
+// its run with; the flight recorder files it as a causality stall.
+const postProc = "shard-post"
+
+// lookaheadViolation is the *PanicError value of a post from lp src to lp
+// dst at at, made at now under lookahead.
+func lookaheadViolation(src, dst int32, at, now Time, lookahead Dur) string {
+	return fmt.Sprintf("sim: lp %d posted an event to lp %d at t=%d, below its clock t=%d plus the lookahead %d",
+		src, dst, int64(at), int64(now), int64(lookahead))
+}
+
 // inject lands a cross-shard event in this engine's heap, carrying the
-// sender's stamp. Called only between windows, with the engine quiescent.
-// An event landing at or before the shard's clock breaks the lookahead
-// bound and would corrupt the merge order, so it panics (one compare per
-// cross-shard event).
+// sender's stamp. Called only between windows, with the engine quiescent;
+// Post's lookahead check keeps the event past the engine's clock.
 func (e *Engine) inject(at Time, cb Callback, lp int32, seq uint64) {
-	if at <= e.now && e.dispatched > 0 {
-		panic(fmt.Sprintf("sim: causality violation: event from lp %d injected at t=%d into shard %d already at t=%d",
-			lp, int64(at), e.lp, int64(e.now)))
-	}
 	ev := e.alloc()
 	ev.at, ev.dl, ev.seq, ev.cb = at, dlKey(0, lp), seq, cb
 	e.pushHeap(ev)
@@ -534,8 +548,8 @@ func (e *Engine) maybeCompactProcs() {
 type PanicError struct {
 	Proc  string
 	Value interface{}
-	// key places a process panic in the canonical order (zero for the
-	// exchange's), so a group reports the first of a window's stops.
+	// key places a panic in the canonical order, so a group reports the
+	// first of a window's stops.
 	key eventKey
 }
 
