@@ -88,15 +88,11 @@ func (e *Engine) ArmFlight(n int) {
 	e.stamping = e.flight != nil || e.winStamps != nil
 }
 
-// recordFlight appends the event being dispatched, which resumes proc, to
-// the ring. Called from the dispatch loop only when armed.
-func (e *Engine) recordFlight(proc *Proc) {
-	kind := "fn"
-	if proc != nil {
-		kind = proc.Name
-	}
+// recordFlight appends the event being dispatched, which runs cb, to the
+// ring. Called from the dispatch loop only when armed.
+func (e *Engine) recordFlight(cb Callback) {
 	k := e.cur()
-	s := EventStamp{Kind: kind, LP: int(int32(uint32(k.dl))), AtNs: int64(k.at), Seq: k.seq}
+	s := EventStamp{Kind: procName(cb), LP: int(int32(uint32(k.dl))), AtNs: int64(k.at), Seq: k.seq}
 	if len(e.flight) < cap(e.flight) {
 		e.flight = append(e.flight, s)
 		return
@@ -117,11 +113,7 @@ func (e *Engine) FlightShard() ShardFlight {
 		sf.Recent = append(sf.Recent, e.flight[e.flightHead:]...)
 		sf.Recent = append(sf.Recent, e.flight[:e.flightHead]...)
 	}
-	for _, p := range e.procs {
-		if p != nil && !p.done {
-			sf.Parked = append(sf.Parked, ParkedProc{Name: p.Name, BlockedOn: p.blockedOn()})
-		}
-	}
+	e.EachBlocked(func(name, on string) { sf.Parked = append(sf.Parked, ParkedProc{Name: name, BlockedOn: on}) })
 	return sf
 }
 

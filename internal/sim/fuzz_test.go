@@ -97,7 +97,7 @@ const (
 	opRelease           // return a permit to the shard's semaphore
 	opUse               // FIFOResource.Use(arg%8, arg>>3%4)
 	opSpawn             // spawn a child that sleeps arg%8 and wakes an idle process
-	opPanic             // panic, when arg is 0xff
+	opPanic             // panic, when arg is 0xff; a callback arg%16 ahead panics, when arg>>4 is 0xe
 	opPostEarly         // a callback on another shard, below the lookahead
 	opCancel            // cancel the group, in a one-shard program
 	opCheck             // record a verdict the group's Check hook stops on
@@ -162,6 +162,7 @@ type fuzzSys interface {
 	sleep(d Dur) bool
 	sleepUntil(t Time) bool
 	callAt(t Time, tag string, arg byte)        // act(tag, arg) on this shard
+	panicAt(t Time, tag string)                 // a callback on this shard that logs tag and panics
 	post(dst int, t Time, tag string, arg byte) // act(tag, arg) on shard dst
 	fireAt(t Time, ev int)
 	wait(ev int) bool
@@ -249,8 +250,13 @@ func (f *fuzzRun) step(tag string, op fuzzOp) bool {
 	case opSpawn:
 		s.spawn(&fuzzRun{prog: prog, name: tag, ops: []fuzzOp{{opSleep, arg}, {opCondWake, 0}}})
 	case opPanic:
-		if arg == 0xff {
+		// The callback panic reuses opPanic's spare args, not a code of its
+		// own: a new code would change code % opCount for committed seeds.
+		switch {
+		case arg == 0xff:
 			panic(tag)
+		case arg>>4 == 0xe:
+			s.panicAt(s.now()+Time(arg%16), tag)
 		}
 	case opPostEarly:
 		s.post(other, s.now()+Time(arg)%Time(prog.lookahead), tag, arg>>3)
@@ -327,6 +333,9 @@ func (es *engineSys) sleep(d Dur) bool       { return es.p.Sleep(d) }
 func (es *engineSys) sleepUntil(t Time) bool { return es.p.SleepUntil(t) }
 func (es *engineSys) callAt(t Time, tag string, arg byte) {
 	es.s.e.CallAt(t, es.s.act(tag, arg))
+}
+func (es *engineSys) panicAt(t Time, tag string) {
+	es.s.e.At(t, func() { es.s.note(tag); panic(tag) })
 }
 func (es *engineSys) post(dst int, t Time, tag string, arg byte) {
 	d := es.shards[dst]
@@ -473,27 +482,39 @@ func (prog *fuzzProgram) run(workers int, kinds fuzzKinds) *fuzzOutcome {
 // destination's past, its future, or the event budget's last window.
 func TestEarlyPostSeeds(t *testing.T) {
 	for _, name := range []string{"early-post-causality", "early-post-idle", "early-post-budget"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzShardGroup", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit, ok := strings.CutPrefix(strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1]), "[]byte(")
-		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: cannot decode seed: %v", name, err)
-		}
-		prog := decodeFuzzProgram([]byte(data))
-		isPost := func(err error) bool {
-			pe, ok := err.(*PanicError)
-			return ok && pe.Proc == postProc
-		}
-		if err := prog.reference().err; !isPost(err) {
-			t.Fatalf("%s: reference ends in %v, want the post's *PanicError", name, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			if err := prog.run(workers, kindsDecoded).err; !isPost(err) {
-				t.Fatalf("%s, %d workers: run ends in %v, want the post's *PanicError", name, workers, err)
-			}
+		seedEndsIn(t, name, postProc)
+	}
+}
+
+// TestCallbackPanicSeed: the callback-panic seed, whose callback panics on
+// one shard of three, ends in that callback's *PanicError at every worker
+// count, as the reference executor predicts.
+func TestCallbackPanicSeed(t *testing.T) { seedEndsIn(t, "callback-panic", "fn") }
+
+// seedEndsIn checks that the FuzzShardGroup seed name ends, on the
+// reference executor and at workers {1, 2, 8}, in a *PanicError of proc.
+func seedEndsIn(t *testing.T, name, proc string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzShardGroup", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1]), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("%s: cannot decode seed: %v", name, err)
+	}
+	prog := decodeFuzzProgram([]byte(data))
+	ends := func(err error) bool {
+		pe, ok := err.(*PanicError)
+		return ok && pe.Proc == proc
+	}
+	if err := prog.reference().err; !ends(err) {
+		t.Fatalf("%s: reference ends in %v, want a *PanicError of %s", name, err, proc)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		if err := prog.run(workers, kindsDecoded).err; !ends(err) {
+			t.Fatalf("%s, %d workers: run ends in %v, want a *PanicError of %s", name, workers, err, proc)
 		}
 	}
 }

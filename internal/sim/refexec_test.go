@@ -147,7 +147,7 @@ func (prog *fuzzProgram) reference() *refResult {
 		if ev.proc != nil {
 			x.resume(ev.on, ev.proc)
 		} else {
-			ev.fn()
+			x.call(ev.fn)
 		}
 		x.depth = -1
 		if x.verdict && x.res.check == nil && !x.res.stopped {
@@ -279,6 +279,17 @@ func (x *refExec) resume(lp int, p *refProc) {
 	}
 }
 
+// call runs a callback; a panic fails the dispatch, naming "fn" as the
+// engine's flight ring does.
+func (x *refExec) call(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			x.fail(&PanicError{Proc: "fn", Value: r})
+		}
+	}()
+	fn()
+}
+
 // fail records the dispatch's first failure.
 func (x *refExec) fail(pe *PanicError) {
 	if x.panicked == nil {
@@ -370,6 +381,9 @@ func (r *refSys) sleepFor(t Time, kind string) bool {
 }
 func (r *refSys) callAt(t Time, tag string, arg byte) {
 	r.x.schedule(r.l, t, nil, r.x.act(r.l, tag, arg))
+}
+func (r *refSys) panicAt(t Time, tag string) {
+	r.x.schedule(r.l, t, nil, func() { r.x.note(r.l, tag); panic(tag) })
 }
 func (r *refSys) post(dst int, t Time, tag string, arg byte) {
 	r.x.post(r.l, dst, t, r.x.act(dst, tag, arg))

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // shardWorkload drives a ring of nShards engines: each shard runs a process
@@ -271,6 +273,66 @@ func TestShardGroupPanicPropagates(t *testing.T) {
 	}
 	if pe.Proc != "bomb" || pe.Value != "boom" {
 		t.Fatalf("panic error %+v, want proc bomb / value boom", pe)
+	}
+}
+
+// TestShardGroupCallbackPanic: a panic in a callback, not a process, ends a
+// sharded run like a process panic does, at every worker count: Run returns
+// the callback's *PanicError, named "fn" as the flight ring names callbacks,
+// unwinds the processes of every shard and files a panic dump. The other
+// shards are busy in the panic's window, so at two or more workers the
+// callback may run on a worker goroutine or on the coordinator.
+func TestShardGroupCallbackPanic(t *testing.T) {
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		baseline, coros := runtime.NumGoroutine(), parkedCoroutines()
+		engines := []*Engine{NewLPEngine(0), NewLPEngine(1), NewLPEngine(2)}
+		g := NewShardGroup(engines, 100, workers)
+		g.ArmFlight(4)
+		unwound := make([]int, len(engines))
+		for i, e := range engines {
+			never := e.NewEvent("never")
+			e.Spawn(fmt.Sprint("parked", i), func(p *Proc) {
+				defer func() { unwound[i]++ }()
+				never.Wait(p)
+			})
+			e.Spawn(fmt.Sprint("ticker", i), func(p *Proc) {
+				defer func() { unwound[i]++ }()
+				for {
+					p.Sleep(7)
+				}
+			})
+		}
+		engines[1].At(40, func() { panic(fmt.Sprint("callback boom at t=", engines[1].Now())) })
+		err := g.Run()
+		pe, ok := err.(*PanicError)
+		if !ok || pe.Proc != "fn" || pe.key.at != 40 {
+			t.Fatalf("workers %d: Run returned %v, want the callback's *PanicError at t=40", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers %d: Run returned %q, want %q as at one worker", workers, err, want)
+		}
+		if n := parkedCoroutines(); n != coros {
+			t.Fatalf("workers %d: %d process coroutines parked after Run, baseline %d", workers, n, coros)
+		}
+		// A pool worker calls wg.Done just before it exits, so after a
+		// parallel window the count may take a moment to settle.
+		for i := 0; workers > 1 && i < 1000 && runtime.NumGoroutine() > baseline; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		checkGoroutines(t, baseline)
+		if n := g.LiveProcs(); n != 0 || fmt.Sprint(unwound) != "[2 2 2]" {
+			t.Fatalf("workers %d: %d processes live after Run, defers run per shard %v, want 0 and [2 2 2]", workers, n, unwound)
+		}
+		st := g.Stall()
+		if st == nil || st.Reason != "panic" || st.Error != want || len(st.ParkedRanks()) != 6 {
+			t.Fatalf("workers %d: stall dump %+v, want a panic dump of %q with 6 parked processes", workers, st, want)
+		}
+		if r := st.Shards[1].Recent; len(r) == 0 || r[len(r)-1].Kind != "fn" || r[len(r)-1].AtNs != 40 {
+			t.Fatalf("workers %d: shard 1's flight ring %+v does not end in the callback at t=40", workers, r)
+		}
 	}
 }
 

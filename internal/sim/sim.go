@@ -83,13 +83,12 @@ type fireCall Event
 
 func (f *fireCall) Call() { (*Event)(f).Fire() }
 
-// event is a scheduled occurrence. If proc is non-nil the event resumes that
-// process; otherwise cb runs inline in the engine loop. Events are pooled on
-// a per-engine freelist; no pointer to one may outlive its dispatch.
+// event is a scheduled occurrence: cb runs inline in the engine loop, and a
+// process's wake-up is the process itself (procCall). Events are pooled on a
+// per-engine freelist; no pointer to one may outlive its dispatch.
 type event struct {
 	eventKey
-	proc *Proc
-	cb   Callback
+	cb Callback
 }
 
 // eventKey is an event's place in the canonical order.
@@ -262,9 +261,8 @@ func (e *Engine) alloc() *event {
 	return &event{}
 }
 
-// free clears an event's references and returns it to the freelist.
+// free clears an event's callback and returns it to the freelist.
 func (e *Engine) free(ev *event) {
-	ev.proc = nil
 	ev.cb = nil
 	e.pool = append(e.pool, ev)
 }
@@ -320,10 +318,10 @@ func (e *Engine) popHeap() *event {
 	return top
 }
 
-// schedule inserts an event at absolute time t (clamped to now) and returns
-// it. Events for the current instant go to the FIFO nowQ; future events go
-// to the heap.
-func (e *Engine) schedule(t Time, p *Proc, cb Callback) {
+// schedule inserts an event running cb at absolute time t (clamped to now).
+// Events for the current instant go to the FIFO nowQ; future events go to
+// the heap.
+func (e *Engine) schedule(t Time, cb Callback) {
 	t = max(t, e.now)
 	e.seq++
 	ev := e.alloc()
@@ -331,7 +329,7 @@ func (e *Engine) schedule(t Time, p *Proc, cb Callback) {
 	if t == e.now {
 		depth = e.depth() + 1
 	}
-	ev.at, ev.dl, ev.seq, ev.proc, ev.cb = t, dlKey(depth, e.lp), e.seq, p, cb
+	ev.at, ev.dl, ev.seq, ev.cb = t, dlKey(depth, e.lp), e.seq, cb
 	if t == e.now {
 		e.nowQ = append(e.nowQ, ev)
 	} else {
@@ -360,7 +358,7 @@ type remoteEvent struct {
 // dispatch, which the group reports in canonical order.
 func (e *Engine) Post(dst *Engine, at Time, cb Callback) {
 	if dst == e {
-		e.schedule(at, nil, cb)
+		e.schedule(at, cb)
 		return
 	}
 	if at < e.now+Time(e.lookahead) {
@@ -392,18 +390,18 @@ func (e *Engine) inject(at Time, cb Callback, lp int32, seq uint64) {
 }
 
 // At schedules fn to run in engine context at absolute virtual time t.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, Func(fn)) }
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, Func(fn)) }
 
 // CallAt schedules cb to run in engine context at absolute virtual time t:
 // At for an owner that is its own callback.
-func (e *Engine) CallAt(t Time, cb Callback) { e.schedule(t, nil, cb) }
+func (e *Engine) CallAt(t Time, cb Callback) { e.schedule(t, cb) }
 
 // FireAt fires ev at absolute virtual time t: At(t, ev.Fire) without the
 // closure, for completions whose time is known when they are scheduled.
-func (e *Engine) FireAt(t Time, ev *Event) { e.schedule(t, nil, (*fireCall)(ev)) }
+func (e *Engine) FireAt(t Time, ev *Event) { e.schedule(t, (*fireCall)(ev)) }
 
 // After schedules fn to run in engine context after duration d.
-func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), nil, Func(fn)) }
+func (e *Engine) After(d Dur, fn func()) { e.schedule(e.now+Time(d), Func(fn)) }
 
 // Proc is a simulation process, of one of two kinds. A stackful process
 // (Spawn) is an iter.Pull coroutine: resuming it (next) and parking it
@@ -451,27 +449,21 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
-// SpawnAt is Spawn with an explicit start time.
+// SpawnAt is Spawn with an explicit start time. The process is registered
+// and scheduled as SpawnStepAt does, with no step, and given its coroutine.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{Name: name, eng: e}
-	// The deferred recover swallows every panic, so next never re-panics
-	// into the engine loop; only a runtime.Goexit propagates (DESIGN.md §7).
-	// next is never stopped: unwindProcs runs each unfinished coroutine to
-	// completion instead.
+	p := e.SpawnStepAt(t, name, nil)
+	// A panic in fn, the unwind sentinel included, re-panics in next's
+	// caller, whose recover handles it (DESIGN.md §7). next is never stopped:
+	// unwindProcs runs each unfinished coroutine to completion instead.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
-		defer func() {
-			if r := recover(); r != nil && !IsHaltUnwind(r) {
-				e.halt(name, r)
-			}
-			p.done = true
-			e.live--
-		}()
+		defer p.finish()
 		if !p.unwind {
 			fn(p)
 		}
 	})
-	return e.start(t, p)
+	return p
 }
 
 // SpawnStepAt creates a stackless process whose body is step, scheduled to
@@ -482,33 +474,42 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // dispatches. A step that returns without parking finishes the process. A
 // panic in step halts the run as a panic in a Spawn body does.
 func (e *Engine) SpawnStepAt(t Time, name string, step func(p *Proc)) *Proc {
-	return e.start(t, &Proc{Name: name, eng: e, step: step})
-}
-
-// start registers a new process and schedules its first resume at t.
-func (e *Engine) start(t Time, p *Proc) *Proc {
+	p := &Proc{Name: name, eng: e, step: step}
 	e.procs = append(e.procs, p)
 	e.live++
 	e.maybeCompactProcs()
-	e.schedule(t, p, nil)
+	e.wake(p, t)
 	return p
 }
 
-// runStep resumes stackless process p: it calls p's step until the step
-// returns, and counts the process finished if the step did not park. It
-// recovers a panic in the step into the engine's *PanicError and halts.
-func (e *Engine) runStep(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.halt(p.Name, r)
+// procCall resumes the process it points at: the Callback of a wake-up. A
+// finished process's wake-up is skipped (lazy cancellation); a stackless
+// process runs its step, and finishes unless the step parked; a coroutine is
+// switched to.
+type procCall Proc
+
+func (c *procCall) Call() {
+	p := (*Proc)(c)
+	switch {
+	case p.done:
+	case p.step != nil:
+		p.parked, p.parkKind, p.parkWhy = false, "", ""
+		p.step(p)
+		if !p.parked {
 			p.finish()
 		}
-	}()
-	p.parked, p.parkKind, p.parkWhy = false, "", ""
-	p.step(p)
-	if !p.parked {
-		p.finish()
+	default:
+		p.next()
 	}
+}
+
+// procName names what cb dispatches, in the flight ring and a *PanicError:
+// the process a wake-up resumes, or "fn" for any other callback.
+func procName(cb Callback) string {
+	if p, ok := cb.(*procCall); ok {
+		return p.Name
+	}
+	return "fn"
 }
 
 // halt records a panic of process proc in the event being dispatched, unless
@@ -520,7 +521,7 @@ func (e *Engine) halt(proc string, r any) {
 	e.halted = true
 }
 
-// finish marks a stackless process done.
+// finish marks a process done.
 func (p *Proc) finish() {
 	p.done = true
 	p.eng.live--
@@ -544,7 +545,8 @@ func (e *Engine) maybeCompactProcs() {
 	e.procs = kept
 }
 
-// PanicError reports that a simulation process panicked.
+// PanicError reports that a dispatch panicked: Proc names the process a
+// wake-up resumed, or is "fn" for any other callback.
 type PanicError struct {
 	Proc  string
 	Value interface{}
@@ -602,7 +604,7 @@ func (p *Proc) park(kind, why string) bool {
 }
 
 // wake schedules process p to resume at time t.
-func (e *Engine) wake(p *Proc, t Time) { e.schedule(t, p, nil) }
+func (e *Engine) wake(p *Proc, t Time) { e.schedule(t, (*procCall)(p)) }
 
 // Sleep suspends the process for duration d of virtual time (a negative d
 // sleeps zero). Like every park point it reports whether p, a stackless
@@ -647,7 +649,7 @@ func (p *Proc) sleepUntil(t Time, kind string) bool {
 		e.nowQHead = 0
 		e.now = t
 	}
-	e.account(dlKey(depth, e.lp), e.seq, p)
+	e.account(dlKey(depth, e.lp), e.seq, (*procCall)(p))
 	e.inPlace++
 	return false
 }
@@ -709,12 +711,7 @@ func (e *Engine) EachBlocked(fn func(name, blockedOn string)) {
 // sorted, for deadlock diagnostics.
 func (e *Engine) blockedProcs() []string {
 	var blocked []string
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		blocked = append(blocked, fmt.Sprintf("%s (on %s)", p.Name, p.blockedOn()))
-	}
+	e.EachBlocked(func(name, on string) { blocked = append(blocked, fmt.Sprintf("%s (on %s)", name, on)) })
 	sort.Strings(blocked)
 	return blocked
 }
@@ -722,11 +719,23 @@ func (e *Engine) blockedProcs() []string {
 // runUntil executes events strictly before fence and returns the stop
 // error, if any. It returns nil when the queue drains, when the next event
 // lies at or past the fence or the window cap is spent (the event stays
-// queued; the engine is resumable). When a process panic halts the engine
-// it returns the *PanicError. The ShardGroup coordinator
-// calls it once per window; every limit other than the window cap is
-// enforced at its barriers.
-func (e *Engine) runUntil(fence Time) error {
+// queued; the engine is resumable). When a panic in a dispatch halts the
+// engine it returns the *PanicError. The ShardGroup coordinator calls it
+// once per window; every limit other than the window cap is enforced at its
+// barriers.
+func (e *Engine) runUntil(fence Time) (err error) {
+	var cb Callback
+	// The one recover of a dispatch: a callback's panic, a stackless step's,
+	// or a coroutine body's, which next re-panics here.
+	defer func() {
+		if r := recover(); r != nil {
+			e.halt(procName(cb), r)
+			if p, ok := cb.(*procCall); ok && !p.done {
+				(*Proc)(p).finish()
+			}
+			e.curDL, err = idleDL, e.panicked
+		}
+	}()
 	e.fence = fence
 	for !e.halted {
 		if e.cancel.Load() {
@@ -765,34 +774,24 @@ func (e *Engine) runUntil(fence Time) error {
 		}
 		// Copy out and free before dispatch: the handler may schedule,
 		// which reuses pooled events.
-		p, cb := ev.proc, ev.cb
-		e.account(ev.dl, ev.seq, p)
+		cb = ev.cb
+		e.account(ev.dl, ev.seq, cb)
 		e.free(ev)
-		if p != nil {
-			switch { // lazy cancellation: skip dead processes
-			case p.done:
-			case p.step != nil:
-				e.runStep(p)
-			default:
-				p.next()
-			}
-		} else {
-			cb.Call()
-		}
+		cb.Call()
 		e.curDL = idleDL
 	}
 	return e.panicked
 }
 
 // account records the dispatch, at the current instant, of the event
-// stamped (dl, seq), which resumes p (nil for a callback): its key, the
-// depth its same-instant children inherit, the flight ring, the window's
-// stamps and both counters. It is the one place a dispatch is counted,
-// whether runUntil popped the event or Proc.sleepUntil never queued it.
-func (e *Engine) account(dl, seq uint64, p *Proc) {
+// stamped (dl, seq), which runs cb: its key, the depth its same-instant
+// children inherit, the flight ring, the window's stamps and both counters.
+// It is the one place a dispatch is counted, whether runUntil popped the
+// event or Proc.sleepUntil never queued it.
+func (e *Engine) account(dl, seq uint64, cb Callback) {
 	e.curDL, e.curSeq = dl, seq
 	if e.stamping {
-		e.stamp(p)
+		e.stamp(cb)
 	}
 	e.dispatched++
 	e.winCount++
@@ -810,9 +809,9 @@ func (e *Engine) depth() uint32 { return uint32(e.curDL >> 32) }
 
 // stamp records the dispatch in the flight ring and the window's stamps,
 // whichever is armed.
-func (e *Engine) stamp(p *Proc) {
+func (e *Engine) stamp(cb Callback) {
 	if e.flight != nil {
-		e.recordFlight(p)
+		e.recordFlight(cb)
 	}
 	if e.winStamps != nil {
 		e.winStamps = append(e.winStamps, e.cur())
@@ -839,18 +838,29 @@ func (e *Engine) nextAt() (Time, bool) {
 func (e *Engine) unwindProcs() {
 	e.unwinding = true
 	for i := 0; i < len(e.procs); i++ {
-		p := e.procs[i]
-		if p.step != nil && !p.done {
-			p.finish()
-		}
-		for !p.done {
-			p.unwind = true
-			p.next()
-		}
+		e.unwindProc(e.procs[i])
 	}
 	e.unwinding = false
 	for i := range e.procs {
 		e.procs[i] = nil
 	}
 	e.procs = e.procs[:0]
+}
+
+// unwindProc finishes p for unwindProcs. Its recover swallows the sentinel
+// that next re-panics once the body has exited, and halts on a real panic
+// from a defer.
+func (e *Engine) unwindProc(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil && !IsHaltUnwind(r) {
+			e.halt(p.Name, r)
+		}
+	}()
+	if p.step != nil && !p.done {
+		p.finish()
+	}
+	for !p.done {
+		p.unwind = true
+		p.next()
+	}
 }
