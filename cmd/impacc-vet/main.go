@@ -31,7 +31,6 @@ import (
 	"impacc/internal/analysis/observerpure"
 	"impacc/internal/analysis/parkdiscipline"
 	"impacc/internal/analysis/sharddiscipline"
-	"impacc/internal/analysis/spanbalance"
 	"impacc/internal/analysis/unused"
 	"impacc/internal/analysis/walltime"
 )
@@ -42,7 +41,6 @@ var suite = []*analysis.Analyzer{
 	globalrand.Analyzer,
 	maporder.Analyzer,
 	parkdiscipline.Analyzer,
-	spanbalance.Analyzer,
 	sharddiscipline.Analyzer,
 	atomicmix.Analyzer,
 	observerpure.Analyzer,

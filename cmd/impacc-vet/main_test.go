@@ -19,7 +19,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("-list exit %d, stderr: %s", code, errb.String())
 	}
 	for _, name := range []string{
-		"walltime", "globalrand", "maporder", "parkdiscipline", "spanbalance",
+		"walltime", "globalrand", "maporder", "parkdiscipline",
 		"sharddiscipline", "atomicmix", "observerpure", "hashcoverage", "unused",
 	} {
 		if !strings.Contains(out.String(), name) {
@@ -87,6 +87,7 @@ func TestBadFixtureFails(t *testing.T) {
 		"call to Clock transitively", "mixed access tears", "suppresses nothing",
 		"func Orphan is never used", "method (*Knob).Get is never used",
 		"field Knob.Level is never written", "impacc:allow-unused annotation suppresses nothing",
+		"impacc:allow-walltme annotation names no analyzer",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("findings missing %q:\n%s", want, out.String())

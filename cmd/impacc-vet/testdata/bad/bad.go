@@ -72,3 +72,9 @@ func Used() int { return 2 }
 
 // The violations above are used, so only the unused cases report.
 var _ = []any{Clock, Stamp, Pick, Keys, Stale, (*counter).Add, (*counter).Read, Used}
+
+// A misspelt annotation names no analyzer, so it suppresses nothing and
+// allowstale flags it.
+//
+//impacc:allow-walltme misspelt: names no analyzer
+var _ = Used()

@@ -11,9 +11,10 @@ import "sort"
 // Suppression annotations are honored per analyzer; two pseudo-analyzers
 // police the escape hatches themselves: malformed annotations (no reason)
 // are reported under "allowform" so a bare //impacc:allow-walltime can never
-// silently disable a check, and reasoned annotations that no longer suppress
-// any diagnostic of an analyzer in the running suite are reported under
-// "allowstale" so stale escape hatches cannot rot in the tree.
+// silently disable a check, and reasoned annotations that suppress nothing
+// are reported under "allowstale" so stale escape hatches cannot rot in the
+// tree. An annotation that names no analyzer of the running suite, a typo
+// or a deleted analyzer, suppresses nothing either and is reported too.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var targets, program []*Package
 	for _, pkg := range pkgs {
@@ -58,23 +59,20 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 			diags = append(diags, pass.diags...)
 		}
 	}
-	// Staleness is judged only for analyzers that actually ran: a testdata
-	// fixture exercising one analyzer may legitimately carry annotations for
-	// others.
 	suite := map[string]bool{}
 	for _, a := range analyzers {
 		suite[a.Name] = true
 	}
 	for _, site := range allows.sites {
-		if site.used || !suite[site.Name] {
+		if site.used {
 			continue
 		}
-		diags = append(diags, Diagnostic{
-			Analyzer: "allowstale",
-			Pos:      site.Pos,
-			Message: "impacc:allow-" + site.Name + " annotation suppresses nothing (no " +
-				site.Name + " diagnostic on this line or the next); remove the stale escape hatch",
-		})
+		msg := " annotation suppresses nothing (no " + site.Name +
+			" diagnostic on this line or the next); remove the stale escape hatch"
+		if !suite[site.Name] {
+			msg = " annotation names no analyzer of the suite; fix the name or remove it"
+		}
+		diags = append(diags, Diagnostic{Analyzer: "allowstale", Pos: site.Pos, Message: "impacc:allow-" + site.Name + msg})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -90,9 +88,8 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
 		}
-		// Message tie-break: several findings can share one position (e.g.
-		// two spans leaking through the same return); the full sort keeps
-		// impacc-vet's own output deterministic.
+		// Message tie-break: several findings can share one position; the
+		// full sort keeps impacc-vet's own output deterministic.
 		return a.Message < b.Message
 	})
 	return diags, nil

@@ -77,6 +77,7 @@ const (
 	jacobiTitan4 = "-app jacobi -system titan:4 -n 256 -iters 4"
 	copyfailRun  = "-app jacobi -system beacon:2 -mode legacy -backed -n 256 -iters 5 -chaos 7:copyfail=*:0.3 -flight-recorder $DIR/stall.json -style "
 	timeoutRun   = "-app jacobi -system titan:8 -n 256 -iters 20 -chaos 7:timeout=500us -report $DIR/report.json -style "
+	kindsJacobi  = "-app jacobi -system titan:8 -n 256 -iters 8 -chaos " + kindsSpec + outputs
 	outputs      = " -report $DIR/report.json -metrics $DIR/metrics.json"
 )
 
@@ -98,12 +99,14 @@ var entries = []entry{
 	runEntry("minicluster", 0, "-app jacobi -system ../../testdata/minicluster.json -n 128 -iters 3"+outputs),
 
 	// Chaos: a receive deadline that outlives its recycled request must
-	// not fail a later receive, in every style; every fault kind fires.
+	// not fail a later receive, in every style; every fault kind fires,
+	// also in a traced run, whose profile must still telescope.
 	runEntry("timeout-sync", 0, timeoutRun+"sync"),
 	runEntry("timeout-async", 0, timeoutRun+"async"),
 	runEntry("timeout-unified", 0, timeoutRun+"unified"),
-	runEntry("kinds-jacobi", 0, "-app jacobi -system titan:8 -n 256 -iters 8 -chaos "+kindsSpec+outputs,
-		faultKinds("degrade", "linkdown", "rdmadown", "stall", "copyfail")),
+	runEntry("kinds-jacobi", 0, kindsJacobi, faultKinds("degrade", "linkdown", "rdmadown", "stall", "copyfail")),
+	runEntry("kinds-jacobi-trace", 0, kindsJacobi+" -trace $DIR/trace.json -prof $DIR/prof.json",
+		profileSmoke, faultKinds("degrade", "linkdown", "rdmadown", "stall", "copyfail")),
 	runEntry("kinds-ep", 0, "-app ep -system titan:8 -class S -chaos "+kindsSpec+outputs, faultKinds("straggle")),
 
 	// A queued copy that runs out of retries fails its owning task with a

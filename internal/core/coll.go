@@ -43,7 +43,7 @@ func (c *Comm) Barrier() {
 		tag := base - round
 		dst := c.ranks[(me+off)%n]
 		src := c.ranks[(me-off+n)%n]
-		start := t.proc.Now()
+		start := t.spanStart()
 		mark := t.traceMark()
 		s := t.postSend(t.scratch, 1, dst, tag, o)
 		r := t.postRecv(t.scratch, 1, src, tag, o)
@@ -89,7 +89,7 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	leaders, myLeader := c.leaders(root)
 
-	defer t.mpiEnd("bcast", t.proc.Now(), t.traceMark(), -1, bytes)
+	defer t.mpiEnd("bcast", t.spanStart(), t.traceMark(), -1, bytes)
 
 	// Phase 1 among node leaders: a segmented pipelined binomial tree for
 	// small and medium payloads; bandwidth-optimal scatter + ring
@@ -209,7 +209,7 @@ func (c *Comm) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, 
 	t.localCopy(accAddr, sbuf, bytes)
 
 	if n > 1 {
-		start := t.proc.Now()
+		start := t.spanStart()
 		mark := t.traceMark()
 		tmp := t.tempAlloc(bytes)
 		// The tree moves runtime temporaries and already resolved
@@ -305,7 +305,7 @@ func (c *Comm) gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr x
 	if b.v {
 		name, rootBytes = "gatherv", 0
 	}
-	start := t.proc.Now()
+	start := t.spanStart()
 	mark := t.traceMark()
 	if c.myRank != root {
 		s := t.postSend(sbuf, bytes, c.ranks[root], base-1, o)
@@ -347,7 +347,7 @@ func (c *Comm) scatter(sendAddr xmem.Addr, b blocks, dt mpi.Datatype, recvAddr x
 	if b.v {
 		name, rootBytes = "scatterv", 0
 	}
-	start := t.proc.Now()
+	start := t.spanStart()
 	mark := t.traceMark()
 	if c.myRank != root {
 		r := t.postRecv(rbuf, bytes, c.ranks[root], base-1, o)
@@ -394,7 +394,7 @@ func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr
 	rbuf, _ := t.resolveBuf(recvAddr, count*n, dt, o)
 	blk := int64(count) * dt.Size()
 	t.localCopy(rbuf+xmem.Addr(int64(me)*blk), sbuf+xmem.Addr(int64(me)*blk), blk)
-	start := t.proc.Now()
+	start := t.spanStart()
 	mark := t.traceMark()
 	var reqs []*request
 	for step := 1; step < n; step++ {
@@ -521,7 +521,7 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 	rbuf, _ := t.resolveBuf(recvAddr, count, dt, o)
 	t.localCopy(rbuf, sbuf, bytes)
 	me := c.myRank
-	start := t.proc.Now()
+	start := t.spanStart()
 	mark := t.traceMark()
 	if me > 0 {
 		prefix := t.tempAlloc(bytes)

@@ -890,8 +890,12 @@ func TestReportUtilizationFields(t *testing.T) {
 
 func TestACCWaitAsyncWithUnifiedMPI(t *testing.T) {
 	// Queue 2's kernel must observe data received by queue 1's MPI op,
-	// ordered purely on the device via wait(1) async(2).
-	mustRun(t, psgCfg(IMPACC, 2), func(tk *Task) {
+	// ordered purely on the device via wait(1) async(2). The run is traced,
+	// so its end checks the spans of the cross-queue wait and the queued
+	// MPI ops balance.
+	cfg := psgCfg(IMPACC, 2)
+	cfg.Trace = NewTracer()
+	mustRun(t, cfg, func(tk *Task) {
 		buf := tk.Malloc(256)
 		tk.DataEnter(buf, 256, acc.Create)
 		peer := 1 - tk.Rank()

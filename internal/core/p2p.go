@@ -373,12 +373,14 @@ func (c *Comm) p2p(k uqKind, addr xmem.Addr, count int, dt mpi.Datatype, peer, t
 	r := t.newRequest()
 	cmd := &r.cmd
 	t.initCmd(cmd, t.cmdWhy, kind.send, buf, bytes, src, dst, tag, o)
-	start := t.proc.Now()
-	t.post(t.proc, cmd)
 	if !kind.blocking {
+		start := t.proc.Now()
+		t.post(t.proc, cmd)
 		t.mpiTime(kind.op, start)
 		return r.handle()
 	}
+	start := t.spanStart()
+	t.post(t.proc, cmd)
 	t.wait(r, kind.op, start)
 	t.freeRequest(r)
 	return Request{}
@@ -399,7 +401,7 @@ func cmdPeer(cmd *msg.Cmd) (int, int64) {
 func (t *Task) Wait(reqs ...Request) {
 	for _, h := range reqs {
 		if r, op := t.live(h); r != nil {
-			t.wait(r, "wait", t.proc.Now())
+			t.wait(r, "wait", t.spanStart())
 			t.release(r, op)
 		}
 	}
@@ -466,7 +468,9 @@ func (op *uqOp) Run(_ *device.Stream, p *sim.Proc) bool {
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
 		// The queued operation observes its own command: its span is
 		// recorded on the stream lane under the command's trace ID, so
-		// message edges point at the stream activity, not the host.
+		// message edges point at the stream activity, not the host. The
+		// span opens here, and Call records it.
+		tr.open(t.pl.Node)
 		tr.claim(t.pl.Node, cmd.TraceID, cmd.TraceID, p.Now())
 	}
 	cmd.Done.OnFire(op)
@@ -482,7 +486,7 @@ func (op *uqOp) Call() {
 	t.mpiObserve(name, cmd.PostedAt)
 	if tr := t.rt.Cfg.Trace; tr != nil && cmd.TraceID != 0 {
 		peer, bytes := cmdPeer(cmd)
-		tr.record(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
+		tr.close(Span{ID: cmd.TraceID, Rank: t.rank, Node: t.pl.Node,
 			Stream: int(op.q), Kind: "mpi", Name: name, Start: cmd.PostedAt,
 			End: t.eng().Now(), Bytes: bytes, Peer: peer})
 	}
@@ -557,7 +561,7 @@ type Status struct {
 // request before the request is freed.
 func (t *Task) RecvStatus(addr xmem.Addr, count int, dt mpi.Datatype, src, tag int, opts ...Opt) Status { //impacc:allow-unused reproduces the paper's MPI API (§3)
 	r, op := t.live(t.Irecv(addr, count, dt, src, tag, opts...))
-	t.wait(r, "wait", t.proc.Now())
+	t.wait(r, "wait", t.spanStart())
 	cmd := &r.cmd
 	st := Status{Source: cmd.MatchedSrc, Tag: cmd.MatchedTag, Count: int(cmd.MatchedBytes / dt.Size())}
 	t.release(r, op)
@@ -602,7 +606,7 @@ func (t *Task) Waitany(reqs ...Request) int { //impacc:allow-unused reproduces t
 				r.cmd.Done.OnFire(sim.Func(any.Fire))
 			}
 		}
-		start := t.proc.Now()
+		start := t.spanStart()
 		any.Wait(t.proc)
 		lastWait = t.mpiEnd("wait", start, -1, -1, 0)
 	}

@@ -330,6 +330,11 @@ func (rt *Runtime) Execute(prog Program) (*Report, error) {
 		}
 		return nil, simErr
 	}
+	if tr := rt.Cfg.Trace; tr != nil {
+		if err := tr.exact(); err != nil {
+			return nil, err
+		}
+	}
 	return rt.buildReport(), nil
 }
 

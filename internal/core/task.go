@@ -89,10 +89,14 @@ type taskSink struct {
 	node int
 }
 
-func (s *taskSink) NewID() uint64 { return s.tr.laneID(s.node) }
+// NewID opens the span that Span records under the ID.
+func (s *taskSink) NewID() uint64 {
+	s.tr.open(s.node)
+	return s.tr.laneID(s.node)
+}
 
 func (s *taskSink) Span(id uint64, stream int, kind, name string, start, end sim.Time, bytes int64) {
-	s.tr.record(Span{ID: id, Rank: s.rank, Node: s.node, Stream: stream,
+	s.tr.close(Span{ID: id, Rank: s.rank, Node: s.node, Stream: stream,
 		Kind: kind, Name: name, Start: start, End: end, Bytes: bytes, Peer: -1})
 }
 
@@ -301,14 +305,14 @@ func (t *Task) Busy(d sim.Dur) {
 		d = sim.Dur(float64(d) * f)
 	}
 	t.phase = "compute"
-	start := t.proc.Now()
+	start := t.spanStart()
 	t.proc.Sleep(d)
 	t.hostTime += d
 	t.span("compute", "host", start)
 	if ft := t.rt.faults; ft != nil {
 		if sf := ft.StraggleFactor(t.pl.Node, t.proc.Now()); sf > 1 {
 			extra := sim.Dur(float64(d) * (sf - 1))
-			s2 := t.proc.Now()
+			s2 := t.spanStart()
 			t.proc.Sleep(extra)
 			t.hostTime += extra
 			t.span("straggle", "host", s2)
@@ -369,7 +373,7 @@ func (t *Task) Kernels(spec device.KernelSpec, async int) {
 // operations in flight on queue q.
 func (t *Task) ACCWait(q int) {
 	t.phase = "accwait"
-	start := t.proc.Now()
+	start := t.spanStart()
 	t.uqBarrier(q)
 	t.env.Wait(t.proc, q)
 	t.span("accwait", "wait", start)
@@ -385,7 +389,7 @@ func (t *Task) ACCWaitAll() { //impacc:allow-unused reproduces the paper's OpenA
 	}
 	sort.Ints(qs)
 	t.phase = "accwait"
-	start := t.proc.Now()
+	start := t.spanStart()
 	for _, q := range qs {
 		t.uqBarrier(q)
 	}

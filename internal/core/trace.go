@@ -53,13 +53,15 @@ type streamRec struct {
 // only ever mutated from one goroutine at a time (its shard's worker), and
 // exports merge the lanes in node order after the run. Claims and pending
 // command IDs are rank-keyed and a rank lives on exactly one node, so they
-// shard along with the spans.
+// shard along with the spans. open counts the lane's spans opened and not
+// yet recorded (see Tracer.open), and low is the lowest it has been.
 type traceLane struct {
-	node    int
-	recs    []streamRec
-	recSeq  uint64
-	nextID  uint64
-	pending map[int][]uint64 // rank -> posted, not-yet-claimed command IDs
+	node      int
+	recs      []streamRec
+	recSeq    uint64
+	nextID    uint64
+	pending   map[int][]uint64 // rank -> posted, not-yet-claimed command IDs
+	open, low int
 }
 
 // push appends one record, stamping it with the lane-local sequence.
@@ -164,6 +166,33 @@ func (tr *Tracer) record(s Span) uint64 {
 	l := tr.lane(s.Node)
 	l.push(streamRec{at: s.End, kind: recSpan, span: s})
 	return s.ID
+}
+
+// open notes a span opened on node's lane, which one later close records.
+// Spans recorded whole at one instant (record) neither open nor close.
+func (tr *Tracer) open(node int) { tr.lane(node).open++ }
+
+// close records s, the span of an earlier open on its lane, and returns
+// its ID.
+func (tr *Tracer) close(s Span) uint64 {
+	l := tr.lane(s.Node)
+	if l.open--; l.open < l.low {
+		l.low = l.open
+	}
+	return tr.record(s)
+}
+
+// exact is the run-end check of span exactness, which the profile's
+// critical path telescoping rests on: every span opened was recorded
+// exactly once. It names the lowest node whose lane ended with spans open
+// or ever closed more than it had opened.
+func (tr *Tracer) exact() error {
+	for _, l := range tr.lanes {
+		if l.open != 0 || l.low < 0 {
+			return fmt.Errorf("core: trace spans of node %d do not balance: %d open at run end, lowest %d (a span was left unrecorded or recorded twice)", l.node, l.open, l.low)
+		}
+	}
+	return nil
 }
 
 // msgEdge records a send→recv match on the matching node's lane: from/to
@@ -426,13 +455,23 @@ func (tr *Tracer) counterEvents() []chromeEvent {
 	return out
 }
 
-// span records an interval on the task's host lane when tracing is enabled.
+// spanStart opens a host-lane span, which span or mpiSpan records, and
+// returns its start.
+func (t *Task) spanStart() sim.Time {
+	if tr := t.rt.Cfg.Trace; tr != nil {
+		tr.open(t.pl.Node)
+	}
+	return t.proc.Now()
+}
+
+// span records the interval opened at start (see spanStart) on the task's
+// host lane when tracing is enabled.
 func (t *Task) span(kind, name string, start sim.Time) {
 	tr := t.rt.Cfg.Trace
 	if tr == nil {
 		return
 	}
-	tr.record(Span{Rank: t.rank, Node: t.pl.Node, Stream: -1, Kind: kind,
+	tr.close(Span{Rank: t.rank, Node: t.pl.Node, Stream: -1, Kind: kind,
 		Name: name, Start: start, End: t.proc.Now(), Peer: -1})
 }
 
@@ -445,17 +484,17 @@ func (t *Task) traceMark() int {
 	return -1
 }
 
-// mpiSpan records a blocking MPI interval on the host lane and claims the
-// listed commands (plus, when mark >= 0, every command posted since mark)
-// so that message edges resolve to this span. Returns the span ID (0 when
-// tracing is off).
+// mpiSpan records a blocking MPI interval, opened at start by spanStart, on
+// the host lane and claims the listed commands (plus, when mark >= 0, every
+// command posted since mark) so that message edges resolve to this span.
+// Returns the span ID (0 when tracing is off).
 func (t *Task) mpiSpan(name string, start sim.Time, mark, peer int, bytes int64, cmds ...*msg.Cmd) uint64 {
 	tr := t.rt.Cfg.Trace
 	if tr == nil {
 		return 0
 	}
 	end := t.proc.Now()
-	id := tr.record(Span{Rank: t.rank, Node: t.pl.Node, Stream: -1, Kind: "mpi",
+	id := tr.close(Span{Rank: t.rank, Node: t.pl.Node, Stream: -1, Kind: "mpi",
 		Name: name, Start: start, End: end, Bytes: bytes, Peer: peer})
 	for _, c := range cmds {
 		if c != nil && c.TraceID != 0 {

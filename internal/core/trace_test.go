@@ -7,6 +7,7 @@ import (
 
 	"impacc/internal/device"
 	"impacc/internal/mpi"
+	"impacc/internal/topo"
 )
 
 func TestTracerCollectsAllSpanKinds(t *testing.T) {
@@ -99,4 +100,42 @@ func TestNoTracerNoOverheadPath(t *testing.T) {
 	mustRun(t, psgCfg(IMPACC, 1), func(tk *Task) {
 		tk.Compute(1e5)
 	})
+}
+
+// TestSpanExactness: a traced run that leaves a span unrecorded, or records
+// one twice, fails with one error naming the lowest such node and its count,
+// with the same text at one and eight workers.
+func TestSpanExactness(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		prog       Program
+	}{
+		{"unrecorded", "core: trace spans of node 2 do not balance: 4 open at run end, lowest 0 (a span was left unrecorded or recorded twice)",
+			func(tk *Task) {
+				if tk.NodeIdx() >= 2 {
+					tk.ctx.Sink.NewID()
+				}
+				tk.Compute(1e6)
+			}},
+		{"recorded-twice", "core: trace spans of node 1 do not balance: -1 open at run end, lowest -1 (a span was left unrecorded or recorded twice)",
+			func(tk *Task) {
+				start, sink := tk.Now(), tk.ctx.Sink
+				id := sink.NewID()
+				tk.Compute(1e6)
+				sink.Span(id, -1, "compute", "host", start, tk.Now(), 0)
+				if tk.Rank() == 4 {
+					sink.Span(id, -1, "compute", "host", start, tk.Now(), 0)
+				}
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, workers := range []int{1, 8} {
+				cfg := Config{System: topo.Beacon(4), Mode: IMPACC, Trace: NewTracer(), Parallel: workers}
+				_, err := Run(cfg, c.prog)
+				if err == nil || err.Error() != c.want {
+					t.Errorf("workers %d: err %v, want %q", workers, err, c.want)
+				}
+			}
+		})
+	}
 }

@@ -81,7 +81,7 @@ type fuzzProc struct {
 // fuzzOp is one step of a process: an opcode and its argument byte.
 type fuzzOp struct{ code, arg byte }
 
-// The opcodes a process step decodes to (code % opCount).
+// The opcodes a process step decodes to (code % opSpace).
 const (
 	opSleep      = iota // Sleep(arg%8): zero and short sleeps
 	opSleepUntil        // SleepUntil(now+arg%16-4): past, same-instant and future
@@ -103,6 +103,11 @@ const (
 	opCheck             // record a verdict the group's Check hook stops on
 	opCount
 )
+
+// opSpace is the fixed code space an op byte decodes into. Codes from
+// opCount up are no-ops, and every committed seed's codes lie below opCount
+// (TestFuzzSeedsBelowOpCount), so appending an op changes no seed's program.
+const opSpace = 32
 
 // decodeFuzzProgram turns bytes into a program. Byte 0 picks the shard count,
 // byte 1 the lookahead, byte 2 which limits and observers are armed and
@@ -143,7 +148,7 @@ func decodeFuzzProgram(data []byte) *fuzzProgram {
 				continue
 			}
 		}
-		p.procs[cur].ops = append(p.procs[cur].ops, fuzzOp{code % opCount, arg})
+		p.procs[cur].ops = append(p.procs[cur].ops, fuzzOp{code % opSpace, arg})
 	}
 	return p
 }
@@ -250,8 +255,7 @@ func (f *fuzzRun) step(tag string, op fuzzOp) bool {
 	case opSpawn:
 		s.spawn(&fuzzRun{prog: prog, name: tag, ops: []fuzzOp{{opSleep, arg}, {opCondWake, 0}}})
 	case opPanic:
-		// The callback panic reuses opPanic's spare args, not a code of its
-		// own: a new code would change code % opCount for committed seeds.
+		// A callback panics through opPanic's spare args.
 		switch {
 		case arg == 0xff:
 			panic(tag)
@@ -491,9 +495,25 @@ func TestEarlyPostSeeds(t *testing.T) {
 // count, as the reference executor predicts.
 func TestCallbackPanicSeed(t *testing.T) { seedEndsIn(t, "callback-panic", "fn") }
 
-// seedEndsIn checks that the FuzzShardGroup seed name ends, on the
-// reference executor and at workers {1, 2, 8}, in a *PanicError of proc.
-func seedEndsIn(t *testing.T, name, proc string) {
+// TestFuzzSeedsBelowOpCount: every committed FuzzShardGroup seed names its
+// ops by codes below opCount, so appending an op changes none of them.
+func TestFuzzSeedsBelowOpCount(t *testing.T) {
+	names, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzShardGroup", "*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no seeds: %v", err)
+	}
+	for _, name := range names {
+		data := readSeed(t, filepath.Base(name))
+		for i := 6; i+1 < len(data); i += 2 {
+			if code := data[i]; code != 0xff && code >= opCount {
+				t.Errorf("%s: op code %d at byte %d, want below opCount %d", filepath.Base(name), code, i, opCount)
+			}
+		}
+	}
+}
+
+// readSeed returns the bytes of the committed FuzzShardGroup seed name.
+func readSeed(t *testing.T, name string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzShardGroup", name))
 	if err != nil {
@@ -504,7 +524,14 @@ func seedEndsIn(t *testing.T, name, proc string) {
 	if !ok || err != nil {
 		t.Fatalf("%s: cannot decode seed: %v", name, err)
 	}
-	prog := decodeFuzzProgram([]byte(data))
+	return []byte(data)
+}
+
+// seedEndsIn checks that the FuzzShardGroup seed name ends, on the
+// reference executor and at workers {1, 2, 8}, in a *PanicError of proc.
+func seedEndsIn(t *testing.T, name, proc string) {
+	t.Helper()
+	prog := decodeFuzzProgram(readSeed(t, name))
 	ends := func(err error) bool {
 		pe, ok := err.(*PanicError)
 		return ok && pe.Proc == proc
