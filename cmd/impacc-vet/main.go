@@ -26,11 +26,9 @@ import (
 	"impacc/internal/analysis"
 	"impacc/internal/analysis/atomicmix"
 	"impacc/internal/analysis/globalrand"
-	"impacc/internal/analysis/hashcoverage"
 	"impacc/internal/analysis/maporder"
 	"impacc/internal/analysis/observerpure"
 	"impacc/internal/analysis/parkdiscipline"
-	"impacc/internal/analysis/sharddiscipline"
 	"impacc/internal/analysis/unused"
 	"impacc/internal/analysis/walltime"
 )
@@ -41,10 +39,8 @@ var suite = []*analysis.Analyzer{
 	globalrand.Analyzer,
 	maporder.Analyzer,
 	parkdiscipline.Analyzer,
-	sharddiscipline.Analyzer,
 	atomicmix.Analyzer,
 	observerpure.Analyzer,
-	hashcoverage.Analyzer,
 	unused.Analyzer,
 }
 

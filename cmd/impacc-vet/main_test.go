@@ -18,10 +18,14 @@ func TestListAnalyzers(t *testing.T) {
 	if code := realMain([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exit %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{
+	names := []string{
 		"walltime", "globalrand", "maporder", "parkdiscipline",
-		"sharddiscipline", "atomicmix", "observerpure", "hashcoverage", "unused",
-	} {
+		"atomicmix", "observerpure", "unused",
+	}
+	if n := strings.Count(out.String(), "\n"); n != len(names) {
+		t.Errorf("-list names %d analyzers, want %d:\n%s", n, len(names), out.String())
+	}
+	for _, name := range names {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}

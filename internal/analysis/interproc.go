@@ -4,8 +4,8 @@ package analysis
 // analyzed package, linked into a call graph, so passes can see through
 // helper functions instead of matching single expressions. The summaries are
 // deliberately syntactic-plus-types (no SSA): each records what the function
-// does directly — which functions it calls, which struct fields it reads and
-// writes, which package-level variables it uses, which fields it hands to
+// does directly — which functions it calls, which struct fields it writes,
+// which package-level variables it uses, which fields it hands to
 // sync/atomic — and Reach closes those direct facts transitively over the
 // call graph. Function literals are attributed to their enclosing declared
 // function, which is conservative in exactly the direction the determinism
@@ -39,16 +39,10 @@ type Origin struct {
 	What string
 }
 
-// CallSite is one statically resolved call. Recv is the object named by the
-// receiver expression when the call is a method call on a plain identifier
-// (e.g. the `e` of e.At(...)); Args holds, per argument, the object named by
-// the argument when it is a plain identifier. Both are nil otherwise and
-// exist so passes can follow values through parameters.
+// CallSite is one statically resolved call.
 type CallSite struct {
 	Callee *types.Func
 	Pos    token.Pos
-	Recv   types.Object
-	Args   []types.Object
 }
 
 // FieldWrite is one assignment (or ++/--) through a field selector. Owner is
@@ -58,11 +52,6 @@ type FieldWrite struct {
 	Owner *types.Named
 	Field *types.Var
 	Pos   token.Pos
-}
-
-// FieldUse is any selector expression resolving to a struct field.
-type FieldUse struct {
-	Field *types.Var
 }
 
 // VarUse is a use of a package-level variable (any package, including
@@ -102,7 +91,6 @@ type FuncSummary struct {
 
 	Calls       []CallSite
 	FieldWrites []FieldWrite
-	FieldUses   []FieldUse
 	VarUses     []VarUse
 }
 
@@ -152,11 +140,6 @@ func (f *Facts) Memo(key string, build func() any) any {
 // bodies (dependencies, interface methods).
 func (f *Facts) Summary(fn *types.Func) *FuncSummary {
 	return f.Funcs[fn]
-}
-
-// Sorted returns every summary in stable (file, line) order.
-func (f *Facts) Sorted() []*FuncSummary {
-	return f.sorted
 }
 
 // Reach computes which functions can transitively reach a source site, with
@@ -309,19 +292,7 @@ func (f *Facts) walkBody(pkg *Package, s *FuncSummary, body ast.Node) {
 			if callee == nil {
 				return true
 			}
-			cs := CallSite{Callee: callee, Pos: n.Pos()}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-					cs.Recv = pkg.Info.Uses[id]
-				}
-			}
-			cs.Args = make([]types.Object, len(n.Args))
-			for i, a := range n.Args {
-				if id, ok := ast.Unparen(a).(*ast.Ident); ok {
-					cs.Args[i] = pkg.Info.Uses[id]
-				}
-			}
-			s.Calls = append(s.Calls, cs)
+			s.Calls = append(s.Calls, CallSite{Callee: callee, Pos: n.Pos()})
 			f.noteAtomic(pkg, callee, n)
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -330,13 +301,9 @@ func (f *Facts) walkBody(pkg *Package, s *FuncSummary, body ast.Node) {
 		case *ast.IncDecStmt:
 			f.noteFieldWrite(pkg, s, n.X)
 		case *ast.SelectorExpr:
-			if obj, ok := pkg.Info.Uses[n.Sel].(*types.Var); ok {
-				switch {
-				case obj.IsField():
-					s.FieldUses = append(s.FieldUses, FieldUse{Field: obj})
-				case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
-					s.VarUses = append(s.VarUses, VarUse{Var: obj, Pos: n.Sel.Pos()})
-				}
+			if obj, ok := pkg.Info.Uses[n.Sel].(*types.Var); ok && !obj.IsField() &&
+				obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+				s.VarUses = append(s.VarUses, VarUse{Var: obj, Pos: n.Sel.Pos()})
 			}
 		}
 		return true

@@ -21,7 +21,7 @@ func loadFacts(t *testing.T, dir string) (*Package, *Facts) {
 
 func summaryNamed(t *testing.T, facts *Facts, name string) *FuncSummary {
 	t.Helper()
-	for _, s := range facts.Sorted() {
+	for _, s := range facts.Funcs {
 		if s.Func.Name() == name {
 			return s
 		}

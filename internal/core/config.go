@@ -149,8 +149,9 @@ type Config struct {
 	// observer fields below.
 	Lean bool
 	// Trace, when non-nil, collects per-task execution spans (kernels,
-	// copies, MPI blocking, host compute) for timeline export.
-	//impacc:hash-exclude pure observer: span collection never changes simulated bytes
+	// copies, MPI blocking, host compute) for timeline export. It is a pure
+	// observer, left out of the canonical content hash: span collection
+	// never changes simulated bytes.
 	Trace *Tracer
 	// Chaos, when non-nil, instantiates a deterministic fault-injection
 	// plan for the run (see internal/fault): link degradation and flaps,
@@ -163,23 +164,21 @@ type Config struct {
 	// Parallel is the number of worker threads driving the sharded
 	// simulation engine (intra-run parallelism). Like Trace it
 	// changes how the run executes, never what it simulates: any worker
-	// count produces byte-identical reports, traces, and telemetry, so the
-	// field is excluded from the canonical content hash. Values below 1
-	// mean serial.
-	//impacc:hash-exclude execution strategy: any worker count is byte-identical by construction
+	// count produces byte-identical reports, traces, and telemetry by
+	// construction, so the field is excluded from the canonical content
+	// hash. Values below 1 mean serial.
 	Parallel int
 	// Progress, when non-nil, emits deterministic virtual-time heartbeats
-	// every Progress.Every of virtual time (see Progress). An observer like
-	// Trace/Parallel: never changes what the run simulates, excluded
-	// from the canonical content hash.
-	//impacc:hash-exclude pure observer: heartbeats never change simulated bytes
+	// every Progress.Every of virtual time (see Progress). A pure observer
+	// like Trace, excluded from the canonical content hash: heartbeats never
+	// change simulated bytes.
 	Progress *Progress
 	// FlightRing, when positive, arms a per-shard flight recorder keeping
 	// the most recent FlightRing dispatched-event stamps; a run that ends
 	// abnormally (cancel, deadlock, limits, causality panic) then exposes a
-	// stall dump through Runtime.Stall. An observer: hash-excluded, zero
-	// simulation-visible effect.
-	//impacc:hash-exclude diagnostics ring: armed or not, simulated bytes are identical
+	// stall dump through Runtime.Stall. A diagnostics ring, excluded from
+	// the canonical content hash: armed or not, simulated bytes are
+	// identical.
 	FlightRing int
 }
 

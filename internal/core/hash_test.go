@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,36 +84,92 @@ func TestConfigHashNormalization(t *testing.T) {
 	}
 }
 
-// TestConfigHashSensitivity: every simulation-relevant field must move the
-// hash.
+// configFieldPaths names every field of t by its path from Config,
+// descending into the nested Limits and *Features structs.
+func configFieldPaths(t reflect.Type, prefix string) []string {
+	var paths []string
+	for i := range t.NumField() {
+		f := t.Field(i)
+		ft := f.Type
+		if ft == reflect.TypeOf(&Features{}) {
+			ft = ft.Elem()
+		}
+		if ft == reflect.TypeOf(Limits{}) || ft == reflect.TypeOf(Features{}) {
+			paths = append(paths, configFieldPaths(ft, prefix+f.Name+".")...)
+		} else {
+			paths = append(paths, prefix+f.Name)
+		}
+	}
+	return paths
+}
+
+// TestConfigHashSensitivity keeps the content address complete: a walk of
+// Config by reflection must name exactly the mutators and observers below,
+// so a new field fails until it gets one. Every mutator moves the hash to
+// a digest of its own, and no observer moves it.
 func TestConfigHashSensitivity(t *testing.T) {
+	features := func(f func(*Features)) func(c *Config) {
+		return func(c *Config) {
+			ft := DefaultFeatures(c.Mode)
+			f(&ft)
+			c.Features = &ft
+		}
+	}
+	mutators := map[string]func(c *Config){
+		"System":                func(c *Config) { c.System = topo.Beacon(3) },
+		"Mode":                  func(c *Config) { c.Mode = Legacy },
+		"DeviceTypes":           func(c *Config) { c.DeviceTypes = topo.MaskOf(topo.XeonPhi) },
+		"Pin":                   func(c *Config) { c.Pin = PinFar },
+		"Features.Aliasing":     features(func(f *Features) { f.Aliasing = false }),
+		"Features.DirectP2P":    features(func(f *Features) { f.DirectP2P = false }),
+		"Features.RDMA":         features(func(f *Features) { f.RDMA = false }),
+		"Features.UnifiedQueue": features(func(f *Features) { f.UnifiedQueue = false }),
+		"Backed":                func(c *Config) { c.Backed = true },
+		"Seed":                  func(c *Config) { c.Seed = 2017 },
+		"MaxTasks":              func(c *Config) { c.MaxTasks = 3 },
+		"JitterPct":             func(c *Config) { c.JitterPct = 2 },
+		"Lean":                  func(c *Config) { c.Lean = true },
+		"Chaos":                 func(c *Config) { c.Chaos, _ = fault.ParseSpec("1:straggle=*:2") },
+		"Limits.MaxVirtualTime": func(c *Config) { c.Limits.MaxVirtualTime = 1000 },
+		"Limits.MaxEvents":      func(c *Config) { c.Limits.MaxEvents = 1000 },
+		"Limits.MaxAllocBytes":  func(c *Config) { c.Limits.MaxAllocBytes = 1000 },
+	}
+	observers := map[string]func(c *Config){
+		"Trace":      func(c *Config) { c.Trace = NewTracer() },
+		"Parallel":   func(c *Config) { c.Parallel = 8 },
+		"Progress":   func(c *Config) { c.Progress = &Progress{Every: 1000, Emit: func(Heartbeat) {}} },
+		"FlightRing": func(c *Config) { c.FlightRing = 64 },
+	}
+	var named []string
+	for path := range mutators {
+		named = append(named, path)
+	}
+	for path := range observers {
+		named = append(named, path)
+	}
+	walked := configFieldPaths(reflect.TypeOf(Config{}), "")
+	slices.Sort(named)
+	slices.Sort(walked)
+	if !slices.Equal(walked, named) {
+		t.Fatalf("Config fields %v, but the mutators and observers name %v", walked, named)
+	}
 	base := Config{System: topo.Beacon(2), Seed: 2016}
 	seen := map[string]string{base.Hash(): "base"}
-	mutate := []struct {
-		name string
-		fn   func(c *Config)
-	}{
-		{"system", func(c *Config) { c.System = topo.Beacon(3) }},
-		{"mode", func(c *Config) { c.Mode = Legacy }},
-		{"devicetypes", func(c *Config) { c.DeviceTypes = topo.MaskOf(topo.XeonPhi) }},
-		{"pin", func(c *Config) { c.Pin = PinFar }},
-		{"features", func(c *Config) { c.Features = &Features{} }},
-		{"backed", func(c *Config) { c.Backed = true }},
-		{"seed", func(c *Config) { c.Seed = 2017 }},
-		{"maxtasks", func(c *Config) { c.MaxTasks = 3 }},
-		{"jitterpct", func(c *Config) { c.JitterPct = 2 }},
-		{"chaos", func(c *Config) { c.Chaos, _ = fault.ParseSpec("1:straggle=*:2") }},
-		{"limits", func(c *Config) { c.Limits.MaxEvents = 1000 }},
-		{"lean", func(c *Config) { c.Lean = true }},
-	}
-	for _, m := range mutate {
+	for _, path := range walked {
 		c := base
-		m.fn(&c)
+		if observe, ok := observers[path]; ok {
+			observe(&c)
+			if c.Hash() != base.Hash() {
+				t.Errorf("observer %s moved the hash", path)
+			}
+			continue
+		}
+		mutators[path](&c)
 		h := c.Hash()
 		if prev, dup := seen[h]; dup {
-			t.Errorf("mutating %s collides with %s", m.name, prev)
+			t.Errorf("mutating %s collides with %s", path, prev)
 		}
-		seen[h] = m.name
+		seen[h] = path
 	}
 }
 

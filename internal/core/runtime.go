@@ -272,7 +272,6 @@ func (rt *Runtime) Cancel() { rt.group.Cancel() }
 func (rt *Runtime) Execute(prog Program) (*Report, error) {
 	for _, t := range rt.tasks {
 		t := t
-		//impacc:allow-sharddiscipline setup-time seeding before group.Run: every engine is quiescent, no shard owns anything yet
 		rt.Fab.Engine(t.pl.Node).Spawn(fmt.Sprintf("task%d", t.rank), func(p *sim.Proc) {
 			t.proc = p
 			defer func() {

@@ -21,8 +21,22 @@ import (
 // differs names the shard whose schedule moved, and a rerun with the flight
 // recorder prints that shard's events with process names.
 //
+// A second pass runs every workload with a tracer attached and must give
+// the same lines: tracing moves no dispatch, and the run-time span check
+// covers these workloads.
+//
 // Run with -update to rewrite testdata/schedule.sha256.
 func TestScheduleDigests(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprint("traced=", traced), func(t *testing.T) {
+			core.CheckGolden(t, filepath.Join("testdata", "schedule.sha256"), []byte(scheduleDigests(t, traced)))
+		})
+	}
+}
+
+// scheduleDigests runs TestScheduleDigests' workloads, each with a tracer
+// when traced, and renders their golden lines.
+func scheduleDigests(t *testing.T, traced bool) string {
 	const ring = 1 << 13
 	runs := []struct {
 		name string
@@ -46,6 +60,9 @@ func TestScheduleDigests(t *testing.T) {
 		}
 		cfg := run.Config
 		cfg.FlightRing = ring
+		if traced {
+			cfg.Trace = core.NewTracer()
+		}
 		rt, err := core.NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -63,5 +80,5 @@ func TestScheduleDigests(t *testing.T) {
 			fmt.Fprintf(&b, "%s lp=%d events=%d %x\n", r.name, sf.LP, sf.Events, h.Sum(nil)[:12])
 		}
 	}
-	core.CheckGolden(t, filepath.Join("testdata", "schedule.sha256"), []byte(b.String()))
+	return b.String()
 }

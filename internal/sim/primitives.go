@@ -272,6 +272,7 @@ func (r *FIFOResource) UseAsync(occupy Dur) (start, end Time) {
 // The occupation starts at max(earliest, free) and the wait observed by the
 // monitor is measured from earliest.
 func (r *FIFOResource) UseAsyncFrom(earliest Time, occupy Dur) (start, end Time) {
+	r.eng.own()
 	if occupy < 0 {
 		occupy = 0
 	}
@@ -294,6 +295,7 @@ func CoUseAsync(occupy Dur, rs ...*FIFOResource) (start, end Time) {
 	}
 	start = rs[0].eng.now
 	for _, r := range rs {
+		r.eng.own()
 		if r.freeAt > start {
 			start = r.freeAt
 		}

@@ -142,6 +142,10 @@ func (g *ShardGroup) MaxNow() Time {
 // Deadline/MaxEvents cap, *CancelError, or *PanicError. However it ends,
 // every unfinished process on every shard is unwound before returning.
 func (g *ShardGroup) Run() error {
+	// Every engine stays sealed until it unwinds (see Engine.own).
+	for _, e := range g.engines {
+		e.sealed = true
+	}
 	err := g.windows()
 	if err == nil {
 		if blocked := g.blockedUnion(); len(blocked) > 0 {

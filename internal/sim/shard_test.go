@@ -478,3 +478,133 @@ func blockSplitRun(n, workers int) string {
 	}
 	return out.String()
 }
+
+// foreignTarget is what TestShardGroupForeignSchedule's reaches touch: the
+// group's engines, and shard 2's primitives, with a process parked on its
+// event, idle slot and semaphore.
+type foreignTarget struct {
+	engines []*Engine
+	ev      *Event
+	idle    Idle
+	sem     *Semaphore
+	res     *FIFOResource
+	// unwound is set by a parked process's defer once it has scheduled on
+	// its own engine while Run unwinds it.
+	unwound bool
+}
+
+// foreignGroup builds a 3-shard group at workers: shard 2 parks its three
+// waiters at t=0 and has nothing to do after, shard 1 ticks in every
+// window up to t=700, and shard 0 is left for the test to fill.
+func foreignGroup(workers int) (*ShardGroup, *foreignTarget) {
+	engines := []*Engine{NewLPEngine(0), NewLPEngine(1), NewLPEngine(2)}
+	g := NewShardGroup(engines, 100, workers)
+	g.ArmFlight(4)
+	e2 := engines[2]
+	tg := &foreignTarget{engines: engines, ev: e2.NewEvent("fire"), idle: NewIdle("wake"),
+		sem: e2.NewSemaphore(0, "release"), res: e2.NewFIFOResource("link")}
+	e2.Spawn("fire-waiter", func(p *Proc) {
+		defer func() {
+			e2.At(p.Now()+1, func() {})
+			tg.unwound = true
+		}()
+		tg.ev.Wait(p)
+	})
+	e2.Spawn("wake-waiter", func(p *Proc) { tg.idle.Wait(p) })
+	e2.Spawn("release-waiter", func(p *Proc) { tg.sem.Acquire(p) })
+	engines[1].Spawn("ticker", func(p *Proc) {
+		for range 100 {
+			p.Sleep(7)
+		}
+	})
+	return g, tg
+}
+
+// TestShardGroupForeignSchedule: while a group runs, an engine changes only
+// inside its own dispatch. A callback or process on shard 0 that reaches
+// idle shard 2 directly (scheduling on its engine, waking a process parked
+// there, or occupying its resource) panics in its own dispatch: Run returns
+// the same *PanicError at every worker count, unwinds every process and
+// files a panic dump. The same reach from a coordinator hook panics out of
+// Run. Scheduling before Run, and a defer that schedules on its own engine
+// while Run unwinds, are allowed.
+func TestShardGroupForeignSchedule(t *testing.T) {
+	const sealed = "sim: lp 2 changed outside its own dispatch; other shards reach it only through Engine.Post"
+	reaches := []struct {
+		name string
+		fn   func(tg *foreignTarget)
+	}{
+		{"At", func(tg *foreignTarget) { tg.engines[2].At(300, func() {}) }},
+		{"After", func(tg *foreignTarget) { tg.engines[2].After(50, func() {}) }},
+		{"CallAt", func(tg *foreignTarget) { tg.engines[2].CallAt(300, Func(func() {})) }},
+		{"FireAt", func(tg *foreignTarget) { tg.engines[2].FireAt(300, tg.engines[2].NewEvent("late")) }},
+		{"Spawn", func(tg *foreignTarget) { tg.engines[2].Spawn("stray", func(*Proc) {}) }},
+		{"SpawnAt", func(tg *foreignTarget) { tg.engines[2].SpawnAt(300, "stray", func(*Proc) {}) }},
+		{"SpawnStepAt", func(tg *foreignTarget) { tg.engines[2].SpawnStepAt(300, "stray", func(*Proc) {}) }},
+		{"Post", func(tg *foreignTarget) { tg.engines[2].Post(tg.engines[1], 400, Func(func() {})) }},
+		{"Event.Fire", func(tg *foreignTarget) { tg.ev.Fire() }},
+		{"Idle.Wake", func(tg *foreignTarget) { tg.idle.Wake() }},
+		{"Semaphore.Release", func(tg *foreignTarget) { tg.sem.Release() }},
+		{"FIFOResource.UseAsync", func(tg *foreignTarget) { tg.res.UseAsync(10) }},
+	}
+	hooks := []struct {
+		name string
+		set  func(g *ShardGroup, reach func())
+	}{
+		{"OnBeat", func(g *ShardGroup, reach func()) { g.BeatEvery, g.OnBeat = 100, func(Time) { reach() } }},
+		{"OnWindow", func(g *ShardGroup, reach func()) { g.OnWindow = func(Time) { reach() } }},
+		{"Check", func(g *ShardGroup, reach func()) { g.Check = func(Time) error { reach(); return nil } }},
+	}
+	for _, r := range reaches {
+		t.Run(r.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, 8} {
+				for _, proc := range []string{"fn", "reacher"} {
+					coros := parkedCoroutines()
+					g, tg := foreignGroup(workers)
+					if proc == "fn" {
+						tg.engines[0].At(150, func() { r.fn(tg) })
+					} else {
+						tg.engines[0].SpawnAt(150, proc, func(*Proc) { r.fn(tg) })
+					}
+					err := g.Run()
+					want := fmt.Sprintf("sim: process %s panicked: %s", proc, sealed)
+					if _, ok := err.(*PanicError); !ok || err.Error() != want {
+						t.Fatalf("from %s, workers %d: Run returned %v, want %q", proc, workers, err, want)
+					}
+					if n := parkedCoroutines(); n != coros || g.LiveProcs() != 0 {
+						t.Fatalf("from %s, workers %d: %d coroutines parked (baseline %d), %d processes live after Run",
+							proc, workers, n, coros, g.LiveProcs())
+					}
+					if st := g.Stall(); st == nil || st.Reason != "panic" || st.Error != want {
+						t.Fatalf("from %s, workers %d: stall dump %+v, want a panic dump of %q", proc, workers, st, want)
+					}
+					if !tg.unwound {
+						t.Fatalf("from %s, workers %d: a defer did not schedule on its own engine while Run unwound", proc, workers)
+					}
+					tg.engines[2].At(0, func() {}) // unsealed again once Run returns
+				}
+			}
+			for _, h := range hooks {
+				for _, workers := range []int{1, 2, 8} {
+					coros := parkedCoroutines()
+					g, tg := foreignGroup(workers)
+					h.set(g, func() { r.fn(tg) })
+					got := func() (v any) {
+						defer func() { v = recover() }()
+						return g.Run()
+					}()
+					if err, ok := got.(error); !ok || err.Error() != sealed {
+						t.Fatalf("from %s, workers %d: Run ended with %v, want a panic of %q", h.name, workers, got, sealed)
+					}
+					for _, e := range tg.engines {
+						e.unwindProcs()
+						e.At(0, func() {}) // unsealed once unwound
+					}
+					if n := parkedCoroutines(); n != coros {
+						t.Fatalf("from %s, workers %d: %d coroutines parked, baseline %d", h.name, workers, n, coros)
+					}
+				}
+			}
+		})
+	}
+}

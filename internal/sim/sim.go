@@ -147,6 +147,10 @@ type Engine struct {
 	// engines keep 0; every event carries its scheduler's lp so cross-shard
 	// ties break deterministically.
 	lp int32
+	// sealed is set from the start of ShardGroup.Run until the engine
+	// unwinds: the engine may then change only inside its own dispatch
+	// (see own).
+	sealed bool
 	// curDL and curSeq stamp the event being dispatched (see cur). curDL
 	// is idleDL between dispatches, so its depth half reads -1 there;
 	// schedule derives same-instant child depths from it (see
@@ -322,6 +326,7 @@ func (e *Engine) popHeap() *event {
 // Events for the current instant go to the FIFO nowQ; future events go to
 // the heap.
 func (e *Engine) schedule(t Time, cb Callback) {
+	e.own()
 	t = max(t, e.now)
 	e.seq++
 	ev := e.alloc()
@@ -335,6 +340,25 @@ func (e *Engine) schedule(t Time, cb Callback) {
 	} else {
 		e.pushHeap(ev)
 	}
+}
+
+// own panics when a sealed engine is changed between its dispatches: the
+// change comes from another shard's dispatch or from the coordinator, and
+// other shards reach this one only through Post. The panic ends the
+// dispatch that made the change, whose runUntil reports it.
+func (e *Engine) own() {
+	if e.sealed && e.curDL == idleDL {
+		panic(foreignChange(e.lp))
+	}
+}
+
+// foreignChange is the panic value of a change to the sealed engine of lp
+// (see own). It formats only when reported, which keeps own cheap to
+// inline into schedule.
+type foreignChange int32
+
+func (lp foreignChange) Error() string {
+	return fmt.Sprintf("sim: lp %d changed outside its own dispatch; other shards reach it only through Engine.Post", int32(lp))
 }
 
 // remoteEvent is an event bound for another shard's timeline, buffered in
@@ -361,6 +385,7 @@ func (e *Engine) Post(dst *Engine, at Time, cb Callback) {
 		e.schedule(at, cb)
 		return
 	}
+	e.own()
 	if at < e.now+Time(e.lookahead) {
 		e.halt(postProc, lookaheadViolation(e.lp, dst.lp, at, e.now, e.lookahead))
 		return
@@ -475,10 +500,10 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // panic in step halts the run as a panic in a Spawn body does.
 func (e *Engine) SpawnStepAt(t Time, name string, step func(p *Proc)) *Proc {
 	p := &Proc{Name: name, eng: e, step: step}
+	e.wake(p, t) // first, so a sealed engine that refuses it is left unchanged
 	e.procs = append(e.procs, p)
 	e.live++
 	e.maybeCompactProcs()
-	e.wake(p, t)
 	return p
 }
 
@@ -830,12 +855,14 @@ func (e *Engine) nextAt() (Time, bool) {
 	return 0, false
 }
 
-// unwindProcs resumes every unfinished coroutine with the unwind flag set
-// so it panics the haltUnwind sentinel, runs its defers, and exits.
+// unwindProcs unseals the engine, so defers may schedule on it, and
+// resumes every unfinished coroutine with the unwind flag set so it panics
+// the haltUnwind sentinel, runs its defers, and exits.
 // Processes spawned while unwinding (by a defer) are unwound too, without
 // ever running their body. A stackless process holds no stack to unwind:
 // it is marked finished.
 func (e *Engine) unwindProcs() {
+	e.sealed = false
 	e.unwinding = true
 	for i := 0; i < len(e.procs); i++ {
 		e.unwindProc(e.procs[i])
